@@ -31,14 +31,15 @@ chaos-multicrash:
 	go run ./cmd/chaos -crash 1@40%,2@3ms
 	go run ./cmd/chaos -crash-storm 3
 
-# Short, fixed-budget fuzz passes over the wire-format decoders (Go allows
-# one -fuzz pattern per invocation).
+# Short, fixed-budget fuzz passes over the wire-format decoders and the
+# runtime's flat hash table (Go allows one -fuzz pattern per invocation).
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzUnmarshalPutHeader -fuzztime=2s ./internal/core
 	go test -run='^$$' -fuzz=FuzzDecodeActivates -fuzztime=2s ./internal/parsec
 	go test -run='^$$' -fuzz=FuzzDecodeGetData -fuzztime=2s ./internal/parsec
 	go test -run='^$$' -fuzz=FuzzDecodePutMeta -fuzztime=2s ./internal/parsec
 	go test -run='^$$' -fuzz=FuzzDecodeTermMsg -fuzztime=2s ./internal/parsec
+	go test -run='^$$' -fuzz=FuzzFlatTable -fuzztime=2s ./internal/parsec
 	go test -run='^$$' -fuzz=FuzzDecodeHeartbeat -fuzztime=2s ./internal/rel
 	go test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=2s ./internal/recover
 	go test -run='^$$' -fuzz=FuzzDecodeRereplicate -fuzztime=2s ./internal/recover

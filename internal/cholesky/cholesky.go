@@ -53,6 +53,10 @@ type Pool struct {
 	T    int // tiles per dimension
 	NB   int // tile dimension
 	grid Grid
+	// rowRank[m] = (m mod P)·Q and colRank[n] = n mod Q, so the owner of
+	// tile (m,n) is rowRank[m]+colRank[n]. The runtime asks for a task's
+	// rank once per dependence edge; two table reads replace two divisions.
+	rowRank, colRank []int32
 
 	// GFLOPS is the per-core double-precision rate used by the cost model.
 	GFLOPS float64
@@ -73,7 +77,23 @@ func NewVirtual(t, nb, ranks int, gflops float64) *Pool {
 	if t <= 0 || nb <= 0 || ranks <= 0 || gflops <= 0 {
 		panic("cholesky: invalid pool parameters")
 	}
-	return &Pool{T: t, NB: nb, grid: SquarishGrid(ranks), GFLOPS: gflops}
+	p := &Pool{T: t, NB: nb, grid: SquarishGrid(ranks), GFLOPS: gflops}
+	p.rowRank, p.colRank = make([]int32, t), make([]int32, t)
+	for i := 0; i < t; i++ {
+		p.rowRank[i] = int32(i % p.grid.P * p.grid.Q)
+		p.colRank[i] = int32(i % p.grid.Q)
+	}
+	return p
+}
+
+// tileRank is grid.RankOf(m, n) from the residue tables. Tile coordinates
+// outside the matrix (a task id decoded from a corrupted message) take the
+// formula.
+func (p *Pool) tileRank(m, n int) int {
+	if uint(m) < uint(len(p.rowRank)) && uint(n) < uint(len(p.colRank)) {
+		return int(p.rowRank[m] + p.colRank[n])
+	}
+	return p.grid.RankOf(m, n)
 }
 
 // NewReal builds a correctness-mode pool factoring the dense SPD matrix
@@ -134,16 +154,16 @@ func (p *Pool) RankOf(t parsec.TaskID) int {
 	switch t.Class {
 	case ClassPOTRF:
 		k := int(t.Index)
-		return p.grid.RankOf(k, k)
+		return p.tileRank(k, k)
 	case ClassTRSM:
 		k, m := p.unpack2(t)
-		return p.grid.RankOf(m, k)
+		return p.tileRank(m, k)
 	case ClassSYRK:
 		_, m := p.unpack2(t)
-		return p.grid.RankOf(m, m)
+		return p.tileRank(m, m)
 	case ClassGEMM:
 		_, m, n := p.unpack3(t)
-		return p.grid.RankOf(m, n)
+		return p.tileRank(m, n)
 	}
 	panic("cholesky: bad class")
 }
@@ -270,7 +290,7 @@ func (p *Pool) LocalTasks(rank int) int64 {
 	var total int64
 	for m := 0; m < p.T; m++ {
 		for n := 0; n <= m; n++ {
-			if p.grid.RankOf(m, n) != rank {
+			if p.tileRank(m, n) != rank {
 				continue
 			}
 			if m == n {

@@ -491,7 +491,7 @@ func TestTreeSplitMatchesBinomialShape(t *testing.T) {
 	var walk func(sub []int32)
 	walk = func(sub []int32) {
 		seen[sub[0]]++
-		for _, ch := range coll.TreeSplit(sub) {
+		for _, ch := range coll.TreeSplit(nil, sub) {
 			walk(ch)
 		}
 	}
@@ -501,7 +501,7 @@ func TestTreeSplitMatchesBinomialShape(t *testing.T) {
 			t.Errorf("rank %d seen %d times", r, seen[r])
 		}
 	}
-	if len(coll.TreeSplit([]int32{7})) != 0 {
+	if len(coll.TreeSplit(nil, []int32{7})) != 0 {
 		t.Error("singleton list has children")
 	}
 }

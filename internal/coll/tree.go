@@ -7,8 +7,10 @@ package coll
 // no single rank serves every consumer. internal/parsec delegates its tree
 // construction here; collectives use the same shape through
 // binomialParentChildren over dense rank intervals.
-func TreeSplit(ranks []int32) [][]int32 {
-	var children [][]int32
+//
+// The children are appended to the first argument (nil is fine): the runtime
+// splits one tree per multicast flow and reuses the slice.
+func TreeSplit(children [][]int32, ranks []int32) [][]int32 {
 	// Binomial: repeatedly hand off the upper half of the remaining list.
 	lo, hi := 0, len(ranks)
 	for hi-lo > 1 {

@@ -98,8 +98,10 @@ func NewServer(opts Options) (*Server, error) {
 			s.met.queue(1)
 		}
 	}
+	// Read the queue before the dispatcher exists: it pops under s.mu.
+	resumed := len(s.queue) > 0
 	go s.dispatch()
-	if len(s.queue) > 0 {
+	if resumed {
 		s.kick()
 	}
 	return s, nil

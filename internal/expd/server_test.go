@@ -162,14 +162,16 @@ func TestServerCancelMidSweep(t *testing.T) {
 	if err != nil || !fresh {
 		t.Fatalf("submit: %v fresh=%v", err, fresh)
 	}
-	ch, off, _, err := srv.Subscribe(st.ID)
+	ch, off, cur, err := srv.Subscribe(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer off()
-	// Wait until the job is actually running, then cancel mid-sweep.
-	for ev := range ch {
-		if ev.Type == "state" && ev.State == StateRunning {
+	// Wait until the job is actually running, then cancel mid-sweep. The
+	// dispatcher may have started it before Subscribe, in which case the
+	// state event is already gone and the status says so.
+	for cur.State != StateRunning {
+		if ev, ok := <-ch; !ok || (ev.Type == "state" && ev.State == StateRunning) {
 			break
 		}
 	}

@@ -1,0 +1,69 @@
+package parsec_test
+
+import (
+	"runtime"
+	"testing"
+
+	"amtlci/internal/core/stack"
+	"amtlci/internal/parsec"
+	"amtlci/internal/sim"
+)
+
+// chainAllocs runs a chain of n tasks, task i on rank i%ranks, each handing
+// 1 KiB to the next, and returns the heap allocations made inside Run.
+func chainAllocs(t *testing.T, b stack.Backend, ranks, n int) uint64 {
+	t.Helper()
+	g := parsec.NewGraphPool("chain", ranks, false)
+	prev := g.AddTask(0, 0, sim.Microsecond, 0, 1<<10)
+	for i := 1; i < n; i++ {
+		cur := g.AddTask(int64(i), i%ranks, sim.Microsecond, 0, 1<<10)
+		g.Link(prev, 0, cur)
+		prev = cur
+	}
+	_, rt := build(t, b, ranks, 2, g, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// allocsPerTask is the marginal cost of one more task on the chain: the
+// difference between a long and a short run cancels everything a run pays
+// once (first growth of queues, tables and scratch, termination detection).
+func allocsPerTask(t *testing.T, b stack.Backend, ranks, short, long int) float64 {
+	return float64(chainAllocs(t, b, ranks, long)-chainAllocs(t, b, ranks, short)) / float64(long-short)
+}
+
+// The chains are long because the simulator's calendar queue allocates each
+// of its 4096 buckets on first use: only once a run has touched them all is
+// the difference between two runs the task path alone.
+
+// TestLocalTaskPathAllocs pins the runtime's own allocations on the path
+// "task done → local successor ready → dispatched → done": the pool's Execute
+// result and the successor-facing flow record, and nothing else — no map
+// growth, no boxing in the ready queue, no dispatch closure, no input slice.
+func TestLocalTaskPathAllocs(t *testing.T) {
+	got := allocsPerTask(t, stack.LCI, 1, 12000, 16000)
+	t.Logf("local chain: %.3f allocs/task", got)
+	if got > 2.02 {
+		t.Fatalf("local chain: %.3f allocs/task, want <= 2 (Execute result + flow record)", got)
+	}
+}
+
+// TestRemoteTaskPathAllocs bounds the same path when every edge crosses the
+// wire (ACTIVATE, GET DATA, put, on both backends). The comm layers own most
+// of these allocations; the bound is the measured value plus a little slack,
+// there to catch a closure or a map creeping back into the per-task path.
+func TestRemoteTaskPathAllocs(t *testing.T) {
+	bounds := map[stack.Backend]float64{stack.LCI: 90, stack.MPI: 98}
+	forBackends(t, func(t *testing.T, b stack.Backend) {
+		got := allocsPerTask(t, b, 2, 3000, 5000)
+		t.Logf("remote chain: %.2f allocs/task", got)
+		if got > bounds[b] {
+			t.Fatalf("remote chain: %.2f allocs/task, want <= %.0f", got, bounds[b])
+		}
+	})
+}

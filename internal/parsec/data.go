@@ -37,6 +37,5 @@ const (
 type getReq struct {
 	requester int
 	epoch     int32
-	hdr       putMeta
 	rreg      regHandle
 }

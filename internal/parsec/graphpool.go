@@ -1,7 +1,9 @@
 package parsec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"amtlci/internal/sim"
 )
@@ -17,7 +19,12 @@ type GraphPool struct {
 	ranks   int
 	real    bool
 
-	tasks map[TaskID]*graphTask
+	// tasks holds the records in insertion order and index maps a TaskID to
+	// its position. The lookup runs on every Taskpool call of every rank (a
+	// dozen per executed task), so it shares the runtime's flat table;
+	// entries are only ever added, and after construction only read.
+	tasks []graphTask
+	index flatTable[int32]
 
 	perRank []int64
 
@@ -42,7 +49,6 @@ func NewGraphPool(name string, ranks int, real bool) *GraphPool {
 		classes: []TaskClass{{Name: "task"}},
 		ranks:   ranks,
 		real:    real,
-		tasks:   make(map[TaskID]*graphTask),
 		perRank: make([]int64, ranks),
 	}
 }
@@ -51,19 +57,21 @@ func NewGraphPool(name string, ranks int, real bool) *GraphPool {
 // output flow sizes. All tasks share class 0.
 func (g *GraphPool) AddTask(index int64, rank int, cost sim.Duration, prio int64, flowSizes ...int64) TaskID {
 	t := TaskID{Class: 0, Index: index}
-	if _, dup := g.tasks[t]; dup {
+	if g.lookup(t) != nil {
 		panic(fmt.Sprintf("parsec: duplicate task %v", t))
 	}
 	if rank < 0 || rank >= g.ranks {
 		panic(fmt.Sprintf("parsec: task %v on invalid rank %d", t, rank))
 	}
-	g.tasks[t] = &graphTask{
+	pos, _ := g.index.insert(flowKey{task: t})
+	*pos = int32(len(g.tasks))
+	g.tasks = append(g.tasks, graphTask{
 		rank:  rank,
 		cost:  cost,
 		prio:  prio,
 		flows: append([]int64(nil), flowSizes...),
 		succs: make([][]Dep, len(flowSizes)),
-	}
+	})
 	g.perRank[rank]++
 	return t
 }
@@ -71,12 +79,12 @@ func (g *GraphPool) AddTask(index int64, rank int, cost sim.Duration, prio int64
 // Link adds a dependence: consumer reads producer's output flow. A consumer
 // reading the same flow twice must be linked twice.
 func (g *GraphPool) Link(producer TaskID, flow int32, consumer TaskID) {
-	p, ok := g.tasks[producer]
-	if !ok {
+	p := g.lookup(producer)
+	if p == nil {
 		panic(fmt.Sprintf("parsec: link from unknown producer %v", producer))
 	}
-	c, ok := g.tasks[consumer]
-	if !ok {
+	c := g.lookup(consumer)
+	if c == nil {
 		panic(fmt.Sprintf("parsec: link to unknown consumer %v", consumer))
 	}
 	if int(flow) >= len(p.flows) {
@@ -86,9 +94,18 @@ func (g *GraphPool) Link(producer TaskID, flow int32, consumer TaskID) {
 	c.inputs = append(c.inputs, Dep{Task: producer, Flow: flow})
 }
 
+// lookup returns t's record, or nil. The pointer aims into g.tasks and is
+// invalidated by the next AddTask.
+func (g *GraphPool) lookup(t TaskID) *graphTask {
+	if pos := g.index.get(flowKey{task: t}); pos != nil {
+		return &g.tasks[*pos]
+	}
+	return nil
+}
+
 func (g *GraphPool) task(t TaskID) *graphTask {
-	gt, ok := g.tasks[t]
-	if !ok {
+	gt := g.lookup(t)
+	if gt == nil {
 		panic(fmt.Sprintf("parsec: unknown task %v", t))
 	}
 	return gt
@@ -121,14 +138,19 @@ func (g *GraphPool) Successors(t TaskID, flow int32, out []Dep) []Dep {
 
 // Roots implements Taskpool.
 func (g *GraphPool) Roots(rank int, emit func(TaskID)) {
-	// Deterministic order: scan indices in insertion-independent order.
+	// Deterministic, insertion-independent order: by (Class, Index).
 	var ids []TaskID
-	for t, gt := range g.tasks {
-		if gt.rank == rank && len(gt.inputs) == 0 {
-			ids = append(ids, t)
+	g.index.each(func(k flowKey, pos *int32) {
+		if gt := &g.tasks[*pos]; gt.rank == rank && len(gt.inputs) == 0 {
+			ids = append(ids, k.task)
 		}
-	}
-	sortTaskIDs(ids)
+	})
+	slices.SortFunc(ids, func(a, b TaskID) int {
+		if c := cmp.Compare(a.Class, b.Class); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Index, b.Index)
+	})
 	for _, t := range ids {
 		emit(t)
 	}
@@ -161,19 +183,4 @@ func (g *GraphPool) alloc(n int64) DataRef {
 		return RealData(make([]byte, n))
 	}
 	return VirtualData(n)
-}
-
-func sortTaskIDs(ids []TaskID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && less(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-func less(a, b TaskID) bool {
-	if a.Class != b.Class {
-		return a.Class < b.Class
-	}
-	return a.Index < b.Index
 }

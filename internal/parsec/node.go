@@ -2,7 +2,7 @@ package parsec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"amtlci/internal/core"
 	"amtlci/internal/metrics"
@@ -25,9 +25,16 @@ type node struct {
 	workers []*sim.Proc
 	idle    []int // indices of idle workers, LIFO
 
+	// ready orders released tasks; tasks holds the dependence counters of
+	// tasks that have been touched but not yet completed, inline; store holds
+	// this rank's dataflow copies. Both tables track the live set only (see
+	// flatTable for the invariants and the pointer-lifetime rule), and all
+	// three are run-scoped: releaseRunState drops them when Run returns.
 	ready prioQueue
-	tasks map[TaskID]*taskState
-	store map[flowKey]*flowData
+	tasks flatTable[taskState]
+	store flatTable[*flowData]
+	// freeRuns recycles dispatch records (taskRun) between tasks.
+	freeRuns []*taskRun
 
 	executed int64
 	total    int64
@@ -52,9 +59,16 @@ type node struct {
 	activeFetches int
 	fetchQ        prioQueue
 
-	// ACTIVATE aggregation (§4.3 duty 1), funneled mode only.
-	pendingAct  map[int][]activation
-	flushQueued map[int]bool
+	// ACTIVATE aggregation (§4.3 duty 1), funneled mode only: entries queued
+	// per destination rank until the flush, and whether a flush is already
+	// scheduled. Both are indexed by rank and allocated at the first remote
+	// activation; pendingDests counts the destinations with queued entries
+	// (the quiet predicate reads it) and actFree recycles flushed entry
+	// slices.
+	pendingAct   [][]activation
+	flushQueued  []bool
+	pendingDests int
+	actFree      [][]activation
 
 	// Termination-detection state (term.go). csent/crecv count the dataflow
 	// protocol messages this rank sent and accepted; the imbalance, summed
@@ -86,11 +100,18 @@ type node struct {
 	stealsC, stealTasksC, stealGrantedC   *metrics.Counter
 	stealLat                              *metrics.Histogram
 
-	inputScratch []Dep
-	succScratch  []Dep
-	lastOutputs  []DataRef
+	// Scratch reused across tasks so the steady state allocates nothing of
+	// its own: taskpool edge lists, the input payloads handed to Execute, and
+	// complete's consumer-rank set and multicast children.
+	inputScratch  []Dep
+	succScratch   []Dep
+	inputRefs     []DataRef
+	remoteScratch []int32
+	childScratch  [][]int32
+	lastOutputs   []DataRef
 }
 
+// taskState is one task's dependence counter, stored inline in node.tasks.
 type taskState struct {
 	remaining int32
 	// lazyFlows holds announced-but-unfetched input flows (FetchLazy mode);
@@ -98,37 +119,55 @@ type taskState struct {
 	lazyFlows []flowKey
 }
 
+// flowData is one dataflow copy at one rank. Records are never recycled:
+// deferred communication-thread closures and put completions hold the
+// pointer across events (and across a restart, where the epoch checks make
+// them inert), so a record's identity must stay tied to one flow instance.
+// The small fields are packed to keep the record in the 208-byte size class.
 type flowData struct {
+	ref         DataRef
+	size        int64
+	lreg        regHandle
+	pendingGets []getReq
+	waiters     []TaskID
+	// Tracing/forwarding metadata, valid away from the root.
+	meta         activation
+	expectedGets int32
+	servedGets   int32
+	localRefs    int32
 	state        flowState
-	ref          DataRef
-	size         int64
-	lreg         regHandle
 	registered   bool
-	expectedGets int
-	servedGets   int
-	pendingGets  []getReq
-	waiters      []TaskID
-	localRefs    int
 	// stolen marks an entry created by adopting a stolen task before any
 	// activation for the flow reached this rank; a real activation merges
 	// into it (mergeActivation) rather than colliding.
 	stolen bool
-	// Tracing/forwarding metadata, valid away from the root.
-	meta activation
+}
+
+// taskRun is one dispatched task on its way through a worker core. The
+// record is what the worker's Proc queues (through done, bound once when the
+// record is made), so dispatching allocates no closure; finished records go
+// back to node.freeRuns. The recovery epoch travels IN the record, with the
+// queued work: a restart hands every worker slot back while pre-restart
+// completions may still sit in the Procs, and such a completion must find
+// its own stale epoch — not state a post-restart dispatch has since written.
+// That is why a record is recycled only by its own completion and a stale
+// one is simply dropped.
+type taskRun struct {
+	n     *node
+	task  TaskID
+	w     int32
+	epoch int32
+	done  func()
 }
 
 func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config) *node {
 	n := &node{
-		rt:          rt,
-		rank:        rank,
-		eng:         rt.dom.RankEngine(rank),
-		ce:          ce,
-		cfg:         cfg,
-		tasks:       make(map[TaskID]*taskState),
-		store:       make(map[flowKey]*flowData),
-		rng:         sim.NewRNG(cfg.Seed ^ (uint64(rank)+1)*0x9E3779B97F4A7C15),
-		pendingAct:  make(map[int][]activation),
-		flushQueued: make(map[int]bool),
+		rt:   rt,
+		rank: rank,
+		eng:  rt.dom.RankEngine(rank),
+		ce:   ce,
+		cfg:  cfg,
+		rng:  sim.NewRNG(cfg.Seed ^ (uint64(rank)+1)*0x9E3779B97F4A7C15),
 	}
 	n.workers = make([]*sim.Proc, cfg.Workers)
 	for i := range n.workers {
@@ -183,14 +222,46 @@ func (n *node) start() {
 	})
 }
 
+// releaseRunState drops everything only a running graph needs — tables,
+// queues, aggregation buffers, free lists, scratch — once Run has returned:
+// a finished Runtime serves Stats, Tracer and Metrics, and callers keep it
+// (and with it 2 tables and a dozen slices per rank) alive for exactly that.
+func (n *node) releaseRunState() {
+	n.tasks.reset()
+	n.store.reset()
+	n.ready, n.fetchQ = prioQueue{}, prioQueue{}
+	n.freeRuns = nil
+	n.pendingAct, n.flushQueued, n.actFree = nil, nil, nil
+	n.inputScratch, n.succScratch, n.inputRefs = nil, nil, nil
+	n.remoteScratch, n.childScratch, n.lastOutputs = nil, nil, nil
+}
+
+// stateOf returns t's dependence state, creating it from the taskpool's
+// input list on first touch. The pointer aims into n.tasks and dies with the
+// next stateOf of a new task or completion (flatTable's pointer-lifetime
+// rule): use it at once, re-fetch after anything that may release or
+// complete a task.
 func (n *node) stateOf(t TaskID) *taskState {
-	st, ok := n.tasks[t]
-	if !ok {
+	st, fresh := n.tasks.insert(flowKey{task: t})
+	if fresh {
 		n.inputScratch = n.rt.tp.Inputs(t, n.inputScratch[:0])
-		st = &taskState{remaining: int32(len(n.inputScratch))}
-		n.tasks[t] = st
+		st.remaining = int32(len(n.inputScratch))
 	}
 	return st
+}
+
+// flow returns this rank's copy of a dataflow, or nil.
+func (n *node) flow(key flowKey) *flowData {
+	if p := n.store.get(key); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// putFlow stores fd as this rank's copy of key.
+func (n *node) putFlow(key flowKey, fd *flowData) {
+	p, _ := n.store.insert(key)
+	*p = fd
 }
 
 // satisfy decrements t's dependence counter, releasing it at zero.
@@ -205,17 +276,17 @@ func (n *node) satisfy(t TaskID) {
 		return
 	}
 	if n.cfg.FetchLazy && len(st.lazyFlows) > 0 && int(st.remaining) == len(st.lazyFlows) {
-		n.launchLazy(st)
+		keys := st.lazyFlows
+		st.lazyFlows = nil
+		n.launchLazy(keys)
 	}
 }
 
 // launchLazy requests every deferred flow of one task; shared flows may
 // already be fetching on behalf of another consumer.
-func (n *node) launchLazy(st *taskState) {
-	keys := st.lazyFlows
-	st.lazyFlows = nil
+func (n *node) launchLazy(keys []flowKey) {
 	for _, key := range keys {
-		fd := n.store[key]
+		fd := n.flow(key)
 		if fd == nil || fd.state != flowAnnounced {
 			continue
 		}
@@ -234,7 +305,7 @@ func (n *node) makeReady(t TaskID) {
 			n.submit(0, n.serveStarving)
 		}
 	}
-	n.ready.Push(n.rt.tp.Priority(t), t, nil)
+	n.ready.Push(n.rt.tp.Priority(t), t, 0)
 	n.dispatch()
 }
 
@@ -255,57 +326,78 @@ func (n *node) dispatch() {
 	}
 }
 
-// runTask executes t on worker w: scheduling overhead, the (jittered) kernel
-// cost, and completion bookkeeping are charged to the worker core.
+// runTask executes t on worker w, on a recycled dispatch record.
 func (n *node) runTask(t TaskID, w int) {
+	var r *taskRun
+	if k := len(n.freeRuns); k > 0 {
+		r = n.freeRuns[k-1]
+		n.freeRuns = n.freeRuns[:k-1]
+	} else {
+		r = &taskRun{n: n}
+		r.done = r.finish
+	}
+	n.launch(r, t, w)
+}
+
+// launch charges t to worker w: scheduling overhead, the (jittered) kernel
+// cost, and completion bookkeeping all occupy the worker core, and r.finish
+// runs when they have been paid.
+func (n *node) launch(r *taskRun, t TaskID, w int) {
 	cost := n.cfg.SchedCost + n.rng.Jitter(n.rt.tp.Cost(t), n.cfg.Jitter) + n.cfg.CompleteCost
-	proc := n.workers[w]
 	if n.rt.obs != nil {
 		n.rt.obs.TaskStart(n.rank, w, t, n.eng.Now())
 	}
-	epoch := n.epoch
-	proc.Submit(cost, func() {
-		// A crash or restart between dispatch and execution voids the task:
-		// the worker slot was already handed back by the reset, so the stale
-		// closure must vanish without touching the idle list.
-		if n.dead || epoch != n.epoch {
-			return
-		}
-		n.execute(t, w)
-		n.complete(t, w)
-		if n.rt.obs != nil {
-			n.rt.obs.TaskEnd(n.rank, w, t, n.eng.Now())
-		}
-		// The worker picks up the next ready task or goes idle. Idling is a
-		// quiet-transition point: the last worker to idle may complete the
-		// rank's termination-detection obligations (and go looking for work
-		// to steal).
-		if n.ready.Len() > 0 {
-			it := n.ready.Pop()
-			n.runTask(it.task, w)
-		} else {
-			n.idle = append(n.idle, w)
-			n.pollQuiet()
-		}
-	})
+	r.task, r.w, r.epoch = t, int32(w), n.epoch
+	n.workers[w].Submit(cost, r.done)
+}
+
+// finish is the worker-core completion of one dispatched task.
+func (r *taskRun) finish() {
+	n := r.n
+	// A crash or restart between dispatch and execution voids the task: the
+	// worker slot was already handed back by the reset, so the stale record
+	// must vanish without touching the idle list (or the free list).
+	if n.dead || r.epoch != n.epoch {
+		return
+	}
+	t, w := r.task, int(r.w)
+	n.execute(t, w)
+	n.complete(t, w)
+	if n.rt.obs != nil {
+		n.rt.obs.TaskEnd(n.rank, w, t, n.eng.Now())
+	}
+	// The worker picks up the next ready task or goes idle. Idling is a
+	// quiet-transition point: the last worker to idle may complete the
+	// rank's termination-detection obligations (and go looking for work
+	// to steal).
+	if n.ready.Len() > 0 {
+		n.launch(r, n.ready.Pop().task, w)
+	} else {
+		n.freeRuns = append(n.freeRuns, r)
+		n.idle = append(n.idle, w)
+		n.pollQuiet()
+	}
 }
 
 // execute gathers inputs and invokes the application's kernel (real
 // numerics in small-scale mode, no-op in virtual mode).
 func (n *node) execute(t TaskID, w int) {
 	n.inputScratch = n.rt.tp.Inputs(t, n.inputScratch[:0])
-	inputs := make([]DataRef, len(n.inputScratch))
-	for i, dep := range n.inputScratch {
+	inputs := n.inputRefs[:0]
+	for _, dep := range n.inputScratch {
 		key := flowKey{dep.Task, dep.Flow}
-		fd, ok := n.store[key]
-		if !ok || fd.state != flowReady {
+		fd := n.flow(key)
+		if fd == nil || fd.state != flowReady {
 			panic(fmt.Sprintf("parsec: rank %d task %v input %v not ready", n.rank, t, dep))
 		}
-		inputs[i] = fd.ref
+		inputs = append(inputs, fd.ref)
 		fd.localRefs--
 		n.maybeClean(key, fd)
 	}
 	n.lastOutputs = n.rt.tp.Execute(t, inputs)
+	// The scratch must not keep the input payloads alive past the task.
+	clear(inputs)
+	n.inputRefs = inputs[:0]
 }
 
 // complete releases t's descendants: local consumers directly, remote ones
@@ -316,7 +408,7 @@ func (n *node) complete(t TaskID, w int) {
 	// The task's dependence state is dead from here on (every input was
 	// satisfied exactly once, pre-execution); dropping it keeps memory flat
 	// on multi-million-task runs.
-	delete(n.tasks, t)
+	n.tasks.remove(flowKey{task: t})
 	outputs := n.lastOutputs
 	n.lastOutputs = nil
 
@@ -336,13 +428,12 @@ func (n *node) complete(t TaskID, w int) {
 		fd.meta = activation{task: t, flow: flow, size: size,
 			root: int32(n.rank), rootSend: now, hopRank: int32(n.rank), hopSend: now,
 			epoch: n.epoch}
-		n.store[key] = fd
+		n.putFlow(key, fd)
 
 		// Partition consumers into local tasks and remote ranks. Consumers
 		// that already executed before a restart (the recovery done set) are
 		// skipped: satisfying them again would corrupt the rebuilt counters.
-		var remote []int32
-		seen := map[int32]bool{}
+		remote := n.remoteScratch[:0]
 		for _, dep := range n.succScratch {
 			if n.rt.isDone(dep.Task) {
 				continue
@@ -353,32 +444,34 @@ func (n *node) complete(t TaskID, w int) {
 				n.satisfy(dep.Task)
 				continue
 			}
-			if !seen[int32(r)] {
-				seen[int32(r)] = true
-				remote = append(remote, int32(r))
-			}
+			remote = append(remote, int32(r))
 		}
+		n.remoteScratch = remote
 		if len(remote) == 0 {
 			n.maybeClean(key, fd)
 			continue
 		}
-		sort.Slice(remote, func(i, j int) bool { return remote[i] < remote[j] })
+		slices.Sort(remote)
+		remote = slices.Compact(remote)
 
 		// Multicast: direct sends below the fan-out threshold, binomial
-		// tree above it. The tree is rooted at this rank.
-		tree := append([]int32{int32(n.rank)}, remote...)
-		var children [][]int32
+		// tree above it. The tree is rooted at this rank; its rank list is
+		// allocated per flow because the queued activations keep slices of
+		// it until their flush (a direct child's subtree is empty, so it can
+		// be a slice of the scratch).
+		children := n.childScratch[:0]
 		if len(remote) >= n.cfg.TreeFanout {
-			children = treeSplit(tree)
+			tree := make([]int32, 1, 1+len(remote))
+			tree[0] = int32(n.rank)
+			children = treeSplit(children, append(tree, remote...))
 		} else {
-			for _, r := range remote {
-				children = append(children, []int32{r})
+			for i := range remote {
+				children = append(children, remote[i:i+1:i+1])
 			}
 		}
-		if size == 0 {
-			fd.expectedGets = 0 // control flow: children never fetch
-		} else {
-			fd.expectedGets = len(children)
+		n.childScratch = children
+		if size > 0 { // control flow: children never fetch
+			fd.expectedGets = int32(len(children))
 		}
 
 		for _, sub := range children {
@@ -406,7 +499,18 @@ func (n *node) sendActivate(dest int, act activation, w int) {
 		return
 	}
 	n.submit(n.cfg.AggregationCost, func() {
-		n.pendingAct[dest] = append(n.pendingAct[dest], act)
+		if n.pendingAct == nil {
+			n.pendingAct = make([][]activation, n.rt.ranks())
+			n.flushQueued = make([]bool, n.rt.ranks())
+		}
+		q := n.pendingAct[dest]
+		if len(q) == 0 {
+			n.pendingDests++
+			if k := len(n.actFree); k > 0 {
+				q, n.actFree = n.actFree[k-1], n.actFree[:k-1]
+			}
+		}
+		n.pendingAct[dest] = append(q, act)
 		if !n.flushQueued[dest] {
 			n.flushQueued[dest] = true
 			// The flush runs when the communication thread next gets to it;
@@ -422,12 +526,14 @@ func (n *node) flushActivates(dest int) {
 		return
 	}
 	n.flushQueued[dest] = false
-	entries := n.pendingAct[dest]
-	if len(entries) == 0 {
+	queued := n.pendingAct[dest]
+	if len(queued) == 0 {
 		return
 	}
-	delete(n.pendingAct, dest)
+	n.pendingAct[dest] = nil
+	n.pendingDests--
 	// Respect the AM payload cap: chunk if needed.
+	entries := queued
 	for len(entries) > 0 {
 		bytes := 2
 		cut := 0
@@ -449,6 +555,10 @@ func (n *node) flushActivates(dest int) {
 		}
 		n.ce.SendAM(tagActivate, dest, encodeActivates(chunk))
 	}
+	// The payloads are encoded; the slice goes back for the next aggregate
+	// (cleared, so it does not pin the multicast trees its entries named).
+	clear(queued)
+	n.actFree = append(n.actFree, queued[:0])
 }
 
 // wireFail aborts the task graph on a wire-protocol violation. Under fault
@@ -503,6 +613,18 @@ func (n *node) onActivate(_ core.Engine, _ core.Tag, data []byte, src int) {
 	}
 }
 
+// forwardTree returns this rank's binomial children for the subtree an
+// activation handed it (child-rooted rank lists, child first). The result
+// lives in scratch: forwards are encoded on the spot, so nothing outlives
+// the caller's loop.
+func (n *node) forwardTree(subtree []int32) [][]int32 {
+	tree := append(n.remoteScratch[:0], int32(n.rank))
+	tree = append(tree, subtree...)
+	n.remoteScratch = tree
+	n.childScratch = treeSplit(n.childScratch[:0], tree)
+	return n.childScratch
+}
+
 func (n *node) processActivation(act activation) {
 	// Re-check under the current epoch: a restart may have happened between
 	// the AM callback and this deferred processing step.
@@ -511,7 +633,7 @@ func (n *node) processActivation(act activation) {
 		return
 	}
 	key := flowKey{act.task, act.flow}
-	if fd, dup := n.store[key]; dup {
+	if fd := n.flow(key); fd != nil {
 		if fd.stolen {
 			// A steal adopted this flow before our own activation arrived:
 			// merge the real activation into the steal-created entry instead
@@ -523,7 +645,7 @@ func (n *node) processActivation(act activation) {
 		return
 	}
 	fd := &flowData{state: flowAnnounced, size: act.size, meta: act}
-	n.store[key] = fd
+	n.putFlow(key, fd)
 
 	// Local descendants wait for the data; consumers that already executed
 	// before a restart are skipped.
@@ -543,9 +665,8 @@ func (n *node) processActivation(act activation) {
 	// Forward the activation down the multicast tree immediately; the
 	// children's GET DATA requests queue here until our copy lands.
 	if len(act.subtree) > 0 {
-		tree := append([]int32{int32(n.rank)}, act.subtree...)
-		children := treeSplit(tree)
-		fd.expectedGets = len(children)
+		children := n.forwardTree(act.subtree)
+		fd.expectedGets = int32(len(children))
 		now := int64(n.clock.Read(n.eng.Now()))
 		for _, sub := range children {
 			fwd := act
@@ -620,7 +741,7 @@ func (n *node) requestFetch(key flowKey, fd *flowData, prio int64) {
 	} else {
 		fd.state = flowQueued
 		n.fetchDeferred.Inc()
-		n.fetchQ.Push(prio, key.task, func() { n.startFetch(key, fd) })
+		n.fetchQ.Push(prio, key.task, key.flow)
 	}
 }
 
@@ -661,8 +782,8 @@ func (n *node) onGetData(_ core.Engine, _ core.Tag, data []byte, src int) {
 	}
 	n.countRecv()
 	key := flowKey{g.task, g.flow}
-	fd, ok := n.store[key]
-	if !ok {
+	fd := n.flow(key)
+	if fd == nil {
 		n.wireFail("parsec: GET DATA for unknown flow %v at rank %d", key, n.rank)
 		return
 	}
@@ -692,9 +813,16 @@ func (n *node) servePut(key flowKey, fd *flowData, req getReq) {
 	// The put's remote completion is the counted message: until the
 	// requester accepts it, this send vetoes termination.
 	n.csent++
+	epoch := n.epoch
 	n.ce.Put(core.PutArgs{
 		LReg: fd.lreg, RReg: req.rreg, Size: fd.size, Remote: req.requester,
 		LocalCB: func() {
+			// A restart while the put was in flight orphaned fd: the store
+			// may hold a rebuilt flow under the same key, which retiring
+			// the old record would deregister and delete.
+			if n.dead || epoch != n.epoch {
+				return
+			}
 			fd.servedGets++
 			n.maybeClean(key, fd)
 		},
@@ -722,8 +850,8 @@ func (n *node) onPutDone(_ core.Engine, _ core.Tag, data []byte, src int) {
 	}
 	n.countRecv()
 	key := flowKey{m.task, m.flow}
-	fd, ok := n.store[key]
-	if !ok || fd.state != flowFetching {
+	fd := n.flow(key)
+	if fd == nil || fd.state != flowFetching {
 		n.wireFail("parsec: unexpected put completion for %v at rank %d", key, n.rank)
 		return
 	}
@@ -755,7 +883,11 @@ func (n *node) onPutDone(_ core.Engine, _ core.Tag, data []byte, src int) {
 
 		n.activeFetches--
 		if n.fetchQ.Len() > 0 && n.activeFetches < n.cfg.FetchCap {
-			n.fetchQ.Pop().fire()
+			// A queued flow cannot have been retired (only ready copies
+			// are), and a restart empties queue and store together.
+			it := n.fetchQ.Pop()
+			next := flowKey{it.task, it.flow}
+			n.startFetch(next, n.flow(next))
 		}
 		n.maybeClean(key, fd)
 	})
@@ -771,5 +903,5 @@ func (n *node) maybeClean(key flowKey, fd *flowData) {
 		n.ce.MemDereg(fd.lreg)
 		fd.registered = false
 	}
-	delete(n.store, key)
+	n.store.remove(key)
 }

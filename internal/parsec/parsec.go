@@ -84,7 +84,9 @@ type Taskpool interface {
 	LocalTasks(rank int) int64
 
 	// Execute performs the task's computation and returns one payload per
-	// output flow. inputs follows the order of Inputs. The returned sizes
+	// output flow. inputs follows the order of Inputs and is only valid for
+	// the duration of the call (the runtime reuses the slice; the payloads
+	// it names may be kept). The returned sizes
 	// may depend on the computation (e.g. tile ranks in TLR algorithms).
 	// Virtual-mode pools return storage-less payloads. Execute runs
 	// logically on a worker core of RankOf(t).

@@ -1,49 +1,81 @@
 package parsec
 
-import "container/heap"
-
-// prioItem is an entry in a max-priority queue with FIFO tie-breaking.
+// prioItem is an entry in a max-priority queue with FIFO tie-breaking. The
+// ready queue orders tasks (flow unused); the fetch queue orders deferred
+// flows, named by producing task and flow.
 type prioItem struct {
 	priority int64
 	seq      uint64
 	task     TaskID
-	fire     func() // used by the fetch queue; nil in the ready queue
+	flow     int32
 }
 
-type prioHeap []prioItem
-
-func (h prioHeap) Len() int { return len(h) }
-func (h prioHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
+// before is the queue's strict total order: higher priority first, and among
+// equals the earlier push. seq is unique per queue, so any correct heap pops
+// one and the same sequence.
+func (a *prioItem) before(b *prioItem) bool {
+	if a.priority != b.priority {
+		return a.priority > b.priority
 	}
-	return h[i].seq < h[j].seq
-}
-func (h prioHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *prioHeap) Push(x any)   { *h = append(*h, x.(prioItem)) }
-func (h *prioHeap) Pop() (out any) {
-	old := *h
-	n := len(old)
-	out = old[n-1]
-	old[n-1] = prioItem{}
-	*h = old[:n-1]
-	return out
+	return a.seq < b.seq
 }
 
 // prioQueue is a max-priority queue (highest priority pops first; FIFO among
-// equals). The runtime uses one for ready tasks and one for deferred fetches.
+// equals): a binary heap over a plain slice of items, so neither Push nor
+// Pop boxes or allocates once the slice has grown to the queue's high-water
+// mark. The runtime uses one for ready tasks and one for deferred fetches.
 type prioQueue struct {
-	h   prioHeap
+	h   []prioItem
 	seq uint64
 }
 
 func (q *prioQueue) Len() int { return len(q.h) }
 
-func (q *prioQueue) Push(priority int64, task TaskID, fire func()) {
+func (q *prioQueue) Push(priority int64, task TaskID, flow int32) {
 	q.seq++
-	heap.Push(&q.h, prioItem{priority: priority, seq: q.seq, task: task, fire: fire})
+	q.h = append(q.h, prioItem{priority: priority, seq: q.seq, task: task, flow: flow})
+	// Sift up.
+	h := q.h
+	i := len(h) - 1
+	it := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !it.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = it
 }
 
+// Pop removes and returns the first item in queue order; it panics on an
+// empty queue.
 func (q *prioQueue) Pop() prioItem {
-	return heap.Pop(&q.h).(prioItem)
+	h := q.h
+	top := h[0]
+	last := len(h) - 1
+	it := h[last]
+	h = h[:last]
+	q.h = h
+	// Sift the former last item down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if r := child + 1; r < last && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&it) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if last > 0 {
+		h[i] = it
+	}
+	return top
 }

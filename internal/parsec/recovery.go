@@ -3,6 +3,7 @@ package parsec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"amtlci/internal/buf"
@@ -128,10 +129,12 @@ func (rt *Runtime) KillRank(rank int) {
 // revive, so the chain is acyclic and at most nranks long).
 func (rt *Runtime) rankOf(t TaskID) int {
 	r := rt.tp.RankOf(t)
-	for i := 0; i < len(rt.nodes); i++ {
-		nr, ok := rt.remap[r]
-		if !ok {
-			return r
+	// remap is nil until the first restart (no hops); a rank outside it — a
+	// task id decoded from a corrupted message — resolves to itself.
+	for hops := 0; hops < len(rt.remap) && uint(r) < uint(len(rt.remap)); hops++ {
+		nr := int(rt.remap[r])
+		if nr == r {
+			break
 		}
 		r = nr
 	}
@@ -380,14 +383,17 @@ func (rt *Runtime) restartRound(gen int) {
 	// (a buddy-pair crash), in which case the next live ring member inherits
 	// and the pair's checkpoints are lost: those tasks simply re-execute.
 	if rt.remap == nil {
-		rt.remap = make(map[int]int)
+		rt.remap = make([]int32, len(rt.nodes))
+		for r := range rt.remap {
+			rt.remap[r] = int32(r)
+		}
 	}
 	for _, d := range deads {
 		heir := rec.cfg.Managers[d].Buddy()
 		if rt.nodes[heir].dead {
 			heir = rt.nextLive(d)
 		}
-		rt.remap[d] = heir
+		rt.remap[d] = int32(heir)
 	}
 
 	// Repair checkpoint protection: each heir adopts the orphaned copies it
@@ -403,7 +409,7 @@ func (rt *Runtime) restartRound(gen int) {
 		}
 		var adopted []recov.Key
 		for _, d := range deads {
-			if rt.remap[d] == r {
+			if int(rt.remap[d]) == r {
 				adopted = append(adopted, m.AdoptOrphans(d)...)
 			}
 		}
@@ -522,13 +528,16 @@ func (rt *Runtime) restartRound(gen int) {
 // completion is dropped by epoch.
 func (n *node) resetForRecovery() {
 	n.epoch++
-	n.store = make(map[flowKey]*flowData)
-	n.tasks = make(map[TaskID]*taskState)
+	// Pre-restart flow records are dropped with the table, never reused:
+	// closures of the old epoch still hold them.
+	n.store.reset()
+	n.tasks.reset()
 	n.ready = prioQueue{}
 	n.fetchQ = prioQueue{}
 	n.activeFetches = 0
-	n.pendingAct = make(map[int][]activation)
-	n.flushQueued = make(map[int]bool)
+	clear(n.pendingAct)
+	clear(n.flushQueued)
+	n.pendingDests = 0
 	n.lastOutputs = nil
 	n.executed, n.total = 0, 0
 	n.idle = n.idle[:0]
@@ -570,8 +579,7 @@ func (n *node) restoreTask(t TaskID, flows []recov.FlowCkpt) {
 		key := flowKey{t, f.Flow}
 		n.succScratch = n.rt.tp.Successors(t, f.Flow, n.succScratch[:0])
 		var locals []TaskID
-		var remote []int32
-		seen := map[int32]bool{}
+		remote := n.remoteScratch[:0]
 		for _, dep := range n.succScratch {
 			if n.rt.isDone(dep.Task) {
 				continue
@@ -581,15 +589,14 @@ func (n *node) restoreTask(t TaskID, flows []recov.FlowCkpt) {
 				locals = append(locals, dep.Task)
 				continue
 			}
-			if !seen[int32(r)] {
-				seen[int32(r)] = true
-				remote = append(remote, int32(r))
-			}
+			remote = append(remote, int32(r))
 		}
+		n.remoteScratch = remote
 		if len(locals) == 0 && len(remote) == 0 {
 			continue // every consumer already ran; nothing needs this copy
 		}
-		sort.Slice(remote, func(i, j int) bool { return remote[i] < remote[j] })
+		slices.Sort(remote)
+		remote = slices.Compact(remote)
 
 		ref := n.rt.tp.MakeCopy(t, f.Flow, f.Size)
 		if f.Data != nil {
@@ -600,14 +607,14 @@ func (n *node) restoreTask(t TaskID, flows []recov.FlowCkpt) {
 		fd.meta = activation{task: t, flow: f.Flow, size: f.Size,
 			root: int32(n.rank), rootSend: now, hopRank: int32(n.rank), hopSend: now,
 			epoch: n.epoch}
-		n.store[key] = fd
+		n.putFlow(key, fd)
 
 		for _, lt := range locals {
 			fd.localRefs++
 			n.satisfy(lt)
 		}
 		if f.Size > 0 {
-			fd.expectedGets = len(remote)
+			fd.expectedGets = int32(len(remote))
 		}
 		for _, r := range remote {
 			act := fd.meta

@@ -40,8 +40,10 @@ type Runtime struct {
 
 	// Crash-recovery state (recovery.go); nil until EnableRecovery.
 	rec *recoveryState
-	// remap redirects a dead rank's task ownership to its buddy.
-	remap map[int]int
+	// remap redirects a dead rank's task ownership to its heir: indexed by
+	// rank, identity for live ranks, nil until the first restart (the common
+	// case costs rankOf one nil check).
+	remap []int32
 	// restarts counts completed recovery restarts (whole-runtime metric).
 	restarts *metrics.Counter
 
@@ -173,6 +175,7 @@ func (rt *Runtime) Run() (sim.Duration, error) {
 		if n.executed != n.total {
 			stuck = append(stuck, fmt.Sprintf("rank %d: %d/%d tasks", n.rank, n.executed, n.total))
 		}
+		n.releaseRunState()
 	}
 	if err := rt.Err(); err != nil {
 		return 0, fmt.Errorf("parsec: task graph aborted: %w", err)

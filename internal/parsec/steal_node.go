@@ -176,7 +176,7 @@ func (n *node) grantTasks(thief, reqMax int) []steal.TaskFrame {
 	frames := make([]steal.TaskFrame, 0, grant)
 	for i, it := range all {
 		if !granted[i] {
-			n.ready.Push(it.priority, it.task, nil)
+			n.ready.Push(it.priority, it.task, 0)
 			continue
 		}
 		frames = append(frames, n.detachTask(it.task))
@@ -191,8 +191,8 @@ func (n *node) grantTasks(thief, reqMax int) []steal.TaskFrame {
 func (n *node) stealEligible(t TaskID, thief int) bool {
 	n.inputScratch = n.rt.tp.Inputs(t, n.inputScratch[:0])
 	for _, dep := range n.inputScratch {
-		fd, ok := n.store[flowKey{dep.Task, dep.Flow}]
-		if !ok || fd.state != flowReady {
+		fd := n.flow(flowKey{dep.Task, dep.Flow})
+		if fd == nil || fd.state != flowReady {
 			return false
 		}
 	}
@@ -202,7 +202,7 @@ func (n *node) stealEligible(t TaskID, thief int) bool {
 // detachTask removes one ready task from this rank's scheduler state and
 // pins its inputs for the thief, returning the wire frame.
 func (n *node) detachTask(t TaskID) steal.TaskFrame {
-	delete(n.tasks, t)
+	n.tasks.remove(flowKey{task: t})
 	n.total--
 	n.inputScratch = n.rt.tp.Inputs(t, n.inputScratch[:0])
 	frame := steal.TaskFrame{Class: t.Class, Index: t.Index}
@@ -211,7 +211,7 @@ func (n *node) detachTask(t TaskID) steal.TaskFrame {
 	}
 	for i, dep := range n.inputScratch {
 		key := flowKey{dep.Task, dep.Flow}
-		fd := n.store[key] // eligibility guaranteed flowReady above
+		fd := n.flow(key) // eligibility guaranteed flowReady above
 		frame.InputSizes[i] = fd.size
 		// The local reference the ready task held moves to the thief: the
 		// thief settles it with a GET (data flows) or a RELEASE.
@@ -288,15 +288,15 @@ func (n *node) adoptTask(victim int, f steal.TaskFrame) {
 	for i, dep := range deps {
 		key := flowKey{dep.Task, dep.Flow}
 		size := f.InputSizes[i]
-		fd, ok := n.store[key]
-		if !ok {
+		fd := n.flow(key)
+		if fd == nil {
 			if size == 0 {
 				// Control flow: nothing to move; synthesize the satisfied
 				// entry the activation would have left behind.
 				fd = &flowData{state: flowReady, size: 0, stolen: true}
 				fd.meta = activation{task: dep.Task, flow: dep.Flow,
 					hopRank: int32(victim), epoch: n.epoch}
-				n.store[key] = fd
+				n.putFlow(key, fd)
 				fd.localRefs++
 				n.satisfy(t) // execute() drops the ref and cleans the entry
 				continue
@@ -306,7 +306,7 @@ func (n *node) adoptTask(victim int, f steal.TaskFrame) {
 			fd = &flowData{state: flowAnnounced, size: size, stolen: true}
 			fd.meta = activation{task: dep.Task, flow: dep.Flow, size: size,
 				root: int32(victim), hopRank: int32(victim), epoch: n.epoch}
-			n.store[key] = fd
+			n.putFlow(key, fd)
 			fd.localRefs++
 			fd.waiters = append(fd.waiters, t)
 			n.requestFetch(key, fd, n.rt.tp.Priority(t))
@@ -358,12 +358,11 @@ func (n *node) mergeActivation(key flowKey, fd *flowData, act activation) {
 		}
 	}
 	if len(act.subtree) > 0 {
-		tree := append([]int32{int32(n.rank)}, act.subtree...)
-		children := treeSplit(tree)
+		children := n.forwardTree(act.subtree)
 		if act.size > 0 {
 			// Control flows never draw GETs; counting children would leak
 			// the entry.
-			fd.expectedGets += len(children)
+			fd.expectedGets += int32(len(children))
 		}
 		now := int64(n.clock.Read(n.eng.Now()))
 		for _, sub := range children {
@@ -415,8 +414,8 @@ func (n *node) onStealRel(_ core.Engine, _ core.Tag, data []byte, src int) {
 			return
 		}
 		key := flowKey{TaskID{Class: rel.Class, Index: rel.Index}, rel.Flow}
-		fd, ok := n.store[key]
-		if !ok {
+		fd := n.flow(key)
+		if fd == nil {
 			return // already fully retired; the pin died with the epoch
 		}
 		fd.servedGets++

@@ -336,7 +336,7 @@ func (n *node) localQuiet() bool {
 		n.fetchQ.Len() == 0 &&
 		n.activeFetches == 0 &&
 		n.pendingOps == 0 &&
-		len(n.pendingAct) == 0
+		n.pendingDests == 0
 }
 
 // pollQuiet runs at every point where this rank may have just gone quiet:

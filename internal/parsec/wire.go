@@ -235,7 +235,7 @@ func rd64(b []byte) (int64, []byte)  { return int64(binary.LittleEndian.Uint64(b
 
 // treeSplit computes the binomial multicast children of the first rank in
 // ranks: it returns, for each child, the child-rooted slice of the subtree
-// (child first). PaRSEC propagates broadcasts down such trees so that no
-// single rank serves every consumer. Tree construction is delegated to the
-// collectives subsystem, which owns the broadcast schedules.
-func treeSplit(ranks []int32) [][]int32 { return coll.TreeSplit(ranks) }
+// (child first), appended to out. PaRSEC propagates broadcasts down such
+// trees so that no single rank serves every consumer. Tree construction is
+// delegated to the collectives subsystem, which owns the broadcast schedules.
+func treeSplit(out [][]int32, ranks []int32) [][]int32 { return coll.TreeSplit(out, ranks) }

@@ -197,7 +197,7 @@ func TestTreeSplitPartitionsExactly(t *testing.T) {
 		for i := range ranks {
 			ranks[i] = int32(i * 3)
 		}
-		children := treeSplit(ranks)
+		children := treeSplit(nil, ranks)
 		seen := map[int32]bool{}
 		for _, sub := range children {
 			if len(sub) == 0 {
@@ -233,7 +233,7 @@ func TestTreeSplitDepthLogarithmic(t *testing.T) {
 			return 0
 		}
 		best := 0
-		for _, sub := range treeSplit(ranks) {
+		for _, sub := range treeSplit(nil, ranks) {
 			if d := depth(sub); d > best {
 				best = d
 			}
@@ -250,10 +250,10 @@ func TestTreeSplitDepthLogarithmic(t *testing.T) {
 }
 
 func TestTrivialTrees(t *testing.T) {
-	if c := treeSplit([]int32{5}); len(c) != 0 {
+	if c := treeSplit(nil, []int32{5}); len(c) != 0 {
 		t.Fatalf("singleton tree has children: %v", c)
 	}
-	c := treeSplit([]int32{1, 2})
+	c := treeSplit(nil, []int32{1, 2})
 	if len(c) != 1 || len(c[0]) != 1 || c[0][0] != 2 {
 		t.Fatalf("pair tree: %v", c)
 	}
@@ -261,10 +261,10 @@ func TestTrivialTrees(t *testing.T) {
 
 func TestPrioQueueOrdering(t *testing.T) {
 	var q prioQueue
-	q.Push(1, TaskID{Index: 1}, nil)
-	q.Push(9, TaskID{Index: 2}, nil)
-	q.Push(5, TaskID{Index: 3}, nil)
-	q.Push(9, TaskID{Index: 4}, nil) // FIFO among equals
+	q.Push(1, TaskID{Index: 1}, 0)
+	q.Push(9, TaskID{Index: 2}, 0)
+	q.Push(5, TaskID{Index: 3}, 0)
+	q.Push(9, TaskID{Index: 4}, 0) // FIFO among equals
 	want := []int64{2, 4, 3, 1}
 	for i, w := range want {
 		if got := q.Pop().task.Index; got != w {

@@ -14,6 +14,11 @@ else
     echo "staticcheck not installed; skipping"
 fi
 go test -race ./...
+# The benchmark is a nested module (amtlci/benchmark, replace amtlci => ../),
+# so ./... above does not reach it; it decorates parsec.Taskpool and
+# core.Engine and calls the layers' exported functions, and this is where a
+# signature change there is caught.
+(cd benchmark && go vet ./... && go test ./...)
 
 # Chaos smoke behind a time budget: a quick fault-sweep point per backend
 # (with and without work stealing), the severed-link abort demonstration,
@@ -77,13 +82,15 @@ timeout 180 go run ./cmd/benchrecord -quick -o "$BENCH_TMP/bench.json"
 # allocation fails here even on a different host.
 ./scripts/benchcmp.sh -allocs-only BENCH_sim.json "$BENCH_TMP/bench.json"
 
-# Fixed-budget fuzz smoke over the wire-format decoders (one -fuzz pattern
-# per invocation; longer runs: `make fuzz-smoke`).
+# Fixed-budget fuzz smoke over the wire-format decoders and the runtime's
+# flat hash table (one -fuzz pattern per invocation; longer runs:
+# `make fuzz-smoke`).
 timeout 120 go test -run='^$' -fuzz=FuzzUnmarshalPutHeader -fuzztime=2s ./internal/core
 timeout 120 go test -run='^$' -fuzz=FuzzDecodeActivates -fuzztime=2s ./internal/parsec
 timeout 120 go test -run='^$' -fuzz=FuzzDecodeGetData -fuzztime=2s ./internal/parsec
 timeout 120 go test -run='^$' -fuzz=FuzzDecodePutMeta -fuzztime=2s ./internal/parsec
 timeout 120 go test -run='^$' -fuzz=FuzzDecodeTermMsg -fuzztime=2s ./internal/parsec
+timeout 120 go test -run='^$' -fuzz=FuzzFlatTable -fuzztime=2s ./internal/parsec
 timeout 120 go test -run='^$' -fuzz=FuzzDecodeHeartbeat -fuzztime=2s ./internal/rel
 timeout 120 go test -run='^$' -fuzz=FuzzDecodeCheckpoint -fuzztime=2s ./internal/recover
 timeout 120 go test -run='^$' -fuzz=FuzzDecodeRereplicate -fuzztime=2s ./internal/recover
