@@ -1,5 +1,5 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build vet test test-race chaos chaos-crash chaos-multicrash fuzz-smoke bench-record simd-smoke
+.PHONY: verify build vet test test-race chaos chaos-crash chaos-multicrash fuzz-smoke bench-record simd-smoke allocsites
 
 verify:
 	./scripts/verify.sh
@@ -11,6 +11,13 @@ verify:
 # any new steady-state allocation.
 bench-record:
 	go run ./cmd/benchrecord -o BENCH_sim.json
+
+# Where a benchmark workload's allocations come from, per simulated task:
+# allocs_per_task split by package and by site, and the allocator's and the
+# collector's share of host CPU (scripts/allocsites.sh). W names the workload.
+W ?= hicma_wide_shards2
+allocsites:
+	./scripts/allocsites.sh $(W)
 
 # Chaos demonstration: fault sweep on both backends plus the severed-link
 # abort. verify.sh runs the -quick subset under a time budget.

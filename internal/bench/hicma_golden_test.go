@@ -51,7 +51,23 @@ func hicmaFingerprintOf(t *testing.T, b stack.Backend, shards int, steal bool) h
 // (a data-structure swap in the runtime, a queue rewrite in the engine) is
 // held to it by `make verify`. A change that means to move the model
 // re-records the literals and says so.
-func TestHiCMAGolden(t *testing.T) {
+func TestHiCMAGolden(t *testing.T) { checkHiCMAGolden(t) }
+
+// TestHiCMAGoldenWithPoisonedRecords repeats the golden runs with
+// sim.PoisonRetired: no free list hands a record out twice, so a retired
+// record stays zeroed and dead and any layer that touched one — in
+// particular across the shard boundary, where the receiver retires what the
+// sender took, under the race detector in `make verify` — would panic, race
+// or move the fingerprint. Reuse must be invisible: the literals are the
+// same. (Faults, retransmission and crash eviction: TestRecordRetirementSafety
+// in internal/chaos.)
+func TestHiCMAGoldenWithPoisonedRecords(t *testing.T) {
+	sim.PoisonRetired = true
+	defer func() { sim.PoisonRetired = false }()
+	checkHiCMAGolden(t)
+}
+
+func checkHiCMAGolden(t *testing.T) {
 	golden := map[string]hicmaFingerprint{
 		"LCI/steal=false":      {572802763345, 30106, 4512},
 		"LCI/steal=true":       {572867596148, 52229, 7583},

@@ -41,6 +41,33 @@ func (b Buf) Slice(off, n int64) Buf {
 	return Buf{Bytes: b.Bytes[off : off+n], Size: n}
 }
 
+// MaxSlab bounds the private payload copy a pooled message record keeps for
+// its next use (KeepSlab): active messages are a few hundred bytes, and a
+// larger one-off buffer would only sit in a free list.
+const MaxSlab = 1 << 10
+
+// Snapshot copies a real buffer into *slab, reusing the slab's capacity, and
+// returns the copy, so the owner of b may reuse its memory; a virtual buffer
+// needs no copy and is returned as is. The communication libraries use it for
+// the copy an eager/buffered protocol makes into library memory, with the
+// slab living in the pooled record that carries the message.
+func Snapshot(slab *[]byte, b Buf) Buf {
+	if b.IsVirtual() {
+		return b
+	}
+	*slab = append((*slab)[:0], b.Bytes...)
+	return FromBytes(*slab)
+}
+
+// KeepSlab returns slab emptied for reuse, or nil when it has grown beyond
+// MaxSlab.
+func KeepSlab(slab []byte) []byte {
+	if cap(slab) > MaxSlab {
+		return nil
+	}
+	return slab[:0]
+}
+
 // Copy transfers min(len(src), len(dst)) bytes from src to dst and returns
 // the count. Virtual endpoints transfer size only; mixing a real source into
 // a real destination copies bytes. Copying a virtual source into a real

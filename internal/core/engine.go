@@ -82,7 +82,8 @@ type Engine interface {
 	TagReg(tag Tag, cb AMCallback, maxLen int64)
 
 	// SendAM sends an eager active message from the communication thread.
-	// The engine charges the send cost to the communication thread.
+	// The engine charges the send cost to the communication thread. data is
+	// copied before the call returns; the caller may reuse it at once.
 	SendAM(tag Tag, remote int, data []byte)
 
 	// SendAMMT sends an active message directly from a worker thread
@@ -201,25 +202,20 @@ type PutHeader struct {
 
 // Marshal encodes h for the wire.
 func (h PutHeader) Marshal() []byte {
-	out := make([]byte, 0, 40+len(h.RCBData))
-	var tmp [8]byte
-	put32 := func(v int32) {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(v))
-		out = append(out, tmp[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		out = append(out, tmp[:8]...)
-	}
-	put32(h.RReg.Rank)
-	put64(h.RReg.ID)
-	put64(uint64(h.RDispl))
-	put64(uint64(h.Size))
-	put32(h.DataTag)
-	put32(int32(h.RTag))
-	put32(int32(len(h.RCBData)))
-	out = append(out, h.RCBData...)
-	return out
+	return h.AppendTo(make([]byte, 0, putHeaderFixedBytes+len(h.RCBData)))
+}
+
+// AppendTo appends h's wire encoding to out and returns the extended slice.
+func (h PutHeader) AppendTo(out []byte) []byte {
+	le := binary.LittleEndian
+	out = le.AppendUint32(out, uint32(h.RReg.Rank))
+	out = le.AppendUint64(out, h.RReg.ID)
+	out = le.AppendUint64(out, uint64(h.RDispl))
+	out = le.AppendUint64(out, uint64(h.Size))
+	out = le.AppendUint32(out, uint32(h.DataTag))
+	out = le.AppendUint32(out, uint32(h.RTag))
+	out = le.AppendUint32(out, uint32(len(h.RCBData)))
+	return append(out, h.RCBData...)
 }
 
 // putHeaderFixedBytes is the encoded size of a PutHeader before RCBData.

@@ -95,9 +95,56 @@ func DefaultConfig() Config {
 
 // handle is a callback handle pushed to the shared FIFO queues (§5.3.2:
 // "allocated from a memory pool and filled with information specific to the
-// active message").
+// active message"). It describes one dispatch on the communication thread —
+// an active-message or remote-completion callback (cb), or a put's local
+// completion (localCB) — and is retired into e.handles when that dispatch has
+// run. data is the handle's own copy of the callback payload, kept across
+// uses: the callback sees it only for the duration of the call.
 type handle struct {
-	run func()
+	e       *Engine
+	live    bool // between newHandle and its dispatch
+	cb      core.AMCallback
+	tag     core.Tag
+	src     int
+	data    []byte
+	localCB func()
+
+	run func() // h.dispatch
+}
+
+// opKind selects what a sendOp issues.
+type opKind int8
+
+const (
+	opEager     opKind = iota // Immediate/Buffered active message (or put handshake)
+	opEagerPut                // handshake with the put data inside (Sendmx)
+	opData                    // Direct send of put data
+	opNativePut               // one-sided Putd
+	opRecv                    // Direct receive matching a put handshake
+)
+
+// sendOp is one LCI operation the engine issues on behalf of SendAM, Put or a
+// put handshake: the deferred step that issues it (issue, the Submit body)
+// and the attempt itself (try), which the retry queue repeats on
+// back-pressure. The record is retired into e.ops once the operation was
+// accepted by LCI, or found pointless (engine failed, peer evicted).
+type sendOp struct {
+	e      *Engine
+	live   bool // between newOp and retireOp
+	kind   opKind
+	remote int
+	tag    int     // AM tag, or the Direct data tag
+	buf    []byte  // the record's own copy of the AM payload / put header
+	local  buf.Buf // put source (sends) or registered target (opRecv)
+	h      *handle // completion handle travelling as the LCI user context
+	// opEagerPut: the put's local completion. opNativePut: target region.
+	localCB func()
+	rkey    uint64
+	rdispl  int64
+	// SendAMMT only: the worker's continuation.
+	done func()
+
+	issue func() // o.run
 }
 
 // Engine is the per-rank LCI communication engine.
@@ -113,11 +160,22 @@ type Engine struct {
 	tags *core.TagTable
 	reg  *core.Registry
 
-	amQ   []handle
-	bulkQ []handle
+	amQ   []*handle
+	bulkQ []*handle
 	// deferred holds operations that hit ErrRetry and retry on the
 	// communication thread (§5.3.3), in issue order.
-	deferred []deferredOp
+	deferred []*sendOp
+
+	// Free lists of the engine's records; the LCI completion handlers and
+	// the thread bodies are bound once (a method value made per call would
+	// allocate).
+	handles         sim.FreeList[handle]
+	ops             sim.FreeList[sendOp]
+	putSent         lci.Handler
+	putLanded       lci.Handler
+	runProgressFn   func()
+	drainFn         func()
+	scheduleDrainFn func()
 
 	drainScheduled bool
 	progScheduled  bool
@@ -134,13 +192,6 @@ type Engine struct {
 	// toward them is dropped, arrivals from them ignored, while the engine
 	// keeps serving the survivors.
 	deadPeers map[int]bool
-}
-
-// deferredOp is one back-pressured operation awaiting retry; peer records
-// the destination so a dead peer's operations can be purged.
-type deferredOp struct {
-	peer int
-	fn   func() error
 }
 
 var _ core.Engine = (*Engine)(nil)
@@ -182,6 +233,8 @@ func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 	mreg.Probe("lcice", "deferred_queue_depth", rank, false, func() float64 { return float64(len(e.deferred)) })
 	mreg.Probe("lcice", "am_queue_depth", rank, false, func() float64 { return float64(len(e.amQ)) })
 	mreg.Probe("lcice", "bulk_queue_depth", rank, false, func() float64 { return float64(len(e.bulkQ)) })
+	e.putSent, e.putLanded = e.onPutSent, e.onPutLanded
+	e.runProgressFn, e.drainFn, e.scheduleDrainFn = e.runProgress, e.drain, e.scheduleDrain
 	e.ep.SetWake(e.scheduleProgress)
 	e.ep.SetMsgComp(lci.Handler(e.onMsg))
 	e.ep.SetRMAComp(lci.Handler(e.onRMA))
@@ -207,7 +260,7 @@ func (e *Engine) onRMA(r lci.Request) {
 		e.fail(r.Rank, fmt.Errorf("lcice rank %d: bad put metadata from %d: %w", e.Rank(), r.Rank, err))
 		return
 	}
-	e.deliverRemoteCompletion(h.RTag, append([]byte(nil), h.RCBData...), r.Rank)
+	e.onPutLanded(lci.Request{UserCtx: e.remoteCompletion(h.RTag, h.RCBData, r.Rank)})
 }
 
 // Rank returns this engine's rank.
@@ -292,40 +345,138 @@ func (e *Engine) evictPeer(peer int, err error) {
 func (e *Engine) purgeDeferred(peer int) {
 	kept := e.deferred[:0]
 	for _, op := range e.deferred {
-		if op.peer == peer {
+		if op.remote == peer {
 			continue
 		}
 		kept = append(kept, op)
 	}
-	for i := len(kept); i < len(e.deferred); i++ {
-		e.deferred[i] = deferredOp{}
-	}
+	clear(e.deferred[len(kept):])
 	e.deferred = kept
 }
 
-// attempt issues op toward peer, honoring back-pressure and the deferred
-// queue's FIFO discipline: once one operation has been deferred, every
-// later operation queues behind it instead of stealing the resources its
-// retry is waiting for (the starvation the §5.3.3 delegation would
-// otherwise allow). Safe because in-flight LCI operations complete without
-// new engine submissions, so the queue head always eventually succeeds.
-func (e *Engine) attempt(peer int, op func() error) {
-	if e.failed != nil || e.deadPeers[peer] {
+// newOp takes an operation record toward remote.
+func (e *Engine) newOp(kind opKind, remote int) *sendOp {
+	o := e.ops.Get()
+	if o == nil {
+		o = &sendOp{e: e}
+		o.issue = o.run
+	}
+	o.live, o.kind, o.remote = true, kind, remote
+	return o
+}
+
+func (e *Engine) retireOp(o *sendOp) {
+	if !o.live {
+		panic("lcice: operation record used after retirement")
+	}
+	*o = sendOp{e: e, issue: o.issue, buf: buf.KeepSlab(o.buf)}
+	e.ops.Put(o)
+}
+
+// newHandle takes a FIFO handle.
+func (e *Engine) newHandle() *handle {
+	h := e.handles.Get()
+	if h == nil {
+		h = &handle{e: e}
+		h.run = h.dispatch
+	}
+	h.live = true
+	return h
+}
+
+// dispatch runs the handle's callback on the communication thread and retires
+// the handle.
+func (h *handle) dispatch() {
+	if !h.live {
+		panic("lcice: callback handle used after retirement")
+	}
+	e := h.e
+	switch {
+	case h.cb != nil:
+		h.cb(e, h.tag, h.data, h.src)
+	case h.localCB != nil:
+		h.localCB()
+	}
+	*h = handle{e: e, run: h.run, data: buf.KeepSlab(h.data)}
+	e.handles.Put(h)
+}
+
+// try issues the operation once; lci.ErrRetry means back-pressure.
+func (o *sendOp) try() error {
+	if !o.live {
+		panic("lcice: operation record used after retirement")
+	}
+	e := o.e
+	switch o.kind {
+	case opEager:
+		b := buf.FromBytes(o.buf)
+		if b.Size <= e.rt.Config().ImmediateMax {
+			return e.ep.Sends(o.remote, o.tag, b)
+		}
+		return e.ep.Sendm(o.remote, o.tag, b)
+	case opEagerPut:
+		if err := e.ep.Sendmx(o.remote, hsTag, buf.FromBytes(o.buf), o.local); err != nil {
+			return err
+		}
+		// The local completion fires as soon as the send is posted.
+		e.putsDone.Inc()
+		if o.localCB != nil {
+			e.comm.Submit(0, o.localCB)
+		}
+		return nil
+	case opData:
+		return e.ep.Sendd(o.remote, o.tag, o.local, e.putSent, o.h)
+	case opNativePut:
+		return e.ep.Putd(o.remote, lci.RMAKey{ID: o.rkey}, o.rdispl, o.local, o.buf, e.putSent, o.h)
+	case opRecv:
+		return e.ep.Recvd(o.remote, o.tag, o.local, e.putLanded, o.h)
+	}
+	panic(fmt.Sprintf("lcice: unknown operation kind %d", o.kind))
+}
+
+// run is the deferred body of an operation: on the communication thread, or
+// for SendAMMT on the calling worker, whose continuation runs afterwards. An
+// active message counts as sent once it was attempted (a deferred one will
+// go out), not when the engine has failed or evicted its peer.
+func (o *sendOp) run() {
+	e, done := o.e, o.done
+	am := o.kind == opEager && o.tag != hsTag
+	sent := am && e.failed == nil && !e.deadPeers[o.remote]
+	e.attempt(o)
+	if sent {
+		e.amsSent.Inc()
+	}
+	if done != nil {
+		done()
+	}
+}
+
+// attempt issues o, honoring back-pressure and the deferred queue's FIFO
+// discipline: once one operation has been deferred, every later operation
+// queues behind it instead of stealing the resources its retry is waiting
+// for (the starvation the §5.3.3 delegation would otherwise allow). Safe
+// because in-flight LCI operations complete without new engine submissions,
+// so the queue head always eventually succeeds. o is retired unless it was
+// deferred.
+func (e *Engine) attempt(o *sendOp) {
+	if e.failed != nil || e.deadPeers[o.remote] {
+		e.retireOp(o)
 		return
 	}
 	if len(e.deferred) > 0 {
 		e.deferredEvents.Inc()
-		e.pushDeferred(peer, op)
+		e.pushDeferred(o)
 		return
 	}
-	if err := op(); err != nil {
+	if err := o.try(); err != nil {
 		if err == lci.ErrRetry {
 			e.deferredEvents.Inc()
-			e.pushDeferred(peer, op)
+			e.pushDeferred(o)
 			return
 		}
-		e.fail(peer, fmt.Errorf("lcice rank %d: send to %d: %w", e.Rank(), peer, err))
+		e.fail(o.remote, fmt.Errorf("lcice rank %d: send to %d: %w", e.Rank(), o.remote, err))
 	}
+	e.retireOp(o)
 }
 
 // MemReg registers b for remote puts.
@@ -372,46 +523,22 @@ func (e *Engine) memDeregNative(h core.MemHandle) {
 func (e *Engine) Submit(cost sim.Duration, fn func()) { e.comm.Submit(cost, fn) }
 
 // SendAM sends an active message using the Immediate or Buffered protocol
-// depending on length (§5.3.2), from the communication thread.
+// depending on length (§5.3.2), from the communication thread. data is copied
+// before the call returns.
 func (e *Engine) SendAM(tag core.Tag, remote int, data []byte) {
-	b := buf.FromBytes(data)
-	e.Submit(e.rt.Config().SendCost(b.Size), func() {
-		if e.failed != nil || e.deadPeers[remote] {
-			return
-		}
-		e.sendEagerWithRetry(remote, int(tag), b)
-		e.amsSent.Inc()
-	})
+	o := e.newOp(opEager, remote)
+	o.tag, o.buf = int(tag), append(o.buf, data...)
+	e.Submit(e.rt.Config().SendCost(int64(len(data))), o.issue)
 }
 
 // SendAMMT sends an active message directly from a worker thread. LCI is
 // designed for concurrent callers, so the only extra cost is an atomic
 // packet reservation — no global lock (§6.4.3).
 func (e *Engine) SendAMMT(worker *sim.Proc, tag core.Tag, remote int, data []byte, done func()) {
-	b := buf.FromBytes(data)
+	o := e.newOp(opEager, remote)
+	o.tag, o.buf, o.done = int(tag), append(o.buf, data...), done
 	cfg := e.rt.Config()
-	worker.Submit(cfg.SendCost(b.Size)+cfg.MTSendCost, func() {
-		if e.failed == nil && !e.deadPeers[remote] {
-			e.sendEagerWithRetry(remote, int(tag), b)
-			e.amsSent.Inc()
-		}
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// sendEagerWithRetry issues an Immediate/Buffered send, deferring to the
-// communication thread's retry queue on back-pressure.
-func (e *Engine) sendEagerWithRetry(remote, tag int, b buf.Buf) {
-	e.attempt(remote, func() error { return e.eagerSend(remote, tag, b) })
-}
-
-func (e *Engine) eagerSend(remote, tag int, b buf.Buf) error {
-	if b.Size <= e.rt.Config().ImmediateMax {
-		return e.ep.Sends(remote, tag, b)
-	}
-	return e.ep.Sendm(remote, tag, b)
+	worker.Submit(cfg.SendCost(int64(len(data)))+cfg.MTSendCost, o.issue)
 }
 
 // Put starts the one-sided transfer: the §5.3.3 handshake emulation by
@@ -427,78 +554,51 @@ func (e *Engine) Put(a core.PutArgs) {
 	cfg := e.rt.Config()
 
 	if e.cfg.NativePut {
-		meta := core.PutHeader{RTag: a.RTag, RCBData: a.RCBData}.Marshal()
-		comp := lci.Handler(func(lci.Request) {
-			e.putsDone.Inc()
-			e.pushBulk(handle{run: func() {
-				if a.LocalCB != nil {
-					a.LocalCB()
-				}
-			}})
-		})
-		e.Submit(cfg.PostCost, func() {
-			e.attempt(a.Remote, func() error {
-				return e.ep.Putd(a.Remote, lci.RMAKey{ID: a.RReg.ID}, a.RDispl,
-					local, meta, comp, nil)
-			})
-		})
+		o := e.newOp(opNativePut, a.Remote)
+		o.buf = core.PutHeader{RTag: a.RTag, RCBData: a.RCBData}.AppendTo(o.buf)
+		o.local, o.rkey, o.rdispl = local, a.RReg.ID, a.RDispl
+		o.h = e.newHandle()
+		o.h.localCB = a.LocalCB
+		e.Submit(cfg.PostCost, o.issue)
 		return
 	}
 
 	if a.Size <= e.cfg.EagerPutMax {
 		// Eager-data optimization: the data rides inside the handshake and
 		// the local completion fires as soon as the send is posted.
-		hdr := core.PutHeader{
+		o := e.newOp(opEagerPut, a.Remote)
+		o.buf = core.PutHeader{
 			RReg: a.RReg, RDispl: a.RDispl, Size: a.Size,
 			DataTag: inlineDataTag, RTag: a.RTag, RCBData: a.RCBData,
-		}.Marshal()
-		hb := buf.FromBytes(hdr)
-		e.Submit(cfg.SendCost(hb.Size+a.Size), func() {
-			e.attempt(a.Remote, func() error {
-				if err := e.ep.Sendmx(a.Remote, hsTag, hb, local); err != nil {
-					return err
-				}
-				e.finishEagerPut(a.LocalCB)
-				return nil
-			})
-		})
+		}.AppendTo(o.buf)
+		o.local, o.localCB = local, a.LocalCB
+		e.Submit(cfg.SendCost(int64(len(o.buf))+a.Size), o.issue)
 		return
 	}
 
 	e.nextDataTag++
 	dataTag := dataTagBase + int(e.nextDataTag)
-	hdr := core.PutHeader{
+	hs := e.newOp(opEager, a.Remote)
+	hs.tag = hsTag
+	hs.buf = core.PutHeader{
 		RReg: a.RReg, RDispl: a.RDispl, Size: a.Size,
 		DataTag: int32(dataTag), RTag: a.RTag, RCBData: a.RCBData,
-	}.Marshal()
-	hb := buf.FromBytes(hdr)
-	e.Submit(cfg.SendCost(hb.Size), func() {
-		e.attempt(a.Remote, func() error { return e.ep.Sendm(a.Remote, hsTag, hb) })
-	})
-	// Completion handler runs on the progress thread; it only pushes the
-	// callback handle to the bulk FIFO (§5.3.3).
-	comp := lci.Handler(func(lci.Request) {
-		e.putsDone.Inc()
-		e.pushBulk(handle{run: func() {
-			if a.LocalCB != nil {
-				a.LocalCB()
-			}
-		}})
-	})
-	e.Submit(cfg.PostCost, func() {
-		e.attempt(a.Remote, func() error { return e.ep.Sendd(a.Remote, dataTag, local, comp, nil) })
-	})
+	}.AppendTo(hs.buf)
+	e.Submit(cfg.SendCost(int64(len(hs.buf))), hs.issue)
+	// The Direct send's completion handler (onPutSent) runs on the progress
+	// thread; it only pushes the callback handle to the bulk FIFO (§5.3.3).
+	o := e.newOp(opData, a.Remote)
+	o.tag, o.local = dataTag, local
+	o.h = e.newHandle()
+	o.h.localCB = a.LocalCB
+	e.Submit(cfg.PostCost, o.issue)
 }
 
-func (e *Engine) finishEagerPut(localCB func()) {
+// onPutSent is the LCI completion of a put's data transfer at the origin
+// (progress thread): the handle travelling as user context carries LocalCB.
+func (e *Engine) onPutSent(r lci.Request) {
 	e.putsDone.Inc()
-	if localCB != nil {
-		e.comm.Submit(0, func() {
-			if localCB != nil {
-				localCB()
-			}
-		})
-	}
+	e.pushBulk(r.UserCtx.(*handle))
 }
 
 // onMsg is the LCI message handler, invoked on the progress thread for every
@@ -508,12 +608,12 @@ func (e *Engine) onMsg(r lci.Request) {
 		// User AM: allocate a callback handle and push it to the AM FIFO
 		// (§5.3.2). The hash-table lookup happens here, on the progress
 		// thread, so the communication thread only dispatches.
-		tag := core.Tag(r.Tag)
-		cb, _ := e.tags.Lookup(tag)
-		data := r.Data.Bytes
-		src := r.Rank
+		h := e.newHandle()
+		h.tag, h.src = core.Tag(r.Tag), r.Rank
+		h.cb, _ = e.tags.Lookup(h.tag)
+		h.data = append(h.data, r.Data.Bytes...)
 		e.amsDelivered.Inc()
-		e.pushAM(handle{run: func() { cb(e, tag, data, src) }})
+		e.pushAM(h)
 		return
 	}
 
@@ -530,45 +630,53 @@ func (e *Engine) onMsg(r lci.Request) {
 		return
 	}
 	target := e.reg.Lookup(h.RReg).Slice(h.RDispl, h.Size)
-	src := r.Rank
-	rcb := append([]byte(nil), h.RCBData...)
+	done := e.remoteCompletion(h.RTag, h.RCBData, r.Rank)
 
 	if h.DataTag == inlineDataTag {
 		// Data arrived inside the handshake.
 		buf.Copy(target, r.Extra)
-		e.deliverRemoteCompletion(h.RTag, rcb, src)
+		e.onPutLanded(lci.Request{UserCtx: done})
 		return
 	}
 
 	// §5.3.3: on back-pressure the progress thread must not spin or recurse
 	// into progress; attempt delegates the post to the communication
 	// thread's retry queue (and keeps it FIFO with earlier deferrals).
-	e.attempt(src, func() error {
-		return e.ep.Recvd(src, int(h.DataTag), target, lci.Handler(func(lci.Request) {
-			e.deliverRemoteCompletion(h.RTag, rcb, src)
-		}), nil)
-	})
+	o := e.newOp(opRecv, r.Rank)
+	o.tag, o.local, o.h = int(h.DataTag), target, done
+	e.attempt(o)
 }
 
-// deliverRemoteCompletion pushes the remote-completion callback handle to
-// the bulk FIFO for the communication thread.
-func (e *Engine) deliverRemoteCompletion(rtag core.Tag, rcbData []byte, src int) {
-	cb, _ := e.tags.Lookup(rtag)
-	e.pushBulk(handle{run: func() { cb(e, rtag, rcbData, src) }})
+// remoteCompletion fills a handle for the remote-completion callback of a put
+// from src; rcbData is copied.
+func (e *Engine) remoteCompletion(rtag core.Tag, rcbData []byte, src int) *handle {
+	h := e.newHandle()
+	h.tag, h.src = rtag, src
+	h.data = append(h.data, rcbData...)
+	return h
 }
 
-func (e *Engine) pushAM(h handle) {
+// onPutLanded is the LCI completion of a put's data at the target (progress
+// thread): it resolves the remote-completion callback and pushes the handle
+// to the bulk FIFO for the communication thread.
+func (e *Engine) onPutLanded(r lci.Request) {
+	h := r.UserCtx.(*handle)
+	h.cb, _ = e.tags.Lookup(h.tag)
+	e.pushBulk(h)
+}
+
+func (e *Engine) pushAM(h *handle) {
 	e.amQ = append(e.amQ, h)
 	e.scheduleDrain()
 }
 
-func (e *Engine) pushBulk(h handle) {
+func (e *Engine) pushBulk(h *handle) {
 	e.bulkQ = append(e.bulkQ, h)
 	e.scheduleDrain()
 }
 
-func (e *Engine) pushDeferred(peer int, fn func() error) {
-	e.deferred = append(e.deferred, deferredOp{peer: peer, fn: fn})
+func (e *Engine) pushDeferred(o *sendOp) {
+	e.deferred = append(e.deferred, o)
 	e.scheduleDrain()
 }
 
@@ -585,7 +693,7 @@ func (e *Engine) scheduleProgress() {
 	if e.cfg.ProgressThreads > 1 {
 		cost /= sim.Duration(e.cfg.ProgressThreads)
 	}
-	e.prog.Submit(cost, e.runProgress)
+	e.prog.Submit(cost, e.runProgressFn)
 }
 
 func (e *Engine) runProgress() {
@@ -602,7 +710,7 @@ func (e *Engine) scheduleDrain() {
 		return
 	}
 	e.drainScheduled = true
-	e.comm.Submit(0, e.drain)
+	e.comm.Submit(0, e.drainFn)
 }
 
 // drain implements the §5.3.4 fairness loop: up to AMBatch active-message
@@ -616,15 +724,16 @@ func (e *Engine) drain() {
 		n = e.cfg.AMBatch
 	}
 	for _, h := range e.amQ[:n] {
-		h := h
 		e.comm.Submit(e.cfg.DispatchCost, h.run)
 	}
-	e.amQ = append(e.amQ[:0], e.amQ[n:]...)
+	rest := copy(e.amQ, e.amQ[n:])
+	clear(e.amQ[rest:])
+	e.amQ = e.amQ[:rest]
 
 	for _, h := range e.bulkQ {
-		h := h
 		e.comm.Submit(e.cfg.DispatchCost, h.run)
 	}
+	clear(e.bulkQ)
 	e.bulkQ = e.bulkQ[:0]
 
 	// Retry deferred operations in arrival order. Snapshot first: a retried
@@ -634,18 +743,20 @@ func (e *Engine) drain() {
 	// FIFO by first-deferral time. A non-back-pressure error aborts.
 	pend := e.deferred
 	e.deferred = nil
-	var kept []deferredOp
+	var kept []*sendOp
 	for _, op := range pend {
 		if e.failed != nil {
 			break
 		}
-		if err := op.fn(); err != nil {
-			if err == lci.ErrRetry {
-				kept = append(kept, op)
-			} else {
-				e.fail(op.peer, fmt.Errorf("lcice rank %d: deferred send to %d: %w", e.Rank(), op.peer, err))
-			}
+		err := op.try()
+		if err == lci.ErrRetry {
+			kept = append(kept, op)
+			continue
 		}
+		if err != nil {
+			e.fail(op.remote, fmt.Errorf("lcice rank %d: deferred send to %d: %w", e.Rank(), op.remote, err))
+		}
+		e.retireOp(op)
 	}
 	if e.failed == nil {
 		e.deferred = append(kept, e.deferred...)
@@ -658,6 +769,6 @@ func (e *Engine) drain() {
 		// Nothing dispatchable but retries remain: try again shortly rather
 		// than spinning (resources free when completions arrive, which
 		// wakes us anyway; this is a safety net).
-		e.eng.After(sim.Microsecond, e.scheduleDrain)
+		e.eng.After(sim.Microsecond, e.scheduleDrainFn)
 	}
 }

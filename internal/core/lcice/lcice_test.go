@@ -39,11 +39,16 @@ func TestAMBatchFairness(t *testing.T) {
 	eng, engines := harness(2, DefaultConfig())
 	e := engines[1]
 	var order []string
+	push := func(q func(*handle), what string) {
+		h := e.newHandle()
+		h.localCB = func() { order = append(order, what) }
+		q(h)
+	}
 	for i := 0; i < 12; i++ {
-		e.pushAM(handle{run: func() { order = append(order, "am") }})
+		push(e.pushAM, "am")
 	}
 	for i := 0; i < 3; i++ {
-		e.pushBulk(handle{run: func() { order = append(order, "bulk") }})
+		push(e.pushBulk, "bulk")
 	}
 	eng.Run()
 	if len(order) != 15 {
@@ -70,20 +75,32 @@ func TestAMBatchFairness(t *testing.T) {
 
 func TestDeferredOperationsRetry(t *testing.T) {
 	// An operation hitting ErrRetry lands on the communication thread's
-	// deferred queue and retries until it succeeds (§5.3.3 delegation).
-	eng, engines := harness(2, DefaultConfig())
-	e := engines[0]
-	tries := 0
-	e.pushDeferred(1, func() error {
-		tries++
-		if tries < 3 {
-			return lci.ErrRetry
-		}
-		return nil
-	})
+	// deferred queue and retries until it succeeds (§5.3.3 delegation): with
+	// a single send packet, every active message after the first is refused
+	// until the one before it has left the NIC.
+	lcfg := lci.DefaultConfig()
+	lcfg.SendPackets = 1
+	eng, engines := harnessLCI(2, DefaultConfig(), lcfg)
+	src, dst := engines[0], engines[1]
+	const tag core.Tag = 5
+	var got []byte
+	for _, e := range engines {
+		e.TagReg(tag, func(_ core.Engine, _ core.Tag, data []byte, _ int) {
+			got = append(got, data[0])
+		}, 8)
+	}
+	for i := byte(0); i < 3; i++ {
+		src.SendAM(tag, 1, []byte{i})
+	}
 	eng.Run()
-	if tries != 3 {
-		t.Fatalf("deferred op tried %d times, want 3", tries)
+	if !bytes.Equal(got, []byte{0, 1, 2}) {
+		t.Fatalf("delivered %v, want [0 1 2] in order", got)
+	}
+	if d := src.Stats().Deferred; d < 2 {
+		t.Fatalf("deferred %d operations, want at least 2", d)
+	}
+	if s := src.Stats().AMsSent; s != 3 || dst.Stats().AMsDelivered != 3 {
+		t.Fatalf("sent %d delivered %d, want 3 and 3", s, dst.Stats().AMsDelivered)
 	}
 }
 

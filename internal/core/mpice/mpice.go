@@ -81,25 +81,71 @@ func DefaultConfig() Config {
 	}
 }
 
+// amSlot is one persistent receive of a registered tag. At most one delivery
+// is in flight per slot (the request is re-Started only after its callback
+// ran), so the two deferred steps of a delivery — run the callback, re-arm
+// the receive — are methods of the slot, bound once at TagReg.
 type amSlot struct {
+	e   *Engine
 	tag core.Tag
 	cb  core.AMCallback
 	req *mpi.Request
 	b   []byte
+
+	dispatch func() // s.runCallback
+	rearm    func() // s.restart
 }
 
+// sendRec is one deferred active-message send: SendAM (or SendAMMT) fills it,
+// the communication thread (or the MPI global lock) runs it, and it retires
+// itself into e.sends. buf is the record's own copy of the payload, kept
+// across uses.
+type sendRec struct {
+	e      *Engine
+	live   bool // between newSend and its send
+	tag    core.Tag
+	remote int
+	buf    []byte
+	// SendAMMT only: the calling worker and its continuation.
+	worker *sim.Proc
+	done   func()
+
+	run func() // s.send
+}
+
+// xferSlot is one put data transfer in (or waiting for) the global request
+// array, and the record of its deferred steps: post the Isend/Irecv, dispatch
+// the remote completion. A slot whose transfer completed is retired into
+// e.slots (with its request freed) once nothing can reach it any more — at
+// compaction, or for a receive after its completion callback returned. A
+// slot abandoned by a dead-peer eviction is only dropped: its posting step
+// may still be queued, and its request may still be named by wire traffic.
 type xferSlot struct {
+	e      *Engine
+	live   bool // between newSlot and retireSlot
 	req    *mpi.Request
-	done   bool
+	done   bool // leaves the array at the next compaction
 	isSend bool
+	// completed: done by Testsome, not by eviction. dispatching: the remote
+	// completion callback is queued and retires the slot when it returns.
+	completed   bool
+	dispatching bool
+
+	data    buf.Buf // send: local source; receive: registered target
+	dataTag int
 	// Send-side: the put's local completion callback.
-	// Recv-side: remote-completion dispatch arguments.
+	// Recv-side: remote-completion dispatch arguments; rcbData is the slot's
+	// own copy, kept across uses.
 	localCB func()
 	rtag    core.Tag
+	rcb     core.AMCallback
 	rcbData []byte
 	src     int
 	dst     int // send-side destination, for dead-peer eviction
 	size    int64
+
+	post     func() // s.postTransfer
+	dispatch func() // s.runRemoteCompletion
 }
 
 type pendingKind int8
@@ -138,6 +184,12 @@ type Engine struct {
 
 	reqScratch  []*mpi.Request
 	slotScratch []any // parallel to reqScratch: *amSlot or *xferSlot
+
+	// Free lists of the engine's deferred-step records, and runPass bound
+	// once: a method value made per schedule() call would allocate.
+	sends     sim.FreeList[sendRec]
+	slots     sim.FreeList[xferSlot]
+	runPassFn func()
 
 	progressScheduled bool
 	nextDataTag       int32
@@ -186,6 +238,7 @@ func New(eng *sim.Engine, w *mpi.World, rank int, cfg Config) *Engine {
 	mreg.Probe("mpice", "deferred_queue_depth", rank, false, func() float64 { return float64(len(e.pending)) })
 	mreg.Probe("mpice", "xfer_depth", rank, false, func() float64 { return float64(len(e.xfer)) })
 	e.comm.WakeLatency = cfg.WakeLatency
+	e.runPassFn = e.runPass
 	e.rank.SetWake(e.schedule)
 	e.rank.SetErrHandler(func(peer int, err error) {
 		werr := fmt.Errorf("mpice rank %d: %w", rank, err)
@@ -282,7 +335,7 @@ func (e *Engine) evictPeer(peer int, err error) {
 			continue
 		}
 		if (s.isSend && s.dst == peer) || (!s.isSend && s.src == peer) {
-			s.done = true
+			s.done = true // not completed: compaction drops it unrecycled
 			purged = true
 		}
 	}
@@ -346,24 +399,54 @@ func (e *Engine) TagReg(tag core.Tag, cb core.AMCallback, maxLen int64) {
 	}
 	e.tags.Register(tag, cb, maxLen)
 	for i := 0; i < e.cfg.PersistentPerTag; i++ {
-		s := &amSlot{tag: tag, cb: cb, b: make([]byte, maxLen)}
+		s := &amSlot{e: e, tag: tag, cb: cb, b: make([]byte, maxLen)}
+		s.dispatch, s.rearm = s.runCallback, s.restart
 		s.req = e.rank.RecvInit(buf.FromBytes(s.b), mpi.AnySource, int(tag))
 		e.rank.Start(s.req)
 		e.amSlots = append(e.amSlots, s)
 	}
 }
 
-// SendAM sends an eager active message from the communication thread
-// (blocking MPI_Send; §4.2.1). data is consumed by the call.
-func (e *Engine) SendAM(tag core.Tag, remote int, data []byte) {
-	b := buf.FromBytes(data)
-	e.Submit(e.w.Config().SendCost(b.Size), func() {
-		if e.failed != nil || e.deadPeers[remote] {
-			return
-		}
-		e.rank.Send(b, remote, int(tag))
+// newSend takes a send record holding a copy of data.
+func (e *Engine) newSend(tag core.Tag, remote int, data []byte) *sendRec {
+	s := e.sends.Get()
+	if s == nil {
+		s = &sendRec{e: e}
+		s.run = s.send
+	}
+	s.live, s.tag, s.remote = true, tag, remote
+	s.buf = append(s.buf[:0], data...)
+	return s
+}
+
+// retireSend recycles a send record whose send has run.
+func (e *Engine) retireSend(s *sendRec) {
+	if !s.live {
+		panic("mpice: send record used after retirement")
+	}
+	s.live, s.worker, s.done, s.buf = false, nil, nil, buf.KeepSlab(s.buf)
+	e.sends.Put(s)
+}
+
+// send is the deferred body of SendAM and SendAMMT (blocking eager MPI_Send;
+// §4.2.1); a worker's continuation runs once the call has returned to it.
+func (s *sendRec) send() {
+	e := s.e
+	if e.failed == nil && !e.deadPeers[s.remote] {
+		e.rank.Send(buf.FromBytes(s.buf), s.remote, int(s.tag))
 		e.amsSent.Inc()
-	})
+	}
+	if s.done != nil {
+		s.worker.Submit(0, s.done)
+	}
+	e.retireSend(s)
+}
+
+// SendAM sends an eager active message from the communication thread
+// (blocking MPI_Send; §4.2.1). data is copied before the call returns.
+func (e *Engine) SendAM(tag core.Tag, remote int, data []byte) {
+	s := e.newSend(tag, remote, data)
+	e.Submit(e.w.Config().SendCost(int64(len(data))), s.run)
 }
 
 // SendAMMT sends an active message from a worker thread. The call serializes
@@ -371,20 +454,9 @@ func (e *Engine) SendAM(tag core.Tag, remote int, data []byte) {
 // finds multithreaded sends "generally neutral or negatively impacted" on
 // the MPI backend (§6.4.3).
 func (e *Engine) SendAMMT(worker *sim.Proc, tag core.Tag, remote int, data []byte, done func()) {
-	b := buf.FromBytes(data)
-	e.rank.LockedSubmit(e.w.Config().SendCost(b.Size), func() {
-		if e.failed != nil || e.deadPeers[remote] {
-			if done != nil {
-				worker.Submit(0, done)
-			}
-			return
-		}
-		e.rank.Send(b, remote, int(tag))
-		e.amsSent.Inc()
-		if done != nil {
-			worker.Submit(0, done)
-		}
-	})
+	s := e.newSend(tag, remote, data)
+	s.worker, s.done = worker, done
+	e.rank.LockedSubmit(e.w.Config().SendCost(int64(len(data))), s.run)
 	e.schedule()
 }
 
@@ -409,11 +481,13 @@ func (e *Engine) Put(a core.PutArgs) {
 	e.nextDataTag++
 	dataTag := dataTagBase + int(e.nextDataTag)
 
-	hdr := core.PutHeader{
+	// The handshake is marshalled straight into its send record.
+	hs := e.newSend(handshakeTag, a.Remote, nil)
+	hs.buf = core.PutHeader{
 		RReg: a.RReg, RDispl: a.RDispl, Size: a.Size,
 		DataTag: int32(dataTag), RTag: a.RTag, RCBData: a.RCBData,
-	}.Marshal()
-	e.SendAM(handshakeTag, a.Remote, hdr)
+	}.AppendTo(hs.buf)
+	e.Submit(e.w.Config().SendCost(int64(len(hs.buf))), hs.run)
 
 	if len(e.xfer) < e.cfg.MaxTransfers {
 		e.postDataSend(local, a.Remote, dataTag, a.LocalCB, a.Size)
@@ -428,19 +502,64 @@ func (e *Engine) Put(a core.PutArgs) {
 	e.schedule()
 }
 
+// newSlot takes a transfer slot record.
+func (e *Engine) newSlot() *xferSlot {
+	s := e.slots.Get()
+	if s == nil {
+		s = &xferSlot{e: e}
+		s.post, s.dispatch = s.postTransfer, s.runRemoteCompletion
+	}
+	s.live = true
+	return s
+}
+
+// retireSlot frees the slot's completed request and recycles the slot.
+func (e *Engine) retireSlot(s *xferSlot) {
+	if !s.live {
+		panic("mpice: transfer slot used after retirement")
+	}
+	if s.req != nil {
+		s.req.Free()
+	}
+	*s = xferSlot{e: e, post: s.post, dispatch: s.dispatch, rcbData: buf.KeepSlab(s.rcbData)}
+	e.slots.Put(s)
+}
+
 func (e *Engine) postDataSend(data buf.Buf, dst, dataTag int, localCB func(), size int64) {
 	// Reserve the array slot synchronously so concurrent refills cannot
 	// overshoot MaxTransfers; the Isend itself is charged to the thread.
-	slot := &xferSlot{isSend: true, localCB: localCB, dst: dst, size: size}
-	e.xfer = append(e.xfer, slot)
-	e.Submit(e.w.Config().SendCost(size), func() {
-		if slot.done {
+	s := e.newSlot()
+	s.isSend, s.data, s.dst, s.dataTag, s.localCB, s.size = true, data, dst, dataTag, localCB, size
+	e.xfer = append(e.xfer, s)
+	e.Submit(e.w.Config().SendCost(size), s.post)
+}
+
+// postTransfer is the slot's deferred posting step on the communication
+// thread: the data Isend at the put's origin, the matching Irecv at its
+// target.
+func (s *xferSlot) postTransfer() {
+	if !s.live {
+		panic("mpice: transfer slot used after retirement")
+	}
+	e := s.e
+	if s.isSend {
+		if s.done {
 			// Purged by a dead-peer eviction before the Isend was posted.
 			return
 		}
-		slot.req = e.rank.Isend(data, dst, dataTag)
+		s.req = e.rank.Isend(s.data, s.dst, s.dataTag)
 		e.schedule()
-	})
+		return
+	}
+	s.req = e.rank.Irecv(s.data, s.src, s.dataTag)
+	if len(e.xfer) < e.cfg.MaxTransfers {
+		e.xfer = append(e.xfer, s)
+	} else {
+		// Posted but unpolled until promoted (§4.2.2).
+		e.deferredEvents.Inc()
+		e.pending = append(e.pending, pendingOp{kind: pendingPromote, slot: s})
+	}
+	e.schedule()
 }
 
 // putRMA transports the data with MPI_Put + flush, then sends the remote
@@ -478,20 +597,11 @@ func (e *Engine) onHandshake(_ core.Engine, _ core.Tag, data []byte, src int) {
 		e.fail(src, fmt.Errorf("mpice rank %d: bad put handshake from %d: %w", e.Rank(), src, err))
 		return
 	}
-	target := e.reg.Lookup(h.RReg).Slice(h.RDispl, h.Size)
-	rcb := append([]byte(nil), h.RCBData...)
-	e.Submit(e.w.Config().RecvCost(h.Size), func() {
-		req := e.rank.Irecv(target, src, int(h.DataTag))
-		slot := &xferSlot{req: req, rtag: h.RTag, rcbData: rcb, src: src, size: h.Size}
-		if len(e.xfer) < e.cfg.MaxTransfers {
-			e.xfer = append(e.xfer, slot)
-		} else {
-			// Posted but unpolled until promoted (§4.2.2).
-			e.deferredEvents.Inc()
-			e.pending = append(e.pending, pendingOp{kind: pendingPromote, slot: slot})
-		}
-		e.schedule()
-	})
+	s := e.newSlot()
+	s.data = e.reg.Lookup(h.RReg).Slice(h.RDispl, h.Size)
+	s.dataTag, s.src, s.size = int(h.DataTag), src, h.Size
+	s.rtag, s.rcbData = h.RTag, append(s.rcbData, h.RCBData...)
+	e.Submit(e.w.Config().RecvCost(h.Size), s.post)
 }
 
 // schedule arranges one progress pass on the communication thread if none is
@@ -505,7 +615,7 @@ func (e *Engine) schedule() {
 	e.progressScheduled = true
 	nreq := len(e.amSlots) + len(e.xfer)
 	cost := e.rank.ProgressCost() + e.w.Config().TestCost(nreq)
-	e.comm.Submit(cost, e.runPass)
+	e.comm.Submit(cost, e.runPassFn)
 }
 
 func (e *Engine) runPass() {
@@ -548,24 +658,28 @@ func (e *Engine) runPass() {
 }
 
 func (e *Engine) dispatchAM(s *amSlot) {
-	size := s.req.Status.Size
-	src := s.req.Status.Source
-	payload := s.b[:size]
 	e.amsDelivered.Inc()
 	// The callback and the persistent-receive re-arm both execute on the
 	// communication thread; while they run, no Testsome happens — the
 	// §4.3 head-of-line blocking.
-	e.comm.Submit(e.cfg.DispatchCost, func() {
-		s.cb(e, s.tag, payload, src)
-		e.comm.Submit(e.w.Config().PostCost, func() {
-			e.rank.Start(s.req)
-			e.schedule()
-		})
-	})
+	e.comm.Submit(e.cfg.DispatchCost, s.dispatch)
+}
+
+// runCallback hands the received payload to the tag's callback. The request's
+// status and buffer stay as Testsome left them until restart re-arms it.
+func (s *amSlot) runCallback() {
+	st := s.req.Status
+	s.cb(s.e, s.tag, s.b[:st.Size], st.Source)
+	s.e.comm.Submit(s.e.w.Config().PostCost, s.rearm)
+}
+
+func (s *amSlot) restart() {
+	s.e.rank.Start(s.req)
+	s.e.schedule()
 }
 
 func (e *Engine) completeXfer(s *xferSlot) {
-	s.done = true // mark for compaction
+	s.done, s.completed = true, true // compaction removes and recycles it
 	if s.isSend {
 		e.putsDone.Inc()
 		if s.localCB != nil {
@@ -574,10 +688,16 @@ func (e *Engine) completeXfer(s *xferSlot) {
 		return
 	}
 	// Data landed: fire the remote completion callback registered for RTag.
-	cb, _ := e.tags.Lookup(s.rtag)
-	e.comm.Submit(e.cfg.DispatchCost, func() {
-		cb(e, s.rtag, s.rcbData, s.src)
-	})
+	s.rcb, _ = e.tags.Lookup(s.rtag)
+	s.dispatching = true
+	e.comm.Submit(e.cfg.DispatchCost, s.dispatch)
+}
+
+// runRemoteCompletion runs the put's remote completion callback and retires
+// the slot: rcbData is only valid during the call.
+func (s *xferSlot) runRemoteCompletion() {
+	s.rcb(s.e, s.rtag, s.rcbData, s.src)
+	s.e.retireSlot(s)
 }
 
 func (e *Engine) compact() {
@@ -585,6 +705,8 @@ func (e *Engine) compact() {
 	for _, s := range e.xfer {
 		if !s.done {
 			out = append(out, s)
+		} else if s.completed && !s.dispatching {
+			e.retireSlot(s)
 		}
 	}
 	for i := len(out); i < len(e.xfer); i++ {

@@ -184,15 +184,10 @@ type port struct {
 	// every rank's draws through global send interleaving.
 	rng *sim.RNG
 
-	// xfree recycles per-message transfer state (xfer) for intra-shard
-	// traffic so the steady-state Send/deliver cycle allocates nothing;
-	// see xfer.go. Cross-shard xfers are released on the destination shard
-	// and deliberately not recycled.
-	xfree []*xfer
-	// corruptFree recycles the payload copies made for corrupted messages
-	// addressed to this rank; a reliability layer that discards a damaged
-	// frame hands the buffer back through RecyclePayload.
-	corruptFree [][]byte
+	// pool is the free-list set of the shard that owns this rank (xfer.go):
+	// per-message transfer state and corrupted-payload scratch, taken here
+	// when this rank sends and put back here when it is delivered to.
+	pool *shardPool
 
 	msgsSent, msgsRecv   *metrics.Counter
 	bytesSent, bytesRecv *metrics.Counter
@@ -249,11 +244,17 @@ func New(dom sim.Domain, n int, cfg Config) (*Fabric, error) {
 			f.group[i] = int32(i / cfg.NodeGroup)
 		}
 	}
+	pools := make([]*shardPool, dom.Shards())
+	for i := range pools {
+		pools[i] = &shardPool{}
+		pools[i].xfers.Cap = sim.ShardListCap
+	}
 	f.ports = make([]*port, n)
 	for i := range f.ports {
 		eng := dom.RankEngine(i)
 		p := &port{
 			eng:           eng,
+			pool:          pools[dom.ShardOf(i)],
 			tx:            sim.NewProc(eng),
 			rx:            sim.NewProc(eng),
 			rng:           sim.NewRNG(cfg.Seed + uint64(i)*0x9E3779B97F4A7C15),
@@ -465,7 +466,7 @@ func (f *Fabric) Send(m *Message) {
 				// Copy before flipping a byte so the sender's buffer stays
 				// intact; the copy comes from (and returns to, via
 				// RecyclePayload) the fabric's scratch pool.
-				p := src.getCorruptBuf(len(m.Payload))
+				p := src.pool.getCorruptBuf(len(m.Payload))
 				copy(p, m.Payload)
 				p[ft.corruptAt%len(p)] ^= 0xA5
 				m.Payload = p

@@ -11,24 +11,29 @@ import "amtlci/internal/sim"
 // the xfer recycles its closures, so the steady-state delivery path
 // (virtual-payload scheduling in particular) allocates nothing.
 //
-// Sharding: the early steps (loopback, ctlTx, bulkTx) run on the source
-// rank's shard; the wire hop crosses to the destination shard, where the
-// remaining steps (ctlRx, bulkWire, bulkRx) and the final release run. An
-// xfer whose endpoints share a shard is recycled through the source port's
-// free list as before; a cross-shard xfer is released on the destination
-// shard, where touching the source pool would race, so it is simply dropped
-// for the GC. remote caches that decision at acquisition time.
+// Ownership follows the message (DESIGN.md §5.15). Send takes an xfer from
+// the free list of the SOURCE rank's shard; the early steps (loopback, ctlTx,
+// bulkTx) run there. The wire hop hands the xfer to the destination shard
+// through Domain.CrossAt, whose inbox lock orders everything the source did
+// before everything the destination does, and the source never touches the
+// xfer again. The remaining steps (ctlRx, bulkWire, bulkRx) run at the
+// destination, and the last of them retires the xfer into the free list of
+// the DESTINATION rank's shard: a record that crossed the wire is retired by
+// the receiver, never returned to the sender. There is one path — an
+// intra-shard message is the case where both lists are the same list. The
+// lists are per shard and not per port because a record is retired where it
+// is delivered: per-port lists would drain on every one-way stream.
 //
-// Lifecycle: Send acquires an xfer, arms pending with the number of delivery
-// callbacks that will run (0 when the injector drops every copy), and the
-// last step releases the object back to the source port's free list *before*
-// invoking the handler — the handler may re-enter Send and reuse it, which
-// is safe because the finishing callback never touches the xfer again.
+// Lifecycle: Send arms pending with the number of delivery callbacks that
+// will run (0 when the injector drops every copy, in which case the source
+// retires the xfer after egress), and the last step retires the object
+// *before* invoking the handler — the handler may re-enter Send and reuse it,
+// which is safe because the finishing callback never touches the xfer again.
 type xfer struct {
 	f       *Fabric
 	m       *Message
 	src     *port
-	remote  bool // endpoints on different shards: do not recycle
+	live    bool // between getXfer and putXfer; a second retire panics
 	wire    sim.Duration
 	ser     sim.Duration
 	copies  int
@@ -44,39 +49,49 @@ type xfer struct {
 	bulkRx   func()
 }
 
+// shardPool holds the fabric's free lists for the ranks of one shard. Only
+// that shard's goroutine touches it.
+type shardPool struct {
+	xfers sim.FreeList[xfer]
+	// corrupt recycles the payload copies made for corrupted messages; a
+	// reliability layer that discards a damaged frame hands the buffer back
+	// through RecyclePayload.
+	corrupt [][]byte
+	_       [64]byte // neighbouring shards' pools must not share a cache line
+}
+
 func (f *Fabric) getXfer(m *Message) *xfer {
 	src := f.ports[m.Src]
-	var x *xfer
-	if n := len(src.xfree); n > 0 {
-		x = src.xfree[n-1]
-		src.xfree[n-1] = nil
-		src.xfree = src.xfree[:n-1]
-	} else {
+	x := src.pool.xfers.Get()
+	if x == nil {
 		x = &xfer{f: f}
 		x.bind()
 	}
 	x.m = m
 	x.src = src
-	x.remote = f.dom.ShardOf(m.Src) != f.dom.ShardOf(m.Dst)
+	x.live = true
 	return x
 }
 
-func (f *Fabric) putXfer(x *xfer) {
-	src := x.src
+// putXfer retires x into the free list of at's shard: the destination port
+// once a copy was delivered, the source port when the wire lost them all.
+func (f *Fabric) putXfer(x *xfer, at *port) {
+	if !x.live {
+		panic("fabric: transfer state retired twice")
+	}
+	x.live = false
 	x.m = nil
 	x.src = nil
-	if !x.remote {
-		src.xfree = append(src.xfree, x)
-	}
+	at.pool.xfers.Put(x)
 }
 
-// finish retires one delivery copy: the xfer is released before the handler
-// runs so a re-entrant Send can reuse it.
+// finish retires one delivery copy at the destination: the xfer is released
+// before the handler runs so a re-entrant Send can reuse it.
 func (x *xfer) finish() {
 	m := x.m
 	x.pending--
 	if x.pending <= 0 {
-		x.f.putXfer(x)
+		x.f.putXfer(x, x.f.ports[m.Dst])
 	}
 	x.f.deliver(m)
 }
@@ -85,12 +100,7 @@ func (x *xfer) finish() {
 // from the source shard's clock. delay always includes one wire latency, so
 // cross-shard hops satisfy the domain's lookahead by construction.
 func (x *xfer) hop(delay sim.Duration, fn func()) {
-	at := x.src.eng.Now().Add(delay)
-	if x.remote {
-		x.f.dom.CrossAt(x.m.Src, x.m.Dst, at, fn)
-	} else {
-		x.src.eng.At(at, fn)
-	}
+	x.f.dom.CrossAt(x.m.Src, x.m.Dst, x.src.eng.Now().Add(delay), fn)
 }
 
 func (x *xfer) bind() {
@@ -108,7 +118,7 @@ func (x *xfer) bind() {
 			x.m.OnTx()
 		}
 		if x.copies == 0 {
-			f.putXfer(x)
+			f.putXfer(x, x.src)
 			return
 		}
 		for c := 0; c < x.copies; c++ {
@@ -124,7 +134,7 @@ func (x *xfer) bind() {
 			x.m.OnTx()
 		}
 		if x.copies == 0 {
-			f.putXfer(x)
+			f.putXfer(x, x.src)
 			return
 		}
 		for c := 0; c < x.copies; c++ {
@@ -145,39 +155,36 @@ func (x *xfer) bind() {
 // getCorruptBuf returns an n-byte scratch buffer for a corrupted-payload
 // copy, reusing buffers handed back through RecyclePayload when one is big
 // enough (frame sizes within a run cluster around a few distinct values, so
-// first-fit reuse almost always hits). The pool is per source port;
-// RecyclePayload only refills it for intra-shard messages.
-func (p *port) getCorruptBuf(n int) []byte {
-	for i := len(p.corruptFree) - 1; i >= 0; i-- {
-		if cap(p.corruptFree[i]) >= n {
-			b := p.corruptFree[i][:n]
-			last := len(p.corruptFree) - 1
-			p.corruptFree[i] = p.corruptFree[last]
-			p.corruptFree[last] = nil
-			p.corruptFree = p.corruptFree[:last]
+// first-fit reuse almost always hits). Like the xfer, the buffer is taken at
+// the source rank's shard and handed back at the destination's.
+func (sp *shardPool) getCorruptBuf(n int) []byte {
+	for i := len(sp.corrupt) - 1; i >= 0; i-- {
+		if cap(sp.corrupt[i]) >= n {
+			b := sp.corrupt[i][:n]
+			last := len(sp.corrupt) - 1
+			sp.corrupt[i] = sp.corrupt[last]
+			sp.corrupt[last] = nil
+			sp.corrupt = sp.corrupt[:last]
 			return b
 		}
 	}
 	return make([]byte, n)
 }
 
-// RecyclePayload returns the payload of a corrupted message to the source
-// port's scratch pool. Only the private copy the fabric itself made when
-// corrupting a message is eligible — calling it for a pristine message would
-// recycle a sender-owned buffer — so callers must pass messages they are
-// discarding on the Corrupted flag, as the reliability layer does, and must
-// not touch the payload afterwards. Cross-shard payloads are dropped for the
-// GC: the recycle runs on the destination shard, where the source pool is
-// off-limits.
+// RecyclePayload hands the payload of a corrupted message to the scratch
+// pool of the shard it was delivered on. Only the private copy the fabric
+// itself made when corrupting a message is eligible — calling it for a
+// pristine message would recycle a sender-owned buffer — so callers must pass
+// messages they are discarding on the Corrupted flag, as the reliability
+// layer does, must call it from the destination rank's shard, and must not
+// touch the payload afterwards.
 func (f *Fabric) RecyclePayload(m *Message) {
 	if !m.Corrupted || m.Payload == nil {
 		return
 	}
-	if f.dom.ShardOf(m.Src) == f.dom.ShardOf(m.Dst) {
-		src := f.ports[m.Src]
-		if len(src.corruptFree) < 32 { // cap retained scratch memory
-			src.corruptFree = append(src.corruptFree, m.Payload)
-		}
+	sp := f.ports[m.Dst].pool
+	if len(sp.corrupt) < 32 { // cap retained scratch memory
+		sp.corrupt = append(sp.corrupt, m.Payload)
 	}
 	m.Payload = nil
 }

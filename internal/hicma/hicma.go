@@ -103,6 +103,10 @@ func DefaultParams(n, nb int) Params {
 type Pool struct {
 	*cholesky.Pool
 	par Params
+	// rankAt[d] is the modeled rank of a tile d block rows off the diagonal
+	// (1 <= d < T), tabulated once: Cost and Execute ask up to three times
+	// per task.
+	rankAt []int32
 
 	real bool
 	prob *tlr.Problem
@@ -122,10 +126,15 @@ func NewVirtual(par Params, ranks int) *Pool {
 		panic(fmt.Sprintf("hicma: N=%d not divisible by nb=%d", par.N, par.NB))
 	}
 	t := par.N / par.NB
-	return &Pool{
-		Pool: cholesky.NewVirtual(t, par.NB, ranks, par.PotrfGFLOPS),
-		par:  par,
+	p := &Pool{
+		Pool:   cholesky.NewVirtual(t, par.NB, ranks, par.PotrfGFLOPS),
+		par:    par,
+		rankAt: make([]int32, t),
 	}
+	for d := 1; d < t; d++ {
+		p.rankAt[d] = int32(par.modelRank(d, t))
+	}
+	return p
 }
 
 // NewReal builds the correctness-mode pool: it generates the st-2d-sqexp
@@ -166,20 +175,16 @@ func (p *Pool) Rank(m, n int) int {
 	if d == 0 {
 		panic("hicma: diagonal tiles are dense")
 	}
-	delta := float64(d) / float64(p.T)
-	r := int(math.Round(p.par.RankBase * math.Sqrt(float64(p.par.NB)/1200) *
-		math.Exp(-delta/p.par.RankDecay)))
-	if r < 1 {
-		r = 1
-	}
-	cap := p.par.MaxRank
-	if p.par.NB < cap {
-		cap = p.par.NB
-	}
-	if r > cap {
-		r = cap
-	}
-	return r
+	return int(p.rankAt[d])
+}
+
+// modelRank evaluates the rank model d block rows off the diagonal of a
+// t-by-t tile matrix: exponential decay, at least 1, at most MaxRank and NB.
+func (par Params) modelRank(d, t int) int {
+	delta := float64(d) / float64(t)
+	r := int(math.Round(par.RankBase * math.Sqrt(float64(par.NB)/1200) *
+		math.Exp(-delta/par.RankDecay)))
+	return max(1, min(r, par.MaxRank, par.NB))
 }
 
 // AvgRank reports the mean modeled off-diagonal rank (used to validate the

@@ -64,6 +64,35 @@ func TestRankRespectsMaxRankCap(t *testing.T) {
 	}
 }
 
+// TestRankTableMatchesFormula checks the per-distance table the constructor
+// builds against the rank model evaluated directly, for every distance, on
+// settings that reach each branch: the floor at 1 (far tiles of a large
+// matrix), the MaxRank cap, and the NB cap (tiles smaller than MaxRank).
+func TestRankTableMatchesFormula(t *testing.T) {
+	small := DefaultParams(6400, 100) // NB 100 < MaxRank 150
+	small.RankBase = 1e6
+	capped := DefaultParams(360000, 6000)
+	capped.RankBase = 1e6
+	for _, par := range []Params{DefaultParams(360000, 1200), capped, small} {
+		p := NewVirtual(par, 16)
+		seen := map[string]bool{}
+		for d := 1; d < p.T; d++ {
+			want := int(math.Round(par.RankBase * math.Sqrt(float64(par.NB)/1200) *
+				math.Exp(-float64(d)/float64(p.T)/par.RankDecay)))
+			switch {
+			case want < 1:
+				want, seen["floor"] = 1, true
+			case want > par.MaxRank || want > par.NB:
+				want, seen["cap"] = min(par.MaxRank, par.NB), true
+			}
+			if got := p.Rank(d, 0); got != want || p.Rank(0, d) != want || p.Rank(p.T-1, p.T-1-d) != want {
+				t.Fatalf("N=%d nb=%d: rank at distance %d = %d, formula %d", par.N, par.NB, d, got, want)
+			}
+		}
+		t.Logf("N=%d nb=%d T=%d: branches %v", par.N, par.NB, p.T, seen)
+	}
+}
+
 func TestCostsReflectCompression(t *testing.T) {
 	// A TLR GEMM must be far cheaper than the dense nb^3 GEMM at the same
 	// tile size — the reason HiCMA scales at all.

@@ -28,10 +28,13 @@ func NewRuntime(dom sim.Domain, fab fabric.Network, cfg Config) *Runtime {
 		reg = metrics.New()
 	}
 	rt := &Runtime{dom: dom, fab: fab, cfg: cfg, reg: reg}
+	pools := sim.ShardFreeLists[packet](dom)
 	rt.eps = make([]*Endpoint, fab.Ranks())
 	for i := range rt.eps {
 		ep := &Endpoint{
 			rt: rt, me: i,
+			pool:          pools[dom.ShardOf(i)],
+			pktDone:       packet{kind: kindPktDone, live: true},
 			sent:          reg.Counter("lci", "sent", i),
 			received:      reg.Counter("lci", "received", i),
 			retries:       reg.Counter("lci", "retries", i),
@@ -76,15 +79,31 @@ const (
 	kindPut                     // one-sided put payload (rma.go)
 )
 
+// packet is the pooled record of one library-level message: the header the
+// receiver reads, the fabric message it travels in, and that message's
+// egress callback, bound once when the record is first made. The sender
+// fills it and does not touch it after OnTx; the RECEIVING endpoint retires
+// it into its own shard's free list once Progress has consumed it (DESIGN.md
+// §5.15). Local completions (kindSendDone) are packets too, taken and retired
+// at the same endpoint; kindPktDone is the endpoint's static sentinel.
 type packet struct {
+	msg  fabric.Message
+	onTx func()    // p.txDone
+	ep   *Endpoint // sender; read by txDone only
+	live bool      // between take and retire
+
 	kind    lciKind
 	src     int
 	tag     int
 	size    int64
 	payload buf.Buf
-	extra   buf.Buf   // second iovec segment (Sendmx)
-	sctx    *directOp // sender-side direct operation
-	rctx    *directOp // receiver-side direct operation
+	extra   buf.Buf // second iovec segment (Sendmx)
+	// data and xdata back payload and extra of an Immediate/Buffered message
+	// with real bytes: the packet's own copy (the registered packet the
+	// protocol copies through), kept across uses.
+	data, xdata []byte
+	sctx        *directOp // sender-side direct operation
+	rctx        *directOp // receiver-side direct operation
 
 	// One-sided put fields (rma.go).
 	rmaKey  RMAKey
@@ -92,9 +111,12 @@ type packet struct {
 	rmaMeta []byte
 }
 
-// directOp tracks one posted Direct send or receive.
+// directOp tracks one posted Direct send or receive. The record is pooled at
+// the endpoint that posted it, which is also the only one that dereferences
+// it: the peer carries the pointer through RTS/CTS/data untouched, and the
+// owner retires the record when it delivers the operation's completion.
 type directOp struct {
-	ep      *Endpoint
+	live    bool // between newOp and complete
 	tag     int
 	peer    int // AnyRank for wildcard receives
 	b       buf.Buf
@@ -111,7 +133,20 @@ type Endpoint struct {
 	rt *Runtime
 	me int
 
-	staged []*packet // arrivals awaiting Progress
+	// staged holds arrivals awaiting Progress; spare is the slice Progress
+	// drained last, swapped back in so staging does not regrow one per pass.
+	staged, spare []*packet
+
+	// pool is the packet free list of this rank's shard: packets cross the
+	// wire and are retired where they are delivered, so the list belongs to
+	// the shard (per-rank lists would drain on every one-way stream). ops
+	// recycles this endpoint's own direct-operation records. pktDone is the
+	// one local completion every Immediate/Buffered send stages when its
+	// packet has left the NIC: it carries nothing, so a single static record
+	// serves.
+	pool    *sim.FreeList[packet]
+	ops     sim.FreeList[directOp]
+	pktDone packet
 
 	// Receiver-side Direct state.
 	postedRecv []*directOp
@@ -178,7 +213,72 @@ func (ep *Endpoint) deliverErr(peer int, err error) {
 
 func (ep *Endpoint) onArrival(m *fabric.Message) { ep.stage(m.Meta.(*packet)) }
 
+// takePacket takes a packet record of the given kind.
+func (ep *Endpoint) takePacket(kind lciKind) *packet {
+	p := ep.pool.Get()
+	if p == nil {
+		p = &packet{}
+		p.onTx = p.txDone
+	}
+	p.live, p.ep, p.kind, p.src = true, ep, kind, ep.me
+	return p
+}
+
+// newPacket takes a packet for a message of wire size bytes to dst.
+func (ep *Endpoint) newPacket(kind lciKind, dst int, wire int64) *packet {
+	p := ep.takePacket(kind)
+	p.msg = fabric.Message{Src: ep.me, Dst: dst, Size: wire, Meta: p}
+	return p
+}
+
+// retire returns a consumed packet to this (the receiving) endpoint's shard.
+func (ep *Endpoint) retire(p *packet) {
+	if !p.live {
+		panic("lci: packet retired twice")
+	}
+	*p = packet{onTx: p.onTx, data: buf.KeepSlab(p.data), xdata: buf.KeepSlab(p.xdata)}
+	ep.pool.Put(p)
+}
+
+func (ep *Endpoint) newOp(tag, peer int, b buf.Buf, comp Comp, userCtx any) *directOp {
+	op := ep.ops.Get()
+	if op == nil {
+		op = &directOp{}
+	}
+	*op = directOp{live: true, tag: tag, peer: peer, b: b, comp: comp, userCtx: userCtx}
+	return op
+}
+
+// complete delivers op's completion and retires the record; the handler may
+// post new operations, so the record is released only after it returns.
+func (ep *Endpoint) complete(op *directOp, r Request) {
+	if !op.live {
+		panic("lci: direct operation completed twice")
+	}
+	deliver(op.comp, r)
+	*op = directOp{}
+	ep.ops.Put(op)
+}
+
+// txDone is the packet's fabric OnTx: the NIC has read the message out of
+// memory, so the sender-side resource it held is released through a staged
+// local completion. It is the sender's last touch of the packet.
+func (p *packet) txDone() {
+	ep := p.ep
+	switch p.kind {
+	case kindMsg:
+		ep.stage(&ep.pktDone)
+	case kindData, kindPut:
+		d := ep.takePacket(kindSendDone)
+		d.sctx = p.sctx
+		ep.stage(d)
+	}
+}
+
 func (ep *Endpoint) stage(p *packet) {
+	if !p.live {
+		panic("lci: staging a retired packet")
+	}
 	wasEmpty := len(ep.staged) == 0
 	ep.staged = append(ep.staged, p)
 	if wasEmpty {
@@ -222,22 +322,12 @@ func (ep *Endpoint) Sendmx(dst, tag int, header, extra buf.Buf) error {
 	}
 	ep.packets.Add(1)
 	ep.sent.Inc()
-	ep.rt.fab.Send(&fabric.Message{
-		Src: ep.me, Dst: dst, Size: header.Size + extra.Size + ep.rt.cfg.HeaderBytes,
-		Meta: &packet{kind: kindMsg, src: ep.me, tag: tag, size: header.Size + extra.Size,
-			payload: snapshot(header), extra: snapshot(extra)},
-		OnTx: func() { ep.stage(&packet{kind: kindPktDone}) },
-	})
+	p := ep.newPacket(kindMsg, dst, header.Size+extra.Size+ep.rt.cfg.HeaderBytes)
+	p.tag, p.size = tag, header.Size+extra.Size
+	p.payload, p.extra = buf.Snapshot(&p.data, header), buf.Snapshot(&p.xdata, extra)
+	p.msg.OnTx = p.onTx
+	ep.rt.fab.Send(&p.msg)
 	return nil
-}
-
-func snapshot(b buf.Buf) buf.Buf {
-	if b.IsVirtual() {
-		return b
-	}
-	c := make([]byte, b.Size)
-	copy(c, b.Bytes)
-	return buf.FromBytes(c)
 }
 
 func (ep *Endpoint) eagerSend(dst, tag int, b buf.Buf) error {
@@ -247,11 +337,10 @@ func (ep *Endpoint) eagerSend(dst, tag int, b buf.Buf) error {
 	}
 	ep.packets.Add(1)
 	ep.sent.Inc()
-	ep.rt.fab.Send(&fabric.Message{
-		Src: ep.me, Dst: dst, Size: b.Size + ep.rt.cfg.HeaderBytes,
-		Meta: &packet{kind: kindMsg, src: ep.me, tag: tag, size: b.Size, payload: snapshot(b)},
-		OnTx: func() { ep.stage(&packet{kind: kindPktDone}) },
-	})
+	p := ep.newPacket(kindMsg, dst, b.Size+ep.rt.cfg.HeaderBytes)
+	p.tag, p.size, p.payload = tag, b.Size, buf.Snapshot(&p.data, b)
+	p.msg.OnTx = p.onTx
+	ep.rt.fab.Send(&p.msg)
 	return nil
 }
 
@@ -265,11 +354,10 @@ func (ep *Endpoint) Sendd(dst, tag int, b buf.Buf, comp Comp, userCtx any) error
 	}
 	ep.direct.Add(1)
 	ep.sent.Inc()
-	op := &directOp{ep: ep, tag: tag, peer: dst, b: b, comp: comp, userCtx: userCtx}
-	ep.rt.fab.Send(&fabric.Message{
-		Src: ep.me, Dst: dst, Size: ep.rt.cfg.CtrlBytes,
-		Meta: &packet{kind: kindRTS, src: ep.me, tag: tag, size: b.Size, sctx: op},
-	})
+	p := ep.newPacket(kindRTS, dst, ep.rt.cfg.CtrlBytes)
+	p.tag, p.size = tag, b.Size
+	p.sctx = ep.newOp(tag, dst, b, comp, userCtx)
+	ep.rt.fab.Send(&p.msg)
 	return nil
 }
 
@@ -284,12 +372,13 @@ func (ep *Endpoint) Recvd(src, tag int, b buf.Buf, comp Comp, userCtx any) error
 		return ErrRetry
 	}
 	ep.direct.Add(1)
-	op := &directOp{ep: ep, tag: tag, peer: src, b: b, comp: comp, userCtx: userCtx}
+	op := ep.newOp(tag, src, b, comp, userCtx)
 	// Match an already-arrived RTS first.
 	for i, p := range ep.pendingRTS {
 		if matchDirect(op, p) {
 			ep.pendingRTS = append(ep.pendingRTS[:i], ep.pendingRTS[i+1:]...)
 			ep.sendCTS(op, p)
+			ep.retire(p)
 			return nil
 		}
 	}
@@ -302,10 +391,9 @@ func matchDirect(op *directOp, p *packet) bool {
 }
 
 func (ep *Endpoint) sendCTS(op *directOp, rts *packet) {
-	ep.rt.fab.Send(&fabric.Message{
-		Src: ep.me, Dst: rts.src, Size: ep.rt.cfg.CtrlBytes,
-		Meta: &packet{kind: kindCTS, src: ep.me, tag: rts.tag, size: rts.size, sctx: rts.sctx, rctx: op},
-	})
+	p := ep.newPacket(kindCTS, rts.src, ep.rt.cfg.CtrlBytes)
+	p.tag, p.size, p.sctx, p.rctx = rts.tag, rts.size, rts.sctx, op
+	ep.rt.fab.Send(&p.msg)
 }
 
 // ProgressCost prices the work currently staged for one Progress pass.
@@ -340,31 +428,37 @@ func (ep *Endpoint) StagedWork() bool { return len(ep.staged) > 0 }
 func (ep *Endpoint) Progress() {
 	ep.progressCalls.Inc()
 	staged := ep.staged
-	ep.staged = nil
+	ep.staged, ep.spare = ep.spare[:0], nil
 	for _, p := range staged {
 		switch p.kind {
 		case kindMsg:
 			ep.received.Inc()
 			deliver(ep.msgComp, Request{Rank: p.src, Tag: p.tag, Data: p.payload, Extra: p.extra})
-		case kindRTS:
-			if op := ep.findPostedRecv(p); op != nil {
-				ep.sendCTS(op, p)
-			} else {
-				ep.pendingRTS = append(ep.pendingRTS, p)
+			if _, ok := ep.msgComp.(Handler); !ok {
+				// A queue or synchronizer keeps the request, and with it
+				// the bytes: they leave the packet.
+				p.data, p.xdata = nil, nil
 			}
+		case kindRTS:
+			op := ep.findPostedRecv(p)
+			if op == nil {
+				// Kept until a matching receive is posted (Recvd retires it).
+				ep.pendingRTS = append(ep.pendingRTS, p)
+				continue
+			}
+			ep.sendCTS(op, p)
 		case kindCTS:
 			sctx := p.sctx
-			ep.rt.fab.Send(&fabric.Message{
-				Src: ep.me, Dst: p.src, Size: sctx.b.Size + ep.rt.cfg.HeaderBytes,
-				Meta: &packet{kind: kindData, src: ep.me, tag: p.tag, size: sctx.b.Size, payload: sctx.b, rctx: p.rctx},
-				OnTx: func() { ep.stage(&packet{kind: kindSendDone, sctx: sctx}) },
-			})
+			d := ep.newPacket(kindData, p.src, sctx.b.Size+ep.rt.cfg.HeaderBytes)
+			d.tag, d.size, d.payload, d.sctx, d.rctx = p.tag, sctx.b.Size, sctx.b, sctx, p.rctx
+			d.msg.OnTx = d.onTx
+			ep.rt.fab.Send(&d.msg)
 		case kindData:
 			op := p.rctx
 			ep.received.Inc()
 			ep.direct.Add(-1)
 			buf.Copy(op.b, p.payload)
-			deliver(op.comp, Request{Rank: p.src, Tag: p.tag, Data: op.b, UserCtx: op.userCtx})
+			ep.complete(op, Request{Rank: p.src, Tag: p.tag, Data: op.b, UserCtx: op.userCtx})
 		case kindPut:
 			target, ok := ep.rmaMem[p.rmaKey]
 			if !ok {
@@ -376,11 +470,15 @@ func (ep *Endpoint) Progress() {
 		case kindSendDone:
 			op := p.sctx
 			ep.direct.Add(-1)
-			deliver(op.comp, Request{Rank: op.peer, Tag: op.tag, Data: op.b, UserCtx: op.userCtx})
+			ep.complete(op, Request{Rank: op.peer, Tag: op.tag, Data: op.b, UserCtx: op.userCtx})
 		case kindPktDone:
 			ep.packets.Add(-1)
+			continue // the endpoint's static sentinel
 		}
+		ep.retire(p)
 	}
+	clear(staged)
+	ep.spare = staged[:0]
 }
 
 func (ep *Endpoint) findPostedRecv(p *packet) *directOp {

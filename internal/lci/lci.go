@@ -122,7 +122,11 @@ type Request struct {
 	UserCtx any     // context supplied when the operation was posted
 }
 
-// Handler is a completion handler invoked from Progress.
+// Handler is a completion handler invoked from Progress. The Data and Extra
+// of a dynamically buffered (Immediate/Buffered) arrival live in the packet
+// that carried them and are only valid during the call; a handler that needs
+// them longer copies them. (A *CQ or *Sync target keeps the bytes with the
+// queued request.)
 type Handler func(Request)
 
 // Sync is a synchronizer: a single-use completion flag analogous to an MPI

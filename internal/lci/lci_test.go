@@ -32,7 +32,11 @@ func TestImmediateSendDeliversToHandler(t *testing.T) {
 	eng, rt := harness(2)
 	pump(eng, rt)
 	var got []Request
-	rt.Endpoint(1).SetMsgComp(Handler(func(r Request) { got = append(got, r) }))
+	rt.Endpoint(1).SetMsgComp(Handler(func(r Request) {
+		// The payload is only valid during the call.
+		r.Data = buf.FromBytes(append([]byte(nil), r.Data.Bytes...))
+		got = append(got, r)
+	}))
 	if err := rt.Endpoint(0).Sends(1, 42, buf.FromBytes([]byte("ping"))); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"amtlci/internal/buf"
-	"amtlci/internal/fabric"
 )
 
 // This file implements the paper's stated future work (§7): "introducing
@@ -60,13 +59,11 @@ func (ep *Endpoint) Putd(dst int, key RMAKey, off int64, b buf.Buf, meta []byte,
 	}
 	ep.direct.Add(1)
 	ep.sent.Inc()
-	op := &directOp{ep: ep, peer: dst, b: b, comp: comp, userCtx: userCtx}
-	metaCopy := append([]byte(nil), meta...)
-	ep.rt.fab.Send(&fabric.Message{
-		Src: ep.me, Dst: dst, Size: b.Size + int64(len(meta)) + ep.rt.cfg.HeaderBytes,
-		Meta: &packet{kind: kindPut, src: ep.me, size: b.Size, payload: b,
-			rmaKey: key, rmaOff: off, rmaMeta: metaCopy},
-		OnTx: func() { ep.stage(&packet{kind: kindSendDone, sctx: op}) },
-	})
+	p := ep.newPacket(kindPut, dst, b.Size+int64(len(meta))+ep.rt.cfg.HeaderBytes)
+	p.size, p.payload = b.Size, b
+	p.rmaKey, p.rmaOff, p.rmaMeta = key, off, append([]byte(nil), meta...)
+	p.sctx = ep.newOp(0, dst, b, comp, userCtx)
+	p.msg.OnTx = p.onTx
+	ep.rt.fab.Send(&p.msg)
 	return nil
 }

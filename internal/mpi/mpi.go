@@ -170,10 +170,12 @@ func NewWorld(dom sim.Domain, fab fabric.Network, cfg Config) *World {
 		reg = metrics.New()
 	}
 	w := &World{dom: dom, fab: fab, cfg: cfg, reg: reg}
+	pools := sim.ShardFreeLists[wire](dom)
 	w.ranks = make([]*Rank, fab.Ranks())
 	for i := range w.ranks {
 		r := &Rank{
 			w: w, me: i, lock: sim.NewProc(dom.RankEngine(i)),
+			pool:           pools[dom.ShardOf(i)],
 			sent:           reg.Counter("mpi", "sent", i),
 			received:       reg.Counter("mpi", "received", i),
 			unexpectedHits: reg.Counter("mpi", "unexpected_hits", i),
@@ -213,10 +215,21 @@ type Rank struct {
 	me   int
 	lock *sim.Proc // MPI_THREAD_MULTIPLE global lock
 
-	staged     []*wire    // arrived, awaiting progress
-	posted     []*Request // active receive requests, post order
-	unexpected []*wire    // progressed but unmatched arrivals
-	rmaMem     map[uint64]buf.Buf
+	// staged holds arrivals awaiting progress; spare is the slice Progress
+	// drained last, swapped back in so staging does not regrow one per pass.
+	staged, spare []*wire
+	posted        []*Request // active receive requests, post order
+	unexpected    []*wire    // progressed but unmatched arrivals
+	rmaMem        map[uint64]buf.Buf
+
+	// pool is the wire-record free list of this rank's shard: wire records
+	// cross the fabric and are retired where they are delivered, so the list
+	// belongs to the shard (per-rank lists would drain on every one-way
+	// stream). reqs recycles the requests callers hand back through
+	// Request.Free; testOut is Testsome's result scratch.
+	pool    *sim.FreeList[wire]
+	reqs    sim.FreeList[Request]
+	testOut []int
 
 	wake  func()
 	errFn func(peer int, err error)
@@ -274,13 +287,25 @@ const (
 	wireSendDone // local pseudo-arrival: rendezvous send buffer released
 )
 
-// wire is the header attached to every fabric message.
+// wire is the pooled record of one library-level message: the header the
+// receiver reads, the fabric message it travels in, and that message's egress
+// callback, bound once when the record is first made. The sender fills it and
+// does not touch it after OnTx; the RECEIVING rank retires it into its own
+// shard's free list once progress has consumed it (DESIGN.md §5.15). The
+// local pseudo-arrival wireSendDone is a wire too, taken and retired at the
+// same rank.
 type wire struct {
+	msg  fabric.Message
+	onTx func() // w.txDone
+	r    *Rank  // sender; read by txDone only
+	live bool   // between take and retire
+
 	kind    wireKind
 	src     int
 	tag     int
 	size    int64 // payload size (not counting framing)
 	payload buf.Buf
+	data    []byte   // backs an eager payload with real bytes; kept across uses
 	sreq    *Request // rendezvous: originating send request
 	rreq    *Request // rendezvous: matched receive request
 
@@ -304,7 +329,9 @@ type Status struct {
 	Size   int64
 }
 
-// Request is a communication request handle, analogous to MPI_Request.
+// Request is a communication request handle, analogous to MPI_Request. A
+// caller that is done with a completed, collected request may hand it back
+// with Free; one that keeps the handle simply lets the GC have it.
 type Request struct {
 	r          *Rank
 	kind       reqKind
@@ -332,3 +359,20 @@ func (q *Request) Active() bool { return q.active }
 // Done reports whether the operation has completed (it may still need to be
 // collected by Testsome).
 func (q *Request) Done() bool { return q.done }
+
+// Free releases a request for reuse by a later Isend or Irecv of the same
+// rank (MPI_Request_free). The operation must be complete and collected
+// (Done and no longer Active) and the request must not be persistent: at that
+// point the library holds no reference to it. The handle is dead afterwards;
+// a second Free, or a Free of an unfinished request, panics.
+func (q *Request) Free() {
+	if q.r == nil {
+		panic("mpi: Free of a request that was already freed")
+	}
+	if q.persistent || q.active || !q.done {
+		panic("mpi: Free of a persistent, active or incomplete request")
+	}
+	r := q.r
+	*q = Request{}
+	r.reqs.Put(q)
+}

@@ -6,15 +6,60 @@ import (
 	"amtlci/internal/sim"
 )
 
-// clonePayload snapshots a real payload so the sender may reuse its buffer
-// (eager semantics); virtual payloads need no snapshot.
-func clonePayload(b buf.Buf) buf.Buf {
-	if b.IsVirtual() {
-		return b
+// takeWire takes a wire record of the given kind.
+func (r *Rank) takeWire(kind wireKind) *wire {
+	w := r.pool.Get()
+	if w == nil {
+		w = &wire{}
+		w.onTx = w.txDone
 	}
-	c := make([]byte, b.Size)
-	copy(c, b.Bytes)
-	return buf.FromBytes(c)
+	w.live, w.r, w.kind, w.src = true, r, kind, r.me
+	return w
+}
+
+// newWire takes a wire record for a message of size bytes on the fabric to
+// dst.
+func (r *Rank) newWire(kind wireKind, dst int, size int64) *wire {
+	w := r.takeWire(kind)
+	w.msg = fabric.Message{Src: r.me, Dst: dst, Size: size, Meta: w}
+	return w
+}
+
+// retire returns a consumed wire record to this (the receiving) rank's shard.
+func (r *Rank) retire(w *wire) {
+	if !w.live {
+		panic("mpi: wire record retired twice")
+	}
+	*w = wire{onTx: w.onTx, data: buf.KeepSlab(w.data)}
+	r.pool.Put(w)
+}
+
+// txDone is the fabric OnTx of a rendezvous data message: the source buffer
+// is drained, so a local completion is staged for the next Testsome to
+// observe. It is the sender's last touch of the record.
+func (w *wire) txDone() {
+	r := w.r
+	d := r.takeWire(wireSendDone)
+	d.sreq = w.sreq
+	r.stage(d)
+}
+
+func (r *Rank) newRequest() *Request {
+	q := r.reqs.Get()
+	if q == nil {
+		q = &Request{}
+	}
+	return q
+}
+
+// sendEager puts a copy of b on the wire (eager semantics: the copy lives in
+// the wire record, so the sender may reuse its buffer): the send is locally
+// complete at once.
+func (r *Rank) sendEager(b buf.Buf, dst, tag int) {
+	r.sent.Inc()
+	w := r.newWire(wireEager, dst, b.Size+r.w.cfg.HeaderBytes)
+	w.tag, w.size, w.payload = tag, b.Size, buf.Snapshot(&w.data, b)
+	r.w.fab.Send(&w.msg)
 }
 
 // Isend starts a nonblocking send of b to dst with the given tag and returns
@@ -23,24 +68,19 @@ func clonePayload(b buf.Buf) buf.Buf {
 // payloads follow the rendezvous protocol and complete when the NIC has
 // drained the source buffer. The caller charges Config.SendCost.
 func (r *Rank) Isend(b buf.Buf, dst, tag int) *Request {
-	q := &Request{r: r, kind: reqSend, active: true, dst: dst, tag: tag, size: b.Size, b: b}
-	r.sent.Inc()
+	q := r.newRequest()
+	*q = Request{r: r, kind: reqSend, active: true, dst: dst, tag: tag, size: b.Size, b: b}
 	if b.Size <= r.w.cfg.EagerThreshold {
-		// Eager: a copy of the user buffer goes on the wire now, so the
-		// send is locally complete.
-		r.w.fab.Send(&fabric.Message{
-			Src: r.me, Dst: dst, Size: b.Size + r.w.cfg.HeaderBytes,
-			Meta: &wire{kind: wireEager, src: r.me, tag: tag, size: b.Size, payload: clonePayload(b)},
-		})
+		r.sendEager(b, dst, tag)
 		q.done = true
 		return q
 	}
 	// Rendezvous: advertise with an RTS; data moves when the target matches.
+	r.sent.Inc()
 	r.isendsInFlight.Add(1)
-	r.w.fab.Send(&fabric.Message{
-		Src: r.me, Dst: dst, Size: r.w.cfg.CtrlBytes,
-		Meta: &wire{kind: wireRTS, src: r.me, tag: tag, size: b.Size, sreq: q},
-	})
+	w := r.newWire(wireRTS, dst, r.w.cfg.CtrlBytes)
+	w.tag, w.size, w.sreq = tag, b.Size, q
+	r.w.fab.Send(&w.msg)
 	return q
 }
 
@@ -48,21 +88,22 @@ func (r *Rank) Isend(b buf.Buf, dst, tag int) *Request {
 // blocks on eager-sized messages (§4.2.1: "Active message sizes typically
 // fall within the range where MPI implementations will use an eager
 // protocol"), so Send requires an eager-sized payload and completes
-// immediately; a rendezvous-sized payload panics to surface the misuse,
-// since truly blocking would deadlock a polling-based caller.
+// immediately, with no request to collect; a rendezvous-sized payload panics
+// to surface the misuse, since truly blocking would deadlock a polling-based
+// caller.
 func (r *Rank) Send(b buf.Buf, dst, tag int) {
 	if b.Size > r.w.cfg.EagerThreshold {
 		panic("mpi: blocking Send beyond the eager threshold")
 	}
-	q := r.Isend(b, dst, tag)
-	q.active = false // fire-and-forget; nothing to collect
+	r.sendEager(b, dst, tag)
 }
 
 // Irecv posts a nonblocking receive into b matching (src, tag); src may be
 // AnySource. The caller charges Config.PostCost. If a matching unexpected
 // message is already queued it is consumed immediately.
 func (r *Rank) Irecv(b buf.Buf, src, tag int) *Request {
-	q := &Request{r: r, kind: reqRecv, active: true, src: src, tag: tag, b: b}
+	q := r.newRequest()
+	*q = Request{r: r, kind: reqRecv, active: true, src: src, tag: tag, b: b}
 	r.matchOrPost(q)
 	return q
 }
@@ -98,6 +139,7 @@ func (r *Rank) matchOrPost(q *Request) {
 		r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
 		r.unexpectedHits.Inc()
 		r.consume(q, u)
+		r.retire(u)
 		return
 	}
 	r.posted = append(r.posted, q)
@@ -113,10 +155,9 @@ func (r *Rank) consume(q *Request, u *wire) {
 	case wireRTS:
 		// Clear the origin to send: the data message will carry q.
 		q.awaitingData = true
-		r.w.fab.Send(&fabric.Message{
-			Src: r.me, Dst: u.src, Size: r.w.cfg.CtrlBytes,
-			Meta: &wire{kind: wireCTS, src: r.me, tag: u.tag, size: u.size, sreq: u.sreq, rreq: q},
-		})
+		w := r.newWire(wireCTS, u.src, r.w.cfg.CtrlBytes)
+		w.tag, w.size, w.sreq, w.rreq = u.tag, u.size, u.sreq, q
+		r.w.fab.Send(&w.msg)
 	default:
 		panic("mpi: unexpected wire kind in consume")
 	}
@@ -131,12 +172,16 @@ func (r *Rank) onArrival(m *fabric.Message) {
 		// Passive-target RDMA: the write happens without software at the
 		// target; only the flush ack goes back.
 		r.handleRmaPut(w)
+		r.retire(w)
 		return
 	}
 	r.stage(w)
 }
 
 func (r *Rank) stage(w *wire) {
+	if !w.live {
+		panic("mpi: staging a retired wire record")
+	}
 	wasEmpty := len(r.staged) == 0
 	r.staged = append(r.staged, w)
 	if wasEmpty {
@@ -178,30 +223,29 @@ func (r *Rank) StagedWork() bool { return len(r.staged) > 0 }
 // is the library-side half of that behavior.
 func (r *Rank) Progress() {
 	staged := r.staged
-	r.staged = nil
+	r.staged, r.spare = r.spare[:0], nil
 	for _, w := range staged {
 		switch w.kind {
 		case wireEager, wireRTS:
-			if q := r.findPosted(w.src, w.tag); q != nil {
-				r.consume(q, w)
-			} else {
-				r.unexpected = append(r.unexpected, w)
-			}
 			if w.kind == wireEager {
 				r.received.Inc()
 			}
+			q := r.findPosted(w.src, w.tag)
+			if q == nil {
+				// Kept until a matching receive is posted (matchOrPost
+				// retires it).
+				r.unexpected = append(r.unexpected, w)
+				continue
+			}
+			r.consume(q, w)
 		case wireCTS:
-			// We are the rendezvous origin: stream the payload.
+			// We are the rendezvous origin: stream the payload. Its OnTx
+			// stages the local completion (txDone).
 			sreq := w.sreq
-			r.w.fab.Send(&fabric.Message{
-				Src: r.me, Dst: w.src, Size: sreq.size + r.w.cfg.HeaderBytes,
-				Meta: &wire{kind: wireData, src: r.me, tag: w.tag, size: sreq.size, payload: sreq.b, rreq: w.rreq},
-				OnTx: func() {
-					// Source buffer drained: stage a local completion so the
-					// next Testsome observes it.
-					r.stage(&wire{kind: wireSendDone, sreq: sreq})
-				},
-			})
+			d := r.newWire(wireData, w.src, sreq.size+r.w.cfg.HeaderBytes)
+			d.tag, d.size, d.payload, d.sreq, d.rreq = w.tag, sreq.size, sreq.b, sreq, w.rreq
+			d.msg.OnTx = d.onTx
+			r.w.fab.Send(&d.msg)
 		case wireData:
 			q := w.rreq
 			buf.Copy(q.b, w.payload)
@@ -218,7 +262,10 @@ func (r *Rank) Progress() {
 				w.rmaOp.done()
 			}
 		}
+		r.retire(w)
 	}
+	clear(staged)
+	r.spare = staged[:0]
 }
 
 func (r *Rank) findPosted(src, tag int) *Request {
@@ -241,11 +288,12 @@ func match(q *Request, src, tag int) bool {
 // Testsome runs a progress pass and then collects every completed request
 // in reqs, returning their indices. Persistent requests are deactivated
 // until re-Started; others are permanently deactivated. nil entries are
-// skipped, following the MPI convention for inactive slots. Callers charge
+// skipped, following the MPI convention for inactive slots. The returned
+// slice is the rank's scratch, valid until the next Testsome. Callers charge
 // ProgressCost() + TestCost(len(reqs)).
 func (r *Rank) Testsome(reqs []*Request) []int {
 	r.Progress()
-	var out []int
+	out := r.testOut[:0]
 	for i, q := range reqs {
 		if q == nil || !q.active || !q.done {
 			continue
@@ -253,6 +301,7 @@ func (r *Rank) Testsome(reqs []*Request) []int {
 		q.active = false
 		out = append(out, i)
 	}
+	r.testOut = out
 	return out
 }
 

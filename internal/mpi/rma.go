@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"amtlci/internal/buf"
-	"amtlci/internal/fabric"
 	"amtlci/internal/sim"
 )
 
@@ -70,12 +69,10 @@ func (c Config) AttachCost(size int64) sim.Duration {
 // would return (data delivered and acknowledged). The caller charges
 // Config.PostCost + rndvCost(local.Size) for the origin-side work.
 func (r *Rank) RmaPut(dst int, id uint64, off int64, local buf.Buf, done func()) {
-	op := &rmaOp{done: done}
-	r.w.fab.Send(&fabric.Message{
-		Src: r.me, Dst: dst, Size: local.Size + r.w.cfg.HeaderBytes,
-		Meta: &wire{kind: wireRmaPut, src: r.me, size: local.Size,
-			payload: local, rmaID: id, rmaOff: off, rmaOp: op},
-	})
+	w := r.newWire(wireRmaPut, dst, local.Size+r.w.cfg.HeaderBytes)
+	w.size, w.payload = local.Size, local
+	w.rmaID, w.rmaOff, w.rmaOp = id, off, &rmaOp{done: done}
+	r.w.fab.Send(&w.msg)
 }
 
 // handleRmaPut performs the passive-target write at delivery time (the NIC
@@ -88,8 +85,7 @@ func (r *Rank) handleRmaPut(w *wire) {
 	}
 	buf.Copy(target.Slice(w.rmaOff, w.size), w.payload)
 	r.received.Inc()
-	r.w.fab.Send(&fabric.Message{
-		Src: r.me, Dst: w.src, Size: r.w.cfg.CtrlBytes,
-		Meta: &wire{kind: wireRmaAck, src: r.me, rmaOp: w.rmaOp},
-	})
+	ack := r.newWire(wireRmaAck, w.src, r.w.cfg.CtrlBytes)
+	ack.rmaOp = w.rmaOp
+	r.w.fab.Send(&ack.msg)
 }

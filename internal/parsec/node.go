@@ -33,8 +33,10 @@ type node struct {
 	ready prioQueue
 	tasks flatTable[taskState]
 	store flatTable[*flowData]
-	// freeRuns recycles dispatch records (taskRun) between tasks.
+	// freeRuns recycles dispatch records (taskRun) between tasks; ops
+	// recycles the communication thread's deferred-step records (commop.go).
 	freeRuns []*taskRun
+	ops      sim.FreeList[commOp]
 
 	executed int64
 	total    int64
@@ -79,7 +81,8 @@ type node struct {
 	csent, crecv int64
 	black        bool
 	dirty        bool
-	heldToken    *termMsg
+	heldToken    termMsg // valid while holdsToken
+	holdsToken   bool
 	pendingOps   int
 
 	// Work-stealing state (steal_node.go); rot is nil unless cfg.Steal.
@@ -109,6 +112,11 @@ type node struct {
 	remoteScratch []int32
 	childScratch  [][]int32
 	lastOutputs   []DataRef
+	// encBuf is the encode scratch of every active message this rank sends
+	// (SendAM and Put copy their payload before returning); actScratch is
+	// onActivate's decode scratch.
+	encBuf     []byte
+	actScratch []activation
 }
 
 // taskState is one task's dependence counter, stored inline in node.tasks.
@@ -120,9 +128,9 @@ type taskState struct {
 }
 
 // flowData is one dataflow copy at one rank. Records are never recycled:
-// deferred communication-thread closures and put completions hold the
-// pointer across events (and across a restart, where the epoch checks make
-// them inert), so a record's identity must stay tied to one flow instance.
+// deferred communication-thread steps and put completions hold the pointer
+// across events (and across a restart, where the epoch checks make them
+// inert), so a record's identity must stay tied to one flow instance.
 // The small fields are packed to keep the record in the 208-byte size class.
 type flowData struct {
 	ref         DataRef
@@ -169,6 +177,10 @@ func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config) *node {
 		cfg:  cfg,
 		rng:  sim.NewRNG(cfg.Seed ^ (uint64(rank)+1)*0x9E3779B97F4A7C15),
 	}
+	// Run-scoped like the rest of the rank's state (releaseRunState), so the
+	// list may hold a whole burst of deferred steps without costing anything
+	// once the graph has run.
+	n.ops.Cap = opListCap
 	n.workers = make([]*sim.Proc, cfg.Workers)
 	for i := range n.workers {
 		n.workers[i] = sim.NewProc(n.eng)
@@ -230,7 +242,8 @@ func (n *node) releaseRunState() {
 	n.tasks.reset()
 	n.store.reset()
 	n.ready, n.fetchQ = prioQueue{}, prioQueue{}
-	n.freeRuns = nil
+	n.freeRuns, n.ops = nil, sim.FreeList[commOp]{Cap: opListCap}
+	n.encBuf, n.actScratch = nil, nil
 	n.pendingAct, n.flushQueued, n.actFree = nil, nil, nil
 	n.inputScratch, n.succScratch, n.inputRefs = nil, nil, nil
 	n.remoteScratch, n.childScratch, n.lastOutputs = nil, nil, nil
@@ -302,7 +315,7 @@ func (n *node) makeReady(t TaskID) {
 		n.rot.Reset()
 		if len(n.starving) > 0 && !n.stealSvcQueued {
 			n.stealSvcQueued = true
-			n.submit(0, n.serveStarving)
+			n.submit(0, n.newOp(opServeStarving))
 		}
 	}
 	n.ready.Push(n.rt.tp.Priority(t), t, 0)
@@ -488,43 +501,48 @@ func (n *node) complete(t TaskID, w int) {
 // context, so the entry always takes the funneled path.
 func (n *node) sendActivate(dest int, act activation, w int) {
 	if n.cfg.MTActivate && w >= 0 {
-		payload := encodeActivates([]activation{act})
+		n.encBuf = appendActivates(n.encBuf[:0], act)
 		n.activatesSent.Inc()
 		n.activations.Inc()
 		n.csent++
 		if n.rt.obs != nil {
 			n.rt.obs.ActivateSent(n.rank, dest, 1, n.eng.Now())
 		}
-		n.ce.SendAMMT(n.workers[w], tagActivate, dest, payload, nil)
+		n.ce.SendAMMT(n.workers[w], tagActivate, dest, n.encBuf, nil)
 		return
 	}
-	n.submit(n.cfg.AggregationCost, func() {
-		if n.pendingAct == nil {
-			n.pendingAct = make([][]activation, n.rt.ranks())
-			n.flushQueued = make([]bool, n.rt.ranks())
+	o := n.newOp(opAggregate)
+	o.peer, o.act = dest, act
+	n.submit(n.cfg.AggregationCost, o)
+}
+
+// aggregate queues one activation for dest on the communication thread and
+// arranges the flush.
+func (n *node) aggregate(dest int, act activation) {
+	if n.pendingAct == nil {
+		n.pendingAct = make([][]activation, n.rt.ranks())
+		n.flushQueued = make([]bool, n.rt.ranks())
+	}
+	q := n.pendingAct[dest]
+	if len(q) == 0 {
+		n.pendingDests++
+		if k := len(n.actFree); k > 0 {
+			q, n.actFree = n.actFree[k-1], n.actFree[:k-1]
 		}
-		q := n.pendingAct[dest]
-		if len(q) == 0 {
-			n.pendingDests++
-			if k := len(n.actFree); k > 0 {
-				q, n.actFree = n.actFree[k-1], n.actFree[:k-1]
-			}
-		}
-		n.pendingAct[dest] = append(q, act)
-		if !n.flushQueued[dest] {
-			n.flushQueued[dest] = true
-			// The flush runs when the communication thread next gets to it;
-			// everything queued for dest in the meantime aggregates into
-			// one ACTIVATE message (§4.3 duty 1).
-			n.submit(0, func() { n.flushActivates(dest) })
-		}
-	})
+	}
+	n.pendingAct[dest] = append(q, act)
+	if !n.flushQueued[dest] {
+		n.flushQueued[dest] = true
+		// The flush runs when the communication thread next gets to it;
+		// everything queued for dest in the meantime aggregates into
+		// one ACTIVATE message (§4.3 duty 1).
+		f := n.newOp(opFlush)
+		f.peer = dest
+		n.submit(0, f)
+	}
 }
 
 func (n *node) flushActivates(dest int) {
-	if n.dead {
-		return
-	}
 	n.flushQueued[dest] = false
 	queued := n.pendingAct[dest]
 	if len(queued) == 0 {
@@ -553,7 +571,8 @@ func (n *node) flushActivates(dest int) {
 		if n.rt.obs != nil {
 			n.rt.obs.ActivateSent(n.rank, dest, len(chunk), n.eng.Now())
 		}
-		n.ce.SendAM(tagActivate, dest, encodeActivates(chunk))
+		n.encBuf = appendActivates(n.encBuf[:0], chunk...)
+		n.ce.SendAM(tagActivate, dest, n.encBuf)
 	}
 	// The payloads are encoded; the slice goes back for the next aggregate
 	// (cleared, so it does not pin the multicast trees its entries named).
@@ -577,11 +596,12 @@ func (n *node) onActivate(_ core.Engine, _ core.Tag, data []byte, src int) {
 	if n.dead {
 		return
 	}
-	entries, err := decodeActivates(data)
+	entries, err := decodeActivates(n.actScratch, data)
 	if err != nil {
 		n.wireFail("parsec: rank %d: bad ACTIVATE from %d: %w", n.rank, src, err)
 		return
 	}
+	n.actScratch = entries
 	// Message-count accounting is per AM, matching the sender's per-message
 	// csent; all entries of one aggregated message share the sender's epoch,
 	// so the first entry decides whether the message counts. Stale messages
@@ -590,7 +610,6 @@ func (n *node) onActivate(_ core.Engine, _ core.Tag, data []byte, src int) {
 		n.countRecv()
 	}
 	for _, act := range entries {
-		act := act
 		// Epoch check first: an activation sent before a crash restart
 		// describes dataflow state that no longer exists. Dropping it here
 		// (not a wire failure) is what makes the restart safe.
@@ -609,8 +628,12 @@ func (n *node) onActivate(_ core.Engine, _ core.Tag, data []byte, src int) {
 			}
 		}
 		cost := n.cfg.ActivateCost + sim.Duration(desc)*n.cfg.ActivateDesc
-		n.submit(cost, func() { n.processActivation(act) })
+		o := n.newOp(opActivation)
+		o.act = act
+		n.submit(cost, o)
 	}
+	// The scratch must not pin the multicast trees its entries named.
+	clear(entries)
 }
 
 // forwardTree returns this rank's binomial children for the subtree an
@@ -625,13 +648,10 @@ func (n *node) forwardTree(subtree []int32) [][]int32 {
 	return n.childScratch
 }
 
+// processActivation is the deferred step of one received activation (a
+// restart between the AM callback and this step makes it stale: commOp.exec
+// drops it).
 func (n *node) processActivation(act activation) {
-	// Re-check under the current epoch: a restart may have happened between
-	// the AM callback and this deferred processing step.
-	if n.dead || act.epoch != n.epoch {
-		n.staleDrops.Inc()
-		return
-	}
 	key := flowKey{act.task, act.flow}
 	if fd := n.flow(key); fd != nil {
 		if fd.stolen {
@@ -673,7 +693,8 @@ func (n *node) processActivation(act activation) {
 			fwd.hopRank = int32(n.rank)
 			fwd.hopSend = now
 			fwd.subtree = sub[1:]
-			n.ce.SendAM(tagActivate, int(sub[0]), encodeActivates([]activation{fwd}))
+			n.encBuf = appendActivates(n.encBuf[:0], fwd)
+			n.ce.SendAM(tagActivate, int(sub[0]), n.encBuf)
 			n.activatesSent.Inc()
 			n.activations.Inc()
 			n.csent++
@@ -759,7 +780,8 @@ func (n *node) startFetch(key flowKey, fd *flowData) {
 	g := getData{task: key.task, flow: key.flow, epoch: n.epoch, rreg: fd.lreg}
 	n.getsSent.Inc()
 	n.csent++
-	n.ce.SendAM(tagGetData, int(fd.meta.hopRank), g.encode())
+	n.encBuf = g.appendTo(n.encBuf[:0])
+	n.ce.SendAM(tagGetData, int(fd.meta.hopRank), n.encBuf)
 }
 
 // onGetData serves a data request at a rank that holds (or will hold) the
@@ -793,7 +815,13 @@ func (n *node) onGetData(_ core.Engine, _ core.Tag, data []byte, src int) {
 		fd.pendingGets = append(fd.pendingGets, req)
 		return
 	}
-	n.submit(n.cfg.GetDataCost, func() { n.servePut(key, fd, req) })
+	n.submitServePut(key, fd, req)
+}
+
+func (n *node) submitServePut(key flowKey, fd *flowData, req getReq) {
+	o := n.newOp(opServePut)
+	o.key, o.fd, o.req = key, fd, req
+	n.submit(n.cfg.GetDataCost, o)
 }
 
 // servePut starts the put that answers one GET DATA.
@@ -813,20 +841,12 @@ func (n *node) servePut(key flowKey, fd *flowData, req getReq) {
 	// The put's remote completion is the counted message: until the
 	// requester accepts it, this send vetoes termination.
 	n.csent++
-	epoch := n.epoch
+	done := n.newOp(opPutDone)
+	done.key, done.fd = key, fd
+	n.encBuf = meta.appendTo(n.encBuf[:0])
 	n.ce.Put(core.PutArgs{
 		LReg: fd.lreg, RReg: req.rreg, Size: fd.size, Remote: req.requester,
-		LocalCB: func() {
-			// A restart while the put was in flight orphaned fd: the store
-			// may hold a rebuilt flow under the same key, which retiring
-			// the old record would deregister and delete.
-			if n.dead || epoch != n.epoch {
-				return
-			}
-			fd.servedGets++
-			n.maybeClean(key, fd)
-		},
-		RTag: tagPutDone, RCBData: meta.encode(),
+		LocalCB: done.putDone, RTag: tagPutDone, RCBData: n.encBuf,
 	})
 }
 
@@ -855,42 +875,44 @@ func (n *node) onPutDone(_ core.Engine, _ core.Tag, data []byte, src int) {
 		n.wireFail("parsec: unexpected put completion for %v at rank %d", key, n.rank)
 		return
 	}
-	epoch := n.epoch
-	n.submit(n.cfg.DeliverCost, func() {
-		if n.dead || epoch != n.epoch {
-			n.staleDrops.Inc()
-			return
-		}
-		fd.state = flowReady
-		n.bytesFetched.Add(uint64(fd.size))
-		if n.rt.obs != nil {
-			n.rt.obs.DataArrived(n.rank, key.task, key.flow, fd.size, n.eng.Now())
-		}
-		n.rt.tracer.Sample(int(m.root), m.rootSend, int(m.hopRank), m.hopSend,
-			n.rank, n.clock.Read(n.eng.Now()))
+	o := n.newOp(opDeliver)
+	o.key, o.fd = key, fd
+	o.act = activation{root: m.root, rootSend: m.rootSend, hopRank: m.hopRank, hopSend: m.hopSend}
+	n.submit(n.cfg.DeliverCost, o)
+}
 
-		for _, t := range fd.waiters {
-			n.satisfy(t)
-		}
-		fd.waiters = nil
+// deliver is the deferred step of a landed put: release local waiters, serve
+// queued children, and admit the next deferred fetch. stamps carries the
+// put's tracing clocks.
+func (n *node) deliver(key flowKey, fd *flowData, stamps activation) {
+	fd.state = flowReady
+	n.bytesFetched.Add(uint64(fd.size))
+	if n.rt.obs != nil {
+		n.rt.obs.DataArrived(n.rank, key.task, key.flow, fd.size, n.eng.Now())
+	}
+	n.rt.tracer.Sample(int(stamps.root), stamps.rootSend, int(stamps.hopRank), stamps.hopSend,
+		n.rank, n.clock.Read(n.eng.Now()))
 
-		pending := fd.pendingGets
-		fd.pendingGets = nil
-		for _, req := range pending {
-			req := req
-			n.submit(n.cfg.GetDataCost, func() { n.servePut(key, fd, req) })
-		}
+	for _, t := range fd.waiters {
+		n.satisfy(t)
+	}
+	fd.waiters = nil
 
-		n.activeFetches--
-		if n.fetchQ.Len() > 0 && n.activeFetches < n.cfg.FetchCap {
-			// A queued flow cannot have been retired (only ready copies
-			// are), and a restart empties queue and store together.
-			it := n.fetchQ.Pop()
-			next := flowKey{it.task, it.flow}
-			n.startFetch(next, n.flow(next))
-		}
-		n.maybeClean(key, fd)
-	})
+	pending := fd.pendingGets
+	fd.pendingGets = nil
+	for _, req := range pending {
+		n.submitServePut(key, fd, req)
+	}
+
+	n.activeFetches--
+	if n.fetchQ.Len() > 0 && n.activeFetches < n.cfg.FetchCap {
+		// A queued flow cannot have been retired (only ready copies
+		// are), and a restart empties queue and store together.
+		it := n.fetchQ.Pop()
+		next := flowKey{it.task, it.flow}
+		n.startFetch(next, n.flow(next))
+	}
+	n.maybeClean(key, fd)
 }
 
 // maybeClean retires a flow copy once every local consumer has executed and

@@ -72,8 +72,10 @@ type recoveryState struct {
 	deadSet   map[int]bool
 	recovered map[int]bool
 	everDead  map[int]bool
-	// done marks tasks that will not re-execute after the latest restart.
-	done map[TaskID]bool
+	// done is the set of tasks that will not re-execute after the latest
+	// restart, consulted once per successor edge from then on: a flat table
+	// like the runtime's other per-task lookups (flow 0 of the key).
+	done flatTable[struct{}]
 	// gen fences armed restarts: it bumps whenever the dead-set grows, so a
 	// restart scheduled for an older, smaller set aborts instead of firing
 	// against membership it no longer describes.
@@ -142,7 +144,9 @@ func (rt *Runtime) rankOf(t TaskID) int {
 }
 
 // isDone reports whether t completed before the latest restart.
-func (rt *Runtime) isDone(t TaskID) bool { return rt.rec != nil && rt.rec.done[t] }
+func (rt *Runtime) isDone(t TaskID) bool {
+	return rt.rec != nil && rt.rec.done.get(flowKey{task: t}) != nil
+}
 
 // checkpointTask streams a completed task's outputs to the rank's buddy.
 // No-op (and zero-cost) when recovery is off.
@@ -242,7 +246,7 @@ func (rt *Runtime) peerDead(observer, dead int, err error) {
 			continue
 		}
 		vote := termMsg{kind: termDeadvote, epoch: on.epoch, rank: int32(d)}
-		on.ce.SendAM(tagTerm, collector, encodeTermMsg(vote))
+		on.sendTerm(collector, vote)
 	}
 }
 
@@ -429,11 +433,11 @@ func (rt *Runtime) restartRound(gen int) {
 	// the owner's own completions are stored locally, and a dead rank's are
 	// the copies its heir adopted.
 	all := rt.enumerateTasks()
-	rec.done = make(map[TaskID]bool)
+	rec.done.reset()
 	for _, t := range all {
 		owner := rt.rankOf(t)
 		if rec.cfg.Managers[owner].Has(recov.Key{Class: t.Class, Index: t.Index}) {
-			rec.done[t] = true
+			rec.done.insert(flowKey{task: t})
 		}
 	}
 
@@ -448,7 +452,7 @@ func (rt *Runtime) restartRound(gen int) {
 	for _, t := range all {
 		n := rt.nodes[rt.rankOf(t)]
 		n.total++
-		if rec.done[t] {
+		if rt.isDone(t) {
 			n.executed++
 		}
 	}
@@ -457,7 +461,7 @@ func (rt *Runtime) restartRound(gen int) {
 	// the activations its completion would have sent, filtered down to the
 	// consumers that still need them.
 	for _, t := range all {
-		if !rec.done[t] {
+		if !rt.isDone(t) {
 			continue
 		}
 		owner := rt.rankOf(t)
@@ -471,7 +475,7 @@ func (rt *Runtime) restartRound(gen int) {
 	// Reseed the roots that still need to run.
 	for r := range rt.nodes {
 		rt.tp.Roots(r, func(t TaskID) {
-			if rec.done[t] {
+			if rt.isDone(t) {
 				return
 			}
 			n := rt.nodes[rt.rankOf(t)]
@@ -529,7 +533,7 @@ func (rt *Runtime) restartRound(gen int) {
 func (n *node) resetForRecovery() {
 	n.epoch++
 	// Pre-restart flow records are dropped with the table, never reused:
-	// closures of the old epoch still hold them.
+	// deferred steps of the old epoch still hold them.
 	n.store.reset()
 	n.tasks.reset()
 	n.ready = prioQueue{}
@@ -556,11 +560,12 @@ func (n *node) resetForRecovery() {
 	n.csent, n.crecv = 0, 0
 	n.black = false
 	n.dirty = true
-	n.heldToken = nil
-	// pendingOps is NOT zeroed: closures already on the communication thread
-	// still fire (their bodies drop stale work by epoch) and each decrements
-	// the counter; zeroing here would double-count them negative and wedge
-	// the quiet predicate.
+	n.holdsToken = false
+	// pendingOps is NOT zeroed: steps already queued on the communication
+	// thread still fire (commOp.exec skips their stale bodies) and each
+	// decrements the counter; zeroing here would double-count them negative
+	// and wedge the quiet predicate. The op free list is kept: it only ever
+	// holds records whose step has run.
 	n.probeOut = false
 	n.starving = nil
 	n.stealSvcQueued = false

@@ -71,7 +71,9 @@ func (n *node) onStealReq(_ core.Engine, _ core.Tag, data []byte, src int) {
 		return
 	}
 	n.countRecv()
-	n.submit(n.cfg.GetDataCost, func() { n.serveSteal(src, req) })
+	o := n.newOp(opServeSteal)
+	o.peer, o.sreq = src, req
+	n.submit(n.cfg.GetDataCost, o)
 }
 
 // serveSteal grants up to half of the eligible ready tasks to the thief —
@@ -82,9 +84,6 @@ func (n *node) onStealReq(_ core.Engine, _ core.Tag, data []byte, src int) {
 // perpetual event source, which would both hold the simulation open and feed
 // the termination detector an endless stream of counted messages.
 func (n *node) serveSteal(src int, req steal.Request) {
-	if n.dead || req.Epoch != n.epoch {
-		return // a restart voided the exchange on both ends
-	}
 	if n.rt.nodes[src].dead {
 		return // granting to a crashed thief would strand the tasks
 	}
@@ -241,16 +240,15 @@ func (n *node) onStealRep(_ core.Engine, _ core.Tag, data []byte, src int) {
 	}
 	n.countRecv()
 	cost := n.cfg.DeliverCost * sim.Duration(1+len(rep.Tasks))
-	n.submit(cost, func() { n.adoptStolen(src, rep) })
+	o := n.newOp(opAdoptStolen)
+	o.peer, o.srep = src, rep
+	n.submit(cost, o)
 }
 
 // adoptStolen integrates a steal reply at the thief: record latency,
 // rebuild each task's dependence state, settle each input pin with a fetch
 // or a release, and let the ordinary satisfy/dispatch machinery take over.
 func (n *node) adoptStolen(victim int, rep steal.Reply) {
-	if n.dead || rep.Epoch != n.epoch {
-		return
-	}
 	if n.probeOut {
 		// Solicited reply: settle the probe. (A pushed grant from a starving
 		// registration arrives with no probe outstanding and no latency to
@@ -370,7 +368,8 @@ func (n *node) mergeActivation(key flowKey, fd *flowData, act activation) {
 			fwd.hopRank = int32(n.rank)
 			fwd.hopSend = now
 			fwd.subtree = sub[1:]
-			n.ce.SendAM(tagActivate, int(sub[0]), encodeActivates([]activation{fwd}))
+			n.encBuf = appendActivates(n.encBuf[:0], fwd)
+			n.ce.SendAM(tagActivate, int(sub[0]), n.encBuf)
 			n.activatesSent.Inc()
 			n.activations.Inc()
 			n.csent++
@@ -409,16 +408,18 @@ func (n *node) onStealRel(_ core.Engine, _ core.Tag, data []byte, src int) {
 		return
 	}
 	n.countRecv()
-	n.submit(n.cfg.GetDataCost, func() {
-		if n.dead || rel.Epoch != n.epoch {
-			return
-		}
-		key := flowKey{TaskID{Class: rel.Class, Index: rel.Index}, rel.Flow}
-		fd := n.flow(key)
-		if fd == nil {
-			return // already fully retired; the pin died with the epoch
-		}
-		fd.servedGets++
-		n.maybeClean(key, fd)
-	})
+	o := n.newOp(opStealRelease)
+	o.srel = rel
+	n.submit(n.cfg.GetDataCost, o)
+}
+
+// releasePin is the deferred step of a RELEASE: settle one input pin.
+func (n *node) releasePin(rel steal.Release) {
+	key := flowKey{TaskID{Class: rel.Class, Index: rel.Index}, rel.Flow}
+	fd := n.flow(key)
+	if fd == nil {
+		return // already fully retired; the pin died with the epoch
+	}
+	fd.servedGets++
+	n.maybeClean(key, fd)
 }

@@ -5,7 +5,6 @@ import (
 
 	"amtlci/internal/core"
 	"amtlci/internal/metrics"
-	"amtlci/internal/sim"
 )
 
 // Distributed termination detection. The runtime never *assumes* the
@@ -63,8 +62,14 @@ type termMsg struct {
 // termMsgBytes is the fixed encoded size of a termMsg.
 const termMsgBytes = 1 + 4 + 4 + 8 + 8 + 1 + 4
 
-func encodeTermMsg(m termMsg) []byte {
-	b := make([]byte, 0, termMsgBytes)
+// sendTerm sends one termination control message from n (encoded in the
+// node's scratch: SendAM copies its payload).
+func (n *node) sendTerm(to int, m termMsg) {
+	n.encBuf = appendTermMsg(n.encBuf[:0], m)
+	n.ce.SendAM(tagTerm, to, n.encBuf)
+}
+
+func appendTermMsg(b []byte, m termMsg) []byte {
 	b = append(b, m.kind)
 	b = le32(b, m.epoch)
 	b = le32(b, m.round)
@@ -205,7 +210,7 @@ func (rt *Runtime) tryInitiate() {
 		cn.contributeAndSettle(tok)
 		return
 	}
-	cn.ce.SendAM(tagTerm, next, encodeTermMsg(tok))
+	cn.sendTerm(next, tok)
 }
 
 // contributeAndSettle folds this (locally quiet) rank's counters into the
@@ -224,7 +229,7 @@ func (n *node) contributeAndSettle(tok termMsg) {
 		if next < 0 {
 			return // membership collapsed under us; the restart reset recovers
 		}
-		n.ce.SendAM(tagTerm, next, encodeTermMsg(tok))
+		n.sendTerm(next, tok)
 		return
 	}
 
@@ -261,7 +266,7 @@ func (rt *Runtime) announce() {
 	ann := termMsg{kind: termAnnounce, epoch: cn.epoch, round: ts.round}
 	for r, in := range ts.members {
 		if in && r != coord {
-			cn.ce.SendAM(tagTerm, r, encodeTermMsg(ann))
+			cn.sendTerm(r, ann)
 		}
 	}
 	for _, fn := range ts.listeners {
@@ -284,7 +289,7 @@ func (n *node) termNudge() {
 		return
 	}
 	m := termMsg{kind: termNudge, epoch: n.epoch, rank: int32(n.rank)}
-	n.ce.SendAM(tagTerm, coord, encodeTermMsg(m))
+	n.sendTerm(coord, m)
 }
 
 // onTerm is the control-channel AM handler.
@@ -312,7 +317,7 @@ func (n *node) onTerm(_ core.Engine, _ core.Tag, data []byte, src int) {
 	case termToken:
 		// Hold the token until this rank is locally quiet; pollQuiet
 		// forwards it the moment that becomes true.
-		n.heldToken = &m
+		n.heldToken, n.holdsToken = m, true
 		n.pollQuiet()
 	case termAnnounce:
 		// Informational at the member: the global verdict already fired at
@@ -348,29 +353,15 @@ func (n *node) pollQuiet() {
 	if !n.localQuiet() {
 		return
 	}
-	if n.heldToken != nil {
-		tok := *n.heldToken
-		n.heldToken = nil
-		n.contributeAndSettle(tok)
+	if n.holdsToken {
+		n.holdsToken = false
+		n.contributeAndSettle(n.heldToken)
 	}
 	if n.dirty {
 		n.dirty = false
 		n.termNudge()
 	}
 	n.maybeProbe()
-}
-
-// submit defers fn to the communication thread like ce.Submit, but tracks
-// the operation in the quiet predicate: between scheduling and execution the
-// rank is provably not quiet, closing the window where balanced counters
-// plus an empty scheduler would otherwise fake termination.
-func (n *node) submit(cost sim.Duration, fn func()) {
-	n.pendingOps++
-	n.ce.Submit(cost, func() {
-		n.pendingOps--
-		fn()
-		n.pollQuiet()
-	})
 }
 
 // countRecv books one counted protocol message accepted by this rank (its

@@ -18,7 +18,7 @@ func TestTermMsgRoundTrip(t *testing.T) {
 		{kind: termDeadvote, epoch: 5, rank: 3},
 	}
 	for _, m := range msgs {
-		b := encodeTermMsg(m)
+		b := appendTermMsg(nil, m)
 		if len(b) != termMsgBytes {
 			t.Fatalf("encoded %d bytes, want %d", len(b), termMsgBytes)
 		}
@@ -33,7 +33,7 @@ func TestTermMsgRoundTrip(t *testing.T) {
 }
 
 func TestTermMsgRejectsMalformed(t *testing.T) {
-	good := encodeTermMsg(termMsg{kind: termToken, epoch: 1, round: 2, q: 3, acts: 4})
+	good := appendTermMsg(nil, termMsg{kind: termToken, epoch: 1, round: 2, q: 3, acts: 4})
 
 	// Every truncation must be rejected, never panic.
 	for i := 0; i < len(good); i++ {
@@ -67,8 +67,8 @@ func TestTermMsgRejectsMalformed(t *testing.T) {
 // accepts must re-encode byte-identically (the format has exactly one
 // representation per message).
 func FuzzDecodeTermMsg(f *testing.F) {
-	f.Add(encodeTermMsg(termMsg{kind: termToken, epoch: 1, round: 2, q: -3, acts: 4, black: true}))
-	f.Add(encodeTermMsg(termMsg{kind: termDeadvote, epoch: 9, rank: 2}))
+	f.Add(appendTermMsg(nil, termMsg{kind: termToken, epoch: 1, round: 2, q: -3, acts: 4, black: true}))
+	f.Add(appendTermMsg(nil, termMsg{kind: termDeadvote, epoch: 9, rank: 2}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, termMsgBytes))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -79,7 +79,7 @@ func FuzzDecodeTermMsg(f *testing.F) {
 		if m.kind < termToken || m.kind > termDeadvote {
 			t.Fatalf("accepted unknown kind %d", m.kind)
 		}
-		if !bytes.Equal(encodeTermMsg(m), data) {
+		if !bytes.Equal(appendTermMsg(nil, m), data) {
 			t.Fatalf("accepted frame does not re-encode identically: %x", data)
 		}
 	})

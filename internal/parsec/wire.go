@@ -102,13 +102,9 @@ func decodeActivation(b []byte) (activation, []byte, error) {
 	return a, b, nil
 }
 
-// encodeActivates packs entries into one AM payload, prefixed with a count.
-func encodeActivates(entries []activation) []byte {
-	n := 2
-	for _, a := range entries {
-		n += a.encodedLen()
-	}
-	b := make([]byte, 0, n)
+// appendActivates packs entries into one AM payload, prefixed with a count,
+// appended to b (the node's encode scratch: SendAM copies its payload).
+func appendActivates(b []byte, entries ...activation) []byte {
 	b = le16(b, uint16(len(entries)))
 	for _, a := range entries {
 		b = appendActivation(b, a)
@@ -116,7 +112,9 @@ func encodeActivates(entries []activation) []byte {
 	return b
 }
 
-func decodeActivates(b []byte) ([]activation, error) {
+// decodeActivates unpacks an ACTIVATE payload into out[:0] (the node's decode
+// scratch) and returns the extended slice.
+func decodeActivates(out []activation, b []byte) ([]activation, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("parsec: ACTIVATE payload truncated: %d bytes", len(b))
 	}
@@ -125,12 +123,13 @@ func decodeActivates(b []byte) ([]activation, error) {
 	if int(n)*activationFixedBytes > len(b) {
 		return nil, fmt.Errorf("parsec: ACTIVATE count %d exceeds %d payload bytes", n, len(b))
 	}
-	out := make([]activation, n)
-	var err error
-	for i := range out {
-		if out[i], b, err = decodeActivation(b); err != nil {
+	out = out[:0]
+	for i := 0; i < int(n); i++ {
+		a, rest, err := decodeActivation(b)
+		if err != nil {
 			return nil, err
 		}
+		out, b = append(out, a), rest
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("parsec: ACTIVATE payload has %d trailing bytes", len(b))
@@ -148,8 +147,7 @@ type getData struct {
 
 const getDataBytes = 4 + 8 + 4 + 4 + 8
 
-func (g getData) encode() []byte {
-	b := make([]byte, 0, getDataBytes)
+func (g getData) appendTo(b []byte) []byte {
 	b = le32(b, g.task.Class)
 	b = le64(b, g.task.Index)
 	b = le32(b, packFlow(g.flow, g.epoch))
@@ -188,8 +186,7 @@ type putMeta struct {
 
 const putMetaBytes = 4 + 8 + 4 + 4 + 8 + 4 + 8
 
-func (p putMeta) encode() []byte {
-	b := make([]byte, 0, putMetaBytes)
+func (p putMeta) appendTo(b []byte) []byte {
 	b = le32(b, p.task.Class)
 	b = le64(b, p.task.Index)
 	b = le32(b, packFlow(p.flow, p.epoch))

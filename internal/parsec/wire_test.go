@@ -55,7 +55,7 @@ func TestAggregatedActivationsRoundTrip(t *testing.T) {
 			hopRank: int32(i % 8), hopSend: int64(i) * 333,
 		})
 	}
-	got, err := decodeActivates(encodeActivates(entries))
+	got, err := decodeActivates(nil, appendActivates(nil, entries...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAggregatedActivationsRoundTrip(t *testing.T) {
 func TestGetDataRoundTrip(t *testing.T) {
 	g := getData{task: TaskID{Class: 2, Index: 123456789}, flow: 1, epoch: 3,
 		rreg: regHandle{Rank: 7, ID: 0xDEADBEEF}}
-	got, err := decodeGetData(g.encode())
+	got, err := decodeGetData(g.appendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPutMetaRoundTrip(t *testing.T) {
 		m := putMeta{task: TaskID{Class: class, Index: index}, flow: flow,
 			epoch: epoch, root: root, rootSend: rootSend, hopRank: hopRank,
 			hopSend: hopSend}
-		got, err := decodePutMeta(m.encode())
+		got, err := decodePutMeta(m.appendTo(nil))
 		return err == nil && got == m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -98,20 +98,20 @@ func TestPutMetaRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformedPayloads(t *testing.T) {
-	act := encodeActivates([]activation{{
+	act := appendActivates(nil, activation{
 		task: TaskID{Class: 1, Index: 2}, flow: 1, size: 64,
 		subtree: []int32{3, 4, 5},
-	}})
+	})
 	g := getData{task: TaskID{Class: 2, Index: 9}, flow: 1,
-		rreg: regHandle{Rank: 3, ID: 17}}.encode()
-	m := putMeta{task: TaskID{Class: 4, Index: 5}, flow: 2, root: 1}.encode()
+		rreg: regHandle{Rank: 3, ID: 17}}.appendTo(nil)
+	m := putMeta{task: TaskID{Class: 4, Index: 5}, flow: 2, root: 1}.appendTo(nil)
 
 	cases := []struct {
 		name string
 		err  func([]byte) error
 		good []byte
 	}{
-		{"activates", func(b []byte) error { _, err := decodeActivates(b); return err }, act},
+		{"activates", func(b []byte) error { _, err := decodeActivates(nil, b); return err }, act},
 		{"getData", func(b []byte) error { _, err := decodeGetData(b); return err }, g},
 		{"putMeta", func(b []byte) error { _, err := decodePutMeta(b); return err }, m},
 	}
@@ -132,27 +132,27 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	}
 
 	// An ACTIVATE whose count promises more entries than the payload holds.
-	if _, err := decodeActivates([]byte{0xFF, 0xFF, 1, 2, 3}); err == nil {
+	if _, err := decodeActivates(nil, []byte{0xFF, 0xFF, 1, 2, 3}); err == nil {
 		t.Fatal("oversized ACTIVATE count accepted")
 	}
 }
 
 func FuzzDecodeActivates(f *testing.F) {
-	f.Add(encodeActivates(nil))
-	f.Add(encodeActivates([]activation{{
+	f.Add(appendActivates(nil))
+	f.Add(appendActivates(nil, activation{
 		task: TaskID{Class: 1, Index: 2}, flow: 1, size: 4096,
 		root: 3, rootSend: 777, hopRank: 2, hopSend: 333, subtree: []int32{4, 5},
-	}}))
+	}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		entries, err := decodeActivates(b)
+		entries, err := decodeActivates(nil, b)
 		if err != nil {
 			return
 		}
 		// Accepted payloads must re-encode byte-for-byte: the format is a
 		// bijection, so anything else means a field was mis-parsed.
-		if re := encodeActivates(entries); !bytes.Equal(re, b) {
+		if re := appendActivates(nil, entries...); !bytes.Equal(re, b) {
 			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", b, re)
 		}
 	})
@@ -160,14 +160,14 @@ func FuzzDecodeActivates(f *testing.F) {
 
 func FuzzDecodeGetData(f *testing.F) {
 	f.Add(getData{task: TaskID{Class: 2, Index: 9}, flow: 1,
-		rreg: regHandle{Rank: 3, ID: 17}}.encode())
+		rreg: regHandle{Rank: 3, ID: 17}}.appendTo(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		g, err := decodeGetData(b)
 		if err != nil {
 			return
 		}
-		if re := g.encode(); !bytes.Equal(re, b) {
+		if re := g.appendTo(nil); !bytes.Equal(re, b) {
 			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", b, re)
 		}
 	})
@@ -175,14 +175,14 @@ func FuzzDecodeGetData(f *testing.F) {
 
 func FuzzDecodePutMeta(f *testing.F) {
 	f.Add(putMeta{task: TaskID{Class: 4, Index: 5}, flow: 2, root: 1,
-		rootSend: 99, hopRank: 3, hopSend: 101}.encode())
+		rootSend: 99, hopRank: 3, hopSend: 101}.appendTo(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := decodePutMeta(b)
 		if err != nil {
 			return
 		}
-		if re := m.encode(); !bytes.Equal(re, b) {
+		if re := m.appendTo(nil); !bytes.Equal(re, b) {
 			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", b, re)
 		}
 	})
