@@ -12,9 +12,10 @@ verify:
 bench-record:
 	go run ./cmd/benchrecord -o BENCH_sim.json
 
-# Where a benchmark workload's allocations come from, per simulated task:
-# allocs_per_task split by package and by site, and the allocator's and the
-# collector's share of host CPU (scripts/allocsites.sh). W names the workload.
+# Where a benchmark workload's allocations, allocated bytes and retained heap
+# come from: allocs_per_task, alloc_bytes_per_task and live_heap_mb split by
+# package and by site, and the allocator's and the collector's share of host
+# CPU (scripts/allocsites.sh). W names the workload.
 W ?= hicma_wide_shards2
 allocsites:
 	./scripts/allocsites.sh $(W)

@@ -55,10 +55,10 @@ func TestHiCMAGolden(t *testing.T) { checkHiCMAGolden(t) }
 
 // TestHiCMAGoldenWithPoisonedRecords repeats the golden runs with
 // sim.PoisonRetired: no free list hands a record out twice, so a retired
-// record stays zeroed and dead and any layer that touched one — in
-// particular across the shard boundary, where the receiver retires what the
-// sender took, under the race detector in `make verify` — would panic, race
-// or move the fingerprint. Reuse must be invisible: the literals are the
+// record (a message-path step, a runtime flow copy) stays zeroed and dead
+// and any layer that touched one — in particular across the shard boundary,
+// where the receiver retires what the sender took, under the race detector
+// in `make verify` — would panic, race or move the fingerprint. Reuse must be invisible: the literals are the
 // same. (Faults, retransmission and crash eviction: TestRecordRetirementSafety
 // in internal/chaos.)
 func TestHiCMAGoldenWithPoisonedRecords(t *testing.T) {

@@ -17,12 +17,14 @@ func observable(r Result) Result {
 	return r
 }
 
-// TestRecordRetirementSafety proves that no layer of the message path touches
-// a record after retiring it, where that is hardest: real payloads moving
+// TestRecordRetirementSafety proves that no layer of the message path — nor
+// the runtime, whose dataflow records sit on a sim.FreeList too — touches a
+// record after retiring it, where that is hardest: real payloads moving
 // through record-owned buffers, under 2% drop + duplicate + corrupt + reorder
 // faults with the reliability layer retransmitting frames whose records the
 // receiver has long retired, and through a mid-run crash with PeerDeath
-// eviction purging in-flight records. Each scenario runs twice — with free
+// eviction purging in-flight records and a restart abandoning every flow
+// record of the old epoch. Each scenario runs twice — with free
 // lists recycling as usual, and with sim.PoisonRetired, where a retired
 // record stays zeroed and dead for good, so any use of one panics or
 // corrupts the result. Reuse must be invisible: both runs verify and agree

@@ -15,6 +15,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"amtlci/internal/buf"
@@ -76,8 +77,10 @@ type Engine interface {
 	Rank() int
 	Size() int
 
-	// TagReg registers cb for tag; maxLen bounds the active-message payload
-	// (the MPI backend sizes its persistent-receive buffers with it).
+	// TagReg registers cb for tag. maxLen is the longest payload the tag
+	// accepts — a capacity the engine checks, not storage it sets aside: a
+	// longer message never reaches cb, it fails the receiving engine with
+	// ErrAMTooLong. Zero or less means the engine's own active-message limit.
 	// Registering a tag twice panics.
 	TagReg(tag Tag, cb AMCallback, maxLen int64)
 
@@ -129,6 +132,18 @@ type Engine interface {
 
 	// Stats returns activity counters.
 	Stats() Stats
+}
+
+// ErrAMTooLong is the failure an engine reports (OnError, Err) when an active
+// message arrives longer than the maxLen its tag was registered with.
+var ErrAMTooLong = errors.New("active message longer than its tag's registered maxLen")
+
+// AMTooLong builds that failure, worded alike on both backends: rank's engine
+// (named by its package) received size bytes from src on a tag registered for
+// maxLen.
+func AMTooLong(engine string, rank int, tag Tag, size, maxLen int64, src int) error {
+	return fmt.Errorf("%s rank %d: tag %d: %d-byte message from %d, registered for %d: %w",
+		engine, rank, tag, size, src, maxLen, ErrAMTooLong)
 }
 
 // PeerDeath is implemented by transport errors that condemn a whole rank

@@ -500,8 +500,12 @@ func (e *Engine) MemDereg(h core.MemHandle) {
 func (e *Engine) Lookup(h core.MemHandle) buf.Buf { return e.reg.Lookup(h) }
 
 // TagReg inserts the callback into the hash table (§5.3.2); nothing is
-// posted — LCI allocates receive buffers dynamically.
+// posted — LCI allocates receive buffers dynamically — and maxLen is only
+// checked against arrivals (onMsg).
 func (e *Engine) TagReg(tag core.Tag, cb core.AMCallback, maxLen int64) {
+	if maxLen <= 0 {
+		maxLen = e.rt.Config().BufferedMax
+	}
 	e.tags.Register(tag, cb, maxLen)
 }
 
@@ -608,9 +612,13 @@ func (e *Engine) onMsg(r lci.Request) {
 		// User AM: allocate a callback handle and push it to the AM FIFO
 		// (§5.3.2). The hash-table lookup happens here, on the progress
 		// thread, so the communication thread only dispatches.
+		cb, maxLen := e.tags.Lookup(core.Tag(r.Tag))
+		if r.Data.Size > maxLen {
+			e.fail(r.Rank, core.AMTooLong("lcice", e.Rank(), core.Tag(r.Tag), r.Data.Size, maxLen, r.Rank))
+			return
+		}
 		h := e.newHandle()
-		h.tag, h.src = core.Tag(r.Tag), r.Rank
-		h.cb, _ = e.tags.Lookup(h.tag)
+		h.tag, h.src, h.cb = core.Tag(r.Tag), r.Rank, cb
 		h.data = append(h.data, r.Data.Bytes...)
 		e.amsDelivered.Inc()
 		e.pushAM(h)

@@ -3,7 +3,11 @@
 //
 //   - active messages are received through a fixed number of persistent
 //     receives per registered tag (five, §4.2.1), started with wildcard
-//     source and re-enabled after each callback;
+//     source and re-enabled after each callback. The requests are what the
+//     model charges for (every Testsome scans all of them); their buffers are
+//     a declared capacity that the library backs only while a message sits in
+//     one, so registering a tag costs the host five small records, not
+//     5 x maxLen bytes;
 //   - active messages are sent with blocking eager MPI_Send;
 //   - the one-sided put is emulated with two-sided traffic: an active-message
 //     handshake tells the target where to receive and on what tag, then a
@@ -51,8 +55,8 @@ type Config struct {
 	// DispatchCost is the fixed cost of dispatching one completion callback
 	// (fetching it from the parallel array, argument setup).
 	DispatchCost sim.Duration
-	// MaxAMLen bounds active-message payloads (buffer size for persistent
-	// receives when the caller registers with maxLen 0).
+	// MaxAMLen bounds active-message payloads of a tag registered with
+	// maxLen 0.
 	MaxAMLen int64
 
 	// UseRMA transports put data with MPI_Put on a dynamic window instead
@@ -89,8 +93,7 @@ type amSlot struct {
 	e   *Engine
 	tag core.Tag
 	cb  core.AMCallback
-	req *mpi.Request
-	b   []byte
+	req *mpi.Request // its capacity is the tag's registered maxLen
 
 	dispatch func() // s.runCallback
 	rearm    func() // s.restart
@@ -182,8 +185,10 @@ type Engine struct {
 	xfer    []*xferSlot
 	pending []pendingOp
 
-	reqScratch  []*mpi.Request
-	slotScratch []any // parallel to reqScratch: *amSlot or *xferSlot
+	// reqs is the global request array Testsome scans: the persistent
+	// receives of amSlots, appended once at TagReg, then the requests of xfer,
+	// re-appended behind them on every pass.
+	reqs []*mpi.Request
 
 	// Free lists of the engine's deferred-step records, and runPass bound
 	// once: a method value made per schedule() call would allocate.
@@ -392,18 +397,20 @@ func (e *Engine) MemDereg(h core.MemHandle) {
 func (e *Engine) Lookup(h core.MemHandle) buf.Buf { return e.reg.Lookup(h) }
 
 // TagReg registers an active-message callback and pre-posts its persistent
-// receives (§4.2.1).
+// receives (§4.2.1), each with room for maxLen bytes.
 func (e *Engine) TagReg(tag core.Tag, cb core.AMCallback, maxLen int64) {
 	if maxLen <= 0 {
 		maxLen = e.cfg.MaxAMLen
 	}
 	e.tags.Register(tag, cb, maxLen)
+	e.reqs = e.reqs[:len(e.amSlots)] // drop the last pass's transfers
 	for i := 0; i < e.cfg.PersistentPerTag; i++ {
-		s := &amSlot{e: e, tag: tag, cb: cb, b: make([]byte, maxLen)}
+		s := &amSlot{e: e, tag: tag, cb: cb}
 		s.dispatch, s.rearm = s.runCallback, s.restart
-		s.req = e.rank.RecvInit(buf.FromBytes(s.b), mpi.AnySource, int(tag))
+		s.req = e.rank.RecvInit(maxLen, mpi.AnySource, int(tag))
 		e.rank.Start(s.req)
 		e.amSlots = append(e.amSlots, s)
+		e.reqs = append(e.reqs, s.req)
 	}
 }
 
@@ -623,27 +630,22 @@ func (e *Engine) runPass() {
 	e.progressPasses.Inc()
 
 	// Assemble the global array: persistent AM requests first, then data
-	// transfers ("of length 5 x Nam + 30", §4.2.3).
-	e.reqScratch = e.reqScratch[:0]
-	e.slotScratch = e.slotScratch[:0]
-	for _, s := range e.amSlots {
-		e.reqScratch = append(e.reqScratch, s.req)
-		e.slotScratch = append(e.slotScratch, s)
-	}
+	// transfers ("of length 5 x Nam + 30", §4.2.3). Only the second part
+	// changes between passes, and index i of the array is amSlots[i] or
+	// xfer[i-nAM]: completions are dispatched, not run, inside the loop, so
+	// neither slice moves under it.
+	nAM := len(e.amSlots)
+	e.reqs = e.reqs[:nAM]
 	for _, s := range e.xfer {
-		e.reqScratch = append(e.reqScratch, s.req)
-		e.slotScratch = append(e.slotScratch, s)
+		e.reqs = append(e.reqs, s.req)
 	}
 
-	idxs := e.rank.Testsome(e.reqScratch)
+	idxs := e.rank.Testsome(e.reqs)
 	for _, i := range idxs {
-		switch s := e.slotScratch[i].(type) {
-		case *amSlot:
-			e.dispatchAM(s)
-		case *xferSlot:
-			if !s.done { // eviction may have abandoned the slot mid-pass
-				e.completeXfer(s)
-			}
+		if i < nAM {
+			e.dispatchAM(e.amSlots[i])
+		} else if s := e.xfer[i-nAM]; !s.done { // eviction may have abandoned the slot
+			e.completeXfer(s)
 		}
 	}
 	if len(idxs) > 0 {
@@ -666,11 +668,18 @@ func (e *Engine) dispatchAM(s *amSlot) {
 }
 
 // runCallback hands the received payload to the tag's callback. The request's
-// status and buffer stay as Testsome left them until restart re-arms it.
+// status and message stay as Testsome left them until restart re-arms it. A
+// message longer than the tag was registered for — the library cut it to the
+// receive's capacity — is a protocol violation by the sending engine: it fails
+// this engine instead of reaching the callback cut short.
 func (s *amSlot) runCallback() {
-	st := s.req.Status
-	s.cb(s.e, s.tag, s.b[:st.Size], st.Source)
-	s.e.comm.Submit(s.e.w.Config().PostCost, s.rearm)
+	e, st, data := s.e, s.req.Status, s.req.Data()
+	if st.Size > data.Size {
+		e.fail(st.Source, core.AMTooLong("mpice", e.Rank(), s.tag, st.Size, data.Size, st.Source))
+	} else {
+		s.cb(e, s.tag, data.Bytes, st.Source)
+	}
+	e.comm.Submit(e.w.Config().PostCost, s.rearm)
 }
 
 func (s *amSlot) restart() {

@@ -1,7 +1,9 @@
 package stack
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"amtlci/internal/buf"
@@ -62,6 +64,48 @@ func TestDuplicateTagRegPanicsOnBothBackends(t *testing.T) {
 			}
 		}()
 		s.Engines[0].TagReg(tag, cb, 64)
+	})
+}
+
+// TestAMLongerThanRegisteredFailsTheReceiver pins the meaning of TagReg's
+// maxLen on both backends: it is a capacity the receiving engine enforces. A
+// message within it is delivered; a longer one never reaches the callback and
+// fails the receiving engine with core.ErrAMTooLong, naming tag, length,
+// capacity and source. (The MPI backend used to die on a slice bound here and
+// the LCI backend used to deliver.)
+func TestAMLongerThanRegisteredFailsTheReceiver(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Stack) {
+		const tag core.Tag = 13
+		const maxLen = 48
+		var delivered []int
+		for r := 0; r < 2; r++ {
+			s.Engines[r].TagReg(tag, func(_ core.Engine, _ core.Tag, data []byte, _ int) {
+				delivered = append(delivered, len(data))
+			}, maxLen)
+		}
+		var failures []error
+		s.Engines[0].OnError(func(err error) { t.Errorf("the sender failed: %v", err) })
+		s.Engines[1].OnError(func(err error) { failures = append(failures, err) })
+
+		s.Engines[0].SendAM(tag, 1, make([]byte, maxLen))
+		s.Eng.Run()
+		if len(delivered) != 1 || delivered[0] != maxLen || len(failures) != 0 {
+			t.Fatalf("a message of exactly maxLen: delivered %v, failures %v", delivered, failures)
+		}
+
+		s.Engines[0].SendAM(tag, 1, make([]byte, maxLen+1))
+		s.Eng.Run()
+		if len(delivered) != 1 {
+			t.Fatalf("an over-long message reached the callback: delivered %v", delivered)
+		}
+		if len(failures) != 1 || !errors.Is(failures[0], core.ErrAMTooLong) || !errors.Is(s.Engines[1].Err(), core.ErrAMTooLong) {
+			t.Fatalf("failures = %v, Err() = %v, want one core.ErrAMTooLong", failures, s.Engines[1].Err())
+		}
+		for _, want := range []string{"rank 1", "tag 13", "49-byte", "from 0", "registered for 48"} {
+			if !strings.Contains(failures[0].Error(), want) {
+				t.Errorf("error %q does not name %q", failures[0], want)
+			}
+		}
 	})
 }
 

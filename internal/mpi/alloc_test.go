@@ -49,33 +49,24 @@ func TestMessagePathAllocs(t *testing.T) {
 // TestRequestFreeContract pins Free's preconditions: a freed handle is dead,
 // and an unfinished or persistent request cannot be freed.
 func TestRequestFreeContract(t *testing.T) {
-	mustPanic := func(what string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", what)
-			}
-		}()
-		fn()
-	}
 	eng, w := harness(2)
 	pump(eng, w)
 	src, dst := w.Rank(0), w.Rank(1)
 	b := buf.Virtual(64)
 
 	pending := dst.Irecv(b, 0, 1)
-	mustPanic("Free of an incomplete request", pending.Free)
-	persistent := dst.RecvInit(b, 0, 2)
-	mustPanic("Free of a persistent request", persistent.Free)
+	mustPanic(t, "Free of an incomplete request", pending.Free)
+	persistent := dst.RecvInit(b.Size, 0, 2)
+	mustPanic(t, "Free of a persistent request", persistent.Free)
 
 	sq := src.Isend(b, 1, 1)
 	eng.Run()
-	mustPanic("Free of an uncollected request", pending.Free)
+	mustPanic(t, "Free of an uncollected request", pending.Free)
 	if n := len(dst.Testsome([]*Request{pending})) + len(src.Testsome([]*Request{sq})); n != 2 {
 		t.Fatalf("collected %d of 2 requests", n)
 	}
 	pending.Free()
-	mustPanic("second Free", pending.Free)
+	mustPanic(t, "second Free", pending.Free)
 	// The freed record serves the next receive of the same rank.
 	if again := dst.Irecv(b, 0, 3); again != pending {
 		t.Fatal("a freed request was not reused by the next Irecv")

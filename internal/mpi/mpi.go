@@ -7,7 +7,10 @@
 //     ANY_SOURCE matching, an unexpected-message queue, and eager versus
 //     rendezvous (RTS/CTS) protocols selected by message size;
 //   - persistent receive requests (RecvInit/Start), which the PaRSEC MPI
-//     backend uses for active messages (five per registered tag);
+//     backend uses for active messages (five per registered tag). A
+//     persistent receive declares a capacity, not a buffer: the request takes
+//     storage for a message when one matches and gives it back at the next
+//     Start, so an armed receive that nothing is sent to costs no memory;
 //   - Testsome over a request array, with a CPU cost model that grows with
 //     the array length — the polling overhead the paper identifies as an MPI
 //     scaling bottleneck;
@@ -341,7 +344,13 @@ type Request struct {
 
 	// Matching fields. For receives, src may be AnySource.
 	src, tag int
+	// b is the send's source, or where a receive lands: the caller's buffer
+	// for Irecv; for a persistent receive the message it matched last, a copy
+	// held in slab (virtual payloads need none) until the next Start, of at
+	// most capacity bytes.
 	b        buf.Buf
+	capacity int64
+	slab     []byte
 
 	// Send-side fields.
 	dst  int
@@ -359,6 +368,17 @@ func (q *Request) Active() bool { return q.active }
 // Done reports whether the operation has completed (it may still need to be
 // collected by Testsome).
 func (q *Request) Done() bool { return q.done }
+
+// Data returns the message a completed persistent receive matched. The bytes
+// belong to the request and are valid until it is re-Started. A message longer
+// than the receive's capacity is cut to it; Status.Size still reports the
+// sender's length, which is how the caller tells.
+func (q *Request) Data() buf.Buf {
+	if !q.persistent || !q.done {
+		panic("mpi: Data of a request that is not a completed persistent receive")
+	}
+	return q.b
+}
 
 // Free releases a request for reuse by a later Isend or Irecv of the same
 // rank (MPI_Request_free). The operation must be complete and collected

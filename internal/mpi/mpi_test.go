@@ -33,6 +33,16 @@ func pump(eng *sim.Engine, w *World) {
 	}
 }
 
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
 func TestEagerSendRecvDeliversPayload(t *testing.T) {
 	eng, w := harness(2)
 	pump(eng, w)
@@ -201,7 +211,7 @@ func TestPersistentRecvLifecycle(t *testing.T) {
 	eng, w := harness(2)
 	pump(eng, w)
 	r1 := w.Rank(1)
-	q := r1.RecvInit(buf.Virtual(16), AnySource, 9)
+	q := r1.RecvInit(16, AnySource, 9)
 	if q.Active() {
 		t.Fatal("RecvInit must not activate")
 	}
@@ -220,10 +230,111 @@ func TestPersistentRecvLifecycle(t *testing.T) {
 	}
 }
 
+// TestPersistentRecvOwnsItsMessage covers the receive that declares a
+// capacity instead of handing over a buffer: the request holds no storage
+// until a message matches, the matched bytes are the request's own copy (from
+// a fresh arrival, from the unexpected queue, over the rendezvous protocol),
+// an over-long message is cut to the capacity with Status.Size still the
+// sender's length, and the next Start gives a large slab back.
+func TestPersistentRecvOwnsItsMessage(t *testing.T) {
+	eng, w := harness(2)
+	pump(eng, w)
+	src, dst := w.Rank(0), w.Rank(1)
+	const capacity = 16 << 10
+	q := dst.RecvInit(capacity, AnySource, 9)
+	reqs := []*Request{q}
+	collect := func(what string) {
+		t.Helper()
+		eng.Run()
+		if idx := dst.Testsome(reqs); len(idx) != 1 {
+			t.Fatalf("%s: Testsome = %v", what, idx)
+		}
+	}
+
+	dst.Start(q)
+	if q.slab != nil {
+		t.Fatal("an armed receive that matched nothing holds storage")
+	}
+	mustPanic(t, "Data of an incomplete receive", func() { q.Data() })
+
+	// A fresh arrival; the sender reuses its buffer at once.
+	msg := []byte("activate")
+	src.Send(buf.FromBytes(msg), 1, 9)
+	msg[0] = 'X'
+	collect("fresh arrival")
+	if got := q.Data(); string(got.Bytes) != "activate" || q.Status.Size != 8 || q.Status.Source != 0 {
+		t.Fatalf("fresh arrival: data %q status %+v", got.Bytes, q.Status)
+	}
+
+	// From the unexpected queue: the message is there before the Start.
+	src.Send(buf.FromBytes([]byte("early")), 1, 9)
+	eng.Run()
+	if len(dst.unexpected) != 1 {
+		t.Fatalf("unexpected queue holds %d messages, want 1", len(dst.unexpected))
+	}
+	dst.Start(q)
+	if !q.Done() || string(q.Data().Bytes) != "early" || dst.UnexpectedHits() != 1 {
+		t.Fatalf("unexpected match: done=%v data %q hits=%d", q.Done(), q.Data().Bytes, dst.UnexpectedHits())
+	}
+	collect("unexpected match")
+
+	// A zero-length payload, real and virtual.
+	for _, b := range []buf.Buf{buf.FromBytes([]byte{}), buf.Virtual(0)} {
+		dst.Start(q)
+		src.Send(b, 1, 9)
+		collect("empty message")
+		if got := q.Data(); got.Size != 0 || len(got.Bytes) != 0 || q.Status.Size != 0 {
+			t.Fatalf("empty message: data %+v status %+v", got, q.Status)
+		}
+	}
+
+	// Rendezvous-sized, real bytes: the slab grows past buf.MaxSlab for this
+	// one message and the next Start drops it.
+	big := make([]byte, 12<<10)
+	for i := range big {
+		big[i] = byte(i % 251)
+	}
+	dst.Start(q)
+	sq := src.Isend(buf.FromBytes(big), 1, 9)
+	collect("rendezvous message")
+	if got := q.Data(); string(got.Bytes) != string(big) || !sq.Done() {
+		t.Fatalf("rendezvous message: %d bytes landed, send done=%v", got.Size, sq.Done())
+	}
+	if cap(q.slab) <= buf.MaxSlab {
+		t.Fatalf("slab capacity %d after a %d-byte message", cap(q.slab), len(big))
+	}
+	dst.Start(q)
+	if q.slab != nil {
+		t.Fatalf("re-Start kept a %d-byte slab (limit %d)", cap(q.slab), buf.MaxSlab)
+	}
+
+	// Longer than the capacity: cut, and the status says by how much. A small
+	// slab, by contrast, survives the re-Start.
+	src.Isend(buf.FromBytes(make([]byte, capacity+100)), 1, 9)
+	collect("over-long message")
+	if got := q.Data(); got.Size != capacity || q.Status.Size != capacity+100 {
+		t.Fatalf("over-long message: landed %d bytes, status %+v", got.Size, q.Status)
+	}
+	dst.Start(q)
+	src.Send(buf.FromBytes([]byte("small")), 1, 9)
+	collect("small message")
+	dst.Start(q)
+	if cap(q.slab) == 0 || cap(q.slab) > buf.MaxSlab || len(q.slab) != 0 {
+		t.Fatalf("re-Start after a small message: slab len %d cap %d", len(q.slab), cap(q.slab))
+	}
+
+	// A virtual payload needs no storage at all.
+	src.Send(buf.Virtual(64), 1, 9)
+	collect("virtual message")
+	if got := q.Data(); !got.IsVirtual() || got.Size != 64 || len(q.slab) != 0 {
+		t.Fatalf("virtual message: data %+v, slab len %d", got, len(q.slab))
+	}
+}
+
 func TestStartActiveRequestPanics(t *testing.T) {
 	eng, w := harness(2)
 	_ = eng
-	q := w.Rank(1).RecvInit(buf.Virtual(8), AnySource, 1)
+	q := w.Rank(1).RecvInit(8, AnySource, 1)
 	w.Rank(1).Start(q)
 	defer func() {
 		if recover() == nil {

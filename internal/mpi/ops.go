@@ -108,15 +108,20 @@ func (r *Rank) Irecv(b buf.Buf, src, tag int) *Request {
 	return q
 }
 
-// RecvInit creates an inactive persistent receive (MPI_Recv_init). Start
-// activates it.
-func (r *Rank) RecvInit(b buf.Buf, src, tag int) *Request {
-	return &Request{r: r, kind: reqRecv, persistent: true, src: src, tag: tag, b: b}
+// RecvInit creates an inactive persistent receive (MPI_Recv_init) for
+// messages of up to capacity bytes. Start activates it; the matched message is
+// read with Request.Data.
+func (r *Rank) RecvInit(capacity int64, src, tag int) *Request {
+	if capacity < 0 {
+		panic("mpi: negative receive capacity")
+	}
+	return &Request{r: r, kind: reqRecv, persistent: true, src: src, tag: tag, capacity: capacity}
 }
 
-// Start activates a persistent request (MPI_Start). The caller charges
-// Config.PostCost. Starting an active request or a non-persistent request
-// panics.
+// Start activates a persistent request (MPI_Start), releasing the message the
+// previous activation received (a slab larger than buf.MaxSlab goes back to
+// the GC, like every pooled record's). The caller charges Config.PostCost.
+// Starting an active request or a non-persistent request panics.
 func (r *Rank) Start(q *Request) {
 	if q.kind != reqRecv || !q.persistent {
 		panic("mpi: Start supports persistent receives only")
@@ -127,6 +132,7 @@ func (r *Rank) Start(q *Request) {
 	q.done = false
 	q.awaitingData = false
 	q.Status = Status{}
+	q.b, q.slab = buf.Buf{}, buf.KeepSlab(q.slab)
 	r.matchOrPost(q)
 }
 
@@ -149,9 +155,7 @@ func (r *Rank) matchOrPost(q *Request) {
 func (r *Rank) consume(q *Request, u *wire) {
 	switch u.kind {
 	case wireEager:
-		buf.Copy(q.b, u.payload)
-		q.Status = Status{Source: u.src, Tag: u.tag, Size: u.size}
-		q.done = true
+		q.land(u)
 	case wireRTS:
 		// Clear the origin to send: the data message will carry q.
 		q.awaitingData = true
@@ -161,6 +165,23 @@ func (r *Rank) consume(q *Request, u *wire) {
 	default:
 		panic("mpi: unexpected wire kind in consume")
 	}
+}
+
+// land completes receive q with the payload of w: copied into the caller's
+// buffer, or for a persistent receive into the request's own slab, cut to the
+// declared capacity the way MPI cuts a message to the posted count.
+func (q *Request) land(w *wire) {
+	if q.persistent {
+		p := w.payload
+		if p.Size > q.capacity {
+			p = p.Slice(0, q.capacity)
+		}
+		q.b = buf.Snapshot(&q.slab, p)
+	} else {
+		buf.Copy(q.b, w.payload)
+	}
+	q.Status = Status{Source: w.src, Tag: w.tag, Size: w.size}
+	q.done = true
 }
 
 // onArrival is the fabric delivery handler: it stages traffic for the next
@@ -247,11 +268,8 @@ func (r *Rank) Progress() {
 			d.msg.OnTx = d.onTx
 			r.w.fab.Send(&d.msg)
 		case wireData:
-			q := w.rreq
-			buf.Copy(q.b, w.payload)
-			q.Status = Status{Source: w.src, Tag: w.tag, Size: w.size}
-			q.done = true
-			q.awaitingData = false
+			w.rreq.land(w)
+			w.rreq.awaitingData = false
 			r.received.Inc()
 		case wireSendDone:
 			w.sreq.done = true

@@ -50,7 +50,8 @@ type commOp struct {
 	putDone func() // o.putLocalDone, the PutArgs.LocalCB of opPutDone
 }
 
-// opListCap bounds node.ops: a fetch burst (FetchCap) of deferred steps.
+// opListCap bounds node.ops, and node.flows with it: a fetch burst (FetchCap)
+// of deferred steps, each about one flow copy.
 const opListCap = 1024
 
 // newOp takes an op record stamped with the current epoch.
@@ -142,6 +143,7 @@ func (o *commOp) putLocalDone() {
 	}
 	n, key, fd := o.n, o.key, o.fd
 	n.retireOp(o)
+	fd.mustLive()
 	fd.servedGets++
 	n.maybeClean(key, fd)
 }

@@ -22,6 +22,9 @@ type node struct {
 	ce  core.Engine
 	cfg Config
 
+	// workers holds one processor per worker core, made at the core's first
+	// dispatch (worker): idle is a stack, so a rank with 126 cores and a dozen
+	// concurrently ready tasks only ever touches the top dozen.
 	workers []*sim.Proc
 	idle    []int // indices of idle workers, LIFO
 
@@ -34,9 +37,11 @@ type node struct {
 	tasks flatTable[taskState]
 	store flatTable[*flowData]
 	// freeRuns recycles dispatch records (taskRun) between tasks; ops
-	// recycles the communication thread's deferred-step records (commop.go).
+	// recycles the communication thread's deferred-step records (commop.go);
+	// flows recycles the store's dataflow records (newFlow, retireFlow).
 	freeRuns []*taskRun
 	ops      sim.FreeList[commOp]
+	flows    sim.FreeList[flowData]
 
 	executed int64
 	total    int64
@@ -127,10 +132,17 @@ type taskState struct {
 	lazyFlows []flowKey
 }
 
-// flowData is one dataflow copy at one rank. Records are never recycled:
-// deferred communication-thread steps and put completions hold the pointer
-// across events (and across a restart, where the epoch checks make them
-// inert), so a record's identity must stay tied to one flow instance.
+// flowData is one dataflow copy at one rank, a pooled record like the rest of
+// the message path's (DESIGN.md §5.15): newFlow takes it from node.flows,
+// maybeClean — the one place a copy leaves the store — retires it, and the
+// waiters and pendingGets lists keep their capacity across uses. Deferred
+// communication-thread steps and put completions hold the pointer across
+// events, under two rules. Within an epoch a step that names a record keeps
+// the copy from being cleaned (an unserved GET, a fetch in flight), so it
+// never finds the record retired; servePut, deliver and putLocalDone panic if
+// one does. Across a restart — and on a rank that died — the records still in
+// the store are abandoned to the GC, never retired: stale steps of the old
+// epoch still point at them, exactly as with commOp and taskRun.
 // The small fields are packed to keep the record in the 208-byte size class.
 type flowData struct {
 	ref         DataRef
@@ -149,6 +161,7 @@ type flowData struct {
 	// activation for the flow reached this rank; a real activation merges
 	// into it (mergeActivation) rather than colliding.
 	stolen bool
+	live   bool // between newFlow and retireFlow
 }
 
 // taskRun is one dispatched task on its way through a worker core. The
@@ -180,10 +193,9 @@ func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config) *node {
 	// Run-scoped like the rest of the rank's state (releaseRunState), so the
 	// list may hold a whole burst of deferred steps without costing anything
 	// once the graph has run.
-	n.ops.Cap = opListCap
+	n.ops.Cap, n.flows.Cap = opListCap, opListCap
 	n.workers = make([]*sim.Proc, cfg.Workers)
 	for i := range n.workers {
-		n.workers[i] = sim.NewProc(n.eng)
 		n.idle = append(n.idle, i)
 	}
 	reg := rt.reg
@@ -205,13 +217,7 @@ func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config) *node {
 	reg.Probe("parsec", "ready_queue_depth", rank, false, func() float64 { return float64(n.ready.Len()) })
 	reg.Probe("parsec", "fetch_queue_depth", rank, false, func() float64 { return float64(n.fetchQ.Len()) })
 	reg.Probe("parsec", "active_fetches", rank, false, func() float64 { return float64(n.activeFetches) })
-	reg.Probe("parsec", "workers_busy", rank, true, func() float64 {
-		var busy sim.Duration
-		for _, w := range n.workers {
-			busy += w.BusyTime()
-		}
-		return busy.Seconds()
-	})
+	reg.Probe("parsec", "workers_busy", rank, true, func() float64 { return n.workerBusy().Seconds() })
 	ce.TagReg(tagActivate, n.onActivate, int64(cfg.AMCap))
 	ce.TagReg(tagGetData, n.onGetData, 256)
 	ce.TagReg(tagPutDone, n.onPutDone, 256)
@@ -223,6 +229,27 @@ func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config) *node {
 		n.rot = steal.NewRotation(rank, rt.ranks())
 	}
 	return n
+}
+
+// worker returns core w's processor, making it at the core's first use.
+func (n *node) worker(w int) *sim.Proc {
+	p := n.workers[w]
+	if p == nil {
+		p = sim.NewProc(n.eng)
+		n.workers[w] = p
+	}
+	return p
+}
+
+// workerBusy sums the busy time of the cores that have run anything.
+func (n *node) workerBusy() sim.Duration {
+	var busy sim.Duration
+	for _, w := range n.workers {
+		if w != nil {
+			busy += w.BusyTime()
+		}
+	}
+	return busy
 }
 
 // start enumerates root tasks and releases them.
@@ -243,6 +270,7 @@ func (n *node) releaseRunState() {
 	n.store.reset()
 	n.ready, n.fetchQ = prioQueue{}, prioQueue{}
 	n.freeRuns, n.ops = nil, sim.FreeList[commOp]{Cap: opListCap}
+	n.flows = sim.FreeList[flowData]{Cap: opListCap}
 	n.encBuf, n.actScratch = nil, nil
 	n.pendingAct, n.flushQueued, n.actFree = nil, nil, nil
 	n.inputScratch, n.succScratch, n.inputRefs = nil, nil, nil
@@ -275,6 +303,33 @@ func (n *node) flow(key flowKey) *flowData {
 func (n *node) putFlow(key flowKey, fd *flowData) {
 	p, _ := n.store.insert(key)
 	*p = fd
+}
+
+// newFlow takes a flow record for a copy of size bytes in the given state.
+func (n *node) newFlow(state flowState, size int64) *flowData {
+	fd := n.flows.Get()
+	if fd == nil {
+		fd = &flowData{}
+	}
+	fd.live, fd.state, fd.size = true, state, size
+	return fd
+}
+
+// retireFlow recycles the record of a copy that has left the store. Only ready
+// copies are cleaned, and both lists were drained when the copy became ready,
+// so they are empty here; their capacity stays with the record.
+func (n *node) retireFlow(fd *flowData) {
+	fd.mustLive()
+	*fd = flowData{waiters: fd.waiters[:0], pendingGets: fd.pendingGets[:0]}
+	n.flows.Put(fd)
+}
+
+// mustLive panics on a retired record: a deferred step or a second cleanup
+// reached a flow copy that has already left the store.
+func (fd *flowData) mustLive() {
+	if !fd.live {
+		panic("parsec: flow record used after retirement")
+	}
 }
 
 // satisfy decrements t's dependence counter, releasing it at zero.
@@ -361,7 +416,7 @@ func (n *node) launch(r *taskRun, t TaskID, w int) {
 		n.rt.obs.TaskStart(n.rank, w, t, n.eng.Now())
 	}
 	r.task, r.w, r.epoch = t, int32(w), n.epoch
-	n.workers[w].Submit(cost, r.done)
+	n.worker(w).Submit(cost, r.done)
 }
 
 // finish is the worker-core completion of one dispatched task.
@@ -436,7 +491,8 @@ func (n *node) complete(t TaskID, w int) {
 		size := outputs[f].Buf.Size
 		n.succScratch = n.rt.tp.Successors(t, flow, n.succScratch[:0])
 
-		fd := &flowData{state: flowReady, ref: outputs[f], size: size}
+		fd := n.newFlow(flowReady, size)
+		fd.ref = outputs[f]
 		now := int64(n.clock.Read(n.eng.Now()))
 		fd.meta = activation{task: t, flow: flow, size: size,
 			root: int32(n.rank), rootSend: now, hopRank: int32(n.rank), hopSend: now,
@@ -508,7 +564,7 @@ func (n *node) sendActivate(dest int, act activation, w int) {
 		if n.rt.obs != nil {
 			n.rt.obs.ActivateSent(n.rank, dest, 1, n.eng.Now())
 		}
-		n.ce.SendAMMT(n.workers[w], tagActivate, dest, n.encBuf, nil)
+		n.ce.SendAMMT(n.worker(w), tagActivate, dest, n.encBuf, nil)
 		return
 	}
 	o := n.newOp(opAggregate)
@@ -664,7 +720,8 @@ func (n *node) processActivation(act activation) {
 		n.wireFail("parsec: duplicate activation for %v at rank %d", key, n.rank)
 		return
 	}
-	fd := &flowData{state: flowAnnounced, size: act.size, meta: act}
+	fd := n.newFlow(flowAnnounced, act.size)
+	fd.meta = act
 	n.putFlow(key, fd)
 
 	// Local descendants wait for the data; consumers that already executed
@@ -711,11 +768,10 @@ func (n *node) processActivation(act activation) {
 	if act.size == 0 {
 		fd.state = flowReady
 		fd.expectedGets = 0
-		waiters := fd.waiters
-		fd.waiters = nil
-		for _, t := range waiters {
+		for _, t := range fd.waiters {
 			n.satisfy(t) // localRefs drop when the consumers execute
 		}
+		fd.waiters = fd.waiters[:0]
 		n.maybeClean(key, fd)
 		return
 	}
@@ -826,6 +882,7 @@ func (n *node) submitServePut(key flowKey, fd *flowData, req getReq) {
 
 // servePut starts the put that answers one GET DATA.
 func (n *node) servePut(key flowKey, fd *flowData, req getReq) {
+	fd.mustLive()
 	if !fd.registered {
 		fd.lreg = n.ce.MemReg(fd.ref.Buf)
 		fd.registered = true
@@ -885,6 +942,7 @@ func (n *node) onPutDone(_ core.Engine, _ core.Tag, data []byte, src int) {
 // queued children, and admit the next deferred fetch. stamps carries the
 // put's tracing clocks.
 func (n *node) deliver(key flowKey, fd *flowData, stamps activation) {
+	fd.mustLive()
 	fd.state = flowReady
 	n.bytesFetched.Add(uint64(fd.size))
 	if n.rt.obs != nil {
@@ -896,13 +954,12 @@ func (n *node) deliver(key flowKey, fd *flowData, stamps activation) {
 	for _, t := range fd.waiters {
 		n.satisfy(t)
 	}
-	fd.waiters = nil
+	fd.waiters = fd.waiters[:0]
 
-	pending := fd.pendingGets
-	fd.pendingGets = nil
-	for _, req := range pending {
+	for _, req := range fd.pendingGets {
 		n.submitServePut(key, fd, req)
 	}
+	fd.pendingGets = fd.pendingGets[:0]
 
 	n.activeFetches--
 	if n.fetchQ.Len() > 0 && n.activeFetches < n.cfg.FetchCap {
@@ -923,7 +980,7 @@ func (n *node) maybeClean(key flowKey, fd *flowData) {
 	}
 	if fd.registered {
 		n.ce.MemDereg(fd.lreg)
-		fd.registered = false
 	}
 	n.store.remove(key)
+	n.retireFlow(fd)
 }

@@ -532,8 +532,10 @@ func (rt *Runtime) restartRound(gen int) {
 // completion is dropped by epoch.
 func (n *node) resetForRecovery() {
 	n.epoch++
-	// Pre-restart flow records are dropped with the table, never reused:
-	// deferred steps of the old epoch still hold them.
+	// Pre-restart flow records are dropped with the table, never retired:
+	// deferred steps of the old epoch still hold them. The flow free list is
+	// kept, like the op free list below: it only ever holds records that
+	// nothing names any more.
 	n.store.reset()
 	n.tasks.reset()
 	n.ready = prioQueue{}
@@ -608,7 +610,8 @@ func (n *node) restoreTask(t TaskID, flows []recov.FlowCkpt) {
 			buf.Copy(ref.Buf, buf.FromBytes(f.Data))
 		}
 		now := int64(n.clock.Read(n.eng.Now()))
-		fd := &flowData{state: flowReady, ref: ref, size: f.Size}
+		fd := n.newFlow(flowReady, f.Size)
+		fd.ref = ref
 		fd.meta = activation{task: t, flow: f.Flow, size: f.Size,
 			root: int32(n.rank), rootSend: now, hopRank: int32(n.rank), hopSend: now,
 			epoch: n.epoch}

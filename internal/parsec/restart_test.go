@@ -1,6 +1,7 @@
 package parsec
 
 import (
+	"reflect"
 	"testing"
 
 	"amtlci/internal/core/stack"
@@ -12,7 +13,9 @@ import (
 // same key (what restoreTask does for a checkpointed output). The put's
 // local completion belongs to the old epoch: it must not count against the
 // old record, and above all must not retire — deregister and delete — the
-// rebuilt flow that now owns the key.
+// rebuilt flow that now owns the key. Nor may the restart recycle the old
+// epoch's records: the in-flight completion still names one, so they are
+// abandoned to the GC and the flow free list gains nothing.
 func TestStalePutCompletionSparesRebuiltFlow(t *testing.T) {
 	for _, b := range stack.Backends {
 		t.Run(b.String(), func(t *testing.T) {
@@ -29,7 +32,8 @@ func TestStalePutCompletionSparesRebuiltFlow(t *testing.T) {
 			// The owner holds the produced flow and one remote consumer has
 			// asked for it; the requester's landing buffer is registered.
 			key := flowKey{prod, 0}
-			old := &flowData{state: flowReady, ref: g.MakeCopy(prod, 0, size), size: size, expectedGets: 1}
+			old := owner.newFlow(flowReady, size)
+			old.ref, old.expectedGets = g.MakeCopy(prod, 0, size), 1
 			owner.putFlow(key, old)
 			landing := requester.ce.MemReg(g.MakeCopy(prod, 0, size).Buf)
 			owner.servePut(key, old, getReq{requester: 1, epoch: owner.epoch, rreg: landing})
@@ -41,7 +45,14 @@ func TestStalePutCompletionSparesRebuiltFlow(t *testing.T) {
 			// epoch and the owner restores the flow from its checkpoint.
 			owner.resetForRecovery()
 			requester.resetForRecovery()
-			rebuilt := &flowData{state: flowReady, ref: g.MakeCopy(prod, 0, size), size: size, expectedGets: 1}
+			if owner.flows.Len() != 0 {
+				t.Fatalf("the restart recycled %d flow record(s) of the old epoch", owner.flows.Len())
+			}
+			rebuilt := owner.newFlow(flowReady, size)
+			if rebuilt == old {
+				t.Fatal("the rebuilt flow reuses the pre-restart record the in-flight put still names")
+			}
+			rebuilt.ref, rebuilt.expectedGets = g.MakeCopy(prod, 0, size), 1
 			owner.putFlow(key, rebuilt)
 
 			s.Eng.Run()
@@ -52,9 +63,9 @@ func TestStalePutCompletionSparesRebuiltFlow(t *testing.T) {
 			if got := owner.flow(key); got != rebuilt {
 				t.Fatalf("rebuilt flow was retired by the stale put completion (store holds %p, want %p)", got, rebuilt)
 			}
-			if old.servedGets != 0 || !old.registered {
-				t.Fatalf("stale completion touched the pre-restart record: servedGets=%d registered=%v",
-					old.servedGets, old.registered)
+			if old.servedGets != 0 || !old.registered || !old.live || owner.flows.Len() != 0 {
+				t.Fatalf("stale completion touched the pre-restart record: servedGets=%d registered=%v live=%v free=%d",
+					old.servedGets, old.registered, old.live, owner.flows.Len())
 			}
 			if requester.staleDrops.Value() == 0 {
 				t.Fatal("the requester should have dropped the landed put as stale")
@@ -84,7 +95,8 @@ func TestStaleCommOpNeitherRunsNorRecycles(t *testing.T) {
 			owner, requester := rt.nodes[0], rt.nodes[1]
 
 			key := flowKey{prod, 0}
-			fd := &flowData{state: flowReady, ref: g.MakeCopy(prod, 0, size), size: size, expectedGets: 1}
+			fd := owner.newFlow(flowReady, size)
+			fd.ref, fd.expectedGets = g.MakeCopy(prod, 0, size), 1
 			owner.putFlow(key, fd)
 			landing := requester.ce.MemReg(g.MakeCopy(prod, 0, size).Buf)
 
@@ -128,6 +140,104 @@ func TestStaleCommOpNeitherRunsNorRecycles(t *testing.T) {
 			if owner.pendingOps != 0 || owner.ops.Len() != 1 {
 				t.Fatalf("fresh step: pendingOps=%d free=%d, want 0 and 1", owner.pendingOps, owner.ops.Len())
 			}
+		})
+	}
+}
+
+// flowHarness builds a two-rank runtime whose rank 0 holds one ready 64 KiB
+// flow with a single expected GET, and registers a landing buffer at rank 1.
+func flowHarness(t *testing.T, b stack.Backend) (s *stack.Stack, n *node, key flowKey, fd *flowData, landing regHandle) {
+	t.Helper()
+	const size = 64 << 10
+	g := NewGraphPool("retire", 2, false)
+	prod := g.AddTask(0, 0, sim.Microsecond, 0, size)
+	g.Link(prod, 0, g.AddTask(1, 1, sim.Microsecond, 0))
+	s = stack.Build(stack.DefaultOptions(b, 2))
+	rt := New(s.Dom, s.Engines, g, DefaultConfig(2))
+	n = rt.nodes[0]
+	key = flowKey{prod, 0}
+	fd = n.newFlow(flowReady, size)
+	fd.ref, fd.expectedGets = g.MakeCopy(prod, 0, size), 1
+	n.putFlow(key, fd)
+	landing = rt.nodes[1].ce.MemReg(g.MakeCopy(prod, 0, size).Buf)
+	return s, n, key, fd, landing
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestFlowRecordRetireLifecycle follows one flow record through the free
+// list: the served GET's completion cleans the copy, the record comes back
+// from newFlow with nothing of its previous use but the lists' capacity, and
+// retiring a record twice panics instead of putting it on the list twice.
+func TestFlowRecordRetireLifecycle(t *testing.T) {
+	s, n, key, fd, landing := flowHarness(t, stack.LCI)
+	fd.waiters = append(fd.waiters, TaskID{Index: 7})[:0]
+	n.servePut(key, fd, getReq{requester: 1, epoch: n.epoch, rreg: landing})
+	s.Eng.Run()
+	if n.flow(key) != nil || fd.live || n.flows.Len() != 1 {
+		t.Fatalf("served flow not retired: stored=%v live=%v free=%d", n.flow(key) != nil, fd.live, n.flows.Len())
+	}
+	mustPanic(t, "retiring a flow record twice", func() { n.retireFlow(fd) })
+	mustPanic(t, "cleaning a retired flow record", func() {
+		fd.state = flowReady
+		n.maybeClean(key, fd)
+	})
+
+	again := n.newFlow(flowAnnounced, 8)
+	if again != fd {
+		t.Fatal("the retired record was not reused")
+	}
+	if cap(again.waiters) == 0 {
+		t.Fatal("the recycled record lost its waiter list's capacity")
+	}
+	want := flowData{live: true, state: flowAnnounced, size: 8}
+	again.waiters, again.pendingGets = nil, nil
+	if !reflect.DeepEqual(*again, want) {
+		t.Fatalf("recycled record carries state of its previous use: %+v", *again)
+	}
+}
+
+// TestFlowRecordRetiredUnderCommOpPanics pins the lifetime rule's loud half:
+// a deferred communication-thread step that reaches a flow record after the
+// copy was cleaned — the three kinds that carry one — panics rather than
+// serve, deliver or settle whatever flow the record describes by then.
+func TestFlowRecordRetiredUnderCommOpPanics(t *testing.T) {
+	steps := map[string]func(n *node, key flowKey, fd *flowData, landing regHandle){
+		"servePut": func(n *node, key flowKey, fd *flowData, landing regHandle) {
+			o := n.newOp(opServePut)
+			o.key, o.fd, o.req = key, fd, getReq{requester: 1, epoch: n.epoch, rreg: landing}
+			n.pendingOps++
+			o.exec()
+		},
+		"deliver": func(n *node, key flowKey, fd *flowData, _ regHandle) {
+			o := n.newOp(opDeliver)
+			o.key, o.fd = key, fd
+			n.pendingOps++
+			o.exec()
+		},
+		"putLocalDone": func(n *node, key flowKey, fd *flowData, _ regHandle) {
+			o := n.newOp(opPutDone)
+			o.key, o.fd = key, fd
+			o.putLocalDone()
+		},
+	}
+	for name, step := range steps {
+		t.Run(name, func(t *testing.T) {
+			_, n, key, fd, landing := flowHarness(t, stack.MPI)
+			fd.expectedGets = 0
+			n.maybeClean(key, fd)
+			if fd.live {
+				t.Fatal("maybeClean did not retire the unreferenced flow")
+			}
+			mustPanic(t, name+" on a retired flow record", func() { step(n, key, fd, landing) })
 		})
 	}
 }

@@ -130,10 +130,6 @@ func (rt *Runtime) Metrics() *metrics.Registry { return rt.reg }
 // registry; busy times come straight from the thread Procs.
 func (rt *Runtime) Stats(r int) Stats {
 	n := rt.nodes[r]
-	var workerBusy sim.Duration
-	for _, w := range n.workers {
-		workerBusy += w.BusyTime()
-	}
 	return Stats{
 		TasksRun:      int64(n.tasksRun.Value()),
 		ActivatesSent: int64(n.activatesSent.Value()),
@@ -141,7 +137,7 @@ func (rt *Runtime) Stats(r int) Stats {
 		GetsSent:      int64(n.getsSent.Value()),
 		FetchDeferred: int64(n.fetchDeferred.Value()),
 		BytesFetched:  int64(n.bytesFetched.Value()),
-		WorkerBusy:    workerBusy,
+		WorkerBusy:    n.workerBusy(),
 		CommBusy:      n.ce.CommProc().BusyTime(),
 	}
 }

@@ -291,7 +291,8 @@ func (n *node) adoptTask(victim int, f steal.TaskFrame) {
 			if size == 0 {
 				// Control flow: nothing to move; synthesize the satisfied
 				// entry the activation would have left behind.
-				fd = &flowData{state: flowReady, size: 0, stolen: true}
+				fd = n.newFlow(flowReady, 0)
+				fd.stolen = true
 				fd.meta = activation{task: dep.Task, flow: dep.Flow,
 					hopRank: int32(victim), epoch: n.epoch}
 				n.putFlow(key, fd)
@@ -301,7 +302,8 @@ func (n *node) adoptTask(victim int, f steal.TaskFrame) {
 			}
 			// The victim holds the payload and has pinned it for us: fetch
 			// over the ordinary GET DATA path, which settles the pin.
-			fd = &flowData{state: flowAnnounced, size: size, stolen: true}
+			fd = n.newFlow(flowAnnounced, size)
+			fd.stolen = true
 			fd.meta = activation{task: dep.Task, flow: dep.Flow, size: size,
 				root: int32(victim), hopRank: int32(victim), epoch: n.epoch}
 			n.putFlow(key, fd)

@@ -1,19 +1,27 @@
 #!/bin/sh
-# Where one benchmark workload's allocations come from, per simulated task.
+# Where one benchmark workload's allocations, allocated bytes and retained heap
+# come from.
 #
 #   scripts/allocsites.sh WORKLOAD [SEED]        (make allocsites W=WORKLOAD)
 #
 # Builds the repository benchmark unmodified and runs WORKLOAD with
 # `-reps 3 -memprofile -cpuprofile`, then prints
-#   - the benchmark's own allocs_per_task (exact: a MemStats delta),
-#   - that figure split by package and by the 25 largest allocation sites
-#     (the profile samples allocations, so a site's share is an estimate; the
-#     shares are scaled to the exact total),
+#   - the benchmark's own allocs_per_task, alloc_bytes_per_task and
+#     live_heap_mb (exact: MemStats deltas and HeapAlloc after a collection),
+#   - each of the three split by package and by the 25 largest sites: objects
+#     allocated and bytes allocated per simulated task, and the bytes still in
+#     use after the last rep — the heap live_heap_mb measures, because the
+#     profile is written at exit and shows the heap as of the last collection,
+#     the one the benchmark forces before it reads HeapAlloc. (The profile
+#     samples allocations — one per 16 KiB here, finer than the default so that
+#     a heap of a few MB still splits — so a site's share is an estimate; the
+#     shares are scaled to the exact total. The profilers' own buffers, about
+#     1.2 MB, are part of this run's heap and show as runtime/pprof.)
 #   - the share of host CPU time inside the allocator (runtime.mallocgc) and
 #     the concurrent collector (runtime.gcBgMarkWorker).
-# This is the table a change to the message path or the task lifecycle quotes
-# before and after (EXPERIMENTS.md). Profiles stay in a temp directory, whose
-# path is printed last.
+# These are the tables a change to the message path, the task lifecycle or a
+# layer's construction quotes before and after (EXPERIMENTS.md). Profiles stay
+# in a temp directory, whose path is printed last.
 set -eu
 
 w=${1:?usage: scripts/allocsites.sh WORKLOAD [SEED]}
@@ -22,23 +30,25 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
 
 (cd "$root/benchmark" && go build -o "$tmp/bench" . &&
-    "$tmp/bench" -workload "$w" -seed "$seed" -reps 3 \
+    GODEBUG=memprofilerate=16384 "$tmp/bench" -workload "$w" -seed "$seed" -reps 3 \
         -memprofile "$tmp/mem.prof" -cpuprofile "$tmp/cpu.prof" >"$tmp/out.txt" 2>&1) || {
     cat "$tmp/out.txt"
     exit 1
 }
 
-per_task=$(awk '$1 == "allocs_per_task" { print $2 }' "$tmp/out.txt")
-echo "== $w (seed $seed): allocs_per_task $per_task"
+metric() { awk -v m="$1" '$1 == m { print $2 }' "$tmp/out.txt"; }
 
-go tool pprof -sample_index=alloc_objects -top -nodecount=100000 "$tmp/bench" "$tmp/mem.prof" 2>/dev/null |
-    awk -v per_task="$per_task" '
+# table SAMPLE_INDEX TOTAL UNIT: the profile's flat values of one sample type
+# by package and by site, scaled so that they sum to TOTAL.
+table() {
+    go tool pprof -sample_index="$1" -unit=b -top -nodecount=100000 "$tmp/bench" "$tmp/mem.prof" 2>/dev/null |
+        awk -v exact="$2" -v unit="$3" '
     # Rows: flat flat% sum% cum cum% name. Only flat counts, so every object
     # is attributed to the function that allocated it.
     seen_header && $1 + 0 > 0 {
         name = $6
         for (i = 7; i <= NF; i++) name = name " " $i
-        flat[name] = $1; total += $1
+        flat[name] = $1 + 0; total += $1 + 0
         # The package is the import path up to the first dot after its last
         # slash ("amtlci/internal/core.PutHeader.Marshal" -> ".../core").
         # (type arguments of generic names may hold slashes: cut them first).
@@ -48,28 +58,44 @@ go tool pprof -sample_index=alloc_objects -top -nodecount=100000 "$tmp/bench" "$
         for (i = 1; i <= length(base); i++) if (substr(base, i, 1) == "/") slash = i
         pkg = substr(base, 1, slash + index(substr(base, slash + 1), ".") - 1)
         sub(/^amtlci\/(internal\/)?/, "", pkg)
-        bypkg[pkg] += $1
+        bypkg[pkg] += $1 + 0
     }
     $1 == "flat" { seen_header = 1 }
     END {
-        scale = per_task / total
-        print "\n-- by package (allocs/task)"
+        if (total == 0) { print "\n-- no samples"; exit }
+        scale = exact / total
+        print "\n-- by package (" unit ")"
         n = 0
-        for (p in bypkg) row[n++] = sprintf("%012.4f %s", bypkg[p] * scale, p)
+        for (p in bypkg) row[n++] = sprintf("%016.4f %s", bypkg[p] * scale, p)
         sortprint(row, n, 1000)
-        print "\n-- top 25 sites (allocs/task)"
+        print "\n-- top 25 sites (" unit ")"
         n = 0
-        for (f in flat) row2[n++] = sprintf("%012.4f %s", flat[f] * scale, f)
+        for (f in flat) row2[n++] = sprintf("%016.4f %s", flat[f] * scale, f)
         sortprint(row2, n, 25)
     }
     function sortprint(a, n, limit,    i, j, t, v) {
         for (i = 1; i < n; i++) { t = a[i]; for (j = i - 1; j >= 0 && a[j] < t; j--) a[j + 1] = a[j]; a[j + 1] = t }
         for (i = 0; i < n && i < limit; i++) {
-            v = substr(a[i], 1, 12) + 0
+            v = substr(a[i], 1, 16) + 0
             if (v < 0.005) break
-            printf "%8.2f  %s\n", v, substr(a[i], 14)
+            printf "%10.2f  %s\n", v, substr(a[i], 18)
         }
     }'
+}
+
+per_task=$(metric allocs_per_task)
+echo "== $w (seed $seed): allocs_per_task $per_task"
+table alloc_objects "$per_task" allocs/task
+
+bytes=$(metric alloc_bytes_per_task)
+echo
+echo "== $w (seed $seed): alloc_bytes_per_task $bytes"
+table alloc_space "$bytes" B/task
+
+live=$(metric live_heap_mb)
+echo
+echo "== $w (seed $seed): live_heap_mb $live (in use after the last rep)"
+table inuse_space "$(awk -v mb="$live" 'BEGIN { print mb * 1024 }')" KiB
 
 echo
 echo "-- host CPU share (cumulative)"
