@@ -39,8 +39,9 @@ chaos-multicrash:
 	go run ./cmd/chaos -crash 1@40%,2@3ms
 	go run ./cmd/chaos -crash-storm 3
 
-# Short, fixed-budget fuzz passes over the wire-format decoders and the
-# runtime's flat hash table (Go allows one -fuzz pattern per invocation).
+# Short, fixed-budget fuzz passes over the wire-format decoders, the
+# runtime's flat hash table and the linalg kernels' bit identity with their
+# reference bodies (Go allows one -fuzz pattern per invocation).
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzUnmarshalPutHeader -fuzztime=2s ./internal/core
 	go test -run='^$$' -fuzz=FuzzDecodeActivates -fuzztime=2s ./internal/parsec
@@ -58,6 +59,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzInboxOrder -fuzztime=2s ./internal/sim
 	go test -run='^$$' -fuzz=FuzzTuningMatrix -fuzztime=2s ./internal/sim
 	go test -run='^$$' -fuzz=FuzzLookaheadMatrix -fuzztime=2s ./internal/fabric
+	go test -run='^$$' -fuzz=FuzzKernelsMatchReference -fuzztime=2s ./internal/linalg
 
 # End-to-end smoke of the simd experiment service: content-addressed cache
 # hits with byte-identical CSV, mid-sweep cancel, and SIGINT checkpointing.

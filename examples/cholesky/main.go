@@ -26,9 +26,10 @@ func main() {
 	)
 	n := tiles * nb
 	prob := tlr.NewProblem(n, 0.3, 1e-2)
+	input := cholesky.NewInput(tiles, nb, prob.Entry)
 
 	for _, backend := range []stack.Backend{stack.LCI, stack.MPI} {
-		pool := cholesky.NewReal(tiles, nb, ranks, 30, prob.Entry)
+		pool := cholesky.NewReal(input, ranks, 30)
 		s := stack.New(backend, ranks)
 		rt := parsec.New(s.Eng, s.Engines, pool, parsec.DefaultConfig(4))
 		elapsed, err := rt.Run()

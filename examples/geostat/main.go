@@ -33,20 +33,18 @@ func main() {
 	par.Acc = 1e-9
 	par.MaxRank = nb
 
-	pool := hicma.NewReal(par, ranks, prob)
+	input := hicma.NewInput(par, prob)
+	pool := hicma.NewReal(input, ranks)
 
 	// Report the compression the generator achieved.
 	var ranksSum, cnt int
 	maxRank := 0
 	for m := 1; m < n/nb; m++ {
 		for c := 0; c < m; c++ {
-			// Recompute what the pool compressed (same generator).
-			lr := tlr.Compress(prob.Block(m*nb, c*nb, nb, nb), par.Acc, par.MaxRank)
-			ranksSum += lr.Rank()
+			r := input.Rank(m, c)
+			ranksSum += r
 			cnt++
-			if lr.Rank() > maxRank {
-				maxRank = lr.Rank()
-			}
+			maxRank = max(maxRank, r)
 		}
 	}
 	fmt.Printf("st-2d-sqexp covariance %dx%d, tiles %dx%d: avg off-diagonal rank %.1f (max %d) at acc %.0e\n",

@@ -15,6 +15,7 @@ package chaos
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"amtlci/internal/cholesky"
 	"amtlci/internal/core/stack"
@@ -223,6 +224,71 @@ func tolerance(w Workload) float64 {
 	return 1e-10
 }
 
+// The two mini-problems are literals, so their generated inputs — covariance
+// entries evaluated, off-diagonal tiles SVD-compressed — are built once per
+// process and shared by every Run; pools never write to them, which is what
+// makes concurrent Runs (cmd/chaos -j) safe.
+const (
+	choleskyTiles, choleskyNB = 8, 4
+	hicmaN, hicmaNB           = 96, 16
+)
+
+var (
+	choleskyProb  = sync.OnceValue(func() *tlr.Problem { return tlr.NewProblem(choleskyTiles*choleskyNB, 0.3, 1e-2) })
+	hicmaProb     = sync.OnceValue(func() *tlr.Problem { return tlr.NewProblem(hicmaN, 0.4, 1e-2) })
+	choleskyInput = sync.OnceValue(newCholeskyInput)
+	hicmaInput    = sync.OnceValue(newHiCMAInput)
+)
+
+func newCholeskyInput() *cholesky.Input {
+	return cholesky.NewInput(choleskyTiles, choleskyNB, choleskyProb().Entry)
+}
+
+func newHiCMAInput() *hicma.Input {
+	par := hicma.DefaultParams(hicmaN, hicmaNB)
+	par.Acc = 1e-10
+	par.MaxRank = hicmaNB
+	return hicma.NewInput(par, hicmaProb())
+}
+
+// factorError returns the relative error of l l^T against the problem's
+// matrix: in the Frobenius norm of the whole matrix for the dense
+// factorization, over the lower triangle — all a TLR factor defines — for
+// HiCMA. Reference entries come straight from prob.Entry and each entry of
+// l l^T is formed where it is compared, so nothing of the matrix's size is
+// allocated besides l itself.
+//
+// Entry (i,j) of l l^T is the sum over ascending k of l[i][k]*l[j][k]. l is
+// lower triangular, so every term past k = min(i,j) is a zero product, and
+// adding one never changes a running sum that started at +0 (which cannot
+// become -0): stopping there yields the bits of the full sum.
+func factorError(l *linalg.Matrix, prob *tlr.Problem, w Workload) float64 {
+	n := l.Rows
+	var num, den float64
+	for i := 0; i < n; i++ {
+		li := l.Data[i*n : (i+1)*n]
+		cols := n
+		if w == HiCMA {
+			cols = i + 1
+		}
+		for j := 0; j < cols; j++ {
+			lj := l.Data[j*n : j*n+min(i, j)+1]
+			var s float64
+			for k, x := range lj {
+				s += li[k] * x
+			}
+			a := prob.Entry(i, j)
+			d := s - a
+			num += d * d
+			den += a * a
+		}
+	}
+	if w == HiCMA {
+		return math.Sqrt(num / den)
+	}
+	return math.Sqrt(num) / math.Sqrt(den)
+}
+
 // Run executes one configuration to quiescence and verifies the numerics.
 func Run(o Opts) Result {
 	if o.Ranks <= 0 {
@@ -264,47 +330,17 @@ func Run(o Opts) Result {
 	s := stack.Build(so)
 
 	var (
-		tp     parsec.Taskpool
-		verify func() float64
+		tp       parsec.Taskpool
+		assemble func() *linalg.Matrix
+		prob     *tlr.Problem
 	)
 	switch o.Workload {
 	case Cholesky:
-		const tiles, nb = 8, 4
-		n := tiles * nb
-		prob := tlr.NewProblem(n, 0.3, 1e-2)
-		p := cholesky.NewReal(tiles, nb, o.Ranks, 30, prob.Entry)
-		tp = p
-		verify = func() float64 {
-			l := p.AssembleFactor()
-			recon := linalg.NewMatrix(n, n)
-			linalg.GEMM(recon, l, l, 1, false, true)
-			a := prob.Block(0, 0, n, n)
-			return linalg.Sub(recon, a).FrobNorm() / a.FrobNorm()
-		}
+		p := cholesky.NewReal(choleskyInput(), o.Ranks, 30)
+		tp, assemble, prob = p, p.AssembleFactor, choleskyProb()
 	case HiCMA:
-		const n, nb = 96, 16
-		prob := tlr.NewProblem(n, 0.4, 1e-2)
-		par := hicma.DefaultParams(n, nb)
-		par.Acc = 1e-10
-		par.MaxRank = nb
-		p := hicma.NewReal(par, o.Ranks, prob)
-		tp = p
-		verify = func() float64 {
-			l := p.AssembleFactor()
-			recon := linalg.NewMatrix(n, n)
-			linalg.GEMM(recon, l, l, 1, false, true)
-			a := prob.Block(0, 0, n, n)
-			// Only the lower triangle is meaningful.
-			var num, den float64
-			for i := 0; i < n; i++ {
-				for j := 0; j <= i; j++ {
-					d := recon.At(i, j) - a.At(i, j)
-					num += d * d
-					den += a.At(i, j) * a.At(i, j)
-				}
-			}
-			return math.Sqrt(num / den)
-		}
+		p := hicma.NewReal(hicmaInput(), o.Ranks)
+		tp, assemble, prob = p, p.AssembleFactor, hicmaProb()
 	default:
 		panic(fmt.Sprintf("chaos: unknown workload %d", int(o.Workload)))
 	}
@@ -344,6 +380,12 @@ func Run(o Opts) Result {
 		// over (global quiet + no counted message in flight), so the
 		// simulation can drain — detection, not orchestrator fiat.
 		rt.OnTerminate(s.Rel.StopHeartbeats)
+		// A wedged run never gets that proof, and the ticks would keep the
+		// event queue non-empty forever: the detector watches the runtime's
+		// progress and stops itself once it has stood still for several
+		// leases, so rt.Run returns its verdict (with every rank's state)
+		// instead of spinning.
+		s.Rel.WatchProgress(rt.Progress)
 	}
 
 	var res Result
@@ -378,7 +420,7 @@ func Run(o Opts) Result {
 		res.Makespan = 0
 		return res
 	}
-	res.RelErr = verify()
+	res.RelErr = factorError(assemble(), prob, o.Workload)
 	res.Verified = res.RelErr <= tolerance(o.Workload)
 	if !res.Verified {
 		res.Err = fmt.Errorf("chaos: %v factor error %g exceeds %g",

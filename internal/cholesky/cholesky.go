@@ -61,14 +61,40 @@ type Pool struct {
 	// GFLOPS is the per-core double-precision rate used by the cost model.
 	GFLOPS float64
 
-	real bool
-	// Original tiles for the real mode, indexed [m][n] (lower only); each
-	// tile is read exactly once, by the first task that touches it, which
-	// owner-computes placement guarantees is local.
-	orig map[[2]int]*linalg.Matrix
+	// Real mode (in != nil): the shared, read-only input; the factor tiles
+	// collected so far, indexed m*T+n; and the scratch the kernels of the
+	// task in hand take their temporaries from. The runtime executes tasks of
+	// one pool one at a time, so one workspace, reset per task, serves all
+	// ranks.
+	in     *Input
+	Result []*linalg.Matrix
+	ws     linalg.Workspace
+}
 
-	// Result collects the final factor tiles in real mode.
-	Result map[[2]int]*linalg.Matrix
+// Input is the matrix a real-mode pool factors, cut into its lower-triangle
+// tiles. It is immutable once built — kernels work on copies — so any number
+// of pools, on any number of goroutines, may share one.
+type Input struct {
+	T, NB int
+	tiles []*linalg.Matrix // tile (m,n), n <= m, at m*T+n
+}
+
+// NewInput cuts the dense SPD matrix given entry-wise by src (dimension
+// t*nb) into tiles.
+func NewInput(t, nb int, src func(i, j int) float64) *Input {
+	in := &Input{T: t, NB: nb, tiles: make([]*linalg.Matrix, t*t)}
+	for m := 0; m < t; m++ {
+		for n := 0; n <= m; n++ {
+			tile := linalg.NewMatrix(nb, nb)
+			for i := 0; i < nb; i++ {
+				for j := 0; j < nb; j++ {
+					tile.Set(i, j, src(m*nb+i, n*nb+j))
+				}
+			}
+			in.tiles[m*t+n] = tile
+		}
+	}
+	return in
 }
 
 // NewVirtual builds a performance-mode pool: T x T tiles of dimension nb
@@ -96,24 +122,12 @@ func (p *Pool) tileRank(m, n int) int {
 	return p.grid.RankOf(m, n)
 }
 
-// NewReal builds a correctness-mode pool factoring the dense SPD matrix
-// given entry-wise by src (dimension T*nb).
-func NewReal(t, nb, ranks int, gflops float64, src func(i, j int) float64) *Pool {
-	p := NewVirtual(t, nb, ranks, gflops)
-	p.real = true
-	p.orig = make(map[[2]int]*linalg.Matrix)
-	p.Result = make(map[[2]int]*linalg.Matrix)
-	for m := 0; m < t; m++ {
-		for n := 0; n <= m; n++ {
-			tile := linalg.NewMatrix(nb, nb)
-			for i := 0; i < nb; i++ {
-				for j := 0; j < nb; j++ {
-					tile.Set(i, j, src(m*nb+i, n*nb+j))
-				}
-			}
-			p.orig[[2]int{m, n}] = tile
-		}
-	}
+// NewReal builds a correctness-mode pool factoring in over the given rank
+// count: the per-run state (results, scratch) around the shared input.
+func NewReal(in *Input, ranks int, gflops float64) *Pool {
+	p := NewVirtual(in.T, in.NB, ranks, gflops)
+	p.in = in
+	p.Result = make([]*linalg.Matrix, in.T*in.T)
 	return p
 }
 
@@ -314,7 +328,7 @@ func (p *Pool) tileBytes() int64 { return int64(p.NB) * int64(p.NB) * 8 }
 
 // MakeCopy implements Taskpool.
 func (p *Pool) MakeCopy(t parsec.TaskID, flow int32, size int64) parsec.DataRef {
-	if p.real {
+	if p.in != nil {
 		return parsec.RealData(make([]byte, size))
 	}
 	return parsec.VirtualData(size)
@@ -322,116 +336,110 @@ func (p *Pool) MakeCopy(t parsec.TaskID, flow int32, size int64) parsec.DataRef 
 
 // Execute implements Taskpool.
 func (p *Pool) Execute(t parsec.TaskID, inputs []parsec.DataRef) []parsec.DataRef {
-	if !p.real {
+	if p.in == nil {
 		return []parsec.DataRef{parsec.VirtualData(p.tileBytes())}
 	}
 	return []parsec.DataRef{p.executeReal(t, inputs)}
 }
 
+// executeReal runs one kernel. Operands are decoded into the pool's
+// workspace, which is reset here, so a task allocates only what outlives it:
+// the output payload and, for POTRF and TRSM, the factor tile kept in Result.
 func (p *Pool) executeReal(t parsec.TaskID, in []parsec.DataRef) parsec.DataRef {
-	nb := p.NB
+	ws := &p.ws
+	ws.Reset()
+	var out *linalg.Matrix
 	switch t.Class {
 	case ClassPOTRF:
 		k := int(t.Index)
-		var a *linalg.Matrix
-		if k == 0 {
-			a = p.takeOrig(k, k)
-		} else {
-			a = tileFromBytes(in[0].Buf.Bytes, nb)
-		}
-		if err := linalg.POTRF(a); err != nil {
+		out = p.updated(nil, k, k, k, in, 0)
+		if err := linalg.POTRF(out); err != nil {
 			panic(fmt.Sprintf("cholesky: POTRF(%d): %v", k, err))
 		}
-		p.Result[[2]int{k, k}] = a
-		return parsec.RealData(tileToBytes(a))
+		p.Result[k*p.T+k] = out
 	case ClassTRSM:
 		k, m := p.unpack2(t)
-		l := tileFromBytes(in[0].Buf.Bytes, nb)
-		var a *linalg.Matrix
-		if k == 0 {
-			a = p.takeOrig(m, k)
-		} else {
-			a = tileFromBytes(in[1].Buf.Bytes, nb)
-		}
-		linalg.TRSMRightLowerT(a, l)
-		p.Result[[2]int{m, k}] = a
-		return parsec.RealData(tileToBytes(a))
+		l := TileFromBytes(ws, in[0].Buf.Bytes, p.NB)
+		out = p.updated(nil, k, m, k, in, 1)
+		linalg.TRSMRightLowerT(out, l)
+		p.Result[m*p.T+k] = out
 	case ClassSYRK:
 		k, m := p.unpack2(t)
-		a := tileFromBytes(in[0].Buf.Bytes, nb)
-		var c *linalg.Matrix
-		if k == 0 {
-			c = p.takeOrig(m, m)
-		} else {
-			c = tileFromBytes(in[1].Buf.Bytes, nb)
-		}
-		linalg.SYRK(c, a, -1)
-		return parsec.RealData(tileToBytes(c))
+		a := TileFromBytes(ws, in[0].Buf.Bytes, p.NB)
+		out = p.updated(ws, k, m, m, in, 1)
+		linalg.SYRK(out, a, -1)
 	case ClassGEMM:
 		k, m, n := p.unpack3(t)
-		a := tileFromBytes(in[0].Buf.Bytes, nb)
-		b := tileFromBytes(in[1].Buf.Bytes, nb)
-		var c *linalg.Matrix
-		if k == 0 {
-			c = p.takeOrig(m, n)
-		} else {
-			c = tileFromBytes(in[2].Buf.Bytes, nb)
-		}
-		linalg.GEMM(c, a, b, -1, false, true)
-		return parsec.RealData(tileToBytes(c))
+		a := TileFromBytes(ws, in[0].Buf.Bytes, p.NB)
+		b := TileFromBytes(ws, in[1].Buf.Bytes, p.NB)
+		out = p.updated(ws, k, m, n, in, 2)
+		linalg.GEMM(out, a, b, -1, false, true)
+	default:
+		panic("cholesky: bad class")
 	}
-	panic("cholesky: bad class")
+	return parsec.RealData(TileToBytes(out))
 }
 
-// takeOrig hands a kernel the original tile (m,n). The kernels factor in
-// place, so the caller gets a clone and the pristine tile stays in p.orig —
-// crash recovery may re-execute the k=0 tasks, and they must see the same
-// input both times.
-func (p *Pool) takeOrig(m, n int) *linalg.Matrix {
-	tile, ok := p.orig[[2]int{m, n}]
-	if !ok {
-		panic(fmt.Sprintf("cholesky: original tile (%d,%d) missing", m, n))
+// updated returns the tile (m,n) a task of iteration k updates in place,
+// allocated from ws: a copy of the input's tile at iteration 0 — the input
+// stays pristine, and crash recovery may re-execute the k=0 tasks, which must
+// see the same operand both times — and the predecessor's payload, input
+// flow, afterwards.
+func (p *Pool) updated(ws *linalg.Workspace, k, m, n int, in []parsec.DataRef, flow int) *linalg.Matrix {
+	if k > 0 {
+		return TileFromBytes(ws, in[flow].Buf.Bytes, p.NB)
 	}
-	return tile.Clone()
+	return ws.Clone(p.in.tiles[m*p.T+n])
 }
 
-// tileToBytes serializes a square tile as little-endian float64s.
-func tileToBytes(m *linalg.Matrix) []byte {
+// The tile codec, shared with internal/hicma: matrices travel as their
+// row-major little-endian float64s.
+
+// PutFloats writes src into dst, 8 bytes each; len(dst) must be 8*len(src).
+func PutFloats(dst []byte, src []float64) {
+	_ = dst[:8*len(src)]
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
+	}
+}
+
+// GetFloats fills dst from src, 8 bytes each; len(src) must be 8*len(dst).
+func GetFloats(dst []float64, src []byte) {
+	_ = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+	}
+}
+
+// TileToBytes serializes a dense tile.
+func TileToBytes(m *linalg.Matrix) []byte {
 	out := make([]byte, 8*len(m.Data))
-	for i, v := range m.Data {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
+	PutFloats(out, m.Data)
 	return out
 }
 
-// tileFromBytes deserializes an nb x nb tile.
-func tileFromBytes(b []byte, nb int) *linalg.Matrix {
+// TileFromBytes deserializes an nb x nb tile into a matrix from ws.
+func TileFromBytes(ws *linalg.Workspace, b []byte, nb int) *linalg.Matrix {
 	if len(b) != nb*nb*8 {
 		panic(fmt.Sprintf("cholesky: tile payload %d bytes, want %d", len(b), nb*nb*8))
 	}
-	m := linalg.NewMatrix(nb, nb)
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
+	m := ws.Matrix(nb, nb)
+	GetFloats(m.Data, b)
 	return m
 }
 
 // AssembleFactor reconstructs the full lower-triangular factor from Result
 // (real mode, after a successful run).
 func (p *Pool) AssembleFactor() *linalg.Matrix {
-	n := p.T * p.NB
+	nb, n := p.NB, p.T*p.NB
 	l := linalg.NewMatrix(n, n)
 	for m := 0; m < p.T; m++ {
 		for c := 0; c <= m; c++ {
-			tile, ok := p.Result[[2]int{m, c}]
-			if !ok {
+			tile := p.Result[m*p.T+c]
+			if tile == nil {
 				panic(fmt.Sprintf("cholesky: missing result tile (%d,%d)", m, c))
 			}
-			for i := 0; i < p.NB; i++ {
-				for j := 0; j < p.NB; j++ {
-					l.Set(m*p.NB+i, c*p.NB+j, tile.At(i, j))
-				}
-			}
+			l.SetBlock(m*nb, c*nb, tile)
 		}
 	}
 	return l

@@ -137,7 +137,7 @@ func TestRealDistributedCholeskyMatchesDirect(t *testing.T) {
 			const tiles, nb, ranks = 4, 8, 4
 			n := tiles * nb
 			prob := tlr.NewProblem(n, 0.3, 1e-2)
-			p := NewReal(tiles, nb, ranks, 30, prob.Entry)
+			p := NewReal(NewInput(tiles, nb, prob.Entry), ranks, 30)
 			runFactorization(t, p, b, ranks, 2)
 
 			l := p.AssembleFactor()
@@ -156,7 +156,7 @@ func TestRealSingleRankMatchesMultiRank(t *testing.T) {
 	n := tiles * nb
 	prob := tlr.NewProblem(n, 0.3, 1e-2)
 	run := func(ranks int) *linalg.Matrix {
-		p := NewReal(tiles, nb, ranks, 30, prob.Entry)
+		p := NewReal(NewInput(tiles, nb, prob.Entry), ranks, 30)
 		runFactorization(t, p, stack.LCI, ranks, 2)
 		return p.AssembleFactor()
 	}
@@ -178,5 +178,22 @@ func TestVirtualFactorizationCompletesAndScales(t *testing.T) {
 	d4 := mk(4, 4)
 	if d4 >= d1 {
 		t.Fatalf("4 ranks (%v) not faster than 1 rank (%v)", d4, d1)
+	}
+}
+
+// TestRealTaskAllocs bounds what one real GEMM task allocates: the three
+// operand tiles are decoded into the pool's workspace, leaving the output
+// payload and the output slice. The task allocated 8 objects when each tile
+// was its own heap matrix.
+func TestRealTaskAllocs(t *testing.T) {
+	const tiles, nb = 8, 4
+	prob := tlr.NewProblem(tiles*nb, 0.3, 1e-2)
+	p := NewReal(NewInput(tiles, nb, prob.Entry), 1, 30)
+	l := p.Execute(p.potrf(0), nil)
+	a := p.Execute(p.trsm(0, 2), l)
+	b := p.Execute(p.trsm(0, 1), l)
+	in := []parsec.DataRef{a[0], b[0]}
+	if got := testing.AllocsPerRun(100, func() { p.Execute(p.gemm(0, 2, 1), in) }); got > 2 {
+		t.Fatalf("real GEMM task allocates %v objects, want at most 2", got)
 	}
 }

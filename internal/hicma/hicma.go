@@ -108,15 +108,42 @@ type Pool struct {
 	// per task.
 	rankAt []int32
 
-	real bool
-	prob *tlr.Problem
-	// Original compressed tiles (real mode).
-	origDiag map[int]*linalg.Matrix
-	origLR   map[[2]int]*tlr.LowRank
+	// Real mode (in != nil): the shared, read-only input; the factor
+	// collected so far (ResultDiag[m], ResultLR[m*T+n] for n < m); and the
+	// scratch the kernels of the task in hand take their temporaries from.
+	// The runtime executes tasks of one pool one at a time, so one workspace,
+	// reset per task, serves all ranks.
+	in         *Input
+	ResultDiag []*linalg.Matrix
+	ResultLR   []*tlr.LowRank
+	ws         linalg.Workspace
+}
 
-	// ResultDiag / ResultLR collect the factor in real mode.
-	ResultDiag map[int]*linalg.Matrix
-	ResultLR   map[[2]int]*tlr.LowRank
+// Input is a generated, compressed covariance problem: the dense diagonal
+// blocks and the compressed off-diagonal tiles. It is immutable once built —
+// kernels work on copies — so any number of pools, on any number of
+// goroutines, may share one.
+type Input struct {
+	par  Params
+	diag []*linalg.Matrix // tile (m,m) at m
+	lr   []*tlr.LowRank   // tile (m,n), n < m, at m*T+n
+}
+
+// NewInput evaluates prob's st-2d-sqexp covariance tile by tile and
+// compresses the off-diagonal tiles to par's accuracy and rank cap.
+func NewInput(par Params, prob *tlr.Problem) *Input {
+	if par.N%par.NB != 0 {
+		panic(fmt.Sprintf("hicma: N=%d not divisible by nb=%d", par.N, par.NB))
+	}
+	nb, t := par.NB, par.N/par.NB
+	in := &Input{par: par, diag: make([]*linalg.Matrix, t), lr: make([]*tlr.LowRank, t*t)}
+	for m := 0; m < t; m++ {
+		in.diag[m] = prob.Block(m*nb, m*nb, nb, nb)
+		for n := 0; n < m; n++ {
+			in.lr[m*t+n] = tlr.Compress(prob.Block(m*nb, n*nb, nb, nb), par.Acc, par.MaxRank)
+		}
+	}
+	return in
 }
 
 // NewVirtual builds the performance-mode pool for the given parameters over
@@ -137,26 +164,17 @@ func NewVirtual(par Params, ranks int) *Pool {
 	return p
 }
 
-// NewReal builds the correctness-mode pool: it generates the st-2d-sqexp
-// covariance problem, compresses off-diagonal tiles, and runs the actual
-// TLR kernels.
-func NewReal(par Params, ranks int, prob *tlr.Problem) *Pool {
-	p := NewVirtual(par, ranks)
-	p.real = true
-	p.prob = prob
-	p.origDiag = make(map[int]*linalg.Matrix)
-	p.origLR = make(map[[2]int]*tlr.LowRank)
-	p.ResultDiag = make(map[int]*linalg.Matrix)
-	p.ResultLR = make(map[[2]int]*tlr.LowRank)
-	nb := par.NB
-	t := p.T
-	for m := 0; m < t; m++ {
-		p.origDiag[m] = prob.Block(m*nb, m*nb, nb, nb)
-		for n := 0; n < m; n++ {
-			block := prob.Block(m*nb, n*nb, nb, nb)
-			p.origLR[[2]int{m, n}] = tlr.Compress(block, par.Acc, par.MaxRank)
-		}
-	}
+// Rank returns the rank off-diagonal tile (m, n), n < m, compressed to.
+func (in *Input) Rank(m, n int) int { return in.lr[m*len(in.diag)+n].Rank() }
+
+// NewReal builds the correctness-mode pool, which runs the actual TLR
+// kernels on in over ranks processes: the per-run state (results, scratch)
+// around the shared input.
+func NewReal(in *Input, ranks int) *Pool {
+	p := NewVirtual(in.par, ranks)
+	p.in = in
+	p.ResultDiag = make([]*linalg.Matrix, p.T)
+	p.ResultLR = make([]*tlr.LowRank, p.T*p.T)
 	return p
 }
 
@@ -278,7 +296,7 @@ func (p *Pool) Name() string {
 
 // Execute runs the TLR kernels (real mode) or returns modeled payloads.
 func (p *Pool) Execute(t parsec.TaskID, inputs []parsec.DataRef) []parsec.DataRef {
-	if !p.real {
+	if p.in == nil {
 		return []parsec.DataRef{parsec.VirtualData(p.virtualOutBytes(t))}
 	}
 	return []parsec.DataRef{p.executeReal(t, inputs)}
@@ -300,82 +318,68 @@ func (p *Pool) virtualOutBytes(t parsec.TaskID) int64 {
 
 // MakeCopy implements Taskpool.
 func (p *Pool) MakeCopy(t parsec.TaskID, flow int32, size int64) parsec.DataRef {
-	if p.real {
+	if p.in != nil {
 		return parsec.RealData(make([]byte, size))
 	}
 	return parsec.VirtualData(size)
 }
 
+// executeReal runs one kernel. Operands are decoded into the pool's
+// workspace, which is reset here, and the TLR kernels take their temporaries
+// from it, so a task allocates only what outlives it: the output payload and,
+// for POTRF and TRSM, the factor tile kept in ResultDiag / ResultLR.
 func (p *Pool) executeReal(t parsec.TaskID, in []parsec.DataRef) parsec.DataRef {
 	nb := p.NB
+	ws := &p.ws
+	ws.Reset()
 	k, m, n := p.taskKMN(t)
 	switch t.Class {
 	case ClassPOTRF:
-		var d *linalg.Matrix
-		if k == 0 {
-			d = p.takeDiag(k)
-		} else {
-			d = denseFromBytes(in[0].Buf.Bytes, nb)
-		}
+		d := p.updatedDiag(nil, k, k, in, 0)
 		if err := linalg.POTRF(d); err != nil {
 			panic(fmt.Sprintf("hicma: POTRF(%d): %v", k, err))
 		}
 		p.ResultDiag[k] = d
-		return parsec.RealData(denseToBytes(d))
+		return parsec.RealData(cholesky.TileToBytes(d))
 	case ClassTRSM:
-		l := denseFromBytes(in[0].Buf.Bytes, nb)
-		var a *tlr.LowRank
-		if k == 0 {
-			a = p.takeLR(m, k)
-		} else {
-			a = lrFromBytes(in[1].Buf.Bytes, nb)
-		}
-		tlr.TRSM(a, l)
-		p.ResultLR[[2]int{m, k}] = a
-		return parsec.RealData(lrToBytes(a))
+		l := cholesky.TileFromBytes(ws, in[0].Buf.Bytes, nb)
+		a := p.updatedLR(nil, k, m, k, in, 1)
+		tlr.TRSM(&a, l)
+		p.ResultLR[m*p.T+k] = &a
+		return parsec.RealData(lrToBytes(&a))
 	case ClassSYRK:
-		a := lrFromBytes(in[0].Buf.Bytes, nb)
-		var d *linalg.Matrix
-		if k == 0 {
-			d = p.takeDiag(m)
-		} else {
-			d = denseFromBytes(in[1].Buf.Bytes, nb)
-		}
-		tlr.SYRKDense(d, a, -1)
-		return parsec.RealData(denseToBytes(d))
+		a := lrFromBytes(ws, in[0].Buf.Bytes, nb)
+		d := p.updatedDiag(ws, k, m, in, 1)
+		tlr.SYRKDense(ws, d, &a, -1)
+		return parsec.RealData(cholesky.TileToBytes(d))
 	case ClassGEMM:
-		a := lrFromBytes(in[0].Buf.Bytes, nb)
-		b := lrFromBytes(in[1].Buf.Bytes, nb)
-		var c *tlr.LowRank
-		if k == 0 {
-			c = p.takeLR(m, n)
-		} else {
-			c = lrFromBytes(in[2].Buf.Bytes, nb)
-		}
-		tlr.AddLRProduct(c, a, b, -1, p.par.Acc, p.par.MaxRank)
-		return parsec.RealData(lrToBytes(c))
+		a := lrFromBytes(ws, in[0].Buf.Bytes, nb)
+		b := lrFromBytes(ws, in[1].Buf.Bytes, nb)
+		c := p.updatedLR(ws, k, m, n, in, 2)
+		tlr.AddLRProduct(ws, &c, &a, &b, -1, p.in.par.Acc, p.in.par.MaxRank)
+		return parsec.RealData(lrToBytes(&c))
 	}
 	panic("hicma: bad class")
 }
 
-// takeDiag and takeLR hand kernels the original tiles. The kernels mutate
-// in place, so callers get clones and the pristine tiles stay in the pool —
-// crash recovery may re-execute the k=0 tasks, and they must see the same
-// input both times.
-func (p *Pool) takeDiag(k int) *linalg.Matrix {
-	d, ok := p.origDiag[k]
-	if !ok {
-		panic(fmt.Sprintf("hicma: diagonal tile %d missing", k))
+// updatedDiag and updatedLR return the tile a task of iteration k updates in
+// place, allocated from ws: a copy of the input's tile at iteration 0 — the
+// input stays pristine, and crash recovery may re-execute the k=0 tasks,
+// which must see the same operand both times — and the predecessor's
+// payload, input flow, afterwards.
+func (p *Pool) updatedDiag(ws *linalg.Workspace, k, m int, in []parsec.DataRef, flow int) *linalg.Matrix {
+	if k > 0 {
+		return cholesky.TileFromBytes(ws, in[flow].Buf.Bytes, p.NB)
 	}
-	return d.Clone()
+	return ws.Clone(p.in.diag[m])
 }
 
-func (p *Pool) takeLR(m, n int) *tlr.LowRank {
-	lr, ok := p.origLR[[2]int{m, n}]
-	if !ok {
-		panic(fmt.Sprintf("hicma: low-rank tile (%d,%d) missing", m, n))
+func (p *Pool) updatedLR(ws *linalg.Workspace, k, m, n int, in []parsec.DataRef, flow int) tlr.LowRank {
+	if k > 0 {
+		return lrFromBytes(ws, in[flow].Buf.Bytes, p.NB)
 	}
-	return lr.Clone()
+	orig := p.in.lr[m*p.T+n]
+	return tlr.LowRank{U: ws.Clone(orig.U), V: ws.Clone(orig.V)}
 }
 
 // AssembleFactor reconstructs the dense lower-triangular factor from the
@@ -385,86 +389,44 @@ func (p *Pool) AssembleFactor() *linalg.Matrix {
 	nn := p.T * nb
 	l := linalg.NewMatrix(nn, nn)
 	for m := 0; m < p.T; m++ {
-		diag, ok := p.ResultDiag[m]
-		if !ok {
+		// POTRF zeroed the strict upper triangle of the diagonal tile.
+		diag := p.ResultDiag[m]
+		if diag == nil {
 			panic(fmt.Sprintf("hicma: missing diagonal result %d", m))
 		}
-		for i := 0; i < nb; i++ {
-			for j := 0; j <= i; j++ {
-				l.Set(m*nb+i, m*nb+j, diag.At(i, j))
-			}
-		}
+		l.SetBlock(m*nb, m*nb, diag)
 		for c := 0; c < m; c++ {
-			lr, ok := p.ResultLR[[2]int{m, c}]
-			if !ok {
+			lr := p.ResultLR[m*p.T+c]
+			if lr == nil {
 				panic(fmt.Sprintf("hicma: missing low-rank result (%d,%d)", m, c))
 			}
-			dd := lr.Dense()
-			for i := 0; i < nb; i++ {
-				for j := 0; j < nb; j++ {
-					l.Set(m*nb+i, c*nb+j, dd.At(i, j))
-				}
-			}
+			l.SetBlock(m*nb, c*nb, lr.Dense())
 		}
 	}
 	return l
 }
 
-// Serialization: dense tiles are raw little-endian float64s; low-rank tiles
-// carry an 8-byte rank header followed by U then V.
-
-func denseToBytes(m *linalg.Matrix) []byte {
-	out := make([]byte, 8*len(m.Data))
-	for i, v := range m.Data {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	return out
-}
-
-func denseFromBytes(b []byte, nb int) *linalg.Matrix {
-	if len(b) != nb*nb*8 {
-		panic(fmt.Sprintf("hicma: dense payload %d bytes, want %d", len(b), nb*nb*8))
-	}
-	m := linalg.NewMatrix(nb, nb)
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return m
-}
+// Serialization: dense tiles use internal/cholesky's codec; low-rank tiles
+// carry an 8-byte rank header followed by U then V in the same encoding.
 
 func lrToBytes(lr *tlr.LowRank) []byte {
-	r := lr.Rank()
-	nb := lr.Rows()
-	out := make([]byte, 8+8*2*nb*r)
-	binary.LittleEndian.PutUint64(out, uint64(r))
-	off := 8
-	for _, v := range lr.U.Data {
-		binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
-		off += 8
-	}
-	for _, v := range lr.V.Data {
-		binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
-		off += 8
-	}
+	nu := 8 * len(lr.U.Data)
+	out := make([]byte, 8+nu+8*len(lr.V.Data))
+	binary.LittleEndian.PutUint64(out, uint64(lr.Rank()))
+	cholesky.PutFloats(out[8:8+nu], lr.U.Data)
+	cholesky.PutFloats(out[8+nu:], lr.V.Data)
 	return out
 }
 
-func lrFromBytes(b []byte, nb int) *tlr.LowRank {
+// lrFromBytes deserializes a tile of dimension nb into matrices from ws.
+func lrFromBytes(ws *linalg.Workspace, b []byte, nb int) tlr.LowRank {
 	r := int(binary.LittleEndian.Uint64(b))
 	want := 8 + 8*2*nb*r
 	if len(b) != want {
 		panic(fmt.Sprintf("hicma: low-rank payload %d bytes, want %d (rank %d)", len(b), want, r))
 	}
-	u := linalg.NewMatrix(nb, r)
-	v := linalg.NewMatrix(nb, r)
-	off := 8
-	for i := range u.Data {
-		u.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
-	}
-	for i := range v.Data {
-		v.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
-	}
-	return &tlr.LowRank{U: u, V: v}
+	u, v := ws.Matrix(nb, r), ws.Matrix(nb, r)
+	cholesky.GetFloats(u.Data, b[8:8+8*nb*r])
+	cholesky.GetFloats(v.Data, b[8+8*nb*r:])
+	return tlr.LowRank{U: u, V: v}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"amtlci/internal/cholesky"
 	"amtlci/internal/core/stack"
 	"amtlci/internal/linalg"
 	"amtlci/internal/parsec"
@@ -149,7 +150,7 @@ func TestRealTLRCholeskyMatchesDense(t *testing.T) {
 			par := DefaultParams(n, nb)
 			par.Acc = 1e-10
 			par.MaxRank = nb
-			p := NewReal(par, ranks, prob)
+			p := NewReal(NewInput(par, prob), ranks)
 			runPool(t, p, b, ranks, 2)
 
 			l := p.AssembleFactor()
@@ -178,19 +179,20 @@ func TestRealTLRCompressionActuallyUsed(t *testing.T) {
 	par := DefaultParams(n, nb)
 	par.Acc = 1e-5
 	par.MaxRank = nb
-	p := NewReal(par, 1, prob)
+	in := NewInput(par, prob)
+	p := NewReal(in, 1)
 	// At least one original off-diagonal tile must have rank < nb.
 	compressed := false
-	for _, lr := range p.origLR {
-		if lr.Rank() < nb {
-			compressed = true
+	for m := 1; m < n/nb; m++ {
+		for c := 0; c < m; c++ {
+			compressed = compressed || in.Rank(m, c) < nb
 		}
 	}
 	if !compressed {
 		t.Fatal("no off-diagonal tile compressed; problem too rough")
 	}
 	runPool(t, p, stack.LCI, 1, 2)
-	if len(p.ResultLR) == 0 {
+	if p.ResultLR[1*p.T+0] == nil {
 		t.Fatal("no low-rank results recorded")
 	}
 }
@@ -249,12 +251,12 @@ func TestSerializationRoundTrip(t *testing.T) {
 		v.Data[i] = -float64(i)
 	}
 	lr := &tlr.LowRank{U: u, V: v}
-	got := lrFromBytes(lrToBytes(lr), 8)
+	got := lrFromBytes(nil, lrToBytes(lr), 8)
 	if got.Rank() != 3 || !linalg.Equalish(got.U, u, 0) || !linalg.Equalish(got.V, v, 0) {
 		t.Fatal("low-rank round trip failed")
 	}
 	d := linalg.FromRows([][]float64{{1, 2}, {3, 4}})
-	if !linalg.Equalish(denseFromBytes(denseToBytes(d), 2), d, 0) {
+	if !linalg.Equalish(cholesky.TileFromBytes(nil, cholesky.TileToBytes(d), 2), d, 0) {
 		t.Fatal("dense round trip failed")
 	}
 }
@@ -293,5 +295,27 @@ func TestDiagonalTilePayloadDominatesAtLargeTiles(t *testing.T) {
 	lr := p.Execute(parsec.TaskID{Class: ClassTRSM, Index: 1}, nil)[0].Buf.Size
 	if diag < 20*lr {
 		t.Fatalf("diagonal payload %d not dominant over low-rank %d", diag, lr)
+	}
+}
+
+// TestRealTaskAllocs bounds what one real TLR GEMM task allocates: its
+// operands, the QR/SVD working copies and every intermediate come from the
+// pool's workspace, leaving the output payload and the output slice. The
+// task allocated 34 objects when each kernel temporary was its own heap
+// matrix.
+func TestRealTaskAllocs(t *testing.T) {
+	const n, nb = 96, 16
+	par := DefaultParams(n, nb)
+	par.Acc = 1e-10
+	par.MaxRank = nb
+	p := NewReal(NewInput(par, tlr.NewProblem(n, 0.4, 1e-2)), 1)
+	tt := int64(p.T)
+	l := p.Execute(parsec.TaskID{Class: ClassPOTRF, Index: 0}, nil)
+	a := p.Execute(parsec.TaskID{Class: ClassTRSM, Index: 2}, l)
+	b := p.Execute(parsec.TaskID{Class: ClassTRSM, Index: 1}, l)
+	gemm := parsec.TaskID{Class: ClassGEMM, Index: (0*tt+2)*tt + 1}
+	in := []parsec.DataRef{a[0], b[0]}
+	if got := testing.AllocsPerRun(100, func() { p.Execute(gemm, in) }); got > 2 {
+		t.Fatalf("real TLR GEMM task allocates %v objects, want at most 2", got)
 	}
 }

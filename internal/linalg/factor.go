@@ -5,120 +5,149 @@ import (
 	"math"
 )
 
+// transposeInto writes src^T into dst (src.Cols x src.Rows).
+func transposeInto(dst, src *Matrix) {
+	for i := 0; i < src.Rows; i++ {
+		for j, x := range src.Data[i*src.Cols : (i+1)*src.Cols] {
+			dst.Data[j*dst.Cols+i] = x
+		}
+	}
+}
+
 // QR computes the thin Householder QR factorization of an m x n matrix with
 // m >= n: A = Q R with Q m x n having orthonormal columns and R n x n upper
-// triangular.
-func QR(a *Matrix) (q, r *Matrix) {
+// triangular. Q, R and the working copies come from ws.
+//
+// Reflectors act on columns, so the working copy and the accumulated Q are
+// held transposed (one row per column) and the Householder vectors sit in
+// one slab, vector k at [k*m, k*m+m-k).
+func QR(ws *Workspace, a *Matrix) (q, r *Matrix) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic(fmt.Sprintf("linalg: QR needs rows >= cols, got %dx%d", m, n))
 	}
-	work := a.Clone()
-	vs := make([][]float64, n) // Householder vectors
+	work := ws.Matrix(n, m)
+	transposeInto(work, a)
+	vs := ws.Floats(n * m)
+	vvs := ws.Floats(n) // v^T v per reflector; 0 marks an identity reflector
 	for k := 0; k < n; k++ {
 		// Build the Householder vector for column k.
+		col := work.Data[k*m+k : (k+1)*m]
 		var norm float64
-		for i := k; i < m; i++ {
-			norm += work.At(i, k) * work.At(i, k)
+		for _, x := range col {
+			norm += x * x
 		}
 		norm = math.Sqrt(norm)
-		v := make([]float64, m-k)
-		alpha := work.At(k, k)
+		alpha := col[0]
 		if alpha >= 0 {
 			norm = -norm
 		}
 		if norm == 0 {
-			// Zero column: identity reflector.
-			vs[k] = v
-			continue
+			continue // zero column
 		}
+		v := vs[k*m : k*m+m-k]
+		copy(v, col)
 		v[0] = alpha - norm
-		for i := k + 1; i < m; i++ {
-			v[i-k] = work.At(i, k)
-		}
 		var vv float64
 		for _, x := range v {
 			vv += x * x
 		}
 		if vv == 0 {
-			vs[k] = v
 			continue
 		}
+		vvs[k] = vv
 		// Apply I - 2 v v^T / (v^T v) to the trailing block.
 		for j := k; j < n; j++ {
-			var dot float64
-			for i := k; i < m; i++ {
-				dot += v[i-k] * work.At(i, j)
-			}
-			f := 2 * dot / vv
-			for i := k; i < m; i++ {
-				work.Set(i, j, work.At(i, j)-f*v[i-k])
-			}
+			reflect(work.Data[j*m+k:(j+1)*m], v, vv)
 		}
-		vs[k] = v
 	}
-	r = NewMatrix(n, n)
+	r = ws.Matrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			r.Set(i, j, work.At(i, j))
+			r.Data[i*n+j] = work.Data[j*m+i]
 		}
 	}
 	// Accumulate Q = H_0 ... H_{n-1} applied to the first n columns of I.
-	q = NewMatrix(m, n)
+	qt := ws.Matrix(n, m)
 	for j := 0; j < n; j++ {
-		q.Set(j, j, 1)
+		qt.Data[j*m+j] = 1
 	}
 	for k := n - 1; k >= 0; k-- {
-		v := vs[k]
-		var vv float64
-		for _, x := range v {
-			vv += x * x
-		}
-		if vv == 0 {
+		if vvs[k] == 0 {
 			continue
 		}
+		v := vs[k*m : k*m+m-k]
 		for j := 0; j < n; j++ {
-			var dot float64
-			for i := k; i < m; i++ {
-				dot += v[i-k] * q.At(i, j)
-			}
-			f := 2 * dot / vv
-			for i := k; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-f*v[i-k])
-			}
+			reflect(qt.Data[j*m+k:(j+1)*m], v, vvs[k])
 		}
 	}
+	q = ws.Matrix(m, n)
+	transposeInto(q, qt)
 	return q, r
+}
+
+// reflect applies the Householder reflector of v (vv = v^T v) to x in place.
+func reflect(x, v []float64, vv float64) {
+	x = x[:len(v)]
+	var dot float64
+	for i, vi := range v {
+		dot += vi * x[i]
+	}
+	f := 2 * dot / vv
+	for i, vi := range v {
+		x[i] -= f * vi
+	}
 }
 
 // SVD computes the singular value decomposition A = U diag(S) V^T of an
 // m x n matrix using the one-sided Jacobi method. U is m x n with
 // orthonormal columns (where S > 0), V is n x n orthogonal, and S is
-// returned in non-increasing order.
-func SVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
+// returned in non-increasing order. U, S, V and the working copies come
+// from ws.
+//
+// Jacobi rotates pairs of columns, so the iteration runs on the transposes
+// of U and V (one row per column): transpose in, rotate and sort rows,
+// transpose out.
+func SVD(ws *Workspace, a *Matrix) (u *Matrix, s []float64, v *Matrix) {
+	// A wide matrix is factored through its transpose with the factors
+	// swapped; a's rows are that transpose's columns already.
 	m, n := a.Rows, a.Cols
-	if m < n {
-		// Work on the transpose and swap the factors.
-		ut, st, vt := SVD(a.Transpose())
-		return vt, st, ut
+	wide := m < n
+	if wide {
+		m, n = n, m
 	}
-	u = a.Clone()
-	v = NewMatrix(n, n)
+	ut := ws.Matrix(n, m)
+	if wide {
+		copy(ut.Data, a.Data)
+	} else {
+		transposeInto(ut, a)
+	}
+	vt := ws.Matrix(n, n)
 	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
+		vt.Data[i*n+i] = 1
+	}
+	// Frobenius norm in the row-major order of the tall matrix.
+	var frob float64
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			x := ut.Data[j*m+i]
+			frob += x * x
+		}
 	}
 	const maxSweeps = 60
-	eps := 1e-14 * a.FrobNorm()
+	eps := 1e-14 * math.Sqrt(frob)
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		rotated := false
 		for p := 0; p < n-1; p++ {
+			up := ut.Data[p*m : (p+1)*m]
 			for q := p + 1; q < n; q++ {
+				uq := ut.Data[q*m : (q+1)*m][:len(up)]
 				var app, aqq, apq float64
-				for i := 0; i < m; i++ {
-					up, uq := u.At(i, p), u.At(i, q)
-					app += up * up
-					aqq += uq * uq
-					apq += up * uq
+				for i, x := range up {
+					y := uq[i]
+					app += x * x
+					aqq += y * y
+					apq += x * y
 				}
 				if math.Abs(apq) <= eps*math.Sqrt(app*aqq)+1e-300 {
 					continue
@@ -133,16 +162,8 @@ func SVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				sn := c * t
-				for i := 0; i < m; i++ {
-					up, uq := u.At(i, p), u.At(i, q)
-					u.Set(i, p, c*up-sn*uq)
-					u.Set(i, q, sn*up+c*uq)
-				}
-				for i := 0; i < n; i++ {
-					vp, vq := v.At(i, p), v.At(i, q)
-					v.Set(i, p, c*vp-sn*vq)
-					v.Set(i, q, sn*vp+c*vq)
-				}
+				rotate(up, uq, c, sn)
+				rotate(vt.Data[p*n:(p+1)*n], vt.Data[q*n:(q+1)*n], c, sn)
 			}
 		}
 		if !rotated {
@@ -150,20 +171,22 @@ func SVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
 		}
 	}
 	// Singular values are the column norms of the rotated U.
-	s = make([]float64, n)
+	s = ws.Floats(n)
 	for j := 0; j < n; j++ {
+		col := ut.Data[j*m : (j+1)*m]
 		var norm float64
-		for i := 0; i < m; i++ {
-			norm += u.At(i, j) * u.At(i, j)
+		for _, x := range col {
+			norm += x * x
 		}
 		s[j] = math.Sqrt(norm)
 		if s[j] > 0 {
-			for i := 0; i < m; i++ {
-				u.Set(i, j, u.At(i, j)/s[j])
+			for i := range col {
+				col[i] /= s[j]
 			}
 		}
 	}
-	// Sort descending by singular value (stable selection).
+	// Sort descending by singular value (selection sort; a column swap is a
+	// row swap here).
 	for i := 0; i < n-1; i++ {
 		best := i
 		for j := i + 1; j < n; j++ {
@@ -173,13 +196,32 @@ func SVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
 		}
 		if best != i {
 			s[i], s[best] = s[best], s[i]
-			for r := 0; r < m; r++ {
-				u.Data[r*n+i], u.Data[r*n+best] = u.Data[r*n+best], u.Data[r*n+i]
-			}
-			for r := 0; r < n; r++ {
-				v.Data[r*n+i], v.Data[r*n+best] = v.Data[r*n+best], v.Data[r*n+i]
-			}
+			swap(ut.Data[i*m:(i+1)*m], ut.Data[best*m:(best+1)*m])
+			swap(vt.Data[i*n:(i+1)*n], vt.Data[best*n:(best+1)*n])
 		}
 	}
+	u = ws.Matrix(m, n)
+	transposeInto(u, ut)
+	v = ws.Matrix(n, n)
+	transposeInto(v, vt)
+	if wide {
+		return v, s, u
+	}
 	return u, s, v
+}
+
+func swap(x, y []float64) {
+	for i := range x {
+		x[i], y[i] = y[i], x[i]
+	}
+}
+
+// rotate applies the plane rotation (c, sn) to the vector pair (x, y).
+func rotate(x, y []float64, c, sn float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		x[i] = c*xi - sn*yi
+		y[i] = sn*xi + c*yi
+	}
 }

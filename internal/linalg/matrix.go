@@ -1,9 +1,24 @@
 // Package linalg provides the dense linear-algebra kernels that back the
 // repository's Cholesky factorizations: GEMM, SYRK, TRSM, POTRF, Householder
-// QR, and a one-sided Jacobi SVD. They are straightforward, well-tested
-// reference implementations — the performance experiments run on the
-// simulator's cost model, so these kernels only need to be correct, not
-// fast, and they keep the repository free of external BLAS dependencies.
+// QR, and a one-sided Jacobi SVD, with no external BLAS dependency.
+//
+// The contract is reference-order arithmetic on contiguous storage. Every
+// kernel performs exactly the floating-point operations of the textbook
+// triple loop, each output element accumulated in ascending index order, and
+// gets its speed only from how memory is walked: closure-free loops over row
+// sub-slices, column walks turned into row walks of a transposed working
+// copy. Blocking over the summation index, reassociation (pairwise or
+// multi-accumulator sums of one element) and math.FMA are forbidden, because
+// the bits are observable: the singular values decide where tlr.Compress
+// truncates, tile ranks are message sizes, message sizes are virtual time,
+// and the factor's relative error is recorded in results/. linalg_test.go
+// keeps the original element-at-a-time bodies and requires bit equality with
+// them. (Targets whose compiler fuses multiply-adds differ from amd64 in the
+// last bits either way; the ranks of the repository's problems survive that.)
+//
+// Temporaries and results come from a Workspace, so a caller that runs many
+// kernels per task allocates nothing per call; a nil Workspace allocates from
+// the heap.
 package linalg
 
 import (
@@ -53,14 +68,17 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
+// SetBlock copies b into m with b's (0,0) at (r0, c0).
+func (m *Matrix) SetBlock(r0, c0 int, b *Matrix) {
+	for i := 0; i < b.Rows; i++ {
+		copy(m.Data[(r0+i)*m.Cols+c0:(r0+i)*m.Cols+c0+b.Cols], b.Data[i*b.Cols:(i+1)*b.Cols])
+	}
+}
+
 // Transpose returns a new transposed matrix.
 func (m *Matrix) Transpose() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
+	transposeInto(t, m)
 	return t
 }
 
@@ -107,6 +125,8 @@ func Mul(a, b *Matrix) *Matrix {
 
 // GEMM computes C += alpha * op(A) * op(B), where op transposes when the
 // corresponding flag is set. Dimensions must conform; it panics otherwise.
+// Every element is s = sum_k op(A)[i][k]*op(B)[k][j] in ascending k, then
+// C[i][j] += alpha*s.
 func GEMM(c, a, b *Matrix, alpha float64, transA, transB bool) {
 	am, ak := a.Rows, a.Cols
 	if transA {
@@ -120,25 +140,46 @@ func GEMM(c, a, b *Matrix, alpha float64, transA, transB bool) {
 		panic(fmt.Sprintf("linalg: GEMM shape mismatch (%dx%d)(%dx%d)->(%dx%d)",
 			am, ak, bk, bn, c.Rows, c.Cols))
 	}
-	at := func(i, k int) float64 {
-		if transA {
-			return a.Data[k*a.Cols+i]
-		}
-		return a.Data[i*a.Cols+k]
-	}
-	bt := func(k, j int) float64 {
-		if transB {
-			return b.Data[j*b.Cols+k]
-		}
-		return b.Data[k*b.Cols+j]
-	}
+	lda, ldb := a.Cols, b.Cols
 	for i := 0; i < am; i++ {
-		for j := 0; j < bn; j++ {
-			var s float64
-			for k := 0; k < ak; k++ {
-				s += at(i, k) * bt(k, j)
+		crow := c.Data[i*bn : (i+1)*bn]
+		switch {
+		case !transA && transB:
+			arow := a.Data[i*lda : (i+1)*lda]
+			for j := range crow {
+				brow := b.Data[j*ldb : (j+1)*ldb][:len(arow)]
+				var s float64
+				for k, x := range arow {
+					s += x * brow[k]
+				}
+				crow[j] += alpha * s
 			}
-			c.Data[i*c.Cols+j] += alpha * s
+		case !transA:
+			arow := a.Data[i*lda : (i+1)*lda]
+			for j := range crow {
+				var s float64
+				for k, x := range arow {
+					s += x * b.Data[k*ldb+j]
+				}
+				crow[j] += alpha * s
+			}
+		case transB:
+			for j := range crow {
+				brow := b.Data[j*ldb : (j+1)*ldb]
+				var s float64
+				for k, y := range brow {
+					s += a.Data[k*lda+i] * y
+				}
+				crow[j] += alpha * s
+			}
+		default:
+			for j := range crow {
+				var s float64
+				for k := 0; k < ak; k++ {
+					s += a.Data[k*lda+i] * b.Data[k*ldb+j]
+				}
+				crow[j] += alpha * s
+			}
 		}
 	}
 }
@@ -148,15 +189,18 @@ func SYRK(c, a *Matrix, alpha float64) {
 	if c.Rows != a.Rows || c.Cols != a.Rows {
 		panic("linalg: SYRK shape mismatch")
 	}
-	for i := 0; i < a.Rows; i++ {
+	n, ak := a.Rows, a.Cols
+	for i := 0; i < n; i++ {
+		ai := a.Data[i*ak : (i+1)*ak]
 		for j := 0; j <= i; j++ {
+			aj := a.Data[j*ak : (j+1)*ak]
 			var s float64
-			for k := 0; k < a.Cols; k++ {
-				s += a.Data[i*a.Cols+k] * a.Data[j*a.Cols+k]
+			for k, x := range ai {
+				s += x * aj[k]
 			}
-			c.Data[i*c.Cols+j] += alpha * s
+			c.Data[i*n+j] += alpha * s
 			if i != j {
-				c.Data[j*c.Cols+i] += alpha * s
+				c.Data[j*n+i] += alpha * s
 			}
 		}
 	}
@@ -171,27 +215,27 @@ func POTRF(a *Matrix) error {
 	}
 	n := a.Rows
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= a.At(j, k) * a.At(j, k)
+		lj := a.Data[j*n : j*n+j]
+		d := a.Data[j*n+j]
+		for _, x := range lj {
+			d -= x * x
 		}
 		if d <= 0 {
 			return fmt.Errorf("linalg: POTRF pivot %d is %g, matrix not positive definite", j, d)
 		}
 		d = math.Sqrt(d)
-		a.Set(j, j, d)
+		a.Data[j*n+j] = d
 		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= a.At(i, k) * a.At(j, k)
+			li := a.Data[i*n : i*n+j]
+			s := a.Data[i*n+j]
+			for k, x := range li {
+				s -= x * lj[k]
 			}
-			a.Set(i, j, s/d)
+			a.Data[i*n+j] = s / d
 		}
 	}
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			a.Set(i, j, 0)
-		}
+		clear(a.Data[i*n+i+1 : (i+1)*n])
 	}
 	return nil
 }
@@ -204,32 +248,40 @@ func TRSMRightLowerT(b, l *Matrix) {
 	}
 	n := l.Rows
 	for i := 0; i < b.Rows; i++ {
-		row := b.Data[i*b.Cols : (i+1)*b.Cols]
+		row := b.Data[i*n : (i+1)*n]
 		// Solve x * L^T = row  <=>  L x^T = row^T (forward substitution).
-		for j := 0; j < n; j++ {
+		for j := range row {
+			lj := l.Data[j*n : j*n+j]
 			s := row[j]
-			for k := 0; k < j; k++ {
-				s -= row[k] * l.At(j, k)
+			for k, x := range lj {
+				s -= row[k] * x
 			}
-			row[j] = s / l.At(j, j)
+			row[j] = s / l.Data[j*n+j]
 		}
 	}
 }
 
 // TRSMLeftLower solves X := L^{-1} * B in place (B overwritten), where L is
-// lower triangular: the TLR TRSM applied to a low-rank factor.
+// lower triangular: the TLR TRSM applied to a low-rank factor. Forward
+// substitution runs on whole rows of B — row i loses l[i][k] times the
+// finished row k for ascending k, then is divided by l[i][i] — which is the
+// column-at-a-time recurrence of every element, carried out side by side.
 func TRSMLeftLower(b, l *Matrix) {
 	if l.Rows != l.Cols || b.Rows != l.Rows {
 		panic("linalg: TRSMLeftLower shape mismatch")
 	}
-	n := l.Rows
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < n; i++ {
-			s := b.At(i, j)
-			for k := 0; k < i; k++ {
-				s -= l.At(i, k) * b.At(k, j)
+	n, bn := l.Rows, b.Cols
+	for i := 0; i < n; i++ {
+		bi := b.Data[i*bn : (i+1)*bn]
+		for k, lik := range l.Data[i*n : i*n+i] {
+			bk := b.Data[k*bn : (k+1)*bn]
+			for j := range bi {
+				bi[j] -= lik * bk[j]
 			}
-			b.Set(i, j, s/l.At(i, i))
+		}
+		d := l.Data[i*n+i]
+		for j := range bi {
+			bi[j] /= d
 		}
 	}
 }

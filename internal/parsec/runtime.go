@@ -2,6 +2,8 @@ package parsec
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 
@@ -166,26 +168,60 @@ func (rt *Runtime) Run() (sim.Duration, error) {
 	// the run ultimately failed, and the sharded path matches.
 	rt.flushObservations()
 
-	var stuck []string
+	stuck := false
 	for _, n := range rt.nodes {
-		if n.executed != n.total {
-			stuck = append(stuck, fmt.Sprintf("rank %d: %d/%d tasks", n.rank, n.executed, n.total))
-		}
+		stuck = stuck || n.executed != n.total
 		n.releaseRunState()
 	}
 	if err := rt.Err(); err != nil {
 		return 0, fmt.Errorf("parsec: task graph aborted: %w", err)
 	}
-	if len(stuck) > 0 {
+	if stuck {
 		// The detector announces here too — a deadlocked graph has genuinely
 		// terminated (nothing will ever run again) — but execution is
 		// incomplete, which is the more specific verdict.
-		return 0, fmt.Errorf("parsec: deadlock, %s", strings.Join(stuck, "; "))
+		return 0, fmt.Errorf("parsec: deadlock, %s", rt.rankStates())
 	}
 	if !rt.term.announced {
-		return 0, fmt.Errorf("parsec: completed without a termination announcement")
+		return 0, fmt.Errorf("parsec: completed without a termination announcement, %s", rt.rankStates())
 	}
 	return end.Sub(start), nil
+}
+
+// rankStates describes every rank for the error of a run that drained its
+// event queue without finishing or without proving it had: how far execution
+// got, the termination detector's message counters (a run-wide imbalance is a
+// counted message lost or double-counted), and what stealing still waits for.
+func (rt *Runtime) rankStates() string {
+	states := make([]string, len(rt.nodes))
+	for i, n := range rt.nodes {
+		s := fmt.Sprintf("rank %d: %d/%d tasks, csent %d crecv %d", n.rank, n.executed, n.total, n.csent, n.crecv)
+		if n.dead {
+			s += ", dead"
+		}
+		if n.probeOut {
+			s += fmt.Sprintf(", steal probe out since %v", n.probeSentAt)
+		}
+		if len(n.starving) > 0 {
+			s += fmt.Sprintf(", starving thieves %v", slices.Sorted(maps.Keys(n.starving)))
+		}
+		states[i] = s
+	}
+	return strings.Join(states, "; ")
+}
+
+// Progress reports a counter that moves whenever the runtime gets anything
+// done — tasks executed plus counted protocol messages sent and accepted,
+// over all ranks — and whether a live rank is computing right now. A watchdog
+// that sees the counter stand still with nothing computing is looking at a
+// wedged run (rel.Stack.WatchProgress). Serial domains only: it reads every
+// rank's state from the caller's goroutine.
+func (rt *Runtime) Progress() (work uint64, busy bool) {
+	for _, n := range rt.nodes {
+		work += uint64(n.executed + n.csent + n.crecv)
+		busy = busy || !n.dead && len(n.idle) < len(n.workers)
+	}
+	return work, busy
 }
 
 // ranks returns the runtime's rank count.

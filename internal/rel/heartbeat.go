@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"amtlci/internal/fabric"
+	"amtlci/internal/metrics"
 	"amtlci/internal/sim"
 )
 
@@ -26,6 +27,42 @@ import (
 // The detector's tick is an ordinary simulation event, so detection does not
 // depend on application traffic keeping the event loop alive; a recovery
 // orchestrator stops the ticks at quiescence via StopHeartbeats.
+//
+// The ticks are also the one thing that can keep a wedged run alive forever:
+// if the layer above never reaches the quiescence that stops them, the event
+// queue never drains. WatchProgress closes that hole from inside the tick
+// that causes it: with the upper layer's progress unchanged and no worker
+// busy for stallLeases lease windows, the detector stops itself and the run
+// ends in whatever verdict the upper layer gives a drained queue.
+
+// stallLeases is how many lease windows the watched progress may stand still
+// (with nothing computing) before the detector gives up. A death verdict, the
+// restart it triggers and the retransmissions of a lossy link all move the
+// watched counters within a lease or two; eight is far outside anything a
+// live protocol does and still ends a wedged run after a few dozen ticks.
+const stallLeases = 8
+
+// WatchProgress arms the stall stop. fn reports a counter that changes
+// whenever the upper layer gets something done and whether anything is
+// computing right now (a long task moves no counter, and is not a stall). It is sampled on the existing
+// detector ticks — no event is added to any run — and only read, so a run
+// that terminates normally is unchanged. Call before the simulation starts.
+func (s *Stack) WatchProgress(fn func() (work uint64, busy bool)) { s.progress = fn }
+
+// stalled samples the watched progress at this endpoint's tick and reports
+// whether it has stood still for stallLeases lease windows.
+func (ep *endpoint) stalled(now sim.Time) bool {
+	s := ep.s
+	if s.progress == nil {
+		return false
+	}
+	work, busy := s.progress()
+	if busy || work != ep.lastWork {
+		ep.lastWork, ep.lastWorkAt = work, now
+		return false
+	}
+	return now.Sub(ep.lastWorkAt) > stallLeases*s.cfg.LeaseTimeout
+}
 
 // PeerDead reports that From's failure detector declared To dead: nothing
 // has been heard from To for a full lease window.
@@ -142,6 +179,11 @@ func (ep *endpoint) tickHeartbeats() {
 		return
 	}
 	now := ep.eng.Now()
+	if ep.stalled(now) {
+		s.reg.Counter("rel", "hb_stall_stops", metrics.StackRank).Inc()
+		s.StopHeartbeats()
+		return
+	}
 	for p := range s.eps {
 		if p == ep.rank || ep.alreadyNotified(p) {
 			continue

@@ -411,3 +411,43 @@ func TestStopHeartbeatsAfterPeerDead(t *testing.T) {
 		t.Fatalf("%d verdicts, want %d", verdicts, ranks-1)
 	}
 }
+
+// TestStallWatchStopsIdleDetector: an armed detector ticks forever on its own
+// (the simulation never drains); with a watched progress that stands still
+// and nothing computing it stops itself after stallLeases lease windows, and
+// with progress moving or a worker busy it never does.
+func TestStallWatchStopsIdleDetector(t *testing.T) {
+	rc := DefaultConfig()
+	rc.EnableHeartbeats()
+	horizon := sim.Time(4 * stallLeases * rc.LeaseTimeout)
+	for _, tc := range []struct {
+		name  string
+		probe func(eng *sim.Engine) func() (uint64, bool)
+		stops uint64
+	}{
+		{"unarmed", nil, 0},
+		{"standing still", func(*sim.Engine) func() (uint64, bool) {
+			return func() (uint64, bool) { return 7, false }
+		}, 1},
+		{"computing", func(*sim.Engine) func() (uint64, bool) {
+			return func() (uint64, bool) { return 7, true }
+		}, 0},
+		{"moving", func(eng *sim.Engine) func() (uint64, bool) {
+			return func() (uint64, bool) { return uint64(eng.Now()), false }
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, _, s := hbStack(t, 3, nil)
+			if tc.probe != nil {
+				s.WatchProgress(tc.probe(eng))
+			}
+			eng.RunUntil(horizon)
+			if got := s.reg.Total("rel", "hb_stall_stops"); got != tc.stops {
+				t.Fatalf("hb_stall_stops = %d, want %d", got, tc.stops)
+			}
+			if drained := eng.Pending() == 0; drained != (tc.stops > 0) {
+				t.Fatalf("event queue drained = %v with %d stall stops", drained, tc.stops)
+			}
+		})
+	}
+}

@@ -250,6 +250,11 @@ type endpoint struct {
 	hbTick    sim.Event
 	lastSent  map[int]sim.Time
 	lastHeard map[int]sim.Time
+	// Stall watch (WatchProgress): the progress last sampled at this
+	// endpoint's tick and when it last differed from the sample before
+	// (virtual time zero, the start of the run, until it first moves).
+	lastWork   uint64
+	lastWorkAt sim.Time
 
 	// Protocol counters (metrics registry, layer "rel", per rank).
 	dataSent, dataDelivered *metrics.Counter
@@ -286,6 +291,8 @@ type Stack struct {
 	// Atomic because the termination detector announces from one rank while
 	// other shards' ticks read it.
 	hbStopped atomic.Bool
+	// progress is the stall watch's probe (WatchProgress); nil when unarmed.
+	progress func() (work uint64, busy bool)
 }
 
 // New interposes a reliability layer on fab. It takes over the fabric's

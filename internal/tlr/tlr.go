@@ -49,30 +49,31 @@ func (lr *LowRank) Clone() *LowRank {
 // fixed accuracy (10^-8 in the paper); an absolute cut is what lets ranks
 // of far-from-diagonal tiles "drop to 1" (§6.4.1).
 func Compress(a *linalg.Matrix, eps float64, maxRank int) *LowRank {
-	u, s, v := linalg.SVD(a)
+	u, v := compress(nil, a, eps, maxRank)
+	return &LowRank{U: u, V: v}
+}
+
+// compress is Compress with the factors and every temporary taken from ws.
+func compress(ws *linalg.Workspace, a *linalg.Matrix, eps float64, maxRank int) (u, v *linalg.Matrix) {
+	us, s, vs := linalg.SVD(ws, a)
 	k := 1
 	for k < len(s) && k < maxRank && s[k] > eps {
 		k++
 	}
-	return truncate(u, s, v, k)
-}
-
-// truncate keeps the leading k singular triplets, folding the singular
-// values into U.
-func truncate(u *linalg.Matrix, s []float64, v *linalg.Matrix, k int) *LowRank {
-	uu := linalg.NewMatrix(u.Rows, k)
-	vv := linalg.NewMatrix(v.Rows, k)
+	// Keep the leading k singular triplets, folding the singular values
+	// into U.
+	u = ws.Matrix(us.Rows, k)
 	for i := 0; i < u.Rows; i++ {
-		for j := 0; j < k; j++ {
-			uu.Set(i, j, u.At(i, j)*s[j])
+		src := us.Data[i*us.Cols : i*us.Cols+k]
+		for j, x := range src {
+			u.Data[i*k+j] = x * s[j]
 		}
 	}
+	v = ws.Matrix(vs.Rows, k)
 	for i := 0; i < v.Rows; i++ {
-		for j := 0; j < k; j++ {
-			vv.Set(i, j, v.At(i, j))
-		}
+		copy(v.Data[i*k:(i+1)*k], vs.Data[i*vs.Cols:])
 	}
-	return &LowRank{U: uu, V: vv}
+	return u, v
 }
 
 // TRSM applies the TLR triangular solve A := A * L^{-T} in place: because
@@ -83,12 +84,13 @@ func TRSM(a *LowRank, l *linalg.Matrix) {
 }
 
 // SYRKDense applies D += alpha * A A^T for a low-rank A to a dense tile:
-// D += alpha * U (V^T V) U^T, costing O(nb r^2 + nb^2 r).
-func SYRKDense(d *linalg.Matrix, a *LowRank, alpha float64) {
+// D += alpha * U (V^T V) U^T, costing O(nb r^2 + nb^2 r). Temporaries come
+// from ws.
+func SYRKDense(ws *linalg.Workspace, d *linalg.Matrix, a *LowRank, alpha float64) {
 	r := a.Rank()
-	w := linalg.NewMatrix(r, r)
+	w := ws.Matrix(r, r)
 	linalg.GEMM(w, a.V, a.V, 1, true, false) // V^T V
-	uw := linalg.NewMatrix(a.U.Rows, r)
+	uw := ws.Matrix(a.U.Rows, r)
 	linalg.GEMM(uw, a.U, w, 1, false, false)
 	linalg.GEMM(d, uw, a.U, alpha, false, true)
 }
@@ -97,61 +99,44 @@ func SYRKDense(d *linalg.Matrix, a *LowRank, alpha float64) {
 // low-rank, then recompresses C to accuracy eps and rank cap maxRank. This
 // is the TLR GEMM, the dominant kernel of HiCMA's Cholesky: the naive
 // concatenation [U_c, alpha*U_a (V_a^T V_b)] [V_c, U_b]^T would grow the
-// rank by rank(A), so a QR+SVD recompression follows.
-func AddLRProduct(c *LowRank, a, b *LowRank, alpha, eps float64, maxRank int) {
-	ra, rc := a.Rank(), c.Rank()
-	nb := c.U.Rows
-
+// rank by rank(A), so a QR+SVD recompression follows. C's new factors and
+// every temporary come from ws: they live until its next Reset.
+func AddLRProduct(ws *linalg.Workspace, c *LowRank, a, b *LowRank, alpha, eps float64, maxRank int) {
 	// W = V_a^T V_b  (ra x rb), then P = alpha * U_a W (nb x rb).
-	w := linalg.NewMatrix(ra, b.Rank())
+	w := ws.Matrix(a.Rank(), b.Rank())
 	linalg.GEMM(w, a.V, b.V, 1, true, false)
-	p := linalg.NewMatrix(nb, b.Rank())
+	p := ws.Matrix(c.U.Rows, b.Rank())
 	linalg.GEMM(p, a.U, w, alpha, false, false)
 
 	// Concatenate factors: U' = [U_c | P], V' = [V_c | U_b].
-	uNew := hcat(c.U, p)
-	vNew := hcat(c.V, b.U)
-	_ = rc
-
-	recompress(c, uNew, vNew, eps, maxRank)
-}
-
-// recompress replaces c with the eps-truncated representation of
-// uNew * vNew^T using the QR-SVD scheme.
-func recompress(c *LowRank, uNew, vNew *linalg.Matrix, eps float64, maxRank int) {
+	uNew := hcat(ws, c.U, p)
+	vNew := hcat(ws, c.V, b.U)
 	if uNew.Cols > uNew.Rows {
 		// The concatenated rank exceeds the tile dimension: the "low-rank"
 		// detour is pointless, so recompress through the dense form (also
 		// the cheaper path in this regime).
-		dense := linalg.NewMatrix(uNew.Rows, vNew.Rows)
+		dense := ws.Matrix(uNew.Rows, vNew.Rows)
 		linalg.GEMM(dense, uNew, vNew, 1, false, true)
-		nc := Compress(dense, eps, maxRank)
-		c.U, c.V = nc.U, nc.V
+		c.U, c.V = compress(ws, dense, eps, maxRank)
 		return
 	}
-	q1, r1 := linalg.QR(uNew)
-	q2, r2 := linalg.QR(vNew)
-	// M = R1 * R2^T is small (r' x r').
-	m := linalg.NewMatrix(r1.Rows, r2.Rows)
+	// QR-SVD recompression of U' V'^T: M = R1 * R2^T is small (r' x r').
+	q1, r1 := linalg.QR(ws, uNew)
+	q2, r2 := linalg.QR(ws, vNew)
+	m := ws.Matrix(r1.Rows, r2.Rows)
 	linalg.GEMM(m, r1, r2, 1, false, true)
-	us, s, vs := linalg.SVD(m)
-	k := 1
-	for k < len(s) && k < maxRank && s[k] > eps {
-		k++
-	}
-	lr := truncate(us, s, vs, k)
-	u := linalg.NewMatrix(uNew.Rows, k)
-	linalg.GEMM(u, q1, lr.U, 1, false, false)
-	v := linalg.NewMatrix(vNew.Rows, k)
-	linalg.GEMM(v, q2, lr.V, 1, false, false)
-	c.U, c.V = u, v
+	mu, mv := compress(ws, m, eps, maxRank)
+	c.U = ws.Matrix(uNew.Rows, mu.Cols)
+	linalg.GEMM(c.U, q1, mu, 1, false, false)
+	c.V = ws.Matrix(vNew.Rows, mv.Cols)
+	linalg.GEMM(c.V, q2, mv, 1, false, false)
 }
 
-func hcat(a, b *linalg.Matrix) *linalg.Matrix {
+func hcat(ws *linalg.Workspace, a, b *linalg.Matrix) *linalg.Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tlr: hcat rows %d vs %d", a.Rows, b.Rows))
 	}
-	out := linalg.NewMatrix(a.Rows, a.Cols+b.Cols)
+	out := ws.Matrix(a.Rows, a.Cols+b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		copy(out.Data[i*out.Cols:], a.Data[i*a.Cols:(i+1)*a.Cols])
 		copy(out.Data[i*out.Cols+a.Cols:], b.Data[i*b.Cols:(i+1)*b.Cols])

@@ -111,7 +111,7 @@ func TestSYRKDenseMatchesDense(t *testing.T) {
 	lr := Compress(a, 1e-12, n)
 	d1 := randMatrix(n, n, 32)
 	d2 := d1.Clone()
-	SYRKDense(d1, lr, -1)
+	SYRKDense(nil, d1, lr, -1)
 	linalg.GEMM(d2, a, a, -1, false, true)
 	if e := relErr(d1, d2); e > 1e-8 {
 		t.Fatalf("TLR SYRK error %g", e)
@@ -126,7 +126,7 @@ func TestAddLRProductMatchesDense(t *testing.T) {
 	c := Compress(ca, 1e-12, n)
 	a := Compress(aa, 1e-12, n)
 	b := Compress(ba, 1e-12, n)
-	AddLRProduct(c, a, b, -1, 1e-12, n)
+	AddLRProduct(nil, c, a, b, -1, 1e-12, n)
 	// Dense reference.
 	ref := ca.Clone()
 	linalg.GEMM(ref, aa, ba, -1, false, true)
@@ -144,9 +144,45 @@ func TestAddLRProductRecompressionCapsRank(t *testing.T) {
 	for i := uint64(0); i < 6; i++ {
 		a := Compress(lowRankMatrix(n, 2, 60+i), 1e-12, n)
 		b := Compress(lowRankMatrix(n, 2, 70+i), 1e-12, n)
-		AddLRProduct(c, a, b, -1, 1e-10, 5)
+		AddLRProduct(nil, c, a, b, -1, 1e-10, 5)
 		if c.Rank() > 5 {
 			t.Fatalf("rank cap violated: %d", c.Rank())
+		}
+	}
+}
+
+// TestWorkspaceMatchesHeap: a chain of TLR GEMMs and SYRKs on one reused
+// workspace produces the factors a heap-allocating run does, bit for bit,
+// through both recompression paths (QR-SVD, and dense once the concatenated
+// rank exceeds the tile dimension).
+func TestWorkspaceMatchesHeap(t *testing.T) {
+	const n = 12
+	ws := new(linalg.Workspace)
+	for _, rank := range []int{2, 5} { // 5+5 > 12 only after growth: both paths
+		heapC := Compress(lowRankMatrix(n, rank, 81), 1e-12, n)
+		heapD := randMatrix(n, n, 82)
+		wsC, wsD := heapC.Clone(), heapD.Clone()
+		for i := uint64(0); i < 4; i++ {
+			a := Compress(lowRankMatrix(n, rank, 90+i), 1e-12, n)
+			b := Compress(lowRankMatrix(n, rank+3, 95+i), 1e-12, n)
+			AddLRProduct(nil, heapC, a, b, -1, 1e-10, n)
+			SYRKDense(nil, heapD, a, -1)
+
+			ws.Reset()
+			step := wsC.Clone() // a task deserializes its operand
+			AddLRProduct(ws, step, a, b, -1, 1e-10, n)
+			SYRKDense(ws, wsD, a, -1)
+			wsC = step.Clone() // and serializes its result before the next Reset
+			for _, pair := range [][2]*linalg.Matrix{{wsC.U, heapC.U}, {wsC.V, heapC.V}, {wsD, heapD}} {
+				if pair[0].Rows != pair[1].Rows || pair[0].Cols != pair[1].Cols {
+					t.Fatalf("rank %d step %d: shapes differ", rank, i)
+				}
+				for k, x := range pair[0].Data {
+					if math.Float64bits(x) != math.Float64bits(pair[1].Data[k]) {
+						t.Fatalf("rank %d step %d: element %d differs", rank, i, k)
+					}
+				}
+			}
 		}
 	}
 }

@@ -13,6 +13,11 @@ if command -v staticcheck >/dev/null 2>&1; then
 else
     echo "staticcheck not installed; skipping"
 fi
+# Two tests in internal/chaos guard against the run that never returns, and
+# carry their own host-time bounds instead of leaning on go test's ten-minute
+# default: TestStalledRunReturnsError (the known steal-under-faults wedge must
+# come back as an error) and TestChaosSharedInputsRaceFree (concurrent runs on
+# the process-wide inputs, meaningful only under -race, i.e. here).
 go test -race ./...
 # The benchmark is a nested module (amtlci/benchmark, replace amtlci => ../),
 # so ./... above does not reach it; it decorates parsec.Taskpool and
@@ -82,9 +87,9 @@ timeout 180 go run ./cmd/benchrecord -quick -o "$BENCH_TMP/bench.json"
 # allocation fails here even on a different host.
 ./scripts/benchcmp.sh -allocs-only BENCH_sim.json "$BENCH_TMP/bench.json"
 
-# Fixed-budget fuzz smoke over the wire-format decoders and the runtime's
-# flat hash table (one -fuzz pattern per invocation; longer runs:
-# `make fuzz-smoke`).
+# Fixed-budget fuzz smoke over the wire-format decoders, the runtime's flat
+# hash table and the linalg kernels' bit identity with their reference bodies
+# (one -fuzz pattern per invocation; longer runs: `make fuzz-smoke`).
 timeout 120 go test -run='^$' -fuzz=FuzzUnmarshalPutHeader -fuzztime=2s ./internal/core
 timeout 120 go test -run='^$' -fuzz=FuzzDecodeActivates -fuzztime=2s ./internal/parsec
 timeout 120 go test -run='^$' -fuzz=FuzzDecodeGetData -fuzztime=2s ./internal/parsec
@@ -101,6 +106,7 @@ timeout 120 go test -run='^$' -fuzz=FuzzDecodeStealRelease -fuzztime=2s ./intern
 timeout 120 go test -run='^$' -fuzz=FuzzInboxOrder -fuzztime=2s ./internal/sim
 timeout 120 go test -run='^$' -fuzz=FuzzTuningMatrix -fuzztime=2s ./internal/sim
 timeout 120 go test -run='^$' -fuzz=FuzzLookaheadMatrix -fuzztime=2s ./internal/fabric
+timeout 120 go test -run='^$' -fuzz=FuzzKernelsMatchReference -fuzztime=2s ./internal/linalg
 
 # Experiment-service smoke behind a time budget: start simd on a random
 # port, prove the content-addressed cache (cold sweep, warm subset, dedup
