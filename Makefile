@@ -1,16 +1,8 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build vet test test-race chaos chaos-crash chaos-multicrash fuzz-smoke bench-record simd-smoke allocsites
+.PHONY: verify build vet test test-race chaos chaos-crash chaos-multicrash fuzz-smoke simd-smoke allocsites
 
 verify:
 	./scripts/verify.sh
-
-# Record the simulator's performance envelope (event-queue ns/event and
-# allocs/event vs the retired heap engine, Proc and fabric delivery costs,
-# and a wall-clock HiCMA reference point) into BENCH_sim.json. Compare two
-# records with scripts/benchcmp.sh, which fails on a >10% ns regression or
-# any new steady-state allocation.
-bench-record:
-	go run ./cmd/benchrecord -o BENCH_sim.json
 
 # Where a benchmark workload's allocations, allocated bytes and retained heap
 # come from: allocs_per_task, alloc_bytes_per_task and live_heap_mb split by
@@ -41,25 +33,25 @@ chaos-multicrash:
 
 # Short, fixed-budget fuzz passes over the wire-format decoders, the
 # runtime's flat hash table and the linalg kernels' bit identity with their
-# reference bodies (Go allows one -fuzz pattern per invocation).
+# reference bodies (Go allows one -fuzz pattern per invocation). This is the
+# one fuzz list: verify.sh runs this target.
 fuzz-smoke:
-	go test -run='^$$' -fuzz=FuzzUnmarshalPutHeader -fuzztime=2s ./internal/core
-	go test -run='^$$' -fuzz=FuzzDecodeActivates -fuzztime=2s ./internal/parsec
-	go test -run='^$$' -fuzz=FuzzDecodeGetData -fuzztime=2s ./internal/parsec
-	go test -run='^$$' -fuzz=FuzzDecodePutMeta -fuzztime=2s ./internal/parsec
-	go test -run='^$$' -fuzz=FuzzDecodeTermMsg -fuzztime=2s ./internal/parsec
-	go test -run='^$$' -fuzz=FuzzFlatTable -fuzztime=2s ./internal/parsec
-	go test -run='^$$' -fuzz=FuzzDecodeHeartbeat -fuzztime=2s ./internal/rel
-	go test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=2s ./internal/recover
-	go test -run='^$$' -fuzz=FuzzDecodeRereplicate -fuzztime=2s ./internal/recover
-	go test -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=2s ./internal/expd
-	go test -run='^$$' -fuzz=FuzzDecodeStealRequest -fuzztime=2s ./internal/steal
-	go test -run='^$$' -fuzz=FuzzDecodeStealReply -fuzztime=2s ./internal/steal
-	go test -run='^$$' -fuzz=FuzzDecodeStealRelease -fuzztime=2s ./internal/steal
-	go test -run='^$$' -fuzz=FuzzInboxOrder -fuzztime=2s ./internal/sim
-	go test -run='^$$' -fuzz=FuzzTuningMatrix -fuzztime=2s ./internal/sim
-	go test -run='^$$' -fuzz=FuzzLookaheadMatrix -fuzztime=2s ./internal/fabric
-	go test -run='^$$' -fuzz=FuzzKernelsMatchReference -fuzztime=2s ./internal/linalg
+	timeout 120 go test -run='^$$' -fuzz=FuzzUnmarshalPutHeader -fuzztime=2s ./internal/core
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeActivates -fuzztime=2s ./internal/parsec
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeGetData -fuzztime=2s ./internal/parsec
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodePutMeta -fuzztime=2s ./internal/parsec
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeTermMsg -fuzztime=2s ./internal/parsec
+	timeout 120 go test -run='^$$' -fuzz=FuzzFlatTable -fuzztime=2s ./internal/parsec
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeHeartbeat -fuzztime=2s ./internal/rel
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=2s ./internal/recover
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeRereplicate -fuzztime=2s ./internal/recover
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=2s ./internal/expd
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeStealRequest -fuzztime=2s ./internal/steal
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeStealReply -fuzztime=2s ./internal/steal
+	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeStealRelease -fuzztime=2s ./internal/steal
+	timeout 120 go test -run='^$$' -fuzz=FuzzInboxOrder -fuzztime=2s ./internal/sim
+	timeout 120 go test -run='^$$' -fuzz=FuzzLookaheadMatrix -fuzztime=2s ./internal/fabric
+	timeout 120 go test -run='^$$' -fuzz=FuzzKernelsMatchReference -fuzztime=2s ./internal/linalg
 
 # End-to-end smoke of the simd experiment service: content-addressed cache
 # hits with byte-identical CSV, mid-sweep cancel, and SIGINT checkpointing.

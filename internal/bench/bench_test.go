@@ -45,6 +45,7 @@ func TestFig2aAnchors(t *testing.T) {
 		o.Runs = quick
 		o.Iters = 6
 		got := PingPong(o).Gbps
+		t.Logf("%-8v @%9s: got %6.1f Gbit/s, paper %6.1f", b, Bytes(size), got, want)
 		if got < want*0.75 || got > want*1.25 {
 			t.Errorf("%v @%s = %.1f Gbit/s, want %.1f±25%%", b, Bytes(size), got, want)
 		}

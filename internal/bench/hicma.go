@@ -53,10 +53,7 @@ type HiCMAOpts struct {
 	// multi-core host). Incompatible with SyncClocks, whose measurement
 	// epoch needs the serial engine.
 	Shards int
-	// ShardTuning overrides the sharded protocol's optimization gates
-	// (nil keeps them all on); the tuning-matrix differential tests use it.
-	ShardTuning *sim.Tuning
-	Seed        uint64
+	Seed   uint64
 }
 
 // DefaultHiCMAOpts mirrors the paper's configuration.
@@ -119,7 +116,6 @@ func hicmaRun(o HiCMAOpts, run uint64) (float64, *parsec.Runtime, *hicma.Pool) {
 	so := stack.DefaultOptions(o.Backend, o.Nodes)
 	so.Seed = o.Seed + run*0x51ED
 	so.Shards = o.Shards
-	so.ShardTuning = o.ShardTuning
 	s := stack.Build(so)
 
 	cfg := parsec.DefaultConfig(o.Workers)

@@ -45,50 +45,6 @@ func TestHiCMAShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestHiCMAShardTuningMatrixMatchesSerial exercises each sharded-protocol
-// fast path in isolation through the whole stack: the all-off baseline (the
-// v1 fixed-window protocol), then pairwise lookahead, idle-shard elision,
-// and window coalescing individually, each bit-identical to the serial run
-// on both backends, with and without work stealing.
-func TestHiCMAShardTuningMatrixMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second differential")
-	}
-	tunings := []struct {
-		name string
-		tn   sim.Tuning
-	}{
-		{"v1-baseline", sim.Tuning{}},
-		{"pairwise-only", sim.Tuning{PairwiseLookahead: true}},
-		{"elide-only", sim.Tuning{ElideIdleShards: true}},
-		{"coalesce-only", sim.Tuning{CoalesceWindows: true}},
-	}
-	run := func(b stack.Backend, steal bool, shards int, tn *sim.Tuning) HiCMAResult {
-		o := DefaultHiCMAOpts(b, 1200, 8)
-		o.N = 9600
-		o.Runs = stats.Methodology{Runs: 1, Discard: 0}
-		o.Steal = steal
-		o.Shards = shards
-		o.ShardTuning = tn
-		return HiCMA(o)
-	}
-	for _, b := range stack.Backends {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
-			for _, steal := range []bool{false, true} {
-				serial := run(b, steal, 1, nil)
-				for _, tc := range tunings {
-					tn := tc.tn
-					if got := run(b, steal, 4, &tn); got != serial {
-						t.Errorf("steal=%v %s diverges from serial:\nserial:  %+v\nsharded: %+v",
-							steal, tc.name, serial, got)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestTileScalingCSVIdenticalSharded pins the experiment pipeline end to
 // end: the rendered sweep CSV — what cmd/hicma and the simd cache
 // ultimately serve — must be byte-identical whether the points simulate

@@ -94,13 +94,6 @@ type Options struct {
 	// Crash-script fault injection requires the serial engine
 	// (fabric.InstallFaults enforces this).
 	Shards int
-
-	// ShardTuning overrides the sharded domain's protocol optimizations
-	// (pairwise lookahead, idle-shard elision, window coalescing — all on
-	// by default). Differential tests use it to exercise each fast path in
-	// isolation; every setting is bit-identical to serial. Ignored unless
-	// Shards > 1.
-	ShardTuning *sim.Tuning
 }
 
 // DefaultOptions returns the paper-calibrated configuration for n ranks.
@@ -187,9 +180,6 @@ func Build(o Options) *Stack {
 		}
 		par := sim.NewParallel(o.Ranks, o.Shards, la)
 		par.SetLookahead(fabric.LookaheadMatrix(fc, o.Ranks, par.Shards(), par.ShardOf))
-		if o.ShardTuning != nil {
-			par.SetTuning(*o.ShardTuning)
-		}
 		dom = par
 	} else {
 		eng = sim.NewEngine()

@@ -40,9 +40,9 @@ type Point struct {
 	// result is identical to serial, but the field still participates in
 	// the cache key: a hash that ignored it could not prove that, and
 	// differential tests deliberately compare across shard counts.
-	Shards int `json:"shards,omitempty"`
-	Runs       int  `json:"runs,omitempty"`
-	Discard    int  `json:"discard,omitempty"`
+	Shards  int `json:"shards,omitempty"`
+	Runs    int `json:"runs,omitempty"`
+	Discard int `json:"discard,omitempty"`
 
 	// Collective points.
 	Op    string `json:"op,omitempty"`

@@ -122,9 +122,9 @@ type Spec struct {
 	// (identical results, less wall clock on multi-core hosts). 0 and 1
 	// both mean serial and canonicalize to 0, so pre-existing cache
 	// entries keep their hashes.
-	Shards int `json:"shards,omitempty"`
-	Runs       int     `json:"runs,omitempty"`  // measurement protocol (default 1)
-	Discard    int     `json:"discard,omitempty"`
+	Shards  int `json:"shards,omitempty"`
+	Runs    int `json:"runs,omitempty"` // measurement protocol (default 1)
+	Discard int `json:"discard,omitempty"`
 
 	// Backends defaults to both, canonical order LCI then MPI. Accepted
 	// spellings follow stack.ParseBackend.

@@ -11,14 +11,14 @@ import (
 // event pool, clock), and the blocks advance conservatively in rounds
 // bounded by pairwise lookahead.
 //
-// # Synchronization protocol (v2: published slots, pairwise horizons)
+// # Synchronization protocol (published slots, pairwise horizons)
 //
 // Every shard j publishes its earliest pending timestamp E_j — the minimum
 // over its calendar and its staged-but-unadmitted inbox — into a padded
 // atomic slot. Each round, the coordinator scans the slots lock-free and
 // computes a per-shard horizon
 //
-//	H_i = min over j != i of (E_j + L[j][i])
+//	H_i = min over j != i of (E_j + D[j][i])
 //
 // where D[j][i] is the pairwise distance: the min-plus closure of the
 // lookahead matrix installed by SetLookahead (without one every entry is
@@ -53,9 +53,6 @@ import (
 // semantics are unchanged — one goroutine just runs several shards'
 // windows per round), and barrier waits spin briefly before parking on a
 // per-waiter channel, so idle cores are released instead of burned.
-// Tuning gates each optimization independently for differential testing;
-// with every gate off the horizons collapse to the v1 protocol's single
-// global window [T, T+L).
 //
 // # Exactness
 //
@@ -71,11 +68,10 @@ import (
 // stages it — by the time a round opens, every event that can land below
 // any shard's horizon is already in that shard's inbox, no matter how
 // previous rounds' shards interleaved in real time. Admission batches are
-// therefore disjoint, consecutive timestamp bands: shrinking horizons
-// (disabling optimizations) only splits a batch, never reorders across
-// batches, so every Tuning combination yields the same per-rank event
-// sequences; the differential tests in psim_test.go and internal/bench pin
-// this against the serial engine and RefEngine.
+// therefore disjoint, consecutive timestamp bands, and every sharding yields
+// the same per-rank event sequences; the differential tests in psim_test.go
+// and internal/bench pin this against the serial engine and the heap-backed
+// reference engine.
 //
 // # Inbox bound
 //
@@ -90,7 +86,6 @@ type Parallel struct {
 	lookahead Duration
 	look      [][]Duration // raw pairwise lookahead matrix, nil = uniform
 	dist      [][]Duration // min-plus closure of look (horizon distances)
-	tune      Tuning
 
 	// halt is the domain-wide stop flag: checked by every shard before
 	// every event, armed by Stop from any goroutine.
@@ -124,36 +119,6 @@ type Parallel struct {
 
 	rounds uint64 // rounds executed (stats)
 	elided uint64 // shard-rounds skipped by idle elision (stats)
-}
-
-// Tuning gates the protocol's optimizations independently. Every
-// combination is conservative (each gate can only shrink horizons or run
-// more shards per round than strictly needed), so all eight produce
-// bit-identical event sequences — the differential tests run the matrix.
-// The zero value is the v1 protocol; NewParallel defaults to
-// AllOptimizations. Set before Run; not safe to change mid-run.
-type Tuning struct {
-	// PairwiseLookahead uses the per-shard-pair distance matrix installed
-	// by SetLookahead for horizons and CrossAt validation. Off (or with no
-	// matrix installed), every pair uses the single global lookahead.
-	PairwiseLookahead bool
-
-	// ElideIdleShards skips shards with no calendar or inbox event below
-	// their horizon: no wakeup, no barrier arrival.
-	ElideIdleShards bool
-
-	// CoalesceWindows lets each shard's horizon be purely data-driven
-	// (min_j E_j + D[j][i], clamped mid-window by the reflection guard).
-	// Off, horizons are additionally capped at one lookahead past the
-	// global minimum — the v1 window [T, T+L) — forcing one round per
-	// lookahead quantum. The cap makes the guard vacuous: any send's
-	// reflection lands at least two lookaheads past the global minimum.
-	CoalesceWindows bool
-}
-
-// AllOptimizations is the default Tuning: every fast path on.
-func AllOptimizations() Tuning {
-	return Tuning{PairwiseLookahead: true, ElideIdleShards: true, CoalesceWindows: true}
 }
 
 // noTime is the published-slot encoding of "no pending event". Time is a
@@ -254,8 +219,7 @@ func (sh *pshard) unlock() { <-sh.mu }
 // the given conservative lookahead. shards is clamped to ranks; a single
 // shard degenerates to exactly the serial engine (no goroutines, no
 // windows). lookahead must be positive when shards > 1 — with zero
-// lookahead no window can admit parallelism conservatively. All protocol
-// optimizations default on (AllOptimizations); SetTuning overrides.
+// lookahead no window can admit parallelism conservatively.
 func NewParallel(ranks, shards int, lookahead Duration) *Parallel {
 	if ranks <= 0 {
 		panic("sim: NewParallel needs at least one rank")
@@ -272,7 +236,6 @@ func NewParallel(ranks, shards int, lookahead Duration) *Parallel {
 	p := &Parallel{
 		lookahead: lookahead,
 		owner:     make([]int, ranks),
-		tune:      AllOptimizations(),
 	}
 	for r := range p.owner {
 		p.owner[r] = blockOwner(r, ranks, shards)
@@ -292,22 +255,15 @@ func NewParallel(ranks, shards int, lookahead Duration) *Parallel {
 	return p
 }
 
-// SetTuning replaces the optimization gates. Call before Run.
-func (p *Parallel) SetTuning(t Tuning) { p.tune = t }
-
-// Tuning returns the active optimization gates.
-func (p *Parallel) Tuning() Tuning { return p.tune }
-
 // SetLookahead installs a per-shard-pair lookahead matrix: m[j][i] is the
 // guaranteed minimum distance of any cross event from a rank in shard j to
 // a rank in shard i, measured against the source clock. Off-diagonal
 // entries must be positive; the diagonal is ignored (same-shard scheduling
-// is direct). The global lookahead becomes the matrix's off-diagonal
-// minimum, so the uniform bound stays available as the conservative
-// fallback when Tuning.PairwiseLookahead is off. Horizon math uses the
-// matrix's min-plus closure (shortest relay path), computed here once; the
-// raw entries remain the CrossAt validation bound. The matrix is retained,
-// not copied. Call before Run; a 1-shard domain ignores it.
+// is direct). The global lookahead (Lookahead) becomes the matrix's
+// off-diagonal minimum. Horizon math uses the matrix's min-plus closure
+// (shortest relay path), computed here once; the raw entries remain the
+// CrossAt validation bound. The matrix is retained, not copied. Call before
+// Run; a 1-shard domain ignores it.
 func (p *Parallel) SetLookahead(m [][]Duration) {
 	n := len(p.shards)
 	if n == 1 {
@@ -360,10 +316,10 @@ func (p *Parallel) SetLookahead(m [][]Duration) {
 }
 
 // pairLookahead returns the enforced minimum distance for cross events
-// from shard s to shard d — the raw matrix entry when one is installed and
-// the pairwise gate is on, the global floor otherwise.
+// from shard s to shard d — the raw matrix entry when one is installed, the
+// uniform floor otherwise.
 func (p *Parallel) pairLookahead(s, d int) Duration {
-	if p.look != nil && p.tune.PairwiseLookahead {
+	if p.look != nil {
 		return p.look[s][d]
 	}
 	return p.lookahead
@@ -371,10 +327,10 @@ func (p *Parallel) pairLookahead(s, d int) Duration {
 
 // pairDist returns the horizon distance from shard s to shard d: the
 // min-plus closure entry (the earliest any chain seeded at s can reach d),
-// or the global floor without a matrix. closure <= raw, so horizons from
+// or the uniform floor without a matrix. closure <= raw, so horizons from
 // pairDist are never wider than CrossAt's validation admits.
 func (p *Parallel) pairDist(s, d int) Duration {
-	if p.dist != nil && p.tune.PairwiseLookahead {
+	if p.dist != nil {
 		return p.dist[s][d]
 	}
 	return p.lookahead
@@ -595,21 +551,11 @@ func (p *Parallel) openRound() bool {
 		return false
 	}
 
-	// Horizons. With coalescing off, cap every horizon one lookahead past
-	// the global minimum — the v1 fixed window.
-	cap := noTime
-	if !p.tune.CoalesceWindows {
-		g := noTime
-		for _, e := range p.eMin {
-			if e < g {
-				g = e
-			}
-		}
-		cap = satAdd(g, p.lookahead)
-	}
+	// Horizons are purely data-driven: a shard with no pending event at
+	// any other shard is unbounded and drains in one round.
 	nact := 0
 	for i, sh := range p.shards {
-		h := cap
+		h := noTime
 		for j := range p.shards {
 			if j == i || p.eMin[j] == noTime {
 				continue
@@ -623,7 +569,7 @@ func (p *Parallel) openRound() bool {
 		} else {
 			sh.horizon = Time(h)
 		}
-		if p.tune.ElideIdleShards && p.eMin[i] >= h {
+		if p.eMin[i] >= h {
 			p.elided++
 			continue
 		}

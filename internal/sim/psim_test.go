@@ -25,6 +25,26 @@ type traceRec struct {
 // same-rank scheduling) gets its own deterministic tests below.
 const quantum = Duration(1 << 20)
 
+// workloadHost is the scheduling surface runWorkloadOn needs: any Domain
+// (domainHost), or the heap-backed reference engine, which is not one (its At
+// returns *RefEvent) and takes cross-rank sends as plain At, exactly like the
+// serial engine's CrossAt.
+type workloadHost struct {
+	now   func(rank int) Time
+	local func(rank int, t Time, fn func())
+	cross func(src, dst int, t Time, fn func())
+	run   func()
+}
+
+func domainHost(dom Domain) workloadHost {
+	return workloadHost{
+		now:   func(rank int) Time { return dom.RankEngine(rank).Now() },
+		local: func(rank int, t Time, fn func()) { dom.RankEngine(rank).At(t, fn) },
+		cross: dom.CrossAt,
+		run:   func() { dom.Run() },
+	}
+}
+
 // runWorkload drives a synthetic multi-rank message-passing workload on any
 // Domain. Every rank owns an RNG and a bounded event budget; each event
 // records itself, then randomly schedules local follow-ups and cross-rank
@@ -33,6 +53,10 @@ const quantum = Duration(1 << 20)
 // so identical per-rank firing order implies identical draws implies
 // identical traces — any conservative-sync bug shows up as a divergence.
 func runWorkload(dom Domain, ranks int, seed uint64, events, lookQ int) [][]traceRec {
+	return runWorkloadOn(domainHost(dom), ranks, seed, events, lookQ)
+}
+
+func runWorkloadOn(h workloadHost, ranks int, seed uint64, events, lookQ int) [][]traceRec {
 	lookahead := quantum * Duration(lookQ)
 	traces := make([][]traceRec, ranks)
 	rngs := make([]*RNG, ranks)
@@ -55,8 +79,7 @@ func runWorkload(dom Domain, ranks int, seed uint64, events, lookQ int) [][]trac
 	}
 	var fire func(rank int, tag uint64)
 	fire = func(rank int, tag uint64) {
-		eng := dom.RankEngine(rank)
-		traces[rank] = append(traces[rank], traceRec{at: eng.Now(), tag: tag})
+		traces[rank] = append(traces[rank], traceRec{at: h.now(rank), tag: tag})
 		if budget[rank] <= 0 {
 			return
 		}
@@ -64,31 +87,31 @@ func runWorkload(dom Domain, ranks int, seed uint64, events, lookQ int) [][]trac
 		rng := rngs[rank]
 		n := rng.Intn(3)
 		for i := 0; i < n; i++ {
-			base := alignUp(eng.Now())
+			base := alignUp(h.now(rank))
 			switch rng.Intn(3) {
 			case 0: // local follow-up, possibly within the current quantum
 				at := base + Time(quantum)*Time(rng.Intn(3)) + nextOff(rank)
 				next := tag*8 + uint64(i) + 1
-				eng.At(at, func() { fire(rank, next) })
+				h.local(rank, at, func() { fire(rank, next) })
 			case 1: // cross-rank send at the lookahead floor
 				dst := rng.Intn(ranks)
 				at := base.Add(lookahead) + nextOff(rank)
 				next := tag*8 + uint64(i) + 2
-				dom.CrossAt(rank, dst, at, func() { fire(dst, next) })
+				h.cross(rank, dst, at, func() { fire(dst, next) })
 			default: // cross-rank send with extra wire delay
 				dst := rng.Intn(ranks)
 				at := base.Add(lookahead+quantum*Duration(rng.Intn(3))) + nextOff(rank)
 				next := tag*8 + uint64(i) + 3
-				dom.CrossAt(rank, dst, at, func() { fire(dst, next) })
+				h.cross(rank, dst, at, func() { fire(dst, next) })
 			}
 		}
 	}
 	for r := 0; r < ranks; r++ {
 		rank := r
 		at := Time(quantum)*Time(rank%5+1) + nextOff(rank)
-		dom.RankEngine(rank).At(at, func() { fire(rank, uint64(rank)<<32) })
+		h.local(rank, at, func() { fire(rank, uint64(rank)<<32) })
 	}
-	dom.Run()
+	h.run()
 	return traces
 }
 
@@ -112,7 +135,7 @@ func diffTraces(t *testing.T, label string, want, got [][]traceRec) {
 func TestParallelMatchesSerialEngine(t *testing.T) {
 	const lookQ = 2
 	for _, ranks := range []int{1, 3, 8, 16} {
-		for _, seed := range []uint64{1, 42, 0xdead} {
+		for _, seed := range []uint64{1, 42, 0xdead, 0xbeef} {
 			serial := runWorkload(NewEngine(), ranks, seed, 40, lookQ)
 			for _, shards := range []int{1, 2, 4, 8} {
 				p := NewParallel(ranks, shards, quantum*lookQ)

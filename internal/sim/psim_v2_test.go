@@ -5,124 +5,26 @@ import (
 	"testing"
 )
 
-// allTunings enumerates every combination of the protocol's optimization
-// gates. Each one must be bit-identical to serial — disabling a gate only
-// shrinks horizons or runs more shards per round, never reorders.
-func allTunings() []Tuning {
-	var ts []Tuning
-	for i := 0; i < 8; i++ {
-		ts = append(ts, Tuning{
-			PairwiseLookahead: i&1 != 0,
-			ElideIdleShards:   i&2 != 0,
-			CoalesceWindows:   i&4 != 0,
-		})
-	}
-	return ts
-}
-
-func tuningLabel(tn Tuning) string {
-	return fmt.Sprintf("pair=%v elide=%v coalesce=%v",
-		tn.PairwiseLookahead, tn.ElideIdleShards, tn.CoalesceWindows)
-}
-
-// The fast paths in isolation: every tuning combination, from the all-off
-// v1 protocol to the all-on default, must reproduce the serial trace on the
-// standard workload.
-func TestParallelTuningMatrixMatchesSerial(t *testing.T) {
-	const lookQ = 2
-	for _, ranks := range []int{3, 8} {
-		for _, seed := range []uint64{1, 0xbeef} {
-			serial := runWorkload(NewEngine(), ranks, seed, 40, lookQ)
-			for _, shards := range []int{2, 4} {
-				for _, tn := range allTunings() {
-					p := NewParallel(ranks, shards, quantum*lookQ)
-					p.SetTuning(tn)
-					got := runWorkload(p, ranks, seed, 40, lookQ)
-					diffTraces(t, fmt.Sprintf("ranks=%d seed=%d shards=%d %s", ranks, seed, shards, tuningLabel(tn)), serial, got)
-					if p.Pending() != 0 {
-						t.Fatalf("shards=%d %s: %d events still pending", shards, tuningLabel(tn), p.Pending())
-					}
-				}
-			}
-		}
-	}
-}
-
-// runRefWorkload is runWorkload's body on the heap-backed reference engine,
-// which is not a Domain (its At returns *RefEvent): cross-rank sends are
-// plain At, exactly like the serial engine's CrossAt.
+// runRefWorkload is runWorkload on the heap-backed reference engine.
 func runRefWorkload(ranks int, seed uint64, events, lookQ int) [][]traceRec {
 	e := NewRefEngine()
-	lookahead := quantum * Duration(lookQ)
-	traces := make([][]traceRec, ranks)
-	rngs := make([]*RNG, ranks)
-	budget := make([]int, ranks)
-	offs := make([]uint64, ranks)
-	for r := 0; r < ranks; r++ {
-		rngs[r] = NewRNG(seed + uint64(r)*0x9e3779b97f4a7c15)
-		budget[r] = events
-	}
-	nextOff := func(rank int) Time {
-		o := offs[rank]*uint64(ranks) + uint64(rank)
-		offs[rank]++
-		return Time(o)
-	}
-	alignUp := func(t Time) Time {
-		q := Time(quantum)
-		return (t + q - 1) / q * q
-	}
-	var fire func(rank int, tag uint64)
-	fire = func(rank int, tag uint64) {
-		traces[rank] = append(traces[rank], traceRec{at: e.Now(), tag: tag})
-		if budget[rank] <= 0 {
-			return
-		}
-		budget[rank]--
-		rng := rngs[rank]
-		n := rng.Intn(3)
-		for i := 0; i < n; i++ {
-			base := alignUp(e.Now())
-			switch rng.Intn(3) {
-			case 0:
-				at := base + Time(quantum)*Time(rng.Intn(3)) + nextOff(rank)
-				next := tag*8 + uint64(i) + 1
-				e.At(at, func() { fire(rank, next) })
-			case 1:
-				dst := rng.Intn(ranks)
-				at := base.Add(lookahead) + nextOff(rank)
-				next := tag*8 + uint64(i) + 2
-				e.At(at, func() { fire(dst, next) })
-			default:
-				dst := rng.Intn(ranks)
-				at := base.Add(lookahead+quantum*Duration(rng.Intn(3))) + nextOff(rank)
-				next := tag*8 + uint64(i) + 3
-				e.At(at, func() { fire(dst, next) })
-			}
-		}
-	}
-	for r := 0; r < ranks; r++ {
-		rank := r
-		at := Time(quantum)*Time(rank%5+1) + nextOff(rank)
-		e.At(at, func() { fire(rank, uint64(rank)<<32) })
-	}
-	e.Run()
-	return traces
+	return runWorkloadOn(workloadHost{
+		now:   func(int) Time { return e.Now() },
+		local: func(_ int, t Time, fn func()) { e.At(t, fn) },
+		cross: func(_, _ int, t Time, fn func()) { e.At(t, fn) },
+		run:   func() { e.Run() },
+	}, ranks, seed, events, lookQ)
 }
 
-// The second independent oracle: the sharded domain with every optimization
-// on (and with each gate off) must match the container/heap reference
-// engine, not just the calendar-queue serial engine.
+// The second independent oracle: the sharded domain must match the
+// container/heap reference engine, not just the calendar-queue serial engine.
 func TestParallelMatchesRefEngine(t *testing.T) {
 	const lookQ = 2
 	for _, ranks := range []int{3, 8} {
 		for _, seed := range []uint64{7, 0xcafe} {
 			ref := runRefWorkload(ranks, seed, 40, lookQ)
-			for _, tn := range []Tuning{AllOptimizations(), {}, {PairwiseLookahead: true}, {ElideIdleShards: true}, {CoalesceWindows: true}} {
-				p := NewParallel(ranks, 4, quantum*lookQ)
-				p.SetTuning(tn)
-				got := runWorkload(p, ranks, seed, 40, lookQ)
-				diffTraces(t, fmt.Sprintf("ref ranks=%d seed=%d %s", ranks, seed, tuningLabel(tn)), ref, got)
-			}
+			got := runWorkload(NewParallel(ranks, 4, quantum*lookQ), ranks, seed, 40, lookQ)
+			diffTraces(t, fmt.Sprintf("ref ranks=%d seed=%d", ranks, seed), ref, got)
 		}
 	}
 }
@@ -194,10 +96,9 @@ func pairMatrix() [][]Duration {
 	}
 }
 
-// Pair-lookahead vs global-floor in isolation: a workload that respects the
-// heterogeneous per-pair distances must be serial-identical whether the
-// horizon math uses the matrix (wide windows between close shards) or
-// collapses to the uniform 2-quanta floor.
+// A workload that respects the heterogeneous per-pair distances must be
+// serial-identical under the matrix's horizons (wide windows between close
+// shards, CrossAt validated against the raw pair entry).
 func TestParallelPairwiseLookaheadMatchesSerial(t *testing.T) {
 	const ranks, shards = 6, 3
 	m := pairMatrix()
@@ -211,16 +112,13 @@ func TestParallelPairwiseLookaheadMatchesSerial(t *testing.T) {
 	}
 	for _, seed := range []uint64{3, 0x5eed} {
 		serial := runPairWorkload(NewEngine(), ranks, seed, 50, lookFor)
-		for _, tn := range allTunings() {
-			p := NewParallel(ranks, shards, quantum)
-			p.SetLookahead(pairMatrix())
-			p.SetTuning(tn)
-			if want := 2 * quantum; p.Lookahead() != want {
-				t.Fatalf("Lookahead() = %v after SetLookahead, want matrix minimum %v", p.Lookahead(), want)
-			}
-			got := runPairWorkload(p, ranks, seed, 50, lookFor)
-			diffTraces(t, fmt.Sprintf("pairwise seed=%d %s", seed, tuningLabel(tn)), serial, got)
+		p := NewParallel(ranks, shards, quantum)
+		p.SetLookahead(pairMatrix())
+		if want := 2 * quantum; p.Lookahead() != want {
+			t.Fatalf("Lookahead() = %v after SetLookahead, want matrix minimum %v", p.Lookahead(), want)
 		}
+		got := runPairWorkload(p, ranks, seed, 50, lookFor)
+		diffTraces(t, fmt.Sprintf("pairwise seed=%d", seed), serial, got)
 	}
 }
 
@@ -279,80 +177,61 @@ func TestParallelSetLookaheadValidation(t *testing.T) {
 	}
 }
 
-// Idle-shard elision in isolation: with work confined to one shard, the
-// other shards must be skipped (no barrier arrivals), and the elision
-// counter proves the fast path actually ran.
-func TestParallelElisionSkipsIdleShards(t *testing.T) {
-	const ranks, shards = 8, 4
-	build := func(tn Tuning) *Parallel {
-		p := NewParallel(ranks, shards, quantum)
-		p.SetTuning(tn)
-		// All work on rank 0 (shard 0): a local chain plus one late
-		// self-shard event, so several rounds run while shards 1..3 idle.
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < 64 {
-				p.RankEngine(0).After(Duration(quantum/8), tick)
-			}
+// countingDomain is what the serial engine and Parallel share beyond Domain.
+type countingDomain interface {
+	Domain
+	Fired() uint64
+}
+
+// runChain runs a local chain of n events, step apart, on rank 0 of dom,
+// beside whatever setup schedules, and returns how many events fired.
+func runChain(dom countingDomain, n int, step Duration, setup func(Domain)) uint64 {
+	left := n
+	var tick func()
+	tick = func() {
+		if left--; left > 0 {
+			dom.RankEngine(0).After(step, tick)
 		}
-		p.RankEngine(0).At(0, tick)
-		return p
 	}
-	on := build(Tuning{ElideIdleShards: true}) // coalescing off: forces multiple rounds
-	on.Run()
-	if on.ElidedShardRounds() == 0 {
-		t.Fatalf("elision on: no shard-rounds elided across %d rounds", on.Rounds())
+	dom.RankEngine(0).At(0, tick)
+	if setup != nil {
+		setup(dom)
 	}
-	off := build(Tuning{})
-	off.Run()
-	if off.ElidedShardRounds() != 0 {
-		t.Fatalf("elision off: counted %d elided shard-rounds", off.ElidedShardRounds())
+	dom.Run()
+	return dom.Fired()
+}
+
+// Idle-shard elision: with work confined to one shard, the other shards must
+// be skipped (no wakeup, no barrier arrival) — the elision counter proves the
+// fast path ran — and the domain must fire exactly what the serial engine
+// fires on the same workload.
+func TestParallelElisionSkipsIdleShards(t *testing.T) {
+	want := runChain(NewEngine(), 64, quantum/8, nil)
+	p := NewParallel(8, 4, quantum)
+	if got := runChain(p, 64, quantum/8, nil); got != want {
+		t.Fatalf("sharded domain fired %d events, serial %d", got, want)
 	}
-	if on.Fired() != off.Fired() {
-		t.Fatalf("elision changed event count: %d vs %d", on.Fired(), off.Fired())
+	if p.ElidedShardRounds() == 0 {
+		t.Fatalf("no shard-rounds elided across %d rounds", p.Rounds())
 	}
 }
 
-// Window coalescing in isolation: a dense communication-free stretch on one
-// shard must collapse into far fewer rounds when horizons are data-driven
-// than under the fixed [T, T+L) window.
+// Window coalescing: horizons are data-driven, so a dense communication-free
+// stretch on one shard — 256 events spanning 64 lookaheads — sees the other
+// shard's only event a full chain-length away and drains in a small constant
+// number of rounds, not one per lookahead quantum.
 func TestParallelCoalescingCollapsesQuietStretches(t *testing.T) {
-	const ranks, shards = 2, 2
 	const chain = 256
-	build := func(tn Tuning) *Parallel {
-		p := NewParallel(ranks, shards, quantum)
-		p.SetTuning(tn)
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < chain {
-				p.RankEngine(0).After(Duration(quantum/4), tick)
-			}
-		}
-		p.RankEngine(0).At(0, tick)
-		// Shard 1 has one distant event, so the domain stays genuinely
-		// multi-shard throughout the stretch.
-		p.RankEngine(1).At(Time(quantum)*chain, func() {})
-		return p
+	// Shard 1 has one distant event, so the domain stays genuinely
+	// multi-shard throughout the stretch.
+	distant := func(dom Domain) { dom.RankEngine(1).At(Time(quantum)*chain, func() {}) }
+	want := runChain(NewEngine(), chain, quantum/4, distant)
+	p := NewParallel(2, 2, quantum)
+	if got := runChain(p, chain, quantum/4, distant); got != want {
+		t.Fatalf("sharded domain fired %d events, serial %d", got, want)
 	}
-	on := build(Tuning{CoalesceWindows: true, ElideIdleShards: true})
-	on.Run()
-	off := build(Tuning{ElideIdleShards: true})
-	off.Run()
-	if on.Fired() != off.Fired() {
-		t.Fatalf("coalescing changed event count: %d vs %d", on.Fired(), off.Fired())
-	}
-	// The fixed window needs ~chain/4 rounds for the stretch; data-driven
-	// horizons see shard 1's event a full chain-length away and take the
-	// whole stretch in one or two rounds.
-	if off.Rounds() < chain/8 {
-		t.Fatalf("fixed-window run took only %d rounds; workload does not exercise coalescing", off.Rounds())
-	}
-	if on.Rounds()*8 > off.Rounds() {
-		t.Fatalf("coalescing did not collapse rounds: %d vs %d fixed-window", on.Rounds(), off.Rounds())
+	if p.Rounds() > 4 {
+		t.Fatalf("quiet stretch of %d events took %d rounds, want a small constant", chain, p.Rounds())
 	}
 }
 
@@ -463,46 +342,15 @@ func TestParallelActiveSetOscillationStress(t *testing.T) {
 	const ranks, pulses, quiet = 8, 150, 3
 	serial := runPulseWorkload(NewEngine(), ranks, pulses, quiet)
 	for _, shards := range []int{4, 8} {
-		for _, tn := range []Tuning{
-			AllOptimizations(),
-			{ElideIdleShards: true}, // coalescing off: one round per quantum, more transitions
-		} {
-			p := NewParallel(ranks, shards, quantum)
-			p.SetTuning(tn)
-			got := runPulseWorkload(p, ranks, pulses, quiet)
-			diffTraces(t, fmt.Sprintf("shards=%d %s", shards, tuningLabel(tn)), serial, got)
-			if p.Pending() != 0 {
-				t.Fatalf("shards=%d %s: %d events still pending", shards, tuningLabel(tn), p.Pending())
-			}
-			if p.ElidedShardRounds() == 0 {
-				t.Fatalf("shards=%d %s: quiet phases elided nothing across %d rounds; workload does not oscillate",
-					shards, tuningLabel(tn), p.Rounds())
-			}
+		p := NewParallel(ranks, shards, quantum)
+		got := runPulseWorkload(p, ranks, pulses, quiet)
+		diffTraces(t, fmt.Sprintf("shards=%d", shards), serial, got)
+		if p.Pending() != 0 {
+			t.Fatalf("shards=%d: %d events still pending", shards, p.Pending())
+		}
+		if p.ElidedShardRounds() == 0 {
+			t.Fatalf("shards=%d: quiet phases elided nothing across %d rounds; workload does not oscillate",
+				shards, p.Rounds())
 		}
 	}
-}
-
-// FuzzTuningMatrix extends the inbox-order fuzzer across the optimization
-// gates: arbitrary workloads under arbitrary gate combinations must stay
-// serial-identical.
-func FuzzTuningMatrix(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint8(2), uint8(20), uint8(7))
-	f.Add(uint64(99), uint8(9), uint8(3), uint8(35), uint8(0))
-	f.Add(uint64(0xfeed), uint8(16), uint8(8), uint8(10), uint8(5))
-	f.Fuzz(func(t *testing.T, seed uint64, ranks, shards, events, gates uint8) {
-		nr := int(ranks)%16 + 1
-		ns := int(shards)%8 + 1
-		ev := int(events) % 48
-		tn := Tuning{
-			PairwiseLookahead: gates&1 != 0,
-			ElideIdleShards:   gates&2 != 0,
-			CoalesceWindows:   gates&4 != 0,
-		}
-		const lookQ = 1
-		serial := runWorkload(NewEngine(), nr, seed, ev, lookQ)
-		p := NewParallel(nr, ns, quantum*lookQ)
-		p.SetTuning(tn)
-		got := runWorkload(p, nr, seed, ev, lookQ)
-		diffTraces(t, fmt.Sprintf("ranks=%d shards=%d %s", nr, ns, tuningLabel(tn)), serial, got)
-	})
 }

@@ -7,10 +7,10 @@ import (
 
 // RefEngine is the original container/heap event scheduler, kept verbatim as
 // the reference implementation for the calendar queue in Engine: the
-// differential test in engine_diff_test.go drives randomized workloads
-// through both and asserts bit-identical (timestamp, seq) firing order, and
-// cmd/benchrecord measures it as the ns/event baseline that BENCH_sim.json
-// regressions are judged against. It is not used on any hot path.
+// differential tests in engine_diff_test.go, stop_test.go and
+// psim_v2_test.go drive the same workloads through both and assert
+// bit-identical (timestamp, seq) firing order. It lives in a _test.go file
+// because those tests are its only users.
 type RefEngine struct {
 	now     Time
 	queue   refHeap

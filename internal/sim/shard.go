@@ -1,11 +1,9 @@
 package sim
 
 // A Domain is the scheduling surface of one simulation, spanning one or more
-// shards. Every layer of the stack that used to hold the single *Engine now
-// holds a Domain: the serial engine itself satisfies the interface (one
-// shard, zero lookahead), so existing call sites that pass a *Engine compile
-// and behave exactly as before, while a *Parallel domain (psim.go) spreads
-// the same simulation across host cores.
+// shards. Every layer of the stack holds a Domain: the serial engine itself
+// satisfies the interface (one shard, zero lookahead), while a *Parallel
+// domain (psim.go) spreads the same simulation across host cores.
 //
 // The contract that makes conservative parallel execution exact:
 //
