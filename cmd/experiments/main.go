@@ -47,6 +47,10 @@ func main() {
 	shards := flag.Int("shards", 1, "simulation shards per HiCMA point (>1 uses that many cores per simulation; results identical)")
 	csvDir := flag.String("csv", "", "also write each table as a CSV file into this directory")
 	flag.Parse()
+	if err := checkFlags(*scale, *fig5Scale, *runsMicro, *runsHicma); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 	// Each sweep sizes its worker count against its own point grid, so -j 0
 	// never provisions more workers than a sweep has points.
 	workers := func(n int) int { return bench.SweepWorkers(*j, n) }
@@ -243,6 +247,24 @@ func main() {
 	// Host wall time goes to stderr: stdout is a pure function of virtual
 	// time, so results/experiments_full.txt regenerates byte-identically.
 	fmt.Fprintf(os.Stderr, "\ntotal wall time: %v\n", time.Since(start).Round(time.Second))
+}
+
+// checkFlags rejects the flag values that would otherwise panic only once
+// the sweeps reach them, minutes into a run: a scale outside (0,1] (0 is
+// allowed for -fig5-scale, where it means "same as -scale") and run counts
+// that leave no measured run after the discarded ones.
+func checkFlags(scale, fig5Scale float64, microRuns, hicmaRuns int) error {
+	switch {
+	case !(scale > 0 && scale <= 1):
+		return fmt.Errorf("-scale %v outside (0,1]", scale)
+	case fig5Scale != 0 && !(fig5Scale > 0 && fig5Scale <= 1):
+		return fmt.Errorf("-fig5-scale %v outside (0,1]", fig5Scale)
+	case microRuns <= 3:
+		return fmt.Errorf("-micro-runs %d must exceed the 3 discarded runs", microRuns)
+	case hicmaRuns < 1:
+		return fmt.Errorf("-hicma-runs %d must be at least 1", hicmaRuns)
+	}
+	return nil
 }
 
 // dumpMetrics runs one small instrumented HiCMA execution per backend (4

@@ -93,7 +93,7 @@ func HiCMA(o HiCMAOpts) HiCMAResult {
 	var e2e, hop, tasks float64
 	var avgRank float64
 	tts := o.Runs.Collect(func(run int) float64 {
-		t, rt, pool := hicmaRun(o, uint64(run))
+		t, rt, pool := hicmaRun(o, uint64(run), nil)
 		e2e = rt.Tracer().EndToEnd().Mean() / 1000
 		hop = rt.Tracer().Hop().Mean() / 1000
 		tasks = float64(pool.TotalTasks())
@@ -107,7 +107,10 @@ func HiCMA(o HiCMAOpts) HiCMAResult {
 	}
 }
 
-func hicmaRun(o HiCMAOpts, run uint64) (float64, *parsec.Runtime, *hicma.Pool) {
+// hicmaRun simulates one run of o. mutate, when non-nil, edits the stack
+// options and runtime configuration o produced before anything is built (a
+// mechanism-table row, mechanism.go).
+func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (float64, *parsec.Runtime, *hicma.Pool) {
 	if o.SyncClocks && o.Shards > 1 {
 		panic("bench: SyncClocks requires a serial simulation (Shards <= 1)")
 	}
@@ -116,13 +119,16 @@ func hicmaRun(o HiCMAOpts, run uint64) (float64, *parsec.Runtime, *hicma.Pool) {
 	so := stack.DefaultOptions(o.Backend, o.Nodes)
 	so.Seed = o.Seed + run*0x51ED
 	so.Shards = o.Shards
-	s := stack.Build(so)
 
 	cfg := parsec.DefaultConfig(o.Workers)
 	cfg.Seed = o.Seed + run
 	cfg.FetchCap = o.FetchCap
 	cfg.MTActivate = o.MT
 	cfg.Steal = o.Steal
+	if mutate != nil {
+		mutate(&so, &cfg)
+	}
+	s := stack.Build(so)
 	cfg.Metrics = s.Metrics
 	rt := parsec.New(s.Dom, s.Engines, pool, cfg)
 

@@ -63,17 +63,6 @@ type Config struct {
 	// paper's key structural change (§5.3.1).
 	InlineProgress bool
 
-	// NativePut uses the LCI one-sided Putd extension (the paper's §7
-	// future work) instead of the handshake-emulated put: one wire
-	// transfer, no rendezvous round, no target-side matching.
-	NativePut bool
-
-	// ProgressThreads spreads LCI progress over several dedicated threads
-	// (another §7 future-work item: "examining the benefits of using
-	// multiple communication or progress threads"). Values below 2 keep
-	// the paper's single progress thread.
-	ProgressThreads int
-
 	// Metrics is the registry the engine registers its instruments in
 	// (core.Stats counters, comm/progress-thread utilization, deferred and
 	// FIFO queue depths). Nil gets a private registry; stack.Build shares
@@ -116,11 +105,10 @@ type handle struct {
 type opKind int8
 
 const (
-	opEager     opKind = iota // Immediate/Buffered active message (or put handshake)
-	opEagerPut                // handshake with the put data inside (Sendmx)
-	opData                    // Direct send of put data
-	opNativePut               // one-sided Putd
-	opRecv                    // Direct receive matching a put handshake
+	opEager    opKind = iota // Immediate/Buffered active message (or put handshake)
+	opEagerPut               // handshake with the put data inside (Sendmx)
+	opData                   // Direct send of put data
+	opRecv                   // Direct receive matching a put handshake
 )
 
 // sendOp is one LCI operation the engine issues on behalf of SendAM, Put or a
@@ -137,10 +125,8 @@ type sendOp struct {
 	buf    []byte  // the record's own copy of the AM payload / put header
 	local  buf.Buf // put source (sends) or registered target (opRecv)
 	h      *handle // completion handle travelling as the LCI user context
-	// opEagerPut: the put's local completion. opNativePut: target region.
+	// opEagerPut: the put's local completion.
 	localCB func()
-	rkey    uint64
-	rdispl  int64
 	// SendAMMT only: the worker's continuation.
 	done func()
 
@@ -237,7 +223,6 @@ func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 	e.runProgressFn, e.drainFn, e.scheduleDrainFn = e.runProgress, e.drain, e.scheduleDrain
 	e.ep.SetWake(e.scheduleProgress)
 	e.ep.SetMsgComp(lci.Handler(e.onMsg))
-	e.ep.SetRMAComp(lci.Handler(e.onRMA))
 	e.ep.SetErrHandler(func(peer int, err error) {
 		werr := fmt.Errorf("lcice rank %d: %w", rank, err)
 		var pd core.PeerDeath
@@ -248,19 +233,6 @@ func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 		e.fail(peer, werr)
 	})
 	return e
-}
-
-// onRMA handles a one-sided put completion at the target (progress thread):
-// the metadata carries the remote-completion tag and callback data.
-func (e *Engine) onRMA(r lci.Request) {
-	h, err := core.UnmarshalPutHeader(r.Data.Bytes)
-	if err != nil {
-		// RMA metadata only ever comes from a peer engine, so a malformed
-		// header means that peer is broken — abort, don't crash the rank.
-		e.fail(r.Rank, fmt.Errorf("lcice rank %d: bad put metadata from %d: %w", e.Rank(), r.Rank, err))
-		return
-	}
-	e.onPutLanded(lci.Request{UserCtx: e.remoteCompletion(h.RTag, h.RCBData, r.Rank)})
 }
 
 // Rank returns this engine's rank.
@@ -426,8 +398,6 @@ func (o *sendOp) try() error {
 		return nil
 	case opData:
 		return e.ep.Sendd(o.remote, o.tag, o.local, e.putSent, o.h)
-	case opNativePut:
-		return e.ep.Putd(o.remote, lci.RMAKey{ID: o.rkey}, o.rdispl, o.local, o.buf, e.putSent, o.h)
 	case opRecv:
 		return e.ep.Recvd(o.remote, o.tag, o.local, e.putLanded, o.h)
 	}
@@ -480,21 +450,10 @@ func (e *Engine) attempt(o *sendOp) {
 }
 
 // MemReg registers b for remote puts.
-func (e *Engine) MemReg(b buf.Buf) core.MemHandle {
-	if e.cfg.NativePut {
-		return e.memRegNative(b)
-	}
-	return e.reg.MemReg(b)
-}
+func (e *Engine) MemReg(b buf.Buf) core.MemHandle { return e.reg.MemReg(b) }
 
 // MemDereg releases a registration.
-func (e *Engine) MemDereg(h core.MemHandle) {
-	if e.cfg.NativePut {
-		e.memDeregNative(h)
-		return
-	}
-	e.reg.MemDereg(h)
-}
+func (e *Engine) MemDereg(h core.MemHandle) { e.reg.MemDereg(h) }
 
 // Lookup resolves a local registration.
 func (e *Engine) Lookup(h core.MemHandle) buf.Buf { return e.reg.Lookup(h) }
@@ -507,20 +466,6 @@ func (e *Engine) TagReg(tag core.Tag, cb core.AMCallback, maxLen int64) {
 		maxLen = e.rt.Config().BufferedMax
 	}
 	e.tags.Register(tag, cb, maxLen)
-}
-
-// MemReg registers b for remote puts. With NativePut the registration is
-// also exposed to the LCI one-sided layer under the same ID, so a remote
-// rank can write it directly.
-func (e *Engine) memRegNative(b buf.Buf) core.MemHandle {
-	h := e.reg.MemReg(b)
-	e.ep.RegisterRMA(lci.RMAKey{ID: h.ID}, b)
-	return h
-}
-
-func (e *Engine) memDeregNative(h core.MemHandle) {
-	e.reg.MemDereg(h)
-	e.ep.DeregisterRMA(lci.RMAKey{ID: h.ID})
 }
 
 // Submit runs fn on the communication thread after charging cost.
@@ -545,9 +490,8 @@ func (e *Engine) SendAMMT(worker *sim.Proc, tag core.Tag, remote int, data []byt
 	worker.Submit(cfg.SendCost(int64(len(data)))+cfg.MTSendCost, o.issue)
 }
 
-// Put starts the one-sided transfer: the §5.3.3 handshake emulation by
-// default, or the true one-sided Putd when NativePut is set. Must run on
-// the communication thread.
+// Put starts the one-sided transfer with the §5.3.3 handshake emulation.
+// Must run on the communication thread.
 func (e *Engine) Put(a core.PutArgs) {
 	if e.failed != nil || e.deadPeers[a.Remote] {
 		return
@@ -556,16 +500,6 @@ func (e *Engine) Put(a core.PutArgs) {
 	e.putBytes.Add(uint64(a.Size))
 	local := e.reg.Lookup(a.LReg).Slice(a.LDispl, a.Size)
 	cfg := e.rt.Config()
-
-	if e.cfg.NativePut {
-		o := e.newOp(opNativePut, a.Remote)
-		o.buf = core.PutHeader{RTag: a.RTag, RCBData: a.RCBData}.AppendTo(o.buf)
-		o.local, o.rkey, o.rdispl = local, a.RReg.ID, a.RDispl
-		o.h = e.newHandle()
-		o.h.localCB = a.LocalCB
-		e.Submit(cfg.PostCost, o.issue)
-		return
-	}
 
 	if a.Size <= e.cfg.EagerPutMax {
 		// Eager-data optimization: the data rides inside the handshake and
@@ -689,19 +623,12 @@ func (e *Engine) pushDeferred(o *sendOp) {
 }
 
 // scheduleProgress arranges an LCI progress pass on the progress thread.
-// With ProgressThreads > 1 the pass cost is divided across the extra
-// threads — a first-order model of parallel completion-queue polling, the
-// paper's §7 future-work item.
 func (e *Engine) scheduleProgress() {
 	if e.progScheduled {
 		return
 	}
 	e.progScheduled = true
-	cost := e.ep.ProgressCost()
-	if e.cfg.ProgressThreads > 1 {
-		cost /= sim.Duration(e.cfg.ProgressThreads)
-	}
-	e.prog.Submit(cost, e.runProgressFn)
+	e.prog.Submit(e.ep.ProgressCost(), e.runProgressFn)
 }
 
 func (e *Engine) runProgress() {

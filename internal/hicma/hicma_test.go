@@ -226,7 +226,7 @@ func TestLCIBeatsMPIOnLatencyAtFineTiles(t *testing.T) {
 	// end-to-end communication latency beats the MPI backend's, and
 	// time-to-solution is no worse. (At this miniature scale the run is
 	// compute-bound, so the full time-to-solution gap only appears in the
-	// paper-scale benchmarks; see internal/bench and bench_test.go.)
+	// paper-scale runs; see internal/bench and cmd/experiments.)
 	par := DefaultParams(19200, 600) // T=32, small tiles
 	run := func(b stack.Backend) (sim.Duration, float64) {
 		p := NewVirtual(par, 4)

@@ -76,7 +76,6 @@ const (
 	kindData                    // direct payload
 	kindSendDone                // local: direct send buffer drained
 	kindPktDone                 // local: immediate/buffered packet released
-	kindPut                     // one-sided put payload (rma.go)
 )
 
 // packet is the pooled record of one library-level message: the header the
@@ -104,11 +103,6 @@ type packet struct {
 	data, xdata []byte
 	sctx        *directOp // sender-side direct operation
 	rctx        *directOp // receiver-side direct operation
-
-	// One-sided put fields (rma.go).
-	rmaKey  RMAKey
-	rmaOff  int64
-	rmaMeta []byte
 }
 
 // directOp tracks one posted Direct send or receive. The record is pooled at
@@ -161,10 +155,6 @@ type Endpoint struct {
 	// msgComp receives completions for Immediate/Buffered arrivals; buffers
 	// are allocated dynamically, no receive needs to be posted (§5.2).
 	msgComp Comp
-
-	// One-sided put state (rma.go).
-	rmaMem  map[RMAKey]buf.Buf
-	rmaComp Comp
 
 	wake  func()
 	errFn func(peer int, err error)
@@ -268,7 +258,7 @@ func (p *packet) txDone() {
 	switch p.kind {
 	case kindMsg:
 		ep.stage(&ep.pktDone)
-	case kindData, kindPut:
+	case kindData:
 		d := ep.takePacket(kindSendDone)
 		d.sctx = p.sctx
 		ep.stage(d)
@@ -405,10 +395,6 @@ func (ep *Endpoint) ProgressCost() sim.Duration {
 			d += ep.rt.cfg.PerCompletion + ep.rt.cfg.copyCost(p.size)
 		case kindRTS, kindCTS, kindData:
 			d += ep.rt.cfg.MatchCost + ep.rt.cfg.PerCompletion
-		case kindPut:
-			// The NIC wrote memory directly: only the completion
-			// notification costs CPU, no matching and no copy.
-			d += ep.rt.cfg.PerCompletion
 		case kindSendDone, kindPktDone:
 			d += ep.rt.cfg.PerCompletion
 		}
@@ -459,14 +445,6 @@ func (ep *Endpoint) Progress() {
 			ep.direct.Add(-1)
 			buf.Copy(op.b, p.payload)
 			ep.complete(op, Request{Rank: p.src, Tag: p.tag, Data: op.b, UserCtx: op.userCtx})
-		case kindPut:
-			target, ok := ep.rmaMem[p.rmaKey]
-			if !ok {
-				panic(fmt.Sprintf("lci: one-sided put to unknown RMA key %v at rank %d", p.rmaKey, ep.me))
-			}
-			ep.received.Inc()
-			buf.Copy(target.Slice(p.rmaOff, p.size), p.payload)
-			deliver(ep.rmaComp, Request{Rank: p.src, Data: buf.FromBytes(p.rmaMeta)})
 		case kindSendDone:
 			op := p.sctx
 			ep.direct.Add(-1)

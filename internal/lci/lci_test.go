@@ -305,81 +305,3 @@ func TestLCIPerMessageCostBelowMPI(t *testing.T) {
 		t.Skip("cost models changed; revisit calibration")
 	}
 }
-
-func TestOneSidedPutdRoundTrip(t *testing.T) {
-	eng, rt := harness(2)
-	pump(eng, rt)
-	const n = 256 << 10
-	src := make([]byte, n)
-	for i := range src {
-		src[i] = byte(i * 3)
-	}
-	dst := make([]byte, n+64)
-	rt.Endpoint(1).RegisterRMA(RMAKey{ID: 9}, buf.FromBytes(dst))
-	var meta []byte
-	var from int
-	rt.Endpoint(1).SetRMAComp(Handler(func(r Request) {
-		meta = r.Data.Bytes
-		from = r.Rank
-	}))
-	done := &Sync{}
-	if err := rt.Endpoint(0).Putd(1, RMAKey{ID: 9}, 64, buf.FromBytes(src), []byte("notify"), done, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if _, ok := done.Test(); !ok {
-		t.Fatal("initiator completion missing")
-	}
-	if string(meta) != "notify" || from != 0 {
-		t.Fatalf("remote completion meta=%q from=%d", meta, from)
-	}
-	for i := 0; i < n; i += 1777 {
-		if dst[64+i] != byte(i*3) {
-			t.Fatalf("payload mismatch at %d", i)
-		}
-	}
-	if dst[0] != 0 {
-		t.Fatal("offset not honored")
-	}
-}
-
-func TestPutdBackPressure(t *testing.T) {
-	eng, rt := harness(2)
-	_ = eng
-	rt.Endpoint(1).RegisterRMA(RMAKey{ID: 1}, buf.Virtual(1<<20))
-	ep := rt.Endpoint(0)
-	for i := 0; i < rt.Config().MaxDirect; i++ {
-		if err := ep.Putd(1, RMAKey{ID: 1}, 0, buf.Virtual(8), nil, nil, nil); err != nil {
-			t.Fatalf("putd %d: %v", i, err)
-		}
-	}
-	if err := ep.Putd(1, RMAKey{ID: 1}, 0, buf.Virtual(8), nil, nil, nil); err != ErrRetry {
-		t.Fatalf("err = %v, want ErrRetry", err)
-	}
-}
-
-func TestPutdUnknownKeyPanics(t *testing.T) {
-	eng, rt := harness(2)
-	pump(eng, rt)
-	rt.Endpoint(0).Putd(1, RMAKey{ID: 77}, 0, buf.Virtual(8), nil, nil, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("put to unknown key did not panic")
-		}
-	}()
-	eng.Run()
-}
-
-func TestRMARegistrationLifecycle(t *testing.T) {
-	_, rt := harness(1)
-	ep := rt.Endpoint(0)
-	ep.RegisterRMA(RMAKey{ID: 5}, buf.Virtual(128))
-	ep.DeregisterRMA(RMAKey{ID: 5})
-	ep.RegisterRMA(RMAKey{ID: 5}, buf.Virtual(64)) // id reusable after dereg
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate RMA key did not panic")
-		}
-	}()
-	ep.RegisterRMA(RMAKey{ID: 5}, buf.Virtual(64))
-}
