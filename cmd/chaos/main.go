@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -27,13 +28,14 @@ import (
 	"amtlci/internal/bench"
 	"amtlci/internal/chaos"
 	"amtlci/internal/core/stack"
+	"amtlci/internal/expd"
 	"amtlci/internal/fabric"
 	"amtlci/internal/rel"
 	"amtlci/internal/sim"
 )
 
 func main() {
-	seed := flag.Uint64("seed", 0xC7A05, "fault schedule seed (printed for reproduction)")
+	seed := flag.Uint64("seed", chaos.DefaultSeed, "fault schedule seed (printed for reproduction)")
 	rate := flag.Float64("rate", -1, "single fault rate in percent for drop/dup/corrupt/reorder (-1 sweeps 0.5,1,2)")
 	quick := flag.Bool("quick", false, "one 2% point per backend on the Cholesky graph")
 	sever := flag.Bool("sever", false, "sever link 0->1 and demonstrate the clean PeerUnreachable abort")
@@ -55,113 +57,86 @@ func main() {
 		os.Exit(runCrash(*crash, *storm, *seed, *metricsDir, *steal))
 	}
 
-	rates := []float64{0.005, 0.01, 0.02}
+	// The rate sweep is an expd chaos spec: one point per (backend,
+	// workload), each measuring its fault-free baseline and then every rate.
+	spec := expd.Spec{Kind: expd.KindChaos, Seed: *seed, Steal: *steal}
 	if *rate >= 0 {
-		rates = []float64{*rate / 100}
+		spec.Rates = []float64{*rate}
 	}
-	workloads := chaos.Workloads
 	if *quick {
-		rates = []float64{0.02}
-		workloads = []chaos.Workload{chaos.Cholesky}
+		spec.Rates, spec.Workloads = []float64{2}, []string{"cholesky"}
 	}
+	canon, err := spec.Canonical()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+		os.Exit(2)
+	}
+	pts := canon.Points()
 
 	fmt.Printf("%-8s %-9s %6s %10s %9s %6s %6s %6s %7s %6s  %s\n",
 		"backend", "workload", "rate", "makespan", "slowdown",
 		"drop", "dup", "corr", "retrans", "steals", "verdict")
-
-	// One sweep point per (backend, workload): the baseline and each rate
-	// share the point because slowdown is relative to that baseline. Points
-	// run in parallel under -j; each returns its finished output lines, so
-	// the report prints in grid order regardless of scheduling.
-	type point struct {
-		b stack.Backend
-		w chaos.Workload
-	}
-	var grid []point
-	for _, b := range stack.Backends {
-		for _, w := range workloads {
-			grid = append(grid, point{b, w})
+	// Each point's error arrives through Done, so a broken point prints in
+	// its row; EvalPoints' own error is the first of those.
+	errs := make([]error, len(pts))
+	results, _ := expd.EvalPoints(context.Background(), *j, pts, nil, expd.EvalHooks{
+		Done: func(i int, _ expd.PointResult, _ bool, err error, _ time.Duration) { errs[i] = err },
+	})
+	bad := false
+	for i, p := range pts {
+		b, _ := stack.ParseBackend(p.Backend) // canonical spelling
+		if errs[i] != nil {
+			fmt.Printf("%-8v %-9v %v\n", b, p.Workload, errs[i])
+			bad = true
+			continue
 		}
-	}
-	type pointResult struct {
-		lines []string
-		bad   bool
-	}
-	workers := bench.SweepWorkers(*j, len(grid))
-	results := bench.Sweep(workers, len(grid), func(i int) pointResult {
-		b, w := grid[i].b, grid[i].w
-		var pr pointResult
-		base := chaos.Run(chaos.Opts{Backend: b, Workload: w})
-		if base.Err != nil {
-			pr.lines = append(pr.lines, fmt.Sprintf("%-8v %-9v fault-free baseline broken: %v", b, w, base.Err))
-			pr.bad = true
-			return pr
-		}
-		for _, r := range rates {
-			rc := rel.DefaultConfig()
-			res := chaos.Run(chaos.Opts{
-				Backend: b, Workload: w,
-				Faults: &fabric.FaultConfig{
-					Drop: r, Duplicate: r, Corrupt: r, Reorder: r, Seed: *seed,
-				},
-				Rel:   &rc,
-				Steal: *steal,
-			})
+		for _, row := range results[i].Chaos.Rows {
 			verdict := "verified"
-			if res.Err != nil {
-				verdict = "ABORT: " + res.Err.Error()
-				pr.bad = true
-			} else if !res.Verified {
-				verdict = fmt.Sprintf("WRONG (rel err %g)", res.RelErr)
-				pr.bad = true
+			if row.Err != "" {
+				verdict = "ABORT: " + row.Err
+				bad = true
+			} else if !row.Verified {
+				verdict = fmt.Sprintf("WRONG (rel err %g)", row.RelErr)
+				bad = true
 			}
-			slow := float64(res.Makespan) / float64(base.Makespan)
-			pr.lines = append(pr.lines, fmt.Sprintf("%-8v %-9v %5.1f%% %10v %8.2fx %6d %6d %6d %7d %6d  %s",
-				b, w, r*100, res.Makespan, slow,
-				res.Faults.Dropped, res.Faults.Duplicated, res.Faults.Corrupted,
-				res.Rel.Retransmits, res.Steals, verdict))
+			fmt.Printf("%-8v %-9v %5.1f%% %10v %8.2fx %6d %6d %6d %7d %6d  %s\n",
+				b, p.Workload, row.RatePct, sim.Duration(row.MakespanNS), row.Slowdown,
+				row.Dropped, row.Duplicated, row.Corrupted, row.Retransmits, row.Steals, verdict)
 			if *metricsDir != "" {
-				if path, err := dumpMetrics(*metricsDir, b, w, r, res); err != nil {
-					pr.lines = append(pr.lines, fmt.Sprintf("chaos: metrics dump failed: %v", err))
-					pr.bad = true
+				if path, err := dumpMetrics(*metricsDir, p, row.RatePct); err != nil {
+					fmt.Printf("chaos: metrics dump failed: %v\n", err)
+					bad = true
 				} else {
-					pr.lines = append(pr.lines, "  metrics -> "+path)
+					fmt.Println("  metrics -> " + path)
 				}
 			}
 		}
-		return pr
-	})
-	bad := false
-	for _, pr := range results {
-		for _, l := range pr.lines {
-			fmt.Println(l)
-		}
-		bad = bad || pr.bad
 	}
 	if bad {
 		os.Exit(1)
 	}
 }
 
-// dumpMetrics writes the run's full instrument registry as one CSV per
-// (backend, workload, rate) point and returns the path. It is called from
-// sweep workers, so it must not print (the caller reports the path in grid
-// order); distinct points write distinct files, so concurrent dumps are safe.
-func dumpMetrics(dir string, b stack.Backend, w chaos.Workload, rate float64, res chaos.Result) (string, error) {
+// dumpMetrics re-runs the faulted run of chaos point p at ratePct percent —
+// the run is deterministic, so this is the registry the sweep measured —
+// and writes its full instrument registry as one CSV per (backend,
+// workload, rate), returning the path.
+func dumpMetrics(dir string, p expd.Point, ratePct float64) (string, error) {
+	o, err := p.ChaosOpts(ratePct)
+	if err != nil {
+		return "", err
+	}
+	res := chaos.Run(o)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	be := "mpi"
-	if b == stack.LCI {
-		be = "lci"
-	}
-	name := fmt.Sprintf("chaos-metrics-%s-%v-%.1fpct.csv", be, w, rate*100)
+	name := fmt.Sprintf("chaos-metrics-%s-%s-%.1fpct.csv", p.Backend, p.Workload, ratePct)
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
 		return "", err
 	}
-	title := fmt.Sprintf("chaos metrics: %v %v %.1f%% faults", b, w, rate*100)
+	title := fmt.Sprintf("chaos metrics: %v %v %.1f%% faults", o.Backend, o.Workload, ratePct)
 	bench.MetricsTable(res.Metrics, title).CSV(f)
 	if err := f.Close(); err != nil {
 		return "", err

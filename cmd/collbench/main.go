@@ -9,13 +9,15 @@
 //
 //	collbench [-ranks 4,16,64] [-iters N] [-j N] [-csv] [-check] [-quick]
 //
-// With -csv the sweep is emitted as one CSV table on stdout (deterministic
-// for a fixed seed); otherwise aligned text tables, one per operation and
-// rank count. -check exits nonzero if the selector picked a slower
-// algorithm anywhere in the sweep.
+// The flags build an internal/expd coll spec, the same sweep the simd
+// service runs. With -csv the sweep is emitted as one CSV table on stdout
+// (deterministic for a fixed seed); otherwise as one aligned text table.
+// -check exits nonzero if the selector picked a slower algorithm at the
+// latency or bandwidth extreme of the payload sweep.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -23,9 +25,8 @@ import (
 	"strings"
 
 	"amtlci/internal/bench"
-	"amtlci/internal/coll"
 	"amtlci/internal/core/stack"
-	"amtlci/internal/sim"
+	"amtlci/internal/expd"
 )
 
 func parseRanks(s string) []int {
@@ -41,6 +42,18 @@ func parseRanks(s string) []int {
 	return out
 }
 
+// quickSpec is -quick's subset: 2 rank counts, every other size, 1
+// iteration.
+func quickSpec() expd.Spec {
+	s := expd.Spec{Kind: expd.KindColl, Ranks: []int{4, 16}, Iters: 1}
+	for i, size := range bench.CollSizes() {
+		if i%2 == 0 {
+			s.Sizes = append(s.Sizes, expd.Size(size))
+		}
+	}
+	return s
+}
+
 func main() {
 	ranksFlag := flag.String("ranks", "4,16,64", "comma-separated rank counts")
 	iters := flag.Int("iters", 3, "back-to-back operations per measurement")
@@ -50,130 +63,91 @@ func main() {
 	j := flag.Int("j", 1, "parallel sweep workers (0 = one per CPU); output is identical for every value")
 	flag.Parse()
 
-	ranksList := parseRanks(*ranksFlag)
-	sizes := bench.CollSizes()
+	s := expd.Spec{Kind: expd.KindColl, Ranks: parseRanks(*ranksFlag), Iters: *iters}
 	if *quick {
-		ranksList = []int{4, 16}
-		var sub []int64
-		for i, s := range sizes {
-			if i%2 == 0 {
-				sub = append(sub, s)
-			}
-		}
-		sizes = sub
-		*iters = 1
+		s = quickSpec()
+	}
+	canon, err := s.Canonical()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "collbench: %v\n", err)
+		os.Exit(2)
+	}
+	pts := canon.Points()
+	results, err := expd.EvalPoints(context.Background(), *j, pts, nil, expd.EvalHooks{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "collbench: %v\n", err)
+		os.Exit(1)
 	}
 
-	csvTbl := bench.NewTable("collectives sweep — mean completion time",
+	tbl := bench.NewTable("collectives sweep — mean completion time",
 		"backend", "op", "ranks", "bytes", "algorithm", "picked", "time_us")
-	smallest, largest := sizes[0], sizes[len(sizes)-1]
-
-	// One sweep point per (backend, op, ranks, size); each point returns its
-	// table rows and any selector-miss note so the assembled output — table,
-	// counters, and stderr notes alike — is independent of worker count.
-	type pointResult struct {
-		rows          [][]string
-		miss, extreme bool
-		note          string
-	}
-	measure := func(b stack.Backend, k coll.Kind, n int, size int64) pointResult {
-		var pr pointResult
-		algos := coll.Algorithms(k)
-		times := make(map[coll.Algorithm]sim.Duration, len(algos))
-		addRow := func(name, picked string, d sim.Duration) {
-			pr.rows = append(pr.rows, []string{
-				b.String(), k.String(), fmt.Sprint(n), fmt.Sprint(size),
-				name, picked, fmt.Sprintf("%.3f", d.Seconds()*1e6),
-			})
-		}
-		for _, a := range algos {
-			o := bench.DefaultCollOpts(b, k, n, size)
-			o.Algo = a
-			o.Iters = *iters
-			res := bench.Collective(o)
-			times[a] = res.Time
-			addRow(a.String(), a.String(), res.Time)
-		}
-		o := bench.DefaultCollOpts(b, k, n, size)
-		o.Iters = *iters
-		auto := bench.Collective(o)
-		addRow("auto", auto.Picked.String(), auto.Time)
-
-		best := algos[0]
-		for _, a := range algos[1:] {
-			if times[a] < times[best] {
-				best = a
-			}
-		}
-		if auto.Picked != best {
-			pr.miss = true
-			// The selector must be right at the latency (smallest) and
-			// bandwidth (largest) extremes; mid-range crossover points
-			// within measurement noise of each other are informational.
-			pr.extreme = k != coll.OpBarrier && (size == smallest || size == largest)
-			severity := "note:"
-			if pr.extreme {
-				severity = "MISS:"
-			}
-			pr.note = fmt.Sprintf(
-				"collbench: %s selector picked %v for %v/%s n=%d size=%d; %v is faster (%v vs %v)",
-				severity, auto.Picked, b, k, n, size, best, times[best], times[auto.Picked])
-		}
-		return pr
-	}
-
-	type point struct {
-		b    stack.Backend
-		k    coll.Kind
-		n    int
-		size int64
-	}
-	var grid []point
-	for _, b := range []stack.Backend{stack.LCI, stack.MPI} {
-		for _, k := range bench.CollKinds() {
-			for _, n := range ranksList {
-				if k == coll.OpBarrier {
-					grid = append(grid, point{b, k, n, 0})
-					continue
-				}
-				for _, size := range sizes {
-					grid = append(grid, point{b, k, n, size})
-				}
-			}
+	for i, p := range pts {
+		b, _ := stack.ParseBackend(p.Backend) // canonical spelling
+		for _, r := range results[i].Coll {
+			tbl.AddRow(b.String(), p.Op, strconv.Itoa(p.Ranks), strconv.FormatInt(p.Size, 10),
+				r.Algo, r.Picked, fmt.Sprintf("%.3f", r.TimeUS))
 		}
 	}
-	workers := bench.SweepWorkers(*j, len(grid))
-	results := bench.Sweep(workers, len(grid), func(i int) pointResult {
-		g := grid[i]
-		return measure(g.b, g.k, g.n, g.size)
-	})
-	misses, extremeMisses := 0, 0
-	for _, pr := range results {
-		for _, r := range pr.rows {
-			csvTbl.AddRow(r...)
-		}
-		if pr.miss {
-			misses++
-			if pr.extreme {
-				extremeMisses++
-			}
-			if *check {
-				fmt.Fprintln(os.Stderr, pr.note)
-			}
-		}
-	}
-
 	if *csv {
-		csvTbl.CSV(os.Stdout)
+		tbl.CSV(os.Stdout)
 	} else {
-		csvTbl.Write(os.Stdout)
+		tbl.Write(os.Stdout)
 	}
+
 	if *check {
+		notes, extreme := selectorMisses(pts, results)
+		for _, n := range notes {
+			fmt.Fprintln(os.Stderr, n)
+		}
 		fmt.Fprintf(os.Stderr,
 			"collbench: selector matched the fastest algorithm everywhere but %d points (%d at size extremes)\n",
-			misses, extremeMisses)
-		if extremeMisses > 0 {
+			len(notes), extreme)
+		if extreme > 0 {
 			os.Exit(1)
 		}
 	}
+}
+
+// atExtreme reports whether a point of operation op at payload size is
+// where the selector must be right: the latency (smallest) and bandwidth
+// (largest) ends of bench.CollSizes, whatever subset was swept. Mid-range
+// crossovers within measurement noise of each other are informational, and
+// a barrier has no payload.
+func atExtreme(op string, size int64) bool {
+	sizes := bench.CollSizes()
+	return op != "barrier" && (size == sizes[0] || size == sizes[len(sizes)-1])
+}
+
+// selectorMisses returns one note per point where the selector's "auto"
+// pick (each point's last row) is not the fastest concrete algorithm (the
+// first of equals), in point order, and how many of them are at a size
+// extreme.
+func selectorMisses(pts []expd.Point, results []expd.PointResult) (notes []string, extreme int) {
+	for i, p := range pts {
+		rows := results[i].Coll
+		auto, algos := rows[len(rows)-1], rows[:len(rows)-1]
+		best := algos[0]
+		var picked expd.CollRow
+		for _, r := range algos {
+			if r.TimeUS < best.TimeUS {
+				best = r
+			}
+			if r.Algo == auto.Picked {
+				picked = r
+			}
+		}
+		if auto.Picked == best.Algo {
+			continue
+		}
+		severity := "note:"
+		if atExtreme(p.Op, p.Size) {
+			severity = "MISS:"
+			extreme++
+		}
+		b, _ := stack.ParseBackend(p.Backend)
+		notes = append(notes, fmt.Sprintf(
+			"collbench: %s selector picked %s for %v/%s n=%d size=%d; %s is faster (%.3fµs vs %.3fµs)",
+			severity, auto.Picked, b, p.Op, p.Ranks, p.Size, best.Algo, best.TimeUS, picked.TimeUS))
+	}
+	return notes, extreme
 }

@@ -11,12 +11,16 @@
 //	Fig 5b  strong-scaling latency
 //	Table 2 best tile size per node count
 //
+// Figures 4 and 5 are internal/expd tile and nodes specs, evaluated and
+// rendered by the code cmd/hicma and the simd service use.
+//
 // -scale shrinks the HiCMA problem; -quick uses a cheap measurement
 // protocol. With the defaults (scale 1, paper protocols) a full regeneration
 // takes several hours of CPU; -scale 0.5 -quick finishes in minutes.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -26,6 +30,7 @@ import (
 
 	"amtlci/internal/bench"
 	"amtlci/internal/core/stack"
+	"amtlci/internal/expd"
 	"amtlci/internal/fabric"
 	"amtlci/internal/hicma"
 	"amtlci/internal/netpipe"
@@ -51,19 +56,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	// Each sweep sizes its worker count against its own point grid, so -j 0
-	// never provisions more workers than a sweep has points.
-	workers := func(n int) int { return bench.SweepWorkers(*j, n) }
-
 	if *listConfig {
 		printConfig(os.Stdout)
 		return
 	}
 	if *metricsDir != "" {
-		if err := dumpMetrics(*metricsDir); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(dumpMetrics(*metricsDir))
 		return
 	}
 
@@ -74,10 +72,7 @@ func main() {
 		hicma = stats.Methodology{Runs: 1, Discard: 0}
 	}
 	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(os.MkdirAll(*csvDir, 0o755))
 	}
 	// emit prints the table and, with -csv, writes it as <name>.csv. The
 	// tables are assembled in sweep order after the points complete, so the
@@ -92,146 +87,82 @@ func main() {
 			return
 		}
 		f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		t.CSV(f)
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(f.Close())
 	}
 	start := time.Now()
 
-	// ---- Figure 2a ----
-	fig2a := bench.NewTable("Fig 2a: one-stream ping-pong bandwidth (Gbit/s)",
-		"granularity", "LCI", "Open MPI", "NetPIPE")
-	ppSizes := bench.PingPongSizes()
-	fig2aRows := bench.Sweep(workers(len(ppSizes)), len(ppSizes), func(i int) [3]float64 {
-		var v [3]float64
-		for bi, b := range []stack.Backend{stack.LCI, stack.MPI} {
-			o := bench.DefaultPingPongOpts(b, ppSizes[i])
-			o.Runs = micro
-			v[bi] = bench.PingPong(o).Gbps
+	// ---- Figures 2a, 2b and 3: microbenchmarks, one row per granularity ----
+	microFigure := func(name, title, format string, sizes []int64, series []string, row func(size int64) []float64) {
+		t := bench.NewTable(title, append([]string{"granularity"}, series...)...)
+		rows := bench.Sweep(bench.SweepWorkers(*j, len(sizes)), len(sizes), func(i int) []float64 { return row(sizes[i]) })
+		for i, size := range sizes {
+			t.AddFloats(bench.Bytes(size), format, rows[i]...)
 		}
-		v[2] = netpipe.Bandwidth(netpipe.DefaultConfig(), ppSizes[i])
-		return v
-	})
-	for i, size := range ppSizes {
-		v := fig2aRows[i]
-		fig2a.AddFloats(bench.Bytes(size), "%.1f", v[0], v[1], v[2])
+		emit(name, t)
 	}
-	emit("fig2a", fig2a)
-
-	// ---- Figure 2b ----
-	fig2b := bench.NewTable("Fig 2b: two-stream ping-pong bandwidth (Gbit/s)",
-		"granularity", "LCI", "Open MPI", "LCI (no sync)", "Open MPI (no sync)")
-	fig2bRows := bench.Sweep(workers(len(ppSizes)), len(ppSizes), func(i int) [4]float64 {
-		var v [4]float64
-		k := 0
-		for _, sync := range []bool{true, false} {
-			for _, b := range []stack.Backend{stack.LCI, stack.MPI} {
-				o := bench.DefaultPingPongOpts(b, ppSizes[i])
-				o.Streams = 2
-				o.Sync = sync
+	pingpong := func(b stack.Backend, size int64, streams int, sync bool) float64 {
+		o := bench.DefaultPingPongOpts(b, size)
+		o.Streams, o.Sync, o.Runs = streams, sync, micro
+		return bench.PingPong(o).Gbps
+	}
+	microFigure("fig2a", "Fig 2a: one-stream ping-pong bandwidth (Gbit/s)", "%.1f", bench.PingPongSizes(),
+		[]string{"LCI", "Open MPI", "NetPIPE"}, func(size int64) []float64 {
+			return []float64{pingpong(stack.LCI, size, 1, true), pingpong(stack.MPI, size, 1, true),
+				netpipe.Bandwidth(netpipe.DefaultConfig(), size)}
+		})
+	microFigure("fig2b", "Fig 2b: two-stream ping-pong bandwidth (Gbit/s)", "%.1f", bench.PingPongSizes(),
+		[]string{"LCI", "Open MPI", "LCI (no sync)", "Open MPI (no sync)"}, func(size int64) []float64 {
+			return []float64{pingpong(stack.LCI, size, 2, true), pingpong(stack.MPI, size, 2, true),
+				pingpong(stack.LCI, size, 2, false), pingpong(stack.MPI, size, 2, false)}
+		})
+	microFigure("fig3", "Fig 3: overlap with GEMM-like intensity (GFLOP/s)", "%.0f", bench.OverlapSizes(),
+		[]string{"LCI", "Open MPI", "Roofline", "No Overlap"}, func(size int64) []float64 {
+			var v []float64
+			var r bench.OverlapResult
+			for _, b := range stack.Backends {
+				o := bench.DefaultOverlapOpts(b, size)
 				o.Runs = micro
-				v[k] = bench.PingPong(o).Gbps
-				k++
+				r = bench.Overlap(o)
+				v = append(v, r.GFLOPS)
+			}
+			return append(v, r.Roofline, r.NoOverlap) // the models at Open MPI's worker count
+		})
+
+	// ---- Figures 4a/4b, 5a/5b and Table 2 ----
+	// figures evaluates a canonical HiCMA spec and emits the paper's tables
+	// for it.
+	figures := func(s expd.Spec) []expd.PointResult {
+		results, err := expd.EvalPoints(context.Background(), *j, s.Points(), nil, expd.EvalHooks{})
+		exitOn(err)
+		figs, err := expd.HiCMAFigures(s, results)
+		exitOn(err)
+		for _, f := range figs {
+			if f.Name != expd.FigMTTime { // §6.4.3's table, not a figure of the paper
+				emit(f.Name, f.Table)
 			}
 		}
-		return v
-	})
-	for i, size := range ppSizes {
-		v := fig2bRows[i]
-		fig2b.AddFloats(bench.Bytes(size), "%.1f", v[0], v[1], v[2], v[3])
+		return results
 	}
-	emit("fig2b", fig2b)
+	tile, err := expd.Spec{Kind: expd.KindTile, Scale: *scale, Nodes: 16, MT: true, Steal: *steal,
+		Shards: *shards, Runs: hicma.Runs, Discard: hicma.Discard}.Canonical()
+	exitOn(err)
+	fmt.Printf("HiCMA problem: N=%d (scale %.2f)\n\n", tile.N, *scale)
+	figures(tile)
 
-	// ---- Figure 3 ----
-	fig3 := bench.NewTable("Fig 3: overlap with GEMM-like intensity (GFLOP/s)",
-		"granularity", "LCI", "Open MPI", "Roofline", "No Overlap")
-	ovSizes := bench.OverlapSizes()
-	fig3Rows := bench.Sweep(workers(len(ovSizes)), len(ovSizes), func(i int) [4]float64 {
-		var v [4]float64
-		for bi, b := range []stack.Backend{stack.LCI, stack.MPI} {
-			o := bench.DefaultOverlapOpts(b, ovSizes[i])
-			o.Runs = micro
-			r := bench.Overlap(o)
-			v[bi] = r.GFLOPS
-			v[2], v[3] = r.Roofline, r.NoOverlap
-		}
-		return v
-	})
-	for i, size := range ovSizes {
-		v := fig3Rows[i]
-		fig3.AddFloats(bench.Bytes(size), "%.0f", v[0], v[1], v[2], v[3])
-	}
-	emit("fig3", fig3)
-
-	// ---- Figures 4a/4b ----
-	n, tiles := bench.ScaledProblem(*scale, bench.PaperTileSizes)
-	fmt.Printf("HiCMA problem: N=%d (scale %.2f)\n\n", n, *scale)
-	fig4a := bench.NewTable("Fig 4a: TLR Cholesky time-to-solution, 16 nodes (s)",
-		"tile", "LCI", "Open MPI")
-	fig4b := bench.NewTable("Fig 4b: end-to-end latency, 16 nodes (ms)",
-		"tile", "LCI", "Open MPI", "LCI (MT)", "Open MPI (MT)")
-	type key struct {
-		b  stack.Backend
-		mt bool
-	}
-	ttsAtTile := map[int]map[key]float64{}
-	fig4Rows := bench.Sweep(workers(len(tiles)), len(tiles), func(i int) map[key]bench.HiCMAResult {
-		res := map[key]bench.HiCMAResult{}
-		for _, b := range []stack.Backend{stack.LCI, stack.MPI} {
-			for _, mt := range []bool{false, true} {
-				o := bench.DefaultHiCMAOpts(b, tiles[i], 16)
-				o.N = n
-				o.MT = mt
-				o.Steal = *steal
-				o.Shards = *shards
-				o.Runs = hicma
-				res[key{b, mt}] = bench.HiCMA(o)
-			}
-		}
-		return res
-	})
-	for i, t := range tiles {
-		res := fig4Rows[i]
-		ttsAtTile[t] = map[key]float64{}
-		for k, r := range res {
-			ttsAtTile[t][k] = r.TimeToSolution
-		}
-		fig4a.AddFloats(fmt.Sprint(t), "%.2f",
-			res[key{stack.LCI, false}].TimeToSolution, res[key{stack.MPI, false}].TimeToSolution)
-		fig4b.AddFloats(fmt.Sprint(t), "%.2f",
-			res[key{stack.LCI, false}].E2ELatencyMS, res[key{stack.MPI, false}].E2ELatencyMS,
-			res[key{stack.LCI, true}].E2ELatencyMS, res[key{stack.MPI, true}].E2ELatencyMS)
-	}
-	emit("fig4a", fig4a)
-	emit("fig4b", fig4b)
-
-	// ---- Figures 5a/5b and Table 2 ----
-	n5, tiles5 := n, tiles
+	scale5 := *scale
 	if *fig5Scale > 0 {
-		n5, tiles5 = bench.ScaledProblem(*fig5Scale, bench.PaperTileSizes)
-		fmt.Printf("strong-scaling problem: N=%d (scale %.2f)\n\n", n5, *fig5Scale)
+		scale5 = *fig5Scale
 	}
-	points := bench.StrongScaling(n5, bench.PaperNodeCounts, tiles5, hicma,
-		workers(2*len(bench.PaperNodeCounts)*len(tiles5)), *shards)
-	fig5a := bench.NewTable("Fig 5a: strong scaling (s)", "nodes", "LCI", "Open MPI", "Open MPI (best)")
-	fig5b := bench.NewTable("Fig 5b: strong-scaling latency (ms)", "nodes", "LCI", "Open MPI", "Open MPI (best)")
-	tbl2 := bench.NewTable("Table 2: tile size with lowest time-to-solution", "nodes", "Open MPI", "LCI")
-	for _, p := range points {
-		fig5a.AddFloats(fmt.Sprint(p.Nodes), "%.2f",
-			p.LCI.TimeToSolution, p.MPIAtLCI.TimeToSolution, p.MPIBest.TimeToSolution)
-		fig5b.AddFloats(fmt.Sprint(p.Nodes), "%.2f",
-			p.LCI.E2ELatencyMS, p.MPIAtLCI.E2ELatencyMS, p.MPIBest.E2ELatencyMS)
-		tbl2.AddRow(fmt.Sprint(p.Nodes), fmt.Sprint(p.MPIBestTile), fmt.Sprint(p.LCITile))
+	nodes, err := expd.Spec{Kind: expd.KindNodes, Scale: scale5,
+		Shards: *shards, Runs: hicma.Runs, Discard: hicma.Discard}.Canonical()
+	exitOn(err)
+	if *fig5Scale > 0 {
+		fmt.Printf("strong-scaling problem: N=%d (scale %.2f)\n\n", nodes.N, *fig5Scale)
 	}
-	emit("fig5a", fig5a)
-	emit("fig5b", fig5b)
-	emit("table2", tbl2)
+	points, err := expd.StrongScalingFrom(nodes, figures(nodes))
+	exitOn(err)
 
 	// ---- headline summary (§6.4.3, §7) ----
 	for _, p := range points {
@@ -247,6 +178,14 @@ func main() {
 	// Host wall time goes to stderr: stdout is a pure function of virtual
 	// time, so results/experiments_full.txt regenerates byte-identically.
 	fmt.Fprintf(os.Stderr, "\ntotal wall time: %v\n", time.Since(start).Round(time.Second))
+}
+
+// exitOn reports a non-nil err and exits 1.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
 }
 
 // checkFlags rejects the flag values that would otherwise panic only once

@@ -194,13 +194,6 @@ func TestHiCMAWithClockSync(t *testing.T) {
 	}
 }
 
-func TestBestTileArgmin(t *testing.T) {
-	rs := []HiCMAResult{{NB: 1, TimeToSolution: 5}, {NB: 2, TimeToSolution: 3}, {NB: 3, TimeToSolution: 9}}
-	if BestTile(rs).NB != 2 {
-		t.Fatal("BestTile picked the wrong row")
-	}
-}
-
 func TestScaledProblem(t *testing.T) {
 	n, tiles := ScaledProblem(1.0, PaperTileSizes)
 	if n != 360000 || len(tiles) != len(PaperTileSizes) {

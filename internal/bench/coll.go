@@ -9,8 +9,8 @@ import (
 	"amtlci/internal/sim"
 )
 
-// CollOpts parameterizes one collective measurement: one (backend, rank
-// count, operation, algorithm, payload) point of the cmd/collbench sweep.
+// CollOpts parameterizes one collective measurement: one algorithm of an
+// expd coll point (backend, rank count, operation, payload).
 type CollOpts struct {
 	Backend stack.Backend
 	Kind    coll.Kind
@@ -139,17 +139,12 @@ func Collective(o CollOpts) CollResult {
 	return CollResult{Time: sim.Duration(end) / sim.Duration(o.Iters), Picked: picked}
 }
 
-// CollSizes is the payload sweep of cmd/collbench: 256 B (eager) to 8 MiB
-// (64 segments), decades of 4x.
+// CollSizes is the payload sweep of cmd/collbench: 256 B (eager) to 4 MiB
+// (32 segments), in steps of 4x.
 func CollSizes() []int64 {
 	var out []int64
 	for s := int64(256); s <= 8<<20; s *= 4 {
 		out = append(out, s)
 	}
 	return out
-}
-
-// CollKinds lists the swept operations in report order.
-func CollKinds() []coll.Kind {
-	return []coll.Kind{coll.OpBcast, coll.OpReduce, coll.OpAllreduce, coll.OpAllgather, coll.OpBarrier}
 }

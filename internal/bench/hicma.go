@@ -19,11 +19,6 @@ var PaperTileSizes = []int{1200, 1500, 1800, 2400, 3000, 3600, 4500, 4800, 6000}
 // PaperNodeCounts is the strong-scaling sweep of Figure 5 / Table 2.
 var PaperNodeCounts = []int{1, 2, 4, 8, 16, 32}
 
-// LargeNodeCounts extends the strong-scaling sweep past the paper's 32
-// nodes, into the regime where the serial simulator itself becomes the
-// bottleneck and a sharded domain (HiCMAOpts.Shards) pays off.
-var LargeNodeCounts = []int{256, 512, 1024}
-
 // HiCMAOpts parameterizes one HiCMA TLR Cholesky measurement (§6.4).
 type HiCMAOpts struct {
 	Backend stack.Backend
@@ -143,97 +138,6 @@ func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Confi
 		panic(fmt.Sprintf("bench: hicma %v", err))
 	}
 	return d.Seconds(), rt, pool
-}
-
-// TileScaling runs the Figure 4a/4b sweep at a fixed node count for one
-// backend (optionally multithreaded), over the given tile sizes. workers is
-// the sweep parallelism (see Sweep); results are in tile order either way.
-// Points simulate on shards simulation shards each (1 = serial).
-func TileScaling(b stack.Backend, n, nodes int, mt bool, tiles []int, runs stats.Methodology, workers, shards int) []HiCMAResult {
-	return Sweep(workers, len(tiles), func(i int) HiCMAResult {
-		o := DefaultHiCMAOpts(b, tiles[i], nodes)
-		o.N = n
-		o.MT = mt
-		o.Runs = runs
-		o.Shards = shards
-		return HiCMA(o)
-	})
-}
-
-// BestTile returns the result with the lowest time-to-solution (Table 2's
-// per-node-count argmin).
-func BestTile(results []HiCMAResult) HiCMAResult {
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.TimeToSolution < best.TimeToSolution {
-			best = r
-		}
-	}
-	return best
-}
-
-// StrongScalingPoint is one node count of Figure 5: LCI at its best tile,
-// Open MPI at LCI's best tile, and Open MPI at its own best tile.
-type StrongScalingPoint struct {
-	Nodes       int
-	LCI         HiCMAResult // best LCI tile
-	MPIAtLCI    HiCMAResult // MPI at the LCI-optimal tile
-	MPIBest     HiCMAResult // MPI at its own best tile
-	LCITile     int
-	MPIBestTile int
-}
-
-// StrongScaling runs the Figure 5a/5b + Table 2 experiment: for each node
-// count, sweep tile sizes for both backends and report the paper's three
-// series. The full (node x backend x tile) grid is flattened into one sweep
-// so a large -j keeps every worker busy even when a single node count has
-// few tiles; per-point determinism makes the reassembled series identical
-// to the serial nesting.
-// Each point simulates on shards simulation shards (1 = serial); sharding
-// matters most at the large node counts, where one simulated step fans out
-// to hundreds of rank calendars.
-func StrongScaling(n int, nodes []int, tiles []int, runs stats.Methodology, workers, shards int) []StrongScalingPoint {
-	type job struct {
-		b  stack.Backend
-		nd int
-		nb int
-	}
-	var jobs []job
-	for _, nd := range nodes {
-		for _, b := range []stack.Backend{stack.LCI, stack.MPI} {
-			for _, nb := range tiles {
-				jobs = append(jobs, job{b, nd, nb})
-			}
-		}
-	}
-	res := Sweep(workers, len(jobs), func(i int) HiCMAResult {
-		j := jobs[i]
-		o := DefaultHiCMAOpts(j.b, j.nb, j.nd)
-		o.N = n
-		o.Runs = runs
-		o.Shards = shards
-		return HiCMA(o)
-	})
-
-	var out []StrongScalingPoint
-	for i := 0; i < len(jobs); i += 2 * len(tiles) {
-		nd := jobs[i].nd
-		lciAll := res[i : i+len(tiles)]
-		mpiAll := res[i+len(tiles) : i+2*len(tiles)]
-		lciBest := BestTile(lciAll)
-		mpiBest := BestTile(mpiAll)
-		var mpiAtLCI HiCMAResult
-		for _, r := range mpiAll {
-			if r.NB == lciBest.NB {
-				mpiAtLCI = r
-			}
-		}
-		out = append(out, StrongScalingPoint{
-			Nodes: nd, LCI: lciBest, MPIAtLCI: mpiAtLCI, MPIBest: mpiBest,
-			LCITile: lciBest.NB, MPIBestTile: mpiBest.NB,
-		})
-	}
-	return out
 }
 
 // ScaledProblem shrinks the paper's N=360,000 problem by factor while

@@ -45,37 +45,6 @@ func TestHiCMAShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTileScalingCSVIdenticalSharded pins the experiment pipeline end to
-// end: the rendered sweep CSV — what cmd/hicma and the simd cache
-// ultimately serve — must be byte-identical whether the points simulate
-// serially or on 4 shards.
-func TestTileScalingCSVIdenticalSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second differential")
-	}
-	render := func(shards int) string {
-		res := TileScaling(stack.LCI, 9600, 4, false, []int{1200, 2400}, stats.Methodology{Runs: 1}, 1, shards)
-		tbl := NewTable("tile sweep", "tile", "tts", "e2e_ms", "hop_ms", "tasks")
-		for _, r := range res {
-			tbl.AddRow(fmt.Sprint(r.NB), fmt.Sprintf("%.9f", r.TimeToSolution),
-				fmt.Sprintf("%.9f", r.E2ELatencyMS), fmt.Sprintf("%.9f", r.HopLatencyMS),
-				fmt.Sprint(r.Tasks))
-		}
-		var sb strings.Builder
-		tbl.CSV(&sb)
-		return sb.String()
-	}
-	serial := render(1)
-	sharded := render(4)
-	if serial != sharded {
-		t.Fatalf("CSV differs between shards=1 and shards=4:\n--- serial ---\n%s--- sharded ---\n%s",
-			serial, sharded)
-	}
-	if !strings.Contains(serial, "1200") {
-		t.Fatalf("sweep produced no rows:\n%s", serial)
-	}
-}
-
 // TestHiCMAShardedStealMatchesSerial repeats the differential with
 // inter-rank work stealing on: the steal protocol (probes, grants, task +
 // tile transfer) is the most timing-entangled cross-rank machinery in the

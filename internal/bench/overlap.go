@@ -10,37 +10,36 @@ import (
 	"amtlci/internal/stats"
 )
 
+// The §6.3 configuration: each iteration moves 256 MiB in one stream
+// (window = total/fragment), two iterations run at the largest fragment
+// (8 MiB) and smaller fragments run proportionally more, and every worker
+// core executes the kernel at 40 GFLOP/s.
+const (
+	overlapTotalPerIter = 256 << 20
+	overlapBaseIters    = 2
+	overlapCoreGFLOPS   = 40.0
+)
+
 // OverlapOpts parameterizes the §6.3 computation/communication overlap
 // benchmark: the ping-pong graph without SYNC, where each task executes
 // sqrt(M/8) fused multiply-adds per 8-byte element (GEMM-like intensity),
 // and the iteration count is scaled so the total flop count is constant
 // across granularities.
 type OverlapOpts struct {
-	Backend      stack.Backend
-	FragSize     int64
-	TotalPerIter int64
-	Streams      int
-	// BaseIters is the iteration count at the largest fragment size
-	// (8 MiB); smaller fragments run proportionally more iterations.
-	BaseIters int
-	// CoreGFLOPS is each worker core's FMA rate for this kernel.
-	CoreGFLOPS float64
-	Runs       stats.Methodology
-	Workers    int
-	Seed       uint64
+	Backend  stack.Backend
+	FragSize int64
+	Runs     stats.Methodology
+	Workers  int
+	Seed     uint64
 }
 
 // DefaultOverlapOpts mirrors the paper's configuration.
 func DefaultOverlapOpts(b stack.Backend, fragSize int64) OverlapOpts {
 	return OverlapOpts{
-		Backend:      b,
-		FragSize:     fragSize,
-		TotalPerIter: 256 << 20,
-		Streams:      1,
-		BaseIters:    2,
-		CoreGFLOPS:   40,
-		Runs:         stats.Microbenchmark,
-		Seed:         2,
+		Backend:  b,
+		FragSize: fragSize,
+		Runs:     stats.Microbenchmark,
+		Seed:     2,
 	}
 }
 
@@ -52,10 +51,10 @@ func taskFlops(m int64) float64 {
 }
 
 // iters returns the iteration count preserving total flops relative to
-// BaseIters at 8 MiB: per-iteration flops scale with sqrt(M), so iterations
-// scale with sqrt(8MiB/M).
+// overlapBaseIters at 8 MiB: per-iteration flops scale with sqrt(M), so
+// iterations scale with sqrt(8MiB/M).
 func (o OverlapOpts) iters() int {
-	n := float64(o.BaseIters) * math.Sqrt(float64(8<<20)/float64(o.FragSize))
+	n := float64(overlapBaseIters) * math.Sqrt(float64(8<<20)/float64(o.FragSize))
 	if n < 2 {
 		return 2
 	}
@@ -64,8 +63,8 @@ func (o OverlapOpts) iters() int {
 
 // totalFlops is the whole execution's flop count.
 func (o OverlapOpts) totalFlops() float64 {
-	window := float64(o.TotalPerIter / o.FragSize)
-	return float64(o.iters()) * float64(o.Streams) * window * taskFlops(o.FragSize)
+	window := float64(overlapTotalPerIter / o.FragSize)
+	return float64(o.iters()) * window * taskFlops(o.FragSize)
 }
 
 // OverlapResult is one point of Figure 3, in GFLOP/s, with the two analytic
@@ -98,11 +97,11 @@ func overlapRun(o OverlapOpts, run uint64) float64 {
 	cfg.FetchCap = 64
 	cfg.Metrics = s.Metrics
 	pp := PingPongOpts{
-		Backend: o.Backend, FragSize: o.FragSize, TotalPerIter: o.TotalPerIter,
-		Streams: o.Streams, Iters: o.iters(), Sync: false,
+		Backend: o.Backend, FragSize: o.FragSize, TotalPerIter: overlapTotalPerIter,
+		Streams: 1, Iters: o.iters(), Sync: false,
 	}
 	pool := pingpongPool(pp, func(m int64) sim.Duration {
-		return sim.FromSeconds(taskFlops(m) / (o.CoreGFLOPS * 1e9))
+		return sim.FromSeconds(taskFlops(m) / (overlapCoreGFLOPS * 1e9))
 	})
 	rt := parsec.New(s.Eng, s.Engines, pool, cfg)
 	d, err := rt.Run()
@@ -117,16 +116,16 @@ func overlapRun(o OverlapOpts, run uint64) float64 {
 // volume at link bandwidth. When tasks are large, concurrency is limited by
 // the number of fragments per node, as the paper notes for 8 MiB fragments.
 func (o OverlapOpts) models() (roofline, noOverlap float64) {
-	window := float64(o.TotalPerIter / o.FragSize)
+	window := float64(overlapTotalPerIter / o.FragSize)
 	flops := o.totalFlops()
 	concurrency := float64(2 * o.Workers)
-	if perNode := window * float64(o.Streams) / 2; perNode*2 < concurrency {
+	if perNode := window / 2; perNode*2 < concurrency {
 		concurrency = perNode * 2
 	}
-	computeSec := flops / (o.CoreGFLOPS * 1e9 * concurrency)
+	computeSec := flops / (overlapCoreGFLOPS * 1e9 * concurrency)
 	// Every fragment crosses the network once per iteration after the
-	// first, in each stream.
-	bytes := float64(o.iters()-1) * float64(o.Streams) * window * float64(o.FragSize)
+	// first.
+	bytes := float64(o.iters()-1) * window * float64(o.FragSize)
 	// Without the SYNC task, iterations pipeline deeply and the alternating
 	// directions keep both 100 Gbit/s rails busy.
 	commSec := bytes * 8 / (200e9)

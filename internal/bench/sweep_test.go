@@ -2,15 +2,10 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"amtlci/internal/core/stack"
-	"amtlci/internal/stats"
 )
 
 func TestSweepPreservesPointOrder(t *testing.T) {
@@ -112,52 +107,5 @@ func TestSweepCtxCompletes(t *testing.T) {
 	out, err = SweepCtx(ctx, 4, 9, func(i int) int { t.Error("point ran after cancel"); return 0 })
 	if err == nil || len(out) != 0 {
 		t.Fatalf("pre-cancelled sweep: len=%d err=%v, want 0 and context.Canceled", len(out), err)
-	}
-}
-
-// TestSweepDeterministicAcrossWorkerCounts is the -j determinism guarantee:
-// a real HiCMA tile sweep rendered as CSV must be byte-identical at -j 1 and
-// -j 8. Every experiment point builds its own engine and seeded RNGs, so
-// worker scheduling must not be able to leak into results; this test (run
-// under -race in verify) is what keeps that property from regressing.
-func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	tiles := []int{1200, 2400, 4800}
-	runs := stats.Methodology{Runs: 1, Discard: 0}
-	render := func(workers int) string {
-		res := TileScaling(stack.LCI, 9600, 2, false, tiles, runs, workers, 1)
-		tbl := NewTable("tile sweep", "tile", "tts", "e2e_ms", "tasks")
-		for _, r := range res {
-			tbl.AddRow(fmt.Sprint(r.NB), fmt.Sprintf("%.6f", r.TimeToSolution),
-				fmt.Sprintf("%.6f", r.E2ELatencyMS), fmt.Sprint(r.Tasks))
-		}
-		var sb strings.Builder
-		tbl.CSV(&sb)
-		return sb.String()
-	}
-	serial := render(1)
-	parallel := render(8)
-	if serial != parallel {
-		t.Fatalf("CSV differs between -j 1 and -j 8:\n--- j=1 ---\n%s--- j=8 ---\n%s", serial, parallel)
-	}
-	if !strings.Contains(serial, "1200") {
-		t.Fatalf("sweep produced no rows:\n%s", serial)
-	}
-}
-
-// TestStrongScalingParallelMatchesSerial pins the flattened-grid reassembly
-// in StrongScaling: best-tile selection per node count must not depend on
-// worker count.
-func TestStrongScalingParallelMatchesSerial(t *testing.T) {
-	tiles := []int{1200, 2400}
-	runs := stats.Methodology{Runs: 1, Discard: 0}
-	serial := StrongScaling(9600, []int{2, 4}, tiles, runs, 1, 1)
-	parallel := StrongScaling(9600, []int{2, 4}, tiles, runs, 8, 1)
-	if len(serial) != len(parallel) {
-		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("point %d differs:\nserial:   %+v\nparallel: %+v", i, serial[i], parallel[i])
-		}
 	}
 }

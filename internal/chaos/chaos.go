@@ -55,6 +55,11 @@ func (w Workload) String() string {
 	}
 }
 
+// DefaultSeed is the fault-schedule seed of the published chaos sweeps:
+// cmd/chaos's -seed default, and an expd chaos point's seed when it sets
+// none.
+const DefaultSeed uint64 = 0xC7A05
+
 // Opts configures one chaos execution.
 type Opts struct {
 	Backend  stack.Backend

@@ -36,7 +36,7 @@ func TestGraphsCompleteUnderSweptFaults(t *testing.T) {
 		for _, w := range Workloads {
 			for _, rate := range rates {
 				t.Run(sub(backend, w, rate), func(t *testing.T) {
-					const seed = 0xC7A05
+					const seed = DefaultSeed
 					res := Run(Opts{
 						Backend: backend, Workload: w,
 						Faults: faultCfg(rate, seed), Rel: relCfg(),

@@ -298,7 +298,7 @@ func TestRankZeroCrashCompletes(t *testing.T) {
 // the invariants are completion, verification, and replay identity.
 func TestCrashStormCompletes(t *testing.T) {
 	for _, backend := range stack.Backends {
-		for _, seed := range []uint64{0xC7A05, 99} {
+		for _, seed := range []uint64{DefaultSeed, 99} {
 			t.Run(backend.String()+"/"+strconv.FormatUint(seed, 16), func(t *testing.T) {
 				base := Run(Opts{Backend: backend, Workload: Cholesky})
 				if base.Err != nil || !base.Verified {

@@ -37,7 +37,7 @@ func TestRecordRetirementSafety(t *testing.T) {
 			rc := rel.DefaultConfig()
 			scenarios := map[string]Opts{
 				"faults": {Backend: backend, Workload: w, Rel: &rc,
-					Faults: &fabric.FaultConfig{Drop: 0.02, Duplicate: 0.02, Corrupt: 0.02, Reorder: 0.02, Seed: 0xC7A05}},
+					Faults: &fabric.FaultConfig{Drop: 0.02, Duplicate: 0.02, Corrupt: 0.02, Reorder: 0.02, Seed: DefaultSeed}},
 				"crash": {Backend: backend, Workload: w, Crash: &crash, Recover: true},
 			}
 			for name, o := range scenarios {

@@ -136,51 +136,3 @@ func AssembleTable(s Spec, pts []Point, results []PointResult) (*bench.Table, er
 	}
 	return nil, fmt.Errorf("expd: unknown spec kind %q", s.Kind)
 }
-
-// StrongScalingFrom reassembles a completed nodes-kind sweep into the
-// Figure 5 / Table 2 series, mirroring bench.StrongScaling's grid layout
-// (node count outer, LCI then MPI, tiles inner — the order Spec.Points
-// emits).
-func StrongScalingFrom(s Spec, results []PointResult) ([]bench.StrongScalingPoint, error) {
-	if s.Kind != KindNodes {
-		return nil, fmt.Errorf("expd: StrongScalingFrom wants a %q spec, got %q", KindNodes, s.Kind)
-	}
-	nt := len(s.Tiles)
-	if want := len(s.NodeCounts) * 2 * nt; len(results) != want {
-		return nil, fmt.Errorf("expd: %d results, want %d", len(results), want)
-	}
-	hicmaAt := func(i int) (bench.HiCMAResult, error) {
-		if results[i].HiCMA == nil {
-			return bench.HiCMAResult{}, fmt.Errorf("expd: point %d: missing hicma result", i)
-		}
-		return *results[i].HiCMA, nil
-	}
-	var out []bench.StrongScalingPoint
-	for ni, nd := range s.NodeCounts {
-		base := ni * 2 * nt
-		lciAll := make([]bench.HiCMAResult, nt)
-		mpiAll := make([]bench.HiCMAResult, nt)
-		for ti := 0; ti < nt; ti++ {
-			var err error
-			if lciAll[ti], err = hicmaAt(base + ti); err != nil {
-				return nil, err
-			}
-			if mpiAll[ti], err = hicmaAt(base + nt + ti); err != nil {
-				return nil, err
-			}
-		}
-		lciBest := bench.BestTile(lciAll)
-		mpiBest := bench.BestTile(mpiAll)
-		var mpiAtLCI bench.HiCMAResult
-		for _, r := range mpiAll {
-			if r.NB == lciBest.NB {
-				mpiAtLCI = r
-			}
-		}
-		out = append(out, bench.StrongScalingPoint{
-			Nodes: nd, LCI: lciBest, MPIAtLCI: mpiAtLCI, MPIBest: mpiBest,
-			LCITile: lciBest.NB, MPIBestTile: mpiBest.NB,
-		})
-	}
-	return out, nil
-}

@@ -1,0 +1,172 @@
+package expd
+
+import (
+	"fmt"
+	"math"
+	"strconv"
+
+	"amtlci/internal/bench"
+)
+
+// Figure is one rendered table of a sweep, with the short name a CLI files
+// it under (cmd/experiments -csv writes Name.csv).
+type Figure struct {
+	Name  string
+	Table *bench.Table
+}
+
+// FigMTTime names the time-to-solution table a tile spec with MT adds: the
+// §6.4.3 comparison with multithreaded ACTIVATEs, which is not one of the
+// paper's figures.
+const FigMTTime = "fig4a-mt"
+
+// HiCMAFigures renders a canonical tile or nodes spec and its results as
+// the paper's tables: Fig 4a/4b ("fig4a", "fig4b") for a tile spec, Fig
+// 5a/5b and Table 2 ("fig5a", "fig5b", "table2") for a nodes spec. With MT,
+// Fig 4b gains the multithreaded latency columns and a FigMTTime table
+// follows it. The spec must sweep both backends.
+func HiCMAFigures(s Spec, results []PointResult) ([]Figure, error) {
+	switch s.Kind {
+	case KindTile:
+		return tileFigures(s, results)
+	case KindNodes:
+		points, err := StrongScalingFrom(s, results)
+		if err != nil {
+			return nil, err
+		}
+		cols := []string{"nodes", "LCI", "Open MPI", "Open MPI (best)"}
+		fig5a := bench.NewTable("Fig 5a: strong scaling (s)", cols...)
+		fig5b := bench.NewTable("Fig 5b: strong-scaling latency (ms)", cols...)
+		tbl2 := bench.NewTable("Table 2: tile size with lowest time-to-solution", "nodes", "Open MPI", "LCI")
+		for _, p := range points {
+			nodes := strconv.Itoa(p.Nodes)
+			fig5a.AddFloats(nodes, "%.2f",
+				p.LCI.TimeToSolution, p.MPIAtLCI.TimeToSolution, p.MPIBest.TimeToSolution)
+			fig5b.AddFloats(nodes, "%.2f",
+				latency(p.LCI.E2ELatencyMS), latency(p.MPIAtLCI.E2ELatencyMS), latency(p.MPIBest.E2ELatencyMS))
+			tbl2.AddRow(nodes, strconv.Itoa(p.MPIBestTile), strconv.Itoa(p.LCITile))
+		}
+		return []Figure{{"fig5a", fig5a}, {"fig5b", fig5b}, {"table2", tbl2}}, nil
+	}
+	return nil, fmt.Errorf("expd: no HiCMA figures for kind %q", s.Kind)
+}
+
+// tileFigures renders a tile spec, whose points are ordered backend (LCI,
+// MPI) > mt (off, on) > tile.
+func tileFigures(s Spec, results []PointResult) ([]Figure, error) {
+	mts, nt := 1, len(s.Tiles)
+	cols := []string{"tile", "LCI", "Open MPI"}
+	if s.MT {
+		mts = 2
+		cols = append(cols, "LCI (MT)", "Open MPI (MT)")
+	}
+	rs, err := hicmaResults(results, 2*mts*nt)
+	if err != nil {
+		return nil, err
+	}
+	fig4a := bench.NewTable(fmt.Sprintf("Fig 4a: TLR Cholesky time-to-solution, %d nodes (s)", s.Nodes),
+		"tile", "LCI", "Open MPI")
+	fig4b := bench.NewTable(fmt.Sprintf("Fig 4b: end-to-end latency, %d nodes (ms)", s.Nodes), cols...)
+	mtTime := bench.NewTable(fmt.Sprintf("§6.4.3: time-to-solution with multithreaded ACTIVATE, %d nodes (s)", s.Nodes), cols...)
+	for ti, nb := range s.Tiles {
+		var tts, e2e []float64 // LCI, MPI[, LCI (MT), MPI (MT)]
+		for mt := 0; mt < mts; mt++ {
+			for b := 0; b < 2; b++ {
+				r := rs[(b*mts+mt)*nt+ti]
+				tts = append(tts, r.TimeToSolution)
+				e2e = append(e2e, latency(r.E2ELatencyMS))
+			}
+		}
+		tile := strconv.Itoa(nb)
+		fig4a.AddFloats(tile, "%.2f", tts[:2]...)
+		fig4b.AddFloats(tile, "%.2f", e2e...)
+		mtTime.AddFloats(tile, "%.2f", tts...)
+	}
+	figs := []Figure{{"fig4a", fig4a}, {"fig4b", fig4b}}
+	if s.MT {
+		figs = append(figs, Figure{FigMTTime, mtTime})
+	}
+	return figs, nil
+}
+
+// hicmaResults unwraps the want HiCMA results of a tile or nodes sweep.
+func hicmaResults(results []PointResult, want int) ([]bench.HiCMAResult, error) {
+	if len(results) != want {
+		return nil, fmt.Errorf("expd: %d results, want %d", len(results), want)
+	}
+	rs := make([]bench.HiCMAResult, want)
+	for i, r := range results {
+		if r.HiCMA == nil {
+			return nil, fmt.Errorf("expd: point %d: missing hicma result", i)
+		}
+		rs[i] = *r.HiCMA
+	}
+	return rs, nil
+}
+
+// latency turns a cached latency mean back into what the run measured: a
+// run that sent no messages (one node, or one tile) has no latency samples,
+// which EvalPoint stores as 0 because JSON cannot carry NaN.
+func latency(ms float64) float64 {
+	if ms == 0 {
+		return math.NaN()
+	}
+	return ms
+}
+
+// BestTile returns the result with the lowest time-to-solution (Table 2's
+// per-node-count argmin).
+func BestTile(results []bench.HiCMAResult) bench.HiCMAResult {
+	best := results[0]
+	for _, r := range results[1:] {
+		if r.TimeToSolution < best.TimeToSolution {
+			best = r
+		}
+	}
+	return best
+}
+
+// StrongScalingPoint is one node count of Figure 5: LCI at its best tile,
+// Open MPI at LCI's best tile, and Open MPI at its own best tile.
+type StrongScalingPoint struct {
+	Nodes       int
+	LCI         bench.HiCMAResult // best LCI tile
+	MPIAtLCI    bench.HiCMAResult // MPI at the LCI-optimal tile
+	MPIBest     bench.HiCMAResult // MPI at its own best tile
+	LCITile     int
+	MPIBestTile int
+}
+
+// StrongScalingFrom reassembles a completed nodes-kind sweep into the
+// Figure 5 / Table 2 series: node count outer, LCI then MPI, tiles inner —
+// the order Spec.Points emits. The whole (node x backend x tile) grid is one
+// sweep, so a large worker count keeps every worker busy even when a single
+// node count has few tiles.
+func StrongScalingFrom(s Spec, results []PointResult) ([]StrongScalingPoint, error) {
+	if s.Kind != KindNodes {
+		return nil, fmt.Errorf("expd: StrongScalingFrom wants a %q spec, got %q", KindNodes, s.Kind)
+	}
+	nt := len(s.Tiles)
+	rs, err := hicmaResults(results, len(s.NodeCounts)*2*nt)
+	if err != nil {
+		return nil, err
+	}
+	var out []StrongScalingPoint
+	for ni, nd := range s.NodeCounts {
+		lciAll := rs[ni*2*nt : ni*2*nt+nt]
+		mpiAll := rs[ni*2*nt+nt : (ni+1)*2*nt]
+		lciBest := BestTile(lciAll)
+		mpiBest := BestTile(mpiAll)
+		var mpiAtLCI bench.HiCMAResult
+		for _, r := range mpiAll {
+			if r.NB == lciBest.NB {
+				mpiAtLCI = r
+			}
+		}
+		out = append(out, StrongScalingPoint{
+			Nodes: nd, LCI: lciBest, MPIAtLCI: mpiAtLCI, MPIBest: mpiBest,
+			LCITile: lciBest.NB, MPIBestTile: mpiBest.NB,
+		})
+	}
+	return out, nil
+}

@@ -35,7 +35,7 @@ type Point struct {
 	Nodes      int  `json:"nodes,omitempty"`
 	MT         bool `json:"mt,omitempty"`
 	SyncClocks bool `json:"sync_clocks,omitempty"`
-	Steal      bool `json:"steal,omitempty"`
+	Steal      bool `json:"steal,omitempty"` // also on chaos points
 	// Shards > 1 simulates the point on a sharded parallel domain. The
 	// result is identical to serial, but the field still participates in
 	// the cache key: a hash that ignored it could not prove that, and
@@ -76,7 +76,9 @@ type ChaosRow struct {
 	Duplicated  uint64  `json:"duplicated"`
 	Corrupted   uint64  `json:"corrupted"`
 	Retransmits uint64  `json:"retransmits"`
+	Steals      uint64  `json:"steals"`
 	Verified    bool    `json:"verified"`
+	RelErr      float64 `json:"rel_err"`
 	Err         string  `json:"err,omitempty"`
 }
 
@@ -175,25 +177,19 @@ func EvalPoint(p Point) (res PointResult, err error) {
 			return PointResult{}, fmt.Errorf("expd: fault-free baseline broken: %w", base.Err)
 		}
 		out := &ChaosPointResult{BaselineNS: int64(base.Makespan)}
-		seed := p.Seed
-		if seed == 0 {
-			seed = 0xC7A05 // cmd/chaos's default schedule seed
-		}
 		for _, pct := range p.Rates {
-			r := pct / 100
-			rc := rel.DefaultConfig()
-			res := chaos.Run(chaos.Opts{
-				Backend: b, Workload: w,
-				Faults: &fabric.FaultConfig{Drop: r, Duplicate: r, Corrupt: r, Reorder: r, Seed: seed},
-				Rel:    &rc,
-			})
+			o, oerr := p.ChaosOpts(pct)
+			if oerr != nil {
+				return PointResult{}, oerr
+			}
+			res := chaos.Run(o)
 			row := ChaosRow{
 				RatePct:    pct,
 				MakespanNS: int64(res.Makespan),
 				Slowdown:   float64(res.Makespan) / float64(base.Makespan),
 				Dropped:    res.Faults.Dropped, Duplicated: res.Faults.Duplicated,
 				Corrupted: res.Faults.Corrupted, Retransmits: res.Rel.Retransmits,
-				Verified: res.Verified,
+				Steals: res.Steals, Verified: res.Verified, RelErr: finite(res.RelErr),
 			}
 			if res.Err != nil {
 				row.Err = res.Err.Error()
@@ -203,4 +199,32 @@ func EvalPoint(p Point) (res PointResult, err error) {
 		return PointResult{Chaos: out}, nil
 	}
 	return PointResult{}, fmt.Errorf("expd: unknown point kind %q", p.Kind)
+}
+
+// ChaosOpts is the faulted run of chaos point p at ratePct percent: uniform
+// drop, duplicate, corrupt and reorder at that rate on the point's seed
+// (chaos.DefaultSeed when it sets none), the reliability layer interposed,
+// and stealing when the point asks for it. EvalPoint measures this run, and
+// cmd/chaos -metrics repeats it to dump the run's registry.
+func (p Point) ChaosOpts(ratePct float64) (chaos.Opts, error) {
+	b, err := stack.ParseBackend(p.Backend)
+	if err != nil {
+		return chaos.Opts{}, err
+	}
+	_, w, err := parseWorkload(p.Workload)
+	if err != nil {
+		return chaos.Opts{}, err
+	}
+	seed := p.Seed
+	if seed == 0 {
+		seed = chaos.DefaultSeed
+	}
+	r := ratePct / 100
+	rc := rel.DefaultConfig()
+	return chaos.Opts{
+		Backend: b, Workload: w,
+		Faults: &fabric.FaultConfig{Drop: r, Duplicate: r, Corrupt: r, Reorder: r, Seed: seed},
+		Rel:    &rc,
+		Steal:  p.Steal,
+	}, nil
 }

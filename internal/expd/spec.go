@@ -1,18 +1,20 @@
 // Package expd is the experiment service: the deterministic simulator
 // exposed as a persistent, cache-fronted HTTP/JSON daemon (cmd/simd).
 //
-// A client submits an experiment Spec — one canonical schema covering the
-// sweeps the batch CLIs (cmd/experiments, cmd/hicma, cmd/collbench,
-// cmd/chaos) parse ad hoc today. The service validates and canonicalizes
-// the spec, decomposes it into self-contained sweep Points, and schedules
-// the points on a bounded worker pool (bench.SweepCtx). Every point is
-// content-addressed by a stable hash of its canonical encoding: because the
-// simulation is deterministic, a cached point result is *exactly* the
-// result a re-simulation would produce, so repeated or overlapping sweeps
-// are served from the on-disk cache instead of re-simulated — a 256-point
-// sweep that shares 200 points with a prior run only simulates the 56 new
-// ones. Job state is checkpointed, so a restarted server resumes
-// half-finished sweeps from their completed-point prefix.
+// An experiment Spec is one canonical schema for every HiCMA, collective
+// and chaos-rate sweep in the repository, and Spec → Points → EvalPoints is
+// the only code that runs them: the batch CLIs (cmd/experiments, cmd/hicma,
+// cmd/collbench, cmd/chaos) build a Spec from their flags and render the
+// results, and the service accepts the same Spec over HTTP. A spec is
+// validated and canonicalized, decomposed into self-contained sweep Points,
+// and the points are scheduled on a bounded worker pool (bench.SweepCtx).
+// Every point is content-addressed by a stable hash of its canonical
+// encoding: because the simulation is deterministic, a cached point result
+// is *exactly* the result a re-simulation would produce, so repeated or
+// overlapping sweeps are served from the on-disk cache instead of
+// re-simulated — a 256-point sweep that shares 200 points with a prior run
+// only simulates the 56 new ones. Job state is checkpointed, so a restarted
+// server resumes half-finished sweeps from their completed-point prefix.
 package expd
 
 import (
@@ -117,7 +119,7 @@ type Spec struct {
 	Tiles      []int   `json:"tiles,omitempty"`
 	MT         bool    `json:"mt,omitempty"` // tile kind: also measure multithreaded ACTIVATEs
 	SyncClocks bool    `json:"sync_clocks,omitempty"`
-	Steal      bool    `json:"steal,omitempty"` // enable inter-rank work stealing
+	Steal      bool    `json:"steal,omitempty"` // inter-rank work stealing (tile, nodes, chaos)
 	// Shards > 1 simulates each point on a sharded parallel domain
 	// (identical results, less wall clock on multi-core hosts). 0 and 1
 	// both mean serial and canonicalize to 0, so pre-existing cache
@@ -433,7 +435,7 @@ func (s Spec) Canonical() (Spec, error) {
 			reject(s.Scale != 0, "scale"), reject(s.N != 0, "n"),
 			reject(s.Nodes != 0, "nodes"), reject(len(s.NodeCounts) != 0, "node_counts"),
 			reject(len(s.Tiles) != 0, "tiles"), reject(s.MT, "mt"),
-			reject(s.SyncClocks, "sync_clocks"), reject(s.Steal, "steal"),
+			reject(s.SyncClocks, "sync_clocks"),
 			reject(s.Runs != 0, "runs"), reject(s.Discard != 0, "discard"),
 			reject(len(s.Ops) != 0, "ops"), reject(len(s.Ranks) != 0, "ranks"),
 			reject(len(s.Sizes) != 0, "sizes"), reject(s.Iters != 0, "iters"),
@@ -460,6 +462,7 @@ func (s Spec) Canonical() (Spec, error) {
 				}
 			}
 		}
+		c.Steal = s.Steal
 		c.Rates = sortedUniqFloats(s.Rates)
 		if len(c.Rates) == 0 {
 			c.Rates = []float64{0.5, 1, 2}
@@ -538,7 +541,7 @@ func (s Spec) Points() []Point {
 		for _, b := range s.Backends {
 			for _, w := range s.Workloads {
 				pts = append(pts, Point{
-					Kind: PointChaos, Backend: b, Workload: w,
+					Kind: PointChaos, Backend: b, Workload: w, Steal: s.Steal,
 					Rates: append([]float64(nil), s.Rates...), Seed: s.Seed,
 				})
 			}

@@ -77,6 +77,7 @@ func TestHashInvariance(t *testing.T) {
 			`{"kind":"coll","iters":5}`,
 			`{"kind":"chaos"}`,
 			`{"kind":"chaos","rates":[5]}`,
+			`{"kind":"chaos","steal":true}`,
 		} {
 			h := hash(t, raw)
 			if prev, dup := seen[h]; dup {
@@ -94,6 +95,17 @@ func TestHashInvariance(t *testing.T) {
 		const want = "848d2aaf5c0f4fc895f1b19f280389e28730ddf798e1b96d8785626b508b15d5"
 		if got := hash(t, `{"kind":"tile"}`); got != want {
 			t.Errorf("canonical encoding drifted: hash %s, want %s", got, want)
+		}
+		// The first point of the default chaos sweep: chaos points gained
+		// an omitempty steal field, and a point without stealing keeps the
+		// address it had before.
+		chaos, err := DecodeSpec([]byte(`{"kind":"chaos"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const wantPoint = "1c8641ec795a773de63f128037c8e2d3929b3fbdbc6444302c168f1149529190"
+		if got := chaos.Points()[0].Hash(); got != wantPoint {
+			t.Errorf("chaos point encoding drifted: hash %s, want %s", got, wantPoint)
 		}
 	})
 }

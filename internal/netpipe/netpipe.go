@@ -15,24 +15,22 @@ type Config struct {
 	// Overhead is the per-message software cost at each end (NetPIPE's thin
 	// TCP/verbs layer).
 	Overhead sim.Duration
-	// Reps is the number of round trips measured per block size.
-	Reps int
 }
+
+// reps is the number of round trips measured per block size.
+const reps = 16
 
 // DefaultConfig uses the repository's calibrated fabric and a thin software
 // layer.
 func DefaultConfig() Config {
 	fc := fabric.DefaultConfig()
 	fc.Jitter = 0
-	return Config{Fabric: fc, Overhead: 300 * sim.Nanosecond, Reps: 16}
+	return Config{Fabric: fc, Overhead: 300 * sim.Nanosecond}
 }
 
 // Bandwidth returns the NetPIPE bandwidth in Gbit/s for the given block
-// size: size / (RTT/2), averaged over Reps round trips.
+// size: size / (RTT/2), averaged over reps round trips.
 func Bandwidth(cfg Config, size int64) float64 {
-	if cfg.Reps <= 0 {
-		panic("netpipe: Reps must be positive")
-	}
 	eng := sim.NewEngine()
 	fab, err := fabric.New(eng, 2, cfg.Fabric)
 	if err != nil {
@@ -40,7 +38,7 @@ func Bandwidth(cfg Config, size int64) float64 {
 	}
 	cpu := [2]*sim.Proc{sim.NewProc(eng), sim.NewProc(eng)}
 
-	remaining := cfg.Reps
+	remaining := reps
 	var finish sim.Time
 	var bounce func(at int)
 	bounce = func(at int) {
@@ -66,34 +64,7 @@ func Bandwidth(cfg Config, size int64) float64 {
 	eng.Run()
 
 	// Each rep is a full round trip carrying size bytes each way.
-	halfTrips := float64(2 * cfg.Reps)
+	halfTrips := float64(2 * reps)
 	seconds := sim.Duration(finish).Seconds() / halfTrips
 	return float64(size) * 8 / seconds / 1e9
-}
-
-// Latency returns the half-round-trip time for small messages in
-// microseconds.
-func Latency(cfg Config) float64 {
-	eng := sim.NewEngine()
-	fab, err := fabric.New(eng, 2, cfg.Fabric)
-	if err != nil {
-		panic(err)
-	}
-	const reps = 32
-	remaining := reps
-	var finish sim.Time
-	fab.SetHandler(1, func(m *fabric.Message) {
-		fab.Send(&fabric.Message{Src: 1, Dst: 0, Size: 8})
-	})
-	fab.SetHandler(0, func(m *fabric.Message) {
-		remaining--
-		if remaining == 0 {
-			finish = eng.Now()
-			return
-		}
-		fab.Send(&fabric.Message{Src: 0, Dst: 1, Size: 8})
-	})
-	fab.Send(&fabric.Message{Src: 0, Dst: 1, Size: 8})
-	eng.Run()
-	return sim.Duration(finish).Microseconds() / (2 * reps)
 }

@@ -31,15 +31,6 @@ func TestSmallMessageBandwidthLatencyBound(t *testing.T) {
 	}
 }
 
-func TestLatencyNearWireLatency(t *testing.T) {
-	cfg := DefaultConfig()
-	lat := Latency(cfg)
-	wire := cfg.Fabric.Latency.Microseconds()
-	if lat < wire || lat > wire*2 {
-		t.Fatalf("half-RTT %.2fµs vs wire %.2fµs", lat, wire)
-	}
-}
-
 func TestDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	if Bandwidth(cfg, 1<<20) != Bandwidth(cfg, 1<<20) {
