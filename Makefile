@@ -50,7 +50,6 @@ fuzz-smoke:
 	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeStealReply -fuzztime=2s ./internal/steal
 	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeStealRelease -fuzztime=2s ./internal/steal
 	timeout 120 go test -run='^$$' -fuzz=FuzzInboxOrder -fuzztime=2s ./internal/sim
-	timeout 120 go test -run='^$$' -fuzz=FuzzLookaheadMatrix -fuzztime=2s ./internal/fabric
 	timeout 120 go test -run='^$$' -fuzz=FuzzKernelsMatchReference -fuzztime=2s ./internal/linalg
 
 # End-to-end smoke of the simd experiment service: content-addressed cache

@@ -49,7 +49,6 @@ func main() {
 	metricsDir := flag.String("metrics", "", "run one instrumented HiCMA point per backend and dump its metric registry as CSV into this directory, then exit")
 	j := flag.Int("j", 1, "parallel sweep workers (0 = one per CPU); tables and CSVs are byte-identical for every value")
 	steal := flag.Bool("steal", false, "enable inter-rank work stealing in the HiCMA tile sweep (Figs 4a/4b)")
-	shards := flag.Int("shards", 1, "simulation shards per HiCMA point (>1 uses that many cores per simulation; results identical)")
 	csvDir := flag.String("csv", "", "also write each table as a CSV file into this directory")
 	flag.Parse()
 	if err := checkFlags(*scale, *fig5Scale, *runsMicro, *runsHicma); err != nil {
@@ -146,7 +145,7 @@ func main() {
 		return results
 	}
 	tile, err := expd.Spec{Kind: expd.KindTile, Scale: *scale, Nodes: 16, MT: true, Steal: *steal,
-		Shards: *shards, Runs: hicma.Runs, Discard: hicma.Discard}.Canonical()
+		Runs: hicma.Runs, Discard: hicma.Discard}.Canonical()
 	exitOn(err)
 	fmt.Printf("HiCMA problem: N=%d (scale %.2f)\n\n", tile.N, *scale)
 	figures(tile)
@@ -156,7 +155,7 @@ func main() {
 		scale5 = *fig5Scale
 	}
 	nodes, err := expd.Spec{Kind: expd.KindNodes, Scale: scale5,
-		Shards: *shards, Runs: hicma.Runs, Discard: hicma.Discard}.Canonical()
+		Runs: hicma.Runs, Discard: hicma.Discard}.Canonical()
 	exitOn(err)
 	if *fig5Scale > 0 {
 		fmt.Printf("strong-scaling problem: N=%d (scale %.2f)\n\n", nodes.N, *fig5Scale)

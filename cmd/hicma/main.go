@@ -12,9 +12,7 @@
 // measurement protocol (mean of 5 in the paper), -syncclocks enables the
 // §6.1.3 clock-synchronization epoch over skewed rank clocks, -steal turns
 // on inter-rank work stealing, -j N runs N sweep points in parallel (0 =
-// all CPUs) with output identical to -j 1, -shards N runs each point's
-// simulator on N shards (multi-core inside one simulation; results are
-// bit-identical to -shards 1).
+// all CPUs) with output identical to -j 1.
 //
 // The sweeps drive the same spec codepath as the simd experiment service
 // (internal/expd): the flags build a canonical spec, the spec expands to
@@ -43,13 +41,12 @@ func main() {
 	runs := flag.Int("runs", 5, "executions per configuration (paper: mean of five)")
 	syncClocks := flag.Bool("syncclocks", false, "synchronize skewed rank clocks before measuring (§6.1.3)")
 	steal := flag.Bool("steal", false, "enable inter-rank work stealing (idle ranks pull ready tasks from loaded peers)")
-	shards := flag.Int("shards", 1, "simulation shards (>1 runs the simulator on that many cores; results are identical)")
 	j := flag.Int("j", 1, "parallel sweep workers (0 = one per CPU); output is identical for every value")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (share simd's state/cache to reuse its points)")
 	flag.Parse()
 
 	s := expd.Spec{Kind: expd.KindTile, Scale: *scale, Nodes: *nodes, MT: *mt,
-		SyncClocks: *syncClocks, Steal: *steal, Runs: *runs, Shards: *shards}
+		SyncClocks: *syncClocks, Steal: *steal, Runs: *runs}
 	switch *sweep {
 	case "tile":
 	case "nodes":

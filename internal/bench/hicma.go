@@ -41,14 +41,7 @@ type HiCMAOpts struct {
 	// Steal enables inter-rank work stealing (idle ranks pull ready tasks
 	// and their input tiles from loaded peers).
 	Steal bool
-	// Shards > 1 runs the simulation itself on a sharded parallel domain:
-	// ranks are partitioned into Shards groups, each advanced by its own
-	// goroutine under the fabric's conservative lookahead window. The
-	// simulated system is identical; only wall-clock time changes (on a
-	// multi-core host). Incompatible with SyncClocks, whose measurement
-	// epoch needs the serial engine.
-	Shards int
-	Seed   uint64
+	Seed  uint64
 }
 
 // DefaultHiCMAOpts mirrors the paper's configuration.
@@ -79,41 +72,33 @@ type HiCMAResult struct {
 
 // HiCMA measures one configuration.
 func HiCMA(o HiCMAOpts) HiCMAResult {
-	if o.Workers == 0 {
-		o.Workers = WorkersFor(o.Backend, o.Nodes)
-	}
 	if o.N%o.NB != 0 {
 		panic(fmt.Sprintf("bench: N=%d not divisible by nb=%d", o.N, o.NB))
 	}
-	var e2e, hop, tasks float64
-	var avgRank float64
+	var r HiCMAResult
 	tts := o.Runs.Collect(func(run int) float64 {
-		t, rt, pool := hicmaRun(o, uint64(run), nil)
-		e2e = rt.Tracer().EndToEnd().Mean() / 1000
-		hop = rt.Tracer().Hop().Mean() / 1000
-		tasks = float64(pool.TotalTasks())
-		avgRank = pool.AvgRank()
-		return t
+		r = hicmaRun(o, uint64(run), nil)
+		return r.TimeToSolution
 	})
-	return HiCMAResult{
-		Backend: o.Backend, NB: o.NB, Nodes: o.Nodes, MT: o.MT,
-		TimeToSolution: tts, E2ELatencyMS: e2e, HopLatencyMS: hop,
-		Tasks: int64(tasks), AvgRank: avgRank,
-	}
+	// Time-to-solution is the protocol's mean; the latency means and pool
+	// statistics are the last run's.
+	r.TimeToSolution = tts
+	return r
 }
 
-// hicmaRun simulates one run of o. mutate, when non-nil, edits the stack
-// options and runtime configuration o produced before anything is built (a
-// mechanism-table row, mechanism.go).
-func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (float64, *parsec.Runtime, *hicma.Pool) {
-	if o.SyncClocks && o.Shards > 1 {
-		panic("bench: SyncClocks requires a serial simulation (Shards <= 1)")
+// HiCMARuntime builds run `run` of o ready to execute: the stack, the
+// runtime over a virtual HiCMA pool and, with SyncClocks, the skewed rank
+// clocks after their synchronization epoch. HiCMA measures exactly these
+// runs, and expd.TracePoint traces them. mutate, when non-nil, edits the
+// stack options and runtime configuration o produced before anything is
+// built (a mechanism-table row, mechanism.go).
+func HiCMARuntime(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (*stack.Stack, *parsec.Runtime, *hicma.Pool) {
+	if o.Workers == 0 {
+		o.Workers = WorkersFor(o.Backend, o.Nodes)
 	}
-	par := hicma.DefaultParams(o.N, o.NB)
-	pool := hicma.NewVirtual(par, o.Nodes)
+	pool := hicma.NewVirtual(hicma.DefaultParams(o.N, o.NB), o.Nodes)
 	so := stack.DefaultOptions(o.Backend, o.Nodes)
 	so.Seed = o.Seed + run*0x51ED
-	so.Shards = o.Shards
 
 	cfg := parsec.DefaultConfig(o.Workers)
 	cfg.Seed = o.Seed + run
@@ -132,12 +117,25 @@ func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Confi
 		res := clocksync.Register(s.Eng, s.Engines, clocks, 8).Run()
 		rt.SetClocks(clocks, res.Offsets)
 	}
+	return s, rt, pool
+}
 
+// hicmaRun simulates run `run` of o (HiCMARuntime, then Run) and reports
+// it.
+func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) HiCMAResult {
+	_, rt, pool := HiCMARuntime(o, run, mutate)
 	d, err := rt.Run()
 	if err != nil {
 		panic(fmt.Sprintf("bench: hicma %v", err))
 	}
-	return d.Seconds(), rt, pool
+	return HiCMAResult{
+		Backend: o.Backend, NB: o.NB, Nodes: o.Nodes, MT: o.MT,
+		TimeToSolution: d.Seconds(),
+		E2ELatencyMS:   rt.Tracer().EndToEnd().Mean() / 1000,
+		HopLatencyMS:   rt.Tracer().Hop().Mean() / 1000,
+		Tasks:          pool.TotalTasks(),
+		AvgRank:        pool.AvgRank(),
+	}
 }
 
 // ScaledProblem shrinks the paper's N=360,000 problem by factor while

@@ -7,26 +7,22 @@ import (
 
 	"amtlci/internal/core/stack"
 	"amtlci/internal/fabric"
+	"amtlci/internal/parsec"
 	"amtlci/internal/sim"
-	"amtlci/internal/stats"
 )
 
-// hicmaAt runs one small HiCMA point on the given shard count.
-func hicmaAt(b stack.Backend, shards int) HiCMAResult {
-	o := DefaultHiCMAOpts(b, 1200, 16)
-	o.N = 19200
-	o.Runs = stats.Methodology{Runs: 1, Discard: 0}
-	o.Shards = shards
-	return HiCMA(o)
+// onShards is hicmaRun's mutate hook that simulates a run on n shards.
+func onShards(n int) func(*stack.Options, *parsec.Config) {
+	return func(so *stack.Options, _ *parsec.Config) { so.Shards = n }
 }
 
 // TestHiCMAShardedMatchesSerial is the stack-level differential proof: the
 // full deployment — fabric, backend runtime, communication engines, parsec —
-// simulated on 2, 4, and 8 shards must reproduce the serial run bit for bit
-// (makespan, latency means, task counts), for both backends. Per-rank event
-// streams are identical by the conservative-window argument (DESIGN §5.12);
-// this pins that the whole stack actually honors the shard-safety rules the
-// argument depends on.
+// simulated on 2, 3, 4, and 8 shards must reproduce the serial run bit for
+// bit (makespan, latency means, task counts), for both backends. Per-rank
+// event streams are identical by the conservative-window argument (DESIGN
+// §5.12); this pins that the whole stack actually honors the shard-safety
+// rules the argument depends on.
 func TestHiCMAShardedMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second differential")
@@ -34,9 +30,11 @@ func TestHiCMAShardedMatchesSerial(t *testing.T) {
 	for _, b := range stack.Backends {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			serial := hicmaAt(b, 1)
+			o := DefaultHiCMAOpts(b, 1200, 16)
+			o.N = 19200
+			serial := hicmaRun(o, 0, nil)
 			for _, shards := range []int{2, 3, 4, 8} {
-				if got := hicmaAt(b, shards); got != serial {
+				if got := hicmaRun(o, 0, onShards(shards)); got != serial {
 					t.Errorf("shards=%d diverges from serial:\nserial:  %+v\nsharded: %+v",
 						shards, serial, got)
 				}
@@ -53,20 +51,15 @@ func TestHiCMAShardedStealMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second differential")
 	}
-	run := func(b stack.Backend, shards int) HiCMAResult {
-		o := DefaultHiCMAOpts(b, 1200, 8)
-		o.N = 9600
-		o.Runs = stats.Methodology{Runs: 1, Discard: 0}
-		o.Steal = true
-		o.Shards = shards
-		return HiCMA(o)
-	}
 	for _, b := range stack.Backends {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			serial := run(b, 1)
+			o := DefaultHiCMAOpts(b, 1200, 8)
+			o.N = 9600
+			o.Steal = true
+			serial := hicmaRun(o, 0, nil)
 			for _, shards := range []int{2, 4} {
-				if got := run(b, shards); got != serial {
+				if got := hicmaRun(o, 0, onShards(shards)); got != serial {
 					t.Errorf("steal shards=%d diverges from serial:\nserial:  %+v\nsharded: %+v",
 						shards, serial, got)
 				}

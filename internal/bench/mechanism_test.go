@@ -31,12 +31,10 @@ func TestMechanisms(t *testing.T) {
 	n := len(backends) + len(mechanisms)
 	tts := Sweep(SweepWorkers(0, n), n, func(i int) float64 {
 		if i < len(backends) {
-			s, _, _ := hicmaRun(mechanismOpts(backends[i]), 0, nil)
-			return s
+			return hicmaRun(mechanismOpts(backends[i]), 0, nil).TimeToSolution
 		}
 		m := mechanisms[i-len(backends)]
-		s, _, _ := hicmaRun(mechanismOpts(m.backend), 0, m.mutate)
-		return s
+		return hicmaRun(mechanismOpts(m.backend), 0, m.mutate).TimeToSolution
 	})
 	base := map[stack.Backend]float64{}
 	for i, b := range backends {

@@ -89,10 +89,9 @@ type Options struct {
 	// Shards, when > 1, runs the simulation on a sharded parallel domain
 	// (sim.Parallel): ranks are partitioned into Shards contiguous blocks
 	// advanced in parallel under a conservative round protocol whose
-	// per-shard-pair lookahead is the fabric's latency-floor matrix
-	// (fabric.LookaheadMatrix). 0 or 1 builds the serial engine.
-	// Crash-script fault injection requires the serial engine
-	// (fabric.InstallFaults enforces this).
+	// lookahead is the fabric's wire-latency floor (fabric.Lookahead). 0 or
+	// 1 builds the serial engine. Crash-script fault injection requires the
+	// serial engine (fabric.InstallFaults enforces this).
 	Shards int
 }
 
@@ -173,14 +172,7 @@ func Build(o Options) *Stack {
 	var dom sim.Domain
 	var eng *sim.Engine
 	if o.Shards > 1 {
-		la := fabric.Lookahead(fc)
-		if la <= 0 {
-			panic(fmt.Sprintf("stack: Shards=%d needs a positive fabric latency floor (latency %v, jitter %g)",
-				o.Shards, fc.Latency, fc.Jitter))
-		}
-		par := sim.NewParallel(o.Ranks, o.Shards, la)
-		par.SetLookahead(fabric.LookaheadMatrix(fc, o.Ranks, par.Shards(), par.ShardOf))
-		dom = par
+		dom = sim.NewParallel(o.Ranks, o.Shards, fabric.Lookahead(fc))
 	} else {
 		eng = sim.NewEngine()
 		dom = eng

@@ -78,27 +78,6 @@ func TestStrongScalingParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTileScalingCSVIdenticalSharded pins the experiment pipeline end to
-// end: the rendered sweep CSV — what cmd/hicma and the simd cache
-// ultimately serve — must be byte-identical whether the points simulate
-// serially or on 4 shards.
-func TestTileScalingCSVIdenticalSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second differential")
-	}
-	s := Spec{Kind: KindTile, Backends: []string{"lci"}, N: 9600, Nodes: 4, Tiles: []int{1200, 2400}, Runs: 1}
-	serial := evalCSV(t, s, 1)
-	s.Shards = 4
-	sharded := evalCSV(t, s, 1)
-	if serial != sharded {
-		t.Fatalf("CSV differs between shards=0 and shards=4:\n--- serial ---\n%s--- sharded ---\n%s",
-			serial, sharded)
-	}
-	if !strings.Contains(serial, "1200") {
-		t.Fatalf("sweep produced no rows:\n%s", serial)
-	}
-}
-
 func TestBestTileArgmin(t *testing.T) {
 	rs := []bench.HiCMAResult{{NB: 1, TimeToSolution: 5}, {NB: 2, TimeToSolution: 3}, {NB: 3, TimeToSolution: 9}}
 	if BestTile(rs).NB != 2 {

@@ -36,13 +36,8 @@ type Point struct {
 	MT         bool `json:"mt,omitempty"`
 	SyncClocks bool `json:"sync_clocks,omitempty"`
 	Steal      bool `json:"steal,omitempty"` // also on chaos points
-	// Shards > 1 simulates the point on a sharded parallel domain. The
-	// result is identical to serial, but the field still participates in
-	// the cache key: a hash that ignored it could not prove that, and
-	// differential tests deliberately compare across shard counts.
-	Shards  int `json:"shards,omitempty"`
-	Runs    int `json:"runs,omitempty"`
-	Discard int `json:"discard,omitempty"`
+	Runs       int  `json:"runs,omitempty"`
+	Discard    int  `json:"discard,omitempty"`
 
 	// Collective points.
 	Op    string `json:"op,omitempty"`
@@ -122,17 +117,7 @@ func EvalPoint(p Point) (res PointResult, err error) {
 	}
 	switch p.Kind {
 	case PointHiCMA:
-		o := bench.DefaultHiCMAOpts(b, p.NB, p.Nodes)
-		o.N = p.N
-		o.MT = p.MT
-		o.SyncClocks = p.SyncClocks
-		o.Steal = p.Steal
-		o.Shards = p.Shards
-		o.Runs = stats.Methodology{Runs: p.Runs, Discard: p.Discard}
-		if p.Seed != 0 {
-			o.Seed = p.Seed
-		}
-		r := bench.HiCMA(o)
+		r := bench.HiCMA(p.hicmaOpts(b))
 		// A single-tile problem (nb == n) exchanges no messages, so latency
 		// means come back NaN; JSON cannot carry NaN, so "no samples"
 		// becomes 0 in the cached result.
@@ -199,6 +184,21 @@ func EvalPoint(p Point) (res PointResult, err error) {
 		return PointResult{Chaos: out}, nil
 	}
 	return PointResult{}, fmt.Errorf("expd: unknown point kind %q", p.Kind)
+}
+
+// hicmaOpts is HiCMA point p's configuration on backend b: what EvalPoint
+// measures and TracePoint traces.
+func (p Point) hicmaOpts(b stack.Backend) bench.HiCMAOpts {
+	o := bench.DefaultHiCMAOpts(b, p.NB, p.Nodes)
+	o.N = p.N
+	o.MT = p.MT
+	o.SyncClocks = p.SyncClocks
+	o.Steal = p.Steal
+	o.Runs = stats.Methodology{Runs: p.Runs, Discard: p.Discard}
+	if p.Seed != 0 {
+		o.Seed = p.Seed
+	}
+	return o
 }
 
 // ChaosOpts is the faulted run of chaos point p at ratePct percent: uniform

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -246,6 +248,38 @@ func TestServerRestartResume(t *testing.T) {
 	// The result is assembled from the shared cache as if never interrupted.
 	if _, _, results, err := srv2.Result(st.ID); err != nil || len(results) != total {
 		t.Errorf("Result after resume: %d results, err %v", len(results), err)
+	}
+}
+
+// TestServerResumesOldCheckpoint: testdata/jobs-sharded-spec.json is the
+// checkpoint an earlier server wrote for tinySpec with a shard count, a spec
+// field that no longer exists. It still loads — loadCheckpoint does not
+// reject unknown fields, unlike DecodeSpec — and its queued job resumes as
+// the serial sweep, on the serial points' cache addresses.
+func TestServerResumesOldCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ckpt, err := os.ReadFile(filepath.Join("testdata", "jobs-sharded-spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs.json"), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, dir)
+	defer srv.Close()
+	const id = "5a7a9eeb2ba7f0779dfded5f5e43e593ebd6b4a313f2ca05a4e90b8ad1cad530"
+	fin := waitState(t, srv, id, StateDone)
+	serial, err := DecodeSpec([]byte(tinySpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.Points != len(serial.Points()) {
+		t.Fatalf("resumed job has %d points, the serial sweep %d", fin.Points, len(serial.Points()))
+	}
+	for _, p := range serial.Points() {
+		if !srv.Cache().Has(p.Hash()) {
+			t.Errorf("serial point %s was not computed by the resumed job", p.Hash()[:12])
+		}
 	}
 }
 

@@ -120,13 +120,8 @@ type Spec struct {
 	MT         bool    `json:"mt,omitempty"` // tile kind: also measure multithreaded ACTIVATEs
 	SyncClocks bool    `json:"sync_clocks,omitempty"`
 	Steal      bool    `json:"steal,omitempty"` // inter-rank work stealing (tile, nodes, chaos)
-	// Shards > 1 simulates each point on a sharded parallel domain
-	// (identical results, less wall clock on multi-core hosts). 0 and 1
-	// both mean serial and canonicalize to 0, so pre-existing cache
-	// entries keep their hashes.
-	Shards  int `json:"shards,omitempty"`
-	Runs    int `json:"runs,omitempty"` // measurement protocol (default 1)
-	Discard int `json:"discard,omitempty"`
+	Runs       int     `json:"runs,omitempty"`  // measurement protocol (default 1)
+	Discard    int     `json:"discard,omitempty"`
 
 	// Backends defaults to both, canonical order LCI then MPI. Accepted
 	// spellings follow stack.ParseBackend.
@@ -277,15 +272,6 @@ func (s Spec) Canonical() (Spec, error) {
 				return Spec{}, e
 			}
 		}
-		if s.Shards < 0 {
-			return Spec{}, fmt.Errorf("expd: shards %d < 0", s.Shards)
-		}
-		if s.Shards > 1 {
-			if s.SyncClocks {
-				return Spec{}, fmt.Errorf("expd: sync_clocks needs a serial simulation (shards <= 1)")
-			}
-			c.Shards = s.Shards
-		}
 		if s.Kind == KindNodes {
 			if err := reject(s.Nodes != 0, "nodes"); err != nil {
 				return Spec{}, err
@@ -372,7 +358,6 @@ func (s Spec) Canonical() (Spec, error) {
 			reject(s.SyncClocks, "sync_clocks"), reject(s.Steal, "steal"),
 			reject(s.Runs != 0, "runs"), reject(s.Discard != 0, "discard"),
 			reject(len(s.Workloads) != 0, "workloads"), reject(len(s.Rates) != 0, "rates"),
-			reject(s.Shards != 0, "shards"),
 		} {
 			if e != nil {
 				return Spec{}, e
@@ -439,7 +424,6 @@ func (s Spec) Canonical() (Spec, error) {
 			reject(s.Runs != 0, "runs"), reject(s.Discard != 0, "discard"),
 			reject(len(s.Ops) != 0, "ops"), reject(len(s.Ranks) != 0, "ranks"),
 			reject(len(s.Sizes) != 0, "sizes"), reject(s.Iters != 0, "iters"),
-			reject(s.Shards != 0, "shards"),
 		} {
 			if e != nil {
 				return Spec{}, e
@@ -498,7 +482,7 @@ func (s Spec) Points() []Point {
 					pts = append(pts, Point{
 						Kind: PointHiCMA, Backend: b, N: s.N, NB: nb, Nodes: s.Nodes,
 						MT: mt, SyncClocks: s.SyncClocks, Steal: s.Steal,
-						Shards: s.Shards, Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
+						Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
 					})
 				}
 			}
@@ -512,7 +496,7 @@ func (s Spec) Points() []Point {
 					pts = append(pts, Point{
 						Kind: PointHiCMA, Backend: b, N: s.N, NB: nb, Nodes: nd,
 						SyncClocks: s.SyncClocks, Steal: s.Steal,
-						Shards: s.Shards, Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
+						Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
 					})
 				}
 			}

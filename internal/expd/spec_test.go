@@ -115,6 +115,7 @@ func TestDecodeSpecRejects(t *testing.T) {
 		{`{"kind":"tile","node_counts":[1,2]}`, "not valid"},
 		{`{"kind":"nodes","nodes":4}`, "not valid"},
 		{`{"kind":"tile","typo":1}`, "unknown field"},
+		{`{"kind":"tile","shards":4}`, `unknown field "shards"`},
 		{`{"kind":"tile","scale":0.5,"n":7200}`, "mutually exclusive"},
 		{`{"kind":"tile","tiles":[7]}`, "divide"},
 		{`{"kind":"coll","ops":["scatter"]}`, "op"},

@@ -5,19 +5,16 @@ import (
 	"io"
 
 	"amtlci/internal/bench"
-	"amtlci/internal/clocksync"
 	"amtlci/internal/core/stack"
 	"amtlci/internal/ctrace"
-	"amtlci/internal/hicma"
 	"amtlci/internal/metrics"
-	"amtlci/internal/parsec"
 	"amtlci/internal/sim"
 )
 
 // TracePoint re-simulates one HiCMA point with a ctrace.Recorder attached
 // and returns the Chrome-trace events (task slices, message instants, and
-// counter tracks). The stack, seeds, and runtime config mirror what
-// bench.HiCMA uses for the point's first run, so the trace shows the same
+// counter tracks). The run is built by bench.HiCMARuntime from the options
+// EvalPoint measures, as the point's first run, so the trace shows the same
 // execution the cached measurement came from — determinism makes the replay
 // free of divergence.
 func TracePoint(p Point) (events []ctrace.Event, err error) {
@@ -33,24 +30,7 @@ func TracePoint(p Point) (events []ctrace.Event, err error) {
 	if err != nil {
 		return nil, err
 	}
-	o := bench.DefaultHiCMAOpts(b, p.NB, p.Nodes)
-	o.N = p.N
-	o.MT = p.MT
-	o.SyncClocks = p.SyncClocks
-	if p.Seed != 0 {
-		o.Seed = p.Seed
-	}
-
-	pool := hicma.NewVirtual(hicma.DefaultParams(o.N, o.NB), o.Nodes)
-	so := stack.DefaultOptions(b, o.Nodes)
-	so.Seed = o.Seed // run 0 of the measurement protocol
-	st := stack.Build(so)
-	cfg := parsec.DefaultConfig(bench.WorkersFor(b, o.Nodes))
-	cfg.Seed = o.Seed
-	cfg.FetchCap = o.FetchCap
-	cfg.MTActivate = o.MT
-	cfg.Metrics = st.Metrics
-	rt := parsec.New(st.Eng, st.Engines, pool, cfg)
+	st, rt, pool := bench.HiCMARuntime(p.hicmaOpts(b), 0, nil)
 
 	var names []string
 	for _, c := range pool.Classes() {
@@ -60,12 +40,6 @@ func TracePoint(p Point) (events []ctrace.Event, err error) {
 	rt.SetObserver(rec)
 	smp := metrics.NewSampler(st.Eng, st.Metrics, 100*sim.Microsecond)
 	smp.Start()
-
-	if o.SyncClocks {
-		clocks := clocksync.MakeClocks(o.Nodes, 10*sim.Millisecond, 0, o.Seed)
-		res := clocksync.Register(st.Eng, st.Engines, clocks, 8).Run()
-		rt.SetClocks(clocks, res.Offsets)
-	}
 
 	if _, err := rt.Run(); err != nil {
 		return nil, err

@@ -55,19 +55,6 @@ type Config struct {
 	// Seed seeds the fabric's deterministic noise stream.
 	Seed uint64
 
-	// NodeGroup, when positive, arranges ranks into groups of NodeGroup
-	// consecutive ranks (rank/NodeGroup is the group index) — a two-level
-	// fat-tree: ranks in the same group share a leaf switch, cross-group
-	// messages traverse the spine and pay GroupExtra on top of Latency.
-	// Zero keeps the flat single-switch topology. Grouping also makes the
-	// sharded lookahead genuinely heterogeneous: shard pairs with no
-	// co-grouped ranks are provably GroupExtra further apart, and
-	// LookaheadMatrix widens their synchronization windows accordingly.
-	NodeGroup int
-	// GroupExtra is the additional one-way wire latency of a cross-group
-	// hop. Meaningful only with NodeGroup > 0.
-	GroupExtra sim.Duration
-
 	// Metrics is the registry the fabric registers its instruments in
 	// (per-port traffic counters, queued bytes, engine utilization, fault
 	// counters). Nil gets a private registry, so standalone fabrics work
@@ -94,12 +81,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fabric: negative control-lane cutoff %d", c.CtlBypass)
 	case c.Jitter < 0 || c.Jitter >= 1:
 		return fmt.Errorf("fabric: jitter %g outside [0,1)", c.Jitter)
-	case c.NodeGroup < 0:
-		return fmt.Errorf("fabric: negative node group size %d", c.NodeGroup)
-	case c.GroupExtra < 0:
-		return fmt.Errorf("fabric: negative cross-group latency %v", c.GroupExtra)
-	case c.GroupExtra > 0 && c.NodeGroup <= 0:
-		return fmt.Errorf("fabric: cross-group latency %v without a node group size", c.GroupExtra)
 	}
 	return nil
 }
@@ -207,11 +188,6 @@ type Fabric struct {
 	inj   *injector
 	reg   *metrics.Registry
 
-	// group maps rank -> node group when the config defines a grouped
-	// topology with a nonzero cross-group latency; nil keeps the flat
-	// fast path (Send adds no branch work beyond one nil check).
-	group []int32
-
 	// Crash state (nil slices unless a NodeCrash schedule is installed, so
 	// the fault-free fast path stays branch-cheap). Crash schedules are
 	// serial-only: a crash flips state every rank's Send consults.
@@ -238,12 +214,6 @@ func New(dom sim.Domain, n int, cfg Config) (*Fabric, error) {
 		reg = metrics.New()
 	}
 	f := &Fabric{dom: dom, cfg: cfg, reg: reg}
-	if cfg.NodeGroup > 0 && cfg.GroupExtra > 0 {
-		f.group = make([]int32, n)
-		for i := range f.group {
-			f.group[i] = int32(i / cfg.NodeGroup)
-		}
-	}
 	pools := make([]*shardPool, dom.Shards())
 	for i := range pools {
 		pools[i] = &shardPool{}
@@ -279,68 +249,6 @@ func New(dom sim.Domain, n int, cfg Config) (*Fabric, error) {
 // lookahead for sharded execution.
 func Lookahead(cfg Config) sim.Duration {
 	return sim.JitterFloor(cfg.Latency, cfg.Jitter)
-}
-
-// LookaheadMatrix returns the per-shard-pair latency floor — the classic
-// conservative-PDES distance matrix — for `shards` shards over `ranks`
-// ranks assigned by shardOf: entry [i][j] is the guaranteed minimum
-// delivery distance from any rank in shard i to any distinct rank in shard
-// j. On a flat fabric every entry is Lookahead(cfg); with a grouped
-// topology (NodeGroup > 0, GroupExtra > 0) shard pairs that share no node
-// group are provably a spine hop apart, so their entry is the jitter floor
-// of Latency+GroupExtra and their synchronization windows widen. Shard
-// pairs with no rank pairs at all (an empty shard) also get the
-// cross-group floor: nothing can travel between them, so any sound bound
-// works and the wider one is kept. Diagonal entries get the base floor;
-// sharded domains never consult them (same-shard scheduling is direct).
-// The result is symmetric because the latency model is.
-func LookaheadMatrix(cfg Config, ranks, shards int, shardOf func(rank int) int) [][]sim.Duration {
-	base := sim.JitterFloor(cfg.Latency, cfg.Jitter)
-	far := base
-	if cfg.NodeGroup > 0 && cfg.GroupExtra > 0 {
-		far = sim.JitterFloor(cfg.Latency+cfg.GroupExtra, cfg.Jitter)
-	}
-	m := make([][]sim.Duration, shards)
-	for i := range m {
-		m[i] = make([]sim.Duration, shards)
-		for j := range m[i] {
-			m[i][j] = far
-		}
-		m[i][i] = base
-	}
-	if far == base {
-		return m
-	}
-	// Heterogeneous case: a shard pair is `base` apart iff some rank pair
-	// between them shares a node group. Collect each shard's group set and
-	// intersect.
-	groups := make([]map[int32]struct{}, shards)
-	for i := range groups {
-		groups[i] = make(map[int32]struct{})
-	}
-	for r := 0; r < ranks; r++ {
-		s := shardOf(r)
-		if s < 0 || s >= shards {
-			panic(fmt.Sprintf("fabric: shardOf(%d) = %d outside [0,%d)", r, s, shards))
-		}
-		groups[s][int32(r/cfg.NodeGroup)] = struct{}{}
-	}
-	for i := 0; i < shards; i++ {
-		for j := i + 1; j < shards; j++ {
-			a, b := groups[i], groups[j]
-			if len(b) < len(a) {
-				a, b = b, a
-			}
-			for g := range a {
-				if _, ok := b[g]; ok {
-					m[i][j] = base
-					m[j][i] = base
-					break
-				}
-			}
-		}
-	}
-	return m
 }
 
 // Metrics returns the registry the fabric's instruments live in.
@@ -439,11 +347,7 @@ func (f *Fabric) Send(m *Message) {
 		return
 	}
 
-	lat := f.cfg.Latency
-	if f.group != nil && f.group[m.Src] != f.group[m.Dst] {
-		lat += f.cfg.GroupExtra
-	}
-	wire := src.rng.Jitter(lat, f.cfg.Jitter)
+	wire := src.rng.Jitter(f.cfg.Latency, f.cfg.Jitter)
 	ser := f.SerializeTime(m.Size)
 
 	// Fault injection. A dropped message still charges the transmit engine

@@ -1,23 +1,14 @@
 package parsec
 
 import (
-	"sort"
-
 	"amtlci/internal/sim"
 )
 
 // Observer receives runtime events for tracing and tooling (cmd/trace
-// exports them as a Chrome trace). On a serial domain all callbacks run
-// synchronously on the simulation goroutine at the event's virtual time; on
-// a sharded domain each shard records its ranks' events privately and the
-// merged stream replays into the observer on the Run caller's goroutine
-// after the simulation, in (timestamp, rank, per-rank sequence) order.
-// Either way a single goroutine at a time touches the observer, and the
-// per-rank subsequences are identical across shard counts (same virtual
-// events, same order); only the interleaving of different ranks' callbacks
-// at equal timestamps can differ from serial delivery, which replays in
-// global execution order rather than rank order. Implementations must be
-// cheap and must not call back into the runtime.
+// exports them as a Chrome trace). All callbacks run synchronously on the
+// simulation goroutine at the event's virtual time, which is why an observer
+// needs a serial domain (SetObserver). Implementations must be cheap and must
+// not call back into the runtime.
 type Observer interface {
 	// TaskStart fires when a worker begins executing t; TaskEnd when its
 	// completion bookkeeping is done.
@@ -50,140 +41,12 @@ func (NopObserver) DataArrived(int, TaskID, int32, int64, sim.Time) {}
 // ActivateSent implements Observer.
 func (NopObserver) ActivateSent(int, int, int, sim.Time) {}
 
-// SetObserver installs an observer; nil removes it. Install before Run. On
-// a sharded domain the runtime interposes a per-shard recorder — callbacks
-// fire from several goroutines, so they buffer into shard-private streams
-// and replay into o after Run in deterministic merged order (see Observer).
+// SetObserver installs an observer; nil removes it. Install before Run. An
+// observer requires a single-shard domain: on a sharded one its callbacks
+// would fire concurrently from every shard's goroutine.
 func (rt *Runtime) SetObserver(o Observer) {
-	rt.userObs = o
-	rt.obsBufs = nil
-	rt.obsSeq = nil
-	if o == nil {
-		rt.obs = nil
-		return
-	}
-	if ns := rt.dom.Shards(); ns > 1 {
-		rt.obsBufs = make([]shardObsBuf, ns)
-		rt.obsSeq = make([]uint64, rt.nranks)
-		rt.obs = shardObsRecorder{rt}
-		return
+	if o != nil && rt.dom.Shards() > 1 {
+		panic("parsec: an observer requires a single-shard domain")
 	}
 	rt.obs = o
-}
-
-// obsKind discriminates buffered observer records.
-type obsKind uint8
-
-const (
-	obsTaskStart obsKind = iota
-	obsTaskEnd
-	obsFetchStart
-	obsDataArrived
-	obsActivateSent
-)
-
-// obsRecord is one buffered observer callback. (at, rank, seq) is a strict
-// total order: seq is a per-rank emission counter, and a rank's events are
-// emitted by exactly one shard in deterministic order.
-type obsRecord struct {
-	at     sim.Time
-	seq    uint64
-	task   TaskID
-	size   int64
-	rank   int32
-	worker int32 // worker for Task*, dest for ActivateSent
-	flow   int32 // flow for Fetch*/DataArrived, entries for ActivateSent
-	kind   obsKind
-}
-
-// shardObsBuf is one shard's private record stream. Only the goroutine
-// executing that shard's window appends; padding keeps neighboring shards'
-// append bookkeeping off a shared cache line.
-type shardObsBuf struct {
-	recs []obsRecord
-	_    [104]byte
-}
-
-// shardObsRecorder is the Observer the runtime installs internally under a
-// sharded domain: every callback appends to the emitting rank's shard
-// buffer.
-type shardObsRecorder struct{ rt *Runtime }
-
-func (s shardObsRecorder) add(rank int, r obsRecord) {
-	rt := s.rt
-	r.rank = int32(rank)
-	r.seq = rt.obsSeq[rank]
-	rt.obsSeq[rank]++
-	buf := &rt.obsBufs[rt.dom.ShardOf(rank)]
-	buf.recs = append(buf.recs, r)
-}
-
-func (s shardObsRecorder) TaskStart(rank, worker int, t TaskID, at sim.Time) {
-	s.add(rank, obsRecord{kind: obsTaskStart, worker: int32(worker), task: t, at: at})
-}
-
-func (s shardObsRecorder) TaskEnd(rank, worker int, t TaskID, at sim.Time) {
-	s.add(rank, obsRecord{kind: obsTaskEnd, worker: int32(worker), task: t, at: at})
-}
-
-func (s shardObsRecorder) FetchStart(rank int, producer TaskID, flow int32, size int64, at sim.Time) {
-	s.add(rank, obsRecord{kind: obsFetchStart, task: producer, flow: flow, size: size, at: at})
-}
-
-func (s shardObsRecorder) DataArrived(rank int, producer TaskID, flow int32, size int64, at sim.Time) {
-	s.add(rank, obsRecord{kind: obsDataArrived, task: producer, flow: flow, size: size, at: at})
-}
-
-func (s shardObsRecorder) ActivateSent(rank, dest, entries int, at sim.Time) {
-	s.add(rank, obsRecord{kind: obsActivateSent, worker: int32(dest), flow: int32(entries), at: at})
-}
-
-// flushObservations merges the per-shard streams and replays them into the
-// user observer. Called after dom.Run() on the caller's goroutine; the
-// domain's completed run is the happens-before edge that makes every
-// shard's buffer visible. Buffers are reset but kept allocated so repeated
-// Runs reuse them; the per-rank seq counters keep counting, preserving the
-// strict (at, rank, seq) order across Runs.
-func (rt *Runtime) flushObservations() {
-	if rt.obsBufs == nil || rt.userObs == nil {
-		return
-	}
-	total := 0
-	for i := range rt.obsBufs {
-		total += len(rt.obsBufs[i].recs)
-	}
-	if total == 0 {
-		return
-	}
-	all := make([]obsRecord, 0, total)
-	for i := range rt.obsBufs {
-		all = append(all, rt.obsBufs[i].recs...)
-		rt.obsBufs[i].recs = rt.obsBufs[i].recs[:0]
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.seq < b.seq
-	})
-	o := rt.userObs
-	for i := range all {
-		r := &all[i]
-		switch r.kind {
-		case obsTaskStart:
-			o.TaskStart(int(r.rank), int(r.worker), r.task, r.at)
-		case obsTaskEnd:
-			o.TaskEnd(int(r.rank), int(r.worker), r.task, r.at)
-		case obsFetchStart:
-			o.FetchStart(int(r.rank), r.task, r.flow, r.size, r.at)
-		case obsDataArrived:
-			o.DataArrived(int(r.rank), r.task, r.flow, r.size, r.at)
-		case obsActivateSent:
-			o.ActivateSent(int(r.rank), int(r.worker), int(r.flow), r.at)
-		}
-	}
 }

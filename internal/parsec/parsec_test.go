@@ -1,28 +1,22 @@
 package parsec_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"amtlci/internal/core/stack"
 	"amtlci/internal/parsec"
+	recov "amtlci/internal/recover"
 	"amtlci/internal/sim"
 )
 
 // build assembles a runtime over a fresh stack.
 func build(t *testing.T, b stack.Backend, ranks, workers int, tp parsec.Taskpool, mod func(*parsec.Config)) (*stack.Stack, *parsec.Runtime) {
 	t.Helper()
-	return buildSharded(t, b, ranks, 1, workers, tp, mod)
-}
-
-// buildSharded is build on a sharded simulation domain (shards 0 or 1 is
-// the serial engine).
-func buildSharded(t *testing.T, b stack.Backend, ranks, shards, workers int, tp parsec.Taskpool, mod func(*parsec.Config)) (*stack.Stack, *parsec.Runtime) {
-	t.Helper()
 	o := stack.DefaultOptions(b, ranks)
 	o.Fabric.Jitter = 0
-	o.Shards = shards
 	s := stack.Build(o)
 	cfg := parsec.DefaultConfig(workers)
 	cfg.Jitter = 0
@@ -597,50 +591,6 @@ func (o *sequenceObserver) ActivateSent(rank, dest, entries int, at sim.Time) {
 // runtime's own Activations counter — identically on both backends.
 func TestObserverSequence(t *testing.T) {
 	forBackends(t, func(t *testing.T, b stack.Backend) {
-		serial := observerSeqRun(t, b, 1)
-		// The contract holds under sharded simulation too, and each rank's
-		// subsequence of callbacks is identical to serial delivery — the
-		// merged replay only normalizes cross-rank ties.
-		for _, shards := range []int{2, 4} {
-			got := observerSeqRun(t, b, shards)
-			diffRankStreams(t, shards, serial, got)
-		}
-	})
-}
-
-// diffRankStreams asserts that each rank's callback subsequence in got
-// matches serial exactly (kinds, arguments, and timestamps).
-func diffRankStreams(t *testing.T, shards int, serial, got []seqEvent) {
-	t.Helper()
-	perRank := func(evs []seqEvent) map[int][]seqEvent {
-		m := map[int][]seqEvent{}
-		for _, e := range evs {
-			m[e.rank] = append(m[e.rank], e)
-		}
-		return m
-	}
-	ws, wg := perRank(serial), perRank(got)
-	if len(ws) != len(wg) {
-		t.Fatalf("shards=%d: observer streams cover %d ranks, serial %d", shards, len(wg), len(ws))
-	}
-	for r, want := range ws {
-		have := wg[r]
-		if len(have) != len(want) {
-			t.Fatalf("shards=%d rank %d: %d events, serial %d", shards, r, len(have), len(want))
-		}
-		for i := range want {
-			if have[i] != want[i] {
-				t.Fatalf("shards=%d rank %d event %d = %+v, serial %+v", shards, r, i, have[i], want[i])
-			}
-		}
-	}
-}
-
-// observerSeqRun executes the two-producer graph under the given shard
-// count, checks every observer invariant, and returns the callback stream.
-func observerSeqRun(t *testing.T, b stack.Backend, shards int) []seqEvent {
-	t.Helper()
-	{
 		// Two producers on rank 0 feed one consumer each on rank 1, with
 		// rendezvous-sized flows so both GET DATA paths are exercised.
 		g := parsec.NewGraphPool("seq", 2, false)
@@ -650,7 +600,7 @@ func observerSeqRun(t *testing.T, b stack.Backend, shards int) []seqEvent {
 		c1 := g.AddTask(3, 1, sim.Microsecond, 0)
 		g.Link(p0, 0, c0)
 		g.Link(p1, 0, c1)
-		_, rt := buildSharded(t, b, 2, shards, 2, g, nil)
+		_, rt := build(t, b, 2, 2, g, nil)
 		obs := &sequenceObserver{}
 		rt.SetObserver(obs)
 		if _, err := rt.Run(); err != nil {
@@ -750,52 +700,43 @@ func observerSeqRun(t *testing.T, b stack.Backend, shards int) []seqEvent {
 		if entries != 2 {
 			t.Fatalf("activation entries = %d, want 2 (one per remote flow)", entries)
 		}
-		return obs.events
-	}
+	})
 }
 
-// TestObserverSequenceShardedWideGraph runs the sharded observer over a
-// four-rank pipeline so four genuinely distinct shards each record a
-// stream, and checks the merged replay against serial rank by rank.
-func TestObserverSequenceShardedWideGraph(t *testing.T) {
+// TestSetObserverRequiresSerialDomain: observer callbacks run synchronously
+// on the simulation goroutine, so installing one on a sharded domain panics
+// with a message naming the requirement instead of racing across shards.
+func TestSetObserverRequiresSerialDomain(t *testing.T) {
+	o := stack.DefaultOptions(stack.LCI, 2)
+	o.Shards = 2
+	s := stack.Build(o)
+	rt := parsec.New(s.Dom, s.Engines, parsec.NewGraphPool("obs", 2, false), parsec.DefaultConfig(1))
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "requires a single-shard domain") {
+			t.Fatalf("SetObserver on a sharded domain: panic %q does not name the single-shard requirement", msg)
+		}
+	}()
+	rt.SetObserver(parsec.NopObserver{})
+}
+
+// TestRecoveryRejectsMultiOutputTask: crash recovery checkpoints, enumerates
+// and restores one output flow per task, so with recovery armed a task that
+// returns two outputs fails the run with an error naming it.
+func TestRecoveryRejectsMultiOutputTask(t *testing.T) {
 	forBackends(t, func(t *testing.T, b stack.Backend) {
-		run := func(shards int) []seqEvent {
-			g := parsec.NewGraphPool("wide", 4, false)
-			// Rank r's task feeds rank r+1's, plus a second local task per
-			// rank, so every rank both computes and communicates.
-			var prev parsec.TaskID
-			id := int64(0)
-			for r := 0; r < 4; r++ {
-				tk := g.AddTask(id, r, 2*sim.Microsecond, 0, 64<<10)
-				id++
-				if r > 0 {
-					g.Link(prev, 0, tk)
-				}
-				prev = tk
-				local := g.AddTask(id, r, sim.Microsecond, 0)
-				id++
-				g.Link(tk, 0, local)
-			}
-			_, rt := buildSharded(t, b, 4, shards, 2, g, nil)
-			obs := &sequenceObserver{}
-			rt.SetObserver(obs)
-			if _, err := rt.Run(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i < len(obs.events); i++ {
-				if obs.events[i].at < obs.events[i-1].at {
-					t.Fatalf("shards=%d: event %d at %v precedes event %d at %v",
-						shards, i, obs.events[i].at, i-1, obs.events[i-1].at)
-				}
-			}
-			return obs.events
+		g := parsec.NewGraphPool("two-out", 2, false)
+		p := g.AddTask(0, 0, sim.Microsecond, 0, 64, 64)
+		g.Link(p, 0, g.AddTask(1, 1, sim.Microsecond, 0))
+		g.Link(p, 1, g.AddTask(2, 1, sim.Microsecond, 0))
+		s, rt := build(t, b, 2, 1, g, nil)
+		mgrs := make([]*recov.Manager, len(s.Engines))
+		for i, ce := range s.Engines {
+			mgrs[i] = recov.NewManager(ce, s.Metrics)
 		}
-		serial := run(1)
-		if len(serial) == 0 {
-			t.Fatal("serial run produced no observer events")
-		}
-		for _, shards := range []int{2, 4} {
-			diffRankStreams(t, shards, serial, run(shards))
+		rt.EnableRecovery(parsec.RecoveryConfig{Managers: mgrs})
+		_, err := rt.Run()
+		if err == nil || !strings.Contains(err.Error(), "task "+p.String()+" returned 2 outputs") {
+			t.Fatalf("two-output task under recovery: err = %v, want one naming %v", err, p)
 		}
 	})
 }

@@ -86,7 +86,9 @@ type recoveryState struct {
 
 // EnableRecovery arms crash recovery; call it after New and before Run. It
 // takes over the engines' error routing: peer-death verdicts feed the
-// recovery protocol, anything else still aborts the graph.
+// recovery protocol, anything else still aborts the graph. Recovery
+// checkpoints and restores one output flow per task: a task that returns
+// more than one output fails the run with an error naming it.
 func (rt *Runtime) EnableRecovery(rc RecoveryConfig) {
 	// Recovery restarts mutate every rank's state in one atomic simulation
 	// event, which only a serial engine provides (crash injection is gated
@@ -152,6 +154,11 @@ func (rt *Runtime) isDone(t TaskID) bool {
 // No-op (and zero-cost) when recovery is off.
 func (rt *Runtime) checkpointTask(n *node, t TaskID, outputs []DataRef) {
 	if rt.rec == nil || n.dead {
+		return
+	}
+	if len(outputs) > 1 {
+		rt.fail(fmt.Errorf("parsec: task %v returned %d outputs; crash recovery supports one output flow per task",
+			t, len(outputs)))
 		return
 	}
 	flows := make([]recov.FlowCkpt, len(outputs))
@@ -286,22 +293,11 @@ func (rt *Runtime) maybeScheduleRestart() {
 	rt.dom.RankEngine(0).After(rec.cfg.RestartDelay, func() { rt.restartRound(gen) })
 }
 
-// FlowCounter is an optional Taskpool extension: how many output flows a
-// task produces. Recovery's task enumeration walks successor edges per flow;
-// pools without the extension are assumed to produce exactly one.
-type FlowCounter interface {
-	Flows(t TaskID) int
-}
-
-func (rt *Runtime) flowsOf(t TaskID) int {
-	if fc, ok := rt.tp.(FlowCounter); ok {
-		return fc.Flows(t)
-	}
-	return 1
-}
-
 // enumerateTasks walks the whole task graph from the roots (every non-root
 // task is reachable along dependence edges, or it could never have run).
+// Every task has at most one output flow while recovery is armed
+// (checkpointTask fails the run otherwise), so flow 0's successors are all
+// of a task's successors.
 func (rt *Runtime) enumerateTasks() []TaskID {
 	seen := make(map[TaskID]bool)
 	var queue, all []TaskID
@@ -319,11 +315,9 @@ func (rt *Runtime) enumerateTasks() []TaskID {
 		t := queue[0]
 		queue = queue[1:]
 		all = append(all, t)
-		for f := 0; f < rt.flowsOf(t); f++ {
-			succ = rt.tp.Successors(t, int32(f), succ[:0])
-			for _, d := range succ {
-				push(d.Task)
-			}
+		succ = rt.tp.Successors(t, 0, succ[:0])
+		for _, d := range succ {
+			push(d.Task)
 		}
 	}
 	return all

@@ -25,15 +25,8 @@ type Runtime struct {
 	tracer *Tracer
 	reg    *metrics.Registry
 
-	// obs is what the nodes call: the user's observer on a serial domain,
-	// or the internal per-shard recorder on a sharded one. userObs keeps
-	// the installed observer for the post-run replay; obsBufs/obsSeq are
-	// the recorder's shard streams and per-rank sequence counters
-	// (observer.go).
-	obs     Observer
-	userObs Observer
-	obsBufs []shardObsBuf
-	obsSeq  []uint64
+	// obs is the installed observer, nil without one (observer.go).
+	obs Observer
 
 	// failMu guards failed: under a sharded domain any shard's engine can
 	// report the first unrecoverable error concurrently.
@@ -163,10 +156,6 @@ func (rt *Runtime) Run() (sim.Duration, error) {
 		n.pollQuiet()
 	}
 	end := rt.dom.Run()
-	// Replay buffered observer streams (sharded domains) before the error
-	// checks: a serial observer saw its callbacks during the run even when
-	// the run ultimately failed, and the sharded path matches.
-	rt.flushObservations()
 
 	stuck := false
 	for _, n := range rt.nodes {

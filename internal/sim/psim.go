@@ -9,22 +9,20 @@ import (
 // Parallel is a sharded discrete-event domain: ranks are partitioned into
 // contiguous blocks, each block owns a private Engine (calendar queue,
 // event pool, clock), and the blocks advance conservatively in rounds
-// bounded by pairwise lookahead.
+// bounded by the lookahead L: the minimum distance, against the source
+// clock, of any cross-shard event.
 //
-// # Synchronization protocol (published slots, pairwise horizons)
+// # Synchronization protocol (published slots, data-driven horizons)
 //
 // Every shard j publishes its earliest pending timestamp E_j — the minimum
 // over its calendar and its staged-but-unadmitted inbox — into a padded
 // atomic slot. Each round, the coordinator scans the slots lock-free and
 // computes a per-shard horizon
 //
-//	H_i = min over j != i of (E_j + D[j][i])
+//	H_i = min over j != i of (E_j + L)
 //
-// where D[j][i] is the pairwise distance: the min-plus closure of the
-// lookahead matrix installed by SetLookahead (without one every entry is
-// the global lookahead). The closure matters: an event pending at shard j
-// can reach shard i through relays, and the shortest path bounds the
-// earliest possible arrival. Shards whose earliest event lies below their
+// the earliest time any event pending at another shard, directly or through
+// relays, can reach shard i. Shards whose earliest event lies below their
 // horizon run the round in parallel: each admits staged arrivals strictly
 // below H_i into its calendar in (timestamp, source shard, source
 // sequence) order, fires local events strictly below H_i, republishes its
@@ -36,14 +34,13 @@ import (
 // reflection — fire an event, stage a cross send, and have the chain
 // relay back below a clock that advanced too far. The reflection bound is
 // enforced dynamically instead of pessimistically: a window starts with no
-// self-bound, and the moment it stages a cross event at time t toward
-// shard j, its bound clamps to t + D[j][i] (the earliest any chain seeded
-// by that send can return). Until the first send, any local event below
-// H_i is safe — a future send happens at or after the current clock, so
-// its reflection lands strictly later. A round that stages nothing
-// therefore keeps its full horizon; when only one shard has events at all,
-// H_i is unbounded and a communication-free stretch drains in a single
-// round (window coalescing). Once the round ends, the staged send is
+// self-bound, and the moment it stages a cross event at time t, its bound
+// clamps to t + L (the earliest any chain seeded by that send can return).
+// Until the first send, any local event below H_i is safe — a future send
+// happens at or after the current clock, so its reflection lands strictly
+// later. A round that stages nothing therefore keeps its full horizon; when
+// only one shard has events at all, H_i is unbounded and a
+// communication-free stretch drains in a single round (window coalescing). Once the round ends, the staged send is
 // visible in the destination's published slot and the static term takes
 // over the protection.
 //
@@ -62,15 +59,14 @@ import (
 // staged arrivals are admitted at a deterministic round in a deterministic
 // sort order. The conservative horizon makes the admissible staged set
 // execution-independent: a cross event staged by shard j during a round
-// targets a time >= E_j + L[j][i] >= E_j + D[j][i] >= H_i (CrossAt
-// enforces the raw pair distance against the source clock, and the closure
-// entry is never larger), so it is never admissible in the round that
-// stages it — by the time a round opens, every event that can land below
-// any shard's horizon is already in that shard's inbox, no matter how
-// previous rounds' shards interleaved in real time. Admission batches are
-// therefore disjoint, consecutive timestamp bands, and every sharding yields
-// the same per-rank event sequences; the differential tests in psim_test.go
-// and internal/bench pin this against the serial engine and the heap-backed
+// targets a time >= E_j + L >= H_i (CrossAt enforces L against the source
+// clock), so it is never admissible in the round that stages it — by the
+// time a round opens, every event that can land below any shard's horizon
+// is already in that shard's inbox, no matter how previous rounds' shards
+// interleaved in real time. Admission batches are therefore disjoint,
+// consecutive timestamp bands, and every sharding yields the same per-rank
+// event sequences; the differential tests in psim_test.go and
+// internal/bench pin this against the serial engine and the heap-backed
 // reference engine.
 //
 // # Inbox bound
@@ -78,14 +74,11 @@ import (
 // Inboxes are append-only slices drained every round a shard runs, so
 // occupancy is bounded by the cross traffic of the rounds since the shard
 // last ran. There is no artificial capacity that could block a mid-window
-// sender (a block inside a window would deadlock the barrier);
-// InboxHighWater exposes the realized bound for monitoring.
+// sender (a block inside a window would deadlock the barrier).
 type Parallel struct {
 	shards    []*pshard
 	owner     []int // rank -> shard index
 	lookahead Duration
-	look      [][]Duration // raw pairwise lookahead matrix, nil = uniform
-	dist      [][]Duration // min-plus closure of look (horizon distances)
 
 	// halt is the domain-wide stop flag: checked by every shard before
 	// every event, armed by Stop from any goroutine.
@@ -198,9 +191,8 @@ type pshard struct {
 	// window execution touches it.
 	crossSeq uint64
 
-	mu      chan struct{} // 1-slot semaphore guarding inbox (see lock())
-	inbox   []crossEvent
-	inboxHW int
+	mu    chan struct{} // 1-slot semaphore guarding inbox (see lock())
+	inbox []crossEvent
 
 	batch []crossEvent // drain scratch, window-execution only
 }
@@ -255,87 +247,6 @@ func NewParallel(ranks, shards int, lookahead Duration) *Parallel {
 	return p
 }
 
-// SetLookahead installs a per-shard-pair lookahead matrix: m[j][i] is the
-// guaranteed minimum distance of any cross event from a rank in shard j to
-// a rank in shard i, measured against the source clock. Off-diagonal
-// entries must be positive; the diagonal is ignored (same-shard scheduling
-// is direct). The global lookahead (Lookahead) becomes the matrix's
-// off-diagonal minimum. Horizon math uses the matrix's min-plus closure
-// (shortest relay path), computed here once; the raw entries remain the
-// CrossAt validation bound. The matrix is retained, not copied. Call before
-// Run; a 1-shard domain ignores it.
-func (p *Parallel) SetLookahead(m [][]Duration) {
-	n := len(p.shards)
-	if n == 1 {
-		return
-	}
-	if len(m) != n {
-		panic(fmt.Sprintf("sim: lookahead matrix is %dx?, want %dx%d", len(m), n, n))
-	}
-	min := Duration(0)
-	for i := range m {
-		if len(m[i]) != n {
-			panic(fmt.Sprintf("sim: lookahead matrix row %d has %d entries, want %d", i, len(m[i]), n))
-		}
-		for j, d := range m[i] {
-			if i == j {
-				continue
-			}
-			if d <= 0 {
-				panic(fmt.Sprintf("sim: lookahead matrix entry [%d][%d] = %v must be positive", i, j, d))
-			}
-			if min == 0 || d < min {
-				min = d
-			}
-		}
-	}
-	// Floyd–Warshall min-plus closure over the off-diagonal entries, with
-	// a zero diagonal so a "path through yourself" is a no-op.
-	dist := make([][]Duration, n)
-	for i := range dist {
-		dist[i] = make([]Duration, n)
-		copy(dist[i], m[i])
-		dist[i][i] = 0
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				// Entries are non-negative, so the sum overflows iff it
-				// wraps below an operand; an overflowed relay path is
-				// effectively infinite and can never be the shorter one.
-				v := dist[i][k] + dist[k][j]
-				if v >= dist[i][k] && v < dist[i][j] {
-					dist[i][j] = v
-				}
-			}
-		}
-	}
-	p.look = m
-	p.dist = dist
-	p.lookahead = min
-}
-
-// pairLookahead returns the enforced minimum distance for cross events
-// from shard s to shard d — the raw matrix entry when one is installed, the
-// uniform floor otherwise.
-func (p *Parallel) pairLookahead(s, d int) Duration {
-	if p.look != nil {
-		return p.look[s][d]
-	}
-	return p.lookahead
-}
-
-// pairDist returns the horizon distance from shard s to shard d: the
-// min-plus closure entry (the earliest any chain seeded at s can reach d),
-// or the uniform floor without a matrix. closure <= raw, so horizons from
-// pairDist are never wider than CrossAt's validation admits.
-func (p *Parallel) pairDist(s, d int) Duration {
-	if p.dist != nil {
-		return p.dist[s][d]
-	}
-	return p.lookahead
-}
-
 // RankEngine returns the engine owning rank's events.
 func (p *Parallel) RankEngine(rank int) *Engine { return p.shards[p.owner[rank]].eng }
 
@@ -345,10 +256,6 @@ func (p *Parallel) Shards() int { return len(p.shards) }
 // ShardOf returns the shard index owning rank.
 func (p *Parallel) ShardOf(rank int) int { return p.owner[rank] }
 
-// Lookahead returns the global conservative window floor (the minimum
-// pairwise distance when a matrix is installed).
-func (p *Parallel) Lookahead() Duration { return p.lookahead }
-
 // Rounds returns how many synchronization rounds Run has executed.
 func (p *Parallel) Rounds() uint64 { return p.rounds }
 
@@ -356,18 +263,6 @@ func (p *Parallel) Rounds() uint64 { return p.rounds }
 // shards that were not woken for a round because they had nothing below
 // their horizon.
 func (p *Parallel) ElidedShardRounds() uint64 { return p.elided }
-
-// InboxHighWater returns the largest staged-event backlog any shard's inbox
-// reached — the realized bound of the handoff queues.
-func (p *Parallel) InboxHighWater() int {
-	hw := 0
-	for _, sh := range p.shards {
-		if sh.inboxHW > hw {
-			hw = sh.inboxHW
-		}
-	}
-	return hw
-}
 
 // Fired sums the event counts of every shard.
 func (p *Parallel) Fired() uint64 {
@@ -411,10 +306,10 @@ func (p *Parallel) Now() Time {
 func (p *Parallel) Stop() { p.halt.Store(true) }
 
 // CrossAt schedules fn at absolute time t on dst's engine from within src's
-// execution. Cross-shard calls must respect the pairwise lookahead distance
-// measured against the source shard's clock; violations panic, because
-// admitting such an event could require rewinding a destination shard that
-// already advanced past t.
+// execution. Cross-shard calls must respect the lookahead measured against
+// the source shard's clock; violations panic, because admitting such an
+// event could require rewinding a destination shard that already advanced
+// past t.
 func (p *Parallel) CrossAt(src, dst int, t Time, fn func()) {
 	s, d := p.owner[src], p.owner[dst]
 	if s == d {
@@ -422,9 +317,9 @@ func (p *Parallel) CrossAt(src, dst int, t Time, fn func()) {
 		return
 	}
 	se := p.shards[s].eng
-	if la := p.pairLookahead(s, d); t < se.now.Add(la) {
+	if t < se.now.Add(p.lookahead) {
 		panic(fmt.Sprintf("sim: cross-shard event at %v from rank %d (clock %v) violates lookahead %v",
-			t, src, se.now, la))
+			t, src, se.now, p.lookahead))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
@@ -433,17 +328,13 @@ func (p *Parallel) CrossAt(src, dst int, t Time, fn func()) {
 	seq := ssh.crossSeq
 	ssh.crossSeq++
 	// Clamp the source window's reflection guard: a chain seeded by this
-	// send can return no earlier than the staged time plus the shortest
-	// path back.
-	if g := t.Add(p.pairDist(d, s)); g < ssh.guard {
+	// send can return no earlier than the staged time plus one more hop.
+	if g := t.Add(p.lookahead); g < ssh.guard {
 		ssh.guard = g
 	}
 	dsh := p.shards[d]
 	dsh.lock()
 	dsh.inbox = append(dsh.inbox, crossEvent{when: t, src: int32(s), seq: seq, fn: fn})
-	if len(dsh.inbox) > dsh.inboxHW {
-		dsh.inboxHW = len(dsh.inbox)
-	}
 	if w := uint64(t); w < p.slots[d].inboxMin.Load() {
 		p.slots[d].inboxMin.Store(w)
 	}
@@ -560,7 +451,7 @@ func (p *Parallel) openRound() bool {
 			if j == i || p.eMin[j] == noTime {
 				continue
 			}
-			if b := satAdd(p.eMin[j], p.pairDist(j, i)); b < h {
+			if b := satAdd(p.eMin[j], p.lookahead); b < h {
 				h = b
 			}
 		}

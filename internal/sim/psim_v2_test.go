@@ -29,154 +29,6 @@ func TestParallelMatchesRefEngine(t *testing.T) {
 	}
 }
 
-// runPairWorkload is runWorkload with a per-rank-pair send distance: sends
-// from src to dst keep >= lookFor(src, dst) of lookahead. The distances are
-// a pure function of the rank pair, so serial and sharded runs of the same
-// workload produce identical timestamps.
-func runPairWorkload(dom Domain, ranks int, seed uint64, events int, lookFor func(src, dst int) Duration) [][]traceRec {
-	traces := make([][]traceRec, ranks)
-	rngs := make([]*RNG, ranks)
-	budget := make([]int, ranks)
-	offs := make([]uint64, ranks)
-	for r := 0; r < ranks; r++ {
-		rngs[r] = NewRNG(seed + uint64(r)*0x9e3779b97f4a7c15)
-		budget[r] = events
-	}
-	nextOff := func(rank int) Time {
-		o := offs[rank]*uint64(ranks) + uint64(rank)
-		offs[rank]++
-		return Time(o)
-	}
-	alignUp := func(t Time) Time {
-		q := Time(quantum)
-		return (t + q - 1) / q * q
-	}
-	var fire func(rank int, tag uint64)
-	fire = func(rank int, tag uint64) {
-		eng := dom.RankEngine(rank)
-		traces[rank] = append(traces[rank], traceRec{at: eng.Now(), tag: tag})
-		if budget[rank] <= 0 {
-			return
-		}
-		budget[rank]--
-		rng := rngs[rank]
-		n := rng.Intn(3)
-		for i := 0; i < n; i++ {
-			base := alignUp(eng.Now())
-			switch rng.Intn(3) {
-			case 0:
-				at := base + Time(quantum)*Time(rng.Intn(3)) + nextOff(rank)
-				next := tag*8 + uint64(i) + 1
-				eng.At(at, func() { fire(rank, next) })
-			default:
-				dst := rng.Intn(ranks)
-				at := base.Add(lookFor(rank, dst)+quantum*Duration(rng.Intn(2))) + nextOff(rank)
-				next := tag*8 + uint64(i) + 2
-				dom.CrossAt(rank, dst, at, func() { fire(dst, next) })
-			}
-		}
-	}
-	for r := 0; r < ranks; r++ {
-		rank := r
-		at := Time(quantum)*Time(rank%5+1) + nextOff(rank)
-		dom.RankEngine(rank).At(at, func() { fire(rank, uint64(rank)<<32) })
-	}
-	dom.Run()
-	return traces
-}
-
-// pairMatrix is the heterogeneous test topology: shards 0 and 1 are close
-// (2 quanta), shard 2 is far (5 quanta) from both.
-func pairMatrix() [][]Duration {
-	const close, far = 2 * quantum, 5 * quantum
-	return [][]Duration{
-		{0, close, far},
-		{close, 0, far},
-		{far, far, 0},
-	}
-}
-
-// A workload that respects the heterogeneous per-pair distances must be
-// serial-identical under the matrix's horizons (wide windows between close
-// shards, CrossAt validated against the raw pair entry).
-func TestParallelPairwiseLookaheadMatchesSerial(t *testing.T) {
-	const ranks, shards = 6, 3
-	m := pairMatrix()
-	shardOf := func(r int) int { return blockOwner(r, ranks, shards) }
-	lookFor := func(src, dst int) Duration {
-		s, d := shardOf(src), shardOf(dst)
-		if s == d {
-			return quantum
-		}
-		return m[s][d]
-	}
-	for _, seed := range []uint64{3, 0x5eed} {
-		serial := runPairWorkload(NewEngine(), ranks, seed, 50, lookFor)
-		p := NewParallel(ranks, shards, quantum)
-		p.SetLookahead(pairMatrix())
-		if want := 2 * quantum; p.Lookahead() != want {
-			t.Fatalf("Lookahead() = %v after SetLookahead, want matrix minimum %v", p.Lookahead(), want)
-		}
-		got := runPairWorkload(p, ranks, seed, 50, lookFor)
-		diffTraces(t, fmt.Sprintf("pairwise seed=%d", seed), serial, got)
-	}
-}
-
-func TestParallelSetLookaheadValidation(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	p := NewParallel(6, 3, quantum)
-	mustPanic("wrong dimension", func() { p.SetLookahead(make([][]Duration, 2)) })
-	mustPanic("ragged row", func() {
-		p.SetLookahead([][]Duration{{0, 1, 1}, {1, 0, 1}, {1, 1}})
-	})
-	mustPanic("zero off-diagonal", func() {
-		p.SetLookahead([][]Duration{{0, 0, 1}, {1, 0, 1}, {1, 1, 0}})
-	})
-	// A violating cross send against the tighter pair bound panics even
-	// though it satisfies the old global floor.
-	p2 := NewParallel(6, 3, quantum)
-	p2.SetLookahead(pairMatrix())
-	mustPanic("pair bound violation", func() {
-		// rank 0 (shard 0) -> rank 5 (shard 2): bound is 5 quanta.
-		p2.CrossAt(0, 5, Time(3*quantum), func() {})
-	})
-	// The same distance toward the close shard is legal.
-	ok := false
-	p2.CrossAt(0, 2, Time(3*quantum), func() { ok = true })
-	p2.Run()
-	if !ok {
-		t.Fatal("legal pair-distance send did not fire")
-	}
-	// Near-MaxInt64 entries must not overflow the min-plus closure into
-	// negative distances: relay sums that wrap are discarded, so every
-	// closure entry stays positive (bounded by its raw matrix entry).
-	huge := Duration(1<<63 - 2)
-	p3 := NewParallel(6, 3, quantum)
-	p3.SetLookahead([][]Duration{
-		{0, huge, huge},
-		{huge, 0, huge},
-		{huge, huge, 0},
-	})
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if i == j {
-				continue
-			}
-			if d := p3.pairDist(i, j); d <= 0 || d > huge {
-				t.Fatalf("closure[%d][%d] = %v corrupted by overflow", i, j, d)
-			}
-		}
-	}
-}
-
 // countingDomain is what the serial engine and Parallel share beyond Domain.
 type countingDomain interface {
 	Domain

@@ -2,8 +2,8 @@ package sim
 
 // A Domain is the scheduling surface of one simulation, spanning one or more
 // shards. Every layer of the stack holds a Domain: the serial engine itself
-// satisfies the interface (one shard, zero lookahead), while a *Parallel
-// domain (psim.go) spreads the same simulation across host cores.
+// satisfies the interface (one shard), while a *Parallel domain (psim.go)
+// spreads the same simulation across host cores.
 //
 // The contract that makes conservative parallel execution exact:
 //
@@ -11,12 +11,10 @@ package sim
 //     threads) is built on RankEngine(rank) and is only ever touched from
 //     that engine's callbacks;
 //   - the ONLY cross-rank channel is CrossAt, and a cross-shard CrossAt must
-//     target a time at least the shard pair's lookahead past the source
-//     rank's clock — Lookahead() in the uniform case, or the tighter
-//     per-pair bound when a distance matrix is installed
-//     (Parallel.SetLookahead with fabric.LookaheadMatrix). In this codebase
-//     that is the fabric's wire latency floor for the pair, which every
-//     inter-rank message pays before it can touch the destination.
+//     target a time at least the domain's lookahead past the source rank's
+//     clock. In this codebase that is the fabric's wire latency floor
+//     (fabric.Lookahead), which every inter-rank message pays before it can
+//     touch the destination.
 //
 // Violating the second rule panics rather than silently reordering events.
 type Domain interface {
@@ -36,14 +34,9 @@ type Domain interface {
 	// ShardOf returns the shard index owning rank.
 	ShardOf(rank int) int
 
-	// Lookahead returns the minimum cross-shard scheduling distance over
-	// all shard pairs (zero for a serial engine, where any distance is
-	// legal). Individual pairs may allow more; see Parallel.SetLookahead.
-	Lookahead() Duration
-
 	// Now returns the domain clock: the serial engine's clock, or the
 	// maximum shard clock. Only meaningful outside Run on a parallel
-	// domain — mid-run, shards legitimately disagree by up to Lookahead.
+	// domain — mid-run, shards legitimately disagree by up to the lookahead.
 	Now() Time
 
 	// Run executes the simulation to completion (or Stop) and returns the
@@ -69,10 +62,6 @@ func (e *Engine) Shards() int { return 1 }
 
 // ShardOf returns 0 for every rank.
 func (e *Engine) ShardOf(rank int) int { return 0 }
-
-// Lookahead returns zero: with one shard there is no synchronization
-// distance to respect.
-func (e *Engine) Lookahead() Duration { return 0 }
 
 // blockOwner maps rank onto one of shards contiguous blocks. Contiguity is
 // deliberate: neighboring ranks exchange the most traffic in the paper's
