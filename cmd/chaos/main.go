@@ -30,6 +30,7 @@ import (
 	"amtlci/internal/core/stack"
 	"amtlci/internal/expd"
 	"amtlci/internal/fabric"
+	"amtlci/internal/metrics"
 	"amtlci/internal/rel"
 	"amtlci/internal/sim"
 )
@@ -270,9 +271,9 @@ func runCrash(spec string, storm int, seed uint64, dir string, steal bool) int {
 				continue
 			}
 			armed := chaos.Run(chaos.Opts{Backend: b, Workload: w, Recover: true, Steal: steal})
-			if armed.Err != nil || !armed.Verified || armed.Restarts != 0 {
+			if restarts := armed.Metrics.Total("parsec", "restarts"); armed.Err != nil || !armed.Verified || restarts != 0 {
 				fmt.Printf("%-8v %-9v recovery-armed healthy run broken: %v (restarts %d)\n",
-					b, w, armed.Err, armed.Restarts)
+					b, w, armed.Err, restarts)
 				bad = true
 				continue
 			}
@@ -280,6 +281,15 @@ func runCrash(spec string, storm int, seed uint64, dir string, steal bool) int {
 			o := chaos.Opts{Backend: b, Workload: w, Crashes: cascade, Recover: true, Steal: steal}
 			res := chaos.Run(o)
 			replay := chaos.Run(o)
+			// The replay must reproduce the makespan and the whole registry.
+			replayDiff := metrics.Diff(res.Metrics, replay.Metrics)
+			if replay.Makespan != res.Makespan {
+				replayDiff = fmt.Sprintf("makespan %v vs %v", replay.Makespan, res.Makespan)
+			}
+			m := res.Metrics
+			restarts, aborted := m.Total("parsec", "restarts"), m.Total("parsec", "recovery_rounds_aborted")
+			deaths, ckptSent := m.Total("rel", "peer_dead"), m.Total("recover", "ckpt_sent")
+			restored, steals := m.Total("parsec", "tasks_restored"), m.Total("parsec", "steals")
 
 			verdict := "verified"
 			switch {
@@ -289,28 +299,27 @@ func runCrash(spec string, storm int, seed uint64, dir string, steal bool) int {
 			case !res.Verified:
 				verdict = fmt.Sprintf("WRONG (rel err %g)", res.RelErr)
 				bad = true
-			case res.Restarts < 1 || res.Restarts > uint64(len(cascade)):
+			case restarts < 1 || restarts > uint64(len(cascade)):
 				// A round can absorb several deaths, so restarts ranges from
 				// 1 (everything folded) to one per crash.
-				verdict = fmt.Sprintf("restarts %d, want 1..%d", res.Restarts, len(cascade))
+				verdict = fmt.Sprintf("restarts %d, want 1..%d", restarts, len(cascade))
 				bad = true
-			case replay.Makespan != res.Makespan || replay.Restarts != res.Restarts:
-				verdict = fmt.Sprintf("REPLAY DIVERGED (%v vs %v)", replay.Makespan, res.Makespan)
+			case replayDiff != "":
+				verdict = "REPLAY DIVERGED: " + replayDiff
 				bad = true
 			}
 			fmt.Printf("%-8v %-9v %-22s %10v %10v %10v %7.2fx %4d %4d %5d %6d %6d %6d  %s\n",
 				b, w, fmtCascade(cascade), base.Makespan, armed.Makespan, res.Makespan,
 				float64(res.Makespan)/float64(base.Makespan),
-				res.Restarts, res.RoundsAborted, res.PeerDeaths, res.CkptSent,
-				res.TasksRestored, res.Steals, verdict)
+				restarts, aborted, deaths, ckptSent, restored, steals, verdict)
 			fmt.Fprintf(f, "%v,%v,%s,%v,%v,%v,%.4f,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%g,%t,%t\n",
 				b, w, fmtCascade(cascade), base.Makespan, armed.Makespan, res.Makespan,
 				float64(armed.Makespan)/float64(base.Makespan),
 				float64(res.Makespan)/float64(base.Makespan),
-				res.Restarts, res.RoundsAborted, res.PeerDeaths, res.CkptSent,
-				res.CkptBytes, res.CkptStored, res.Rereplicated, res.Orphaned,
-				res.TasksRestored, res.StaleDropped, res.Steals, res.StealTasks,
-				res.RelErr, res.Verified, replay.Makespan == res.Makespan)
+				restarts, aborted, deaths, ckptSent, m.Total("recover", "ckpt_bytes"),
+				m.Total("recover", "ckpt_stored"), m.Total("recover", "ckpt_rereplicated"),
+				m.Total("recover", "ckpt_orphaned"), restored, m.Total("parsec", "stale_drops"),
+				steals, m.Total("parsec", "steal_tasks"), res.RelErr, res.Verified, replayDiff == "")
 		}
 	}
 	fmt.Printf("summary -> %s\n", path)

@@ -43,12 +43,8 @@ func main() {
 		a := prob.Block(0, 0, n, n)
 		relErr := linalg.Sub(recon, a).FrobNorm() / a.FrobNorm()
 
-		var tasks int64
-		for r := 0; r < ranks; r++ {
-			tasks += rt.Stats(r).TasksRun
-		}
 		fmt.Printf("%v backend: %dx%d matrix, %d tiles, %d tasks on %d ranks\n",
-			backend, n, n, tiles*tiles, tasks, ranks)
+			backend, n, n, tiles*tiles, rt.Metrics().Total("parsec", "tasks_run"), ranks)
 		fmt.Printf("  virtual time %v, ||L·Lᵀ − A|| / ||A|| = %.2e\n", elapsed, relErr)
 		if relErr > 1e-10 {
 			log.Fatalf("factorization verification FAILED (%g)", relErr)

@@ -72,14 +72,9 @@ func main() {
 	}
 	relErr := math.Sqrt(num / den)
 
-	var tasks int64
-	var bytes int64
-	for r := 0; r < ranks; r++ {
-		tasks += rt.Stats(r).TasksRun
-		bytes += rt.Stats(r).BytesFetched
-	}
+	m := rt.Metrics()
 	fmt.Printf("TLR Cholesky: %d tasks on %d simulated nodes, %v virtual time, %d bytes fetched\n",
-		tasks, ranks, elapsed, bytes)
+		m.Total("parsec", "tasks_run"), ranks, elapsed, m.Total("parsec", "bytes_fetched"))
 	fmt.Printf("factorization error %.2e (accuracy target %.0e)\n", relErr, par.Acc)
 	if relErr > 1e-5 {
 		log.Fatalf("verification FAILED")

@@ -44,6 +44,7 @@ func run(backend stack.Backend) {
 	g.Link(left, 0, reduce)
 	g.Link(right, 0, reduce)
 
+	var checksum uint64
 	g.ExecuteFn = func(t parsec.TaskID, in, out []parsec.DataRef) {
 		switch t {
 		case produce:
@@ -64,8 +65,8 @@ func run(backend stack.Backend) {
 				out[0].Buf.Bytes[i] = byte(sum >> (8 * i))
 			}
 		case reduce:
-			total := word(in[0].Buf.Bytes) + word(in[1].Buf.Bytes)
-			fmt.Printf("  reduce: checksum %d\n", total)
+			checksum = word(in[0].Buf.Bytes) + word(in[1].Buf.Bytes)
+			fmt.Printf("  reduce: checksum %d\n", checksum)
 		}
 	}
 
@@ -77,9 +78,15 @@ func run(backend stack.Backend) {
 		log.Fatal(err)
 	}
 
+	m := rt.Metrics()
 	fmt.Printf("%v backend: %d tasks in %v of virtual time; rank1 fetched %d bytes; mean e2e latency %.1f µs\n",
-		backend, rt.Stats(0).TasksRun+rt.Stats(1).TasksRun, elapsed,
-		rt.Stats(1).BytesFetched, rt.Tracer().EndToEnd().Mean())
+		backend, m.Total("parsec", "tasks_run"), elapsed,
+		m.Value("parsec", "bytes_fetched", 1), rt.Tracer().EndToEnd().Mean())
+
+	// The blob holds byte(i) for every i, so it sums to 256 times 0+1+...+255.
+	if want := uint64(blob / 256 * (255 * 256 / 2)); checksum != want {
+		log.Fatalf("verification FAILED: checksum %d, want %d", checksum, want)
+	}
 }
 
 func word(b []byte) uint64 {

@@ -165,14 +165,10 @@ func main() {
 		}
 	}
 
-	var fetched int64
-	for r := 0; r < ranks; r++ {
-		fetched += rt.Stats(r).BytesFetched
-	}
 	fmt.Printf("stencil: %d cells, %d iterations, %d tasks on %d ranks\n",
 		cells, iters, blocks*iters, ranks)
 	fmt.Printf("virtual time %v; %d bytes of halo traffic; max |err| vs serial = %.2e\n",
-		elapsed, fetched, maxErr)
+		elapsed, rt.Metrics().Total("parsec", "bytes_fetched"), maxErr)
 	if maxErr > 1e-12 {
 		log.Fatal("verification FAILED")
 	}

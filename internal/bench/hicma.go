@@ -7,6 +7,7 @@ import (
 	"amtlci/internal/clocksync"
 	"amtlci/internal/core/stack"
 	"amtlci/internal/hicma"
+	"amtlci/internal/metrics"
 	"amtlci/internal/parsec"
 	"amtlci/internal/sim"
 	"amtlci/internal/stats"
@@ -77,7 +78,7 @@ func HiCMA(o HiCMAOpts) HiCMAResult {
 	}
 	var r HiCMAResult
 	tts := o.Runs.Collect(func(run int) float64 {
-		r = hicmaRun(o, uint64(run), nil)
+		r, _ = hicmaRun(o, uint64(run), nil)
 		return r.TimeToSolution
 	})
 	// Time-to-solution is the protocol's mean; the latency means and pool
@@ -121,9 +122,9 @@ func HiCMARuntime(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.C
 }
 
 // hicmaRun simulates run `run` of o (HiCMARuntime, then Run) and reports
-// it.
-func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) HiCMAResult {
-	_, rt, pool := HiCMARuntime(o, run, mutate)
+// it, with the registry every layer of the run counted in.
+func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (HiCMAResult, *metrics.Registry) {
+	s, rt, pool := HiCMARuntime(o, run, mutate)
 	d, err := rt.Run()
 	if err != nil {
 		panic(fmt.Sprintf("bench: hicma %v", err))
@@ -135,7 +136,7 @@ func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Confi
 		HopLatencyMS:   rt.Tracer().Hop().Mean() / 1000,
 		Tasks:          pool.TotalTasks(),
 		AvgRank:        pool.AvgRank(),
-	}
+	}, s.Metrics
 }
 
 // ScaledProblem shrinks the paper's N=360,000 problem by factor while

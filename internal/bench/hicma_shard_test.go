@@ -7,6 +7,7 @@ import (
 
 	"amtlci/internal/core/stack"
 	"amtlci/internal/fabric"
+	"amtlci/internal/metrics"
 	"amtlci/internal/parsec"
 	"amtlci/internal/sim"
 )
@@ -16,13 +17,32 @@ func onShards(n int) func(*stack.Options, *parsec.Config) {
 	return func(so *stack.Options, _ *parsec.Config) { so.Shards = n }
 }
 
+// requireShardedMatchesSerial runs o serially and on every shard count and
+// fails t unless each sharded run reproduces the serial one: its result
+// (makespan, latency means, task counts) and its whole registry, so every
+// counter of every layer.
+func requireShardedMatchesSerial(t *testing.T, o HiCMAOpts, shardCounts []int) {
+	t.Helper()
+	serial, serialReg := hicmaRun(o, 0, nil)
+	for _, shards := range shardCounts {
+		got, reg := hicmaRun(o, 0, onShards(shards))
+		if got != serial {
+			t.Errorf("shards=%d diverges from serial:\nserial:  %+v\nsharded: %+v",
+				shards, serial, got)
+		}
+		if d := metrics.Diff(serialReg, reg); d != "" {
+			t.Errorf("shards=%d registry diverges from serial: %s", shards, d)
+		}
+	}
+}
+
 // TestHiCMAShardedMatchesSerial is the stack-level differential proof: the
 // full deployment — fabric, backend runtime, communication engines, parsec —
 // simulated on 2, 3, 4, and 8 shards must reproduce the serial run bit for
-// bit (makespan, latency means, task counts), for both backends. Per-rank
-// event streams are identical by the conservative-window argument (DESIGN
-// §5.12); this pins that the whole stack actually honors the shard-safety
-// rules the argument depends on.
+// bit (result and registry), for both backends. Per-rank event streams are
+// identical by the conservative-window argument (DESIGN §5.12); this pins
+// that the whole stack actually honors the shard-safety rules the argument
+// depends on.
 func TestHiCMAShardedMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second differential")
@@ -32,13 +52,7 @@ func TestHiCMAShardedMatchesSerial(t *testing.T) {
 		t.Run(b.String(), func(t *testing.T) {
 			o := DefaultHiCMAOpts(b, 1200, 16)
 			o.N = 19200
-			serial := hicmaRun(o, 0, nil)
-			for _, shards := range []int{2, 3, 4, 8} {
-				if got := hicmaRun(o, 0, onShards(shards)); got != serial {
-					t.Errorf("shards=%d diverges from serial:\nserial:  %+v\nsharded: %+v",
-						shards, serial, got)
-				}
-			}
+			requireShardedMatchesSerial(t, o, []int{2, 3, 4, 8})
 		})
 	}
 }
@@ -57,13 +71,7 @@ func TestHiCMAShardedStealMatchesSerial(t *testing.T) {
 			o := DefaultHiCMAOpts(b, 1200, 8)
 			o.N = 9600
 			o.Steal = true
-			serial := hicmaRun(o, 0, nil)
-			for _, shards := range []int{2, 4} {
-				if got := hicmaRun(o, 0, onShards(shards)); got != serial {
-					t.Errorf("steal shards=%d diverges from serial:\nserial:  %+v\nsharded: %+v",
-						shards, serial, got)
-				}
-			}
+			requireShardedMatchesSerial(t, o, []int{2, 4})
 		})
 	}
 }

@@ -31,10 +31,12 @@ func TestMechanisms(t *testing.T) {
 	n := len(backends) + len(mechanisms)
 	tts := Sweep(SweepWorkers(0, n), n, func(i int) float64 {
 		if i < len(backends) {
-			return hicmaRun(mechanismOpts(backends[i]), 0, nil).TimeToSolution
+			r, _ := hicmaRun(mechanismOpts(backends[i]), 0, nil)
+			return r.TimeToSolution
 		}
 		m := mechanisms[i-len(backends)]
-		return hicmaRun(mechanismOpts(m.backend), 0, m.mutate).TimeToSolution
+		r, _ := hicmaRun(mechanismOpts(m.backend), 0, m.mutate)
+		return r.TimeToSolution
 	})
 	base := map[stack.Backend]float64{}
 	for i, b := range backends {

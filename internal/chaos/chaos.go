@@ -189,34 +189,18 @@ type Result struct {
 	RelErr float64
 	// Verified reports RelErr within the workload's tolerance.
 	Verified bool
-	// Faults and Rel are the fabric's and reliability layer's counters
-	// (zero-valued when the corresponding option was off).
-	Faults fabric.FaultStats
-	Rel    rel.Stats
-	// Recovery counters, summed across ranks from the metrics registry
-	// (all zero when Opts.Recover was off).
-	Restarts      uint64 // completed recovery restarts (one can absorb several deaths)
-	RoundsAborted uint64 // recovery rounds interrupted by a fresh death verdict
-	PeerDeaths    uint64 // lease-expiry verdicts raised by the detector
-	CkptSent      uint64 // checkpoint frames streamed to buddies
-	CkptBytes     uint64 // checkpoint bytes streamed to buddies
-	CkptStored    uint64 // checkpoint frames retained for a buddy
-	Rereplicated  uint64 // checkpoints re-shipped to a new buddy after a death
-	Orphaned      uint64 // checkpoints adopted from dead owners by their heirs
-	TasksRestored uint64 // done tasks rebuilt from checkpoints at restart
-	StaleDropped  uint64 // pre-crash messages dropped by the epoch guard
-	// Work-stealing and termination-detection counters (steals are all zero
-	// when Opts.Steal was off; the detector always runs).
-	Steals        uint64 // successful steal exchanges (thief side)
-	StealTasks    uint64 // tasks migrated to thieves
-	StealGranted  uint64 // tasks granted by victims
-	TermRounds    uint64 // detector rounds initiated
-	TermAnnounced bool   // the detector proved and announced termination
+	// TermAnnounced reports that the termination detector proved and
+	// announced the end of the computation.
+	TermAnnounced bool
 	// WorkerBusy is each rank's total worker-core busy time: the per-rank
 	// idle/busy split that demonstrates a post-crash rebalance.
 	WorkerBusy []sim.Duration
-	// Metrics is the deployment's shared instrument registry, for
-	// end-of-run dumps (cmd/chaos -metrics).
+	// Metrics is the deployment's shared instrument registry and the one
+	// place every counter of the run is read from: faults (layer "fabric"),
+	// the reliability layer ("rel") and checkpoints ("recover") when their
+	// options were on, and always the runtime's restarts, steals and
+	// termination rounds ("parsec"). Two runs of one Opts value hold equal
+	// registries (metrics.Diff).
 	Metrics *metrics.Registry
 }
 
@@ -396,30 +380,10 @@ func Run(o Opts) Result {
 	var res Result
 	res.Metrics = s.Metrics
 	res.Makespan, res.Err = rt.Run()
-	res.Restarts = s.Metrics.Total("parsec", "restarts")
-	res.RoundsAborted = s.Metrics.Total("parsec", "recovery_rounds_aborted")
-	res.PeerDeaths = s.Metrics.Total("rel", "peer_dead")
-	res.CkptSent = s.Metrics.Total("recover", "ckpt_sent")
-	res.CkptBytes = s.Metrics.Total("recover", "ckpt_bytes")
-	res.CkptStored = s.Metrics.Total("recover", "ckpt_stored")
-	res.Rereplicated = s.Metrics.Total("recover", "ckpt_rereplicated")
-	res.Orphaned = s.Metrics.Total("recover", "ckpt_orphaned")
-	res.TasksRestored = s.Metrics.Total("parsec", "tasks_restored")
-	res.StaleDropped = s.Metrics.Total("parsec", "stale_drops")
-	res.Steals = s.Metrics.Total("parsec", "steals")
-	res.StealTasks = s.Metrics.Total("parsec", "steal_tasks")
-	res.StealGranted = s.Metrics.Total("parsec", "steal_granted")
-	res.TermRounds = s.Metrics.Total("parsec", "term_rounds")
 	res.TermAnnounced = rt.Terminated()
 	res.WorkerBusy = make([]sim.Duration, o.Ranks)
 	for r := 0; r < o.Ranks; r++ {
-		res.WorkerBusy[r] = rt.Stats(r).WorkerBusy
-	}
-	if so.Faults != nil {
-		res.Faults = s.Fab.FaultStats()
-	}
-	if s.Rel != nil {
-		res.Rel = s.Rel.Stats()
+		res.WorkerBusy[r] = rt.WorkerBusy(r)
 	}
 	if res.Err != nil {
 		res.Makespan = 0

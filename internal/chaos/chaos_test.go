@@ -2,10 +2,13 @@ package chaos
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"amtlci/internal/core/stack"
 	"amtlci/internal/fabric"
+	"amtlci/internal/metrics"
 	"amtlci/internal/rel"
 )
 
@@ -22,6 +25,30 @@ func relCfg() *rel.Config {
 	return &c
 }
 
+// resultDiff compares two runs' outcomes — every Result field (makespan, the
+// numerical error to the bit, the per-rank busy times, ...) and the whole
+// registry, so every counter of every layer — and returns the first
+// difference, or "" when b reproduces a.
+func resultDiff(a, b Result) string {
+	ra, rb := a, b
+	ra.Metrics, rb.Metrics = nil, nil // the pointer is per-run identity
+	if !reflect.DeepEqual(ra, rb) {
+		return fmt.Sprintf("\n a %+v\n b %+v", ra, rb)
+	}
+	return metrics.Diff(a.Metrics, b.Metrics)
+}
+
+// requireReplay fails t unless b reproduces a exactly (resultDiff).
+func requireReplay(t *testing.T, a, b Result) {
+	t.Helper()
+	if d := resultDiff(a, b); d != "" {
+		t.Fatalf("replay diverged: %s", d)
+	}
+}
+
+// faultClasses are the fabric's per-message fault counters.
+var faultClasses = []string{"faults_dropped", "faults_duplicated", "faults_corrupted", "faults_reordered"}
+
 // TestGraphsCompleteUnderSweptFaults is the tentpole acceptance: both task
 // graphs on both backends run to a numerically verified factorization with
 // drop/duplicate/corrupt/reorder each swept up to 2%.
@@ -30,7 +57,7 @@ func TestGraphsCompleteUnderSweptFaults(t *testing.T) {
 	if testing.Short() {
 		rates = []float64{0.02}
 	}
-	var agg fabric.FaultStats
+	agg := make(map[string]uint64)
 	var retransmits uint64
 	for _, backend := range stack.Backends {
 		for _, w := range Workloads {
@@ -47,26 +74,29 @@ func TestGraphsCompleteUnderSweptFaults(t *testing.T) {
 					if !res.Verified {
 						t.Fatalf("seed %#x: factor error %g", seed, res.RelErr)
 					}
-					f := res.Faults
-					if rate >= 0.02 && f.Dropped+f.Duplicated+f.Corrupted+f.Reordered == 0 {
-						t.Fatalf("seed %#x: fault injection idle: %+v", seed, f)
-					}
 					// A lost ACK needs no retransmit (the next cumulative ACK
 					// covers it), so per-run drops do not imply per-run
 					// retransmits — recovery is asserted on the aggregate.
-					agg.Dropped += f.Dropped
-					agg.Duplicated += f.Duplicated
-					agg.Corrupted += f.Corrupted
-					agg.Reordered += f.Reordered
-					retransmits += res.Rel.Retransmits
+					var faults uint64
+					for _, class := range faultClasses {
+						n := res.Metrics.Total("fabric", class)
+						faults += n
+						agg[class] += n
+					}
+					if rate >= 0.02 && faults == 0 {
+						t.Fatalf("seed %#x: fault injection idle", seed)
+					}
+					retransmits += res.Metrics.Total("rel", "retransmits")
 				})
 			}
 		}
 	}
 	// Across the sweep every fault class must have fired, and recovery must
 	// have actually happened — otherwise the chaos harness proves nothing.
-	if agg.Dropped == 0 || agg.Duplicated == 0 || agg.Corrupted == 0 || agg.Reordered == 0 {
-		t.Fatalf("sweep left a fault class unexercised: %+v", agg)
+	for _, class := range faultClasses {
+		if agg[class] == 0 {
+			t.Fatalf("sweep left a fault class unexercised: %s is 0", class)
+		}
 	}
 	if retransmits == 0 {
 		t.Fatal("sweep finished without a single retransmission")
@@ -116,15 +146,15 @@ func TestSeveredLinkAbortsCleanly(t *testing.T) {
 			if !(pu.From == 0 && pu.To == 1) && !(pu.From == 1 && pu.To == 0) {
 				t.Fatalf("unreachable pair (%d,%d), want the severed pair {0,1}", pu.From, pu.To)
 			}
-			if res.Rel.Unreachable == 0 {
-				t.Fatalf("rel stats show no unreachable peer: %+v", res.Rel)
+			if res.Metrics.Total("rel", "unreachable") == 0 {
+				t.Fatal("rel/unreachable shows no unreachable peer")
 			}
 		})
 	}
 }
 
 // TestDeterministicReplay: identical Opts (same seed) must reproduce the
-// execution exactly, counters included.
+// execution exactly, the whole registry included.
 func TestDeterministicReplay(t *testing.T) {
 	o := Opts{
 		Backend: stack.LCI, Workload: Cholesky,
@@ -134,9 +164,7 @@ func TestDeterministicReplay(t *testing.T) {
 	if a.Err != nil || b.Err != nil {
 		t.Fatalf("aborts: %v / %v", a.Err, b.Err)
 	}
-	if a.Makespan != b.Makespan || a.Faults != b.Faults || a.Rel != b.Rel {
-		t.Fatalf("replay diverged:\n a %+v\n b %+v", a, b)
-	}
+	requireReplay(t, a, b)
 }
 
 // TestBoundedSlowdownUnderFaults: 2% fault rates may cost retransmissions
@@ -170,7 +198,7 @@ func TestReliabilityLayerAloneIsBenign(t *testing.T) {
 	if res.Err != nil || !res.Verified {
 		t.Fatalf("rel over a clean fabric broke the run: %+v", res)
 	}
-	if res.Rel.Retransmits != 0 || res.Rel.DupDropped != 0 {
-		t.Fatalf("spurious recovery on a clean fabric: %+v", res.Rel)
+	if r, d := res.Metrics.Total("rel", "retransmits"), res.Metrics.Total("rel", "dup_dropped"); r != 0 || d != 0 {
+		t.Fatalf("spurious recovery on a clean fabric: %d retransmits, %d duplicates dropped", r, d)
 	}
 }

@@ -38,21 +38,21 @@ func TestCrashRecoveryCompletes(t *testing.T) {
 				if !res.Verified {
 					t.Fatalf("factor error %g after recovery", res.RelErr)
 				}
-				if res.Restarts != 1 {
-					t.Fatalf("restarts = %d, want exactly 1", res.Restarts)
+				m := res.Metrics
+				if n := m.Total("parsec", "restarts"); n != 1 {
+					t.Fatalf("restarts = %d, want exactly 1", n)
 				}
-				if res.PeerDeaths == 0 {
+				if m.Total("rel", "peer_dead") == 0 {
 					t.Fatal("no lease-expiry verdicts despite a crash")
 				}
-				if res.CkptSent == 0 || res.CkptStored == 0 {
-					t.Fatalf("checkpoint traffic idle: sent=%d stored=%d",
-						res.CkptSent, res.CkptStored)
+				if sent, stored := m.Total("recover", "ckpt_sent"), m.Total("recover", "ckpt_stored"); sent == 0 || stored == 0 {
+					t.Fatalf("checkpoint traffic idle: sent=%d stored=%d", sent, stored)
 				}
-				if res.TasksRestored == 0 {
+				if m.Total("parsec", "tasks_restored") == 0 {
 					t.Fatal("restart restored no tasks from checkpoints")
 				}
-				if res.Faults.Crashes != 1 {
-					t.Fatalf("fabric crash count = %d, want 1", res.Faults.Crashes)
+				if n := m.Total("fabric", "crashes"); n != 1 {
+					t.Fatalf("fabric crash count = %d, want 1", n)
 				}
 			})
 		}
@@ -60,7 +60,7 @@ func TestCrashRecoveryCompletes(t *testing.T) {
 }
 
 // TestCrashRecoveryDeterministic: the same crash replayed from the same
-// options reproduces the execution exactly — makespan and every counter.
+// options reproduces the execution exactly — makespan and the whole registry.
 func TestCrashRecoveryDeterministic(t *testing.T) {
 	crash := midRunCrash(t, stack.LCI, Cholesky)
 	o := Opts{
@@ -71,12 +71,7 @@ func TestCrashRecoveryDeterministic(t *testing.T) {
 	if a.Err != nil || b.Err != nil {
 		t.Fatalf("aborts: %v / %v", a.Err, b.Err)
 	}
-	if a.Makespan != b.Makespan ||
-		a.Restarts != b.Restarts || a.PeerDeaths != b.PeerDeaths ||
-		a.CkptSent != b.CkptSent || a.CkptBytes != b.CkptBytes ||
-		a.TasksRestored != b.TasksRestored || a.StaleDropped != b.StaleDropped {
-		t.Fatalf("crash replay diverged:\n a %+v\n b %+v", a, b)
-	}
+	requireReplay(t, a, b)
 }
 
 // TestRecoveryOverheadWithoutCrash: arming recovery (heartbeats +
@@ -93,13 +88,13 @@ func TestRecoveryOverheadWithoutCrash(t *testing.T) {
 			if res.Err != nil || !res.Verified {
 				t.Fatalf("recovery-armed healthy run broken: %+v", res)
 			}
-			if res.Restarts != 0 {
-				t.Fatalf("spurious restart on a healthy run: %d", res.Restarts)
+			if n := res.Metrics.Total("parsec", "restarts"); n != 0 {
+				t.Fatalf("spurious restart on a healthy run: %d", n)
 			}
-			if res.PeerDeaths != 0 {
-				t.Fatalf("false-positive death verdicts: %d", res.PeerDeaths)
+			if n := res.Metrics.Total("rel", "peer_dead"); n != 0 {
+				t.Fatalf("false-positive death verdicts: %d", n)
 			}
-			if res.CkptSent == 0 {
+			if res.Metrics.Total("recover", "ckpt_sent") == 0 {
 				t.Fatal("recovery armed but no checkpoints streamed")
 			}
 			if limit := 3 * base.Makespan; res.Makespan > limit {

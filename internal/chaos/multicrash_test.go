@@ -59,24 +59,24 @@ func TestTwoStaggeredCrashesComplete(t *testing.T) {
 				if !res.Verified {
 					t.Fatalf("factor error %g after two-crash recovery", res.RelErr)
 				}
-				if res.Faults.Crashes != 2 {
-					t.Fatalf("fabric crash count = %d, want 2", res.Faults.Crashes)
+				if n := res.Metrics.Total("fabric", "crashes"); n != 2 {
+					t.Fatalf("fabric crash count = %d, want 2", n)
 				}
-				if res.Restarts != 2 {
-					t.Fatalf("restarts = %d, want 2 (one per staggered crash)", res.Restarts)
+				if n := res.Metrics.Total("parsec", "restarts"); n != 2 {
+					t.Fatalf("restarts = %d, want 2 (one per staggered crash)", n)
 				}
 				// Verdicts: three survivors see rank 1 die, then the two
 				// remaining survivors see rank 2 die.
-				if res.PeerDeaths != 5 {
-					t.Fatalf("peer-death verdicts = %d, want 5", res.PeerDeaths)
+				if n := res.Metrics.Total("rel", "peer_dead"); n != 5 {
+					t.Fatalf("peer-death verdicts = %d, want 5", n)
 				}
-				if res.Orphaned == 0 {
+				if res.Metrics.Total("recover", "ckpt_orphaned") == 0 {
 					t.Fatal("heirs adopted no orphaned checkpoints")
 				}
-				if res.Rereplicated == 0 {
+				if res.Metrics.Total("recover", "ckpt_rereplicated") == 0 {
 					t.Fatal("no checkpoints re-replicated to new buddies")
 				}
-				if res.TasksRestored == 0 {
+				if res.Metrics.Total("parsec", "tasks_restored") == 0 {
 					t.Fatal("restarts restored no tasks from checkpoints")
 				}
 				if !res.TermAnnounced {
@@ -113,17 +113,17 @@ func TestBuddyPairCrashCompletes(t *testing.T) {
 					t.Fatalf("factor error %g after buddy-pair recovery", res.RelErr)
 				}
 				// Simultaneous verdicts converge into one combined round.
-				if res.Restarts != 1 {
-					t.Fatalf("restarts = %d, want 1 combined round", res.Restarts)
+				if n := res.Metrics.Total("parsec", "restarts"); n != 1 {
+					t.Fatalf("restarts = %d, want 1 combined round", n)
 				}
 				// Each of the two survivors raises one verdict per dead rank.
-				if res.PeerDeaths != 4 {
-					t.Fatalf("peer-death verdicts = %d, want 4", res.PeerDeaths)
+				if n := res.Metrics.Total("rel", "peer_dead"); n != 4 {
+					t.Fatalf("peer-death verdicts = %d, want 4", n)
 				}
-				if res.TasksRestored == 0 {
+				if res.Metrics.Total("parsec", "tasks_restored") == 0 {
 					t.Fatal("surviving checkpoints restored no tasks")
 				}
-				if res.Rereplicated == 0 {
+				if res.Metrics.Total("recover", "ckpt_rereplicated") == 0 {
 					t.Fatal("survivors did not re-protect onto the collapsed ring")
 				}
 				if !res.TermAnnounced {
@@ -164,13 +164,13 @@ func TestCrashDuringRecoveryCompletes(t *testing.T) {
 				if !res.Verified {
 					t.Fatalf("factor error %g after mid-recovery crash", res.RelErr)
 				}
-				if res.Restarts != 1 {
-					t.Fatalf("restarts = %d, want 1 combined round", res.Restarts)
+				if n := res.Metrics.Total("parsec", "restarts"); n != 1 {
+					t.Fatalf("restarts = %d, want 1 combined round", n)
 				}
-				if res.PeerDeaths != 4 {
-					t.Fatalf("peer-death verdicts = %d, want 4", res.PeerDeaths)
+				if n := res.Metrics.Total("rel", "peer_dead"); n != 4 {
+					t.Fatalf("peer-death verdicts = %d, want 4", n)
 				}
-				if res.TasksRestored == 0 {
+				if res.Metrics.Total("parsec", "tasks_restored") == 0 {
 					t.Fatal("combined round restored no tasks")
 				}
 				if !res.TermAnnounced {
@@ -206,11 +206,11 @@ func TestRecoveryRoundAborted(t *testing.T) {
 			if res.Err != nil || !res.Verified {
 				t.Fatalf("aborting round broke the run: %+v", res)
 			}
-			if res.RoundsAborted == 0 {
+			if res.Metrics.Total("parsec", "recovery_rounds_aborted") == 0 {
 				t.Fatal("restart fired with an unconverged dead rank and did not abort")
 			}
-			if res.Restarts != 1 {
-				t.Fatalf("restarts = %d, want 1 combined round after the abort", res.Restarts)
+			if n := res.Metrics.Total("parsec", "restarts"); n != 1 {
+				t.Fatalf("restarts = %d, want 1 combined round after the abort", n)
 			}
 		})
 	}
@@ -242,18 +242,18 @@ func TestThreeCrashSoleSurvivor(t *testing.T) {
 			if !res.Verified {
 				t.Fatalf("factor error %g with a sole survivor", res.RelErr)
 			}
-			if res.Faults.Crashes != 3 {
-				t.Fatalf("fabric crash count = %d, want 3", res.Faults.Crashes)
+			if n := res.Metrics.Total("fabric", "crashes"); n != 3 {
+				t.Fatalf("fabric crash count = %d, want 3", n)
 			}
 			// 3 verdicts for rank 1, 2 for rank 2, 1 for rank 3: every crash
 			// was detected by every rank still alive at the time.
-			if res.PeerDeaths != 6 {
-				t.Fatalf("peer-death verdicts = %d, want 6", res.PeerDeaths)
+			if n := res.Metrics.Total("rel", "peer_dead"); n != 6 {
+				t.Fatalf("peer-death verdicts = %d, want 6", n)
 			}
-			if res.Restarts < 2 {
-				t.Fatalf("restarts = %d, want >= 2", res.Restarts)
+			if n := res.Metrics.Total("parsec", "restarts"); n < 2 {
+				t.Fatalf("restarts = %d, want >= 2", n)
 			}
-			if res.TasksRestored == 0 {
+			if res.Metrics.Total("parsec", "tasks_restored") == 0 {
 				t.Fatal("no tasks restored across the cascade")
 			}
 			if !res.TermAnnounced {
@@ -281,8 +281,8 @@ func TestRankZeroCrashCompletes(t *testing.T) {
 			if res.Err != nil || !res.Verified {
 				t.Fatalf("rank-0 crash broke recovery: %+v", res)
 			}
-			if res.Restarts != 1 {
-				t.Fatalf("restarts = %d, want 1", res.Restarts)
+			if n := res.Metrics.Total("parsec", "restarts"); n != 1 {
+				t.Fatalf("restarts = %d, want 1", n)
 			}
 			if !res.TermAnnounced {
 				t.Fatal("run completed without a termination announcement")
@@ -313,48 +313,25 @@ func TestCrashStormCompletes(t *testing.T) {
 				if a.Err != nil || !a.Verified {
 					t.Fatalf("storm broke the run: %+v", a)
 				}
-				if a.Faults.Crashes != 3 {
-					t.Fatalf("fabric crash count = %d, want 3", a.Faults.Crashes)
+				if n := a.Metrics.Total("fabric", "crashes"); n != 3 {
+					t.Fatalf("fabric crash count = %d, want 3", n)
 				}
-				if a.Restarts < 1 || a.Restarts > 3 {
-					t.Fatalf("restarts = %d, want 1..3", a.Restarts)
+				if n := a.Metrics.Total("parsec", "restarts"); n < 1 || n > 3 {
+					t.Fatalf("restarts = %d, want 1..3", n)
 				}
-				if !sameResult(a, b) {
-					t.Fatalf("storm replay diverged:\n a %+v\n b %+v", a, b)
-				}
+				requireReplay(t, a, b)
 			})
 		}
 	}
 }
 
-// sameResult compares every deterministic field of two runs: makespan, the
-// numerical error to the bit, and all recovery/steal/termination counters.
-func sameResult(a, b Result) bool {
-	if len(a.WorkerBusy) != len(b.WorkerBusy) {
-		return false
-	}
-	for i := range a.WorkerBusy {
-		if a.WorkerBusy[i] != b.WorkerBusy[i] {
-			return false
-		}
-	}
-	return a.Makespan == b.Makespan && a.RelErr == b.RelErr &&
-		a.Restarts == b.Restarts && a.RoundsAborted == b.RoundsAborted &&
-		a.PeerDeaths == b.PeerDeaths &&
-		a.CkptSent == b.CkptSent && a.CkptBytes == b.CkptBytes &&
-		a.CkptStored == b.CkptStored &&
-		a.Rereplicated == b.Rereplicated && a.Orphaned == b.Orphaned &&
-		a.TasksRestored == b.TasksRestored && a.StaleDropped == b.StaleDropped &&
-		a.Steals == b.Steals && a.StealTasks == b.StealTasks &&
-		a.StealGranted == b.StealGranted && a.TermRounds == b.TermRounds
-}
-
 // TestTwoCrashDeterministicDifferential is the differential determinism
 // obligation for cascades: one Opts value — two crashes, recovery, with and
 // without work stealing — replays to a bit-identical execution on both
-// backends. Every counter (including the new re-replication, orphan, and
-// aborted-round counters), the per-rank busy times, and the numerical error
-// itself must match exactly across two independent runs.
+// backends. The whole registry (every counter of every layer, including
+// re-replication, orphan and aborted-round counters), the per-rank busy
+// times, and the numerical error itself must match exactly across two
+// independent runs.
 func TestTwoCrashDeterministicDifferential(t *testing.T) {
 	for _, backend := range stack.Backends {
 		for _, steal := range []bool{false, true} {
@@ -378,12 +355,10 @@ func TestTwoCrashDeterministicDifferential(t *testing.T) {
 				if !a.Verified || !b.Verified {
 					t.Fatalf("unverified: %g / %g", a.RelErr, b.RelErr)
 				}
-				if steal && a.Steals == 0 {
+				if steal && a.Metrics.Total("parsec", "steals") == 0 {
 					t.Fatal("steal regime produced zero steals")
 				}
-				if !sameResult(a, b) {
-					t.Fatalf("two-crash replay diverged:\n a %+v\n b %+v", a, b)
-				}
+				requireReplay(t, a, b)
 			})
 		}
 	}

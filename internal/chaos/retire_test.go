@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"reflect"
 	"testing"
 
 	"amtlci/internal/core/stack"
@@ -9,13 +8,6 @@ import (
 	"amtlci/internal/rel"
 	"amtlci/internal/sim"
 )
-
-// observable strips a Result down to what a run exposes in virtual time and
-// counts (the registry pointer differs between any two runs).
-func observable(r Result) Result {
-	r.Metrics = nil
-	return r
-}
 
 // TestRecordRetirementSafety proves that no layer of the message path — nor
 // the runtime, whose dataflow records sit on a sim.FreeList too — touches a
@@ -49,8 +41,8 @@ func TestRecordRetirementSafety(t *testing.T) {
 					if recycled.Err != nil || !recycled.Verified || poisoned.Err != nil || !poisoned.Verified {
 						t.Fatalf("runs did not verify:\n recycled %+v\n poisoned %+v", recycled, poisoned)
 					}
-					if a, b := observable(recycled), observable(poisoned); !reflect.DeepEqual(a, b) {
-						t.Fatalf("record reuse changed the run:\n recycled %+v\n poisoned %+v", a, b)
+					if d := resultDiff(recycled, poisoned); d != "" {
+						t.Fatalf("record reuse changed the run (recycled vs poisoned): %s", d)
 					}
 				})
 			}

@@ -24,17 +24,12 @@ func TestChaosSharedInputsRaceFree(t *testing.T) {
 			})
 		}
 	}
-	// comparable strips what is per-run identity rather than outcome.
-	comparable := func(r Result) Result {
-		if r.Err != nil || !r.Verified {
-			t.Errorf("verified=%v err=%v", r.Verified, r.Err)
-		}
-		r.Metrics = nil
-		return r
-	}
 	serial := make([]Result, len(opts))
 	for i, o := range opts {
-		serial[i] = comparable(Run(o))
+		serial[i] = Run(o)
+		if r := serial[i]; r.Err != nil || !r.Verified {
+			t.Errorf("verified=%v err=%v", r.Verified, r.Err)
+		}
 	}
 	concurrent := make([]Result, len(opts))
 	var wg sync.WaitGroup
@@ -53,9 +48,9 @@ func TestChaosSharedInputsRaceFree(t *testing.T) {
 		t.Fatalf("concurrent runs still going after %v", stallBound)
 	}
 	for i := range opts {
-		if got := comparable(concurrent[i]); !reflect.DeepEqual(got, serial[i]) {
-			t.Errorf("%v/%v: concurrent run differs from its serial twin:\n got %+v\nwant %+v",
-				opts[i].Backend, opts[i].Workload, got, serial[i])
+		if d := resultDiff(concurrent[i], serial[i]); d != "" {
+			t.Errorf("%v/%v: concurrent run differs from its serial twin: %s",
+				opts[i].Backend, opts[i].Workload, d)
 		}
 	}
 	if !reflect.DeepEqual(choleskyInput(), newCholeskyInput()) {

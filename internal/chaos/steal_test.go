@@ -37,7 +37,7 @@ func TestStealUnderFaults(t *testing.T) {
 }
 
 // TestStealDeterministicReplay: identical steal-enabled options (same fault
-// seed) reproduce the execution exactly, steal counters included.
+// seed) reproduce the execution exactly, the whole registry included.
 func TestStealDeterministicReplay(t *testing.T) {
 	o := Opts{
 		Backend: stack.LCI, Workload: Cholesky,
@@ -48,11 +48,7 @@ func TestStealDeterministicReplay(t *testing.T) {
 	if a.Err != nil || b.Err != nil {
 		t.Fatalf("aborts: %v / %v", a.Err, b.Err)
 	}
-	if a.Makespan != b.Makespan || a.Steals != b.Steals ||
-		a.StealTasks != b.StealTasks || a.StealGranted != b.StealGranted ||
-		a.TermRounds != b.TermRounds {
-		t.Fatalf("steal replay diverged:\n a %+v\n b %+v", a, b)
-	}
+	requireReplay(t, a, b)
 }
 
 // TestStealFlattensPostCrashImbalance is the tentpole acceptance on the
@@ -91,17 +87,17 @@ func TestStealFlattensPostCrashImbalance(t *testing.T) {
 				if !r.Verified {
 					t.Fatalf("%s factor error %g after recovery", name, r.RelErr)
 				}
-				if r.Restarts != 1 {
-					t.Fatalf("%s restarts = %d, want 1", name, r.Restarts)
+				if n := r.Metrics.Total("parsec", "restarts"); n != 1 {
+					t.Fatalf("%s restarts = %d, want 1", name, n)
 				}
 				if !r.TermAnnounced {
 					t.Fatalf("%s run completed without a termination announcement", name)
 				}
 			}
-			if base.Steals != 0 {
-				t.Fatalf("no-steal run recorded %d steals", base.Steals)
+			if n := base.Metrics.Total("parsec", "steals"); n != 0 {
+				t.Fatalf("no-steal run recorded %d steals", n)
 			}
-			if res.Steals == 0 {
+			if res.Metrics.Total("parsec", "steals") == 0 {
 				t.Fatal("post-crash imbalance triggered zero steals")
 			}
 			if res.Makespan >= base.Makespan {
@@ -153,8 +149,8 @@ func TestStealCrashUnderFaults(t *testing.T) {
 				if !res.Verified {
 					t.Fatalf("factor error %g", res.RelErr)
 				}
-				if res.Restarts != 1 {
-					t.Fatalf("restarts = %d, want 1", res.Restarts)
+				if n := res.Metrics.Total("parsec", "restarts"); n != 1 {
+					t.Fatalf("restarts = %d, want 1", n)
 				}
 				if !res.TermAnnounced {
 					t.Fatal("no termination announcement")

@@ -255,12 +255,14 @@ func TestCollectivesSurviveLossyFabric(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/n%d", backend, n), func(t *testing.T) {
 				s, comms := buildCommsOpts(lossyOptions(backend, n, 0xC011))
 				runCollectiveMatrix(t, s, comms)
-				fs := s.Fab.FaultStats()
-				if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Corrupted == 0 {
-					t.Fatalf("fault injection idle: %+v", fs)
+				m := s.Metrics
+				for _, class := range []string{"faults_dropped", "faults_duplicated", "faults_corrupted"} {
+					if m.Total("fabric", class) == 0 {
+						t.Fatalf("fault injection idle: %s is 0", class)
+					}
 				}
-				if rs := s.Rel.Stats(); rs.Retransmits == 0 {
-					t.Fatalf("no retransmissions despite %d drops", fs.Dropped)
+				if m.Total("rel", "retransmits") == 0 {
+					t.Fatalf("no retransmissions despite %d drops", m.Total("fabric", "faults_dropped"))
 				}
 			})
 		}

@@ -59,16 +59,6 @@ type PutArgs struct {
 	RCBData []byte
 }
 
-// Stats counts engine activity for experiments.
-type Stats struct {
-	AMsSent      uint64
-	AMsDelivered uint64
-	PutsStarted  uint64
-	PutsDone     uint64
-	PutBytes     uint64
-	Deferred     uint64 // operations that could not start immediately
-}
-
 // Engine is the communication engine of Listing 1, plus the threading hooks
 // the runtime needs in simulation (Submit replaces "the communication thread
 // calls progress in a loop").
@@ -129,9 +119,6 @@ type Engine interface {
 
 	// Err returns the first unrecoverable failure, or nil.
 	Err() error
-
-	// Stats returns activity counters.
-	Stats() Stats
 }
 
 // ErrAMTooLong is the failure an engine reports (OnError, Err) when an active

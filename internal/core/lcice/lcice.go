@@ -64,7 +64,7 @@ type Config struct {
 	InlineProgress bool
 
 	// Metrics is the registry the engine registers its instruments in
-	// (core.Stats counters, comm/progress-thread utilization, deferred and
+	// (active-message and put counters, comm/progress-thread utilization, deferred and
 	// FIFO queue depths). Nil gets a private registry; stack.Build shares
 	// one across every layer.
 	Metrics *metrics.Registry
@@ -167,7 +167,8 @@ type Engine struct {
 	progScheduled  bool
 	nextDataTag    int32
 
-	// core.Stats counters (metrics registry, layer "lcice").
+	// Engine activity counters (metrics registry, layer "lcice"); deferred
+	// counts operations that could not start immediately.
 	amsSent, amsDelivered    *metrics.Counter
 	putsStarted, putsDone    *metrics.Counter
 	putBytes, deferredEvents *metrics.Counter
@@ -247,18 +248,6 @@ func (e *Engine) CommProc() *sim.Proc { return e.comm }
 // ProgProc returns the progress thread (the communication thread when
 // InlineProgress is set).
 func (e *Engine) ProgProc() *sim.Proc { return e.prog }
-
-// Stats returns activity counters, rebuilt from the metrics registry.
-func (e *Engine) Stats() core.Stats {
-	return core.Stats{
-		AMsSent:      e.amsSent.Value(),
-		AMsDelivered: e.amsDelivered.Value(),
-		PutsStarted:  e.putsStarted.Value(),
-		PutsDone:     e.putsDone.Value(),
-		PutBytes:     e.putBytes.Value(),
-		Deferred:     e.deferredEvents.Value(),
-	}
-}
 
 // OnError registers the failure handler; the latest registration replaces
 // any earlier one, and a nil fn leaves the current handler in place (see

@@ -67,7 +67,7 @@ type Config struct {
 	UseRMA bool
 
 	// Metrics is the registry the engine registers its instruments in
-	// (core.Stats counters, comm-thread utilization, deferred-queue and
+	// (active-message and put counters, comm-thread utilization, deferred-queue and
 	// transfer-array depth, progress passes). Nil gets a private registry;
 	// stack.Build shares one across every layer.
 	Metrics *metrics.Registry
@@ -199,7 +199,8 @@ type Engine struct {
 	progressScheduled bool
 	nextDataTag       int32
 
-	// core.Stats counters (metrics registry, layer "mpice").
+	// Engine activity counters (metrics registry, layer "mpice"); deferred
+	// counts operations that could not start immediately.
 	amsSent, amsDelivered    *metrics.Counter
 	putsStarted, putsDone    *metrics.Counter
 	putBytes, deferredEvents *metrics.Counter
@@ -268,18 +269,6 @@ func (e *Engine) Size() int { return e.w.Size() }
 
 // CommProc returns the communication thread.
 func (e *Engine) CommProc() *sim.Proc { return e.comm }
-
-// Stats returns activity counters, rebuilt from the metrics registry.
-func (e *Engine) Stats() core.Stats {
-	return core.Stats{
-		AMsSent:      e.amsSent.Value(),
-		AMsDelivered: e.amsDelivered.Value(),
-		PutsStarted:  e.putsStarted.Value(),
-		PutsDone:     e.putsDone.Value(),
-		PutBytes:     e.putBytes.Value(),
-		Deferred:     e.deferredEvents.Value(),
-	}
-}
 
 // OnError registers the failure handler; the latest registration wins and a
 // nil fn is ignored (core.Engine semantics).

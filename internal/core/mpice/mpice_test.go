@@ -60,7 +60,7 @@ func TestTransferCapDefersSendsFIFO(t *testing.T) {
 	if done != n {
 		t.Fatalf("completed %d puts, want %d", done, n)
 	}
-	if src.Stats().Deferred == 0 {
+	if src.deferredEvents.Value() == 0 {
 		t.Fatal("no sends deferred despite cap 4")
 	}
 }
@@ -155,7 +155,7 @@ func TestRMAModeSkipsHandshakeTraffic(t *testing.T) {
 		if done != 1 {
 			t.Fatalf("useRMA=%v: done=%d", useRMA, done)
 		}
-		return fab.Stats(0).MsgsSent + fab.Stats(1).MsgsSent
+		return fab.Metrics().Total("fabric", "msgs_sent")
 	}
 	twoSided := msgs(false)
 	rma := msgs(true)

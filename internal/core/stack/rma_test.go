@@ -63,8 +63,8 @@ func TestMPIRMAConformance(t *testing.T) {
 	for _, size := range []int64{1, 4 << 10, 256 << 10, 2 << 20} {
 		s := buildMPI(true)
 		checkPut(t, s, size)
-		if st := s.Engines[0].Stats(); st.PutsDone != 1 {
-			t.Fatalf("size %d: stats %+v", size, st)
+		if n := engineCount(s, "puts_done", 0); n != 1 {
+			t.Fatalf("size %d: %d puts done, want 1", size, n)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"amtlci/internal/buf"
 	"amtlci/internal/core"
+	"amtlci/internal/metrics"
 	"amtlci/internal/sim"
 )
 
@@ -24,6 +25,15 @@ func forEachBackend(t *testing.T, f func(t *testing.T, s *Stack)) {
 			f(t, Build(o))
 		})
 	}
+}
+
+// engineCount reads rank's name counter from s's communication-engine layer.
+func engineCount(s *Stack, name string, rank int) uint64 {
+	layer := "lcice"
+	if s.Backend == MPI {
+		layer = "mpice"
+	}
+	return s.Metrics.Value(layer, name, rank)
 }
 
 func TestAMRoundTrip(t *testing.T) {
@@ -44,8 +54,8 @@ func TestAMRoundTrip(t *testing.T) {
 		if len(got) != 1 || got[0].data != "activate!" || got[0].src != 0 {
 			t.Fatalf("got = %+v", got)
 		}
-		if s.Engines[0].Stats().AMsSent != 1 {
-			t.Fatalf("sender stats = %+v", s.Engines[0].Stats())
+		if n := engineCount(s, "ams_sent", 0); n != 1 {
+			t.Fatalf("sender sent %d active messages, want 1", n)
 		}
 	})
 }
@@ -181,9 +191,9 @@ func TestPutSmallAndLarge(t *testing.T) {
 				if !localDone || !remoteDone {
 					t.Fatalf("local=%v remote=%v", localDone, remoteDone)
 				}
-				st := s.Engines[0].Stats()
-				if st.PutsStarted != 1 || st.PutsDone != 1 || st.PutBytes != uint64(size) {
-					t.Fatalf("origin stats = %+v", st)
+				started, done, bytes := engineCount(s, "puts_started", 0), engineCount(s, "puts_done", 0), engineCount(s, "put_bytes", 0)
+				if started != 1 || done != 1 || bytes != uint64(size) {
+					t.Fatalf("origin puts started %d, done %d, %d bytes", started, done, bytes)
 				}
 			})
 		})
@@ -253,7 +263,7 @@ func TestManyConcurrentPutsOverflowTransferCap(t *testing.T) {
 		if local != n || remote != n {
 			t.Fatalf("local=%d remote=%d, want %d", local, remote, n)
 		}
-		if s.Backend == MPI && src.Stats().Deferred == 0 {
+		if s.Backend == MPI && engineCount(s, "deferred", 0) == 0 {
 			t.Error("MPI backend should have deferred sends beyond the 30-transfer cap")
 		}
 	})
@@ -347,7 +357,7 @@ func TestCommThreadCallbackBlocksMPIProgressMoreThanLCI(t *testing.T) {
 }
 
 func TestStacksAreDeterministic(t *testing.T) {
-	run := func() sim.Time {
+	run := func() (sim.Time, *metrics.Registry) {
 		o := DefaultOptions(LCI, 2)
 		s := Build(o)
 		const tag core.Tag = 40
@@ -357,10 +367,15 @@ func TestStacksAreDeterministic(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			s.Engines[0].SendAM(tag, 1, []byte{byte(i)})
 		}
-		return s.Eng.Run()
+		return s.Eng.Run(), s.Metrics
 	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("two identical runs ended at %v and %v", a, b)
+	endA, regA := run()
+	endB, regB := run()
+	if endA != endB {
+		t.Fatalf("two identical runs ended at %v and %v", endA, endB)
+	}
+	if d := metrics.Diff(regA, regB); d != "" {
+		t.Fatalf("two identical runs diverged: %s", d)
 	}
 }
 

@@ -168,13 +168,14 @@ func EvalPoint(p Point) (res PointResult, err error) {
 				return PointResult{}, oerr
 			}
 			res := chaos.Run(o)
+			m := res.Metrics
 			row := ChaosRow{
 				RatePct:    pct,
 				MakespanNS: int64(res.Makespan),
 				Slowdown:   float64(res.Makespan) / float64(base.Makespan),
-				Dropped:    res.Faults.Dropped, Duplicated: res.Faults.Duplicated,
-				Corrupted: res.Faults.Corrupted, Retransmits: res.Rel.Retransmits,
-				Steals: res.Steals, Verified: res.Verified, RelErr: finite(res.RelErr),
+				Dropped:    m.Total("fabric", "faults_dropped"), Duplicated: m.Total("fabric", "faults_duplicated"),
+				Corrupted: m.Total("fabric", "faults_corrupted"), Retransmits: m.Total("rel", "retransmits"),
+				Steals: m.Total("parsec", "steals"), Verified: res.Verified, RelErr: finite(res.RelErr),
 			}
 			if res.Err != nil {
 				row.Err = res.Err.Error()

@@ -143,17 +143,6 @@ type ErrNotifier interface {
 	SetErrHandler(rank int, fn func(peer int, err error))
 }
 
-// DebugSend, when non-nil, observes every Send (calibration tooling).
-var DebugSend func(*Message)
-
-// PortStats counts traffic through one rank's port.
-type PortStats struct {
-	MsgsSent      uint64
-	MsgsReceived  uint64
-	BytesSent     uint64
-	BytesReceived uint64
-}
-
 type port struct {
 	eng     *sim.Engine // owning shard engine: all of this rank's NIC events
 	tx, rx  *sim.Proc
@@ -179,8 +168,8 @@ type port struct {
 
 // Fabric connects a fixed set of ranks across the shards of a sim.Domain.
 // Rank-addressed methods (Send, SetHandler at runtime) must be called from
-// the owning rank's shard; whole-fabric methods (InstallFaults, Stats
-// readers) belong to setup and teardown, outside Run.
+// the owning rank's shard; whole-fabric methods (InstallFaults) belong to
+// setup and teardown, outside Run.
 type Fabric struct {
 	dom   sim.Domain
 	cfg   Config
@@ -291,18 +280,6 @@ func (f *Fabric) SerializeTime(size int64) sim.Duration {
 	return sim.Duration(float64(size) * 8000.0 / f.cfg.BandwidthGbps)
 }
 
-// Stats returns traffic counters for rank, rebuilt from the metrics
-// registry (the registry is the single source of truth).
-func (f *Fabric) Stats(rank int) PortStats {
-	p := f.ports[rank]
-	return PortStats{
-		MsgsSent:      p.msgsSent.Value(),
-		MsgsReceived:  p.msgsRecv.Value(),
-		BytesSent:     p.bytesSent.Value(),
-		BytesReceived: p.bytesRecv.Value(),
-	}
-}
-
 // TxBusy returns the cumulative occupancy of rank's transmit engine.
 func (f *Fabric) TxBusy(rank int) sim.Duration { return f.ports[rank].tx.BusyTime() }
 
@@ -325,9 +302,6 @@ func (f *Fabric) Send(m *Message) {
 	}
 	src := f.ports[m.Src]
 	m.Sent = src.eng.Now()
-	if DebugSend != nil {
-		DebugSend(m)
-	}
 	// A crashed endpoint neither transmits nor receives: drop before the
 	// traffic counters and before any fault-stream RNG draw, so a crash
 	// leaves the surviving links' fault schedules untouched. Messages

@@ -218,15 +218,10 @@ func TestStatsConservation(t *testing.T) {
 			fb.Send(&Message{Src: src, Dst: dst, Size: size})
 		}
 		eng.Run()
-		var sentB, recvB, sentM, recvM uint64
-		for r := 0; r < 4; r++ {
-			s := fb.Stats(r)
-			sentB += s.BytesSent
-			recvB += s.BytesReceived
-			sentM += s.MsgsSent
-			recvM += s.MsgsReceived
-		}
-		return sentB == recvB && sentM == recvM && sentM == uint64(len(pairs))
+		reg := fb.Metrics()
+		sentM := reg.Total("fabric", "msgs_sent")
+		return reg.Total("fabric", "bytes_sent") == reg.Total("fabric", "bytes_received") &&
+			sentM == reg.Total("fabric", "msgs_received") && sentM == uint64(len(pairs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -142,17 +142,6 @@ func (c *FaultConfig) Validate() error {
 	return nil
 }
 
-// FaultStats counts injected faults across the whole fabric.
-type FaultStats struct {
-	Dropped      uint64 // messages lost (including severed)
-	Severed      uint64 // messages lost to a Sever window specifically
-	Duplicated   uint64 // messages delivered twice
-	Corrupted    uint64 // messages delivered with Corrupted set
-	Reordered    uint64 // messages delayed past later traffic
-	Crashes      uint64 // ranks that failed (NodeCrash events fired)
-	CrashDropped uint64 // messages lost to a crashed endpoint
-}
-
 // injector implements the fault schedule. One RNG per directed link keeps
 // every link's fault stream independent of traffic elsewhere; the lazy
 // per-link maps are partitioned by source rank, because judge always runs on
@@ -167,6 +156,9 @@ type injector struct {
 	reorderDelay sim.Duration
 	dupDelay     sim.Duration
 
+	// faults_dropped counts every lost message, faults_severed the subset a
+	// Sever window took; faults_crash_dropped counts messages lost to a
+	// crashed endpoint and crashes the NodeCrash events that fired.
 	dropped, severed, duplicated, corrupted, reordered *metrics.Counter
 	crashes, crashDropped                              *metrics.Counter
 }
@@ -322,21 +314,4 @@ func (f *Fabric) OnCrash(fn func(rank int)) { f.onCrash = append(f.onCrash, fn) 
 // Crashed reports whether rank's scripted crash has fired.
 func (f *Fabric) Crashed(rank int) bool {
 	return f.crashed != nil && f.crashed[rank]
-}
-
-// FaultStats returns fault-injection counters, rebuilt from the metrics
-// registry (zero when injection is off).
-func (f *Fabric) FaultStats() FaultStats {
-	if f.inj == nil {
-		return FaultStats{}
-	}
-	return FaultStats{
-		Dropped:      f.inj.dropped.Value(),
-		Severed:      f.inj.severed.Value(),
-		Duplicated:   f.inj.duplicated.Value(),
-		Corrupted:    f.inj.corrupted.Value(),
-		Reordered:    f.inj.reordered.Value(),
-		Crashes:      f.inj.crashes.Value(),
-		CrashDropped: f.inj.crashDropped.Value(),
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"amtlci/internal/metrics"
 	"amtlci/internal/sim"
 )
 
@@ -106,8 +107,8 @@ func TestDropStillFiresOnTx(t *testing.T) {
 	if tx != 20 {
 		t.Fatalf("OnTx fired %d times, want 20 (tx completes even when the wire drops)", tx)
 	}
-	if s := f.FaultStats(); s.Dropped != 20 {
-		t.Fatalf("stats = %+v, want 20 dropped", s)
+	if n := f.Metrics().Total("fabric", "faults_dropped"); n != 20 {
+		t.Fatalf("dropped %d, want 20", n)
 	}
 }
 
@@ -175,7 +176,7 @@ func TestLoopbackNeverFaulted(t *testing.T) {
 }
 
 func TestFaultScheduleDeterministic(t *testing.T) {
-	run := func() FaultStats {
+	run := func() *metrics.Registry {
 		eng := sim.NewEngine()
 		f := mustNew(eng, 3, quietConfig())
 		if err := f.InstallFaults(FaultConfig{Drop: 0.3, Duplicate: 0.2, Corrupt: 0.1, Reorder: 0.1, Seed: 42}); err != nil {
@@ -188,14 +189,16 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 			f.Send(&Message{Src: i % 2, Dst: 2, Size: 64})
 		}
 		eng.Run()
-		return f.FaultStats()
+		return f.Metrics()
 	}
 	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
+	if d := metrics.Diff(a, b); d != "" {
+		t.Fatalf("same seed diverged: %s", d)
 	}
-	if a.Dropped == 0 || a.Duplicated == 0 || a.Corrupted == 0 || a.Reordered == 0 {
-		t.Fatalf("expected every fault class to fire over 200 messages: %+v", a)
+	for _, class := range []string{"faults_dropped", "faults_duplicated", "faults_corrupted", "faults_reordered"} {
+		if a.Total("fabric", class) == 0 {
+			t.Fatalf("expected every fault class to fire over 200 messages: %s is 0", class)
+		}
 	}
 }
 
@@ -221,8 +224,8 @@ func TestSeverWindow(t *testing.T) {
 	if got != 3 {
 		t.Fatalf("delivered %d, want 3 (two sends fall inside the sever window)", got)
 	}
-	if s := f.FaultStats(); s.Severed != 2 {
-		t.Fatalf("stats = %+v, want 2 severed", s)
+	if n := f.Metrics().Total("fabric", "faults_severed"); n != 2 {
+		t.Fatalf("severed %d, want 2", n)
 	}
 }
 
@@ -287,8 +290,8 @@ func TestNodeCrashSilencesRank(t *testing.T) {
 	if got[0] != 2 || got[1] != 1 || got[2] != 1 {
 		t.Fatalf("deliveries = %v, want [2 1 1]", got)
 	}
-	if s := f.FaultStats(); s.Crashes != 1 || s.CrashDropped != 2 {
-		t.Fatalf("stats = %+v, want 1 crash, 2 crash-dropped", s)
+	if c, d := f.Metrics().Total("fabric", "crashes"), f.Metrics().Total("fabric", "faults_crash_dropped"); c != 1 || d != 2 {
+		t.Fatalf("%d crashes, %d crash-dropped, want 1 and 2", c, d)
 	}
 }
 
@@ -312,8 +315,8 @@ func TestNodeCrashDropsInFlight(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("delivered %d messages to a crashed rank, want 0", delivered)
 	}
-	if s := f.FaultStats(); s.CrashDropped != 1 {
-		t.Fatalf("stats = %+v, want 1 crash-dropped", s)
+	if n := f.Metrics().Total("fabric", "faults_crash_dropped"); n != 1 {
+		t.Fatalf("crash-dropped %d, want 1", n)
 	}
 }
 

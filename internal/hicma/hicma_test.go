@@ -207,11 +207,7 @@ func TestVirtualHiCMACompletesOnBothBackends(t *testing.T) {
 			if d <= 0 {
 				t.Fatal("zero makespan")
 			}
-			var ran int64
-			for r := 0; r < 4; r++ {
-				ran += rt.Stats(r).TasksRun
-			}
-			if ran != p.TotalTasks() {
+			if ran := int64(rt.Metrics().Total("parsec", "tasks_run")); ran != p.TotalTasks() {
 				t.Fatalf("ran %d tasks, want %d", ran, p.TotalTasks())
 			}
 			if rt.Tracer().EndToEnd().N() == 0 {

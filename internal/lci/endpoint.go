@@ -159,19 +159,12 @@ type Endpoint struct {
 	wake  func()
 	errFn func(peer int, err error)
 
-	// Counters for tests and experiments (metrics registry, layer "lci").
+	// Counters for tests and experiments (metrics registry, layer "lci"):
+	// messages sent (all protocols), payload deliveries, and ErrRetry
+	// back-pressure rejections.
 	sent, received, retries *metrics.Counter
 	progressCalls           *metrics.Counter
 }
-
-// Sent counts messages this endpoint has sent (all protocols).
-func (ep *Endpoint) Sent() uint64 { return ep.sent.Value() }
-
-// Received counts payload deliveries at this endpoint.
-func (ep *Endpoint) Received() uint64 { return ep.received.Value() }
-
-// Retries counts ErrRetry back-pressure rejections.
-func (ep *Endpoint) Retries() uint64 { return ep.retries.Value() }
 
 // ID returns the endpoint's rank.
 func (ep *Endpoint) ID() int { return ep.me }

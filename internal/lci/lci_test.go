@@ -171,8 +171,8 @@ func TestRecvdBackPressureErrRetry(t *testing.T) {
 	if err := ep.Recvd(AnyRank, 999999, buf.Virtual(8), nil, nil); err != ErrRetry {
 		t.Fatalf("err = %v, want ErrRetry", err)
 	}
-	if ep.Retries() != 1 {
-		t.Fatalf("Retries = %d, want 1", ep.Retries())
+	if n := rt.Metrics().Value("lci", "retries", 1); n != 1 {
+		t.Fatalf("retries = %d, want 1", n)
 	}
 	_ = eng
 }

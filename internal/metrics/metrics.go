@@ -3,7 +3,9 @@
 // and cheap enough to be always-on. Every layer of the stack — fabric, mpi,
 // lci, the two communication engines, rel, parsec — registers its instruments
 // here instead of keeping private ad-hoc counter fields, so one registry per
-// deployment describes the whole run.
+// deployment describes the whole run. It is also the one read path: Total
+// and Value read counters and panic on a name no layer registered, and Diff
+// compares two runs' registries instrument by instrument.
 //
 // Instruments live against virtual time: a Sampler (sampler.go) turns the
 // registry into per-metric time series suitable for Perfetto counter tracks,
@@ -335,27 +337,82 @@ func (r *Registry) Snapshots() []Snapshot {
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Desc, out[j].Desc
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Rank < b.Rank
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Desc.less(out[j].Desc) })
 	return out
 }
 
 // Total sums a counter metric across all ranks of a layer (including
-// StackRank entries). Missing metrics total zero.
+// StackRank entries). It panics when no layer registered a counter under
+// that name: a misspelled read must fail, not total zero.
 func (r *Registry) Total(layer, name string) uint64 {
 	var t uint64
+	found := false
 	for _, e := range r.snapshotEntries() {
 		if e.kind == KindCounter && e.desc.Layer == layer && e.desc.Name == name {
 			t += e.c.Value()
+			found = true
 		}
 	}
+	if !found {
+		panic(fmt.Sprintf("metrics: no counter %s/%s registered", layer, name))
+	}
 	return t
+}
+
+// Value returns one rank's count of a counter metric (rank may be
+// StackRank). Like Total, it panics when that counter was never registered.
+func (r *Registry) Value(layer, name string, rank int) uint64 {
+	r.mu.Lock()
+	e, ok := r.index[Desc{Layer: layer, Name: name, Rank: rank}]
+	r.mu.Unlock()
+	if !ok || e.kind != KindCounter {
+		panic(fmt.Sprintf("metrics: no counter %s/%s registered for rank %d", layer, name, rank))
+	}
+	return e.c.Value()
+}
+
+// Diff compares two registries instrument by instrument and returns "" when
+// both hold the same instruments with equal snapshots, or else the first
+// difference in Snapshots order: the instrument and both sides' values. Two
+// runs of one deterministic configuration must diff empty, which makes Diff
+// the replay oracle for a whole run rather than a few hand-picked counters.
+func Diff(a, b *Registry) string {
+	sa, sb := a.Snapshots(), b.Snapshots()
+	for i := 0; i < len(sa) || i < len(sb); i++ {
+		switch {
+		case i == len(sb) || i < len(sa) && sa[i].Desc.less(sb[i].Desc):
+			return sa[i].Desc.label() + ": only in the first registry"
+		case i == len(sa) || sb[i].Desc.less(sa[i].Desc):
+			return sb[i].Desc.label() + ": only in the second registry"
+		case sa[i] != sb[i]:
+			return fmt.Sprintf("%s: %s vs %s", sa[i].Desc.label(), sa[i].values(), sb[i].values())
+		}
+	}
+	return ""
+}
+
+// label names the instrument as layer/name rank r.
+func (d Desc) label() string { return fmt.Sprintf("%s/%s rank %d", d.Layer, d.Name, d.Rank) }
+
+// less is the Snapshots order: layer, then name, then rank.
+func (d Desc) less(o Desc) bool {
+	if d.Layer != o.Layer {
+		return d.Layer < o.Layer
+	}
+	if d.Name != o.Name {
+		return d.Name < o.Name
+	}
+	return d.Rank < o.Rank
+}
+
+// values renders what a snapshot of s's kind carries, for Diff.
+func (s Snapshot) values() string {
+	switch s.Kind {
+	case KindGauge:
+		return fmt.Sprintf("%v %g (max %g)", s.Kind, s.Value, s.Max)
+	case KindHistogram:
+		return fmt.Sprintf("%v n=%g sum=%g p50=%g p99=%g", s.Kind, s.Value, s.Sum, s.P50, s.P99)
+	default:
+		return fmt.Sprintf("%v %g", s.Kind, s.Value)
+	}
 }

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"amtlci/internal/sim"
@@ -102,8 +104,80 @@ func TestTotalAcrossRanks(t *testing.T) {
 	if got := r.Total("rel", "retransmits"); got != 10 {
 		t.Fatalf("Total = %d, want 10", got)
 	}
-	if got := r.Total("rel", "missing"); got != 0 {
-		t.Fatalf("Total of missing metric = %d, want 0", got)
+	if got := r.Value("rel", "retransmits", 1); got != 3 {
+		t.Fatalf("Value rank 1 = %d, want 3", got)
+	}
+	if got := r.Value("rel", "retransmits", StackRank); got != 5 {
+		t.Fatalf("Value StackRank = %d, want 5", got)
+	}
+}
+
+// mustPanic runs read and requires a panic whose message names every want.
+func mustPanic(t *testing.T, what string, read func(), want ...string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s: read of an unregistered counter did not panic", what)
+		}
+		msg := fmt.Sprint(r)
+		for _, w := range want {
+			if !strings.Contains(msg, w) {
+				t.Fatalf("%s: panic %q does not name %q", what, msg, w)
+			}
+		}
+	}()
+	read()
+}
+
+// TestUnregisteredReadPanics pins the read side's one safety: a counter no
+// layer registered cannot read as zero, whether summed or read per rank, and
+// a registered name of another kind is not a counter.
+func TestUnregisteredReadPanics(t *testing.T) {
+	r := New()
+	r.Counter("rel", "retransmits", 0).Inc()
+	r.Gauge("mpi", "isends_in_flight", 0).Set(2)
+	mustPanic(t, "Total", func() { r.Total("rel", "retransmitz") }, "rel", "retransmitz")
+	mustPanic(t, "Total of a gauge", func() { r.Total("mpi", "isends_in_flight") }, "mpi", "isends_in_flight")
+	mustPanic(t, "Value", func() { r.Value("fabric", "msgs_sent", 0) }, "fabric", "msgs_sent")
+	mustPanic(t, "Value of another rank", func() { r.Value("rel", "retransmits", 1) }, "rel", "retransmits", "rank 1")
+}
+
+// TestDiff checks the registry comparison: empty for equal registries, and
+// otherwise the first differing instrument with both values, or the
+// instrument one side lacks.
+func TestDiff(t *testing.T) {
+	build := func(sent uint64, extra bool) *Registry {
+		r := New()
+		r.Counter("fabric", "msgs_sent", 0).Add(sent)
+		r.Counter("fabric", "msgs_sent", 1).Add(4)
+		r.Gauge("lci", "packets_in_flight", 0).Set(3)
+		r.Histogram("rel", "rto_ns", StackRank).Observe(100)
+		if extra {
+			r.Counter("recover", "ckpt_sent", 2)
+		}
+		return r
+	}
+	if d := Diff(build(7, false), build(7, false)); d != "" {
+		t.Fatalf("equal registries diff %q", d)
+	}
+	d := Diff(build(7, false), build(8, false))
+	for _, w := range []string{"fabric/msgs_sent rank 0", "7", "8"} {
+		if !strings.Contains(d, w) {
+			t.Fatalf("off-by-one diff %q does not name %q", d, w)
+		}
+	}
+	for _, tc := range []struct {
+		a, b *Registry
+		side string
+	}{
+		{build(7, true), build(7, false), "first"},
+		{build(7, false), build(7, true), "second"},
+	} {
+		d := Diff(tc.a, tc.b)
+		if !strings.Contains(d, "recover/ckpt_sent rank 2") || !strings.Contains(d, tc.side) {
+			t.Fatalf("one-sided diff %q does not name recover/ckpt_sent rank 2 on the %s side", d, tc.side)
+		}
 	}
 }
 

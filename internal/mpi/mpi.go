@@ -237,22 +237,14 @@ type Rank struct {
 	wake  func()
 	errFn func(peer int, err error)
 
-	// Counters for experiments and tests (metrics registry, layer "mpi").
+	// Counters for experiments and tests (metrics registry, layer "mpi"):
+	// messages posted, payload deliveries, and receives satisfied from the
+	// unexpected-message queue rather than by a fresh arrival.
 	sent, received, unexpectedHits *metrics.Counter
 	// isendsInFlight tracks rendezvous sends posted but not yet locally
 	// complete (eager sends complete at post time and never appear here).
 	isendsInFlight *metrics.Gauge
 }
-
-// Sent counts messages posted by this rank.
-func (r *Rank) Sent() uint64 { return r.sent.Value() }
-
-// Received counts payload deliveries at this rank.
-func (r *Rank) Received() uint64 { return r.received.Value() }
-
-// UnexpectedHits counts receives satisfied from the unexpected-message
-// queue rather than by a fresh arrival.
-func (r *Rank) UnexpectedHits() uint64 { return r.unexpectedHits.Value() }
 
 // ID returns this rank's index.
 func (r *Rank) ID() int { return r.me }

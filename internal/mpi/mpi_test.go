@@ -92,8 +92,8 @@ func TestUnexpectedEagerMessageMatchedByLaterRecv(t *testing.T) {
 	if !rq.Done() || rbuf[0] != 9 {
 		t.Fatalf("unexpected-path recv failed: done=%v buf=%v", rq.Done(), rbuf)
 	}
-	if w.Rank(1).UnexpectedHits() != 1 {
-		t.Fatalf("UnexpectedHits = %d, want 1", w.Rank(1).UnexpectedHits())
+	if n := w.Metrics().Value("mpi", "unexpected_hits", 1); n != 1 {
+		t.Fatalf("unexpected_hits = %d, want 1", n)
 	}
 }
 
@@ -273,8 +273,8 @@ func TestPersistentRecvOwnsItsMessage(t *testing.T) {
 		t.Fatalf("unexpected queue holds %d messages, want 1", len(dst.unexpected))
 	}
 	dst.Start(q)
-	if !q.Done() || string(q.Data().Bytes) != "early" || dst.UnexpectedHits() != 1 {
-		t.Fatalf("unexpected match: done=%v data %q hits=%d", q.Done(), q.Data().Bytes, dst.UnexpectedHits())
+	if hits := w.Metrics().Value("mpi", "unexpected_hits", 1); !q.Done() || string(q.Data().Bytes) != "early" || hits != 1 {
+		t.Fatalf("unexpected match: done=%v data %q hits=%d", q.Done(), q.Data().Bytes, hits)
 	}
 	collect("unexpected match")
 
@@ -457,7 +457,6 @@ func TestMessageAndByteConservation(t *testing.T) {
 		eng, w := harness(3)
 		pump(eng, w)
 		type exp struct{ rq *Request }
-		var sentEager, recvEager uint64
 		var reqs []*Request
 		for _, op := range ops {
 			src := int(op % 3)
@@ -468,9 +467,6 @@ func TestMessageAndByteConservation(t *testing.T) {
 			size := int64(op%2000) + 1
 			reqs = append(reqs, w.Rank(dst).Irecv(buf.Virtual(size), src, int(op%5)))
 			w.Rank(src).Isend(buf.Virtual(size), dst, int(op%5))
-			if size <= w.Config().EagerThreshold {
-				sentEager++
-			}
 		}
 		eng.Run()
 		for _, q := range reqs {
@@ -478,12 +474,8 @@ func TestMessageAndByteConservation(t *testing.T) {
 				return false
 			}
 		}
-		for i := 0; i < 3; i++ {
-			recvEager += w.Rank(i).Received()
-		}
-		_ = sentEager
-		_ = recvEager
-		return true
+		n := uint64(len(reqs))
+		return w.Metrics().Total("mpi", "sent") == n && w.Metrics().Total("mpi", "received") == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

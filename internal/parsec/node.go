@@ -218,7 +218,7 @@ func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config) *node {
 	reg.Probe("parsec", "fetch_queue_depth", rank, false, func() float64 { return float64(n.fetchQ.Len()) })
 	reg.Probe("parsec", "active_fetches", rank, false, func() float64 { return float64(n.activeFetches) })
 	reg.Probe("parsec", "workers_busy", rank, true, func() float64 { return n.workerBusy().Seconds() })
-	ce.TagReg(tagActivate, n.onActivate, int64(cfg.AMCap))
+	ce.TagReg(tagActivate, n.onActivate, amCap)
 	ce.TagReg(tagGetData, n.onGetData, 256)
 	ce.TagReg(tagPutDone, n.onPutDone, 256)
 	ce.TagReg(tagTerm, n.onTerm, 256)
@@ -263,8 +263,9 @@ func (n *node) start() {
 
 // releaseRunState drops everything only a running graph needs — tables,
 // queues, aggregation buffers, free lists, scratch — once Run has returned:
-// a finished Runtime serves Stats, Tracer and Metrics, and callers keep it
-// (and with it 2 tables and a dozen slices per rank) alive for exactly that.
+// a finished Runtime serves WorkerBusy, Tracer and Metrics, and callers keep
+// it (and with it 2 tables and a dozen slices per rank) alive for exactly
+// that.
 func (n *node) releaseRunState() {
 	n.tasks.reset()
 	n.store.reset()
@@ -529,7 +530,7 @@ func (n *node) complete(t TaskID, w int) {
 		// it until their flush (a direct child's subtree is empty, so it can
 		// be a slice of the scratch).
 		children := n.childScratch[:0]
-		if len(remote) >= n.cfg.TreeFanout {
+		if len(remote) >= treeFanout {
 			tree := make([]int32, 1, 1+len(remote))
 			tree[0] = int32(n.rank)
 			children = treeSplit(children, append(tree, remote...))
@@ -613,7 +614,7 @@ func (n *node) flushActivates(dest int) {
 		cut := 0
 		for cut < len(entries) {
 			l := entries[cut].encodedLen()
-			if bytes+l > n.cfg.AMCap && cut > 0 {
+			if bytes+l > amCap && cut > 0 {
 				break
 			}
 			bytes += l

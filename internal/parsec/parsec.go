@@ -127,13 +127,6 @@ type Config struct {
 	// it to honor their SYNC serialization; HiCMA prefetches eagerly.
 	FetchLazy bool
 
-	// TreeFanout switches multicasts to a binomial tree once a flow has at
-	// least this many consumer ranks; below it the root sends directly.
-	TreeFanout int
-
-	// AMCap bounds one aggregated ACTIVATE message's payload bytes.
-	AMCap int
-
 	// Steal enables inter-rank work stealing: a rank whose workers have all
 	// gone idle probes the others in ring order and migrates up to half of a
 	// loaded victim's eligible ready tasks, together with their input tiles
@@ -167,6 +160,14 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
+// treeFanout switches multicasts to a binomial tree once a flow has at least
+// this many consumer ranks; below it the root sends directly. amCap bounds
+// one aggregated ACTIVATE message's payload bytes.
+const (
+	treeFanout = 4
+	amCap      = 8 << 10
+)
+
 // DefaultStealMax is the per-exchange migration cap when Config.StealMax is
 // zero. It matches the steal package's per-reply frame budget.
 const DefaultStealMax = 64
@@ -176,8 +177,6 @@ func DefaultConfig(w int) Config {
 	return Config{
 		Workers:         w,
 		FetchCap:        16,
-		TreeFanout:      4,
-		AMCap:           8 << 10,
 		Jitter:          0.02,
 		Seed:            0xA37,
 		SchedCost:       200 * sim.Nanosecond,
@@ -188,16 +187,4 @@ func DefaultConfig(w int) Config {
 		DeliverCost:     800 * sim.Nanosecond,
 		AggregationCost: 150 * sim.Nanosecond,
 	}
-}
-
-// Stats aggregates one rank's runtime activity.
-type Stats struct {
-	TasksRun      int64
-	ActivatesSent int64 // ACTIVATE messages (after aggregation)
-	Activations   int64 // activation entries carried by those messages
-	GetsSent      int64
-	FetchDeferred int64
-	BytesFetched  int64
-	WorkerBusy    sim.Duration
-	CommBusy      sim.Duration
 }

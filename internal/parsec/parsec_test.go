@@ -26,6 +26,11 @@ func build(t *testing.T, b stack.Backend, ranks, workers int, tp parsec.Taskpool
 	return s, parsec.New(s.Dom, s.Engines, tp, cfg)
 }
 
+// count reads rank r's parsec/<name> counter from rt's registry.
+func count(rt *parsec.Runtime, name string, r int) int64 {
+	return int64(rt.Metrics().Value("parsec", name, r))
+}
+
 func forBackends(t *testing.T, f func(t *testing.T, b stack.Backend)) {
 	for _, b := range stack.Backends {
 		b := b
@@ -82,8 +87,8 @@ func TestRemoteDependencyMovesRealBytes(t *testing.T) {
 		if got != 0x5C {
 			t.Fatalf("consumer saw byte %#x, want 0x5C", got)
 		}
-		if rt.Stats(1).BytesFetched != size {
-			t.Fatalf("BytesFetched = %d", rt.Stats(1).BytesFetched)
+		if count(rt, "bytes_fetched", 1) != size {
+			t.Fatalf("BytesFetched = %d", count(rt, "bytes_fetched", 1))
 		}
 		if rt.Tracer().EndToEnd().N() != 1 {
 			t.Fatalf("tracer samples = %d, want 1", rt.Tracer().EndToEnd().N())
@@ -160,13 +165,13 @@ func TestBroadcastUsesMulticastTree(t *testing.T) {
 		}
 		// With a binomial tree, the root serves ceil(log2(9))=4 children,
 		// not 8: its GET DATA count stays below the consumer count.
-		rootGets := rt.Stats(0).GetsSent
+		rootGets := count(rt, "gets_sent", 0)
 		if rootGets != 0 {
 			t.Fatalf("root sent %d GET DATA, want 0", rootGets)
 		}
 		var forwarded int64
 		for r := 1; r < ranks; r++ {
-			forwarded += rt.Stats(r).ActivatesSent
+			forwarded += count(rt, "activates_sent", r)
 		}
 		if forwarded == 0 {
 			t.Fatal("no rank forwarded activations; tree multicast not exercised")
@@ -255,11 +260,11 @@ func TestFetchCapDefersLowPriorityFetches(t *testing.T) {
 		if _, err := rt.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if rt.Stats(1).FetchDeferred == 0 {
+		if count(rt, "fetch_deferred", 1) == 0 {
 			t.Fatal("no fetches deferred despite FetchCap=2")
 		}
-		if rt.Stats(1).TasksRun != n {
-			t.Fatalf("rank1 ran %d tasks, want %d", rt.Stats(1).TasksRun, n)
+		if count(rt, "tasks_run", 1) != n {
+			t.Fatalf("rank1 ran %d tasks, want %d", count(rt, "tasks_run", 1), n)
 		}
 	})
 }
@@ -280,19 +285,15 @@ func TestActivateAggregationFunneledVsMT(t *testing.T) {
 	if _, err := funneled.Run(); err != nil {
 		t.Fatal(err)
 	}
-	fs := funneled.Stats(0)
-	if fs.ActivatesSent >= fs.Activations {
-		t.Fatalf("funneled mode did not aggregate: %d messages for %d activations",
-			fs.ActivatesSent, fs.Activations)
+	if msgs, acts := count(funneled, "activates_sent", 0), count(funneled, "activations", 0); msgs >= acts {
+		t.Fatalf("funneled mode did not aggregate: %d messages for %d activations", msgs, acts)
 	}
 	_, mt := build(t, stack.LCI, 2, 8, mkpool(), func(c *parsec.Config) { c.MTActivate = true })
 	if _, err := mt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ms := mt.Stats(0)
-	if ms.ActivatesSent != ms.Activations {
-		t.Fatalf("MT mode should not aggregate: %d messages for %d activations",
-			ms.ActivatesSent, ms.Activations)
+	if msgs, acts := count(mt, "activates_sent", 0), count(mt, "activations", 0); msgs != acts {
+		t.Fatalf("MT mode should not aggregate: %d messages for %d activations", msgs, acts)
 	}
 }
 
@@ -412,10 +413,10 @@ func TestControlFlowCarriesNoData(t *testing.T) {
 			t.Fatal(err)
 		}
 		// No GET DATA, no bytes fetched: pure control.
-		if rt.Stats(1).GetsSent != 0 || rt.Stats(1).BytesFetched != 0 {
-			t.Fatalf("control dep moved data: %+v", rt.Stats(1))
+		if g, f := count(rt, "gets_sent", 1), count(rt, "bytes_fetched", 1); g != 0 || f != 0 {
+			t.Fatalf("control dep moved data: %d GET DATA, %d bytes", g, f)
 		}
-		if rt.Stats(0).ActivatesSent == 0 {
+		if count(rt, "activates_sent", 0) == 0 {
 			t.Fatal("no activation sent for control flow")
 		}
 	})
@@ -434,7 +435,7 @@ func TestControlFlowThroughMulticastTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 1; r < ranks; r++ {
-		if rt.Stats(r).GetsSent != 0 {
+		if count(rt, "gets_sent", r) != 0 {
 			t.Fatalf("rank %d fetched data for a control flow", r)
 		}
 	}
@@ -492,8 +493,8 @@ func TestRandomDAGsCompleteOnBothBackends(t *testing.T) {
 			}
 			var ran int64
 			for r := 0; r < ranks; r++ {
-				ran += rt.Stats(r).TasksRun
-				fetched[i] += rt.Stats(r).BytesFetched
+				ran += count(rt, "tasks_run", r)
+				fetched[i] += count(rt, "bytes_fetched", r)
 			}
 			var want int64
 			for r := 0; r < ranks; r++ {
@@ -690,8 +691,8 @@ func TestObserverSequence(t *testing.T) {
 		}
 		var statMsgs, statEntries int64
 		for r := 0; r < 2; r++ {
-			statMsgs += rt.Stats(r).ActivatesSent
-			statEntries += rt.Stats(r).Activations
+			statMsgs += count(rt, "activates_sent", r)
+			statEntries += count(rt, "activations", r)
 		}
 		if int64(msgs) != statMsgs || int64(entries) != statEntries {
 			t.Fatalf("observer saw %d msgs/%d entries, counters say %d/%d",

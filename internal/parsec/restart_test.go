@@ -118,9 +118,10 @@ func TestStaleCommOpNeitherRunsNorRecycles(t *testing.T) {
 			if owner.pendingOps != 0 {
 				t.Fatalf("pendingOps = %d after the stale steps fired, want 0", owner.pendingOps)
 			}
-			if got := owner.ce.Stats(); got.PutsStarted != 0 || owner.activatesSent.Value() != 0 || owner.csent != 0 {
+			ceLayer := map[stack.Backend]string{stack.LCI: "lcice", stack.MPI: "mpice"}[b]
+			if puts := s.Metrics.Value(ceLayer, "puts_started", owner.rank); puts != 0 || owner.activatesSent.Value() != 0 || owner.csent != 0 {
 				t.Fatalf("a stale step ran: puts=%d activates=%d csent=%d",
-					got.PutsStarted, owner.activatesSent.Value(), owner.csent)
+					puts, owner.activatesSent.Value(), owner.csent)
 			}
 			if fd.registered || owner.pendingDests != 0 {
 				t.Fatalf("a stale step touched rank state: registered=%v pendingDests=%d", fd.registered, owner.pendingDests)

@@ -121,21 +121,9 @@ func (rt *Runtime) SetClocks(clocks []Clock, corrections []sim.Duration) {
 // Metrics returns the registry the runtime's instruments live in.
 func (rt *Runtime) Metrics() *metrics.Registry { return rt.reg }
 
-// Stats returns rank r's runtime counters, rebuilt from the metrics
-// registry; busy times come straight from the thread Procs.
-func (rt *Runtime) Stats(r int) Stats {
-	n := rt.nodes[r]
-	return Stats{
-		TasksRun:      int64(n.tasksRun.Value()),
-		ActivatesSent: int64(n.activatesSent.Value()),
-		Activations:   int64(n.activations.Value()),
-		GetsSent:      int64(n.getsSent.Value()),
-		FetchDeferred: int64(n.fetchDeferred.Value()),
-		BytesFetched:  int64(n.bytesFetched.Value()),
-		WorkerBusy:    n.workerBusy(),
-		CommBusy:      n.ce.CommProc().BusyTime(),
-	}
-}
+// WorkerBusy returns rank r's total worker-core busy time, summed over its
+// worker Procs.
+func (rt *Runtime) WorkerBusy(r int) sim.Duration { return rt.nodes[r].workerBusy() }
 
 // Run releases the root tasks and executes the graph to completion,
 // returning the virtual makespan. It fails loudly on deadlock: if the event

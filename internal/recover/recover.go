@@ -65,24 +65,6 @@ type FlowCkpt struct {
 	Data []byte
 }
 
-// Stats summarizes one manager's activity.
-type Stats struct {
-	// Sent counts checkpoints shipped to live destinations; Bytes their
-	// payload. Frames suppressed because the destination is known dead are
-	// counted by neither.
-	Sent  uint64
-	Bytes uint64
-	// Stored counts checkpoints accepted from the wire on behalf of a peer.
-	Stored uint64
-	// Bad counts malformed checkpoint frames dropped on arrival.
-	Bad uint64
-	// Rereplicated counts checkpoints re-shipped to a new buddy after a
-	// death broke the protection pairing.
-	Rereplicated uint64
-	// Orphaned counts checkpoints this rank adopted from a dead owner.
-	Orphaned uint64
-}
-
 // Manager is the per-rank checkpoint store: it holds this rank's own
 // checkpoints (presence = the task completed here) plus the checkpoints
 // received on behalf of peers, tagged with the owning rank so a cascade of
@@ -101,6 +83,13 @@ type Manager struct {
 	// frames to them are suppressed instead of counted into sent/bytes.
 	dead []bool
 
+	// Checkpoint counters (metrics registry, layer "recover", this rank):
+	// ckpt_sent and ckpt_bytes count frames shipped to live destinations and
+	// their bytes (frames suppressed toward a known-dead rank count in
+	// neither); ckpt_stored counts checkpoints accepted on a peer's behalf,
+	// ckpt_bad malformed frames dropped on arrival, ckpt_rereplicated frames
+	// re-shipped to a new buddy after a death, and ckpt_orphaned checkpoints
+	// adopted from a dead owner.
 	sent, bytes, stored_, bad, rerep, orphaned *metrics.Counter
 }
 
@@ -291,18 +280,6 @@ func (m *Manager) Lookup(k Key) ([]FlowCkpt, bool) {
 	}
 	fs, ok := m.stored[k]
 	return fs, ok
-}
-
-// Stats returns this manager's counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Sent:         m.sent.Value(),
-		Bytes:        m.bytes.Value(),
-		Stored:       m.stored_.Value(),
-		Bad:          m.bad.Value(),
-		Rereplicated: m.rerep.Value(),
-		Orphaned:     m.orphaned.Value(),
-	}
 }
 
 // accept files one decoded checkpoint under its owner: this rank's own

@@ -22,6 +22,11 @@ func buildPair(t *testing.T, b stack.Backend) (*stack.Stack, []*recov.Manager) {
 	return s, ms
 }
 
+// ckpt reads rank's recover/ckpt_<name> counter from the stack's registry.
+func ckpt(s *stack.Stack, name string, rank int) uint64 {
+	return s.Metrics.Value("recover", "ckpt_"+name, rank)
+}
+
 func TestBuddyRing(t *testing.T) {
 	s, ms := buildPair(t, stack.LCI)
 	_ = s
@@ -68,9 +73,9 @@ func TestCheckpointReachesBuddy(t *testing.T) {
 			if flows[1].Size != 0 || flows[1].Data != nil {
 				t.Fatalf("virtual flow not preserved: %+v", flows[1])
 			}
-			st0, st1 := ms[0].Stats(), ms[1].Stats()
-			if st0.Sent != 1 || st0.Bytes == 0 || st1.Stored != 1 || st1.Bad != 0 {
-				t.Fatalf("stats owner %+v buddy %+v", st0, st1)
+			if ckpt(s, "sent", 0) != 1 || ckpt(s, "bytes", 0) == 0 || ckpt(s, "stored", 1) != 1 || ckpt(s, "bad", 1) != 0 {
+				t.Fatalf("owner sent %d (%d B), buddy stored %d (%d bad)",
+					ckpt(s, "sent", 0), ckpt(s, "bytes", 0), ckpt(s, "stored", 1), ckpt(s, "bad", 1))
 			}
 		})
 	}
@@ -94,8 +99,8 @@ func TestSelfBuddyStoresLocally(t *testing.T) {
 	if !m.Has(k) {
 		t.Fatal("self-buddy checkpoint lost")
 	}
-	if st := m.Stats(); st.Sent != 0 {
-		t.Fatalf("self-buddy shipped %d checkpoints onto the wire", st.Sent)
+	if n := ckpt(s, "sent", 0); n != 0 {
+		t.Fatalf("self-buddy shipped %d checkpoints onto the wire", n)
 	}
 }
 
@@ -122,9 +127,11 @@ func TestCheckpointCopiesCallerBuffer(t *testing.T) {
 }
 
 func TestCkptStatsStartZero(t *testing.T) {
-	_, ms := buildPair(t, stack.LCI)
-	if st := ms[0].Stats(); st != (recov.Stats{}) {
-		t.Fatalf("fresh manager stats = %+v", st)
+	s, _ := buildPair(t, stack.LCI)
+	for _, name := range []string{"sent", "bytes", "stored", "bad", "rereplicated", "orphaned"} {
+		if n := ckpt(s, name, 0); n != 0 {
+			t.Fatalf("fresh manager ckpt_%s = %d", name, n)
+		}
 	}
 }
 
@@ -155,9 +162,9 @@ func TestCheckpointSkipsDeadBuddy(t *testing.T) {
 
 	s.Engines[0].Submit(0, func() { ms[0].Checkpoint(k1, flows) })
 	s.Eng.Run()
-	before := ms[0].Stats()
-	if before.Sent != 1 || before.Bytes == 0 {
-		t.Fatalf("live-buddy checkpoint not booked: %+v", before)
+	sent, sentBytes := ckpt(s, "sent", 0), ckpt(s, "bytes", 0)
+	if sent != 1 || sentBytes == 0 {
+		t.Fatalf("live-buddy checkpoint not booked: %d sent, %d B", sent, sentBytes)
 	}
 
 	// The failure detector declares the buddy dead; the next checkpoint must
@@ -165,9 +172,9 @@ func TestCheckpointSkipsDeadBuddy(t *testing.T) {
 	ms[0].MarkDead(1)
 	s.Engines[0].Submit(0, func() { ms[0].Checkpoint(k2, flows) })
 	s.Eng.Run()
-	after := ms[0].Stats()
-	if after.Sent != before.Sent || after.Bytes != before.Bytes {
-		t.Fatalf("checkpoint to dead buddy counted: before %+v after %+v", before, after)
+	if ckpt(s, "sent", 0) != sent || ckpt(s, "bytes", 0) != sentBytes {
+		t.Fatalf("checkpoint to dead buddy counted: %d sent (%d B) after %d (%d B)",
+			ckpt(s, "sent", 0), ckpt(s, "bytes", 0), sent, sentBytes)
 	}
 	if !ms[0].Has(k2) {
 		t.Fatal("local copy lost when the buddy is dead")
@@ -181,8 +188,8 @@ func TestCheckpointSkipsDeadBuddy(t *testing.T) {
 		ms[0].CheckpointFor(recov.Key{Class: 0, Index: 3}, flows, 1, 1)
 	})
 	s.Eng.Run()
-	if st := ms[0].Stats(); st.Sent != after.Sent {
-		t.Fatalf("CheckpointFor to dead destination counted: %+v", st)
+	if n := ckpt(s, "sent", 0); n != sent {
+		t.Fatalf("CheckpointFor to dead destination counted: %d sent, want %d", n, sent)
 	}
 }
 
@@ -220,9 +227,8 @@ func TestAdoptAndRereplicate(t *testing.T) {
 			if len(adopted) != 1 || adopted[0] != k {
 				t.Fatalf("adopted %v, want [%v]", adopted, k)
 			}
-			st2 := ms[2].Stats()
-			if st2.Orphaned != 1 || st2.Rereplicated != 1 {
-				t.Fatalf("rank 2 stats %+v, want 1 orphaned + 1 rereplicated", st2)
+			if o, r := ckpt(s, "orphaned", 2), ckpt(s, "rereplicated", 2); o != 1 || r != 1 {
+				t.Fatalf("rank 2 orphaned %d, rereplicated %d, want 1 + 1", o, r)
 			}
 			// The copy now lives at rank 3, owned by rank 2: if rank 2 dies
 			// next, rank 3 can adopt it in turn (the cascade case).

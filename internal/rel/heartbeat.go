@@ -47,7 +47,12 @@ const stallLeases = 8
 // computing right now (a long task moves no counter, and is not a stall). It is sampled on the existing
 // detector ticks — no event is added to any run — and only read, so a run
 // that terminates normally is unchanged. Call before the simulation starts.
-func (s *Stack) WatchProgress(fn func() (work uint64, busy bool)) { s.progress = fn }
+// Arming registers rel/hb_stall_stops, so a watched run that never stalls
+// reads 0 stops.
+func (s *Stack) WatchProgress(fn func() (work uint64, busy bool)) {
+	s.progress = fn
+	s.stallStops = s.reg.Counter("rel", "hb_stall_stops", metrics.StackRank)
+}
 
 // stalled samples the watched progress at this endpoint's tick and reports
 // whether it has stood still for stallLeases lease windows.
@@ -180,7 +185,7 @@ func (ep *endpoint) tickHeartbeats() {
 	}
 	now := ep.eng.Now()
 	if ep.stalled(now) {
-		s.reg.Counter("rel", "hb_stall_stops", metrics.StackRank).Inc()
+		s.stallStops.Inc()
 		s.StopHeartbeats()
 		return
 	}

@@ -140,8 +140,8 @@ func TestHeartbeatDetectsCrashedPeer(t *testing.T) {
 			t.Fatalf("rank %d converged at %v, after the bound %v", r, v.at, bound)
 		}
 	}
-	if st := s.Stats(); st.PeerDeaths != uint64(ranks-1) || st.HeartbeatsSent == 0 {
-		t.Fatalf("stats = %+v, want %d peer deaths and some beacons", st, ranks-1)
+	if d, hb := s.reg.Total("rel", "peer_dead"), s.reg.Total("rel", "heartbeats_sent"); d != uint64(ranks-1) || hb == 0 {
+		t.Fatalf("%d peer deaths and %d beacons, want %d deaths and some beacons", d, hb, ranks-1)
 	}
 }
 
@@ -167,12 +167,11 @@ func TestHeartbeatPiggybacksOnTraffic(t *testing.T) {
 	}
 	pump()
 	eng.Run()
-	st := s.Stats()
-	if st.HeartbeatsSent != 0 {
-		t.Fatalf("busy link emitted %d explicit beacons, want 0 (traffic is the heartbeat)", st.HeartbeatsSent)
+	if n := s.reg.Total("rel", "heartbeats_sent"); n != 0 {
+		t.Fatalf("busy link emitted %d explicit beacons, want 0 (traffic is the heartbeat)", n)
 	}
-	if st.PeerDeaths != 0 || st.Unreachable != 0 {
-		t.Fatalf("healthy link produced failure verdicts: %+v", st)
+	if d, u := s.reg.Total("rel", "peer_dead"), s.reg.Total("rel", "unreachable"); d != 0 || u != 0 {
+		t.Fatalf("healthy link produced failure verdicts: %d peer deaths, %d unreachable", d, u)
 	}
 }
 
@@ -185,12 +184,11 @@ func TestHeartbeatKeepsQuietLinkAlive(t *testing.T) {
 	}
 	eng.At(sim.Time(0).Add(10*sim.Millisecond), s.StopHeartbeats)
 	eng.Run()
-	st := s.Stats()
-	if st.PeerDeaths != 0 {
-		t.Fatalf("idle but healthy link declared %d peers dead", st.PeerDeaths)
+	if n := s.reg.Total("rel", "peer_dead"); n != 0 {
+		t.Fatalf("idle but healthy link declared %d peers dead", n)
 	}
-	if st.HeartbeatsSent == 0 || st.HeartbeatsReceived == 0 {
-		t.Fatalf("stats = %+v, want beacons flowing both ways", st)
+	if tx, rx := s.reg.Total("rel", "heartbeats_sent"), s.reg.Total("rel", "heartbeats_received"); tx == 0 || rx == 0 {
+		t.Fatalf("%d beacons sent, %d received, want beacons flowing both ways", tx, rx)
 	}
 }
 
@@ -221,8 +219,8 @@ func TestPeerFailureNotifiedOnce(t *testing.T) {
 	if !errors.As(calls[0], &pu) {
 		t.Fatalf("notification %v is not PeerUnreachable", calls[0])
 	}
-	if st := s.Stats(); st.Unreachable != 1 {
-		t.Fatalf("stats = %+v, want exactly 1 unreachable", st)
+	if n := s.reg.Total("rel", "unreachable"); n != 1 {
+		t.Fatalf("unreachable = %d, want exactly 1", n)
 	}
 }
 
@@ -377,8 +375,8 @@ func TestStopHeartbeatsIdempotent(t *testing.T) {
 	eng.At(sim.Time(0).Add(5*sim.Millisecond), s.StopHeartbeats) // double stop, same instant
 	eng.At(sim.Time(0).Add(6*sim.Millisecond), s.StopHeartbeats) // and again later
 	end := eng.Run()
-	if st := s.Stats(); st.PeerDeaths != 0 {
-		t.Fatalf("healthy pair declared %d peers dead across a double stop", st.PeerDeaths)
+	if n := s.reg.Total("rel", "peer_dead"); n != 0 {
+		t.Fatalf("healthy pair declared %d peers dead across a double stop", n)
 	}
 	if end.Sub(sim.Time(0)) > 7*sim.Millisecond {
 		t.Fatalf("simulation ran to %v: a stopped detector kept scheduling ticks", end)
@@ -442,8 +440,12 @@ func TestStallWatchStopsIdleDetector(t *testing.T) {
 				s.WatchProgress(tc.probe(eng))
 			}
 			eng.RunUntil(horizon)
-			if got := s.reg.Total("rel", "hb_stall_stops"); got != tc.stops {
-				t.Fatalf("hb_stall_stops = %d, want %d", got, tc.stops)
+			// Only an armed watch registers the counter; an unarmed one
+			// shows itself by never draining.
+			if tc.probe != nil {
+				if got := s.reg.Total("rel", "hb_stall_stops"); got != tc.stops {
+					t.Fatalf("hb_stall_stops = %d, want %d", got, tc.stops)
+				}
 			}
 			if drained := eng.Pending() == 0; drained != (tc.stops > 0) {
 				t.Fatalf("event queue drained = %v with %d stall stops", drained, tc.stops)

@@ -139,23 +139,6 @@ func (e *PeerUnreachable) Error() string {
 		e.To, e.From, e.LastSeq, e.Attempts)
 }
 
-// Stats counts protocol activity across the whole stack.
-type Stats struct {
-	DataSent       uint64 // upper-layer messages accepted
-	DataDelivered  uint64 // messages handed to the upper layer
-	Retransmits    uint64
-	AcksSent       uint64
-	DupDropped     uint64 // duplicate frames discarded
-	CorruptDropped uint64 // corrupted frames discarded
-	OutOfOrder     uint64 // early frames buffered for later delivery
-	Unreachable    uint64 // per-send retry budgets exhausted (PeerUnreachable)
-
-	HeartbeatsSent     uint64 // explicit beacons emitted
-	HeartbeatsReceived uint64 // beacons that decoded cleanly
-	HeartbeatsBad      uint64 // beacons dropped by the decoder
-	PeerDeaths         uint64 // leases expired (PeerDead verdicts)
-}
-
 // frame is the reliability header riding in Message.Meta of a data message;
 // the upper layer's payload and Meta travel inside it so a retransmission
 // redelivers pristine content even if the sender reused its buffer after
@@ -256,7 +239,10 @@ type endpoint struct {
 	lastWork   uint64
 	lastWorkAt sim.Time
 
-	// Protocol counters (metrics registry, layer "rel", per rank).
+	// Protocol counters (metrics registry, layer "rel", per rank): data_sent
+	// counts upper-layer messages accepted and data_delivered those handed
+	// up; out_of_order counts early frames buffered for later delivery, and
+	// heartbeats_bad beacons the decoder dropped.
 	dataSent, dataDelivered *metrics.Counter
 	retransmits, acksSent   *metrics.Counter
 	dupDropped, corruptDrop *metrics.Counter
@@ -291,8 +277,10 @@ type Stack struct {
 	// Atomic because the termination detector announces from one rank while
 	// other shards' ticks read it.
 	hbStopped atomic.Bool
-	// progress is the stall watch's probe (WatchProgress); nil when unarmed.
-	progress func() (work uint64, busy bool)
+	// progress is the stall watch's probe and stallStops counts the stops it
+	// caused (WatchProgress); both nil when unarmed.
+	progress   func() (work uint64, busy bool)
+	stallStops *metrics.Counter
 }
 
 // New interposes a reliability layer on fab. It takes over the fabric's
@@ -344,26 +332,6 @@ func New(fab *fabric.Fabric, cfg Config) (*Stack, error) {
 
 // Ranks returns the number of ranks (fabric.Network).
 func (s *Stack) Ranks() int { return len(s.eps) }
-
-// Stats returns protocol counters summed across all ranks, rebuilt from the
-// metrics registry.
-func (s *Stack) Stats() Stats {
-	return Stats{
-		DataSent:       s.reg.Total("rel", "data_sent"),
-		DataDelivered:  s.reg.Total("rel", "data_delivered"),
-		Retransmits:    s.reg.Total("rel", "retransmits"),
-		AcksSent:       s.reg.Total("rel", "acks_sent"),
-		DupDropped:     s.reg.Total("rel", "dup_dropped"),
-		CorruptDropped: s.reg.Total("rel", "corrupt_dropped"),
-		OutOfOrder:     s.reg.Total("rel", "out_of_order"),
-		Unreachable:    s.unreachable.Value(),
-
-		HeartbeatsSent:     s.reg.Total("rel", "heartbeats_sent"),
-		HeartbeatsReceived: s.reg.Total("rel", "heartbeats_received"),
-		HeartbeatsBad:      s.reg.Total("rel", "heartbeats_bad"),
-		PeerDeaths:         s.peerDead.Value(),
-	}
-}
 
 // SetHandler installs the upper layer's delivery handler for rank
 // (fabric.Network).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"amtlci/internal/fabric"
+	"amtlci/internal/metrics"
 	"amtlci/internal/sim"
 )
 
@@ -23,7 +24,9 @@ func pairStack(t *testing.T, ranks int, fc *fabric.FaultConfig) (*sim.Engine, *f
 			t.Fatal(err)
 		}
 	}
-	s, err := New(fab, DefaultConfig())
+	rc := DefaultConfig()
+	rc.Metrics = fab.Metrics()
+	s, err := New(fab, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +93,8 @@ func TestLossyLinkExactlyOnceInOrder(t *testing.T) {
 			t.Fatalf("delivery order broken at %d: got %d", i, v)
 		}
 	}
-	st := s.Stats()
-	if st.Retransmits == 0 || st.DupDropped == 0 {
-		t.Fatalf("fault recovery never exercised: %+v", st)
+	if r, d := s.reg.Total("rel", "retransmits"), s.reg.Total("rel", "dup_dropped"); r == 0 || d == 0 {
+		t.Fatalf("fault recovery never exercised: %d retransmits, %d duplicates dropped", r, d)
 	}
 }
 
@@ -105,9 +107,13 @@ func TestCleanFabricNoRetransmits(t *testing.T) {
 		s.Send(&fabric.Message{Src: 0, Dst: 1, Size: 64})
 	}
 	eng.Run()
-	st := s.Stats()
-	if n != 50 || st.Retransmits != 0 || st.DupDropped != 0 || st.CorruptDropped != 0 {
-		t.Fatalf("clean run delivered %d, stats %+v", n, st)
+	if n != 50 {
+		t.Fatalf("clean run delivered %d, want 50", n)
+	}
+	for _, name := range []string{"retransmits", "dup_dropped", "corrupt_dropped"} {
+		if got := s.reg.Total("rel", name); got != 0 {
+			t.Fatalf("clean run counted %d rel/%s", got, name)
+		}
 	}
 }
 
@@ -126,7 +132,7 @@ func TestOnTxFiresExactlyOncePerSend(t *testing.T) {
 	if tx != count {
 		t.Fatalf("OnTx fired %d times for %d sends", tx, count)
 	}
-	if s.Stats().Retransmits == 0 {
+	if s.reg.Total("rel", "retransmits") == 0 {
 		t.Fatal("no retransmissions at 30% drop — test proves nothing")
 	}
 }
@@ -152,14 +158,14 @@ func TestSeveredLinkDeclaresPeerUnreachable(t *testing.T) {
 	if pu.From != 0 || pu.To != 1 || pu.Attempts != DefaultConfig().MaxRetries+1 {
 		t.Fatalf("bad error detail %+v", pu)
 	}
-	if s.Stats().Unreachable != 1 {
-		t.Fatalf("stats %+v", s.Stats())
+	if n := s.reg.Total("rel", "unreachable"); n != 1 {
+		t.Fatalf("unreachable = %d, want 1", n)
 	}
 	// Later sends to the dead peer are swallowed, not retried.
-	sent := s.Stats().DataSent
+	sent := s.reg.Total("rel", "data_sent")
 	s.Send(&fabric.Message{Src: 0, Dst: 1, Size: 64})
 	eng.Run()
-	if s.Stats().DataSent != sent {
+	if s.reg.Total("rel", "data_sent") != sent {
 		t.Fatal("send to dead peer was accepted")
 	}
 	if end == 0 {
@@ -187,7 +193,7 @@ func TestLostAcksDoNotDuplicateDelivery(t *testing.T) {
 	if !failed {
 		t.Fatal("sender never gave up without ACKs")
 	}
-	if s.Stats().DupDropped == 0 {
+	if s.reg.Total("rel", "dup_dropped") == 0 {
 		t.Fatal("retransmissions were not recognized as duplicates")
 	}
 }
@@ -216,8 +222,8 @@ func TestLoopbackBypassesProtocol(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("loopback delivered %d, want 1", n)
 	}
-	if st := s.Stats(); st.DataSent != 0 {
-		t.Fatalf("loopback entered the protocol: %+v", st)
+	if n := s.reg.Total("rel", "data_sent"); n != 0 {
+		t.Fatalf("loopback entered the protocol: %d data frames", n)
 	}
 }
 
@@ -266,8 +272,8 @@ func TestManyPeersConcurrently(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	run := func() (sim.Time, Stats, string) {
-		eng, fab, s := pairStack(t, 4, &fabric.FaultConfig{
+	run := func() (sim.Time, *metrics.Registry, string) {
+		eng, _, s := pairStack(t, 4, &fabric.FaultConfig{
 			Drop: 0.1, Duplicate: 0.1, Corrupt: 0.1, Reorder: 0.1, Seed: 99,
 		})
 		var trace string
@@ -281,12 +287,14 @@ func TestDeterministicReplay(t *testing.T) {
 			s.Send(&fabric.Message{Src: i % 3, Dst: (i + 1) % 4, Size: 256, Meta: i})
 		}
 		end := eng.Run()
-		_ = fab
-		return end, s.Stats(), trace
+		return end, s.reg, trace
 	}
-	e1, s1, t1 := run()
-	e2, s2, t2 := run()
-	if e1 != e2 || s1 != s2 || t1 != t2 {
-		t.Fatalf("same seed diverged:\n%v %+v\n%v %+v", e1, s1, e2, s2)
+	e1, r1, t1 := run()
+	e2, r2, t2 := run()
+	if e1 != e2 || t1 != t2 {
+		t.Fatalf("same seed diverged: ended %v vs %v", e1, e2)
+	}
+	if d := metrics.Diff(r1, r2); d != "" {
+		t.Fatalf("same seed diverged: %s", d)
 	}
 }
