@@ -32,8 +32,9 @@ chaos-multicrash:
 	go run ./cmd/chaos -crash-storm 3
 
 # Short, fixed-budget fuzz passes over the wire-format decoders, the
-# runtime's flat hash table and the linalg kernels' bit identity with their
-# reference bodies (Go allows one -fuzz pattern per invocation). This is the
+# runtime's flat hash table, the calendar queue's firing order against the
+# reference heap and the linalg kernels' bit identity with their reference
+# bodies (Go allows one -fuzz pattern per invocation). This is the
 # one fuzz list: verify.sh runs this target.
 fuzz-smoke:
 	timeout 120 go test -run='^$$' -fuzz=FuzzUnmarshalPutHeader -fuzztime=2s ./internal/core
@@ -50,6 +51,7 @@ fuzz-smoke:
 	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeStealReply -fuzztime=2s ./internal/steal
 	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeStealRelease -fuzztime=2s ./internal/steal
 	timeout 120 go test -run='^$$' -fuzz=FuzzInboxOrder -fuzztime=2s ./internal/sim
+	timeout 120 go test -run='^$$' -fuzz=FuzzCalendarMatchesRef -fuzztime=2s ./internal/sim
 	timeout 120 go test -run='^$$' -fuzz=FuzzKernelsMatchReference -fuzztime=2s ./internal/linalg
 
 # End-to-end smoke of the simd experiment service: content-addressed cache

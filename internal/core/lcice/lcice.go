@@ -358,6 +358,10 @@ func (h *handle) dispatch() {
 	case h.localCB != nil:
 		h.localCB()
 	}
+	e.retireHandle(h)
+}
+
+func (e *Engine) retireHandle(h *handle) {
 	*h = handle{e: e, run: h.run, data: buf.KeepSlab(h.data)}
 	e.handles.Put(h)
 }
@@ -589,10 +593,17 @@ func (e *Engine) remoteCompletion(rtag core.Tag, rcbData []byte, src int) *handl
 
 // onPutLanded is the LCI completion of a put's data at the target (progress
 // thread): it resolves the remote-completion callback and pushes the handle
-// to the bulk FIFO for the communication thread.
+// to the bulk FIFO for the communication thread. Completion data longer than
+// the tag accepts fails the engine instead, and the handle is retired.
 func (e *Engine) onPutLanded(r lci.Request) {
 	h := r.UserCtx.(*handle)
-	h.cb, _ = e.tags.Lookup(h.tag)
+	var maxLen int64
+	h.cb, maxLen = e.tags.Lookup(h.tag)
+	if n := int64(len(h.data)); n > maxLen {
+		e.fail(h.src, core.AMTooLong("lcice", e.Rank(), h.tag, n, maxLen, h.src))
+		e.retireHandle(h)
+		return
+	}
 	e.pushBulk(h)
 }
 

@@ -685,8 +685,15 @@ func (e *Engine) completeXfer(s *xferSlot) {
 		}
 		return
 	}
-	// Data landed: fire the remote completion callback registered for RTag.
-	s.rcb, _ = e.tags.Lookup(s.rtag)
+	// Data landed: fire the remote completion callback registered for RTag,
+	// unless its data is longer than the tag accepts (compaction then retires
+	// the slot).
+	var maxLen int64
+	s.rcb, maxLen = e.tags.Lookup(s.rtag)
+	if n := int64(len(s.rcbData)); n > maxLen {
+		e.fail(s.src, core.AMTooLong("mpice", e.Rank(), s.rtag, n, maxLen, s.src))
+		return
+	}
 	s.dispatching = true
 	e.comm.Submit(e.cfg.DispatchCost, s.dispatch)
 }

@@ -50,8 +50,7 @@ func TestEngineMessagePathAllocs(t *testing.T) {
 					t.Fatalf("%s: %d completions, want %d", name, delivered-before, op.want)
 				}
 			}
-			// Warm-up: fill the free lists and touch every calendar bucket
-			// (a bucket allocates on first use).
+			// Warm-up: fill the free lists and the event pool.
 			for i := 0; i < 20000; i++ {
 				one()
 			}

@@ -9,6 +9,7 @@ import (
 	"amtlci/internal/buf"
 	"amtlci/internal/core"
 	"amtlci/internal/metrics"
+	"amtlci/internal/rel"
 	"amtlci/internal/sim"
 )
 
@@ -117,6 +118,79 @@ func TestAMLongerThanRegisteredFailsTheReceiver(t *testing.T) {
 			}
 		}
 	})
+}
+
+// putWithCompletion puts size bytes from rank 0 into rank 1 of s with rcbData
+// as the remote completion data, on a tag registered for maxLen bytes, and
+// returns the completion data lengths rank 1's callback saw and the failures
+// its engine reported.
+func putWithCompletion(t *testing.T, s *Stack, size int64, rcbData []byte, maxLen int64) (delivered []int, failures []error) {
+	t.Helper()
+	const tag core.Tag = 21
+	for r := 0; r < 2; r++ {
+		s.Engines[r].TagReg(tag, func(_ core.Engine, _ core.Tag, data []byte, _ int) {
+			delivered = append(delivered, len(data))
+		}, maxLen)
+	}
+	s.Engines[0].OnError(func(err error) { t.Errorf("the origin failed: %v", err) })
+	s.Engines[1].OnError(func(err error) { failures = append(failures, err) })
+	lreg := s.Engines[0].MemReg(buf.Virtual(size))
+	rreg := s.Engines[1].MemReg(buf.Virtual(size))
+	s.Engines[0].Submit(0, func() {
+		s.Engines[0].Put(core.PutArgs{LReg: lreg, RReg: rreg, Size: size, Remote: 1, RTag: tag, RCBData: rcbData})
+	})
+	s.Eng.Run()
+	return delivered, failures
+}
+
+// TestPutCompletionLongerThanRegisteredFailsTheReceiver extends maxLen's
+// meaning to a put's remote completion: completion data of exactly maxLen
+// reaches RTag's callback, and longer data fails the receiving engine with
+// core.ErrAMTooLong instead — on both backends, for a put small enough to
+// ride inside LCI's handshake and for one that is not.
+func TestPutCompletionLongerThanRegisteredFailsTheReceiver(t *testing.T) {
+	const maxLen = 16
+	for _, size := range []int64{64, 64 << 10} {
+		t.Run(fmt.Sprintf("size=%d/fits", size), func(t *testing.T) {
+			forEachBackend(t, func(t *testing.T, s *Stack) {
+				delivered, failures := putWithCompletion(t, s, size, make([]byte, maxLen), maxLen)
+				if len(delivered) != 1 || delivered[0] != maxLen || len(failures) != 0 {
+					t.Fatalf("completion data of exactly maxLen: delivered %v, failures %v", delivered, failures)
+				}
+			})
+		})
+		t.Run(fmt.Sprintf("size=%d/too_long", size), func(t *testing.T) {
+			forEachBackend(t, func(t *testing.T, s *Stack) {
+				delivered, failures := putWithCompletion(t, s, size, make([]byte, maxLen+1), maxLen)
+				if len(delivered) != 0 {
+					t.Fatalf("over-long completion data reached the callback: delivered %v", delivered)
+				}
+				if len(failures) != 1 || !errors.Is(failures[0], core.ErrAMTooLong) || !errors.Is(s.Engines[1].Err(), core.ErrAMTooLong) {
+					t.Fatalf("failures = %v, Err() = %v, want one core.ErrAMTooLong", failures, s.Engines[1].Err())
+				}
+				for _, want := range []string{"rank 1", "tag 21", "17-byte", "from 0", "registered for 16"} {
+					if !strings.Contains(failures[0].Error(), want) {
+						t.Errorf("error %q does not name %q", failures[0], want)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestRelRequiresSerialDomain: the reliability layer keeps one set of record
+// free lists per stack, so Build refuses it on a sharded domain.
+func TestRelRequiresSerialDomain(t *testing.T) {
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "single-shard domain") {
+			t.Fatalf("Rel on a sharded domain: panic %q does not name the single-shard requirement", msg)
+		}
+	}()
+	o := DefaultOptions(LCI, 4)
+	o.Shards = 2
+	rc := rel.DefaultConfig()
+	o.Rel = &rc
+	Build(o)
 }
 
 func TestAMBurstAllDelivered(t *testing.T) {

@@ -52,8 +52,7 @@ func TestDeliveryAllocatesNothing(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Warm-up: fill the free lists and touch every calendar
-				// bucket of both engines (a bucket allocates on first use).
+				// Warm-up: fill the free lists and the engines' event pools.
 				bounce(f, dom, size, 60000)
 				short := bounce(f, dom, size, 2000)
 				long := bounce(f, dom, size, 6000)

@@ -123,6 +123,15 @@ type Message struct {
 	// point at which a zero-copy sender may reuse its buffer — the local
 	// completion semantics of a rendezvous send.
 	OnTx func()
+
+	// OnDone, if non-nil, runs exactly once per Send, as soon as the fabric
+	// holds no reference to the message: after the last delivered copy's
+	// handler returns, after egress when the wire lost every copy, or when a
+	// crashed endpoint swallowed it. It runs on the engine of the rank that
+	// last held the message: the destination's once a copy reached its port,
+	// the source's otherwise. A sender that pools its messages retires them here;
+	// until then the message must not be reused.
+	OnDone func()
 }
 
 // Handler receives delivered messages at a rank.
@@ -308,6 +317,7 @@ func (f *Fabric) Send(m *Message) {
 	// already in flight when the destination dies are caught in deliver.
 	if f.crashed != nil && (f.crashed[m.Src] || f.crashed[m.Dst]) {
 		f.inj.crashDropped.Inc()
+		m.done()
 		return
 	}
 	src.msgsSent.Inc()
@@ -380,6 +390,13 @@ func (f *Fabric) Send(m *Message) {
 	// port's bandwidth without delaying their own already-arrived bytes.
 	src.txQueuedBytes.Add(m.Size)
 	src.tx.Submit(f.cfg.MessageGap+ser, x.bulkTx)
+}
+
+// done runs m's OnDone hook, if any.
+func (m *Message) done() {
+	if m.OnDone != nil {
+		m.OnDone()
+	}
 }
 
 func (f *Fabric) deliver(m *Message) {

@@ -340,3 +340,67 @@ func TestNodeCrashValidation(t *testing.T) {
 		t.Error("out-of-range crash rank accepted")
 	}
 }
+
+// TestOnDoneOncePerSend pins the OnDone contract a pooling sender relies on:
+// whatever becomes of a message — delivered on either lane, duplicated,
+// dropped, corrupted, looped back, swallowed by a crashed source or
+// destination at Send, or lost to a destination that crashed while it was on
+// the wire — OnDone runs exactly once, and never before the last delivered
+// copy's handler has returned.
+func TestOnDoneOncePerSend(t *testing.T) {
+	crash := func(rank int, at sim.Duration) []NodeCrash {
+		return []NodeCrash{{Rank: rank, At: sim.Time(0).Add(at)}}
+	}
+	cases := []struct {
+		name      string
+		faults    FaultConfig
+		src, dst  int
+		size      int64
+		sendAt    sim.Duration
+		delivered int
+	}{
+		{"delivered/ctl", FaultConfig{}, 0, 1, 64, 0, 1},
+		{"delivered/bulk", FaultConfig{}, 0, 1, 1 << 20, 0, 1},
+		{"duplicated/ctl", FaultConfig{Duplicate: 1}, 0, 1, 64, 0, 2},
+		{"duplicated/bulk", FaultConfig{Duplicate: 1}, 0, 1, 1 << 20, 0, 2},
+		{"dropped/ctl", FaultConfig{Drop: 1}, 0, 1, 64, 0, 0},
+		{"dropped/bulk", FaultConfig{Drop: 1}, 0, 1, 1 << 20, 0, 0},
+		{"corrupted", FaultConfig{Corrupt: 1}, 0, 1, 64, 0, 1},
+		{"loopback", FaultConfig{Drop: 1}, 0, 0, 64, 0, 1},
+		{"crashed source", FaultConfig{Crashes: crash(0, sim.Microsecond)}, 0, 1, 64, 2 * sim.Microsecond, 0},
+		{"crashed destination", FaultConfig{Crashes: crash(1, sim.Microsecond)}, 0, 1, 64, 2 * sim.Microsecond, 0},
+		{"crashed destination in flight", FaultConfig{Crashes: crash(1, 2*sim.Microsecond)}, 0, 1, 1 << 20, 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			f := mustNew(eng, 2, quietConfig())
+			if err := f.InstallFaults(tc.faults); err != nil {
+				t.Fatal(err)
+			}
+			delivered, done := 0, 0
+			for r := 0; r < 2; r++ {
+				f.SetHandler(r, func(*Message) {
+					if done != 0 {
+						t.Error("a copy was delivered after OnDone")
+					}
+					delivered++
+				})
+			}
+			payload := make([]byte, tc.size)
+			eng.At(sim.Time(0).Add(tc.sendAt), func() {
+				f.Send(&Message{Src: tc.src, Dst: tc.dst, Size: tc.size, Payload: payload,
+					OnDone: func() {
+						if delivered != tc.delivered {
+							t.Errorf("OnDone after %d deliveries, want %d", delivered, tc.delivered)
+						}
+						done++
+					}})
+			})
+			eng.Run()
+			if done != 1 || delivered != tc.delivered {
+				t.Fatalf("OnDone ran %d times, %d deliveries; want once and %d", done, delivered, tc.delivered)
+			}
+		})
+	}
+}

@@ -29,6 +29,8 @@ import "amtlci/internal/sim"
 // retires the xfer after egress), and the last step retires the object
 // *before* invoking the handler — the handler may re-enter Send and reuse it,
 // which is safe because the finishing callback never touches the xfer again.
+// Whichever step retires the xfer also runs the message's OnDone, after the
+// handler returns: from then on the fabric holds no reference to it.
 type xfer struct {
 	f       *Fabric
 	m       *Message
@@ -86,14 +88,28 @@ func (f *Fabric) putXfer(x *xfer, at *port) {
 }
 
 // finish retires one delivery copy at the destination: the xfer is released
-// before the handler runs so a re-entrant Send can reuse it.
+// before the handler runs so a re-entrant Send can reuse it, and the last
+// copy hands the message back to its sender (OnDone) once the handler has
+// returned.
 func (x *xfer) finish() {
 	m := x.m
 	x.pending--
-	if x.pending <= 0 {
+	last := x.pending <= 0
+	if last {
 		x.f.putXfer(x, x.f.ports[m.Dst])
 	}
 	x.f.deliver(m)
+	if last {
+		m.done()
+	}
+}
+
+// lost retires x at the source once egress is over and the wire lost every
+// copy.
+func (x *xfer) lost() {
+	m := x.m
+	x.f.putXfer(x, x.src)
+	m.done()
 }
 
 // hop schedules fn on the destination rank's shard after delay, measured
@@ -118,7 +134,7 @@ func (x *xfer) bind() {
 			x.m.OnTx()
 		}
 		if x.copies == 0 {
-			f.putXfer(x, x.src)
+			x.lost()
 			return
 		}
 		for c := 0; c < x.copies; c++ {
@@ -134,7 +150,7 @@ func (x *xfer) bind() {
 			x.m.OnTx()
 		}
 		if x.copies == 0 {
-			f.putXfer(x, x.src)
+			x.lost()
 			return
 		}
 		for c := 0; c < x.copies; c++ {
@@ -172,12 +188,13 @@ func (sp *shardPool) getCorruptBuf(n int) []byte {
 }
 
 // RecyclePayload hands the payload of a corrupted message to the scratch
-// pool of the shard it was delivered on. Only the private copy the fabric
-// itself made when corrupting a message is eligible — calling it for a
-// pristine message would recycle a sender-owned buffer — so callers must pass
-// messages they are discarding on the Corrupted flag, as the reliability
-// layer does, must call it from the destination rank's shard, and must not
-// touch the payload afterwards.
+// pool of its destination's shard. Only the private copy the fabric itself
+// made when corrupting a message is eligible, and the call is a no-op for a
+// message without the Corrupted flag, so a pristine sender-owned buffer is
+// never taken. Callers pass a message the fabric is done with — from its
+// OnDone, as the reliability layer's heartbeats do; on a sharded domain only
+// on the destination rank's shard — and must not touch the payload
+// afterwards.
 func (f *Fabric) RecyclePayload(m *Message) {
 	if !m.Corrupted || m.Payload == nil {
 		return

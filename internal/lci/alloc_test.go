@@ -64,8 +64,8 @@ func TestMessagePathAllocs(t *testing.T) {
 	})
 }
 
-// pin warms one up (free lists filled, every calendar bucket touched — a
-// bucket allocates on first use) and then requires it to allocate nothing.
+// pin warms one up (free lists and event pools filled) and then requires it
+// to allocate nothing.
 func pin(t *testing.T, one func()) {
 	t.Helper()
 	for i := 0; i < 20000; i++ {

@@ -34,8 +34,7 @@ func TestMessagePathAllocs(t *testing.T) {
 				reqs[0].Free()
 				reqs[1].Free()
 			}
-			// Warm-up: fill the free lists and touch every calendar bucket
-			// (a bucket allocates on first use).
+			// Warm-up: fill the free lists and the event pool.
 			for i := 0; i < 20000; i++ {
 				one()
 			}

@@ -37,40 +37,33 @@ func allocsPerTask(t *testing.T, b stack.Backend, ranks, short, long int) float6
 	return float64(chainAllocs(t, b, ranks, long)-chainAllocs(t, b, ranks, short)) / float64(long-short)
 }
 
-// The chains are long because the simulator's calendar queue allocates each
-// of its 4096 buckets on first use: only once a run has touched them all is
-// the difference between two runs the task path alone.
-
 // TestLocalTaskPathAllocs pins the runtime's own allocations on the path
 // "task done → local successor ready → dispatched → done" at zero: what is
 // left is the pool's Execute result, which the Taskpool contract makes the
 // pool allocate. The flow record comes from the rank's free list; no map
 // growth, no boxing in the ready queue, no dispatch closure, no input slice.
 func TestLocalTaskPathAllocs(t *testing.T) {
-	got := allocsPerTask(t, stack.LCI, 1, 12000, 16000)
+	got := allocsPerTask(t, stack.LCI, 1, 1000, 5000)
 	t.Logf("local chain: %.3f allocs/task", got)
 	if got > 1.01 {
 		t.Fatalf("local chain: %.3f allocs/task, want <= 1 (the pool's Execute result)", got)
 	}
 }
 
-// TestRemoteTaskPathAllocs bounds the same path when every edge crosses the
-// wire (ACTIVATE, GET DATA, put, on both backends). The message path itself —
-// the runtime's deferred communication-thread steps, both engines, both
-// libraries, the fabric — allocates nothing in steady state (each layer pins
+// TestRemoteTaskPathAllocs pins the same path when every edge crosses the
+// wire (ACTIVATE, GET DATA, put, on both backends) at the same one
+// allocation. The message path itself — the runtime's deferred
+// communication-thread steps, both engines, both libraries, the fabric, the
+// simulator's calendar — allocates nothing in steady state (each layer pins
 // that on its own), and the runtime's per-flow state on both ranks (flow
 // records with their waiter and pending-GET lists) is recycled; what is left
-// is the pool's Execute result plus the simulator's calendar buckets (the
-// longer chain keeps more events in flight across more of them). The bound is
-// the measured value (1.37 LCI, 1.64 Open MPI) plus a little slack, there to
-// catch a closure, a map or a per-flow record creeping back into the per-task
-// path.
+// is the pool's Execute result.
 func TestRemoteTaskPathAllocs(t *testing.T) {
 	forBackends(t, func(t *testing.T, b stack.Backend) {
-		got := allocsPerTask(t, b, 2, 3000, 5000)
-		t.Logf("remote chain: %.2f allocs/task", got)
-		if got > 2 {
-			t.Fatalf("remote chain: %.2f allocs/task, want <= 2", got)
+		got := allocsPerTask(t, b, 2, 1000, 5000)
+		t.Logf("remote chain: %.3f allocs/task", got)
+		if got > 1.01 {
+			t.Fatalf("remote chain: %.3f allocs/task, want <= 1 (the pool's Execute result)", got)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"amtlci/internal/fabric"
@@ -87,9 +88,17 @@ func (e *PeerDead) Error() string {
 // DeadPeer returns the rank declared dead (core.PeerDeath).
 func (e *PeerDead) DeadPeer() int { return e.To }
 
-// hbMsg marks a fabric message as a heartbeat beacon; the encoded Heartbeat
-// travels in the payload so fault injection can damage real bytes.
-type hbMsg struct{}
+// beacon is one heartbeat in flight: the fabric message (Meta points back
+// here) and the encoded Heartbeat it carries as its payload, so fault
+// injection can damage real bytes. Retired from the fabric's OnDone.
+type beacon struct {
+	s    *Stack
+	buf  [HeartbeatBytes]byte
+	msg  fabric.Message
+	live bool
+
+	onDone func()
+}
 
 // Heartbeat is the wire content of an explicit beacon.
 type Heartbeat struct {
@@ -113,23 +122,17 @@ const (
 // EncodeHeartbeat serializes a beacon.
 func EncodeHeartbeat(h Heartbeat) []byte {
 	b := make([]byte, HeartbeatBytes)
-	b[0] = byte(hbMagic & 0xFF)
-	b[1] = byte(hbMagic >> 8)
-	b[2] = hbVersion
-	put32 := func(off int, v uint32) {
-		b[off] = byte(v)
-		b[off+1] = byte(v >> 8)
-		b[off+2] = byte(v >> 16)
-		b[off+3] = byte(v >> 24)
-	}
-	put64 := func(off int, v uint64) {
-		put32(off, uint32(v))
-		put32(off+4, uint32(v>>32))
-	}
-	put32(3, uint32(h.From))
-	put64(7, h.Seq)
-	put64(15, uint64(h.Sent))
+	putHeartbeat(b, h)
 	return b
+}
+
+// putHeartbeat encodes h into b, which holds HeartbeatBytes bytes.
+func putHeartbeat(b []byte, h Heartbeat) {
+	binary.LittleEndian.PutUint16(b[0:], hbMagic)
+	b[2] = hbVersion
+	binary.LittleEndian.PutUint32(b[3:], uint32(h.From))
+	binary.LittleEndian.PutUint64(b[7:], h.Seq)
+	binary.LittleEndian.PutUint64(b[15:], uint64(h.Sent))
 }
 
 // DecodeHeartbeat parses a beacon, rejecting anything malformed: wrong
@@ -173,14 +176,15 @@ func (ep *endpoint) startHeartbeats() {
 			ep.lastHeard[p] = now
 		}
 	}
-	ep.hbTick = ep.eng.After(s.cfg.HeartbeatPeriod, ep.tickHeartbeats)
+	ep.tickFn = ep.tickHeartbeats
+	ep.hbTick = ep.eng.After(s.cfg.HeartbeatPeriod, ep.tickFn)
 }
 
 // tickHeartbeats runs once per period: expire silent leases, then beacon to
 // any peer the endpoint has not transmitted to for a full period.
 func (ep *endpoint) tickHeartbeats() {
 	s := ep.s
-	if ep.crashed || s.hbStopped.Load() {
+	if ep.crashed || s.hbStopped {
 		return
 	}
 	now := ep.eng.Now()
@@ -202,28 +206,54 @@ func (ep *endpoint) tickHeartbeats() {
 		}
 	}
 	// A failure callback above may have stopped the detector for good.
-	if !s.hbStopped.Load() && !ep.crashed {
-		ep.hbTick = ep.eng.After(s.cfg.HeartbeatPeriod, ep.tickHeartbeats)
+	if !s.hbStopped && !ep.crashed {
+		ep.hbTick = ep.eng.After(s.cfg.HeartbeatPeriod, ep.tickFn)
 	}
 }
 
 func (ep *endpoint) sendHeartbeat(peer int) {
 	s := ep.s
 	ep.hbSeq++
-	payload := EncodeHeartbeat(Heartbeat{
+	b := s.takeBeacon()
+	putHeartbeat(b.buf[:], Heartbeat{
 		From: int32(ep.rank),
 		Seq:  ep.hbSeq,
 		Sent: int64(ep.eng.Now()),
 	})
 	ep.hbSent.Inc()
 	ep.noteSent(peer)
-	s.fab.Send(&fabric.Message{
+	b.msg = fabric.Message{
 		Src:     ep.rank,
 		Dst:     peer,
-		Size:    int64(len(payload)),
-		Payload: payload,
-		Meta:    &hbMsg{},
-	})
+		Size:    HeartbeatBytes,
+		Payload: b.buf[:],
+		Meta:    b,
+		OnDone:  b.onDone,
+	}
+	s.fab.Send(&b.msg)
+}
+
+func (s *Stack) takeBeacon() *beacon {
+	b := s.beacons.Get()
+	if b == nil {
+		b = &beacon{s: s}
+		b.onDone = b.retire
+	}
+	b.live = true
+	return b
+}
+
+// retire is the beacon's OnDone. A corrupted beacon's payload is the private
+// copy the fabric flipped a byte in; it goes back to the fabric's scratch
+// pool.
+func (b *beacon) retire() {
+	if !b.live {
+		panic("rel: heartbeat record retired twice")
+	}
+	s := b.s
+	s.fab.RecyclePayload(&b.msg)
+	*b = beacon{s: s, onDone: b.onDone}
+	s.beacons.Put(b)
 }
 
 // onHeartbeat validates an explicit beacon. The lease itself was already
@@ -291,19 +321,13 @@ func (ep *endpoint) freeze() {
 // Idempotent: the detector may announce once per recovery epoch, and crashed
 // endpoints have already frozen their own timers.
 func (s *Stack) StopHeartbeats() {
-	if !s.hbStopped.CompareAndSwap(false, true) {
+	if s.hbStopped {
 		return
 	}
-	if s.fab.Domain().Shards() == 1 {
-		// Serial: cancel eagerly so the simulation ends at the announcement.
-		for _, ep := range s.eps {
-			ep.eng.Cancel(ep.hbTick)
-			ep.hbTick = sim.Event{}
-		}
-		return
+	s.hbStopped = true
+	// Cancel eagerly so the simulation ends at the announcement.
+	for _, ep := range s.eps {
+		ep.eng.Cancel(ep.hbTick)
+		ep.hbTick = sim.Event{}
 	}
-	// Sharded: canceling another shard's timer would race. Each endpoint's
-	// next tick observes the flag and declines to re-arm, so the detector
-	// winds down within one heartbeat period instead of instantly — the
-	// simulation tail grows by at most one period.
 }

@@ -25,7 +25,6 @@ package rel
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"amtlci/internal/fabric"
 	"amtlci/internal/metrics"
@@ -139,10 +138,9 @@ func (e *PeerUnreachable) Error() string {
 		e.To, e.From, e.LastSeq, e.Attempts)
 }
 
-// frame is the reliability header riding in Message.Meta of a data message;
-// the upper layer's payload and Meta travel inside it so a retransmission
-// redelivers pristine content even if the sender reused its buffer after
-// OnTx.
+// frame is the reliability header of a data message; the upper layer's
+// payload and Meta travel inside it so a retransmission redelivers pristine
+// content even if the sender reused its buffer after OnTx.
 type frame struct {
 	seq     uint64
 	sum     uint64
@@ -177,20 +175,57 @@ func (fr *frame) checksum(src, dst int) uint64 {
 	return h
 }
 
-// ackMsg is the Meta of a cumulative ACK: every frame below cum has been
-// delivered in order.
-type ackMsg struct {
-	cum uint64
-}
+// The layer's per-message state lives in pooled records (DESIGN.md §5.15),
+// each with its callbacks bound once when it is first built, so the protocol
+// allocates nothing in steady state. Records that ride the wire — a data
+// transmission, an ACK, a heartbeat — are retired from the fabric's OnDone,
+// when no copy of them can still arrive; a data message's txEntry is retired
+// once it is settled and the OnTx of its last transmission has run. The free
+// lists are the Stack's: the layer runs on one engine (New refuses a sharded
+// domain).
 
+// txEntry is the sender's record of one data message, from Send until it is
+// settled: acknowledged, or discarded with the rest of its peer's queue by a
+// failure verdict.
 type txEntry struct {
-	seq     uint64
-	fr      *frame
+	ep      *endpoint
+	tp      *txPeer
+	fr      frame
 	userTx  func()
 	timer   sim.Event
 	rto     sim.Duration
 	retries int
-	acked   bool
+	txOut   int  // transmissions whose OnTx has not run yet
+	settled bool // acknowledged or discarded: no timer, no retransmission
+	live    bool // between takeEntry and retire; a second retire panics
+
+	expire func() // the retransmit timer's callback, bound once
+}
+
+// wire is one transmission of a data frame: the fabric message (Meta points
+// back here) and the frame it carries, copied from the entry so that a late
+// copy — a duplicate, a reordered retransmission — reads its own frame even
+// after the entry has been retired and reused.
+type wire struct {
+	s     *Stack
+	e     *txEntry
+	first bool
+	fr    frame
+	msg   fabric.Message
+	live  bool
+
+	onTx, onDone func()
+}
+
+// ack is a cumulative ACK in flight: every frame below cum has been delivered
+// in order.
+type ack struct {
+	s    *Stack
+	cum  uint64
+	msg  fabric.Message
+	live bool
+
+	onDone func()
 }
 
 type txPeer struct {
@@ -201,28 +236,33 @@ type txPeer struct {
 }
 
 type rxPeer struct {
-	next     uint64            // next expected seq
-	ooo      map[uint64]*frame // early arrivals
+	ep       *endpoint
+	src      int
+	next     uint64           // next expected seq
+	ooo      map[uint64]frame // early arrivals
 	ackTimer sim.Event
+
+	sendAck func() // the delayed ACK's callback, bound once
 }
 
 type endpoint struct {
 	s     *Stack
 	rank  int
-	eng   *sim.Engine // owning shard engine: every timer this endpoint arms
+	eng   *sim.Engine
 	up    fabric.Handler
 	errFn func(peer int, err error)
 	tx    map[int]*txPeer
 	rx    map[int]*rxPeer
+	// upMsg is the one message deliverUp hands the upper layer, refilled per
+	// delivery: it is valid only during the handler call.
+	upMsg fabric.Message
 
 	// notified dedupes upper-layer failure notifications: a dead peer
 	// produces exactly one callback per endpoint, whether the verdict came
 	// from retry exhaustion, a lease expiry, or both — and no matter how
 	// many detectors fire concurrently. notifyMu guards the check-and-set
-	// (and every other read of the map): under a sharded domain a retry
-	// exhaustion on this endpoint's shard can race a lease expiry observed
-	// through state another shard published, and the winner of the lock is
-	// the one verdict the upper layer hears.
+	// (and every other read of the map), so of racing verdicts the winner of
+	// the lock is the one the upper layer hears.
 	notifyMu sync.Mutex
 	notified map[int]bool
 
@@ -231,6 +271,7 @@ type endpoint struct {
 	crashed   bool
 	hbSeq     uint64
 	hbTick    sim.Event
+	tickFn    func() // tickHeartbeats, bound once
 	lastSent  map[int]sim.Time
 	lastHeard map[int]sim.Time
 	// Stall watch (WatchProgress): the progress last sampled at this
@@ -272,11 +313,14 @@ type Stack struct {
 	peerDead    *metrics.Counter
 	rtoHist     *metrics.Histogram
 
+	entries sim.FreeList[txEntry]
+	wires   sim.FreeList[wire]
+	acks    sim.FreeList[ack]
+	beacons sim.FreeList[beacon]
+
 	// hbStopped ends the failure detector permanently (StopHeartbeats); the
 	// flag keeps a tick that is already executing from re-arming itself.
-	// Atomic because the termination detector announces from one rank while
-	// other shards' ticks read it.
-	hbStopped atomic.Bool
+	hbStopped bool
 	// progress is the stall watch's probe and stallStops counts the stops it
 	// caused (WatchProgress); both nil when unarmed.
 	progress   func() (work uint64, busy bool)
@@ -285,10 +329,14 @@ type Stack struct {
 
 // New interposes a reliability layer on fab. It takes over the fabric's
 // delivery handlers; callers must register theirs through the returned
-// Stack.
+// Stack. The layer runs on one engine: a fabric on a sharded domain is
+// refused.
 func New(fab *fabric.Fabric, cfg Config) (*Stack, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if n := fab.Domain().Shards(); n > 1 {
+		return nil, fmt.Errorf("rel: the reliability layer requires a single-shard domain (have %d shards)", n)
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -300,6 +348,10 @@ func New(fab *fabric.Fabric, cfg Config) (*Stack, error) {
 		peerDead:    reg.Counter("rel", "peer_dead", metrics.StackRank),
 		rtoHist:     reg.Histogram("rel", "rto_ns", metrics.StackRank),
 	}
+	s.entries.Cap = sim.ShardListCap
+	s.wires.Cap = sim.ShardListCap
+	s.acks.Cap = sim.ShardListCap
+	s.beacons.Cap = sim.ShardListCap
 	s.eps = make([]*endpoint, fab.Ranks())
 	for i := range s.eps {
 		ep := &endpoint{
@@ -334,7 +386,8 @@ func New(fab *fabric.Fabric, cfg Config) (*Stack, error) {
 func (s *Stack) Ranks() int { return len(s.eps) }
 
 // SetHandler installs the upper layer's delivery handler for rank
-// (fabric.Network).
+// (fabric.Network). The *fabric.Message a handler receives is valid only
+// during the call: the layer refills the same one for the next delivery.
 func (s *Stack) SetHandler(rank int, h fabric.Handler) { s.eps[rank].up = h }
 
 // SetErrHandler installs rank's unreachable-peer callback
@@ -347,7 +400,8 @@ func (s *Stack) SetErrHandler(rank int, fn func(peer int, err error)) {
 // Send accepts an upper-layer message (fabric.Network). Loopback traffic
 // bypasses the protocol — it models in-process delivery, and the fabric
 // never faults it. Sends to a peer already declared unreachable are
-// discarded: the error handler has fired and the graph is aborting.
+// discarded: the error handler has fired and the graph is aborting. Except
+// on loopback the layer copies what it needs and keeps no reference to m.
 func (s *Stack) Send(m *fabric.Message) {
 	ep := s.eps[m.Src]
 	if ep.crashed {
@@ -357,20 +411,93 @@ func (s *Stack) Send(m *fabric.Message) {
 		s.fab.Send(m)
 		return
 	}
-	tp := ep.txPeerFor(m.Dst)
-	if tp.dead {
-		return
+	if tp := ep.txPeerFor(m.Dst); !tp.dead {
+		ep.accept(tp, m)
 	}
-	fr := &frame{seq: tp.nextSeq, size: m.Size, meta: m.Meta, sent: ep.eng.Now()}
+}
+
+// accept frames m into a new entry on tp's queue and transmits it.
+func (ep *endpoint) accept(tp *txPeer, m *fabric.Message) {
+	s := ep.s
+	e := s.takeEntry()
+	e.ep, e.tp, e.userTx, e.rto = ep, tp, m.OnTx, s.cfg.RTO
+	e.fr = frame{seq: tp.nextSeq, size: m.Size, meta: m.Meta, sent: ep.eng.Now()}
 	tp.nextSeq++
 	if m.Payload != nil {
-		fr.payload = append([]byte(nil), m.Payload...)
+		e.fr.payload = append([]byte(nil), m.Payload...)
 	}
-	fr.sum = fr.checksum(m.Src, m.Dst)
-	e := &txEntry{seq: fr.seq, fr: fr, userTx: m.OnTx, rto: s.cfg.RTO}
+	e.fr.sum = e.fr.checksum(m.Src, m.Dst)
 	tp.q = append(tp.q, e)
 	ep.dataSent.Inc()
-	ep.transmit(tp, e, true)
+	ep.transmit(e, true)
+}
+
+func (s *Stack) takeEntry() *txEntry {
+	e := s.entries.Get()
+	if e == nil {
+		e = &txEntry{}
+		e.expire = func() { e.ep.timeout(e) }
+	}
+	e.live = true
+	return e
+}
+
+// settle ends e's protocol life: its timer is cancelled and nothing will
+// retransmit it. The record itself is retired once no OnTx of it is pending.
+func (ep *endpoint) settle(e *txEntry) {
+	ep.eng.Cancel(e.timer)
+	e.settled = true
+	if e.txOut == 0 {
+		ep.s.retireEntry(e)
+	}
+}
+
+func (s *Stack) retireEntry(e *txEntry) {
+	if !e.live {
+		panic("rel: data entry retired twice")
+	}
+	*e = txEntry{expire: e.expire}
+	s.entries.Put(e)
+}
+
+func (s *Stack) takeWire() *wire {
+	w := s.wires.Get()
+	if w == nil {
+		w = &wire{s: s}
+		w.onTx, w.onDone = w.txDone, w.retire
+	}
+	w.live = true
+	return w
+}
+
+// retire is the wire's OnDone: the fabric holds no copy of it any more.
+func (w *wire) retire() {
+	if !w.live {
+		panic("rel: wire record retired twice")
+	}
+	s := w.s
+	*w = wire{s: s, onTx: w.onTx, onDone: w.onDone}
+	s.wires.Put(w)
+}
+
+func (s *Stack) takeAck() *ack {
+	a := s.acks.Get()
+	if a == nil {
+		a = &ack{s: s}
+		a.onDone = a.retire
+	}
+	a.live = true
+	return a
+}
+
+// retire is the ACK's OnDone.
+func (a *ack) retire() {
+	if !a.live {
+		panic("rel: ACK record retired twice")
+	}
+	s := a.s
+	*a = ack{s: s, onDone: a.onDone}
+	s.acks.Put(a)
 }
 
 func (ep *endpoint) txPeerFor(peer int) *txPeer {
@@ -385,7 +512,8 @@ func (ep *endpoint) txPeerFor(peer int) *txPeer {
 func (ep *endpoint) rxPeerFor(peer int) *rxPeer {
 	rp := ep.rx[peer]
 	if rp == nil {
-		rp = &rxPeer{ooo: make(map[uint64]*frame)}
+		rp = &rxPeer{ep: ep, src: peer, ooo: make(map[uint64]frame)}
+		rp.sendAck = rp.flushAck
 		ep.rx[peer] = rp
 	}
 	return rp
@@ -395,35 +523,42 @@ func (ep *endpoint) rxPeerFor(peer int) *rxPeer {
 // starts at egress completion so transmit-queue backlog does not count
 // against the peer; the timer is armed even when the injector drops the
 // copy, because OnTx models NIC-side completion, not receipt.
-func (ep *endpoint) transmit(tp *txPeer, e *txEntry, first bool) {
+func (ep *endpoint) transmit(e *txEntry, first bool) {
 	s := ep.s
-	userTx := e.userTx
-	wm := &fabric.Message{
-		Src:  ep.rank,
-		Dst:  tp.peer,
-		Size: e.fr.size + s.cfg.HeaderBytes,
-		Meta: e.fr,
+	w := s.takeWire()
+	w.e, w.first, w.fr = e, first, e.fr
+	w.msg = fabric.Message{
+		Src:    ep.rank,
+		Dst:    e.tp.peer,
+		Size:   e.fr.size + s.cfg.HeaderBytes,
+		Meta:   w,
+		OnTx:   w.onTx,
+		OnDone: w.onDone,
 	}
-	wm.OnTx = func() {
-		if first && userTx != nil {
-			userTx()
-		}
-		if e.acked || tp.dead {
-			return
-		}
-		e.timer = ep.eng.After(e.rto, func() { ep.timeout(tp, e) })
-	}
-	ep.noteSent(tp.peer)
-	s.fab.Send(wm)
+	e.txOut++
+	ep.noteSent(e.tp.peer)
+	s.fab.Send(&w.msg)
 }
 
-func (ep *endpoint) timeout(tp *txPeer, e *txEntry) {
-	if e.acked || tp.dead {
-		return
+// txDone is the transmission's OnTx.
+func (w *wire) txDone() {
+	e := w.e
+	if w.first && e.userTx != nil {
+		e.userTx()
 	}
+	e.txOut--
+	switch {
+	case !e.settled:
+		e.timer = e.ep.eng.After(e.rto, e.expire)
+	case e.txOut == 0:
+		w.s.retireEntry(e)
+	}
+}
+
+func (ep *endpoint) timeout(e *txEntry) {
 	s := ep.s
 	if e.retries >= s.cfg.MaxRetries {
-		ep.declareDead(tp, e)
+		ep.declareDead(e)
 		return
 	}
 	e.retries++
@@ -433,24 +568,32 @@ func (ep *endpoint) timeout(tp *txPeer, e *txEntry) {
 		e.rto = s.cfg.MaxRTO
 	}
 	s.rtoHist.Observe(uint64(e.rto / sim.Nanosecond))
-	ep.transmit(tp, e, false)
+	ep.transmit(e, false)
 }
 
-func (ep *endpoint) declareDead(tp *txPeer, e *txEntry) {
-	ep.silence(tp)
-	ep.notifyPeerFailure(tp.peer,
-		&PeerUnreachable{From: ep.rank, To: tp.peer, Attempts: e.retries + 1, LastSeq: e.seq})
+func (ep *endpoint) declareDead(e *txEntry) {
+	tp := e.tp
+	err := &PeerUnreachable{From: ep.rank, To: tp.peer, Attempts: e.retries + 1, LastSeq: e.fr.seq}
+	ep.silence(tp) // retires e
+	ep.notifyPeerFailure(tp.peer, err)
 }
 
-// silence marks peer's tx side dead and cancels every pending retransmit
-// timer, discarding the unacknowledged queue. Further sends toward the peer
-// are swallowed.
+// silence marks peer's tx side dead and settles every unacknowledged entry,
+// cancelling its retransmit timer. Further sends toward the peer are
+// swallowed.
 func (ep *endpoint) silence(tp *txPeer) {
 	tp.dead = true
-	for _, q := range tp.q {
-		ep.eng.Cancel(q.timer)
+	for _, e := range tp.q {
+		ep.settle(e)
 	}
 	tp.q = nil
+}
+
+// alreadyNotified reports whether a failure verdict for peer has fired.
+func (ep *endpoint) alreadyNotified(peer int) bool {
+	ep.notifyMu.Lock()
+	defer ep.notifyMu.Unlock()
+	return ep.notified[peer]
 }
 
 // notifyPeerFailure surfaces one — exactly one — failure verdict per peer to
@@ -460,13 +603,6 @@ func (ep *endpoint) silence(tp *txPeer) {
 // casts deadvotes through rel). Without a registered handler the verdict
 // panics: a peer death nobody listens for is a silent hang waiting to
 // happen.
-// alreadyNotified reports whether a failure verdict for peer has fired.
-func (ep *endpoint) alreadyNotified(peer int) bool {
-	ep.notifyMu.Lock()
-	defer ep.notifyMu.Unlock()
-	return ep.notified[peer]
-}
-
 func (ep *endpoint) notifyPeerFailure(peer int, err error) {
 	ep.notifyMu.Lock()
 	if ep.notified[peer] {
@@ -499,14 +635,14 @@ func (ep *endpoint) onArrival(m *fabric.Message) {
 	// is alive, so the lease renews before the protocol inspects content.
 	ep.noteHeard(m.Src)
 	switch meta := m.Meta.(type) {
-	case *frame:
-		ep.onFrame(m, meta)
-	case *ackMsg:
+	case *wire:
+		ep.onFrame(m, &meta.fr)
+	case *ack:
 		if m.Corrupted {
 			return
 		}
 		ep.onAck(m.Src, meta.cum)
-	case *hbMsg:
+	case *beacon:
 		ep.onHeartbeat(m)
 	default:
 		panic(fmt.Sprintf("rel: rank %d: message from %d without reliability framing", ep.rank, m.Src))
@@ -516,11 +652,8 @@ func (ep *endpoint) onArrival(m *fabric.Message) {
 func (ep *endpoint) onFrame(m *fabric.Message, fr *frame) {
 	if m.Corrupted || fr.sum != fr.checksum(m.Src, m.Dst) {
 		// Damaged in flight: discard without touching receive state; the
-		// sender's timeout redelivers an intact copy. The payload of a
-		// Corrupted message is a private copy the fabric made to flip a byte
-		// in — hand it back for reuse.
+		// sender's timeout redelivers an intact copy.
 		ep.corruptDrop.Inc()
-		ep.s.fab.RecyclePayload(m)
 		return
 	}
 	rp := ep.rxPeerFor(m.Src)
@@ -529,57 +662,65 @@ func (ep *endpoint) onFrame(m *fabric.Message, fr *frame) {
 		// Duplicate of something already delivered (injector copy, or a
 		// retransmission whose ACK was lost). Re-ACK so the sender stops.
 		ep.dupDropped.Inc()
-		ep.scheduleAck(rp, m.Src)
+		ep.scheduleAck(rp)
 	case fr.seq > rp.next:
 		ep.outOfOrder.Inc()
-		rp.ooo[fr.seq] = fr
-		ep.scheduleAck(rp, m.Src)
+		rp.ooo[fr.seq] = *fr
+		ep.scheduleAck(rp)
 	default:
 		ep.deliverUp(m.Src, fr)
 		rp.next++
 		for {
-			nf := rp.ooo[rp.next]
-			if nf == nil {
+			nf, ok := rp.ooo[rp.next]
+			if !ok {
 				break
 			}
 			delete(rp.ooo, rp.next)
-			ep.deliverUp(m.Src, nf)
+			ep.deliverUp(m.Src, &nf)
 			rp.next++
 		}
-		ep.scheduleAck(rp, m.Src)
+		ep.scheduleAck(rp)
 	}
 }
 
 func (ep *endpoint) deliverUp(src int, fr *frame) {
 	ep.dataDelivered.Inc()
-	ep.up(&fabric.Message{
+	ep.upMsg = fabric.Message{
 		Src:     src,
 		Dst:     ep.rank,
 		Size:    fr.size,
 		Payload: fr.payload,
 		Meta:    fr.meta,
 		Sent:    fr.sent,
-	})
+	}
+	ep.up(&ep.upMsg)
+	ep.upMsg = fabric.Message{}
 }
 
-// scheduleAck arms the delayed cumulative ACK for src if one is not already
-// pending. The ACK carries rp.next as of fire time, so a burst of in-order
-// deliveries is acknowledged once.
-func (ep *endpoint) scheduleAck(rp *rxPeer, src int) {
-	s := ep.s
-	if rp.ackTimer.Pending() {
-		return
+// scheduleAck arms the delayed cumulative ACK toward rp's peer if one is not
+// already pending. The ACK carries rp.next as of fire time, so a burst of
+// in-order deliveries is acknowledged once.
+func (ep *endpoint) scheduleAck(rp *rxPeer) {
+	if !rp.ackTimer.Pending() {
+		rp.ackTimer = ep.eng.After(ep.s.cfg.AckDelay, rp.sendAck)
 	}
-	rp.ackTimer = ep.eng.After(s.cfg.AckDelay, func() {
-		ep.acksSent.Inc()
-		ep.noteSent(src)
-		s.fab.Send(&fabric.Message{
-			Src:  ep.rank,
-			Dst:  src,
-			Size: s.cfg.AckBytes,
-			Meta: &ackMsg{cum: rp.next},
-		})
-	})
+}
+
+// flushAck is the delayed ACK timer's callback.
+func (rp *rxPeer) flushAck() {
+	ep, s := rp.ep, rp.ep.s
+	ep.acksSent.Inc()
+	ep.noteSent(rp.src)
+	a := s.takeAck()
+	a.cum = rp.next
+	a.msg = fabric.Message{
+		Src:    ep.rank,
+		Dst:    rp.src,
+		Size:   s.cfg.AckBytes,
+		Meta:   a,
+		OnDone: a.onDone,
+	}
+	s.fab.Send(&a.msg)
 }
 
 func (ep *endpoint) onAck(peer int, cum uint64) {
@@ -587,10 +728,14 @@ func (ep *endpoint) onAck(peer int, cum uint64) {
 	if tp == nil || tp.dead {
 		return
 	}
-	for len(tp.q) > 0 && tp.q[0].seq < cum {
-		e := tp.q[0]
-		tp.q = tp.q[1:]
-		e.acked = true
-		ep.eng.Cancel(e.timer)
+	n := 0
+	for n < len(tp.q) && tp.q[n].fr.seq < cum {
+		ep.settle(tp.q[n])
+		n++
 	}
+	// Shift the rest down, so the queue reuses its array instead of
+	// creeping along it and reallocating.
+	k := copy(tp.q, tp.q[n:])
+	clear(tp.q[k:])
+	tp.q = tp.q[:k]
 }

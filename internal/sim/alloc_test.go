@@ -25,17 +25,11 @@ func steadyAllocs(work func(n int)) float64 {
 
 // TestEngineHotPathZeroAlloc pins the serial engine's steady state at zero
 // allocations: a fired event's slot returns to the pool before its callback
-// schedules the next, a cancelled timer's slot returns at Cancel, and Proc's
-// ring and bound completion callback reuse their memory.
+// schedules the next, a cancelled timer's slot returns at Cancel, the
+// calendar's buckets are lists through the pooled events and never grow, and
+// Proc's ring and bound completion callback reuse their memory.
 func TestEngineHotPathZeroAlloc(t *testing.T) {
 	e := NewEngine()
-	// A calendar bucket's slice grows to the deepest backlog it has ever
-	// held, and over 4096 buckets the last new maxima take millions of events
-	// to appear; give every bucket its capacity up front so that what is
-	// measured is the per-event path, not that tail.
-	for i := range e.buckets {
-		e.buckets[i].evs = make([]*event, 0, 64)
-	}
 	check := func(name string, work func(n int)) {
 		if per := steadyAllocs(work); per > 0.01 {
 			t.Errorf("%s: %.3f allocs/op, want 0", name, per)

@@ -9,11 +9,15 @@ import "math/bits"
 // a millisecond starting at the scan cursor. A network simulator's event
 // distribution is overwhelmingly near-future — NIC gaps (tens of ns), wire
 // latencies (~µs), receive overheads — so almost every event lands in a
-// bucket close to the cursor: insertion is a bucket-index computation plus an
-// append (the common case; a short memmove when an event arrives out of
+// bucket close to the cursor: insertion is a bucket-index computation plus a
+// tail link (the common case; a short walk when an event arrives out of
 // order within its bucket), and popping the minimum is a bitmap scan to the
-// first non-empty bucket plus a head-index bump. Both are O(1) amortized,
-// against O(log n) for the binary heap this replaced.
+// first non-empty bucket plus a head unlink. Both are O(1) amortized, against
+// O(log n) for the binary heap this replaced.
+//
+// A bucket is an intrusive singly linked list threaded through the pooled
+// events' next field, so the slots own no storage: an engine's calendar is
+// allocated once, at NewEngine, and never grows however deep a bucket gets.
 //
 // Tier two is a plain min-heap holding events beyond the window — heartbeat
 // leases, crash scripts, multi-epoch RunUntil horizons. When the window
@@ -34,11 +38,10 @@ const (
 	calMask    = calBuckets - 1
 )
 
-// bucket is one calendar slot: a slice consumed from head so that popping
-// the front costs an index bump, not a memmove.
+// bucket is one calendar slot: the ends of a list of events linked through
+// event.next, ascending by (when, seq). An empty slot has both ends nil.
 type bucket struct {
-	evs  []*event
-	head int
+	head, tail *event
 }
 
 func eventLess(a, b *event) bool {
@@ -65,24 +68,25 @@ func (e *Engine) bucketInsert(ev *event) {
 	idx := int(int64(ev.when)>>calShift) & calMask
 	ev.where = int32(idx)
 	b := &e.buckets[idx]
-	// Fast path: most events arrive in firing order within their bucket.
-	if n := len(b.evs); n == b.head || eventLess(b.evs[n-1], ev) {
-		b.evs = append(b.evs, ev)
-	} else {
-		lo, hi := b.head, len(b.evs)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if eventLess(b.evs[mid], ev) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	switch {
+	case b.head == nil:
+		b.head, b.tail = ev, ev
+		e.words[idx>>6] |= 1 << (idx & 63)
+	case eventLess(b.tail, ev):
+		// Fast path: most events arrive in firing order within their bucket.
+		b.tail.next = ev
+		b.tail = ev
+	case eventLess(ev, b.head):
+		ev.next = b.head
+		b.head = ev
+	default:
+		p := b.head
+		for eventLess(p.next, ev) {
+			p = p.next
 		}
-		b.evs = append(b.evs, nil)
-		copy(b.evs[lo+1:], b.evs[lo:])
-		b.evs[lo] = ev
+		ev.next = p.next
+		p.next = ev
 	}
-	e.words[idx>>6] |= 1 << (idx & 63)
 }
 
 // remove cancels a scheduled event. Bucketed events are cut out of their
@@ -93,16 +97,20 @@ func (e *Engine) remove(ev *event) {
 	case ev.where >= 0:
 		idx := int(ev.where)
 		b := &e.buckets[idx]
-		for i := b.head; i < len(b.evs); i++ {
-			if b.evs[i] == ev {
-				copy(b.evs[i:], b.evs[i+1:])
-				b.evs[len(b.evs)-1] = nil
-				b.evs = b.evs[:len(b.evs)-1]
-				break
-			}
+		var prev *event
+		for p := b.head; p != ev; p = p.next {
+			prev = p
 		}
-		if b.head == len(b.evs) {
-			b.evs, b.head = b.evs[:0], 0
+		if prev == nil {
+			b.head = ev.next
+		} else {
+			prev.next = ev.next
+		}
+		if b.tail == ev {
+			b.tail = prev
+		}
+		ev.next = nil
+		if b.head == nil {
 			e.words[idx>>6] &^= 1 << (idx & 63)
 		}
 		e.n--
@@ -128,8 +136,7 @@ func (e *Engine) remove(ev *event) {
 // which is invisible to firing order and keeps the returned minimum live.
 func (e *Engine) peek() (Time, bool) {
 	if b := e.nextBusy(); b >= 0 {
-		bk := &e.buckets[int(b)&calMask]
-		return bk.evs[bk.head].when, true
+		return e.buckets[int(b)&calMask].head.when, true
 	}
 	// Window empty: the minimum, if any, tops the overflow heap (the
 	// ordering invariant puts every bucketed event before every overflow
@@ -155,11 +162,10 @@ func (e *Engine) pop() *event {
 			e.cur = b
 			idx := int(b) & calMask
 			bk := &e.buckets[idx]
-			ev := bk.evs[bk.head]
-			bk.evs[bk.head] = nil
-			bk.head++
-			if bk.head == len(bk.evs) {
-				bk.evs, bk.head = bk.evs[:0], 0
+			ev := bk.head
+			bk.head, ev.next = ev.next, nil
+			if bk.head == nil {
+				bk.tail = nil
 				e.words[idx>>6] &^= 1 << (idx & 63)
 			}
 			return ev

@@ -13,6 +13,7 @@ type event struct {
 	when  Time
 	seq   uint64
 	fn    func()
+	next  *event // the next event in the same calendar bucket
 	gen   uint32
 	where int32 // bucket index, or one of the where* sentinels
 }
@@ -65,7 +66,7 @@ type Engine struct {
 	n       int // scheduled events (tombstones excluded)
 
 	// Calendar queue state; see calqueue.go.
-	buckets []bucket
+	buckets []bucket // lists through event.next: no storage of their own
 	words   []uint64 // non-empty bitmap, one bit per bucket
 	base    int64    // absolute bucket number of the window start
 	cur     int64    // scan cursor, base <= cur < base+calBuckets

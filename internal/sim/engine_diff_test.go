@@ -204,3 +204,101 @@ func TestEngineMatchesRefEngineRunUntil(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCalendarMatchesRef drives the calendar Engine and the heap RefEngine
+// through one operation stream decoded from the fuzz input — At, Cancel,
+// RunUntil and Stop at delays from same-timestamp ties through the same
+// bucket and the window to the overflow tier — and requires the same firing
+// order, clock and pending count after every RunUntil and at the end. Fired
+// events add to the stream: some schedule a child from inside the callback,
+// some call Stop mid-run.
+func FuzzCalendarMatchesRef(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 64, 2, 0, 128, 3, 4, 1, 0, 2, 2, 255, 255})
+	f.Add([]byte{0, 192, 1, 0, 0, 0, 0, 0, 5, 0, 65, 9, 1, 1, 2, 2, 1, 0, 6, 3, 3, 0, 128, 7})
+	f.Add([]byte{0, 130, 200, 0, 130, 100, 0, 2, 3, 1, 1, 3, 2, 130, 150, 0, 66, 66, 2, 194, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() byte {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return b
+		}
+		// delay decodes three bytes: the top two bits of the first pick the
+		// scale (ties and the same bucket, a few buckets, the window, the
+		// overflow tier), the next two the magnitude.
+		delay := func() Duration {
+			c := next()
+			v := Duration(next())<<8 | Duration(next())
+			return (v + Duration(c&63)) << [4]uint{0, 4, 14, 22}[c>>6]
+		}
+
+		cal, ref := NewEngine(), NewRefEngine()
+		var calOrder, refOrder []int
+		var calLive []Event
+		var refLive []*RefEvent
+		// fired is event me's callback on one engine: record it, and for some
+		// ids schedule a child or stop the run from inside the callback.
+		fired := func(me int, order *[]int, after func(Duration, func()), stop func()) func() {
+			return func() {
+				*order = append(*order, me)
+				if me%5 == 2 {
+					after(Duration(me*7919)%(1<<31), func() { *order = append(*order, -me) })
+				}
+				if me%11 == 7 {
+					stop()
+				}
+			}
+		}
+		calAfter := func(d Duration, fn func()) { cal.After(d, fn) }
+		refAfter := func(d Duration, fn func()) { ref.After(d, fn) }
+		id := 0
+		schedule := func(d Duration) {
+			calLive = append(calLive, cal.After(d, fired(id, &calOrder, calAfter, cal.Stop)))
+			refLive = append(refLive, ref.After(d, fired(id, &refOrder, refAfter, ref.Stop)))
+			id++
+		}
+		check := func(where string) {
+			if cal.Now() != ref.Now() || cal.Pending() != ref.Pending() {
+				t.Fatalf("%s: now %v pending %d, reference now %v pending %d",
+					where, cal.Now(), cal.Pending(), ref.Now(), ref.Pending())
+			}
+			if len(calOrder) != len(refOrder) {
+				t.Fatalf("%s: fired %d, reference fired %d", where, len(calOrder), len(refOrder))
+			}
+			for i := range calOrder {
+				if calOrder[i] != refOrder[i] {
+					t.Fatalf("%s: firing order diverges at %d: %d vs %d", where, i, calOrder[i], refOrder[i])
+				}
+			}
+		}
+		for steps := 0; len(in) > 0 && steps < 512; steps++ {
+			switch next() % 4 {
+			case 0:
+				schedule(delay())
+			case 1:
+				if len(calLive) > 0 {
+					i := int(next()) % len(calLive)
+					cal.Cancel(calLive[i])
+					ref.Cancel(refLive[i])
+				}
+			case 2:
+				h := cal.Now().Add(delay())
+				cal.RunUntil(h)
+				ref.RunUntil(h)
+				check("RunUntil")
+			case 3:
+				cal.Stop()
+				ref.Stop()
+			}
+		}
+		// Drain: each Run consumes one stop, so repeat until nothing is left.
+		for cal.Pending() > 0 {
+			cal.Run()
+			ref.Run()
+			check("Run")
+		}
+		check("end")
+	})
+}
