@@ -1,5 +1,5 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build vet test test-race chaos chaos-crash chaos-multicrash fuzz-smoke simd-smoke allocsites
+.PHONY: verify build vet test test-race chaos chaos-crash chaos-multicrash fuzz-smoke simd-smoke allocsites census
 
 verify:
 	./scripts/verify.sh
@@ -11,6 +11,12 @@ verify:
 W ?= hicma_wide_shards2
 allocsites:
 	./scripts/allocsites.sh $(W)
+
+# Code census (scripts/census.sh): Go lines outside benchmark/ (test and
+# non-test), CLIs, flags, exported identifiers and every test by name, one
+# "key value" pair per line. Diff two censuses to describe a change's size.
+census:
+	./scripts/census.sh
 
 # Chaos demonstration: fault sweep on both backends plus the severed-link
 # abort. verify.sh runs the -quick subset under a time budget.

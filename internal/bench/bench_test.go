@@ -228,6 +228,17 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+func TestTableCSV(t *testing.T) {
+	tbl := NewTable("x", "a", "b")
+	tbl.AddRow("plain", `quo"te,comma`)
+	var sb strings.Builder
+	tbl.CSV(&sb)
+	want := "a,b\nplain,\"quo\"\"te,comma\"\n"
+	if sb.String() != want {
+		t.Errorf("CSV = %q, want %q", sb.String(), want)
+	}
+}
+
 func TestBytesFormatting(t *testing.T) {
 	cases := []struct {
 		n    int64

@@ -63,7 +63,8 @@ func TestAMRoundTrip(t *testing.T) {
 
 // TestDuplicateTagRegPanicsOnBothBackends pins down the satellite fix: the
 // shared TagTable rejects duplicate registration, and both engines surface
-// that identically — a silent last-wins would corrupt collective matching.
+// that identically — a silent last-wins would hand one layer's messages to
+// another's handler.
 func TestDuplicateTagRegPanicsOnBothBackends(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, s *Stack) {
 		const tag core.Tag = 12

@@ -91,7 +91,8 @@ func TestCacheWarmReadAfterEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := testHash(0)
-	res := PointResult{Coll: []CollRow{{Algo: "auto", Picked: "rdb", TimeUS: 42.5}}}
+	res := PointResult{Chaos: &ChaosPointResult{BaselineNS: 42500,
+		Rows: []ChaosRow{{RatePct: 2, MakespanNS: 43100, Slowdown: 1.014, Retransmits: 7, Verified: true}}}}
 	if err := c.PutResult(victim, res); err != nil {
 		t.Fatal(err)
 	}

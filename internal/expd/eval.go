@@ -97,22 +97,6 @@ func AssembleTable(s Spec, pts []Point, results []PointResult) (*bench.Table, er
 		}
 		return t, nil
 
-	case KindColl:
-		t := bench.NewTable("expd coll sweep",
-			"backend", "op", "ranks", "bytes", "algorithm", "picked", "time_us")
-		for i, p := range pts {
-			rows := results[i].Coll
-			if rows == nil {
-				return nil, fmt.Errorf("expd: point %d: missing coll result", i)
-			}
-			for _, r := range rows {
-				t.AddRow(p.Backend, p.Op, strconv.Itoa(p.Ranks),
-					strconv.FormatInt(p.Size, 10), r.Algo, r.Picked,
-					fmt.Sprintf("%.3f", r.TimeUS))
-			}
-		}
-		return t, nil
-
 	case KindChaos:
 		t := bench.NewTable("expd chaos sweep",
 			"backend", "workload", "rate_pct", "makespan_ns", "slowdown",

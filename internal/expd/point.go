@@ -6,7 +6,6 @@ import (
 
 	"amtlci/internal/bench"
 	"amtlci/internal/chaos"
-	"amtlci/internal/coll"
 	"amtlci/internal/core/stack"
 	"amtlci/internal/fabric"
 	"amtlci/internal/rel"
@@ -18,7 +17,6 @@ import (
 // cache entry no matter which spec asked for it.
 const (
 	PointHiCMA = "hicma"
-	PointColl  = "coll"
 	PointChaos = "chaos"
 )
 
@@ -39,12 +37,6 @@ type Point struct {
 	Runs       int  `json:"runs,omitempty"`
 	Discard    int  `json:"discard,omitempty"`
 
-	// Collective points.
-	Op    string `json:"op,omitempty"`
-	Ranks int    `json:"ranks,omitempty"`
-	Size  int64  `json:"size,omitempty"`
-	Iters int    `json:"iters,omitempty"`
-
 	// Chaos points: one point per (backend, workload) carries the whole
 	// rate sweep, because every rate's slowdown is relative to the same
 	// fault-free baseline measured inside the point.
@@ -52,14 +44,6 @@ type Point struct {
 	Rates    []float64 `json:"rates,omitempty"` // percent
 
 	Seed uint64 `json:"seed,omitempty"`
-}
-
-// CollRow is one algorithm measurement of a collective point: each concrete
-// algorithm plus the selector's "auto" pick.
-type CollRow struct {
-	Algo   string  `json:"algo"`
-	Picked string  `json:"picked"`
-	TimeUS float64 `json:"time_us"`
 }
 
 // ChaosRow is one fault rate of a chaos point.
@@ -89,7 +73,6 @@ type ChaosPointResult struct {
 // a re-simulation would produce.
 type PointResult struct {
 	HiCMA *bench.HiCMAResult `json:"hicma,omitempty"`
-	Coll  []CollRow          `json:"coll,omitempty"`
 	Chaos *ChaosPointResult  `json:"chaos,omitempty"`
 }
 
@@ -126,31 +109,6 @@ func EvalPoint(p Point) (res PointResult, err error) {
 		r.HopLatencyMS = finite(r.HopLatencyMS)
 		r.AvgRank = finite(r.AvgRank)
 		return PointResult{HiCMA: &r}, nil
-
-	case PointColl:
-		_, k, kerr := parseOp(p.Op)
-		if kerr != nil {
-			return PointResult{}, kerr
-		}
-		rows := make([]CollRow, 0, 4)
-		measure := func(algo coll.Algorithm) bench.CollResult {
-			o := bench.DefaultCollOpts(b, k, p.Ranks, p.Size)
-			o.Algo = algo
-			o.Iters = p.Iters
-			if p.Seed != 0 {
-				o.Seed = p.Seed
-			}
-			return bench.Collective(o)
-		}
-		for _, a := range coll.Algorithms(k) {
-			r := measure(a)
-			rows = append(rows, CollRow{Algo: a.String(), Picked: r.Picked.String(),
-				TimeUS: r.Time.Seconds() * 1e6})
-		}
-		auto := measure(coll.Auto)
-		rows = append(rows, CollRow{Algo: "auto", Picked: auto.Picked.String(),
-			TimeUS: auto.Time.Seconds() * 1e6})
-		return PointResult{Coll: rows}, nil
 
 	case PointChaos:
 		_, w, werr := parseWorkload(p.Workload)

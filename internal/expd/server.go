@@ -48,8 +48,9 @@ type Server struct {
 }
 
 // NewServer opens the state directory, replays the checkpoint (re-queuing
-// any job that was queued or running when the previous incarnation died),
-// and starts the dispatcher.
+// any job that was queued or running when the previous incarnation died,
+// and failing any whose spec no longer canonicalizes), and starts the
+// dispatcher.
 func NewServer(opts Options) (*Server, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -75,8 +76,15 @@ func NewServer(opts Options) (*Server, error) {
 		return nil, err
 	}
 	for _, cj := range saved {
-		job := &Job{ID: cj.ID, Spec: cj.Spec, Points: cj.Spec.Points(),
-			state: cj.State, errMsg: cj.Error}
+		job := &Job{ID: cj.ID, Spec: cj.Spec, state: cj.State, errMsg: cj.Error}
+		if spec, err := cj.Spec.Canonical(); err != nil {
+			// A spec this build no longer accepts (a removed kind, say) has
+			// no points to run: it fails with the reason instead of
+			// finishing with nothing computed.
+			job.state, job.errMsg = StateFailed, err.Error()
+		} else {
+			job.Spec, job.Points = spec, spec.Points()
+		}
 		if job.state == StateDone {
 			// Trust-but-verify: a done job whose point results were evicted
 			// from the cache is demoted and re-run (cache hits cover

@@ -283,6 +283,45 @@ func TestServerResumesOldCheckpoint(t *testing.T) {
 	}
 }
 
+// TestServerFailsUnresumableCheckpoint: a checkpointed spec that no longer
+// canonicalizes resumes as a failed job naming the reason, under its
+// recorded ID, instead of reporting done with no points computed.
+// testdata/jobs-coll-spec.json is what an earlier server wrote for a
+// finished sweep of the since-removed coll kind.
+func TestServerFailsUnresumableCheckpoint(t *testing.T) {
+	coll, err := os.ReadFile(filepath.Join("testdata", "jobs-coll-spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, id, kind string
+		ckpt           []byte
+	}{
+		{"coll", "2369618a66c0a130ada633310ffe6b1967433c4ccab1f9c45a76dcd962a36df2", "coll", coll},
+		{"unknown kind", "77617270", "warp",
+			[]byte(`{"jobs":[{"id":"77617270","spec":{"kind":"warp"},"state":"queued"}]}`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "jobs.json"), tc.ckpt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv := newTestServer(t, dir)
+			defer srv.Close()
+			st, err := srv.Status(tc.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateFailed || st.Points != 0 {
+				t.Fatalf("resumed as %s with %d points, want failed with none", st.State, st.Points)
+			}
+			if !strings.Contains(st.Error, "kind") || !strings.Contains(st.Error, `"`+tc.kind+`"`) {
+				t.Errorf("error %q does not name kind %q", st.Error, tc.kind)
+			}
+		})
+	}
+}
+
 // jsonDecode is a tiny helper so the test reads naturally.
 func jsonDecode(r io.Reader, v any) error {
 	data, err := io.ReadAll(r)

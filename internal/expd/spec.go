@@ -1,13 +1,13 @@
 // Package expd is the experiment service: the deterministic simulator
 // exposed as a persistent, cache-fronted HTTP/JSON daemon (cmd/simd).
 //
-// An experiment Spec is one canonical schema for every HiCMA, collective
-// and chaos-rate sweep in the repository, and Spec → Points → EvalPoints is
-// the only code that runs them: the batch CLIs (cmd/experiments, cmd/hicma,
-// cmd/collbench, cmd/chaos) build a Spec from their flags and render the
-// results, and the service accepts the same Spec over HTTP. A spec is
-// validated and canonicalized, decomposed into self-contained sweep Points,
-// and the points are scheduled on a bounded worker pool (bench.SweepCtx).
+// An experiment Spec is one canonical schema for every HiCMA and chaos-rate
+// sweep in the repository, and Spec → Points → EvalPoints is the only code
+// that runs them: the batch CLIs (cmd/experiments, cmd/hicma, cmd/chaos)
+// build a Spec from their flags and render the results, and the service
+// accepts the same Spec over HTTP. A spec is validated and canonicalized,
+// decomposed into self-contained sweep Points, and the points are scheduled
+// on a bounded worker pool (bench.SweepCtx).
 // Every point is content-addressed by a stable hash of its canonical
 // encoding: because the simulation is deterministic, a cached point result
 // is *exactly* the result a re-simulation would produce, so repeated or
@@ -21,12 +21,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"amtlci/internal/bench"
 	"amtlci/internal/chaos"
-	"amtlci/internal/coll"
 	"amtlci/internal/core/stack"
 )
 
@@ -38,69 +36,10 @@ const (
 	// KindNodes is the Figure 5 / Table 2 sweep: strong scaling over node
 	// counts, sweeping tiles per node count for the best-tile series.
 	KindNodes = "nodes"
-	// KindColl is the cmd/collbench sweep: collective operation x algorithm
-	// x payload x rank count.
-	KindColl = "coll"
 	// KindChaos is the cmd/chaos fault sweep: workload x fault rate with
 	// the reliability layer interposed, verified numerics.
 	KindChaos = "chaos"
 )
-
-// Size is a byte count that accepts unit spellings on input: a JSON number
-// is taken as bytes, a JSON string is parsed with binary units ("256 B",
-// "4KiB", "1.5 MiB", "2 GiB" — fractions allowed, case per IEC). It always
-// marshals as the plain byte count, so every equivalent spelling
-// canonicalizes to the same encoding and therefore the same content hash.
-type Size int64
-
-// UnmarshalJSON implements the number-or-unit-string decoding.
-func (s *Size) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		var str string
-		if err := json.Unmarshal(data, &str); err != nil {
-			return err
-		}
-		n, err := ParseSize(str)
-		if err != nil {
-			return err
-		}
-		*s = n
-		return nil
-	}
-	var n int64
-	if err := json.Unmarshal(data, &n); err != nil {
-		return fmt.Errorf("expd: size %s: want a byte count or a unit string", data)
-	}
-	*s = Size(n)
-	return nil
-}
-
-// ParseSize parses a unit-spelled byte size: "<number> <unit>" with unit one
-// of B, KiB, MiB, GiB (binary, per bench.Bytes); the space is optional and
-// the number may be fractional as long as the result is a whole byte count.
-func ParseSize(s string) (Size, error) {
-	t := strings.TrimSpace(s)
-	mult := int64(1)
-	for _, u := range []struct {
-		suffix string
-		mult   int64
-	}{{"GiB", 1 << 30}, {"MiB", 1 << 20}, {"KiB", 1 << 10}, {"B", 1}} {
-		if strings.HasSuffix(t, u.suffix) {
-			t = strings.TrimSpace(strings.TrimSuffix(t, u.suffix))
-			mult = u.mult
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(t, 64)
-	if err != nil {
-		return 0, fmt.Errorf("expd: bad size %q: %v", s, err)
-	}
-	b := v * float64(mult)
-	if b < 0 || b != float64(int64(b)) {
-		return 0, fmt.Errorf("expd: size %q is not a whole byte count", s)
-	}
-	return Size(b), nil
-}
 
 // Spec is one experiment request. Every field is optional except Kind;
 // omitted fields take the documented defaults during canonicalization, so a
@@ -129,12 +68,6 @@ type Spec struct {
 	// Seed, when nonzero, overrides each point's default seed.
 	Seed uint64 `json:"seed,omitempty"`
 
-	// Collective sweeps.
-	Ops   []string `json:"ops,omitempty"`   // default: bcast, reduce, allreduce, allgather, barrier
-	Ranks []int    `json:"ranks,omitempty"` // default: 4, 16, 64
-	Sizes []Size   `json:"sizes,omitempty"` // default: bench.CollSizes
-	Iters int      `json:"iters,omitempty"` // default 3
-
 	// Chaos sweeps.
 	Workloads []string  `json:"workloads,omitempty"` // default: cholesky, hicma
 	Rates     []float64 `json:"rates,omitempty"`     // fault rates in percent (default 0.5, 1, 2)
@@ -154,27 +87,6 @@ func DecodeSpec(data []byte) (Spec, error) {
 		return Spec{}, fmt.Errorf("expd: bad spec: trailing data after JSON object")
 	}
 	return s.Canonical()
-}
-
-// collOpNames maps canonical op names to kinds, in canonical (report) order.
-var collOpNames = []struct {
-	name string
-	kind coll.Kind
-}{
-	{"bcast", coll.OpBcast},
-	{"reduce", coll.OpReduce},
-	{"allreduce", coll.OpAllreduce},
-	{"allgather", coll.OpAllgather},
-	{"barrier", coll.OpBarrier},
-}
-
-func parseOp(s string) (string, coll.Kind, error) {
-	for _, o := range collOpNames {
-		if strings.EqualFold(s, o.name) {
-			return o.name, o.kind, nil
-		}
-	}
-	return "", 0, fmt.Errorf("expd: unknown collective op %q", s)
 }
 
 func parseWorkload(s string) (string, chaos.Workload, error) {
@@ -222,7 +134,7 @@ func sortedUniqFloats(xs []float64) []float64 {
 }
 
 // Canonical validates s and returns its canonical form: defaults filled in,
-// list fields sorted and deduplicated, backend/op/workload spellings
+// list fields sorted and deduplicated, backend/workload spellings
 // normalized, Scale resolved into an explicit N. Two specs that describe
 // the same experiment canonicalize to the same value and therefore the same
 // Hash. The zero fields of other kinds stay zero, so the canonical JSON
@@ -264,8 +176,6 @@ func (s Spec) Canonical() (Spec, error) {
 	switch s.Kind {
 	case KindTile, KindNodes:
 		for _, e := range []error{
-			reject(len(s.Ops) != 0, "ops"), reject(len(s.Ranks) != 0, "ranks"),
-			reject(len(s.Sizes) != 0, "sizes"), reject(s.Iters != 0, "iters"),
 			reject(len(s.Workloads) != 0, "workloads"), reject(len(s.Rates) != 0, "rates"),
 		} {
 			if e != nil {
@@ -350,71 +260,6 @@ func (s Spec) Canonical() (Spec, error) {
 			return Spec{}, fmt.Errorf("expd: methodology retains no runs (%d runs, %d discarded)", c.Runs, c.Discard)
 		}
 
-	case KindColl:
-		for _, e := range []error{
-			reject(s.Scale != 0, "scale"), reject(s.N != 0, "n"),
-			reject(s.Nodes != 0, "nodes"), reject(len(s.NodeCounts) != 0, "node_counts"),
-			reject(len(s.Tiles) != 0, "tiles"), reject(s.MT, "mt"),
-			reject(s.SyncClocks, "sync_clocks"), reject(s.Steal, "steal"),
-			reject(s.Runs != 0, "runs"), reject(s.Discard != 0, "discard"),
-			reject(len(s.Workloads) != 0, "workloads"), reject(len(s.Rates) != 0, "rates"),
-		} {
-			if e != nil {
-				return Spec{}, e
-			}
-		}
-		if len(s.Ops) == 0 {
-			for _, o := range collOpNames {
-				c.Ops = append(c.Ops, o.name)
-			}
-		} else {
-			seen := map[string]bool{}
-			for _, o := range collOpNames { // canonical order, dedup
-				for _, in := range s.Ops {
-					name, _, err := parseOp(in)
-					if err != nil {
-						return Spec{}, err
-					}
-					if name == o.name && !seen[name] {
-						seen[name] = true
-						c.Ops = append(c.Ops, name)
-					}
-				}
-			}
-		}
-		c.Ranks = sortedUniqInts(s.Ranks)
-		if len(c.Ranks) == 0 {
-			c.Ranks = []int{4, 16, 64}
-		}
-		for _, n := range c.Ranks {
-			if n < 2 {
-				return Spec{}, fmt.Errorf("expd: rank count %d < 2", n)
-			}
-		}
-		if len(s.Sizes) == 0 {
-			for _, v := range bench.CollSizes() {
-				c.Sizes = append(c.Sizes, Size(v))
-			}
-		} else {
-			var raw []int
-			for _, v := range s.Sizes {
-				if v < 1 {
-					return Spec{}, fmt.Errorf("expd: payload size %d < 1", v)
-				}
-				raw = append(raw, int(v))
-			}
-			for _, v := range sortedUniqInts(raw) {
-				c.Sizes = append(c.Sizes, Size(v))
-			}
-		}
-		c.Iters = s.Iters
-		if c.Iters == 0 {
-			c.Iters = 3
-		}
-		if c.Iters < 1 {
-			return Spec{}, fmt.Errorf("expd: iters %d < 1", c.Iters)
-		}
-
 	case KindChaos:
 		for _, e := range []error{
 			reject(s.Scale != 0, "scale"), reject(s.N != 0, "n"),
@@ -422,8 +267,6 @@ func (s Spec) Canonical() (Spec, error) {
 			reject(len(s.Tiles) != 0, "tiles"), reject(s.MT, "mt"),
 			reject(s.SyncClocks, "sync_clocks"),
 			reject(s.Runs != 0, "runs"), reject(s.Discard != 0, "discard"),
-			reject(len(s.Ops) != 0, "ops"), reject(len(s.Ranks) != 0, "ranks"),
-			reject(len(s.Sizes) != 0, "sizes"), reject(s.Iters != 0, "iters"),
 		} {
 			if e != nil {
 				return Spec{}, e
@@ -458,8 +301,8 @@ func (s Spec) Canonical() (Spec, error) {
 		}
 
 	default:
-		return Spec{}, fmt.Errorf("expd: unknown spec kind %q (want %q, %q, %q, or %q)",
-			s.Kind, KindTile, KindNodes, KindColl, KindChaos)
+		return Spec{}, fmt.Errorf("expd: unknown spec kind %q (want %q, %q, or %q)",
+			s.Kind, KindTile, KindNodes, KindChaos)
 	}
 	return c, nil
 }
@@ -498,26 +341,6 @@ func (s Spec) Points() []Point {
 						SyncClocks: s.SyncClocks, Steal: s.Steal,
 						Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
 					})
-				}
-			}
-		}
-	case KindColl:
-		for _, b := range s.Backends {
-			for _, op := range s.Ops {
-				for _, n := range s.Ranks {
-					if op == "barrier" {
-						pts = append(pts, Point{
-							Kind: PointColl, Backend: b, Op: op, Ranks: n,
-							Iters: s.Iters, Seed: s.Seed,
-						})
-						continue
-					}
-					for _, size := range s.Sizes {
-						pts = append(pts, Point{
-							Kind: PointColl, Backend: b, Op: op, Ranks: n,
-							Size: int64(size), Iters: s.Iters, Seed: s.Seed,
-						})
-					}
 				}
 			}
 		}

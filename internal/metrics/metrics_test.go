@@ -37,7 +37,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestKindCollisionPanics(t *testing.T) {
+func TestReregisterAsOtherKindPanics(t *testing.T) {
 	r := New()
 	r.Counter("lci", "sent", 0)
 	defer func() {

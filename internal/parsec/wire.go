@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"amtlci/internal/coll"
 	"amtlci/internal/core"
 )
 
@@ -233,6 +232,15 @@ func rd64(b []byte) (int64, []byte)  { return int64(binary.LittleEndian.Uint64(b
 // treeSplit computes the binomial multicast children of the first rank in
 // ranks: it returns, for each child, the child-rooted slice of the subtree
 // (child first), appended to out. PaRSEC propagates broadcasts down such
-// trees so that no single rank serves every consumer. Tree construction is
-// delegated to the collectives subsystem, which owns the broadcast schedules.
-func treeSplit(out [][]int32, ranks []int32) [][]int32 { return coll.TreeSplit(out, ranks) }
+// trees so that no single rank serves every consumer; the list is the sorted
+// consumer set of one flow, and the caller reuses out across flows.
+func treeSplit(out [][]int32, ranks []int32) [][]int32 {
+	// Binomial: repeatedly hand off the upper half of the remaining list.
+	lo, hi := 0, len(ranks)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo+1)/2
+		out = append(out, ranks[mid:hi])
+		hi = mid
+	}
+	return out
+}

@@ -249,6 +249,32 @@ func TestTreeSplitDepthLogarithmic(t *testing.T) {
 	}
 }
 
+func TestTreeSplitMatchesBinomialShape(t *testing.T) {
+	// Every rank of a 13-rank list appears exactly once across the
+	// child-rooted subtrees.
+	ranks := make([]int32, 13)
+	for i := range ranks {
+		ranks[i] = int32(i * 3)
+	}
+	seen := map[int32]int{}
+	var walk func(sub []int32)
+	walk = func(sub []int32) {
+		seen[sub[0]]++
+		for _, ch := range treeSplit(nil, sub) {
+			walk(ch)
+		}
+	}
+	walk(ranks)
+	for _, r := range ranks {
+		if seen[r] != 1 {
+			t.Errorf("rank %d seen %d times", r, seen[r])
+		}
+	}
+	if len(treeSplit(nil, []int32{7})) != 0 {
+		t.Error("singleton list has children")
+	}
+}
+
 func TestTrivialTrees(t *testing.T) {
 	if c := treeSplit(nil, []int32{5}); len(c) != 0 {
 		t.Fatalf("singleton tree has children: %v", c)

@@ -4,8 +4,9 @@ import "testing"
 
 // Edge cases the old heap handled implicitly and the calendar queue must get
 // right explicitly: same-timestamp cancel/reschedule, mass cancellation
-// (collective abort paths), far-future events crossing calendar epochs
-// (heartbeat leases), and RunUntil horizons landing between buckets.
+// (a crashed rank's rel endpoint freezing every timer it owns), far-future
+// events crossing calendar epochs (heartbeat leases), and RunUntil horizons
+// landing between buckets.
 
 func TestCancelThenRescheduleSameTimestamp(t *testing.T) {
 	e := NewEngine()
@@ -55,7 +56,7 @@ func TestMassCancellation(t *testing.T) {
 	fired := 0
 	var evs []Event
 	// Spread events over buckets, the current bucket, and the overflow
-	// heap, as a collective abort would see them.
+	// heap, as a crashed rank's retransmit and ack timers would be.
 	for i := 0; i < 500; i++ {
 		d := Duration(i) * 100 * Nanosecond
 		if i%3 == 0 {

@@ -1,0 +1,54 @@
+#!/bin/sh
+# Code census: a machine-readable summary of the repository's size and
+# surface, one "key value" pair per line, so two censuses compare with diff.
+#
+#   go_lines_nontest N   lines of non-test Go outside benchmark/
+#   go_lines_test N      lines of *_test.go outside benchmark/
+#   clis N               cmd/ directories holding a main package
+#   flags N              flag definitions (flag.Int, flag.StringVar, ...) in cmd/
+#   exported N           exported top-level identifiers (funcs, methods, types,
+#                        consts, vars) in non-test Go outside benchmark/
+#   test PKG:NAME        every Test*/Fuzz* function, sorted
+#
+# Usage: scripts/census.sh [DIR]   (DIR defaults to the current directory;
+# also available as `make census`).
+set -eu
+cd "${1:-.}"
+
+gofiles() {
+    find . -path ./benchmark -prune -o -path ./.git -prune -o -name '*.go' -print | sort
+}
+lines() { xargs cat | wc -l | tr -d ' '; }
+
+echo "go_lines_nontest $(gofiles | grep -v '_test\.go$' | lines)"
+echo "go_lines_test $(gofiles | grep '_test\.go$' | lines)"
+
+clis=0
+for d in cmd/*/; do
+    if grep -qs '^package main$' "$d"*.go; then
+        clis=$((clis + 1))
+    fi
+done
+echo "clis $clis"
+
+echo "flags $(find cmd -name '*.go' ! -name '*_test.go' -exec cat {} + |
+    grep -oE '\bflag\.(Bool|Duration|Float64|Func|BoolFunc|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(' |
+    wc -l | tr -d ' ')"
+
+# Top-level exported names: single-line declarations, receivers included,
+# plus the members of const/var/type blocks.
+echo "exported $(gofiles | grep -v '_test\.go$' | xargs awk '
+    FNR == 1 { block = 0 }
+    /^(const|var|type) \($/ { block = 1; next }
+    block && /^\)/ { block = 0; next }
+    block && /^\t[A-Z]/ { n++; next }
+    /^func (\([^)]*\) )?[A-Z]/ || /^(const|var|type) [A-Z]/ { n++ }
+    END { print n + 0 }')"
+
+gofiles | grep '_test\.go$' | xargs awk '
+    /^func (Test|Fuzz)[A-Za-z0-9_]*\(/ {
+        name = $2; sub(/\(.*/, "", name)
+        dir = FILENAME; sub(/^\.\//, "", dir)
+        if (!sub(/\/[^\/]*$/, "", dir)) dir = "."
+        print "test " dir ":" name
+    }' | sort
