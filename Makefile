@@ -1,5 +1,5 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build vet test test-race chaos chaos-crash chaos-multicrash fuzz-smoke simd-smoke allocsites census
+.PHONY: verify build vet test test-race chaos chaos-crash chaos-multicrash fuzz-smoke simd-smoke allocsites census pairs
 
 verify:
 	./scripts/verify.sh
@@ -11,6 +11,17 @@ verify:
 W ?= hicma_wide_shards2
 allocsites:
 	./scripts/allocsites.sh $(W)
+
+# Alternating before/after pairs (scripts/pairs.sh): the benchmark built at
+# commit BASE and from the working tree runs workload W at SEED N times each,
+# alternating which runs first, and every end-to-end metric is printed per
+# pair, with each side's median and quartiles and how many pairs the change
+# wins or ties.
+BASE ?= HEAD
+SEED ?= 3
+N ?= 10
+pairs:
+	./scripts/pairs.sh $(W) $(BASE) $(SEED) $(N)
 
 # Code census (scripts/census.sh): Go lines outside benchmark/ (test and
 # non-test), CLIs, flags, exported identifiers and every test by name, one

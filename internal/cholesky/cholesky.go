@@ -61,14 +61,21 @@ type Pool struct {
 	// GFLOPS is the per-core double-precision rate used by the cost model.
 	GFLOPS float64
 
+	// virtOut is what a virtual-mode Execute returns: one dense-tile
+	// payload, built once and never written, so ranks on different shards
+	// may share it.
+	virtOut []parsec.DataRef
+
 	// Real mode (in != nil): the shared, read-only input; the factor tiles
-	// collected so far, indexed m*T+n; and the scratch the kernels of the
-	// task in hand take their temporaries from. The runtime executes tasks of
-	// one pool one at a time, so one workspace, reset per task, serves all
-	// ranks.
+	// collected so far, indexed m*T+n; the scratch the kernels of the task in
+	// hand take their temporaries from; and the slice Execute returns. A
+	// real-mode pool runs on a serial domain only, where the runtime executes
+	// its tasks one at a time, so one workspace, reset per task, serves all
+	// ranks, and out is lent to the runtime until the next Execute.
 	in     *Input
 	Result []*linalg.Matrix
 	ws     linalg.Workspace
+	out    [1]parsec.DataRef
 }
 
 // Input is the matrix a real-mode pool factors, cut into its lower-triangle
@@ -104,6 +111,7 @@ func NewVirtual(t, nb, ranks int, gflops float64) *Pool {
 		panic("cholesky: invalid pool parameters")
 	}
 	p := &Pool{T: t, NB: nb, grid: SquarishGrid(ranks), GFLOPS: gflops}
+	p.virtOut = []parsec.DataRef{parsec.VirtualData(p.tileBytes())}
 	p.rowRank, p.colRank = make([]int32, t), make([]int32, t)
 	for i := 0; i < t; i++ {
 		p.rowRank[i] = int32(i % p.grid.P * p.grid.Q)
@@ -334,12 +342,14 @@ func (p *Pool) MakeCopy(t parsec.TaskID, flow int32, size int64) parsec.DataRef 
 	return parsec.VirtualData(size)
 }
 
-// Execute implements Taskpool.
+// Execute implements Taskpool. The returned slice is the pool's: immutable
+// in virtual mode, overwritten by the next call in real mode.
 func (p *Pool) Execute(t parsec.TaskID, inputs []parsec.DataRef) []parsec.DataRef {
 	if p.in == nil {
-		return []parsec.DataRef{parsec.VirtualData(p.tileBytes())}
+		return p.virtOut
 	}
-	return []parsec.DataRef{p.executeReal(t, inputs)}
+	p.out[0] = p.executeReal(t, inputs)
+	return p.out[:]
 }
 
 // executeReal runs one kernel. Operands are decoded into the pool's

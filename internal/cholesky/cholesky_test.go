@@ -1,6 +1,7 @@
 package cholesky
 
 import (
+	"slices"
 	"testing"
 
 	"amtlci/internal/core/stack"
@@ -182,18 +183,20 @@ func TestVirtualFactorizationCompletesAndScales(t *testing.T) {
 }
 
 // TestRealTaskAllocs bounds what one real GEMM task allocates: the three
-// operand tiles are decoded into the pool's workspace, leaving the output
-// payload and the output slice. The task allocated 8 objects when each tile
-// was its own heap matrix.
+// operand tiles are decoded into the pool's workspace and the output slice is
+// the pool's, leaving the output payload. The task allocated 8 objects when
+// each tile was its own heap matrix, and 2 when Execute returned a fresh
+// slice. Execute's result is valid until the next call, so the operands are
+// copied out of it.
 func TestRealTaskAllocs(t *testing.T) {
 	const tiles, nb = 8, 4
 	prob := tlr.NewProblem(tiles*nb, 0.3, 1e-2)
 	p := NewReal(NewInput(tiles, nb, prob.Entry), 1, 30)
-	l := p.Execute(p.potrf(0), nil)
-	a := p.Execute(p.trsm(0, 2), l)
-	b := p.Execute(p.trsm(0, 1), l)
-	in := []parsec.DataRef{a[0], b[0]}
-	if got := testing.AllocsPerRun(100, func() { p.Execute(p.gemm(0, 2, 1), in) }); got > 2 {
-		t.Fatalf("real GEMM task allocates %v objects, want at most 2", got)
+	l := slices.Clone(p.Execute(p.potrf(0), nil))
+	a := p.Execute(p.trsm(0, 2), l)[0]
+	b := p.Execute(p.trsm(0, 1), l)[0]
+	in := []parsec.DataRef{a, b}
+	if got := testing.AllocsPerRun(100, func() { p.Execute(p.gemm(0, 2, 1), in) }); got > 1 {
+		t.Fatalf("real GEMM task allocates %v objects, want at most 1 (the output payload)", got)
 	}
 }

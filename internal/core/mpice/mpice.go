@@ -85,18 +85,19 @@ func DefaultConfig() Config {
 	}
 }
 
-// amSlot is one persistent receive of a registered tag. At most one delivery
-// is in flight per slot (the request is re-Started only after its callback
-// ran), so the two deferred steps of a delivery — run the callback, re-arm
-// the receive — are methods of the slot, bound once at TagReg.
+// amSlot is one persistent receive of a registered tag, request included: a
+// tag's slots are one allocation, made at TagReg. At most one delivery is in
+// flight per slot (the request is re-Started only after its callback ran),
+// so the two deferred steps of a delivery — run the callback, re-arm the
+// receive — alternate in one method, step, bound once at TagReg.
 type amSlot struct {
 	e   *Engine
 	tag core.Tag
 	cb  core.AMCallback
-	req *mpi.Request // its capacity is the tag's registered maxLen
+	req mpi.Request // its capacity is the tag's registered maxLen
 
-	dispatch func() // s.runCallback
-	rearm    func() // s.restart
+	delivered bool   // the callback ran; step re-arms next
+	step      func() // s.next
 }
 
 // sendRec is one deferred active-message send: SendAM (or SendAMMT) fills it,
@@ -393,13 +394,15 @@ func (e *Engine) TagReg(tag core.Tag, cb core.AMCallback, maxLen int64) {
 	}
 	e.tags.Register(tag, cb, maxLen)
 	e.reqs = e.reqs[:len(e.amSlots)] // drop the last pass's transfers
-	for i := 0; i < e.cfg.PersistentPerTag; i++ {
-		s := &amSlot{e: e, tag: tag, cb: cb}
-		s.dispatch, s.rearm = s.runCallback, s.restart
-		s.req = e.rank.RecvInit(maxLen, mpi.AnySource, int(tag))
-		e.rank.Start(s.req)
+	slots := make([]amSlot, e.cfg.PersistentPerTag)
+	for i := range slots {
+		s := &slots[i]
+		s.e, s.tag, s.cb = e, tag, cb
+		s.step = s.next
+		e.rank.RecvInit(&s.req, maxLen, mpi.AnySource, int(tag))
+		e.rank.Start(&s.req)
 		e.amSlots = append(e.amSlots, s)
-		e.reqs = append(e.reqs, s.req)
+		e.reqs = append(e.reqs, &s.req)
 	}
 }
 
@@ -653,7 +656,18 @@ func (e *Engine) dispatchAM(s *amSlot) {
 	// The callback and the persistent-receive re-arm both execute on the
 	// communication thread; while they run, no Testsome happens — the
 	// §4.3 head-of-line blocking.
-	e.comm.Submit(e.cfg.DispatchCost, s.dispatch)
+	e.comm.Submit(e.cfg.DispatchCost, s.step)
+}
+
+// next runs a delivery's next deferred step: the callback, then the re-arm.
+func (s *amSlot) next() {
+	if s.delivered {
+		s.delivered = false
+		s.restart()
+		return
+	}
+	s.delivered = true
+	s.runCallback()
 }
 
 // runCallback hands the received payload to the tag's callback. The request's
@@ -668,11 +682,11 @@ func (s *amSlot) runCallback() {
 	} else {
 		s.cb(e, s.tag, data.Bytes, st.Source)
 	}
-	e.comm.Submit(e.w.Config().PostCost, s.rearm)
+	e.comm.Submit(e.w.Config().PostCost, s.step)
 }
 
 func (s *amSlot) restart() {
-	s.e.rank.Start(s.req)
+	s.e.rank.Start(&s.req)
 	s.e.schedule()
 }
 

@@ -107,16 +107,25 @@ type Pool struct {
 	// (1 <= d < T), tabulated once: Cost and Execute ask up to three times
 	// per task.
 	rankAt []int32
+	// outAt[d] is the virtual-mode payload of a task whose output tile lies d
+	// block rows off the diagonal: the dense tile at 0, the packed rank-
+	// rankAt[d] tile beyond. Execute returns the one-entry window outAt[d:d+1].
+	// Nothing writes the table after NewVirtual, so ranks on different shards
+	// share it.
+	outAt []parsec.DataRef
 
 	// Real mode (in != nil): the shared, read-only input; the factor
-	// collected so far (ResultDiag[m], ResultLR[m*T+n] for n < m); and the
-	// scratch the kernels of the task in hand take their temporaries from.
-	// The runtime executes tasks of one pool one at a time, so one workspace,
-	// reset per task, serves all ranks.
+	// collected so far (ResultDiag[m], ResultLR[m*T+n] for n < m); the
+	// scratch the kernels of the task in hand take their temporaries from;
+	// and the slice Execute returns. A real-mode pool runs on a serial domain
+	// only, where the runtime executes its tasks one at a time, so one
+	// workspace, reset per task, serves all ranks, and out is lent to the
+	// runtime until the next Execute.
 	in         *Input
 	ResultDiag []*linalg.Matrix
 	ResultLR   []*tlr.LowRank
 	ws         linalg.Workspace
+	out        [1]parsec.DataRef
 }
 
 // Input is a generated, compressed covariance problem: the dense diagonal
@@ -157,9 +166,12 @@ func NewVirtual(par Params, ranks int) *Pool {
 		Pool:   cholesky.NewVirtual(t, par.NB, ranks, par.PotrfGFLOPS),
 		par:    par,
 		rankAt: make([]int32, t),
+		outAt:  make([]parsec.DataRef, t),
 	}
+	p.outAt[0] = parsec.VirtualData(p.denseBytes())
 	for d := 1; d < t; d++ {
 		p.rankAt[d] = int32(par.modelRank(d, t))
+		p.outAt[d] = parsec.VirtualData(p.lrBytes(int(p.rankAt[d])))
 	}
 	return p
 }
@@ -294,26 +306,19 @@ func (p *Pool) Name() string {
 	return fmt.Sprintf("hicma[N=%d,nb=%d,maxrank=%d]", p.par.N, p.par.NB, p.par.MaxRank)
 }
 
-// Execute runs the TLR kernels (real mode) or returns modeled payloads.
+// Execute runs the TLR kernels (real mode) or returns modeled payloads. The
+// returned slice is the pool's: a window of the immutable outAt table in
+// virtual mode, overwritten by the next call in real mode.
 func (p *Pool) Execute(t parsec.TaskID, inputs []parsec.DataRef) []parsec.DataRef {
 	if p.in == nil {
-		return []parsec.DataRef{parsec.VirtualData(p.virtualOutBytes(t))}
+		// Every task writes tile (m, n) of taskKMN, d = m-n rows off the
+		// diagonal (0 for POTRF and SYRK).
+		_, m, n := p.taskKMN(t)
+		d := m - n
+		return p.outAt[d : d+1 : d+1]
 	}
-	return []parsec.DataRef{p.executeReal(t, inputs)}
-}
-
-func (p *Pool) virtualOutBytes(t parsec.TaskID) int64 {
-	k, m, n := p.taskKMN(t)
-	_ = k
-	switch t.Class {
-	case ClassPOTRF, ClassSYRK:
-		return p.denseBytes()
-	case ClassTRSM:
-		return p.lrBytes(p.Rank(m, k))
-	case ClassGEMM:
-		return p.lrBytes(p.Rank(m, n))
-	}
-	panic("hicma: bad class")
+	p.out[0] = p.executeReal(t, inputs)
+	return p.out[:]
 }
 
 // MakeCopy implements Taskpool.

@@ -2,6 +2,7 @@ package hicma
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"amtlci/internal/cholesky"
@@ -296,9 +297,10 @@ func TestDiagonalTilePayloadDominatesAtLargeTiles(t *testing.T) {
 
 // TestRealTaskAllocs bounds what one real TLR GEMM task allocates: its
 // operands, the QR/SVD working copies and every intermediate come from the
-// pool's workspace, leaving the output payload and the output slice. The
-// task allocated 34 objects when each kernel temporary was its own heap
-// matrix.
+// pool's workspace and the output slice is the pool's, leaving the output
+// payload. The task allocated 34 objects when each kernel temporary was its
+// own heap matrix, and 2 when Execute returned a fresh slice. Execute's
+// result is valid until the next call, so the operands are copied out of it.
 func TestRealTaskAllocs(t *testing.T) {
 	const n, nb = 96, 16
 	par := DefaultParams(n, nb)
@@ -306,12 +308,12 @@ func TestRealTaskAllocs(t *testing.T) {
 	par.MaxRank = nb
 	p := NewReal(NewInput(par, tlr.NewProblem(n, 0.4, 1e-2)), 1)
 	tt := int64(p.T)
-	l := p.Execute(parsec.TaskID{Class: ClassPOTRF, Index: 0}, nil)
-	a := p.Execute(parsec.TaskID{Class: ClassTRSM, Index: 2}, l)
-	b := p.Execute(parsec.TaskID{Class: ClassTRSM, Index: 1}, l)
+	l := slices.Clone(p.Execute(parsec.TaskID{Class: ClassPOTRF, Index: 0}, nil))
+	a := p.Execute(parsec.TaskID{Class: ClassTRSM, Index: 2}, l)[0]
+	b := p.Execute(parsec.TaskID{Class: ClassTRSM, Index: 1}, l)[0]
 	gemm := parsec.TaskID{Class: ClassGEMM, Index: (0*tt+2)*tt + 1}
-	in := []parsec.DataRef{a[0], b[0]}
-	if got := testing.AllocsPerRun(100, func() { p.Execute(gemm, in) }); got > 2 {
-		t.Fatalf("real TLR GEMM task allocates %v objects, want at most 2", got)
+	in := []parsec.DataRef{a, b}
+	if got := testing.AllocsPerRun(100, func() { p.Execute(gemm, in) }); got > 1 {
+		t.Fatalf("real TLR GEMM task allocates %v objects, want at most 1 (the output payload)", got)
 	}
 }

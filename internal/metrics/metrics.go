@@ -23,11 +23,13 @@ package metrics
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Kind discriminates instrument types in snapshots.
@@ -169,15 +171,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return math.Inf(1) // unreachable
 }
 
-// probe is a registered sampling callback.
-type probe struct {
-	fn func() float64
-	// cumulative marks monotone probes (e.g. cumulative busy seconds): the
-	// sampler differentiates consecutive readings into a rate, exactly as it
-	// does for counters. Level probes (queue depths) are plotted directly.
-	cumulative bool
-}
-
 // Desc identifies one instrument.
 type Desc struct {
 	Layer string // owning subsystem: "fabric", "lci", "mpice", ...
@@ -185,66 +178,133 @@ type Desc struct {
 	Rank  int    // owning rank, or StackRank
 }
 
-// entry is one registered instrument.
+// entry is one registered instrument. A counter or gauge lives inside its
+// entry; a histogram, 65 buckets wide and rare, is allocated on its own; a
+// probe is its sampling callback, fn.
 type entry struct {
 	desc Desc
-	kind Kind
-	c    *Counter
-	g    *Gauge
+	c    Counter
+	g    Gauge
 	h    *Histogram
-	p    probe
+	fn   func() float64
+	kind Kind
+	// cumulative marks monotone probes (e.g. cumulative busy seconds): the
+	// sampler differentiates consecutive readings into a rate, exactly as it
+	// does for counters. Level probes (queue depths) are plotted directly.
+	cumulative bool
 }
 
 // Registry holds every instrument of one deployment, in registration order.
 // Lookup and registration are mutex-protected: under a sharded domain,
 // first-use creation can race between shards. The instruments themselves are
 // returned by pointer and used lock-free.
+//
+// A run builds its registry afresh, a few hundred instruments at a time, so
+// the registry is built from slabs. Entries are carved out of chunks in
+// registration order; a chunk is never grown or copied once made, so an
+// entry, and the counter or gauge inside it, keeps its address for the
+// registry's life. Chunks double from minChunk entries up to one size class
+// of chunkBytes, so a registry of five instruments stays small. The index
+// over them is one open-addressing table of entry pointers, at most half
+// full and probed linearly from the Desc's hash: a few bytes per instrument
+// and one allocation per doubling, where a map costs several times that.
 type Registry struct {
-	mu      sync.Mutex
-	entries []*entry
-	index   map[Desc]*entry
+	mu     sync.Mutex
+	chunks [][]entry
+	n      int
+	index  []*entry
+	seed   maphash.Seed
 }
 
+const (
+	minChunk   = 8
+	chunkBytes = 8 << 10
+	maxChunk   = chunkBytes / int(unsafe.Sizeof(entry{}))
+)
+
 // New returns an empty registry.
-func New() *Registry { return &Registry{index: make(map[Desc]*entry)} }
+func New() *Registry {
+	return &Registry{index: make([]*entry, 2*minChunk), seed: maphash.MakeSeed()}
+}
+
+// slot returns the index slot for d: the one holding d's entry, or the empty
+// one where it belongs. The caller holds r.mu.
+func (r *Registry) slot(d Desc) **entry {
+	h := maphash.String(r.seed, d.Layer) ^
+		maphash.String(r.seed, d.Name)*0x9E3779B97F4A7C15 ^
+		uint64(d.Rank)*0xC2B2AE3D27D4EB4F
+	mask := uint64(len(r.index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if e := r.index[i]; e == nil || e.desc == d {
+			return &r.index[i]
+		}
+	}
+}
 
 func (r *Registry) get(layer, name string, rank int, kind Kind) *entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	d := Desc{Layer: layer, Name: name, Rank: rank}
-	if e, ok := r.index[d]; ok {
+	at := r.slot(d)
+	if e := *at; e != nil {
 		if e.kind != kind {
 			panic(fmt.Sprintf("metrics: %s/%s rank %d registered as %v, requested as %v",
 				layer, name, rank, e.kind, kind))
 		}
 		return e
 	}
-	e := &entry{desc: d, kind: kind}
-	// Allocate the instrument under the lock: letting the caller fill it in
+	// Make the instrument under the lock: letting the caller fill it in
 	// lazily would let two shards observe a half-initialized entry.
-	switch kind {
-	case KindCounter:
-		e.c = &Counter{}
-	case KindGauge:
-		e.g = &Gauge{}
-	case KindHistogram:
+	e := r.push()
+	e.desc, e.kind = d, kind
+	if kind == KindHistogram {
 		e.h = &Histogram{}
 	}
-	r.entries = append(r.entries, e)
-	r.index[d] = e
+	*at = e
+	if 2*r.n > len(r.index) {
+		r.grow()
+	}
 	return e
+}
+
+// push takes the next zero entry of the last chunk, starting a new chunk
+// when it is full, and returns its stable address. The caller holds r.mu.
+func (r *Registry) push() *entry {
+	k := len(r.chunks) - 1
+	if k < 0 || len(r.chunks[k]) == cap(r.chunks[k]) {
+		size := minChunk
+		if k >= 0 {
+			size = min(2*cap(r.chunks[k]), maxChunk)
+		}
+		r.chunks = append(r.chunks, make([]entry, 0, size))
+		k++
+	}
+	c := r.chunks[k]
+	r.chunks[k] = c[:len(c)+1]
+	r.n++
+	return &r.chunks[k][len(c)]
+}
+
+// grow doubles the index and re-inserts every entry. The caller holds r.mu.
+func (r *Registry) grow() {
+	r.index = make([]*entry, 2*len(r.index))
+	for _, c := range r.chunks {
+		for i := range c {
+			*r.slot(c[i].desc) = &c[i]
+		}
+	}
 }
 
 // Counter returns the counter for (layer, name, rank), creating it on first
 // use. Requesting an existing name as a different kind panics: a metric name
 // collision is a programming error.
 func (r *Registry) Counter(layer, name string, rank int) *Counter {
-	return r.get(layer, name, rank, KindCounter).c
+	return &r.get(layer, name, rank, KindCounter).c
 }
 
 // Gauge returns the gauge for (layer, name, rank), creating it on first use.
 func (r *Registry) Gauge(layer, name string, rank int) *Gauge {
-	return r.get(layer, name, rank, KindGauge).g
+	return &r.get(layer, name, rank, KindGauge).g
 }
 
 // Histogram returns the histogram for (layer, name, rank), creating it on
@@ -260,38 +320,41 @@ func (r *Registry) Histogram(layer, name string, rank int) *Histogram {
 // the callback.
 func (r *Registry) Probe(layer, name string, rank int, cumulative bool, fn func() float64) {
 	e := r.get(layer, name, rank, KindProbe)
-	e.p = probe{fn: fn, cumulative: cumulative}
+	e.fn, e.cumulative = fn, cumulative
 }
 
 // Len returns the number of registered instruments.
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.entries)
+	return r.n
 }
 
-// entriesFrom returns the entries registered at index i onward, copied under
+// entriesFrom returns the entries registered at index i onward, listed under
 // the lock; the sampler uses it to adopt instruments created after Start.
 func (r *Registry) entriesFrom(i int) []*entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i >= len(r.entries) {
+	if i >= r.n {
 		return nil
 	}
-	out := make([]*entry, len(r.entries)-i)
-	copy(out, r.entries[i:])
+	out := make([]*entry, 0, r.n-i)
+	for _, c := range r.chunks {
+		if i >= len(c) {
+			i -= len(c)
+			continue
+		}
+		for j := i; j < len(c); j++ {
+			out = append(out, &c[j])
+		}
+		i = 0
+	}
 	return out
 }
 
-// snapshotEntries copies the entry list under the lock; the instruments
+// snapshotEntries lists every entry under the lock; the instruments
 // themselves are read lock-free.
-func (r *Registry) snapshotEntries() []*entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*entry, len(r.entries))
-	copy(out, r.entries)
-	return out
-}
+func (r *Registry) snapshotEntries() []*entry { return r.entriesFrom(0) }
 
 // Snapshot is the current state of one instrument.
 type Snapshot struct {
@@ -330,10 +393,10 @@ func (r *Registry) Snapshots() []Snapshot {
 			s.P50 = e.h.Quantile(0.50)
 			s.P99 = e.h.Quantile(0.99)
 		case KindProbe:
-			if e.p.fn != nil {
-				s.Value = e.p.fn()
+			if e.fn != nil {
+				s.Value = e.fn()
 			}
-			s.Cumulative = e.p.cumulative
+			s.Cumulative = e.cumulative
 		}
 		out = append(out, s)
 	}
@@ -363,9 +426,9 @@ func (r *Registry) Total(layer, name string) uint64 {
 // StackRank). Like Total, it panics when that counter was never registered.
 func (r *Registry) Value(layer, name string, rank int) uint64 {
 	r.mu.Lock()
-	e, ok := r.index[Desc{Layer: layer, Name: name, Rank: rank}]
+	e := *r.slot(Desc{Layer: layer, Name: name, Rank: rank})
 	r.mu.Unlock()
-	if !ok || e.kind != KindCounter {
+	if e == nil || e.kind != KindCounter {
 		panic(fmt.Sprintf("metrics: no counter %s/%s registered for rank %d", layer, name, rank))
 	}
 	return e.c.Value()

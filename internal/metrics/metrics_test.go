@@ -270,3 +270,45 @@ func TestSamplerCumulativeProbe(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistrySlab pins the registry's construction cost: 1,000 counters and
+// gauges come out of a handful of chunks, not two objects each, and a
+// pointer handed out before the chunks grew still names the live instrument.
+func TestRegistrySlab(t *testing.T) {
+	names := make([]string, 500)
+	for i := range names {
+		names[i] = fmt.Sprintf("m%d", i)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		r := New()
+		for i, name := range names {
+			r.Counter("slab", name, i%4)
+			r.Gauge("slab", name, 4+i%4)
+		}
+	})
+	t.Logf("1000 registrations: %v allocations", got)
+	if got > 40 {
+		t.Fatalf("registering 1000 counters and gauges took %v allocations, want <= 40", got)
+	}
+
+	r := New()
+	first := r.Counter("slab", "first", 0)
+	first.Add(7)
+	g := r.Gauge("slab", "first", 1)
+	g.Set(3)
+	for i, name := range names {
+		r.Counter("slab", name, i%4).Inc()
+		r.Gauge("slab", name, 4+i%4).Add(1)
+	}
+	first.Inc()
+	g.Add(2)
+	if got := r.Total("slab", "first"); got != 8 {
+		t.Fatalf("counter taken before 1000 registrations reads %d through Total, want 8", got)
+	}
+	if r.Counter("slab", "first", 0) != first || r.Gauge("slab", "first", 1) != g {
+		t.Fatal("re-registration returned a different instrument after the slab grew")
+	}
+	if g.Value() != 5 || r.Len() != 2+2*len(names) {
+		t.Fatalf("gauge %d, %d instruments; want 5 and %d", g.Value(), r.Len(), 2+2*len(names))
+	}
+}

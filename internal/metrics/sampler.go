@@ -78,7 +78,7 @@ func (s *Sampler) refresh() {
 		}
 		s.tracks = append(s.tracks, &trackState{
 			e:    e,
-			rate: e.kind == KindCounter || (e.kind == KindProbe && e.p.cumulative),
+			rate: e.kind == KindCounter || (e.kind == KindProbe && e.cumulative),
 		})
 	}
 }
@@ -138,8 +138,8 @@ func read(e *entry) float64 {
 	case KindGauge:
 		return float64(e.g.Value())
 	case KindProbe:
-		if e.p.fn != nil {
-			return e.p.fn()
+		if e.fn != nil {
+			return e.fn()
 		}
 	}
 	return 0

@@ -55,7 +55,8 @@ func TestRequestFreeContract(t *testing.T) {
 
 	pending := dst.Irecv(b, 0, 1)
 	mustPanic(t, "Free of an incomplete request", pending.Free)
-	persistent := dst.RecvInit(b.Size, 0, 2)
+	persistent := new(Request)
+	dst.RecvInit(persistent, b.Size, 0, 2)
 	mustPanic(t, "Free of a persistent request", persistent.Free)
 
 	sq := src.Isend(b, 1, 1)

@@ -211,7 +211,8 @@ func TestPersistentRecvLifecycle(t *testing.T) {
 	eng, w := harness(2)
 	pump(eng, w)
 	r1 := w.Rank(1)
-	q := r1.RecvInit(16, AnySource, 9)
+	q := new(Request)
+	r1.RecvInit(q, 16, AnySource, 9)
 	if q.Active() {
 		t.Fatal("RecvInit must not activate")
 	}
@@ -241,7 +242,8 @@ func TestPersistentRecvOwnsItsMessage(t *testing.T) {
 	pump(eng, w)
 	src, dst := w.Rank(0), w.Rank(1)
 	const capacity = 16 << 10
-	q := dst.RecvInit(capacity, AnySource, 9)
+	q := new(Request)
+	dst.RecvInit(q, capacity, AnySource, 9)
 	reqs := []*Request{q}
 	collect := func(what string) {
 		t.Helper()
@@ -334,7 +336,8 @@ func TestPersistentRecvOwnsItsMessage(t *testing.T) {
 func TestStartActiveRequestPanics(t *testing.T) {
 	eng, w := harness(2)
 	_ = eng
-	q := w.Rank(1).RecvInit(8, AnySource, 1)
+	q := new(Request)
+	w.Rank(1).RecvInit(q, 8, AnySource, 1)
 	w.Rank(1).Start(q)
 	defer func() {
 		if recover() == nil {

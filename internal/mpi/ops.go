@@ -108,14 +108,17 @@ func (r *Rank) Irecv(b buf.Buf, src, tag int) *Request {
 	return q
 }
 
-// RecvInit creates an inactive persistent receive (MPI_Recv_init) for
+// RecvInit makes *q an inactive persistent receive (MPI_Recv_init) for
 // messages of up to capacity bytes. Start activates it; the matched message is
-// read with Request.Data.
-func (r *Rank) RecvInit(capacity int64, src, tag int) *Request {
+// read with Request.Data. The request lives in storage the caller owns, so a
+// caller that pre-posts many receives allocates them together; the library
+// keeps q's address while the request lives, so *q must not be copied or
+// moved.
+func (r *Rank) RecvInit(q *Request, capacity int64, src, tag int) {
 	if capacity < 0 {
 		panic("mpi: negative receive capacity")
 	}
-	return &Request{r: r, kind: reqRecv, persistent: true, src: src, tag: tag, capacity: capacity}
+	*q = Request{r: r, kind: reqRecv, persistent: true, src: src, tag: tag, capacity: capacity}
 }
 
 // Start activates a persistent request (MPI_Start), releasing the message the

@@ -38,6 +38,10 @@ type GraphPool struct {
 
 	perRank []int64
 
+	// out is the slice Execute returns, reused by the next call (the
+	// Taskpool contract lends it to the runtime until then).
+	out []DataRef
+
 	// ExecuteFn, if non-nil, runs for every task (real numerics).
 	ExecuteFn func(t TaskID, inputs []DataRef, outputs []DataRef)
 }
@@ -248,13 +252,16 @@ func (g *GraphPool) Roots(rank int, emit func(TaskID)) {
 func (g *GraphPool) LocalTasks(rank int) int64 { return g.perRank[rank] }
 
 // Execute implements Taskpool: it allocates the declared flow sizes, runs
-// ExecuteFn if set, and returns the outputs.
+// ExecuteFn if set, and returns the outputs in the pool's scratch slice, so a
+// GraphPool runs on a serial domain only. ExecuteFn must not keep outputs
+// past its call either.
 func (g *GraphPool) Execute(t TaskID, inputs []DataRef) []DataRef {
 	gt := g.task(t)
-	outputs := make([]DataRef, gt.nflows)
-	for i := range outputs {
-		outputs[i] = g.alloc(g.flows.at(gt.flow0 + int32(i)).size)
+	outputs := g.out[:0]
+	for i := int32(0); i < gt.nflows; i++ {
+		outputs = append(outputs, g.alloc(g.flows.at(gt.flow0+i).size))
 	}
+	g.out = outputs
 	if g.ExecuteFn != nil {
 		g.ExecuteFn(t, inputs, outputs)
 	}

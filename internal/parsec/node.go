@@ -6,6 +6,7 @@ import (
 
 	"amtlci/internal/core"
 	"amtlci/internal/metrics"
+	recov "amtlci/internal/recover"
 	"amtlci/internal/sim"
 	"amtlci/internal/steal"
 )
@@ -109,13 +110,16 @@ type node struct {
 	stealLat                              *metrics.Histogram
 
 	// Scratch reused across tasks so the steady state allocates nothing of
-	// its own: taskpool edge lists, the input payloads handed to Execute, and
-	// complete's consumer-rank set and multicast children.
+	// its own: taskpool edge lists, the input payloads handed to Execute,
+	// complete's consumer-rank set and multicast children, and the flow list
+	// of a checkpoint. lastOutputs is the pool's Execute result, borrowed
+	// until complete has copied it into flow records.
 	inputScratch  []Dep
 	succScratch   []Dep
 	inputRefs     []DataRef
 	remoteScratch []int32
 	childScratch  [][]int32
+	ckptFlows     []recov.FlowCkpt
 	lastOutputs   []DataRef
 	// encBuf is the encode scratch of every active message this rank sends
 	// (SendAM and Put copy their payload before returning); actScratch is
@@ -276,6 +280,7 @@ func (n *node) releaseRunState() {
 	n.pendingAct, n.flushQueued, n.actFree = nil, nil, nil
 	n.inputScratch, n.succScratch, n.inputRefs = nil, nil, nil
 	n.remoteScratch, n.childScratch, n.lastOutputs = nil, nil, nil
+	n.ckptFlows = nil
 }
 
 // stateOf returns t's dependence state, creating it from the taskpool's

@@ -90,6 +90,15 @@ type Taskpool interface {
 	// may depend on the computation (e.g. tile ranks in TLR algorithms).
 	// Virtual-mode pools return storage-less payloads. Execute runs
 	// logically on a worker core of RankOf(t).
+	//
+	// The returned slice belongs to the pool: it is valid until the pool's
+	// next Execute, and the runtime never writes it or keeps it — each
+	// DataRef is copied into the runtime's own records before any other
+	// Execute runs (the payload bytes a DataRef names are the runtime's to
+	// keep). A pool may therefore hand back one scratch slice per call. On a
+	// sharded domain the ranks of different shards call Execute concurrently,
+	// so a pool that runs there must return slices nobody writes (a table
+	// built once), never a scratch.
 	Execute(t TaskID, inputs []DataRef) []DataRef
 
 	// MakeCopy returns the landing buffer at a consuming rank for a remote

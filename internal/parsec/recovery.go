@@ -151,7 +151,8 @@ func (rt *Runtime) isDone(t TaskID) bool {
 }
 
 // checkpointTask streams a completed task's outputs to the rank's buddy.
-// No-op (and zero-cost) when recovery is off.
+// No-op (and zero-cost) when recovery is off. The flow list is node scratch,
+// cleared afterwards so it pins no payload: the manager keeps its own copy.
 func (rt *Runtime) checkpointTask(n *node, t TaskID, outputs []DataRef) {
 	if rt.rec == nil || n.dead {
 		return
@@ -161,10 +162,12 @@ func (rt *Runtime) checkpointTask(n *node, t TaskID, outputs []DataRef) {
 			t, len(outputs)))
 		return
 	}
-	flows := make([]recov.FlowCkpt, len(outputs))
+	flows := n.ckptFlows[:0]
 	for i, o := range outputs {
-		flows[i] = recov.FlowCkpt{Flow: int32(i), Size: o.Buf.Size, Data: o.Buf.Bytes}
+		flows = append(flows, recov.FlowCkpt{Flow: int32(i), Size: o.Buf.Size, Data: o.Buf.Bytes})
 	}
+	n.ckptFlows = flows
+	defer clear(flows)
 	k := recov.Key{Class: t.Class, Index: t.Index}
 	m := rt.rec.cfg.Managers[n.rank]
 	if owner := rt.rankOf(t); owner != n.rank {

@@ -35,9 +35,11 @@
 package recover
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"amtlci/internal/core"
 	"amtlci/internal/metrics"
@@ -56,6 +58,12 @@ type Key struct {
 	Index int64
 }
 
+// compareKeys is the deterministic (Class, Index) order of adopted and
+// re-replicated key lists.
+func compareKeys(a, b Key) int {
+	return cmp.Or(cmp.Compare(a.Class, b.Class), cmp.Compare(a.Index, b.Index))
+}
+
 // FlowCkpt is one output flow of a checkpointed task. Data nil with Size 0
 // marks a purely-virtual flow (a dependency with no payload); otherwise Data
 // holds Size bytes of tile content.
@@ -63,6 +71,46 @@ type FlowCkpt struct {
 	Flow int32
 	Size int64
 	Data []byte
+}
+
+// ckpt is one stored checkpoint, whose only allocation of its own is data.
+// A single-flow checkpoint, the only kind the runtime takes, keeps its flow
+// header inline, and data is an exact-size copy of its payload (nil for a
+// virtual flow). Any other flow count keeps a copy of its whole frame in
+// data, which decodes zero-copy on the way out.
+type ckpt struct {
+	data   []byte
+	size   int64 // the single flow's Size
+	flow   int32 // the single flow's id
+	owner  int32 // stored checkpoints: the rank whose death orphans it
+	framed bool  // data is the frame, not one flow's payload
+}
+
+// newCkpt copies a decoded frame into a store record. flows (decoded from
+// frame) and frame may be memory the caller reuses (a frame scratch, an AM
+// payload): the record is not.
+func newCkpt(flows []FlowCkpt, frame []byte) ckpt {
+	if len(flows) != 1 {
+		return ckpt{data: bytes.Clone(frame), framed: true}
+	}
+	c := ckpt{size: flows[0].Size, flow: flows[0].Flow}
+	if len(flows[0].Data) > 0 {
+		c.data = bytes.Clone(flows[0].Data)
+	}
+	return c
+}
+
+// appendFlows appends c's flows to out; their Data aliases the record.
+func (c *ckpt) appendFlows(out []FlowCkpt) []FlowCkpt {
+	if c.framed {
+		out, _, _, _ = decodeWire(c.data, out) // it decoded before it was stored
+		return out
+	}
+	f := FlowCkpt{Flow: c.flow, Size: c.size}
+	if len(c.data) > 0 {
+		f.Data = c.data[:len(c.data):len(c.data)]
+	}
+	return append(out, f)
 }
 
 // Manager is the per-rank checkpoint store: it holds this rank's own
@@ -73,15 +121,24 @@ type Manager struct {
 	eng   core.Engine
 	buddy int
 
-	local  map[Key][]FlowCkpt
-	stored map[Key][]FlowCkpt
-	// owner[k] is the rank whose death orphans stored[k]. Keys in local are
-	// always owned by this rank and carry no entry here.
-	owner map[Key]int
+	// local holds the checkpoints this rank owns; stored those it keeps on a
+	// peer's behalf, each carrying its owner.
+	local  map[Key]ckpt
+	stored map[Key]ckpt
 
 	// dead[r] marks peers this rank's failure detector has declared gone:
 	// frames to them are suppressed instead of counted into sent/bytes.
 	dead []bool
+
+	// Scratch, reused by every call (all of them run on the communication
+	// thread): enc is the frame being shipped (SendAM copies it before it
+	// returns), view a frame decoded zero-copy or a record's flows being
+	// re-encoded, found the flows Lookup returns, and keys RereplicateAll's
+	// key list.
+	enc   []byte
+	view  []FlowCkpt
+	found []FlowCkpt
+	keys  []Key
 
 	// Checkpoint counters (metrics registry, layer "recover", this rank):
 	// ckpt_sent and ckpt_bytes count frames shipped to live destinations and
@@ -106,9 +163,8 @@ func NewManager(e core.Engine, mreg *metrics.Registry) *Manager {
 	m := &Manager{
 		eng:    e,
 		buddy:  (e.Rank() + 1) % e.Size(),
-		local:  make(map[Key][]FlowCkpt),
-		stored: make(map[Key][]FlowCkpt),
-		owner:  make(map[Key]int),
+		local:  make(map[Key]ckpt),
+		stored: make(map[Key]ckpt),
 		dead:   make([]bool, e.Size()),
 
 		sent:     mreg.Counter("recover", "ckpt_sent", e.Rank()),
@@ -144,32 +200,39 @@ func (m *Manager) MarkDead(r int) {
 // PeerDead reports whether MarkDead has been called for r.
 func (m *Manager) PeerDead(r int) bool { return r >= 0 && r < len(m.dead) && m.dead[r] }
 
-// ship sends one encoded frame to dst unless dst is this rank or known dead,
-// booking sent/bytes only for frames that actually hit the wire.
-func (m *Manager) ship(dst int, frame []byte) bool {
+// ship sends the encoded frame in m.enc to dst unless dst is this rank or
+// known dead, booking sent/bytes only for frames that actually hit the wire.
+func (m *Manager) ship(dst int) bool {
 	if dst == m.eng.Rank() || m.dead[dst] {
 		return false
 	}
 	m.sent.Inc()
-	m.bytes.Add(uint64(len(frame)))
-	m.eng.SendAM(TagCkpt, dst, frame)
+	m.bytes.Add(uint64(len(m.enc)))
+	m.eng.SendAM(TagCkpt, dst, m.enc)
 	return true
+}
+
+// selfCheck decodes the frame just encoded into m.enc, zero-copy into
+// m.view, so the codec is exercised on every checkpoint: a frame this rank
+// cannot read back is a bug here, not bad input.
+func (m *Manager) selfCheck() []FlowCkpt {
+	flows, _, _, err := decodeWire(m.enc, m.view[:0])
+	m.view = flows
+	if err != nil {
+		panic(fmt.Sprintf("recover: self-encoded checkpoint undecodable: %v", err))
+	}
+	return flows
 }
 
 // Checkpoint records k's output flows locally and ships a copy to the buddy
 // (skipped without touching the sent/bytes books when the buddy is known
 // dead — the NIC would drop the frame). It must be called on the
 // communication thread. The local store keeps the decoded form of the wire
-// frame (not the caller's slices), so the codec is exercised on every
-// checkpoint and callers may reuse their buffers.
+// frame, in one copy of its own, so callers may reuse their buffers.
 func (m *Manager) Checkpoint(k Key, flows []FlowCkpt) {
-	frame := encodeCkpt(k, flows)
-	dec, _, _, err := decodeWire(frame)
-	if err != nil {
-		panic(fmt.Sprintf("recover: self-encoded checkpoint undecodable: %v", err))
-	}
-	m.local[k] = dec
-	m.ship(m.buddy, frame)
+	m.enc = appendFrame(m.enc[:0], k, flows, -1)
+	m.local[k] = newCkpt(m.selfCheck(), m.enc)
+	m.ship(m.buddy)
 }
 
 // CheckpointFor records a completion executed away from its owner (work
@@ -181,22 +244,17 @@ func (m *Manager) Checkpoint(k Key, flows []FlowCkpt) {
 // known-dead destinations are skipped without touching the books. Must be
 // called on the communication thread.
 func (m *Manager) CheckpointFor(k Key, flows []FlowCkpt, owner int, dsts ...int) {
-	frame := encodeRereplicate(k, flows, owner)
-	dec, _, _, err := decodeWire(frame)
-	if err != nil {
-		panic(fmt.Sprintf("recover: self-encoded checkpoint undecodable: %v", err))
-	}
-	seen := make(map[int]bool, len(dsts))
-	for _, d := range dsts {
-		if seen[d] {
+	m.enc = appendFrame(m.enc[:0], k, flows, owner)
+	dec := m.selfCheck()
+	for i, d := range dsts {
+		if slices.Contains(dsts[:i], d) {
 			continue
 		}
-		seen[d] = true
 		if d == m.eng.Rank() {
-			m.accept(k, dec, owner)
+			m.accept(k, newCkpt(dec, m.enc), owner)
 			continue
 		}
-		m.ship(d, frame)
+		m.ship(d)
 	}
 }
 
@@ -207,24 +265,18 @@ func (m *Manager) CheckpointFor(k Key, flows []FlowCkpt, owner int, dsts ...int)
 // Rereplicate so the adopted set regains a second live copy.
 func (m *Manager) AdoptOrphans(deadOwner int) []Key {
 	var keys []Key
-	for k, o := range m.owner {
-		if o != deadOwner {
+	for k, c := range m.stored {
+		if int(c.owner) != deadOwner {
 			continue
 		}
 		if _, ok := m.local[k]; !ok {
-			m.local[k] = m.stored[k]
+			m.local[k] = c
 		}
 		delete(m.stored, k)
-		delete(m.owner, k)
 		m.orphaned.Inc()
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Class != keys[j].Class {
-			return keys[i].Class < keys[j].Class
-		}
-		return keys[i].Index < keys[j].Index
-	})
+	slices.SortFunc(keys, compareKeys)
 	return keys
 }
 
@@ -236,16 +288,18 @@ func (m *Manager) AdoptOrphans(deadOwner int) []Key {
 func (m *Manager) Rereplicate(keys []Key) int {
 	n := 0
 	for _, k := range keys {
-		flows, ok := m.local[k]
+		c, ok := m.local[k]
 		if !ok {
 			continue
 		}
-		frame := encodeRereplicate(k, flows, m.eng.Rank())
-		if m.ship(m.buddy, frame) {
+		m.view = c.appendFlows(m.view[:0])
+		m.enc = appendFrame(m.enc[:0], k, m.view, m.eng.Rank())
+		if m.ship(m.buddy) {
 			m.rerep.Inc()
 			n++
 		}
 	}
+	clear(m.view) // the records may be replaced; the scratch must not pin them
 	return n
 }
 
@@ -253,17 +307,12 @@ func (m *Manager) Rereplicate(keys []Key) int {
 // current buddy in deterministic key order — the full repair a rank performs
 // when its buddy dies and a fresh one is assigned.
 func (m *Manager) RereplicateAll() int {
-	keys := make([]Key, 0, len(m.local))
+	m.keys = m.keys[:0]
 	for k := range m.local {
-		keys = append(keys, k)
+		m.keys = append(m.keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Class != keys[j].Class {
-			return keys[i].Class < keys[j].Class
-		}
-		return keys[i].Index < keys[j].Index
-	})
-	return m.Rereplicate(keys)
+	slices.SortFunc(m.keys, compareKeys)
+	return m.Rereplicate(m.keys)
 }
 
 // Has reports whether k completed here or is stored on behalf of a peer.
@@ -273,35 +322,42 @@ func (m *Manager) Has(k Key) bool {
 	return okL || okS
 }
 
-// Lookup returns k's checkpointed flows, local copies first.
+// Lookup returns k's checkpointed flows, local copies first. The slice and
+// the Data it names are the manager's: read-only, and valid until the next
+// Lookup.
 func (m *Manager) Lookup(k Key) ([]FlowCkpt, bool) {
-	if fs, ok := m.local[k]; ok {
-		return fs, true
+	c, ok := m.local[k]
+	if !ok {
+		c, ok = m.stored[k]
 	}
-	fs, ok := m.stored[k]
-	return fs, ok
+	if !ok {
+		return nil, false
+	}
+	m.found = c.appendFlows(m.found[:0])
+	return m.found, true
 }
 
-// accept files one decoded checkpoint under its owner: this rank's own
+// accept files one checkpoint record under its owner: this rank's own
 // completions (stolen tasks coming home, adopted orphans re-arriving) join
 // the local set; anything else is stored on the owner's behalf.
-func (m *Manager) accept(k Key, flows []FlowCkpt, owner int) {
+func (m *Manager) accept(k Key, c ckpt, owner int) {
 	m.stored_.Inc()
 	if owner == m.eng.Rank() {
-		m.local[k] = flows
+		m.local[k] = c
 		delete(m.stored, k)
-		delete(m.owner, k)
 		return
 	}
-	m.stored[k] = flows
-	m.owner[k] = owner
+	c.owner = int32(owner)
+	m.stored[k] = c
 }
 
 // onCkpt accepts a checkpoint frame from the wire. The AM payload is only
-// valid during the callback, so decodeWire's copies are load-bearing. A v1
+// valid during the callback, so the record's copy is load-bearing. A v1
 // frame's owner is the sender; a v2 frame names its owner explicitly.
 func (m *Manager) onCkpt(_ core.Engine, _ core.Tag, data []byte, src int) {
-	flows, k, owner, err := decodeWire(data)
+	flows, k, owner, err := decodeWire(data, m.view[:0])
+	m.view = flows
+	defer clear(flows) // the scratch must not pin the AM payload
 	if err != nil {
 		m.bad.Inc()
 		return
@@ -313,7 +369,7 @@ func (m *Manager) onCkpt(_ core.Engine, _ core.Tag, data []byte, src int) {
 		m.bad.Inc()
 		return
 	}
-	m.accept(k, flows, owner)
+	m.accept(k, newCkpt(flows, data), owner)
 }
 
 // Wire format v1: magic "CK" (2) version (1) class (4) index (8) nflows (2),
@@ -333,35 +389,18 @@ const (
 	ckptFlowLen  = 4 + 8 + 4
 )
 
-func encodeCkpt(k Key, flows []FlowCkpt) []byte {
-	n := ckptHdrLen
-	for _, f := range flows {
-		n += ckptFlowLen + len(f.Data)
+// appendFrame appends k's checkpoint frame to b: v1 for owner < 0 (the
+// owner is the sender), otherwise v2 stamped with owner.
+func appendFrame(b []byte, k Key, flows []FlowCkpt, owner int) []byte {
+	if owner < 0 {
+		b = append(b, ckptMagic0, ckptMagic1, ckptVersion)
+	} else {
+		b = append(b, ckptMagic0, ckptMagic1, ckptVersion2)
+		b = binary.LittleEndian.AppendUint32(b, uint32(owner))
 	}
-	b := make([]byte, 0, n)
-	b = append(b, ckptMagic0, ckptMagic1, ckptVersion)
 	b = binary.LittleEndian.AppendUint32(b, uint32(k.Class))
 	b = binary.LittleEndian.AppendUint64(b, uint64(k.Index))
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(flows)))
-	return appendFlows(b, flows)
-}
-
-// encodeRereplicate builds an owner-stamped v2 frame.
-func encodeRereplicate(k Key, flows []FlowCkpt, owner int) []byte {
-	n := ckptHdrLen2
-	for _, f := range flows {
-		n += ckptFlowLen + len(f.Data)
-	}
-	b := make([]byte, 0, n)
-	b = append(b, ckptMagic0, ckptMagic1, ckptVersion2)
-	b = binary.LittleEndian.AppendUint32(b, uint32(owner))
-	b = binary.LittleEndian.AppendUint32(b, uint32(k.Class))
-	b = binary.LittleEndian.AppendUint64(b, uint64(k.Index))
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(flows)))
-	return appendFlows(b, flows)
-}
-
-func appendFlows(b []byte, flows []FlowCkpt) []byte {
 	for _, f := range flows {
 		b = binary.LittleEndian.AppendUint32(b, uint32(f.Flow))
 		b = binary.LittleEndian.AppendUint64(b, uint64(f.Size))
@@ -371,18 +410,20 @@ func appendFlows(b []byte, flows []FlowCkpt) []byte {
 	return b
 }
 
-// decodeWire parses a checkpoint frame, copying flow data out of b (AM
-// payloads do not survive the callback). The returned owner is the v2
-// owner stamp, or -1 for a v1 frame (owner implied by the sender). Anything
-// malformed — short buffer, wrong magic or version, negative sizes or owner,
-// trailing garbage — is an error, never a panic (fuzzed).
-func decodeWire(b []byte) ([]FlowCkpt, Key, int, error) {
+// decodeWire parses a checkpoint frame zero-copy, appending its flows to
+// flows: their Data windows alias b, so a caller that keeps them past b's
+// lifetime copies them (newCkpt). The returned owner is the v2 owner stamp,
+// or -1 for a v1 frame (owner implied by the sender). Anything malformed —
+// short buffer, wrong magic or version, a flow count the frame cannot hold,
+// negative sizes or owner, trailing garbage — is an error, never a panic
+// (fuzzed). The returned slice is flows grown, even with an error.
+func decodeWire(b []byte, flows []FlowCkpt) ([]FlowCkpt, Key, int, error) {
 	var k Key
 	if len(b) < ckptHdrLen {
-		return nil, k, -1, fmt.Errorf("recover: checkpoint truncated: %d bytes, header needs %d", len(b), ckptHdrLen)
+		return flows, k, -1, fmt.Errorf("recover: checkpoint truncated: %d bytes, header needs %d", len(b), ckptHdrLen)
 	}
 	if b[0] != ckptMagic0 || b[1] != ckptMagic1 {
-		return nil, k, -1, fmt.Errorf("recover: checkpoint magic %#x%#x", b[0], b[1])
+		return flows, k, -1, fmt.Errorf("recover: checkpoint magic %#x%#x", b[0], b[1])
 	}
 	owner := -1
 	rest := b[3:]
@@ -390,28 +431,32 @@ func decodeWire(b []byte) ([]FlowCkpt, Key, int, error) {
 	case ckptVersion:
 	case ckptVersion2:
 		if len(b) < ckptHdrLen2 {
-			return nil, k, -1, fmt.Errorf("recover: v2 checkpoint truncated: %d bytes, header needs %d", len(b), ckptHdrLen2)
+			return flows, k, -1, fmt.Errorf("recover: v2 checkpoint truncated: %d bytes, header needs %d", len(b), ckptHdrLen2)
 		}
 		o := int32(binary.LittleEndian.Uint32(rest[:4]))
 		if o < 0 {
-			return nil, k, -1, fmt.Errorf("recover: checkpoint owner %d negative", o)
+			return flows, k, -1, fmt.Errorf("recover: checkpoint owner %d negative", o)
 		}
 		owner = int(o)
 		rest = rest[4:]
 	default:
-		return nil, k, -1, fmt.Errorf("recover: checkpoint version %d, want %d or %d", b[2], ckptVersion, ckptVersion2)
+		return flows, k, -1, fmt.Errorf("recover: checkpoint version %d, want %d or %d", b[2], ckptVersion, ckptVersion2)
 	}
 	k.Class = int32(binary.LittleEndian.Uint32(rest[:4]))
 	k.Index = int64(binary.LittleEndian.Uint64(rest[4:12]))
 	nflows := int(binary.LittleEndian.Uint16(rest[12:14]))
 	if k.Index < 0 {
-		return nil, k, owner, fmt.Errorf("recover: checkpoint index %d negative", k.Index)
+		return flows, k, owner, fmt.Errorf("recover: checkpoint index %d negative", k.Index)
 	}
 	rest = rest[14:]
-	flows := make([]FlowCkpt, 0, nflows)
+	// The count is untrusted: check it against the bytes that follow before
+	// it sizes anything.
+	if nflows > len(rest)/ckptFlowLen {
+		return flows, k, owner, fmt.Errorf("recover: checkpoint claims %d flows in %d bytes", nflows, len(rest))
+	}
 	for i := 0; i < nflows; i++ {
 		if len(rest) < ckptFlowLen {
-			return nil, k, owner, fmt.Errorf("recover: checkpoint flow %d truncated", i)
+			return flows, k, owner, fmt.Errorf("recover: checkpoint flow %d truncated", i)
 		}
 		var f FlowCkpt
 		f.Flow = int32(binary.LittleEndian.Uint32(rest[:4]))
@@ -419,16 +464,16 @@ func decodeWire(b []byte) ([]FlowCkpt, Key, int, error) {
 		dlen := int(int32(binary.LittleEndian.Uint32(rest[12:16])))
 		rest = rest[ckptFlowLen:]
 		if f.Size < 0 || dlen < 0 || dlen > len(rest) {
-			return nil, k, owner, fmt.Errorf("recover: checkpoint flow %d data length %d invalid", i, dlen)
+			return flows, k, owner, fmt.Errorf("recover: checkpoint flow %d data length %d invalid", i, dlen)
 		}
 		if dlen > 0 {
-			f.Data = append([]byte(nil), rest[:dlen]...)
+			f.Data = rest[:dlen:dlen]
 		}
 		rest = rest[dlen:]
 		flows = append(flows, f)
 	}
 	if len(rest) != 0 {
-		return nil, k, owner, fmt.Errorf("recover: checkpoint has %d trailing bytes", len(rest))
+		return flows, k, owner, fmt.Errorf("recover: checkpoint has %d trailing bytes", len(rest))
 	}
 	return flows, k, owner, nil
 }

@@ -2,6 +2,8 @@ package recover
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -11,8 +13,8 @@ func TestCkptCodecRoundTrip(t *testing.T) {
 		{Flow: 0, Size: 5, Data: []byte{1, 2, 3, 4, 5}},
 		{Flow: 2, Size: 0, Data: nil},
 	}
-	b := encodeCkpt(k, flows)
-	got, gk, owner, err := decodeWire(b)
+	b := appendFrame(nil, k, flows, -1)
+	got, gk, owner, err := decodeWire(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestCkptCodecRoundTrip(t *testing.T) {
 		"cut flow":     func(b []byte) []byte { return b[:len(b)-1] },
 	} {
 		mut := corrupt(bytes.Clone(b))
-		if _, _, _, err := decodeWire(mut); err == nil {
+		if _, _, _, err := decodeWire(mut, nil); err == nil {
 			t.Errorf("%s: corrupted checkpoint accepted", name)
 		}
 	}
@@ -49,8 +51,8 @@ func TestRereplicateCodecRoundTrip(t *testing.T) {
 		{Flow: 1, Size: 4, Data: []byte{9, 8, 7, 6}},
 		{Flow: 5, Size: 0, Data: nil},
 	}
-	b := encodeRereplicate(k, flows, 6)
-	got, gk, owner, err := decodeWire(b)
+	b := appendFrame(nil, k, flows, 6)
+	got, gk, owner, err := decodeWire(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,54 +73,80 @@ func TestRereplicateCodecRoundTrip(t *testing.T) {
 		"cut flow":        func(b []byte) []byte { return b[:len(b)-1] },
 	} {
 		mut := corrupt(bytes.Clone(b))
-		if _, _, _, err := decodeWire(mut); err == nil {
+		if _, _, _, err := decodeWire(mut, nil); err == nil {
 			t.Errorf("%s: corrupted v2 checkpoint accepted", name)
 		}
 	}
 }
 
-// reencode rebuilds the frame a successful decode came from, choosing the
-// codec by the version byte — the shared invariant both fuzzers check.
-func reencode(b []byte, k Key, flows []FlowCkpt, owner int) []byte {
-	if b[2] == ckptVersion2 {
-		return encodeRereplicate(k, flows, owner)
+// TestDecodeBoundsClaimedFlows is the regression test for a header-only
+// frame whose untrusted 16-bit count claims 65,535 flows: the decoder sized
+// its flow list from the count (about 2.6 MB) before finding the frame
+// empty. It must reject the frame having allocated next to nothing: the
+// error message, a few KiB under the race detector.
+func TestDecodeBoundsClaimedFlows(t *testing.T) {
+	for _, owner := range []int{-1, 3} {
+		b := appendFrame(nil, Key{Class: 1, Index: 2}, nil, owner)
+		binary.LittleEndian.PutUint16(b[len(b)-2:], 0xFFFF)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := decodeWire(b, nil)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("owner %d: %d-byte frame claiming 65535 flows accepted", owner, len(b))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Fatalf("owner %d: rejecting a %d-byte frame allocated %d bytes", owner, len(b), n)
+		}
 	}
-	return encodeCkpt(k, flows)
+}
+
+// checkDecode is the invariant both fuzzers check on every input that
+// decodes. Whatever decodes must re-encode to the identical bytes, and the
+// store's copy (newCkpt over the zero-copy parse) must agree with the parse
+// flow by flow, in bytes of its own: scrambling the frame afterwards leaves
+// the record intact.
+func checkDecode(t *testing.T, in []byte) {
+	b := bytes.Clone(in)
+	flows, k, owner, err := decodeWire(b, nil)
+	if err != nil {
+		return
+	}
+	if b[2] == ckptVersion2 && owner < 0 {
+		t.Fatalf("v2 frame decoded with owner %d", owner)
+	}
+	if out := appendFrame(nil, k, flows, owner); !bytes.Equal(out, in) {
+		t.Fatalf("decode/encode mismatch: in %x out %x", in, out)
+	}
+	c := newCkpt(flows, b)
+	for i := range b {
+		b[i] = ^b[i]
+	}
+	got := c.appendFlows(nil)
+	for _, f := range got {
+		if f.Data != nil && len(f.Data) == 0 {
+			t.Fatalf("stored flow %d has empty non-nil data", f.Flow)
+		}
+	}
+	if out := appendFrame(nil, k, got, owner); !bytes.Equal(out, in) {
+		t.Fatalf("stored record disagrees with the parse: in %x stored %x", in, out)
+	}
 }
 
 func FuzzDecodeCheckpoint(f *testing.F) {
-	f.Add(encodeCkpt(Key{Class: 1, Index: 2}, []FlowCkpt{{Flow: 0, Size: 3, Data: []byte{7, 8, 9}}}))
-	f.Add(encodeCkpt(Key{}, nil))
+	f.Add(appendFrame(nil, Key{Class: 1, Index: 2}, []FlowCkpt{{Flow: 0, Size: 3, Data: []byte{7, 8, 9}}}, -1))
+	f.Add(appendFrame(nil, Key{Class: 1, Index: 2}, []FlowCkpt{{Flow: 0, Size: 3, Data: []byte{7, 8, 9}}, {Flow: 1, Size: 8}}, -1))
+	f.Add(appendFrame(nil, Key{}, nil, -1))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, ckptHdrLen+ckptFlowLen))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		flows, k, owner, err := decodeWire(b)
-		if err != nil {
-			return
-		}
-		// Whatever decodes must re-encode to the identical bytes.
-		if out := reencode(b, k, flows, owner); !bytes.Equal(out, b) {
-			t.Fatalf("decode/encode mismatch: in %x out %x", b, out)
-		}
-	})
+	f.Fuzz(checkDecode)
 }
 
 func FuzzDecodeRereplicate(f *testing.F) {
-	f.Add(encodeRereplicate(Key{Class: 1, Index: 2}, []FlowCkpt{{Flow: 0, Size: 3, Data: []byte{7, 8, 9}}}, 4))
-	f.Add(encodeRereplicate(Key{}, nil, 0))
-	f.Add(encodeRereplicate(Key{Class: -1, Index: 1 << 40}, []FlowCkpt{{Flow: 2, Size: 0}}, 1<<20))
+	f.Add(appendFrame(nil, Key{Class: 1, Index: 2}, []FlowCkpt{{Flow: 0, Size: 3, Data: []byte{7, 8, 9}}}, 4))
+	f.Add(appendFrame(nil, Key{}, nil, 0))
+	f.Add(appendFrame(nil, Key{Class: -1, Index: 1 << 40}, []FlowCkpt{{Flow: 2, Size: 0}}, 1<<20))
 	f.Add([]byte{'C', 'K', ckptVersion2})
 	f.Add(bytes.Repeat([]byte{0xFF}, ckptHdrLen2+ckptFlowLen))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		flows, k, owner, err := decodeWire(b)
-		if err != nil {
-			return
-		}
-		if b[2] == ckptVersion2 && owner < 0 {
-			t.Fatalf("v2 frame decoded with owner %d", owner)
-		}
-		if out := reencode(b, k, flows, owner); !bytes.Equal(out, b) {
-			t.Fatalf("decode/encode mismatch: in %x out %x", b, out)
-		}
-	})
+	f.Fuzz(checkDecode)
 }
