@@ -7,10 +7,12 @@ verify:
 # Where a benchmark workload's allocations, allocated bytes and retained heap
 # come from: allocs_per_task, alloc_bytes_per_task and live_heap_mb split by
 # package and by site, and the allocator's and the collector's share of host
-# CPU (scripts/allocsites.sh). W names the workload.
+# CPU (scripts/allocsites.sh). W names the workload. Given BASE on the command
+# line or in the environment, the three memory tables compare the benchmark
+# built at commit BASE with the working tree's, base -> change.
 W ?= hicma_wide_shards2
 allocsites:
-	./scripts/allocsites.sh $(W)
+	./scripts/allocsites.sh $(W) $(SEED) $(if $(filter-out file,$(origin BASE)),$(BASE))
 
 # Alternating before/after pairs (scripts/pairs.sh): the benchmark built at
 # commit BASE and from the working tree runs workload W at SEED N times each,

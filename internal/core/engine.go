@@ -98,6 +98,9 @@ type Engine interface {
 
 	// Submit schedules fn on the communication thread after charging cost,
 	// waking it if idle. It is how the runtime funnels work to the engine.
+	// The thread is one FIFO sim.Proc that nothing drains or cancels: items
+	// run in submission order, each exactly once, on a live rank and on one
+	// that has crashed alike (the runtime's step queue relies on it).
 	Submit(cost sim.Duration, fn func())
 
 	// CommProc exposes the communication thread's processor (for

@@ -734,11 +734,16 @@ func (e *Engine) compact() {
 	e.xfer = out
 }
 
+// refill starts deferred operations, oldest first, while the global array
+// has room. The started ones leave the queue with one copy, and the slots the
+// copy vacates are cleared, as purgePending clears its own: a stale slot would
+// keep a started put's data buffer and completion callback, and whatever the
+// callback names, alive for as long as the engine.
 func (e *Engine) refill() {
-	for len(e.pending) > 0 && len(e.xfer) < e.cfg.MaxTransfers {
-		op := e.pending[0]
-		copy(e.pending, e.pending[1:])
-		e.pending = e.pending[:len(e.pending)-1]
+	i := 0
+	for i < len(e.pending) && len(e.xfer) < e.cfg.MaxTransfers {
+		op := e.pending[i]
+		i++
 		switch op.kind {
 		case pendingSend:
 			e.postDataSend(op.data, op.dst, op.dataTag, op.localCB, op.size)
@@ -748,4 +753,7 @@ func (e *Engine) refill() {
 			panic(fmt.Sprintf("mpice: unknown pending op %d", op.kind))
 		}
 	}
+	kept := copy(e.pending, e.pending[i:])
+	clear(e.pending[kept:])
+	e.pending = e.pending[:kept]
 }

@@ -1,7 +1,9 @@
 package mpice
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"amtlci/internal/buf"
 	"amtlci/internal/core"
@@ -63,6 +65,48 @@ func TestTransferCapDefersSendsFIFO(t *testing.T) {
 	if src.deferredEvents.Value() == 0 {
 		t.Fatal("no sends deferred despite cap 4")
 	}
+}
+
+// TestRefillReleasesDeferredPuts checks that a deferred put leaves nothing of
+// itself behind in the deferral queue once it has started: its completion
+// callback, and the record the callback names, are collectable when the run
+// is over, while the engine itself lives on.
+func TestRefillReleasesDeferredPuts(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxTransfers = 2
+	eng, engines := harness(2, cfg)
+	src, dst := engines[0], engines[1]
+	const doneTag core.Tag = 9
+	done := 0
+	regDone(engines, doneTag, &done)
+	type putRecord struct {
+		completed bool
+		_         [64]byte
+	}
+	const n = 8
+	var last weak.Pointer[putRecord]
+	src.Submit(0, func() {
+		for i := 0; i < n; i++ {
+			rec := &putRecord{}
+			if i == n-1 {
+				last = weak.Make(rec)
+			}
+			src.Put(core.PutArgs{
+				LReg: src.MemReg(buf.Virtual(128 << 10)), RReg: dst.MemReg(buf.Virtual(128 << 10)),
+				Size: 128 << 10, Remote: 1, RTag: doneTag,
+				LocalCB: func() { rec.completed = true },
+			})
+		}
+	})
+	eng.Run()
+	if done != n || src.deferredEvents.Value() == 0 {
+		t.Fatalf("completed %d puts with %d deferred, want %d with some deferred", done, src.deferredEvents.Value(), n)
+	}
+	runtime.GC()
+	if last.Value() != nil {
+		t.Fatal("the engine still holds the last deferred put's completion callback after the run")
+	}
+	runtime.KeepAlive(src)
 }
 
 func TestPersistentReceiveCountHonored(t *testing.T) {

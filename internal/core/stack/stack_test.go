@@ -3,11 +3,13 @@ package stack
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"amtlci/internal/buf"
 	"amtlci/internal/core"
+	"amtlci/internal/fabric"
 	"amtlci/internal/metrics"
 	"amtlci/internal/rel"
 	"amtlci/internal/sim"
@@ -59,6 +61,47 @@ func TestAMRoundTrip(t *testing.T) {
 			t.Fatalf("sender sent %d active messages, want 1", n)
 		}
 	})
+}
+
+// TestSubmitRunsInOrderExactlyOnce pins the communication-thread contract
+// that lets a caller hand every deferred step the same closure and keep the
+// steps in a queue of its own (parsec's node.submit): whatever their costs,
+// whether submitted from outside the thread or from an item running on it,
+// and across the rank's own crash, the items run in submission order, each
+// exactly once.
+func TestSubmitRunsInOrderExactlyOnce(t *testing.T) {
+	for _, b := range Backends {
+		t.Run(b.String(), func(t *testing.T) {
+			o := DefaultOptions(b, 2)
+			o.Faults = &fabric.FaultConfig{Crashes: []fabric.NodeCrash{{Rank: 0, At: sim.Time(40 * sim.Microsecond)}}}
+			s := Build(o)
+			e := s.Engines[0]
+			rng := sim.NewRNG(1)
+			var submitted, ran []int
+			var submit func(nested bool)
+			submit = func(nested bool) {
+				id := len(submitted)
+				submitted = append(submitted, id)
+				e.Submit(sim.Duration(rng.Intn(4))*sim.Microsecond, func() {
+					ran = append(ran, id)
+					if !nested && id%3 == 0 {
+						submit(true)
+					}
+				})
+			}
+			for i := 0; i < 40; i++ {
+				s.Eng.At(sim.Time(sim.Duration(2*i)*sim.Microsecond), func() {
+					submit(false)
+					submit(false)
+				})
+			}
+			s.Eng.Run()
+			if s.Eng.Now() < sim.Time(80*sim.Microsecond) || !slices.Equal(ran, submitted) {
+				t.Fatalf("%d items submitted, ran %v, want each once in submission order (run ended at %v)",
+					len(submitted), ran, s.Eng.Now())
+			}
+		})
+	}
 }
 
 // TestDuplicateTagRegPanicsOnBothBackends pins down the satellite fix: the

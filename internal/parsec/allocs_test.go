@@ -2,6 +2,7 @@ package parsec_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"amtlci/internal/core/stack"
@@ -65,6 +66,111 @@ func TestRemoteTaskPathAllocs(t *testing.T) {
 		t.Logf("remote chain: %.3f allocs/task", got)
 		if got > 0.01 {
 			t.Fatalf("remote chain: %.3f allocs/task, want 0", got)
+		}
+	})
+}
+
+// lazyPingPong is the ping-pong microbenchmark's graph at a small scale:
+// iters iterations of a window of fragments, each fragment crossing between
+// the two ranks at every iteration, with SYNC(t) gathering a control flow
+// from every fragment of iteration t and releasing iteration t+1. Under
+// FetchLazy, a fragment's data is announced while its consumer still waits
+// for SYNC, so every fetch is deferred, and a whole window of flows, steps
+// and lazy cells is in flight at once.
+func lazyPingPong(window, iters int) *parsec.GraphPool {
+	g := parsec.NewGraphPool("lazy-pingpong", 2, false)
+	frag := func(t, f int) parsec.TaskID { return parsec.TaskID{Index: int64(2 * (t*window + f))} }
+	sync := func(t int) parsec.TaskID { return parsec.TaskID{Index: int64(2*t*window + 1)} }
+	for t := 0; t < iters; t++ {
+		for f := 0; f < window; f++ {
+			id := g.AddTask(frag(t, f).Index, t%2, 0, int64(iters-t), 32<<10, 0)
+			if t > 0 {
+				g.Link(frag(t-1, f), 0, id)
+				g.Link(sync(t-1), 0, id)
+			}
+		}
+		if t < iters-1 {
+			sid := g.AddTask(sync(t).Index, 0, 0, 1<<30, 0)
+			for f := 0; f < window; f++ {
+				g.Link(frag(t, f), 1, sid)
+			}
+		}
+	}
+	return g
+}
+
+// parsecAllocs returns the heap allocations that run makes at this package's
+// sites. Every allocation is sampled into the memory profile while it runs
+// (the runtime applies a changed MemProfileRate at once), and one belongs to
+// parsec when the innermost frame of its stack outside the Go runtime does.
+// Collecting before each reading publishes the profile up to that point.
+func parsecAllocs(run func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := parsecSiteAllocs()
+	run()
+	return parsecSiteAllocs() - before
+}
+
+func parsecSiteAllocs() int64 {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n, ok := runtime.MemProfile(nil, true); !ok; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+		recs = recs[:n]
+	}
+	var total int64
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if !strings.HasPrefix(f.Function, "runtime.") {
+				if strings.HasPrefix(f.Function, "amtlci/internal/parsec.") {
+					total += r.AllocObjects
+				}
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
+}
+
+// lazyPingPongAllocs runs lazyPingPong and returns the allocations parsec
+// makes inside Run, and the number of tasks run.
+func lazyPingPongAllocs(t *testing.T, b stack.Backend, window, iters int) (allocs int64, tasks int) {
+	t.Helper()
+	_, rt := build(t, b, 2, 2, lazyPingPong(window, iters), func(c *parsec.Config) {
+		c.FetchCap = 512
+		c.FetchLazy = true
+	})
+	var err error
+	allocs = parsecAllocs(func() { _, err = rt.Run() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocs, iters*window + iters - 1
+}
+
+// TestLazyFetchAllocs pins parsec's share of the ping-pong path — ACTIVATE,
+// deferred fetch, GET DATA, put, SYNC — at the marginal cost of one more
+// iteration, with a window of 4,096 fragments in flight per rank. The first
+// iteration carves the in-flight peak's flow and step records from the shard
+// slab and grows the lazy-cell arena; every later one recycles them. (The
+// engines' and libraries' record lists are capped far below such a window, so
+// the whole stack's count would measure them instead.)
+func TestLazyFetchAllocs(t *testing.T) {
+	const window = 4096
+	forBackends(t, func(t *testing.T, b stack.Backend) {
+		short, nShort := lazyPingPongAllocs(t, b, window, 2)
+		long, nLong := lazyPingPongAllocs(t, b, window, 4)
+		got := float64(long-short) / float64(nLong-nShort)
+		t.Logf("lazy ping-pong: %.3f parsec allocs/task", got)
+		if got > 0.1 {
+			t.Fatalf("lazy ping-pong: %.3f parsec allocs/task, want at most 0.1", got)
 		}
 	})
 }

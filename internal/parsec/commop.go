@@ -22,10 +22,11 @@ const (
 )
 
 // commOp is one deferred step on the communication thread: what the step is
-// and the arguments it needs, with its func() bound once when the record is
-// made, so deferring a step allocates neither the submit wrapper nor a
-// closure over the arguments. Records come from node.ops and go back when
-// their step has run.
+// and the arguments it needs. Deferring a step allocates neither the submit
+// wrapper nor a closure over the arguments: submit queues the record on the
+// node's step FIFO and hands the engine the node's one bound runOp. Records
+// come from node.ops, or fresh from the shard's slab, and go back to node.ops
+// when their step has run.
 //
 // The recovery epoch travels IN the record, under the same rule as taskRun: a
 // restart leaves pre-restart steps queued on the communication thread, and
@@ -45,21 +46,23 @@ type commOp struct {
 	sreq  steal.Request
 	srep  steal.Reply
 	srel  steal.Release
+	next  *commOp // the next step in the node's FIFO, while queued
 
-	run     func() // o.exec, the Submit body
-	putDone func() // o.putLocalDone, the PutArgs.LocalCB of opPutDone
+	// putDone is the PutArgs.LocalCB of opPutDone, made the first time the
+	// record serves as one (putCompletion) and kept across reuses.
+	putDone func()
 }
-
-// opListCap bounds node.ops, and node.flows with it: a fetch burst (FetchCap)
-// of deferred steps, each about one flow copy.
-const opListCap = 1024
 
 // newOp takes an op record stamped with the current epoch.
 func (n *node) newOp(kind opKind) *commOp {
 	o := n.ops.Get()
 	if o == nil {
-		o = &commOp{n: n}
-		o.run, o.putDone = o.exec, o.putLocalDone
+		o = n.slab.ops.take()
+		o.n = n
+	}
+	if kind == opPutDone && o.putDone == nil {
+		o.putDone = n.putCompletion(len(n.putRecs))
+		n.putRecs = append(n.putRecs, o)
 	}
 	o.live, o.kind, o.epoch = true, kind, n.epoch
 	return o
@@ -69,17 +72,52 @@ func (n *node) retireOp(o *commOp) {
 	if !o.live {
 		panic("parsec: communication-thread step used after retirement")
 	}
-	*o = commOp{n: n, run: o.run, putDone: o.putDone}
+	*o = commOp{n: n, putDone: o.putDone}
 	n.ops.Put(o)
+}
+
+// putCompletion returns the local-completion callback of the record at
+// n.putRecs[i]. It names the record by index, not by pointer: a put that never
+// completes — one a crashed rank was serving — leaves its callback in the
+// engine for good, and there it must pin nothing but the node, never the
+// record and the slab chunk around it. releaseRunState drops putRecs.
+func (n *node) putCompletion(i int) func() {
+	return func() { n.putRecs[i].putLocalDone() }
 }
 
 // submit defers o to the communication thread like ce.Submit, but tracks the
 // operation in the quiet predicate: between scheduling and execution the
 // rank is provably not quiet, closing the window where balanced counters
 // plus an empty scheduler would otherwise fake termination.
+//
+// The engine runs what is submitted in submission order, each item exactly
+// once, on a live, dead or restarted rank alike (core.Engine.Submit). So one
+// closure serves every step: o joins the node's FIFO, and the engine's item
+// is n.runOp, bound once, which pops the oldest queued step when it runs —
+// the k-th runOp to run is the k-th submit's. Staleness stays in exec.
 func (n *node) submit(cost sim.Duration, o *commOp) {
 	n.pendingOps++
-	n.ce.Submit(cost, o.run)
+	if n.opTail == nil {
+		n.opHead = o
+	} else {
+		n.opTail.next = o
+	}
+	n.opTail = o
+	n.ce.Submit(cost, n.runOpFn)
+}
+
+// runOp is the engine's item for every submitted step: it pops the oldest
+// and runs it.
+func (n *node) runOp() {
+	o := n.opHead
+	if o == nil {
+		panic("parsec: the communication thread ran a step nobody submitted")
+	}
+	n.opHead, o.next = o.next, nil
+	if n.opHead == nil {
+		n.opTail = nil
+	}
+	o.exec()
 }
 
 // stale reports whether the step was deferred by a rank that has since died

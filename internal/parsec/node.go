@@ -2,6 +2,7 @@ package parsec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"amtlci/internal/core"
@@ -37,12 +38,28 @@ type node struct {
 	ready prioQueue
 	tasks flatTable[taskState]
 	store flatTable[*flowData]
+	// lazy holds the cells of the tasks' lazy-fetch chains (taskState), and
+	// lazyFree chains the retired ones; run-scoped, like the table.
+	lazy     []lazyCell
+	lazyFree int32
 	// freeRuns recycles dispatch records (taskRun) between tasks; ops
 	// recycles the communication thread's deferred-step records (commop.go);
-	// flows recycles the store's dataflow records (newFlow, retireFlow).
+	// flows recycles the store's dataflow records (newFlow, retireFlow). The
+	// two lists are uncapped: their records are carved from slab, the one of
+	// this rank's shard, and lists, slab and records are all run-scoped, so
+	// the in-flight peak is paid for once per run and dropped with it.
 	freeRuns []*taskRun
 	ops      sim.FreeList[commOp]
 	flows    sim.FreeList[flowData]
+	slab     *recordSlab
+	// opHead..opTail is the FIFO of steps submitted to the communication
+	// thread and not yet run, linked through commOp.next; runOpFn is
+	// n.runOp, bound once, the engine's item for each of them.
+	opHead, opTail *commOp
+	runOpFn        func()
+	// putRecs lists every step record that has served as a put completion,
+	// at the index its callback names (putCompletion).
+	putRecs []*commOp
 
 	executed int64
 	total    int64
@@ -131,10 +148,23 @@ type node struct {
 // taskState is one task's dependence counter, stored inline in node.tasks.
 type taskState struct {
 	remaining int32
-	// lazyFlows holds announced-but-unfetched input flows (FetchLazy mode);
-	// their fetches launch when remaining == len(lazyFlows).
-	lazyFlows []flowKey
+	// The task's announced-but-unfetched input flows (FetchLazy mode), nlazy
+	// cells of node.lazy chained from lazyHead in announcement order; their
+	// fetches launch when remaining == nlazy. lazyHead means nothing while
+	// nlazy is zero, so the zero state is an empty chain.
+	lazyHead int32
+	nlazy    int32
 }
+
+// lazyCell is one link of a task's lazy-fetch chain: a flow, and the index of
+// the next cell in node.lazy (noCell ends the chain). Retired cells are
+// chained from node.lazyFree the same way.
+type lazyCell struct {
+	key  flowKey
+	next int32
+}
+
+const noCell = -1
 
 // flowData is one dataflow copy at one rank, a pooled record like the rest of
 // the message path's (DESIGN.md §5.15): newFlow takes it from node.flows,
@@ -147,13 +177,15 @@ type taskState struct {
 // one does. Across a restart — and on a rank that died — the records still in
 // the store are abandoned to the GC, never retired: stale steps of the old
 // epoch still point at them, exactly as with commOp and taskRun.
-// The small fields are packed to keep the record in the 208-byte size class.
+// Fresh records are carved from the shard's slab, with waiters starting on
+// the record's one inline slot: most flows have a single local consumer.
 type flowData struct {
 	ref         DataRef
 	size        int64
 	lreg        regHandle
 	pendingGets []getReq
 	waiters     []TaskID
+	waiter0     [1]TaskID
 	// Tracing/forwarding metadata, valid away from the root.
 	meta         activation
 	expectedGets int32
@@ -185,19 +217,19 @@ type taskRun struct {
 	done  func()
 }
 
-func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config) *node {
+func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config, slab *recordSlab) *node {
 	n := &node{
-		rt:   rt,
-		rank: rank,
-		eng:  rt.dom.RankEngine(rank),
-		ce:   ce,
-		cfg:  cfg,
-		rng:  sim.NewRNG(cfg.Seed ^ (uint64(rank)+1)*0x9E3779B97F4A7C15),
+		rt:       rt,
+		rank:     rank,
+		eng:      rt.dom.RankEngine(rank),
+		ce:       ce,
+		cfg:      cfg,
+		rng:      sim.NewRNG(cfg.Seed ^ (uint64(rank)+1)*0x9E3779B97F4A7C15),
+		slab:     slab,
+		lazyFree: noCell,
 	}
-	// Run-scoped like the rest of the rank's state (releaseRunState), so the
-	// list may hold a whole burst of deferred steps without costing anything
-	// once the graph has run.
-	n.ops.Cap, n.flows.Cap = opListCap, opListCap
+	n.ops.Cap, n.flows.Cap = math.MaxInt, math.MaxInt
+	n.runOpFn = n.runOp
 	n.workers = make([]*sim.Proc, cfg.Workers)
 	for i := range n.workers {
 		n.idle = append(n.idle, i)
@@ -273,9 +305,11 @@ func (n *node) start() {
 func (n *node) releaseRunState() {
 	n.tasks.reset()
 	n.store.reset()
+	n.lazy, n.lazyFree = nil, noCell
 	n.ready, n.fetchQ = prioQueue{}, prioQueue{}
-	n.freeRuns, n.ops = nil, sim.FreeList[commOp]{Cap: opListCap}
-	n.flows = sim.FreeList[flowData]{Cap: opListCap}
+	n.freeRuns, n.slab = nil, nil
+	n.ops, n.flows = sim.FreeList[commOp]{}, sim.FreeList[flowData]{}
+	n.opHead, n.opTail, n.putRecs = nil, nil, nil
 	n.encBuf, n.actScratch = nil, nil
 	n.pendingAct, n.flushQueued, n.actFree = nil, nil, nil
 	n.inputScratch, n.succScratch, n.inputRefs = nil, nil, nil
@@ -315,7 +349,8 @@ func (n *node) putFlow(key flowKey, fd *flowData) {
 func (n *node) newFlow(state flowState, size int64) *flowData {
 	fd := n.flows.Get()
 	if fd == nil {
-		fd = &flowData{}
+		fd = n.slab.flows.take()
+		fd.waiters = fd.waiter0[:0]
 	}
 	fd.live, fd.state, fd.size = true, state, size
 	return fd
@@ -349,17 +384,22 @@ func (n *node) satisfy(t TaskID) {
 		n.makeReady(t)
 		return
 	}
-	if n.cfg.FetchLazy && len(st.lazyFlows) > 0 && int(st.remaining) == len(st.lazyFlows) {
-		keys := st.lazyFlows
-		st.lazyFlows = nil
-		n.launchLazy(keys)
+	if n.cfg.FetchLazy && st.nlazy > 0 && st.remaining == st.nlazy {
+		head := st.lazyHead
+		st.nlazy = 0
+		n.launchLazy(head)
 	}
 }
 
-// launchLazy requests every deferred flow of one task; shared flows may
-// already be fetching on behalf of another consumer.
-func (n *node) launchLazy(keys []flowKey) {
-	for _, key := range keys {
+// launchLazy requests every deferred flow of one task's detached chain, in
+// announcement order, retiring each cell before its fetch starts; shared
+// flows may already be fetching on behalf of another consumer.
+func (n *node) launchLazy(c int32) {
+	for c != noCell {
+		key := n.lazy[c].key
+		next := n.lazy[c].next
+		n.freeCell(c)
+		c = next
 		fd := n.flow(key)
 		if fd == nil || fd.state != flowAnnounced {
 			continue
@@ -789,8 +829,8 @@ func (n *node) processActivation(act activation) {
 		allBlocked := true
 		for _, w := range fd.waiters {
 			st := n.stateOf(w)
-			st.lazyFlows = append(st.lazyFlows, key)
-			if int(st.remaining) == len(st.lazyFlows) {
+			n.appendLazy(st, key)
+			if st.remaining == st.nlazy {
 				allBlocked = false
 			}
 		}
@@ -799,19 +839,63 @@ func (n *node) processActivation(act activation) {
 			return
 		}
 		for _, w := range fd.waiters {
-			st := n.stateOf(w)
 			// Remove the bookkeeping added above; the fetch starts now.
-			for i, k := range st.lazyFlows {
-				if k == key {
-					st.lazyFlows = append(st.lazyFlows[:i], st.lazyFlows[i+1:]...)
-					break
-				}
-			}
+			n.unlinkLazy(n.stateOf(w), key)
 		}
 	}
 
 	// Fetch now or defer by priority pressure (§4.1).
 	n.requestFetch(key, fd, maxPrio)
+}
+
+// appendLazy adds key at the end of st's lazy-fetch chain. st points into
+// n.tasks; the cells live in n.lazy, so taking one leaves st valid.
+func (n *node) appendLazy(st *taskState, key flowKey) {
+	c := n.lazyFree
+	if c == noCell {
+		c = int32(len(n.lazy))
+		n.lazy = append(n.lazy, lazyCell{})
+	} else {
+		n.lazyFree = n.lazy[c].next
+	}
+	n.lazy[c] = lazyCell{key: key, next: noCell}
+	if st.nlazy == 0 {
+		st.lazyHead = c
+	} else {
+		last := st.lazyHead
+		for n.lazy[last].next != noCell {
+			last = n.lazy[last].next
+		}
+		n.lazy[last].next = c
+	}
+	st.nlazy++
+}
+
+// unlinkLazy removes the first cell holding key from st's chain, if any.
+func (n *node) unlinkLazy(st *taskState, key flowKey) {
+	if st.nlazy == 0 {
+		return
+	}
+	prev := int32(noCell)
+	for c := st.lazyHead; c != noCell; prev, c = c, n.lazy[c].next {
+		if n.lazy[c].key != key {
+			continue
+		}
+		if prev == noCell {
+			st.lazyHead = n.lazy[c].next
+		} else {
+			n.lazy[prev].next = n.lazy[c].next
+		}
+		st.nlazy--
+		n.freeCell(c)
+		return
+	}
+}
+
+// freeCell retires one lazy cell to the free chain.
+func (n *node) freeCell(c int32) {
+	n.lazy[c] = lazyCell{next: n.lazyFree}
+	n.lazyFree = c
 }
 
 // requestFetch starts a fetch subject to the concurrency cap.

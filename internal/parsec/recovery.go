@@ -535,6 +535,7 @@ func (n *node) resetForRecovery() {
 	// nothing names any more.
 	n.store.reset()
 	n.tasks.reset()
+	n.lazy, n.lazyFree = n.lazy[:0], noCell
 	n.ready = prioQueue{}
 	n.fetchQ = prioQueue{}
 	n.activeFetches = 0

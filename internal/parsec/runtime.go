@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"amtlci/internal/core"
 	"amtlci/internal/metrics"
@@ -47,6 +48,46 @@ type Runtime struct {
 	nranks int
 }
 
+// recordSlab is one shard's supply of fresh flow and step records, for when a
+// rank's own free lists are empty. Every rank of the shard carves from it, on
+// the shard's goroutine only, so a 256-rank run leaves one partly used chunk
+// per shard rather than one per rank; the padding keeps two shards' slabs off
+// one cache line. The ranks hold the only references, and drop them with the
+// rest of their run state.
+type recordSlab struct {
+	flows chunks[flowData]
+	ops   chunks[commOp]
+	_     [64]byte
+}
+
+// chunks hands out records of one type carved from chunks, under the metrics
+// registry's policy: the first chunk is small, each next one twice the size,
+// up to maxChunkBytes. A chunk is never grown or copied, so a record keeps its
+// address; the chunk lives as long as any record carved from it is
+// reachable, and the records are run-scoped like the free lists they retire
+// to, so chunks and records die together when the run's state is dropped.
+type chunks[T any] struct {
+	rest []T // the uncarved tail of the current chunk
+	size int // the current chunk's length
+}
+
+const (
+	minChunk      = 8
+	maxChunkBytes = 32 << 10
+)
+
+// take returns a zero record.
+func (c *chunks[T]) take() *T {
+	if len(c.rest) == 0 {
+		var zero T
+		c.size = min(max(2*c.size, minChunk), max(maxChunkBytes/int(unsafe.Sizeof(zero)), 1))
+		c.rest = make([]T, c.size)
+	}
+	r := &c.rest[0]
+	c.rest = c.rest[1:]
+	return r
+}
+
 // New builds a runtime. engines must live on dom's per-rank engines and have
 // ranks 0..n-1 in order; it panics otherwise.
 func New(dom sim.Domain, engines []core.Engine, tp Taskpool, cfg Config) *Runtime {
@@ -70,11 +111,15 @@ func New(dom sim.Domain, engines []core.Engine, tp Taskpool, cfg Config) *Runtim
 	rt.nranks = len(engines)
 	rt.restarts = reg.Counter("parsec", "restarts", metrics.StackRank)
 	rt.term = newTermState(len(engines), reg)
+	slabs := make([]*recordSlab, dom.Shards())
+	for i := range slabs {
+		slabs[i] = &recordSlab{}
+	}
 	for i, ce := range engines {
 		if ce.Rank() != i {
 			panic(fmt.Sprintf("parsec: engine %d reports rank %d", i, ce.Rank()))
 		}
-		rt.nodes = append(rt.nodes, newNode(rt, i, ce, cfg))
+		rt.nodes = append(rt.nodes, newNode(rt, i, ce, cfg, slabs[dom.ShardOf(i)]))
 		// A communication-engine failure (peer declared unreachable, bad
 		// header on the wire) aborts the whole graph: with a task missing,
 		// running the DAG to completion is impossible.

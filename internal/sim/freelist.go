@@ -2,11 +2,11 @@ package sim
 
 // Free-list caps. A list is a cache, not an account: it fills on demand, a
 // Put beyond the cap drops the record for the GC, and a record lost on the
-// way (a crash, a purge, a dropped message) is simply never put back. Lists
-// owned by one rank hold a few dozen records at most; the lists of records
-// that cross the wire are shared by all ranks of a shard (a record is retired
-// where it is delivered, so per-rank lists would drain on every one-way
-// stream) and sized for a shard's worth of messages in flight.
+// way (a crash, a purge, a dropped message) is simply never put back. Capped
+// lists owned by one rank hold a few dozen records at most; the lists of
+// records that cross the wire are shared by all ranks of a shard (a record is
+// retired where it is delivered, so per-rank lists would drain on every
+// one-way stream) and sized for a shard's worth of messages in flight.
 const (
 	RankListCap  = 16
 	ShardListCap = 256
@@ -24,6 +24,12 @@ var PoisonRetired bool
 // its owner's engine goroutine. The message path takes its per-step records
 // from such lists instead of allocating a closure per deferred step
 // (DESIGN.md §5.15). The zero value is an empty list capped at RankListCap.
+//
+// An owner whose records, list included, die with one run may lift the cap
+// (Cap = math.MaxInt) and keep every record it retires: parsec's flow and
+// step records are carved from per-run slabs, so its lists hold the run's
+// in-flight peak until the run's state is dropped, and no record is paid for
+// twice.
 type FreeList[T any] struct {
 	free []*T
 	// Cap overrides RankListCap when positive.
