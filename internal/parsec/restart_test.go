@@ -119,9 +119,10 @@ func TestStaleCommOpNeitherRunsNorRecycles(t *testing.T) {
 				t.Fatalf("pendingOps = %d after the stale steps fired, want 0", owner.pendingOps)
 			}
 			ceLayer := map[stack.Backend]string{stack.LCI: "lcice", stack.MPI: "mpice"}[b]
-			if puts := s.Metrics.Value(ceLayer, "puts_started", owner.rank); puts != 0 || owner.activatesSent.Value() != 0 || owner.csent != 0 {
+			csent, _ := owner.books.Counts()
+			if puts := s.Metrics.Value(ceLayer, "puts_started", owner.rank); puts != 0 || owner.activatesSent.Value() != 0 || csent != 0 {
 				t.Fatalf("a stale step ran: puts=%d activates=%d csent=%d",
-					puts, owner.activatesSent.Value(), owner.csent)
+					puts, owner.activatesSent.Value(), csent)
 			}
 			if fd.registered || owner.pendingDests != 0 {
 				t.Fatalf("a stale step touched rank state: registered=%v pendingDests=%d", fd.registered, owner.pendingDests)

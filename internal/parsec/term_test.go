@@ -3,6 +3,8 @@ package parsec
 import (
 	"bytes"
 	"testing"
+
+	"amtlci/internal/term"
 )
 
 // White-box tests for the termination-control wire format. Behavioral
@@ -11,11 +13,11 @@ import (
 
 func TestTermMsgRoundTrip(t *testing.T) {
 	msgs := []termMsg{
-		{kind: termToken, epoch: 0, round: 1},
-		{kind: termToken, epoch: 3, round: 17, q: -42, acts: 9001, black: true},
-		{kind: termAnnounce, epoch: 1, round: 4},
-		{kind: termNudge, epoch: 2, rank: 7},
-		{kind: termDeadvote, epoch: 5, rank: 3},
+		{Msg: term.Msg{Kind: term.Token, Round: 1}},
+		{Msg: term.Msg{Kind: term.Token, Round: 17, Q: -42, Acts: 9001, Black: true}, epoch: 3},
+		{Msg: term.Msg{Kind: term.Announce, Round: 4}, epoch: 1},
+		{Msg: term.Msg{Kind: term.Nudge, Rank: 7}, epoch: 2},
+		{Msg: term.Msg{Kind: termDeadvote, Rank: 3}, epoch: 5},
 	}
 	for _, m := range msgs {
 		b := appendTermMsg(nil, m)
@@ -33,7 +35,7 @@ func TestTermMsgRoundTrip(t *testing.T) {
 }
 
 func TestTermMsgRejectsMalformed(t *testing.T) {
-	good := appendTermMsg(nil, termMsg{kind: termToken, epoch: 1, round: 2, q: 3, acts: 4})
+	good := appendTermMsg(nil, termMsg{Msg: term.Msg{Kind: term.Token, Round: 2, Q: 3, Acts: 4}, epoch: 1})
 
 	// Every truncation must be rejected, never panic.
 	for i := 0; i < len(good); i++ {
@@ -67,8 +69,8 @@ func TestTermMsgRejectsMalformed(t *testing.T) {
 // accepts must re-encode byte-identically (the format has exactly one
 // representation per message).
 func FuzzDecodeTermMsg(f *testing.F) {
-	f.Add(appendTermMsg(nil, termMsg{kind: termToken, epoch: 1, round: 2, q: -3, acts: 4, black: true}))
-	f.Add(appendTermMsg(nil, termMsg{kind: termDeadvote, epoch: 9, rank: 2}))
+	f.Add(appendTermMsg(nil, termMsg{Msg: term.Msg{Kind: term.Token, Round: 2, Q: -3, Acts: 4, Black: true}, epoch: 1}))
+	f.Add(appendTermMsg(nil, termMsg{Msg: term.Msg{Kind: termDeadvote, Rank: 2}, epoch: 9}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, termMsgBytes))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -76,8 +78,8 @@ func FuzzDecodeTermMsg(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if m.kind < termToken || m.kind > termDeadvote {
-			t.Fatalf("accepted unknown kind %d", m.kind)
+		if m.Kind < term.Token || m.Kind > termDeadvote {
+			t.Fatalf("accepted unknown kind %d", m.Kind)
 		}
 		if !bytes.Equal(appendTermMsg(nil, m), data) {
 			t.Fatalf("accepted frame does not re-encode identically: %x", data)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"amtlci/internal/core/stack"
+	"amtlci/internal/metrics"
 	"amtlci/internal/parsec"
 	"amtlci/internal/sim"
 )
@@ -31,8 +32,8 @@ func TestTerminationAnnouncedAfterRun(t *testing.T) {
 		if !rt.Terminated() {
 			t.Fatal("run succeeded but the detector never announced")
 		}
-		if rt.TermRounds() < 1 {
-			t.Fatalf("term rounds = %d, want >= 1", rt.TermRounds())
+		if n := rt.Metrics().Value("parsec", "term_rounds", metrics.StackRank); n < 1 {
+			t.Fatalf("term rounds = %d, want >= 1", n)
 		}
 	})
 }
