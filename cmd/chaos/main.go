@@ -46,6 +46,11 @@ func main() {
 	metricsDir := flag.String("metrics", "", "dump per-run metric summaries as CSV into this directory (e.g. results)")
 	j := flag.Int("j", 1, "parallel sweep workers for the rate sweep (0 = one per CPU); output is identical for every value")
 	flag.Parse()
+	crashes, err := checkFlags(*crash, *storm, *rate, *quick, *sever)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+		os.Exit(2)
+	}
 
 	// The seed is the replay handle for every mode, so it prints before any
 	// branch can exit — a failure without its seed cannot be reproduced.
@@ -55,7 +60,7 @@ func main() {
 		os.Exit(runSever(*seed))
 	}
 	if *crash != "" || *storm > 0 {
-		os.Exit(runCrash(*crash, *storm, *seed, *metricsDir, *steal))
+		os.Exit(runCrash(crashes, *storm, *seed, *metricsDir, *steal))
 	}
 
 	// The rate sweep is an expd chaos spec: one point per (backend,
@@ -116,6 +121,29 @@ func main() {
 	if bad {
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses, before any run, the flag combinations in which one
+// flag would be silently dropped: -sever, -crash, -crash-storm and the rate
+// sweep (-rate, -quick) are exclusive modes, and -quick fixes the rate. It
+// parses -crash, so a malformed cascade is refused here too, and returns it.
+func checkFlags(crash string, storm int, rate float64, quick, sever bool) ([]crashPoint, error) {
+	crashing := crash != "" || storm > 0
+	switch {
+	case storm < 0:
+		return nil, fmt.Errorf("-crash-storm %d is negative", storm)
+	case crash != "" && storm > 0:
+		return nil, errors.New("-crash and -crash-storm are exclusive")
+	case sever && crashing:
+		return nil, errors.New("-sever does not combine with -crash or -crash-storm")
+	case quick && rate >= 0:
+		return nil, errors.New("-quick fixes the rate at 2%; give -quick or -rate, not both")
+	case (sever || crashing) && (quick || rate >= 0):
+		return nil, errors.New("-rate and -quick select the rate sweep, not -sever, -crash or -crash-storm")
+	case crash == "":
+		return nil, nil
+	}
+	return parseCrashList(crash)
 }
 
 // dumpMetrics re-runs the faulted run of chaos point p at ratePct percent —
@@ -228,20 +256,12 @@ func fmtCascade(cs []chaos.CrashSpec) string {
 
 // runCrash is the crash-recovery proof: for every (backend, workload) point
 // it measures the fault-free baseline, the recovery-armed overhead without a
-// crash, the recovered makespan with the scripted crash cascade (one crash,
-// a comma-separated list, or a seeded -crash-storm), and an exact replay —
+// crash, the recovered makespan with the crash cascade (the parsed -crash
+// entries pts, or a seeded -crash-storm), and an exact replay —
 // then writes the whole table as a CSV artifact. With steal, every run of
 // a point has work stealing enabled, so the recovered makespan shows how an
 // idle survivor drains the dead rank's heir.
-func runCrash(spec string, storm int, seed uint64, dir string, steal bool) int {
-	var pts []crashPoint
-	if storm <= 0 {
-		var err error
-		if pts, err = parseCrashList(spec); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			return 1
-		}
-	}
+func runCrash(pts []crashPoint, storm int, seed uint64, dir string, steal bool) int {
 	if dir == "" {
 		dir = "results"
 	}

@@ -12,15 +12,30 @@
 //	Table 2 best tile size per node count
 //
 // Figures 4 and 5 are internal/expd tile and nodes specs, evaluated and
-// rendered by the code cmd/hicma and the simd service use.
+// rendered by the code the simd service uses.
 //
 // -scale shrinks the HiCMA problem; -quick uses a cheap measurement
 // protocol. With the defaults (scale 1, paper protocols) a full regeneration
-// takes several hours of CPU; -scale 0.5 -quick finishes in minutes.
+// takes several hours of CPU; -quick finishes in minutes (about 4 at -j 2
+// on 2 cores).
+//
+// -spec JSON runs one HiCMA experiment instead: it evaluates a tile or
+// nodes spec (the schema simd accepts) and prints the spec's figure tables
+// — with "mt", the §6.4.3 multithreading table too — and then its per-point
+// table, the table simd's /result serves:
+//
+//	experiments -spec '{"kind":"tile","scale":0.1,"mt":true}'        Fig 4a/4b + §6.4.3
+//	experiments -spec '{"kind":"nodes","scale":0.5,"runs":1}' -j 0    Fig 5a/5b + Table 2
+//	experiments -spec '{"kind":"tile","tiles":[2400],"steal":true}'  one tile, with stealing
+//
+// -cache DIR consults and fills a content-addressed result cache (share
+// simd's state/cache to reuse the service's points) for every HiCMA sweep
+// the command runs.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,7 +55,6 @@ import (
 
 func main() {
 	scale := flag.Float64("scale", 1.0, "HiCMA problem scale factor in (0,1]")
-	fig5Scale := flag.Float64("fig5-scale", 0, "separate scale for the strong-scaling sweep (0 = same as -scale); the 6x9x2-run Fig 5 grid is by far the most expensive experiment")
 	quick := flag.Bool("quick", false, "cheap measurement protocol everywhere")
 	md := flag.Bool("md", false, "emit markdown tables")
 	runsMicro := flag.Int("micro-runs", 18, "microbenchmark executions per point (discard 3)")
@@ -48,10 +62,14 @@ func main() {
 	listConfig := flag.Bool("list-config", false, "print the simulated platform configuration (Table 1 analogue) and exit")
 	metricsDir := flag.String("metrics", "", "run one instrumented HiCMA point per backend and dump its metric registry as CSV into this directory, then exit")
 	j := flag.Int("j", 1, "parallel sweep workers (0 = one per CPU); tables and CSVs are byte-identical for every value")
-	steal := flag.Bool("steal", false, "enable inter-rank work stealing in the HiCMA tile sweep (Figs 4a/4b)")
 	csvDir := flag.String("csv", "", "also write each table as a CSV file into this directory")
+	specJSON := flag.String("spec", "", `evaluate one "tile" or "nodes" experiment spec (JSON) and print its figure and point tables instead of the whole evaluation`)
+	cacheDir := flag.String("cache", "", "content-addressed result cache directory for the HiCMA sweeps (share simd's state/cache to reuse its points)")
 	flag.Parse()
-	if err := checkFlags(*scale, *fig5Scale, *runsMicro, *runsHicma); err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	spec, err := checkFlags(*scale, *runsMicro, *runsHicma, *specJSON, set)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
@@ -89,6 +107,36 @@ func main() {
 		exitOn(err)
 		t.CSV(f)
 		exitOn(f.Close())
+	}
+	var cache *expd.Cache
+	if *cacheDir != "" {
+		cache, err = expd.OpenCache(*cacheDir)
+		exitOn(err)
+	}
+	// figures evaluates a canonical HiCMA spec and emits its tables; the
+	// §6.4.3 multithreading table, not a figure of the paper, only with
+	// mtTable.
+	figures := func(s expd.Spec, mtTable bool) []expd.PointResult {
+		results, err := expd.EvalPoints(context.Background(), *j, s.Points(), cache, expd.EvalHooks{})
+		exitOn(err)
+		figs, err := expd.HiCMAFigures(s, results)
+		exitOn(err)
+		for _, f := range figs {
+			if mtTable || f.Name != expd.FigMTTime {
+				emit(f.Name, f.Table)
+			}
+		}
+		return results
+	}
+	if spec.Kind != "" {
+		canon, err := json.Marshal(spec)
+		exitOn(err)
+		fmt.Printf("spec: %s\n\n", canon)
+		results := figures(spec, true)
+		t, err := expd.AssembleTable(spec, spec.Points(), results)
+		exitOn(err)
+		emit("points", t)
+		return
 	}
 	start := time.Now()
 
@@ -130,37 +178,16 @@ func main() {
 		})
 
 	// ---- Figures 4a/4b, 5a/5b and Table 2 ----
-	// figures evaluates a canonical HiCMA spec and emits the paper's tables
-	// for it.
-	figures := func(s expd.Spec) []expd.PointResult {
-		results, err := expd.EvalPoints(context.Background(), *j, s.Points(), nil, expd.EvalHooks{})
-		exitOn(err)
-		figs, err := expd.HiCMAFigures(s, results)
-		exitOn(err)
-		for _, f := range figs {
-			if f.Name != expd.FigMTTime { // §6.4.3's table, not a figure of the paper
-				emit(f.Name, f.Table)
-			}
-		}
-		return results
-	}
-	tile, err := expd.Spec{Kind: expd.KindTile, Scale: *scale, Nodes: 16, MT: true, Steal: *steal,
+	tile, err := expd.Spec{Kind: expd.KindTile, Scale: *scale, Nodes: 16, MT: true,
 		Runs: hicma.Runs, Discard: hicma.Discard}.Canonical()
 	exitOn(err)
 	fmt.Printf("HiCMA problem: N=%d (scale %.2f)\n\n", tile.N, *scale)
-	figures(tile)
+	figures(tile, false)
 
-	scale5 := *scale
-	if *fig5Scale > 0 {
-		scale5 = *fig5Scale
-	}
-	nodes, err := expd.Spec{Kind: expd.KindNodes, Scale: scale5,
+	nodes, err := expd.Spec{Kind: expd.KindNodes, Scale: *scale,
 		Runs: hicma.Runs, Discard: hicma.Discard}.Canonical()
 	exitOn(err)
-	if *fig5Scale > 0 {
-		fmt.Printf("strong-scaling problem: N=%d (scale %.2f)\n\n", nodes.N, *fig5Scale)
-	}
-	points, err := expd.StrongScalingFrom(nodes, figures(nodes))
+	points, err := expd.StrongScalingFrom(nodes, figures(nodes, false))
 	exitOn(err)
 
 	// ---- headline summary (§6.4.3, §7) ----
@@ -187,22 +214,40 @@ func exitOn(err error) {
 	}
 }
 
-// checkFlags rejects the flag values that would otherwise panic only once
-// the sweeps reach them, minutes into a run: a scale outside (0,1] (0 is
-// allowed for -fig5-scale, where it means "same as -scale") and run counts
-// that leave no measured run after the discarded ones.
-func checkFlags(scale, fig5Scale float64, microRuns, hicmaRuns int) error {
+// checkFlags rejects, before any simulation starts, the flag values that
+// would otherwise panic only once the sweeps reach them, minutes into a
+// run: a scale outside (0,1] and run counts that leave no measured run
+// after the discarded ones. set names the flags given on the command line.
+// A -spec must decode to a tile or nodes spec over both backends (the
+// figures compare LCI with Open MPI) and comes alone: the whole-evaluation
+// flags would be silently ignored. checkFlags returns the canonical -spec
+// spec, or the zero Spec without one.
+func checkFlags(scale float64, microRuns, hicmaRuns int, specJSON string, set map[string]bool) (expd.Spec, error) {
 	switch {
 	case !(scale > 0 && scale <= 1):
-		return fmt.Errorf("-scale %v outside (0,1]", scale)
-	case fig5Scale != 0 && !(fig5Scale > 0 && fig5Scale <= 1):
-		return fmt.Errorf("-fig5-scale %v outside (0,1]", fig5Scale)
+		return expd.Spec{}, fmt.Errorf("-scale %v outside (0,1]", scale)
 	case microRuns <= 3:
-		return fmt.Errorf("-micro-runs %d must exceed the 3 discarded runs", microRuns)
+		return expd.Spec{}, fmt.Errorf("-micro-runs %d must exceed the 3 discarded runs", microRuns)
 	case hicmaRuns < 1:
-		return fmt.Errorf("-hicma-runs %d must be at least 1", hicmaRuns)
+		return expd.Spec{}, fmt.Errorf("-hicma-runs %d must be at least 1", hicmaRuns)
+	case !set["spec"]:
+		return expd.Spec{}, nil
 	}
-	return nil
+	for _, f := range []string{"scale", "quick", "micro-runs", "hicma-runs", "metrics", "list-config"} {
+		if set[f] {
+			return expd.Spec{}, fmt.Errorf("-%s does not combine with -spec", f)
+		}
+	}
+	s, err := expd.DecodeSpec([]byte(specJSON))
+	switch {
+	case err != nil:
+		return expd.Spec{}, fmt.Errorf("-spec: %w", err)
+	case s.Kind == expd.KindChaos:
+		return expd.Spec{}, fmt.Errorf("-spec: %q specs run under cmd/chaos", s.Kind)
+	case len(s.Backends) != 2:
+		return expd.Spec{}, fmt.Errorf("-spec: the HiCMA figures need both backends, got %v", s.Backends)
+	}
+	return s, nil
 }
 
 // dumpMetrics runs one small instrumented HiCMA execution per backend (4

@@ -20,7 +20,6 @@ import (
 	"amtlci/internal/core/stack"
 	"amtlci/internal/ctrace"
 	"amtlci/internal/hicma"
-	"amtlci/internal/metrics"
 	"amtlci/internal/parsec"
 	"amtlci/internal/sim"
 )
@@ -47,49 +46,27 @@ func main() {
 	pcfg.Metrics = s.Metrics
 	rt := parsec.New(s.Eng, s.Engines, pool, pcfg)
 
-	var names []string
-	for _, c := range pool.Classes() {
-		names = append(names, c.Name)
-	}
-	rec := ctrace.NewRecorder(names)
-	rt.SetObserver(rec)
-
-	var smp *metrics.Sampler
-	if *sample > 0 {
-		smp = metrics.NewSampler(s.Eng, s.Metrics, sim.Duration(*sample*float64(sim.Microsecond)))
-		smp.Start()
-	}
-
-	elapsed, err := rt.Run()
+	tr, err := ctrace.Record(rt, pool, s.Eng, s.Metrics, sim.Duration(*sample*float64(sim.Microsecond)))
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	events := rec.Events()
-	counters := 0
-	if smp != nil {
-		smp.Flush()
-		ce := ctrace.CounterEvents(smp.Tracks())
-		counters = len(ce)
-		events = append(events, ce...)
 	}
 
 	f, err := os.Create(*out)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ctrace.Write(f, events); err != nil {
+	if err := ctrace.Write(f, tr.Events); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%v backend: %v virtual time, %d events (%d counter samples) -> %s\n",
-		be, elapsed, len(events), counters, *out)
-	if unknown, unmatched := rec.Anomalies(); unknown > 0 || unmatched > 0 {
+		be, tr.Elapsed, len(tr.Events), tr.Counters, *out)
+	if tr.UnknownClass > 0 || tr.UnmatchedEnd > 0 {
 		fmt.Fprintf(os.Stderr,
 			"trace: warning: %d task(s) with class index outside the %d-entry name table, %d TaskEnd(s) without a matching TaskStart\n",
-			unknown, len(names), unmatched)
+			tr.UnknownClass, len(pool.Classes()), tr.UnmatchedEnd)
 	}
 	fmt.Println("open in chrome://tracing or https://ui.perfetto.dev")
 }

@@ -2,9 +2,9 @@
 // array format read by chrome://tracing and ui.perfetto.dev): one duration
 // event per task execution, instant events for GET DATA requests, data
 // arrivals, and ACTIVATE messages, and counter tracks sampled from the
-// runtime-wide metrics registry. cmd/trace writes these traces from the
-// command line; the experiment service (internal/expd) serves them over
-// HTTP for any HiCMA-shaped job.
+// runtime-wide metrics registry. Record is the one recording sequence:
+// cmd/trace writes its traces from the command line, and the experiment
+// service (internal/expd) serves them over HTTP for any HiCMA-shaped job.
 package ctrace
 
 import (
@@ -28,8 +28,8 @@ type Event struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// Recorder implements parsec.Observer by buffering trace events.
-type Recorder struct {
+// recorder implements parsec.Observer by buffering trace events.
+type recorder struct {
 	parsec.NopObserver
 	events []Event
 	starts map[[3]int64]sim.Time // (rank, worker, packed task) -> start
@@ -40,10 +40,10 @@ type Recorder struct {
 	unmatchedEnd int // TaskEnd with no recorded TaskStart
 }
 
-// NewRecorder returns a Recorder naming task classes after names (index ==
+// newRecorder returns a recorder naming task classes after names (index ==
 // parsec class index); tasks beyond the table keep a numeric label.
-func NewRecorder(names []string) *Recorder {
-	return &Recorder{starts: make(map[[3]int64]sim.Time), names: names}
+func newRecorder(names []string) *recorder {
+	return &recorder{starts: make(map[[3]int64]sim.Time), names: names}
 }
 
 func key(rank, worker int, t parsec.TaskID) [3]int64 {
@@ -51,12 +51,12 @@ func key(rank, worker int, t parsec.TaskID) [3]int64 {
 }
 
 // TaskStart records the start timestamp of one task execution.
-func (r *Recorder) TaskStart(rank, worker int, t parsec.TaskID, at sim.Time) {
+func (r *recorder) TaskStart(rank, worker int, t parsec.TaskID, at sim.Time) {
 	r.starts[key(rank, worker, t)] = at
 }
 
 // TaskEnd closes the matching TaskStart into one duration event.
-func (r *Recorder) TaskEnd(rank, worker int, t parsec.TaskID, at sim.Time) {
+func (r *recorder) TaskEnd(rank, worker int, t parsec.TaskID, at sim.Time) {
 	k := key(rank, worker, t)
 	start, ok := r.starts[k]
 	if !ok {
@@ -78,7 +78,7 @@ func (r *Recorder) TaskEnd(rank, worker int, t parsec.TaskID, at sim.Time) {
 }
 
 // FetchStart marks a GET DATA request leaving rank.
-func (r *Recorder) FetchStart(rank int, p parsec.TaskID, flow int32, size int64, at sim.Time) {
+func (r *recorder) FetchStart(rank int, p parsec.TaskID, flow int32, size int64, at sim.Time) {
 	r.events = append(r.events, Event{
 		Name: "GET DATA", Phase: "i", TS: float64(at) / 1e6, PID: rank, TID: 0,
 		Args: map[string]any{"producer": p.String(), "bytes": size},
@@ -86,7 +86,7 @@ func (r *Recorder) FetchStart(rank int, p parsec.TaskID, flow int32, size int64,
 }
 
 // DataArrived marks a tile payload landing on rank.
-func (r *Recorder) DataArrived(rank int, p parsec.TaskID, flow int32, size int64, at sim.Time) {
+func (r *recorder) DataArrived(rank int, p parsec.TaskID, flow int32, size int64, at sim.Time) {
 	r.events = append(r.events, Event{
 		Name: "data arrived", Phase: "i", TS: float64(at) / 1e6, PID: rank, TID: 0,
 		Args: map[string]any{"producer": p.String(), "bytes": size},
@@ -94,26 +94,59 @@ func (r *Recorder) DataArrived(rank int, p parsec.TaskID, flow int32, size int64
 }
 
 // ActivateSent marks an ACTIVATE message leaving rank.
-func (r *Recorder) ActivateSent(rank, dest, entries int, at sim.Time) {
+func (r *recorder) ActivateSent(rank, dest, entries int, at sim.Time) {
 	r.events = append(r.events, Event{
 		Name: "ACTIVATE", Phase: "i", TS: float64(at) / 1e6, PID: rank, TID: 0,
 		Args: map[string]any{"dest": dest, "entries": entries},
 	})
 }
 
-// Events returns the buffered events (the recorder keeps ownership).
-func (r *Recorder) Events() []Event { return r.events }
-
-// Anomalies returns the counts of TaskEnds with an out-of-table class index
-// and of TaskEnds without a matching TaskStart — both zero on a clean run.
-func (r *Recorder) Anomalies() (unknownClass, unmatchedEnd int) {
-	return r.unknownClass, r.unmatchedEnd
+// Trace is one recorded execution.
+type Trace struct {
+	Elapsed sim.Duration // the run's virtual makespan
+	// Events holds the task and message events, then Counters counter
+	// events sampled from the metrics registry.
+	Events   []Event
+	Counters int
+	// Anomaly counts, both zero on a clean run: TaskEnds whose class index
+	// is outside pool's class table, and TaskEnds without a TaskStart.
+	UnknownClass, UnmatchedEnd int
 }
 
-// CounterEvents converts sampled metric tracks into Perfetto counter ("C")
+// Record runs rt to completion with a recorder attached, naming task
+// classes after pool's, and returns its trace. With sample > 0 a
+// metrics.Sampler reads reg every sample of virtual time on eng, and its
+// tracks become the trace's counter events.
+func Record(rt *parsec.Runtime, pool parsec.Taskpool, eng *sim.Engine, reg *metrics.Registry, sample sim.Duration) (Trace, error) {
+	var names []string
+	for _, c := range pool.Classes() {
+		names = append(names, c.Name)
+	}
+	rec := newRecorder(names)
+	rt.SetObserver(rec)
+	var smp *metrics.Sampler
+	if sample > 0 {
+		smp = metrics.NewSampler(eng, reg, sample)
+		smp.Start()
+	}
+	elapsed, err := rt.Run()
+	if err != nil {
+		return Trace{}, err
+	}
+	t := Trace{Elapsed: elapsed, Events: rec.events,
+		UnknownClass: rec.unknownClass, UnmatchedEnd: rec.unmatchedEnd}
+	if smp != nil {
+		smp.Flush()
+		ce := counterEvents(smp.Tracks())
+		t.Events, t.Counters = append(t.Events, ce...), len(ce)
+	}
+	return t, nil
+}
+
+// counterEvents converts sampled metric tracks into Perfetto counter ("C")
 // events. Runs of identical values are collapsed to their endpoints, so
 // flat tracks cost almost nothing in the output.
-func CounterEvents(tracks []metrics.Track) []Event {
+func counterEvents(tracks []metrics.Track) []Event {
 	var out []Event
 	for _, tr := range tracks {
 		name := tr.Desc.Layer + "/" + tr.Desc.Name

@@ -3,9 +3,10 @@
 //
 // An experiment Spec is one canonical schema for every HiCMA and chaos-rate
 // sweep in the repository, and Spec → Points → EvalPoints is the only code
-// that runs them: the batch CLIs (cmd/experiments, cmd/hicma, cmd/chaos)
-// build a Spec from their flags and render the results, and the service
-// accepts the same Spec over HTTP. A spec is validated and canonicalized,
+// that runs them: cmd/experiments builds its Figure 4/5 specs from its
+// flags or takes one as JSON (-spec), cmd/chaos builds its rate sweep from
+// its flags, both render the results, and the service accepts the same
+// Spec over HTTP. A spec is validated and canonicalized,
 // decomposed into self-contained sweep Points, and the points are scheduled
 // on a bounded worker pool (bench.SweepCtx).
 // Every point is content-addressed by a stable hash of its canonical

@@ -7,13 +7,12 @@ import (
 	"amtlci/internal/bench"
 	"amtlci/internal/core/stack"
 	"amtlci/internal/ctrace"
-	"amtlci/internal/metrics"
 	"amtlci/internal/sim"
 )
 
-// TracePoint re-simulates one HiCMA point with a ctrace.Recorder attached
-// and returns the Chrome-trace events (task slices, message instants, and
-// counter tracks). The run is built by bench.HiCMARuntime from the options
+// TracePoint re-simulates one HiCMA point under ctrace.Record and returns
+// the Chrome-trace events (task slices, message instants, and counter
+// tracks). The run is built by bench.HiCMARuntime from the options
 // EvalPoint measures, as the point's first run, so the trace shows the same
 // execution the cached measurement came from — determinism makes the replay
 // free of divergence.
@@ -31,21 +30,8 @@ func TracePoint(p Point) (events []ctrace.Event, err error) {
 		return nil, err
 	}
 	st, rt, pool := bench.HiCMARuntime(p.hicmaOpts(b), 0, nil)
-
-	var names []string
-	for _, c := range pool.Classes() {
-		names = append(names, c.Name)
-	}
-	rec := ctrace.NewRecorder(names)
-	rt.SetObserver(rec)
-	smp := metrics.NewSampler(st.Eng, st.Metrics, 100*sim.Microsecond)
-	smp.Start()
-
-	if _, err := rt.Run(); err != nil {
-		return nil, err
-	}
-	smp.Flush()
-	return append(rec.Events(), ctrace.CounterEvents(smp.Tracks())...), nil
+	tr, err := ctrace.Record(rt, pool, st.Eng, st.Metrics, 100*sim.Microsecond)
+	return tr.Events, err
 }
 
 // writeTrace serializes events as a Chrome trace JSON array.
