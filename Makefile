@@ -26,8 +26,10 @@ pairs:
 	./scripts/pairs.sh $(W) $(BASE) $(SEED) $(N)
 
 # Code census (scripts/census.sh): Go lines outside benchmark/ (test and
-# non-test), CLIs, flags, exported identifiers and every test by name, one
-# "key value" pair per line. Diff two censuses to describe a change's size.
+# non-test), CLIs, flags, exported identifiers, options (exported fields of
+# the Config/Options/Opts/Params structs and expd.Spec) and every test by
+# name, one "key value" pair per line. Diff two censuses to describe a
+# change's size.
 census:
 	./scripts/census.sh
 

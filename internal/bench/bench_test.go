@@ -183,17 +183,6 @@ func TestHiCMASmallConfigCompletes(t *testing.T) {
 	}
 }
 
-func TestHiCMAWithClockSync(t *testing.T) {
-	o := DefaultHiCMAOpts(stack.LCI, 1800, 2)
-	o.N = 18000
-	o.Runs = quick
-	o.SyncClocks = true
-	r := HiCMA(o)
-	if r.E2ELatencyMS < 0 || r.E2ELatencyMS > 1000 {
-		t.Fatalf("corrected latency %.2fms implausible", r.E2ELatencyMS)
-	}
-}
-
 func TestScaledProblem(t *testing.T) {
 	n, tiles := ScaledProblem(1.0, PaperTileSizes)
 	if n != 360000 || len(tiles) != len(PaperTileSizes) {

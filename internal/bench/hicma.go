@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"amtlci/internal/clocksync"
 	"amtlci/internal/core/stack"
 	"amtlci/internal/hicma"
 	"amtlci/internal/metrics"
 	"amtlci/internal/parsec"
-	"amtlci/internal/sim"
 	"amtlci/internal/stats"
 )
 
@@ -35,10 +33,6 @@ type HiCMAOpts struct {
 	Workers int
 	// FetchCap for the runtime's GET DATA pipeline.
 	FetchCap int
-	// SyncClocks runs the §6.1.3 clock-synchronization epoch over skewed
-	// rank clocks before the factorization and corrects latencies with the
-	// estimated offsets; otherwise clocks are perfect.
-	SyncClocks bool
 	// Steal enables inter-rank work stealing (idle ranks pull ready tasks
 	// and their input tiles from loaded peers).
 	Steal bool
@@ -87,12 +81,11 @@ func HiCMA(o HiCMAOpts) HiCMAResult {
 	return r
 }
 
-// HiCMARuntime builds run `run` of o ready to execute: the stack, the
-// runtime over a virtual HiCMA pool and, with SyncClocks, the skewed rank
-// clocks after their synchronization epoch. HiCMA measures exactly these
-// runs, and expd.TracePoint traces them. mutate, when non-nil, edits the
-// stack options and runtime configuration o produced before anything is
-// built (a mechanism-table row, mechanism.go).
+// HiCMARuntime builds run `run` of o ready to execute: the stack and the
+// runtime over a virtual HiCMA pool. HiCMA measures exactly these runs, and
+// expd.TracePoint traces them. mutate, when non-nil, edits the stack options
+// and runtime configuration o produced before anything is built (a
+// mechanism-table row, mechanism.go).
 func HiCMARuntime(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (*stack.Stack, *parsec.Runtime, *hicma.Pool) {
 	if o.Workers == 0 {
 		o.Workers = WorkersFor(o.Backend, o.Nodes)
@@ -112,12 +105,6 @@ func HiCMARuntime(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.C
 	s := stack.Build(so)
 	cfg.Metrics = s.Metrics
 	rt := parsec.New(s.Dom, s.Engines, pool, cfg)
-
-	if o.SyncClocks {
-		clocks := clocksync.MakeClocks(o.Nodes, 10*sim.Millisecond, 0, o.Seed+run)
-		res := clocksync.Register(s.Eng, s.Engines, clocks, 8).Run()
-		rt.SetClocks(clocks, res.Offsets)
-	}
 	return s, rt, pool
 }
 

@@ -28,14 +28,13 @@ type Point struct {
 	Backend string `json:"backend"`
 
 	// HiCMA points.
-	N          int  `json:"n,omitempty"`
-	NB         int  `json:"nb,omitempty"`
-	Nodes      int  `json:"nodes,omitempty"`
-	MT         bool `json:"mt,omitempty"`
-	SyncClocks bool `json:"sync_clocks,omitempty"`
-	Steal      bool `json:"steal,omitempty"` // also on chaos points
-	Runs       int  `json:"runs,omitempty"`
-	Discard    int  `json:"discard,omitempty"`
+	N       int  `json:"n,omitempty"`
+	NB      int  `json:"nb,omitempty"`
+	Nodes   int  `json:"nodes,omitempty"`
+	MT      bool `json:"mt,omitempty"`
+	Steal   bool `json:"steal,omitempty"` // also on chaos points
+	Runs    int  `json:"runs,omitempty"`
+	Discard int  `json:"discard,omitempty"`
 
 	// Chaos points: one point per (backend, workload) carries the whole
 	// rate sweep, because every rate's slowdown is relative to the same
@@ -151,7 +150,6 @@ func (p Point) hicmaOpts(b stack.Backend) bench.HiCMAOpts {
 	o := bench.DefaultHiCMAOpts(b, p.NB, p.Nodes)
 	o.N = p.N
 	o.MT = p.MT
-	o.SyncClocks = p.SyncClocks
 	o.Steal = p.Steal
 	o.Runs = stats.Methodology{Runs: p.Runs, Discard: p.Discard}
 	if p.Seed != 0 {

@@ -251,35 +251,43 @@ func TestServerRestartResume(t *testing.T) {
 	}
 }
 
-// TestServerResumesOldCheckpoint: testdata/jobs-sharded-spec.json is the
-// checkpoint an earlier server wrote for tinySpec with a shard count, a spec
-// field that no longer exists. It still loads — loadCheckpoint does not
-// reject unknown fields, unlike DecodeSpec — and its queued job resumes as
-// the serial sweep, on the serial points' cache addresses.
+// TestServerResumesOldCheckpoint: each testdata checkpoint is what an
+// earlier server wrote for tinySpec plus a spec field that no longer exists:
+// a shard count in jobs-sharded-spec.json, the clock-sync flag in
+// jobs-sync-clocks-spec.json. Each still loads — loadCheckpoint does not
+// reject unknown fields, unlike DecodeSpec — and its queued job resumes
+// under its recorded ID as tinySpec's sweep, on tinySpec's points' cache
+// addresses.
 func TestServerResumesOldCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	ckpt, err := os.ReadFile(filepath.Join("testdata", "jobs-sharded-spec.json"))
+	plain, err := DecodeSpec([]byte(tinySpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "jobs.json"), ckpt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	srv := newTestServer(t, dir)
-	defer srv.Close()
-	const id = "5a7a9eeb2ba7f0779dfded5f5e43e593ebd6b4a313f2ca05a4e90b8ad1cad530"
-	fin := waitState(t, srv, id, StateDone)
-	serial, err := DecodeSpec([]byte(tinySpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin.Points != len(serial.Points()) {
-		t.Fatalf("resumed job has %d points, the serial sweep %d", fin.Points, len(serial.Points()))
-	}
-	for _, p := range serial.Points() {
-		if !srv.Cache().Has(p.Hash()) {
-			t.Errorf("serial point %s was not computed by the resumed job", p.Hash()[:12])
-		}
+	for _, tc := range []struct{ file, id string }{
+		{"jobs-sharded-spec.json", "5a7a9eeb2ba7f0779dfded5f5e43e593ebd6b4a313f2ca05a4e90b8ad1cad530"},
+		{"jobs-sync-clocks-spec.json", "17f7cb6dfb49ce0551e29ef727d90bfca5a251c59e721d41277ea2516c6737e8"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			dir := t.TempDir()
+			ckpt, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "jobs.json"), ckpt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv := newTestServer(t, dir)
+			defer srv.Close()
+			fin := waitState(t, srv, tc.id, StateDone)
+			if fin.Points != len(plain.Points()) {
+				t.Fatalf("resumed job has %d points, tinySpec's sweep %d", fin.Points, len(plain.Points()))
+			}
+			for _, p := range plain.Points() {
+				if !srv.Cache().Has(p.Hash()) {
+					t.Errorf("point %s was not computed by the resumed job", p.Hash()[:12])
+				}
+			}
+		})
 	}
 }
 

@@ -57,8 +57,7 @@ type Spec struct {
 	Nodes      int     `json:"nodes,omitempty"`       // tile kind: node count (default 16)
 	NodeCounts []int   `json:"node_counts,omitempty"` // nodes kind: swept counts (default paper)
 	Tiles      []int   `json:"tiles,omitempty"`
-	MT         bool    `json:"mt,omitempty"` // tile kind: also measure multithreaded ACTIVATEs
-	SyncClocks bool    `json:"sync_clocks,omitempty"`
+	MT         bool    `json:"mt,omitempty"`    // tile kind: also measure multithreaded ACTIVATEs
 	Steal      bool    `json:"steal,omitempty"` // inter-rank work stealing (tile, nodes, chaos)
 	Runs       int     `json:"runs,omitempty"`  // measurement protocol (default 1)
 	Discard    int     `json:"discard,omitempty"`
@@ -251,7 +250,6 @@ func (s Spec) Canonical() (Spec, error) {
 				return Spec{}, fmt.Errorf("expd: no paper tile size divides N=%d; set tiles explicitly", c.N)
 			}
 		}
-		c.SyncClocks = s.SyncClocks
 		c.Steal = s.Steal
 		c.Runs, c.Discard = s.Runs, s.Discard
 		if c.Runs == 0 {
@@ -266,7 +264,6 @@ func (s Spec) Canonical() (Spec, error) {
 			reject(s.Scale != 0, "scale"), reject(s.N != 0, "n"),
 			reject(s.Nodes != 0, "nodes"), reject(len(s.NodeCounts) != 0, "node_counts"),
 			reject(len(s.Tiles) != 0, "tiles"), reject(s.MT, "mt"),
-			reject(s.SyncClocks, "sync_clocks"),
 			reject(s.Runs != 0, "runs"), reject(s.Discard != 0, "discard"),
 		} {
 			if e != nil {
@@ -325,7 +322,7 @@ func (s Spec) Points() []Point {
 				for _, nb := range s.Tiles {
 					pts = append(pts, Point{
 						Kind: PointHiCMA, Backend: b, N: s.N, NB: nb, Nodes: s.Nodes,
-						MT: mt, SyncClocks: s.SyncClocks, Steal: s.Steal,
+						MT: mt, Steal: s.Steal,
 						Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
 					})
 				}
@@ -339,8 +336,7 @@ func (s Spec) Points() []Point {
 				for _, nb := range s.Tiles {
 					pts = append(pts, Point{
 						Kind: PointHiCMA, Backend: b, N: s.N, NB: nb, Nodes: nd,
-						SyncClocks: s.SyncClocks, Steal: s.Steal,
-						Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
+						Steal: s.Steal, Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
 					})
 				}
 			}

@@ -103,6 +103,7 @@ func TestDecodeSpecRejects(t *testing.T) {
 		{`{"kind":"nodes","nodes":4}`, "not valid"},
 		{`{"kind":"tile","typo":1}`, "unknown field"},
 		{`{"kind":"tile","shards":4}`, `unknown field "shards"`},
+		{`{"kind":"tile","sync_clocks":true}`, `unknown field "sync_clocks"`},
 		{`{"kind":"tile","scale":0.5,"n":7200}`, "mutually exclusive"},
 		{`{"kind":"tile","tiles":[7]}`, "divide"},
 		{`{"kind":"coll"}`, "kind"},

@@ -41,13 +41,12 @@ func TestTracePointHonoursSteal(t *testing.T) {
 	}
 }
 
-// TestTracePointSamplesSyncedRun: a sync_clocks point's counter tracks must
-// cover the factorization. The sampler stops ticking when it is the only
-// pending event, so one started before the clock-synchronization epoch
-// stopped at the epoch's end and sampled nothing while tasks ran.
-func TestTracePointSamplesSyncedRun(t *testing.T) {
+// TestTracePointSamplesFactorization: a point's counter tracks must cover
+// the factorization. The sampler stops ticking when it is the only pending
+// event, so it must start with the run's own events, not ahead of them.
+func TestTracePointSamplesFactorization(t *testing.T) {
 	events, err := TracePoint(Point{Kind: PointHiCMA, Backend: "lci", N: 9600, NB: 1200, Nodes: 2,
-		Runs: 1, SyncClocks: true})
+		Runs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

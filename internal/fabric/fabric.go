@@ -289,12 +289,6 @@ func (f *Fabric) SerializeTime(size int64) sim.Duration {
 	return sim.Duration(float64(size) * 8000.0 / f.cfg.BandwidthGbps)
 }
 
-// TxBusy returns the cumulative occupancy of rank's transmit engine.
-func (f *Fabric) TxBusy(rank int) sim.Duration { return f.ports[rank].tx.BusyTime() }
-
-// RxBusy returns the cumulative occupancy of rank's receive engine.
-func (f *Fabric) RxBusy(rank int) sim.Duration { return f.ports[rank].rx.BusyTime() }
-
 // Send injects m from src toward m.Dst. The caller is responsible for
 // charging its own CPU-side posting cost; Send itself only occupies NIC and
 // wire resources. Payload slices are handed over by reference: the sender

@@ -7,9 +7,6 @@ import (
 // bufAlias lets parsec.DataRef expose the shared buffer type directly.
 type bufAlias = buf.Buf
 
-// NewDataRef wraps a buffer.
-func NewDataRef(b buf.Buf) DataRef { return DataRef{Buf: b} }
-
 // VirtualData returns a storage-less payload of n bytes.
 func VirtualData(n int64) DataRef { return DataRef{Buf: buf.Virtual(n)} }
 

@@ -65,7 +65,6 @@ type node struct {
 	executed int64
 	total    int64
 	rng      *sim.RNG
-	clock    Clock
 
 	// Crash-recovery state. dead marks a rank that crashed (its handlers
 	// and workers go inert); paused holds dispatch while a restart is being
@@ -531,7 +530,7 @@ func (n *node) complete(t TaskID, w int) {
 
 		fd := n.newFlow(flowReady, size)
 		fd.ref = outputs[f]
-		now := int64(n.clock.Read(n.eng.Now()))
+		now := int64(n.eng.Now())
 		fd.meta = activation{task: t, flow: flow, size: size,
 			root: int32(n.rank), rootSend: now, hopRank: int32(n.rank), hopSend: now,
 			epoch: n.epoch}
@@ -738,7 +737,7 @@ func (n *node) forward(act activation) int32 {
 	tree = append(tree, act.subtree...)
 	n.remoteScratch = tree
 	n.childScratch = treeSplit(n.childScratch[:0], tree)
-	now := int64(n.clock.Read(n.eng.Now()))
+	now := int64(n.eng.Now())
 	for _, sub := range n.childScratch {
 		fwd := act
 		fwd.hopRank = int32(n.rank)
@@ -971,7 +970,7 @@ func (n *node) servePut(key flowKey, fd *flowData, req getReq) {
 	meta := putMeta{
 		task: key.task, flow: key.flow, epoch: req.epoch,
 		root: fd.meta.root, rootSend: fd.meta.rootSend,
-		hopRank: int32(n.rank), hopSend: int64(n.clock.Read(n.eng.Now())),
+		hopRank: int32(n.rank), hopSend: int64(n.eng.Now()),
 	}
 	// The put's remote completion is the counted message: until the
 	// requester accepts it, this send vetoes termination.
@@ -1010,13 +1009,13 @@ func (n *node) onPutDone(_ core.Engine, _ core.Tag, data []byte, src int) {
 	}
 	o := n.newOp(opDeliver)
 	o.key, o.fd = key, fd
-	o.act = activation{root: m.root, rootSend: m.rootSend, hopRank: m.hopRank, hopSend: m.hopSend}
+	o.act = activation{rootSend: m.rootSend, hopSend: m.hopSend}
 	n.submit(n.cfg.DeliverCost, o)
 }
 
 // deliver is the deferred step of a landed put: release local waiters, serve
-// queued children, and admit the next deferred fetch. stamps carries the
-// put's tracing clocks.
+// queued children, and admit the next deferred fetch. stamps holds the
+// put's rootSend and hopSend.
 func (n *node) deliver(key flowKey, fd *flowData, stamps activation) {
 	fd.mustLive()
 	fd.state = flowReady
@@ -1024,8 +1023,7 @@ func (n *node) deliver(key flowKey, fd *flowData, stamps activation) {
 	if n.rt.obs != nil {
 		n.rt.obs.DataArrived(n.rank, key.task, key.flow, fd.size, n.eng.Now())
 	}
-	n.rt.tracer.Sample(int(stamps.root), stamps.rootSend, int(stamps.hopRank), stamps.hopSend,
-		n.rank, n.clock.Read(n.eng.Now()))
+	n.rt.tracer.Sample(stamps.rootSend, stamps.hopSend, n.rank, n.eng.Now())
 
 	for _, t := range fd.waiters {
 		n.satisfy(t)

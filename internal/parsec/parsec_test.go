@@ -364,38 +364,25 @@ func TestWorkerScalingReducesMakespan(t *testing.T) {
 	}
 }
 
-func TestSkewedClocksWithCorrections(t *testing.T) {
-	g := parsec.NewGraphPool("clock", 2, false)
-	p := g.AddTask(0, 0, sim.Microsecond, 0, 128<<10)
-	c := g.AddTask(1, 1, sim.Microsecond, 0)
-	g.Link(p, 0, c)
-	s, rt := build(t, stack.LCI, 2, 1, g, nil)
-	_ = s
-	offsets := []sim.Duration{0, 5 * sim.Millisecond}
-	clocks := []parsec.Clock{{Offset: offsets[0]}, {Offset: offsets[1]}}
-	rt.SetClocks(clocks, offsets) // perfect corrections
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e2e := rt.Tracer().EndToEnd().Mean()
-	if e2e < 0 || e2e > 1000 {
-		t.Fatalf("corrected e2e latency = %vµs, implausible", e2e)
-	}
-}
-
-func TestSkewedClocksWithoutCorrectionsDistortLatency(t *testing.T) {
-	g := parsec.NewGraphPool("clock2", 2, false)
+// TestEndToEndLatencySpansHop: every stamp reads the simulator's one clock,
+// so a remote consumer's one sample is ordered as the sends were: the
+// producer's ACTIVATE went out before the owner's put, and the end-to-end
+// latency exceeds the hop latency, which is positive.
+func TestEndToEndLatencySpansHop(t *testing.T) {
+	g := parsec.NewGraphPool("onehop", 2, false)
 	p := g.AddTask(0, 0, sim.Microsecond, 0, 128<<10)
 	c := g.AddTask(1, 1, sim.Microsecond, 0)
 	g.Link(p, 0, c)
 	_, rt := build(t, stack.LCI, 2, 1, g, nil)
-	clocks := []parsec.Clock{{}, {Offset: 5 * sim.Millisecond}}
-	rt.SetClocks(clocks, make([]sim.Duration, 2)) // no corrections
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e2e := rt.Tracer().EndToEnd().Mean(); e2e < 4000 {
-		t.Fatalf("uncorrected skew should distort latency, got %vµs", e2e)
+	e2e, hop := rt.Tracer().EndToEnd(), rt.Tracer().Hop()
+	if e2e.N() != 1 || hop.N() != 1 {
+		t.Fatalf("%d end-to-end and %d hop samples, want one each", e2e.N(), hop.N())
+	}
+	if !(0 < hop.Mean() && hop.Mean() < e2e.Mean() && e2e.Mean() < 1000) {
+		t.Fatalf("end-to-end %vµs, hop %vµs: want 0 < hop < end-to-end < 1ms", e2e.Mean(), hop.Mean())
 	}
 }
 

@@ -612,7 +612,7 @@ func (n *node) restoreTask(t TaskID, flows []recov.FlowCkpt) {
 		if f.Data != nil {
 			buf.Copy(ref.Buf, buf.FromBytes(f.Data))
 		}
-		now := int64(n.clock.Read(n.eng.Now()))
+		now := int64(n.eng.Now())
 		fd := n.newFlow(flowReady, f.Size)
 		fd.ref = ref
 		fd.meta = activation{task: t, flow: f.Flow, size: f.Size,

@@ -155,16 +155,6 @@ func (rt *Runtime) Err() error {
 // Tracer returns the latency tracer.
 func (rt *Runtime) Tracer() *Tracer { return rt.tracer }
 
-// SetClocks installs per-rank skewed clocks and the offset estimates the
-// tracer should correct with (from internal/clocksync). With perfect clocks
-// this is unnecessary.
-func (rt *Runtime) SetClocks(clocks []Clock, corrections []sim.Duration) {
-	for i, n := range rt.nodes {
-		n.clock = clocks[i]
-	}
-	rt.tracer.SetCorrections(corrections)
-}
-
 // Metrics returns the registry the runtime's instruments live in.
 func (rt *Runtime) Metrics() *metrics.Registry { return rt.reg }
 

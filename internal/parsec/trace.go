@@ -5,29 +5,11 @@ import (
 	"amtlci/internal/stats"
 )
 
-// Clock models one rank's skewed local clock, as on a real cluster where
-// per-node clocks disagree and latency measurement needs synchronization
-// (§6.1.3, [18]). Reading = now + Offset + Drift*now.
-type Clock struct {
-	Offset sim.Duration
-	Drift  float64
-}
-
-// Read returns the skewed local reading for true time now.
-func (c Clock) Read(now sim.Time) sim.Time {
-	return now.Add(c.Offset).Add(sim.Duration(float64(now) * c.Drift))
-}
-
 // Tracer accumulates end-to-end communication latencies: from the send of
 // the root ACTIVATE message until data arrival at each consumer, across the
 // entire multicast tree (the Fig. 4b / 5b metric), plus the per-hop latency
 // from the direct multicast predecessor (§6.4.3).
 type Tracer struct {
-	// corrections[r] is the estimated clock offset of rank r relative to
-	// global time; local readings are corrected by subtracting it. With
-	// perfect clocks (all zero) measurements are exact.
-	corrections []sim.Duration
-
 	// lanes[r] accumulates samples whose RECEIVER is rank r. Samples are
 	// recorded on the receiving rank's shard, so per-rank lanes make the
 	// tracer safe under a sharded domain with no locking; readers merge the
@@ -40,27 +22,17 @@ type traceLane struct {
 	hop stats.Online
 }
 
-// NewTracer builds a tracer for n ranks with perfect clock corrections.
-func NewTracer(n int) *Tracer {
-	return &Tracer{corrections: make([]sim.Duration, n), lanes: make([]traceLane, n)}
-}
+// NewTracer builds a tracer for n ranks.
+func NewTracer(n int) *Tracer { return &Tracer{lanes: make([]traceLane, n)} }
 
-// SetCorrections installs per-rank clock-offset estimates (from
-// internal/clocksync).
-func (tr *Tracer) SetCorrections(c []sim.Duration) { tr.corrections = c }
-
-func (tr *Tracer) corrected(local sim.Time, rank int) float64 {
-	return float64(local.Add(-tr.corrections[rank]))
-}
-
-// Sample records one data arrival. rootSend and hopSend are local clock
-// readings at the respective senders; arrival is the receiver's local
-// reading.
-func (tr *Tracer) Sample(root int, rootSend int64, hopRank int, hopSend int64, me int, arrival sim.Time) {
-	a := tr.corrected(arrival, me)
+// Sample records one data arrival at rank me. rootSend and hopSend are the
+// virtual times at which the root and the hop sender sent; every stamp reads
+// the simulator's one clock, so latencies are exact.
+func (tr *Tracer) Sample(rootSend, hopSend int64, me int, arrival sim.Time) {
+	a := float64(arrival)
 	l := &tr.lanes[me]
-	l.e2e.Add((a - tr.corrected(sim.Time(rootSend), root)) / float64(sim.Microsecond))
-	l.hop.Add((a - tr.corrected(sim.Time(hopSend), hopRank)) / float64(sim.Microsecond))
+	l.e2e.Add((a - float64(rootSend)) / float64(sim.Microsecond))
+	l.hop.Add((a - float64(hopSend)) / float64(sim.Microsecond))
 }
 
 // EndToEnd returns summary statistics of end-to-end latency in microseconds,

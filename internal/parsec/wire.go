@@ -26,10 +26,10 @@ type activation struct {
 	task     TaskID
 	flow     int32
 	size     int64
-	root     int32 // rank that produced the data
-	rootSend int64 // root's clock when the root ACTIVATE was sent (ps)
+	root     int32 // rank that produced the data (carried, never read; see putMeta)
+	rootSend int64 // virtual time the root ACTIVATE was sent (ps)
 	hopRank  int32 // rank that sent this ACTIVATE (tree parent; data source)
-	hopSend  int64 // hop sender's clock at send time (ps)
+	hopSend  int64 // virtual time this hop was sent (ps)
 	epoch    int32 // recovery epoch the sender was in (stale entries drop)
 	subtree  []int32
 }
@@ -172,7 +172,9 @@ func decodeGetData(b []byte) (getData, error) {
 }
 
 // putMeta rides as the put's remote-completion callback data: it tells the
-// requester which flow arrived and carries the tracing clocks.
+// requester which flow arrived and carries the tracing stamps. root and
+// hopRank are carried but never read; dropping them would shrink every put
+// completion and so move every virtual time.
 type putMeta struct {
 	task     TaskID
 	flow     int32

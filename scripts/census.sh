@@ -8,6 +8,10 @@
 #   flags N              flag definitions (flag.Int, flag.StringVar, ...) in cmd/
 #   exported N           exported top-level identifiers (funcs, methods, types,
 #                        consts, vars) in non-test Go outside benchmark/
+#   options N            exported field declarations of the struct types named
+#                        Config, Options, Opts or Params (or ending in one of
+#                        those) plus expd.Spec, in non-test Go outside
+#                        benchmark/; a line "A, B T" is one declaration
 #   test PKG:NAME        every Test*/Fuzz* function, sorted
 #
 # Usage: scripts/census.sh [DIR]   (DIR defaults to the current directory;
@@ -43,6 +47,15 @@ echo "exported $(gofiles | grep -v '_test\.go$' | xargs awk '
     block && /^\)/ { block = 0; next }
     block && /^\t[A-Z]/ { n++; next }
     /^func (\([^)]*\) )?[A-Z]/ || /^(const|var|type) [A-Z]/ { n++ }
+    END { print n + 0 }')"
+
+# Exported fields of the option structs: one per field line at struct depth.
+echo "options $(gofiles | grep -v '_test\.go$' | xargs awk '
+    FNR == 1 { in_s = 0 }
+    /^type [A-Za-z0-9_]*(Config|Options|Opts|Params) struct \{$/ { in_s = 1; next }
+    FILENAME ~ /\/internal\/expd\/spec\.go$/ && /^type Spec struct \{$/ { in_s = 1; next }
+    in_s && /^}/ { in_s = 0; next }
+    in_s && /^\t[A-Z]/ { n++ }
     END { print n + 0 }')"
 
 gofiles | grep '_test\.go$' | xargs awk '
