@@ -2,11 +2,15 @@ package stack
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"amtlci/internal/buf"
 	"amtlci/internal/core"
 	"amtlci/internal/fabric"
 	"amtlci/internal/rel"
+	"amtlci/internal/sim"
 )
 
 // failingStack builds a two-rank deployment whose 0→1 link is severed, with
@@ -95,6 +99,107 @@ func forEachFailingBackend(t *testing.T, f func(t *testing.T, s *Stack)) {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			f(t, failingStack(b))
+		})
+	}
+}
+
+// TestPeerDeathEvictsAndKeepsServing pins the other half of the OnError
+// contract: a PeerDeath verdict evicts the dead rank without failing the
+// engine. Rank 2 crashes under the heartbeat detector; afterwards rank 0's
+// active messages and puts toward it are dropped before they count, while
+// traffic between the survivors still completes, Err stays nil, and each
+// survivor's handler hears exactly one PeerDeath, naming rank 2.
+func TestPeerDeathEvictsAndKeepsServing(t *testing.T) {
+	const (
+		tag     core.Tag = 22
+		crashAt          = 10 * sim.Microsecond
+	)
+	for _, b := range Backends {
+		t.Run(b.String(), func(t *testing.T) {
+			o := DefaultOptions(b, 3)
+			o.Fabric.Jitter = 0
+			o.Faults = &fabric.FaultConfig{Crashes: []fabric.NodeCrash{{Rank: 2, At: sim.Time(crashAt)}}}
+			rc := rel.DefaultConfig()
+			rc.EnableHeartbeats()
+			o.Rel = &rc
+			s := Build(o)
+
+			var delivered []string
+			for r, e := range s.Engines {
+				e.TagReg(tag, func(_ core.Engine, _ core.Tag, data []byte, src int) {
+					delivered = append(delivered, fmt.Sprintf("%d->%d %s", src, r, data))
+				}, 64)
+			}
+			deaths := make([][]int, 2)
+			for r := 0; r < 2; r++ {
+				r := r
+				s.Engines[r].OnError(func(err error) {
+					var pd core.PeerDeath
+					if !errors.As(err, &pd) {
+						t.Fatalf("rank %d: handler got %v, want a PeerDeath", r, err)
+					}
+					deaths[r] = append(deaths[r], pd.DeadPeer())
+				})
+			}
+			s.Engines[2].OnError(func(error) {})
+
+			// Past the verdict: the lease expires LeaseTimeout after the
+			// crash, noticed at the next detector tick.
+			verdict := sim.Time(crashAt + rc.LeaseTimeout + 4*rc.HeartbeatPeriod)
+			s.Eng.RunUntil(verdict)
+			for r := 0; r < 2; r++ {
+				if !slices.Equal(deaths[r], []int{2}) {
+					t.Fatalf("rank %d heard deaths %v, want [2]", r, deaths[r])
+				}
+			}
+
+			src := s.Engines[0]
+			payload := []byte("tile")
+			lreg := src.MemReg(buf.FromBytes(payload))
+			sent, started := engineCount(s, "ams_sent", 0), engineCount(s, "puts_started", 0)
+			src.SendAM(tag, 2, []byte("lost"))
+			src.Submit(0, func() {
+				src.Put(core.PutArgs{
+					LReg: lreg, RReg: core.MemHandle{Rank: 2, ID: 1}, Size: int64(len(payload)), Remote: 2,
+					LocalCB: func() { t.Error("put toward the dead rank completed locally") },
+					RTag:    tag,
+				})
+			})
+			s.Eng.RunUntil(verdict + sim.Time(sim.Millisecond))
+			if n := engineCount(s, "ams_sent", 0); n != sent {
+				t.Fatalf("ams_sent moved %d -> %d for a send toward the dead rank", sent, n)
+			}
+			if n := engineCount(s, "puts_started", 0); n != started {
+				t.Fatalf("puts_started moved %d -> %d for a put toward the dead rank", started, n)
+			}
+
+			target := make([]byte, len(payload))
+			rreg := s.Engines[1].MemReg(buf.FromBytes(target))
+			localDone := false
+			src.SendAM(tag, 1, []byte("am"))
+			src.Submit(0, func() {
+				src.Put(core.PutArgs{
+					LReg: lreg, RReg: rreg, Size: int64(len(payload)), Remote: 1,
+					LocalCB: func() { localDone = true },
+					RTag:    tag, RCBData: []byte("put"),
+				})
+			})
+			s.Rel.StopHeartbeats()
+			s.Eng.Run()
+			if want := []string{"0->1 am", "0->1 put"}; !slices.Equal(delivered, want) || !localDone {
+				t.Fatalf("survivor traffic: delivered %q, local completion %v; want %q and true", delivered, localDone, want)
+			}
+			if string(target) != string(payload) {
+				t.Fatalf("put landed %q, want %q", target, payload)
+			}
+			for r := 0; r < 2; r++ {
+				if err := s.Engines[r].Err(); err != nil {
+					t.Fatalf("rank %d: Err() = %v after an eviction", r, err)
+				}
+				if len(deaths[r]) != 1 {
+					t.Fatalf("rank %d heard deaths %v, want one", r, deaths[r])
+				}
+			}
 		})
 	}
 }
