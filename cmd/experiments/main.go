@@ -31,6 +31,9 @@
 // -cache DIR consults and fills a content-addressed result cache (share
 // simd's state/cache to reuse the service's points) for every HiCMA sweep
 // the command runs.
+//
+// -list-config and -metrics DIR run no evaluation: each does its one job
+// and exits, so each comes alone.
 package main
 
 import (
@@ -218,10 +221,11 @@ func exitOn(err error) {
 // would otherwise panic only once the sweeps reach them, minutes into a
 // run: a scale outside (0,1] and run counts that leave no measured run
 // after the discarded ones. set names the flags given on the command line.
-// A -spec must decode to a tile or nodes spec over both backends (the
-// figures compare LCI with Open MPI) and comes alone: the whole-evaluation
-// flags would be silently ignored. checkFlags returns the canonical -spec
-// spec, or the zero Spec without one.
+// -list-config and -metrics refuse each other and the evaluation flags
+// they would silently ignore. A -spec must decode to a tile or nodes spec
+// over both backends (the figures compare LCI with Open MPI) and comes
+// alone: the whole-evaluation flags would be silently ignored. checkFlags
+// returns the canonical -spec spec, or the zero Spec without one.
 func checkFlags(scale float64, microRuns, hicmaRuns int, specJSON string, set map[string]bool) (expd.Spec, error) {
 	switch {
 	case !(scale > 0 && scale <= 1):
@@ -230,7 +234,17 @@ func checkFlags(scale float64, microRuns, hicmaRuns int, specJSON string, set ma
 		return expd.Spec{}, fmt.Errorf("-micro-runs %d must exceed the 3 discarded runs", microRuns)
 	case hicmaRuns < 1:
 		return expd.Spec{}, fmt.Errorf("-hicma-runs %d must be at least 1", hicmaRuns)
-	case !set["spec"]:
+	case set["list-config"] && set["metrics"]:
+		return expd.Spec{}, fmt.Errorf("-metrics does not combine with -list-config")
+	}
+	for _, mode := range []string{"list-config", "metrics"} {
+		for _, f := range evalFlags {
+			if set[mode] && set[f] {
+				return expd.Spec{}, fmt.Errorf("-%s does not combine with -%s", f, mode)
+			}
+		}
+	}
+	if !set["spec"] {
 		return expd.Spec{}, nil
 	}
 	for _, f := range []string{"scale", "quick", "micro-runs", "hicma-runs", "metrics", "list-config"} {
@@ -249,6 +263,10 @@ func checkFlags(scale float64, microRuns, hicmaRuns int, specJSON string, set ma
 	}
 	return s, nil
 }
+
+// evalFlags are the flags only an evaluation reads, which -list-config and
+// -metrics would ignore.
+var evalFlags = []string{"scale", "quick", "md", "micro-runs", "hicma-runs", "j", "csv", "cache"}
 
 // dumpMetrics runs one small instrumented HiCMA execution per backend (4
 // nodes, virtual tiles) and writes every layer's end-of-run instrument state

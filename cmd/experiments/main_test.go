@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func TestCheckFlags(t *testing.T) {
 		scale                float64
 		microRuns, hicmaRuns int
 		spec                 string // -spec's value; "" leaves it unset
-		also                 string // one more flag given on the command line
+		also                 string // more flags given on the command line, space-separated
 		ok                   bool
 	}{
 		{"defaults", 1, 18, 5, "", "", true},
@@ -36,8 +37,30 @@ func TestCheckFlags(t *testing.T) {
 		{"spec with -hicma-runs", 1, 18, 5, tile, "hicma-runs", false},
 		{"spec with -metrics", 1, 18, 5, tile, "metrics", false},
 		{"spec with -list-config", 1, 18, 5, tile, "list-config", false},
+		{"list-config alone", 1, 18, 5, "", "list-config", true},
+		{"metrics alone", 1, 18, 5, "", "metrics", true},
+		{"list-config with -metrics", 1, 18, 5, "", "list-config metrics", false},
+		{"list-config with -scale", 1, 18, 5, "", "list-config scale", false},
+		{"list-config with -quick", 1, 18, 5, "", "list-config quick", false},
+		{"list-config with -md", 1, 18, 5, "", "list-config md", false},
+		{"list-config with -micro-runs", 1, 18, 5, "", "list-config micro-runs", false},
+		{"list-config with -hicma-runs", 1, 18, 5, "", "list-config hicma-runs", false},
+		{"list-config with -j", 1, 18, 5, "", "list-config j", false},
+		{"list-config with -csv", 1, 18, 5, "", "list-config csv", false},
+		{"list-config with -cache", 1, 18, 5, "", "list-config cache", false},
+		{"metrics with -scale", 1, 18, 5, "", "metrics scale", false},
+		{"metrics with -quick", 1, 18, 5, "", "metrics quick", false},
+		{"metrics with -md", 1, 18, 5, "", "metrics md", false},
+		{"metrics with -micro-runs", 1, 18, 5, "", "metrics micro-runs", false},
+		{"metrics with -hicma-runs", 1, 18, 5, "", "metrics hicma-runs", false},
+		{"metrics with -j", 1, 18, 5, "", "metrics j", false},
+		{"metrics with -csv", 1, 18, 5, "", "metrics csv", false},
+		{"metrics with -cache", 1, 18, 5, "", "metrics cache", false},
 	} {
-		set := map[string]bool{c.also: c.also != ""}
+		set := map[string]bool{}
+		for _, f := range strings.Fields(c.also) {
+			set[f] = true
+		}
 		if c.spec != "" {
 			set["spec"] = true
 		}

@@ -68,7 +68,6 @@ var mechanisms = []mechanism{
 	}, slower},
 	{"MT ACTIVATE, LCI", "§6.4.3", stack.LCI, func(_ *stack.Options, c *parsec.Config) { c.MTActivate = true }, neutral},
 	{"MT ACTIVATE, MPI", "§6.4.3", stack.MPI, func(_ *stack.Options, c *parsec.Config) { c.MTActivate = true }, neutral},
-	{"MPI RMA put", "§4.2.2", stack.MPI, func(o *stack.Options, _ *parsec.Config) { o.MPICE.UseRMA = true }, slower},
 }
 
 // mechanismOpts is the point every row is measured at: a quarter of the

@@ -117,7 +117,9 @@ type Engine interface {
 	// no handler registered at all a failure panics — silence would be a
 	// hang. For an unrecoverable failure the engine stops issuing new
 	// traffic afterwards; a failure that satisfies PeerDeath instead evicts
-	// the dead peer and keeps the engine running for the survivors.
+	// the dead peer — traffic toward it and put handshakes from it are
+	// dropped, while the active messages it sent before dying are still
+	// delivered — and keeps the engine running for the survivors (Base).
 	OnError(fn func(error))
 
 	// Err returns the first unrecoverable failure, or nil.
@@ -148,51 +150,6 @@ type PeerDeath interface {
 	DeadPeer() int
 }
 
-// Registry implements the MemReg half of an engine; both backends embed it.
-type Registry struct {
-	rank   int32
-	nextID uint64
-	mem    map[uint64]buf.Buf
-}
-
-// NewRegistry returns an empty registry for rank.
-func NewRegistry(rank int) *Registry {
-	return &Registry{rank: int32(rank), mem: make(map[uint64]buf.Buf)}
-}
-
-// MemReg registers b and returns its handle.
-func (g *Registry) MemReg(b buf.Buf) MemHandle {
-	g.nextID++
-	g.mem[g.nextID] = b
-	return MemHandle{Rank: g.rank, ID: g.nextID}
-}
-
-// MemDereg releases h. Deregistering an unknown handle panics — it means a
-// put raced with deregistration, which would corrupt memory on real RDMA
-// hardware.
-func (g *Registry) MemDereg(h MemHandle) {
-	if h.Rank != g.rank {
-		panic(fmt.Sprintf("core: deregistering remote handle %+v at rank %d", h, g.rank))
-	}
-	if _, ok := g.mem[h.ID]; !ok {
-		panic(fmt.Sprintf("core: deregistering unknown handle %+v", h))
-	}
-	delete(g.mem, h.ID)
-}
-
-// Lookup resolves h to its registered buffer, panicking on a foreign or
-// unknown handle.
-func (g *Registry) Lookup(h MemHandle) buf.Buf {
-	if h.Rank != g.rank {
-		panic(fmt.Sprintf("core: handle %+v looked up at rank %d", h, g.rank))
-	}
-	b, ok := g.mem[h.ID]
-	if !ok {
-		panic(fmt.Sprintf("core: unknown handle %+v", h))
-	}
-	return b
-}
-
 // PutHeader is the handshake both backends exchange to emulate a one-sided
 // put over two-sided transport (§4.2.2, §5.3.3): where to receive, how much,
 // which tag the data will use, and the remote completion callback.
@@ -203,11 +160,6 @@ type PutHeader struct {
 	DataTag int32 // backend-chosen tag for the data transfer
 	RTag    Tag
 	RCBData []byte
-}
-
-// Marshal encodes h for the wire.
-func (h PutHeader) Marshal() []byte {
-	return h.AppendTo(make([]byte, 0, putHeaderFixedBytes+len(h.RCBData)))
 }
 
 // AppendTo appends h's wire encoding to out and returns the extended slice.
@@ -226,7 +178,7 @@ func (h PutHeader) AppendTo(out []byte) []byte {
 // putHeaderFixedBytes is the encoded size of a PutHeader before RCBData.
 const putHeaderFixedBytes = 4 + 8 + 8 + 8 + 4 + 4 + 4
 
-// UnmarshalPutHeader decodes a header produced by Marshal. A truncated or
+// UnmarshalPutHeader decodes a header produced by AppendTo. A truncated or
 // otherwise malformed buffer yields an error, never a panic — callers decide
 // whether that is a protocol bug.
 func UnmarshalPutHeader(b []byte) (PutHeader, error) {
@@ -284,16 +236,4 @@ func (t *TagTable) Lookup(tag Tag) (AMCallback, int64) {
 		panic(fmt.Sprintf("core: active message for unregistered tag %d", tag))
 	}
 	return e.cb, e.maxLen
-}
-
-// Len returns the number of registered tags.
-func (t *TagTable) Len() int { return len(t.entries) }
-
-// Tags returns the registered tags in unspecified order.
-func (t *TagTable) Tags() []Tag {
-	out := make([]Tag, 0, len(t.entries))
-	for tag := range t.entries {
-		out = append(out, tag)
-	}
-	return out
 }

@@ -21,7 +21,6 @@
 package lcice
 
 import (
-	"errors"
 	"fmt"
 
 	"amtlci/internal/buf"
@@ -33,11 +32,10 @@ import (
 
 // Tag-space layout on the LCI endpoint: user AM tags map to themselves,
 // the put handshake uses hsTag, and Direct data transfers draw from
-// dataTagBase upward (Direct matching is a separate protocol path, but
-// keeping the ranges disjoint makes traces readable).
+// core.Base's data-tag range (Direct matching is a separate protocol path,
+// but keeping the ranges disjoint makes traces readable).
 const (
-	hsTag       = -2
-	dataTagBase = 1 << 24
+	hsTag = -2
 	// inlineDataTag marks a handshake whose data arrived inside it.
 	inlineDataTag = -1
 )
@@ -135,16 +133,12 @@ type sendOp struct {
 
 // Engine is the per-rank LCI communication engine.
 type Engine struct {
-	eng *sim.Engine
-	rt  *lci.Runtime
-	ep  *lci.Endpoint
-	cfg Config
-
-	comm *sim.Proc
+	core.Base
+	eng  *sim.Engine
+	rt   *lci.Runtime
+	ep   *lci.Endpoint
+	cfg  Config
 	prog *sim.Proc
-
-	tags *core.TagTable
-	reg  *core.Registry
 
 	amQ   []*handle
 	bulkQ []*handle
@@ -165,20 +159,6 @@ type Engine struct {
 
 	drainScheduled bool
 	progScheduled  bool
-	nextDataTag    int32
-
-	// Engine activity counters (metrics registry, layer "lcice"); deferred
-	// counts operations that could not start immediately.
-	amsSent, amsDelivered    *metrics.Counter
-	putsStarted, putsDone    *metrics.Counter
-	putBytes, deferredEvents *metrics.Counter
-
-	errFn  func(error)
-	failed error
-	// deadPeers holds ranks evicted after a PeerDeath verdict: traffic
-	// toward them is dropped, arrivals from them ignored, while the engine
-	// keeps serving the survivors.
-	deadPeers map[int]bool
 }
 
 var _ core.Engine = (*Engine)(nil)
@@ -188,34 +168,15 @@ func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 	if cfg.AMBatch <= 0 {
 		panic("lcice: AMBatch must be positive")
 	}
-	mreg := cfg.Metrics
-	if mreg == nil {
-		mreg = metrics.New()
-	}
-	e := &Engine{
-		eng:  eng,
-		rt:   rt,
-		ep:   rt.Endpoint(rank),
-		cfg:  cfg,
-		comm: sim.NewProc(eng),
-		tags: core.NewTagTable(),
-		reg:  core.NewRegistry(rank),
-
-		amsSent:        mreg.Counter("lcice", "ams_sent", rank),
-		amsDelivered:   mreg.Counter("lcice", "ams_delivered", rank),
-		putsStarted:    mreg.Counter("lcice", "puts_started", rank),
-		putsDone:       mreg.Counter("lcice", "puts_done", rank),
-		putBytes:       mreg.Counter("lcice", "put_bytes", rank),
-		deferredEvents: mreg.Counter("lcice", "deferred", rank),
-	}
-	e.comm.WakeLatency = cfg.CommWake
+	e := &Engine{eng: eng, rt: rt, ep: rt.Endpoint(rank), cfg: cfg}
+	mreg := e.Init(eng, "lcice", rank, rt.Size(), cfg.Metrics, e.purge, nil)
+	e.CommProc().WakeLatency = cfg.CommWake
 	if cfg.InlineProgress {
-		e.prog = e.comm
+		e.prog = e.CommProc()
 	} else {
 		e.prog = sim.NewProc(eng)
 		e.prog.WakeLatency = cfg.ProgWake
 	}
-	mreg.Probe("lcice", "comm_busy", rank, true, func() float64 { return e.comm.BusyTime().Seconds() })
 	mreg.Probe("lcice", "prog_busy", rank, true, func() float64 { return e.prog.BusyTime().Seconds() })
 	mreg.Probe("lcice", "deferred_queue_depth", rank, false, func() float64 { return float64(len(e.deferred)) })
 	mreg.Probe("lcice", "am_queue_depth", rank, false, func() float64 { return float64(len(e.amQ)) })
@@ -224,86 +185,19 @@ func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 	e.runProgressFn, e.drainFn, e.scheduleDrainFn = e.runProgress, e.drain, e.scheduleDrain
 	e.ep.SetWake(e.scheduleProgress)
 	e.ep.SetMsgComp(lci.Handler(e.onMsg))
-	e.ep.SetErrHandler(func(peer int, err error) {
-		werr := fmt.Errorf("lcice rank %d: %w", rank, err)
-		var pd core.PeerDeath
-		if errors.As(err, &pd) {
-			e.evictPeer(pd.DeadPeer(), werr)
-			return
-		}
-		e.fail(peer, werr)
-	})
+	e.ep.SetErrHandler(e.TransportError)
 	return e
 }
-
-// Rank returns this engine's rank.
-func (e *Engine) Rank() int { return e.ep.ID() }
-
-// Size returns the job size.
-func (e *Engine) Size() int { return e.rt.Size() }
-
-// CommProc returns the communication thread.
-func (e *Engine) CommProc() *sim.Proc { return e.comm }
 
 // ProgProc returns the progress thread (the communication thread when
 // InlineProgress is set).
 func (e *Engine) ProgProc() *sim.Proc { return e.prog }
 
-// OnError registers the failure handler; the latest registration replaces
-// any earlier one, and a nil fn leaves the current handler in place (see
-// core.Engine).
-func (e *Engine) OnError(fn func(error)) {
-	if fn != nil {
-		e.errFn = fn
-	}
-}
-
-// Err returns the first unrecoverable failure, or nil.
-func (e *Engine) Err() error { return e.failed }
-
-// notify delivers a failure to the registered handler; with none installed
-// the failure panics — silence would be a hang.
-func (e *Engine) notify(err error) {
-	if e.errFn == nil {
-		panic(err)
-	}
-	e.errFn(err)
-}
-
-// fail records the first unrecoverable failure and notifies the handler.
-// Deferred operations headed for the offending peer are purged — they can
-// never succeed and would otherwise keep the retry queue (and the
-// safety-net timer) alive forever. peer < 0 means the failure is not
-// attributable to one peer.
-func (e *Engine) fail(peer int, err error) {
-	if e.failed != nil {
-		return
-	}
-	e.failed = err
-	if peer >= 0 {
-		e.purgeDeferred(peer)
-	}
-	e.notify(err)
-}
-
-// evictPeer handles a PeerDeath verdict: the dead rank's queued retries are
-// purged and all future traffic to or from it is dropped, but the engine
-// stays up for the survivors (so a recovery layer can re-map the dead
-// rank's work).
-func (e *Engine) evictPeer(peer int, err error) {
-	if e.failed != nil || e.deadPeers[peer] {
-		return
-	}
-	if e.deadPeers == nil {
-		e.deadPeers = make(map[int]bool)
-	}
-	e.deadPeers[peer] = true
-	e.purgeDeferred(peer)
-	e.notify(err)
-}
-
-// purgeDeferred drops every queued retry headed for peer.
-func (e *Engine) purgeDeferred(peer int) {
+// purge is the engine's purge rule (core.Base): every queued retry headed
+// for peer is dropped, on a failure and an eviction alike. Left queued, they
+// could never succeed and would keep the retry queue (and the safety-net
+// timer) alive forever.
+func (e *Engine) purge(peer int, _ bool) {
 	kept := e.deferred[:0]
 	for _, op := range e.deferred {
 		if op.remote == peer {
@@ -384,9 +278,9 @@ func (o *sendOp) try() error {
 			return err
 		}
 		// The local completion fires as soon as the send is posted.
-		e.putsDone.Inc()
+		e.PutsDone.Inc()
 		if o.localCB != nil {
-			e.comm.Submit(0, o.localCB)
+			e.Submit(0, o.localCB)
 		}
 		return nil
 	case opData:
@@ -404,10 +298,10 @@ func (o *sendOp) try() error {
 func (o *sendOp) run() {
 	e, done := o.e, o.done
 	am := o.kind == opEager && o.tag != hsTag
-	sent := am && e.failed == nil && !e.deadPeers[o.remote]
+	sent := am && !e.Drops(o.remote)
 	e.attempt(o)
 	if sent {
-		e.amsSent.Inc()
+		e.AMsSent.Inc()
 	}
 	if done != nil {
 		done()
@@ -422,34 +316,25 @@ func (o *sendOp) run() {
 // so the queue head always eventually succeeds. o is retired unless it was
 // deferred.
 func (e *Engine) attempt(o *sendOp) {
-	if e.failed != nil || e.deadPeers[o.remote] {
+	if e.Drops(o.remote) {
 		e.retireOp(o)
 		return
 	}
 	if len(e.deferred) > 0 {
-		e.deferredEvents.Inc()
+		e.Deferred.Inc()
 		e.pushDeferred(o)
 		return
 	}
 	if err := o.try(); err != nil {
 		if err == lci.ErrRetry {
-			e.deferredEvents.Inc()
+			e.Deferred.Inc()
 			e.pushDeferred(o)
 			return
 		}
-		e.fail(o.remote, fmt.Errorf("lcice rank %d: send to %d: %w", e.Rank(), o.remote, err))
+		e.Fail(o.remote, fmt.Errorf("lcice rank %d: send to %d: %w", e.Rank(), o.remote, err))
 	}
 	e.retireOp(o)
 }
-
-// MemReg registers b for remote puts.
-func (e *Engine) MemReg(b buf.Buf) core.MemHandle { return e.reg.MemReg(b) }
-
-// MemDereg releases a registration.
-func (e *Engine) MemDereg(h core.MemHandle) { e.reg.MemDereg(h) }
-
-// Lookup resolves a local registration.
-func (e *Engine) Lookup(h core.MemHandle) buf.Buf { return e.reg.Lookup(h) }
 
 // TagReg inserts the callback into the hash table (§5.3.2); nothing is
 // posted — LCI allocates receive buffers dynamically — and maxLen is only
@@ -458,11 +343,8 @@ func (e *Engine) TagReg(tag core.Tag, cb core.AMCallback, maxLen int64) {
 	if maxLen <= 0 {
 		maxLen = e.rt.Config().BufferedMax
 	}
-	e.tags.Register(tag, cb, maxLen)
+	e.Tags.Register(tag, cb, maxLen)
 }
-
-// Submit runs fn on the communication thread after charging cost.
-func (e *Engine) Submit(cost sim.Duration, fn func()) { e.comm.Submit(cost, fn) }
 
 // SendAM sends an active message using the Immediate or Buffered protocol
 // depending on length (§5.3.2), from the communication thread. data is copied
@@ -486,12 +368,10 @@ func (e *Engine) SendAMMT(worker *sim.Proc, tag core.Tag, remote int, data []byt
 // Put starts the one-sided transfer with the §5.3.3 handshake emulation.
 // Must run on the communication thread.
 func (e *Engine) Put(a core.PutArgs) {
-	if e.failed != nil || e.deadPeers[a.Remote] {
+	local, ok := e.BeginPut(a)
+	if !ok {
 		return
 	}
-	e.putsStarted.Inc()
-	e.putBytes.Add(uint64(a.Size))
-	local := e.reg.Lookup(a.LReg).Slice(a.LDispl, a.Size)
 	cfg := e.rt.Config()
 
 	if a.Size <= e.cfg.EagerPutMax {
@@ -507,8 +387,7 @@ func (e *Engine) Put(a core.PutArgs) {
 		return
 	}
 
-	e.nextDataTag++
-	dataTag := dataTagBase + int(e.nextDataTag)
+	dataTag := e.NextDataTag()
 	hs := e.newOp(opEager, a.Remote)
 	hs.tag = hsTag
 	hs.buf = core.PutHeader{
@@ -528,7 +407,7 @@ func (e *Engine) Put(a core.PutArgs) {
 // onPutSent is the LCI completion of a put's data transfer at the origin
 // (progress thread): the handle travelling as user context carries LocalCB.
 func (e *Engine) onPutSent(r lci.Request) {
-	e.putsDone.Inc()
+	e.PutsDone.Inc()
 	e.pushBulk(r.UserCtx.(*handle))
 }
 
@@ -539,32 +418,27 @@ func (e *Engine) onMsg(r lci.Request) {
 		// User AM: allocate a callback handle and push it to the AM FIFO
 		// (§5.3.2). The hash-table lookup happens here, on the progress
 		// thread, so the communication thread only dispatches.
-		cb, maxLen := e.tags.Lookup(core.Tag(r.Tag))
-		if r.Data.Size > maxLen {
-			e.fail(r.Rank, core.AMTooLong("lcice", e.Rank(), core.Tag(r.Tag), r.Data.Size, maxLen, r.Rank))
+		cb := e.Callback(core.Tag(r.Tag), r.Data.Size, r.Rank)
+		if cb == nil {
 			return
 		}
 		h := e.newHandle()
 		h.tag, h.src, h.cb = core.Tag(r.Tag), r.Rank, cb
 		h.data = append(h.data, r.Data.Bytes...)
-		e.amsDelivered.Inc()
+		e.AMsDelivered.Inc()
 		e.pushAM(h)
 		return
 	}
 
 	// Put handshake: specialized path bypassing the AM hash table (§5.3.3).
-	// A handshake from an evicted peer is dropped — its data transfer will
-	// never arrive (the fabric silenced the rank), so posting the matching
-	// receive would dangle forever.
-	if e.deadPeers[r.Rank] {
+	// One from an evicted peer is dropped: its data transfer will never
+	// arrive (the fabric silenced the rank), so posting the matching receive
+	// would dangle forever.
+	h, ok := e.Handshake(r.Data.Bytes, r.Rank)
+	if !ok {
 		return
 	}
-	h, err := core.UnmarshalPutHeader(r.Data.Bytes)
-	if err != nil {
-		e.fail(r.Rank, fmt.Errorf("lcice rank %d: bad put handshake from %d: %w", e.Rank(), r.Rank, err))
-		return
-	}
-	target := e.reg.Lookup(h.RReg).Slice(h.RDispl, h.Size)
+	target := e.Lookup(h.RReg).Slice(h.RDispl, h.Size)
 	done := e.remoteCompletion(h.RTag, h.RCBData, r.Rank)
 
 	if h.DataTag == inlineDataTag {
@@ -597,10 +471,7 @@ func (e *Engine) remoteCompletion(rtag core.Tag, rcbData []byte, src int) *handl
 // the tag accepts fails the engine instead, and the handle is retired.
 func (e *Engine) onPutLanded(r lci.Request) {
 	h := r.UserCtx.(*handle)
-	var maxLen int64
-	h.cb, maxLen = e.tags.Lookup(h.tag)
-	if n := int64(len(h.data)); n > maxLen {
-		e.fail(h.src, core.AMTooLong("lcice", e.Rank(), h.tag, n, maxLen, h.src))
+	if h.cb = e.Callback(h.tag, int64(len(h.data)), h.src); h.cb == nil {
 		e.retireHandle(h)
 		return
 	}
@@ -645,7 +516,7 @@ func (e *Engine) scheduleDrain() {
 		return
 	}
 	e.drainScheduled = true
-	e.comm.Submit(0, e.drainFn)
+	e.Submit(0, e.drainFn)
 }
 
 // drain implements the §5.3.4 fairness loop: up to AMBatch active-message
@@ -659,14 +530,14 @@ func (e *Engine) drain() {
 		n = e.cfg.AMBatch
 	}
 	for _, h := range e.amQ[:n] {
-		e.comm.Submit(e.cfg.DispatchCost, h.run)
+		e.Submit(e.cfg.DispatchCost, h.run)
 	}
 	rest := copy(e.amQ, e.amQ[n:])
 	clear(e.amQ[rest:])
 	e.amQ = e.amQ[:rest]
 
 	for _, h := range e.bulkQ {
-		e.comm.Submit(e.cfg.DispatchCost, h.run)
+		e.Submit(e.cfg.DispatchCost, h.run)
 	}
 	clear(e.bulkQ)
 	e.bulkQ = e.bulkQ[:0]
@@ -680,7 +551,7 @@ func (e *Engine) drain() {
 	e.deferred = nil
 	var kept []*sendOp
 	for _, op := range pend {
-		if e.failed != nil {
+		if e.Err() != nil {
 			break
 		}
 		err := op.try()
@@ -689,11 +560,11 @@ func (e *Engine) drain() {
 			continue
 		}
 		if err != nil {
-			e.fail(op.remote, fmt.Errorf("lcice rank %d: deferred send to %d: %w", e.Rank(), op.remote, err))
+			e.Fail(op.remote, fmt.Errorf("lcice rank %d: deferred send to %d: %w", e.Rank(), op.remote, err))
 		}
 		e.retireOp(op)
 	}
-	if e.failed == nil {
+	if e.Err() == nil {
 		e.deferred = append(kept, e.deferred...)
 	}
 

@@ -96,10 +96,10 @@ func TestDeferredOperationsRetry(t *testing.T) {
 	if !bytes.Equal(got, []byte{0, 1, 2}) {
 		t.Fatalf("delivered %v, want [0 1 2] in order", got)
 	}
-	if d := src.deferredEvents.Value(); d < 2 {
+	if d := src.Deferred.Value(); d < 2 {
 		t.Fatalf("deferred %d operations, want at least 2", d)
 	}
-	if s, d := src.amsSent.Value(), dst.amsDelivered.Value(); s != 3 || d != 3 {
+	if s, d := src.AMsSent.Value(), dst.AMsDelivered.Value(); s != 3 || d != 3 {
 		t.Fatalf("sent %d delivered %d, want 3 and 3", s, d)
 	}
 }
@@ -146,7 +146,7 @@ func TestEagerPutDataRidesHandshake(t *testing.T) {
 	if got != 1 || target[3] != 4 {
 		t.Fatalf("eager put failed: got=%d target=%v", got, target)
 	}
-	if n := src.putsDone.Value(); n != 1 {
+	if n := src.PutsDone.Value(); n != 1 {
 		t.Fatalf("puts done = %d, want 1", n)
 	}
 }
@@ -200,7 +200,7 @@ func TestDeferredPutsStayFIFOUnderStarvation(t *testing.T) {
 			t.Fatalf("put %d payload corrupted", i)
 		}
 	}
-	if src.deferredEvents.Value() == 0 && dst.deferredEvents.Value() == 0 {
+	if src.Deferred.Value() == 0 && dst.Deferred.Value() == 0 {
 		t.Fatal("Direct-pool starvation never deferred an operation")
 	}
 }

@@ -22,7 +22,6 @@
 package mpice
 
 import (
-	"errors"
 	"fmt"
 
 	"amtlci/internal/buf"
@@ -35,10 +34,6 @@ import (
 // handshakeTag is the engine-internal active-message tag used for put
 // handshakes. It occupies persistent-receive slots like any registered tag.
 const handshakeTag core.Tag = 0x7FFF0000
-
-// dataTagBase starts the tag range used for put data transfers, disjoint
-// from active-message tags.
-const dataTagBase = 1 << 24
 
 // Config holds the backend's structural parameters (the values in the paper
 // are the defaults; sweeping them is the point of the ablation benches).
@@ -58,13 +53,6 @@ type Config struct {
 	// MaxAMLen bounds active-message payloads of a tag registered with
 	// maxLen 0.
 	MaxAMLen int64
-
-	// UseRMA transports put data with MPI_Put on a dynamic window instead
-	// of the §4.2.2 two-sided emulation — the option the paper leaves as
-	// future work. Remote completion still needs an explicit notification
-	// message (standard MPI RMA cannot express it), and every registration
-	// pays the dynamic-window attach/detach costs of [25].
-	UseRMA bool
 
 	// Metrics is the registry the engine registers its instruments in
 	// (active-message and put counters, comm-thread utilization, deferred-queue and
@@ -173,14 +161,10 @@ type pendingOp struct {
 
 // Engine is the per-rank MPI communication engine.
 type Engine struct {
-	eng  *sim.Engine
+	core.Base
 	w    *mpi.World
 	rank *mpi.Rank
 	cfg  Config
-	comm *sim.Proc
-
-	tags *core.TagTable
-	reg  *core.Registry
 
 	amSlots []*amSlot
 	xfer    []*xferSlot
@@ -198,18 +182,7 @@ type Engine struct {
 	runPassFn func()
 
 	progressScheduled bool
-	nextDataTag       int32
-
-	// Engine activity counters (metrics registry, layer "mpice"); deferred
-	// counts operations that could not start immediately.
-	amsSent, amsDelivered    *metrics.Counter
-	putsStarted, putsDone    *metrics.Counter
-	putBytes, deferredEvents *metrics.Counter
-	progressPasses           *metrics.Counter
-
-	errFn     func(error)
-	failed    error
-	deadPeers map[int]bool
+	progressPasses    *metrics.Counter // runPass calls (layer "mpice")
 }
 
 var _ core.Engine = (*Engine)(nil)
@@ -220,110 +193,46 @@ func New(eng *sim.Engine, w *mpi.World, rank int, cfg Config) *Engine {
 	if cfg.PersistentPerTag <= 0 || cfg.MaxTransfers <= 0 {
 		panic("mpice: PersistentPerTag and MaxTransfers must be positive")
 	}
-	mreg := cfg.Metrics
-	if mreg == nil {
-		mreg = metrics.New()
-	}
-	e := &Engine{
-		eng:  eng,
-		w:    w,
-		rank: w.Rank(rank),
-		cfg:  cfg,
-		comm: sim.NewProc(eng),
-		tags: core.NewTagTable(),
-		reg:  core.NewRegistry(rank),
-
-		amsSent:        mreg.Counter("mpice", "ams_sent", rank),
-		amsDelivered:   mreg.Counter("mpice", "ams_delivered", rank),
-		putsStarted:    mreg.Counter("mpice", "puts_started", rank),
-		putsDone:       mreg.Counter("mpice", "puts_done", rank),
-		putBytes:       mreg.Counter("mpice", "put_bytes", rank),
-		deferredEvents: mreg.Counter("mpice", "deferred", rank),
-		progressPasses: mreg.Counter("mpice", "progress_passes", rank),
-	}
-	mreg.Probe("mpice", "comm_busy", rank, true, func() float64 { return e.comm.BusyTime().Seconds() })
+	e := &Engine{w: w, rank: w.Rank(rank), cfg: cfg}
+	mreg := e.Init(eng, "mpice", rank, w.Size(), cfg.Metrics, e.purge, func(reg *metrics.Registry) {
+		e.progressPasses = reg.Counter("mpice", "progress_passes", rank)
+	})
 	mreg.Probe("mpice", "deferred_queue_depth", rank, false, func() float64 { return float64(len(e.pending)) })
 	mreg.Probe("mpice", "xfer_depth", rank, false, func() float64 { return float64(len(e.xfer)) })
-	e.comm.WakeLatency = cfg.WakeLatency
+	e.CommProc().WakeLatency = cfg.WakeLatency
 	e.runPassFn = e.runPass
 	e.rank.SetWake(e.schedule)
-	e.rank.SetErrHandler(func(peer int, err error) {
-		werr := fmt.Errorf("mpice rank %d: %w", rank, err)
-		var pd core.PeerDeath
-		if errors.As(err, &pd) {
-			e.evictPeer(pd.DeadPeer(), werr)
-			return
-		}
-		e.fail(peer, werr)
-	})
+	e.rank.SetErrHandler(e.TransportError)
 	// The engine registers its put handshake like any other active message
 	// (§4.2.2: "The origin process of the put sends an active message...").
 	e.TagReg(handshakeTag, e.onHandshake, 0)
 	return e
 }
 
-// Rank returns this engine's rank.
-func (e *Engine) Rank() int { return e.rank.ID() }
-
-// Size returns the job size.
-func (e *Engine) Size() int { return e.w.Size() }
-
-// CommProc returns the communication thread.
-func (e *Engine) CommProc() *sim.Proc { return e.comm }
-
-// OnError registers the failure handler; the latest registration wins and a
-// nil fn is ignored (core.Engine semantics).
-func (e *Engine) OnError(fn func(error)) {
-	if fn != nil {
-		e.errFn = fn
+// purge is the engine's purge rule (core.Base): deferred sends toward peer
+// and promotions of receives posted from it are dropped. On a death verdict
+// the global-array transfers involving peer are abandoned too — a send's
+// data would vanish on the wire, a receive's data will never arrive. Marked
+// done, they free their slots at the next compaction, and their completion
+// callbacks never run (that state belongs to the aborted exchange).
+func (e *Engine) purge(peer int, dead bool) {
+	kept := e.pending[:0]
+	for _, op := range e.pending {
+		switch {
+		case op.kind == pendingSend && op.dst == peer:
+			continue
+		case op.kind == pendingPromote && op.slot.src == peer:
+			continue
+		}
+		kept = append(kept, op)
 	}
-}
-
-// Err returns the first unrecoverable failure, or nil.
-func (e *Engine) Err() error { return e.failed }
-
-// notify hands err to the registered handler, or panics without one —
-// silence would be a hang.
-func (e *Engine) notify(err error) {
-	if e.errFn == nil {
-		panic(err)
+	for i := len(kept); i < len(e.pending); i++ {
+		e.pending[i] = pendingOp{}
 	}
-	e.errFn(err)
-}
-
-// fail records the first unrecoverable failure and notifies the handler.
-// Deferred sends headed for the dead peer are purged so the refill loop does
-// not keep feeding traffic into a black hole; peer < 0 means the failure is
-// not attributable to one peer.
-func (e *Engine) fail(peer int, err error) {
-	if e.failed != nil {
+	e.pending = kept
+	if !dead {
 		return
 	}
-	e.failed = err
-	if peer >= 0 {
-		e.purgePending(peer)
-	}
-	e.notify(err)
-}
-
-// evictPeer handles a whole-rank death verdict (core.PeerDeath): traffic
-// toward the dead peer is dropped from now on and every in-flight transfer
-// involving it is abandoned, but the engine keeps serving the survivors —
-// it does NOT enter the failed state. The registered handler still hears
-// about the death so a recovery layer can re-map the dead rank's work.
-func (e *Engine) evictPeer(peer int, err error) {
-	if e.failed != nil || e.deadPeers[peer] {
-		return
-	}
-	if e.deadPeers == nil {
-		e.deadPeers = make(map[int]bool)
-	}
-	e.deadPeers[peer] = true
-	e.purgePending(peer)
-	// Abandon global-array transfers involving the peer: a send's data would
-	// vanish on the wire; a receive's data will never arrive. Marking them
-	// done frees their slots at the next compaction, and their completion
-	// callbacks never run (that state belongs to the aborted exchange).
 	purged := false
 	for _, s := range e.xfer {
 		if s.done {
@@ -339,52 +248,7 @@ func (e *Engine) evictPeer(peer int, err error) {
 		e.refill()
 	}
 	e.schedule()
-	e.notify(err)
 }
-
-// purgePending drops deferred operations involving peer: sends toward it
-// and promotions of receives posted from it.
-func (e *Engine) purgePending(peer int) {
-	kept := e.pending[:0]
-	for _, op := range e.pending {
-		switch {
-		case op.kind == pendingSend && op.dst == peer:
-			continue
-		case op.kind == pendingPromote && op.slot.src == peer:
-			continue
-		}
-		kept = append(kept, op)
-	}
-	for i := len(kept); i < len(e.pending); i++ {
-		e.pending[i] = pendingOp{}
-	}
-	e.pending = kept
-}
-
-// MemReg registers b for remote puts. In RMA mode the buffer is also
-// attached to the rank's dynamic window, paying the attach cost on the
-// communication thread.
-func (e *Engine) MemReg(b buf.Buf) core.MemHandle {
-	h := e.reg.MemReg(b)
-	if e.cfg.UseRMA {
-		e.rank.WinAttach(h.ID, b)
-		e.Submit(e.w.Config().AttachCost(b.Size), nil)
-	}
-	return h
-}
-
-// MemDereg releases a registration (and detaches the window region in RMA
-// mode).
-func (e *Engine) MemDereg(h core.MemHandle) {
-	if e.cfg.UseRMA {
-		e.rank.WinDetach(h.ID)
-		e.Submit(e.w.Config().DetachCost, nil)
-	}
-	e.reg.MemDereg(h)
-}
-
-// Lookup resolves a local registration.
-func (e *Engine) Lookup(h core.MemHandle) buf.Buf { return e.reg.Lookup(h) }
 
 // TagReg registers an active-message callback and pre-posts its persistent
 // receives (§4.2.1), each with room for maxLen bytes.
@@ -392,7 +256,7 @@ func (e *Engine) TagReg(tag core.Tag, cb core.AMCallback, maxLen int64) {
 	if maxLen <= 0 {
 		maxLen = e.cfg.MaxAMLen
 	}
-	e.tags.Register(tag, cb, maxLen)
+	e.Tags.Register(tag, cb, maxLen)
 	e.reqs = e.reqs[:len(e.amSlots)] // drop the last pass's transfers
 	slots := make([]amSlot, e.cfg.PersistentPerTag)
 	for i := range slots {
@@ -431,9 +295,9 @@ func (e *Engine) retireSend(s *sendRec) {
 // §4.2.1); a worker's continuation runs once the call has returned to it.
 func (s *sendRec) send() {
 	e := s.e
-	if e.failed == nil && !e.deadPeers[s.remote] {
+	if !e.Drops(s.remote) {
 		e.rank.Send(buf.FromBytes(s.buf), s.remote, int(s.tag))
-		e.amsSent.Inc()
+		e.AMsSent.Inc()
 	}
 	if s.done != nil {
 		s.worker.Submit(0, s.done)
@@ -459,26 +323,14 @@ func (e *Engine) SendAMMT(worker *sim.Proc, tag core.Tag, remote int, data []byt
 	e.schedule()
 }
 
-// Submit runs fn on the communication thread after charging cost.
-func (e *Engine) Submit(cost sim.Duration, fn func()) { e.comm.Submit(cost, fn) }
-
 // Put starts the emulated one-sided transfer (§4.2.2). Must run on the
 // communication thread.
 func (e *Engine) Put(a core.PutArgs) {
-	if e.failed != nil || e.deadPeers[a.Remote] {
+	local, ok := e.BeginPut(a)
+	if !ok {
 		return
 	}
-	e.putsStarted.Inc()
-	e.putBytes.Add(uint64(a.Size))
-	local := e.reg.Lookup(a.LReg).Slice(a.LDispl, a.Size)
-
-	if e.cfg.UseRMA {
-		e.putRMA(a, local)
-		return
-	}
-
-	e.nextDataTag++
-	dataTag := dataTagBase + int(e.nextDataTag)
+	dataTag := e.NextDataTag()
 
 	// The handshake is marshalled straight into its send record.
 	hs := e.newSend(handshakeTag, a.Remote, nil)
@@ -492,7 +344,7 @@ func (e *Engine) Put(a core.PutArgs) {
 		e.postDataSend(local, a.Remote, dataTag, a.LocalCB, a.Size)
 	} else {
 		// §4.2.2: insufficient space in the global array defers the send.
-		e.deferredEvents.Inc()
+		e.Deferred.Inc()
 		e.pending = append(e.pending, pendingOp{
 			kind: pendingSend, data: local, dst: a.Remote, dataTag: dataTag,
 			localCB: a.LocalCB, size: a.Size,
@@ -555,49 +407,22 @@ func (s *xferSlot) postTransfer() {
 		e.xfer = append(e.xfer, s)
 	} else {
 		// Posted but unpolled until promoted (§4.2.2).
-		e.deferredEvents.Inc()
+		e.Deferred.Inc()
 		e.pending = append(e.pending, pendingOp{kind: pendingPromote, slot: s})
 	}
 	e.schedule()
-}
-
-// putRMA transports the data with MPI_Put + flush, then sends the remote
-// completion notification as an active message (which standard MPI RMA
-// cannot deliver itself).
-func (e *Engine) putRMA(a core.PutArgs, local buf.Buf) {
-	rcb := append([]byte(nil), a.RCBData...)
-	e.Submit(e.w.Config().SendCost(a.Size), func() {
-		e.rank.RmaPut(a.Remote, a.RReg.ID, a.RDispl, local, func() {
-			// Flush returned (runs during a progress pass on the
-			// communication thread): notify both sides.
-			e.putsDone.Inc()
-			e.SendAM(a.RTag, a.Remote, rcb)
-			if a.LocalCB != nil {
-				e.comm.Submit(e.cfg.DispatchCost, a.LocalCB)
-			}
-		})
-		e.schedule()
-	})
 }
 
 // onHandshake is the handshake AM callback at the put target: it posts the
 // matching receive, into the global array if there is room and onto a
 // dynamically allocated request otherwise (§4.2.2).
 func (e *Engine) onHandshake(_ core.Engine, _ core.Tag, data []byte, src int) {
-	if e.deadPeers[src] {
-		// A handshake that was already in flight when its sender was
-		// declared dead; the data will never follow.
-		return
-	}
-	h, err := core.UnmarshalPutHeader(data)
-	if err != nil {
-		// Handshakes only ever come from a peer engine, so a malformed one
-		// means that peer is broken — abort the graph, don't crash the rank.
-		e.fail(src, fmt.Errorf("mpice rank %d: bad put handshake from %d: %w", e.Rank(), src, err))
+	h, ok := e.Handshake(data, src)
+	if !ok {
 		return
 	}
 	s := e.newSlot()
-	s.data = e.reg.Lookup(h.RReg).Slice(h.RDispl, h.Size)
+	s.data = e.Lookup(h.RReg).Slice(h.RDispl, h.Size)
 	s.dataTag, s.src, s.size = int(h.DataTag), src, h.Size
 	s.rtag, s.rcbData = h.RTag, append(s.rcbData, h.RCBData...)
 	e.Submit(e.w.Config().RecvCost(h.Size), s.post)
@@ -614,7 +439,7 @@ func (e *Engine) schedule() {
 	e.progressScheduled = true
 	nreq := len(e.amSlots) + len(e.xfer)
 	cost := e.rank.ProgressCost() + e.w.Config().TestCost(nreq)
-	e.comm.Submit(cost, e.runPassFn)
+	e.Submit(cost, e.runPassFn)
 }
 
 func (e *Engine) runPass() {
@@ -652,11 +477,11 @@ func (e *Engine) runPass() {
 }
 
 func (e *Engine) dispatchAM(s *amSlot) {
-	e.amsDelivered.Inc()
+	e.AMsDelivered.Inc()
 	// The callback and the persistent-receive re-arm both execute on the
 	// communication thread; while they run, no Testsome happens — the
 	// §4.3 head-of-line blocking.
-	e.comm.Submit(e.cfg.DispatchCost, s.step)
+	e.Submit(e.cfg.DispatchCost, s.step)
 }
 
 // next runs a delivery's next deferred step: the callback, then the re-arm.
@@ -678,11 +503,11 @@ func (s *amSlot) next() {
 func (s *amSlot) runCallback() {
 	e, st, data := s.e, s.req.Status, s.req.Data()
 	if st.Size > data.Size {
-		e.fail(st.Source, core.AMTooLong("mpice", e.Rank(), s.tag, st.Size, data.Size, st.Source))
+		e.Fail(st.Source, core.AMTooLong("mpice", e.Rank(), s.tag, st.Size, data.Size, st.Source))
 	} else {
 		s.cb(e, s.tag, data.Bytes, st.Source)
 	}
-	e.comm.Submit(e.w.Config().PostCost, s.step)
+	e.Submit(e.w.Config().PostCost, s.step)
 }
 
 func (s *amSlot) restart() {
@@ -693,23 +518,20 @@ func (s *amSlot) restart() {
 func (e *Engine) completeXfer(s *xferSlot) {
 	s.done, s.completed = true, true // compaction removes and recycles it
 	if s.isSend {
-		e.putsDone.Inc()
+		e.PutsDone.Inc()
 		if s.localCB != nil {
-			e.comm.Submit(e.cfg.DispatchCost, s.localCB)
+			e.Submit(e.cfg.DispatchCost, s.localCB)
 		}
 		return
 	}
 	// Data landed: fire the remote completion callback registered for RTag,
 	// unless its data is longer than the tag accepts (compaction then retires
 	// the slot).
-	var maxLen int64
-	s.rcb, maxLen = e.tags.Lookup(s.rtag)
-	if n := int64(len(s.rcbData)); n > maxLen {
-		e.fail(s.src, core.AMTooLong("mpice", e.Rank(), s.rtag, n, maxLen, s.src))
+	if s.rcb = e.Callback(s.rtag, int64(len(s.rcbData)), s.src); s.rcb == nil {
 		return
 	}
 	s.dispatching = true
-	e.comm.Submit(e.cfg.DispatchCost, s.dispatch)
+	e.Submit(e.cfg.DispatchCost, s.dispatch)
 }
 
 // runRemoteCompletion runs the put's remote completion callback and retires
@@ -736,7 +558,7 @@ func (e *Engine) compact() {
 
 // refill starts deferred operations, oldest first, while the global array
 // has room. The started ones leave the queue with one copy, and the slots the
-// copy vacates are cleared, as purgePending clears its own: a stale slot would
+// copy vacates are cleared, as purge clears its own: a stale slot would
 // keep a started put's data buffer and completion callback, and whatever the
 // callback names, alive for as long as the engine.
 func (e *Engine) refill() {

@@ -62,7 +62,7 @@ func TestTransferCapDefersSendsFIFO(t *testing.T) {
 	if done != n {
 		t.Fatalf("completed %d puts, want %d", done, n)
 	}
-	if src.deferredEvents.Value() == 0 {
+	if src.Deferred.Value() == 0 {
 		t.Fatal("no sends deferred despite cap 4")
 	}
 }
@@ -99,8 +99,8 @@ func TestRefillReleasesDeferredPuts(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if done != n || src.deferredEvents.Value() == 0 {
-		t.Fatalf("completed %d puts with %d deferred, want %d with some deferred", done, src.deferredEvents.Value(), n)
+	if done != n || src.Deferred.Value() == 0 {
+		t.Fatalf("completed %d puts with %d deferred, want %d with some deferred", done, src.Deferred.Value(), n)
 	}
 	runtime.GC()
 	if last.Value() != nil {
@@ -163,47 +163,5 @@ func TestGlobalArrayCompaction(t *testing.T) {
 	}
 	if n := len(dst.xfer); n != 0 {
 		t.Fatalf("target transfer array holds %d entries after drain", n)
-	}
-}
-
-func TestRMAModeSkipsHandshakeTraffic(t *testing.T) {
-	// The RMA put needs no handshake AM and no CTS: total messages for one
-	// put drop versus the two-sided emulation.
-	msgs := func(useRMA bool) uint64 {
-		cfg := DefaultConfig()
-		cfg.UseRMA = useRMA
-		eng := sim.NewEngine()
-		fc := fabric.DefaultConfig()
-		fc.Jitter = 0
-		fab, err := fabric.New(eng, 2, fc)
-		if err != nil {
-			panic(err)
-		}
-		w := mpi.NewWorld(eng, fab, mpi.DefaultConfig())
-		var engines []*Engine
-		for i := 0; i < 2; i++ {
-			engines = append(engines, New(eng, w, i, cfg))
-		}
-		const doneTag core.Tag = 15
-		done := 0
-		for _, e := range engines {
-			e.TagReg(doneTag, func(core.Engine, core.Tag, []byte, int) { done++ }, 64)
-		}
-		src, dst := engines[0], engines[1]
-		l := src.MemReg(buf.Virtual(1 << 20))
-		r := dst.MemReg(buf.Virtual(1 << 20))
-		src.Submit(0, func() {
-			src.Put(core.PutArgs{LReg: l, RReg: r, Size: 1 << 20, Remote: 1, RTag: doneTag})
-		})
-		eng.Run()
-		if done != 1 {
-			t.Fatalf("useRMA=%v: done=%d", useRMA, done)
-		}
-		return fab.Metrics().Total("fabric", "msgs_sent")
-	}
-	twoSided := msgs(false)
-	rma := msgs(true)
-	if rma >= twoSided {
-		t.Fatalf("RMA used %d messages, two-sided %d; expected fewer", rma, twoSided)
 	}
 }

@@ -77,10 +77,6 @@ type Config struct {
 	// UCX_IB_RCACHE_MAX_REGIONS to avoid crashes).
 	RndvCost   sim.Duration
 	RndvPerMiB sim.Duration
-	// WinAttach is the fixed cost of one dynamic-window attach (RMA
-	// extension; see rma.go); DetachCost prices the detach.
-	WinAttach  sim.Duration
-	DetachCost sim.Duration
 	// LockHold is how long one multithreaded call occupies the library's
 	// global lock.
 	LockHold sim.Duration
@@ -112,8 +108,6 @@ func DefaultConfig() Config {
 		CtrlBytes:      64,
 		RndvCost:       5 * sim.Microsecond,
 		RndvPerMiB:     30 * sim.Microsecond,
-		WinAttach:      12 * sim.Microsecond,
-		DetachCost:     4 * sim.Microsecond,
 		LockHold:       350 * sim.Nanosecond,
 	}
 }
@@ -223,7 +217,6 @@ type Rank struct {
 	staged, spare []*wire
 	posted        []*Request // active receive requests, post order
 	unexpected    []*wire    // progressed but unmatched arrivals
-	rmaMem        map[uint64]buf.Buf
 
 	// pool is the wire-record free list of this rank's shard: wire records
 	// cross the fabric and are retired where they are delivered, so the list
@@ -303,11 +296,6 @@ type wire struct {
 	data    []byte   // backs an eager payload with real bytes; kept across uses
 	sreq    *Request // rendezvous: originating send request
 	rreq    *Request // rendezvous: matched receive request
-
-	// RMA extension fields (rma.go).
-	rmaID  uint64
-	rmaOff int64
-	rmaOp  *rmaOp
 }
 
 type reqKind int8

@@ -191,15 +191,7 @@ func (q *Request) land(w *wire) {
 // progress pass, modeling a NIC writing completion entries that no software
 // has looked at yet.
 func (r *Rank) onArrival(m *fabric.Message) {
-	w := m.Meta.(*wire)
-	if w.kind == wireRmaPut {
-		// Passive-target RDMA: the write happens without software at the
-		// target; only the flush ack goes back.
-		r.handleRmaPut(w)
-		r.retire(w)
-		return
-	}
-	r.stage(w)
+	r.stage(m.Meta.(*wire))
 }
 
 func (r *Rank) stage(w *wire) {
@@ -221,7 +213,7 @@ func (r *Rank) ProgressCost() sim.Duration {
 	scan := sim.Duration(len(r.posted)+len(r.unexpected)) * r.w.cfg.ScanPerEntry
 	for _, w := range r.staged {
 		switch w.kind {
-		case wireSendDone, wireRmaAck:
+		case wireSendDone:
 			d += r.w.cfg.TestPerReq // trivial CQ entry
 			continue
 		case wireEager:
@@ -277,11 +269,6 @@ func (r *Rank) Progress() {
 		case wireSendDone:
 			w.sreq.done = true
 			r.isendsInFlight.Add(-1)
-		case wireRmaAck:
-			// Flush completion at the origin: run the put's continuation.
-			if w.rmaOp.done != nil {
-				w.rmaOp.done()
-			}
 		}
 		r.retire(w)
 	}
