@@ -1,5 +1,5 @@
 # Tier-1 verification: everything a PR must keep green.
-.PHONY: verify build vet test test-race chaos chaos-crash chaos-multicrash fuzz-smoke simd-smoke allocsites census pairs
+.PHONY: verify build vet test test-race chaos chaos-crash chaos-multicrash fuzz-smoke allocsites census pairs
 
 verify:
 	./scripts/verify.sh
@@ -74,11 +74,6 @@ fuzz-smoke:
 	timeout 120 go test -run='^$$' -fuzz=FuzzInboxOrder -fuzztime=2s ./internal/sim
 	timeout 120 go test -run='^$$' -fuzz=FuzzCalendarMatchesRef -fuzztime=2s ./internal/sim
 	timeout 120 go test -run='^$$' -fuzz=FuzzKernelsMatchReference -fuzztime=2s ./internal/linalg
-
-# End-to-end smoke of the simd experiment service: content-addressed cache
-# hits with byte-identical CSV, mid-sweep cancel, and SIGINT checkpointing.
-simd-smoke:
-	./scripts/simd_smoke.sh
 
 build:
 	go build ./...

@@ -46,7 +46,9 @@ func main() {
 	metricsDir := flag.String("metrics", "", "dump per-run metric summaries as CSV into this directory (e.g. results)")
 	j := flag.Int("j", 1, "parallel sweep workers for the rate sweep (0 = one per CPU); output is identical for every value")
 	flag.Parse()
-	crashes, err := checkFlags(*crash, *storm, *rate, *quick, *sever)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	crashes, err := checkFlags(*crash, *storm, *rate, *quick, *sever, set)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		os.Exit(2)
@@ -125,9 +127,11 @@ func main() {
 
 // checkFlags refuses, before any run, the flag combinations in which one
 // flag would be silently dropped: -sever, -crash, -crash-storm and the rate
-// sweep (-rate, -quick) are exclusive modes, and -quick fixes the rate. It
-// parses -crash, so a malformed cascade is refused here too, and returns it.
-func checkFlags(crash string, storm int, rate float64, quick, sever bool) ([]crashPoint, error) {
+// sweep (-rate, -quick) are exclusive modes, -quick fixes the rate, only the
+// rate sweep reads -j, and -sever reads neither -steal nor -metrics. set
+// names the flags given on the command line. It parses -crash, so a
+// malformed cascade is refused here too, and returns it.
+func checkFlags(crash string, storm int, rate float64, quick, sever bool, set map[string]bool) ([]crashPoint, error) {
 	crashing := crash != "" || storm > 0
 	switch {
 	case storm < 0:
@@ -140,6 +144,10 @@ func checkFlags(crash string, storm int, rate float64, quick, sever bool) ([]cra
 		return nil, errors.New("-quick fixes the rate at 2%; give -quick or -rate, not both")
 	case (sever || crashing) && (quick || rate >= 0):
 		return nil, errors.New("-rate and -quick select the rate sweep, not -sever, -crash or -crash-storm")
+	case set["j"] && (sever || crashing):
+		return nil, errors.New("-j sets the rate sweep's workers; -sever, -crash and -crash-storm do not read it")
+	case sever && (set["steal"] || set["metrics"]):
+		return nil, errors.New("-sever does not combine with -steal or -metrics")
 	case crash == "":
 		return nil, nil
 	}

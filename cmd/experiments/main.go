@@ -12,7 +12,7 @@
 //	Table 2 best tile size per node count
 //
 // Figures 4 and 5 are internal/expd tile and nodes specs, evaluated and
-// rendered by the code the simd service uses.
+// rendered by expd (spec → points → cache → table).
 //
 // -scale shrinks the HiCMA problem; -quick uses a cheap measurement
 // protocol. With the defaults (scale 1, paper protocols) a full regeneration
@@ -20,17 +20,17 @@
 // on 2 cores).
 //
 // -spec JSON runs one HiCMA experiment instead: it evaluates a tile or
-// nodes spec (the schema simd accepts) and prints the spec's figure tables
-// — with "mt", the §6.4.3 multithreading table too — and then its per-point
-// table, the table simd's /result serves:
+// nodes spec (expd.Spec) and prints the spec's figure tables — with "mt",
+// the §6.4.3 multithreading table too — and then its per-point table
+// (expd.AssembleTable):
 //
 //	experiments -spec '{"kind":"tile","scale":0.1,"mt":true}'        Fig 4a/4b + §6.4.3
 //	experiments -spec '{"kind":"nodes","scale":0.5,"runs":1}' -j 0    Fig 5a/5b + Table 2
 //	experiments -spec '{"kind":"tile","tiles":[2400],"steal":true}'  one tile, with stealing
 //
-// -cache DIR consults and fills a content-addressed result cache (share
-// simd's state/cache to reuse the service's points) for every HiCMA sweep
-// the command runs.
+// -cache DIR consults and fills a content-addressed result cache for every
+// HiCMA sweep the command runs, so a re-run or an overlapping spec reuses
+// every point already simulated.
 //
 // -list-config and -metrics DIR run no evaluation: each does its one job
 // and exits, so each comes alone.
@@ -67,7 +67,7 @@ func main() {
 	j := flag.Int("j", 1, "parallel sweep workers (0 = one per CPU); tables and CSVs are byte-identical for every value")
 	csvDir := flag.String("csv", "", "also write each table as a CSV file into this directory")
 	specJSON := flag.String("spec", "", `evaluate one "tile" or "nodes" experiment spec (JSON) and print its figure and point tables instead of the whole evaluation`)
-	cacheDir := flag.String("cache", "", "content-addressed result cache directory for the HiCMA sweeps (share simd's state/cache to reuse its points)")
+	cacheDir := flag.String("cache", "", "content-addressed result cache directory for the HiCMA sweeps (a re-run reuses every cached point)")
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })

@@ -5,7 +5,7 @@
 // busy fraction, queue depths, traffic rates). It is the runtime's visual
 // debugger: worker occupancy, communication stalls, and the panel wavefront
 // are all visible at a glance. The recording machinery lives in
-// internal/ctrace, shared with the experiment service's trace endpoint.
+// internal/ctrace.
 //
 //	go run ./cmd/trace -o trace.json -n 36000 -nb 1200 -nodes 4
 //	# then load trace.json in chrome://tracing or ui.perfetto.dev

@@ -37,6 +37,7 @@ func TestPingPongSizesSpanPaperRange(t *testing.T) {
 // ~25% of each anchor; a regression outside that window means the cost model
 // drifted.
 func TestFig2aAnchors(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("calibration anchors are slow")
 	}
@@ -57,6 +58,7 @@ func TestFig2aAnchors(t *testing.T) {
 }
 
 func TestPingPongLCIBeatsMPIAtFineGranularity(t *testing.T) {
+	t.Parallel()
 	for _, size := range []int64{16 << 10, 64 << 10} {
 		var got [2]float64
 		for i, b := range []stack.Backend{stack.LCI, stack.MPI} {
@@ -83,6 +85,7 @@ func TestPingPongBothNearPeakAtCoarseGranularity(t *testing.T) {
 }
 
 func TestPingPongNetPIPEBaselineAbovePaRSECAtSmallSizes(t *testing.T) {
+	t.Parallel()
 	// NetPIPE has no runtime overhead, so it upper-bounds both backends at
 	// small fragments (visible in Fig 2a).
 	size := int64(16 << 10)
@@ -149,6 +152,7 @@ func TestOverlapModelsBracketMeasurement(t *testing.T) {
 }
 
 func TestOverlapLCIAdvantageGrowsAsTasksShrink(t *testing.T) {
+	t.Parallel()
 	// Fig 3: at small fragments the MPI backend "struggles to move the
 	// data fast enough" while LCI keeps pace.
 	ratio := func(size int64) float64 {

@@ -81,12 +81,11 @@ func HiCMA(o HiCMAOpts) HiCMAResult {
 	return r
 }
 
-// HiCMARuntime builds run `run` of o ready to execute: the stack and the
-// runtime over a virtual HiCMA pool. HiCMA measures exactly these runs, and
-// expd.TracePoint traces them. mutate, when non-nil, edits the stack options
-// and runtime configuration o produced before anything is built (a
-// mechanism-table row, mechanism.go).
-func HiCMARuntime(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (*stack.Stack, *parsec.Runtime, *hicma.Pool) {
+// hicmaRun simulates run `run` of o over a virtual HiCMA pool and reports
+// it, with the registry every layer of the run counted in. mutate, when
+// non-nil, edits the stack options and runtime configuration o produced
+// before anything is built (a mechanism-table row, mechanism.go).
+func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (HiCMAResult, *metrics.Registry) {
 	if o.Workers == 0 {
 		o.Workers = WorkersFor(o.Backend, o.Nodes)
 	}
@@ -105,13 +104,6 @@ func HiCMARuntime(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.C
 	s := stack.Build(so)
 	cfg.Metrics = s.Metrics
 	rt := parsec.New(s.Dom, s.Engines, pool, cfg)
-	return s, rt, pool
-}
-
-// hicmaRun simulates run `run` of o (HiCMARuntime, then Run) and reports
-// it, with the registry every layer of the run counted in.
-func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (HiCMAResult, *metrics.Registry) {
-	s, rt, pool := HiCMARuntime(o, run, mutate)
 	d, err := rt.Run()
 	if err != nil {
 		panic(fmt.Sprintf("bench: hicma %v", err))

@@ -14,6 +14,7 @@ import (
 // Each row must also change its backend's defaults: a neutral row whose
 // mutation set nothing would otherwise pass unnoticed.
 func TestMechanisms(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("the mechanism table runs scaled HiCMA points")
 	}

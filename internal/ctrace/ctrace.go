@@ -2,9 +2,8 @@
 // array format read by chrome://tracing and ui.perfetto.dev): one duration
 // event per task execution, instant events for GET DATA requests, data
 // arrivals, and ACTIVATE messages, and counter tracks sampled from the
-// runtime-wide metrics registry. Record is the one recording sequence:
-// cmd/trace writes its traces from the command line, and the experiment
-// service (internal/expd) serves them over HTTP for any HiCMA-shaped job.
+// runtime-wide metrics registry. Record is the recording sequence that
+// cmd/trace writes its traces with.
 package ctrace
 
 import (

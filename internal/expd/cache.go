@@ -1,173 +1,39 @@
 package expd
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Cache is the on-disk content-addressed result store: one JSON file per
 // completed point, named by the point's hash, fanned out over 256
 // two-hex-digit subdirectories. Writes are atomic (temp file + rename in
 // the same directory), so a cache entry either exists completely or not at
-// all — a killed server never leaves a torn result behind, which is what
-// makes restart-resume sound.
-//
-// A bounded cache (OpenCacheBounded with maxEntries > 0) additionally keeps
-// an in-memory recency list and evicts the least-recently-used entry — file
-// and all — once the bound is exceeded. Eviction is safe by construction:
-// a cache entry is a pure function of its point, so an evicted result is
-// merely re-simulated on the next miss and the re-filled bytes are
-// identical. The recency index is seeded from file modification times on
-// open, so the LRU order survives restarts approximately (mtime
-// granularity) and exactly for anything touched after open.
+// all — an interrupted sweep never leaves a torn result behind, and a
+// re-run picks up every point that completed. A cache entry is a pure
+// function of its point, so a missing or unreadable entry is merely
+// re-simulated and the re-filled bytes are identical.
 type Cache struct {
 	dir string
-
-	// Recency tracking, active only when max > 0. The mutex also serializes
-	// the file operations of Put/evict against concurrent pool workers.
-	mu      sync.Mutex
-	max     int
-	lru     *list.List               // front = most recently used; values are hashes
-	idx     map[string]*list.Element // hash -> lru element
-	evicted uint64
 }
 
-// OpenCache opens (creating if needed) an unbounded cache rooted at dir.
+// OpenCache opens (creating if needed) a cache rooted at dir.
 func OpenCache(dir string) (*Cache, error) {
-	return OpenCacheBounded(dir, 0)
-}
-
-// OpenCacheBounded opens a cache holding at most maxEntries point results
-// (0 or negative means unbounded). Pre-existing entries are indexed oldest
-// mtime first and the bound is enforced immediately, so reopening a shrunk
-// cache trims it on the spot.
-func OpenCacheBounded(dir string, maxEntries int) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("expd: open cache: %w", err)
 	}
-	c := &Cache{dir: dir}
-	if maxEntries > 0 {
-		c.max = maxEntries
-		c.lru = list.New()
-		c.idx = make(map[string]*list.Element)
-		if err := c.seedRecency(); err != nil {
-			return nil, fmt.Errorf("expd: open cache: %w", err)
-		}
-		c.mu.Lock()
-		c.evictLocked()
-		c.mu.Unlock()
-	}
-	return c, nil
+	return &Cache{dir: dir}, nil
 }
 
-// seedRecency rebuilds the LRU order of a bounded cache from the files on
-// disk, oldest modification time first (ties break on hash for
-// determinism).
-func (c *Cache) seedRecency() error {
-	type ent struct {
-		hash  string
-		mtime int64
-	}
-	var ents []ent
-	subs, err := os.ReadDir(c.dir)
-	if err != nil {
-		return err
-	}
-	for _, sub := range subs {
-		if !sub.IsDir() || len(sub.Name()) != 2 {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(c.dir, sub.Name()))
-		if err != nil {
-			return err
-		}
-		for _, f := range files {
-			hash := strings.TrimSuffix(f.Name(), ".json")
-			if hash == f.Name() || !validHash(hash) {
-				continue // temp files, strays
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue // raced with external cleanup
-			}
-			ents = append(ents, ent{hash: hash, mtime: info.ModTime().UnixNano()})
-		}
-	}
-	sort.Slice(ents, func(i, j int) bool {
-		if ents[i].mtime != ents[j].mtime {
-			return ents[i].mtime < ents[j].mtime
-		}
-		return ents[i].hash < ents[j].hash
-	})
-	for _, e := range ents {
-		c.idx[e.hash] = c.lru.PushFront(e.hash)
-	}
-	return nil
+// path is the entry file of hash.
+func (c *Cache) path(hash string) string {
+	return filepath.Join(c.dir, hash[:2], hash+".json")
 }
 
-// touch marks hash most-recently-used and enforces the bound. No-op on an
-// unbounded cache.
-func (c *Cache) touch(hash string) {
-	if c.max == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.idx[hash]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.idx[hash] = c.lru.PushFront(hash)
-	c.evictLocked()
-}
-
-// evictLocked drops least-recently-used entries (file and index) until the
-// cache is within bounds. Caller holds mu.
-func (c *Cache) evictLocked() {
-	for c.lru.Len() > c.max {
-		el := c.lru.Back()
-		hash := el.Value.(string)
-		c.lru.Remove(el)
-		delete(c.idx, hash)
-		os.Remove(c.path(hash, ".json"))
-		c.evicted++
-	}
-}
-
-// Evictions returns the number of entries evicted since open.
-func (c *Cache) Evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicted
-}
-
-// Len returns the number of tracked entries of a bounded cache (0 for an
-// unbounded one, which keeps no index).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.max == 0 {
-		return 0
-	}
-	return c.lru.Len()
-}
-
-// Dir returns the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
-func (c *Cache) path(hash, suffix string) string {
-	return filepath.Join(c.dir, hash[:2], hash+suffix)
-}
-
-// validHash guards path construction against non-hash inputs (an HTTP
-// handler passes client-supplied IDs through lookup, never here, but keep
-// the invariant local).
+// validHash guards path construction against non-hash inputs.
 func validHash(h string) bool {
 	if len(h) != 64 {
 		return false
@@ -177,35 +43,32 @@ func validHash(h string) bool {
 	}) < 0
 }
 
-// Get returns the cached bytes for hash, or ok=false on a miss. A hit
-// counts as a use for eviction ordering.
-func (c *Cache) Get(hash string) ([]byte, bool) {
+// GetResult decodes the cached PointResult of hash, or ok=false on a miss.
+func (c *Cache) GetResult(hash string) (PointResult, bool) {
 	if !validHash(hash) {
-		return nil, false
+		return PointResult{}, false
 	}
-	data, err := os.ReadFile(c.path(hash, ".json"))
+	data, err := os.ReadFile(c.path(hash))
 	if err != nil {
-		return nil, false
+		return PointResult{}, false
 	}
-	c.touch(hash)
-	return data, true
+	var r PointResult
+	if err := json.Unmarshal(data, &r); err != nil {
+		// A torn or corrupted entry is treated as a miss; the point will
+		// re-simulate and overwrite it.
+		return PointResult{}, false
+	}
+	return r, true
 }
 
-// Has reports whether hash is cached without reading it. A Has probe does
-// not count as a use (the resume scan at server start stats every point of
-// every checkpointed job and must not reshuffle the recency order).
-func (c *Cache) Has(hash string) bool {
-	if !validHash(hash) {
-		return false
-	}
-	_, err := os.Stat(c.path(hash, ".json"))
-	return err == nil
-}
-
-// Put stores data under hash atomically.
-func (c *Cache) Put(hash string, data []byte) error {
+// PutResult encodes r and stores it under hash atomically.
+func (c *Cache) PutResult(hash string, r PointResult) error {
 	if !validHash(hash) {
 		return fmt.Errorf("expd: cache put: bad hash %q", hash)
+	}
+	data, err := json.Marshal(r)
+	if err != nil {
+		return err
 	}
 	dir := filepath.Join(c.dir, hash[:2])
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -224,33 +87,5 @@ func (c *Cache) Put(hash string, data []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := os.Rename(tmp.Name(), c.path(hash, ".json")); err != nil {
-		return err
-	}
-	c.touch(hash)
-	return nil
-}
-
-// GetResult decodes a cached PointResult.
-func (c *Cache) GetResult(hash string) (PointResult, bool) {
-	data, ok := c.Get(hash)
-	if !ok {
-		return PointResult{}, false
-	}
-	var r PointResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		// A torn or corrupted entry is treated as a miss; the point will
-		// re-simulate and overwrite it.
-		return PointResult{}, false
-	}
-	return r, true
-}
-
-// PutResult encodes and stores a PointResult.
-func (c *Cache) PutResult(hash string, r PointResult) error {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	return c.Put(hash, data)
+	return os.Rename(tmp.Name(), c.path(hash))
 }

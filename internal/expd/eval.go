@@ -9,11 +9,9 @@ import (
 	"amtlci/internal/bench"
 )
 
-// EvalHooks observe point evaluation; either hook may be nil. Hooks are
+// EvalHooks observe point evaluation; a nil hook is skipped. Hooks are
 // called from sweep worker goroutines and must be safe for concurrent use.
 type EvalHooks struct {
-	// Start fires when a point is dispatched to a worker.
-	Start func(i int)
 	// Done fires when a point finishes: cached reports a cache hit (no
 	// simulation ran), elapsed is the wall time spent on the point.
 	Done func(i int, r PointResult, cached bool, err error, elapsed time.Duration)
@@ -30,9 +28,6 @@ func EvalPoints(ctx context.Context, workers int, pts []Point, cache *Cache, hoo
 		err error
 	}
 	evaluated, err := bench.SweepCtx(ctx, bench.SweepWorkers(workers, len(pts)), len(pts), func(i int) outcome {
-		if hooks.Start != nil {
-			hooks.Start(i)
-		}
 		begin := time.Now()
 		p := pts[i]
 		h := p.Hash()
@@ -76,7 +71,7 @@ func gf(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // AssembleTable renders a completed sweep as its result table, one row per
 // measurement in point order. The layout is long-format (one series column
 // set per kind), so the CSV loads into plotting scripts without reshaping,
-// and the bytes depend only on the results — a cache-served job emits
+// and the bytes depend only on the results — a cache-served sweep emits
 // byte-identical output to the run that populated the cache.
 func AssembleTable(s Spec, pts []Point, results []PointResult) (*bench.Table, error) {
 	if len(pts) != len(results) {

@@ -85,8 +85,8 @@ func finite(v float64) float64 {
 
 // EvalPoint simulates one point from scratch. Validation happens at spec
 // canonicalization; a panic out of the simulator (which signals a
-// misconfiguration, not an input error) is converted to an error so a
-// long-running service survives it.
+// misconfiguration, not an input error) is converted to an error, so the
+// sweep's other points still complete and stay cacheable.
 func EvalPoint(p Point) (res PointResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -145,7 +145,7 @@ func EvalPoint(p Point) (res PointResult, err error) {
 }
 
 // hicmaOpts is HiCMA point p's configuration on backend b: what EvalPoint
-// measures and TracePoint traces.
+// measures.
 func (p Point) hicmaOpts(b stack.Backend) bench.HiCMAOpts {
 	o := bench.DefaultHiCMAOpts(b, p.NB, p.Nodes)
 	o.N = p.N

@@ -1,21 +1,19 @@
-// Package expd is the experiment service: the deterministic simulator
-// exposed as a persistent, cache-fronted HTTP/JSON daemon (cmd/simd).
+// Package expd runs experiments: spec → points → cache → table.
 //
 // An experiment Spec is one canonical schema for every HiCMA and chaos-rate
 // sweep in the repository, and Spec → Points → EvalPoints is the only code
 // that runs them: cmd/experiments builds its Figure 4/5 specs from its
 // flags or takes one as JSON (-spec), cmd/chaos builds its rate sweep from
-// its flags, both render the results, and the service accepts the same
-// Spec over HTTP. A spec is validated and canonicalized,
-// decomposed into self-contained sweep Points, and the points are scheduled
-// on a bounded worker pool (bench.SweepCtx).
+// its flags, and both render the results. A spec is validated and
+// canonicalized, decomposed into self-contained sweep Points, and the
+// points are scheduled on a bounded worker pool (bench.SweepCtx).
 // Every point is content-addressed by a stable hash of its canonical
 // encoding: because the simulation is deterministic, a cached point result
 // is *exactly* the result a re-simulation would produce, so repeated or
-// overlapping sweeps are served from the on-disk cache instead of
-// re-simulated — a 256-point sweep that shares 200 points with a prior run
-// only simulates the 56 new ones. Job state is checkpointed, so a restarted
-// server resumes half-finished sweeps from their completed-point prefix.
+// overlapping sweeps are served from the on-disk cache (cmd/experiments
+// -cache) instead of re-simulated — a 256-point sweep that shares 200
+// points with a prior run only simulates the 56 new ones. AssembleTable
+// renders the completed points as one long-format table.
 package expd
 
 import (

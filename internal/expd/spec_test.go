@@ -8,8 +8,8 @@ import (
 
 // TestHashInvariance pins the content-address contract: every spelling of
 // the same experiment hashes to the same address, and materially different
-// experiments never collide. This is what lets overlapping submissions from
-// different clients share cache entries.
+// experiments never collide. This is what lets overlapping sweeps share
+// cache entries.
 func TestHashInvariance(t *testing.T) {
 	hash := func(t *testing.T, raw string) string {
 		t.Helper()
@@ -76,9 +76,8 @@ func TestHashInvariance(t *testing.T) {
 
 	t.Run("pinned address", func(t *testing.T) {
 		// The literal hash of the default tile sweep. If this changes, the
-		// Spec encoding changed, which invalidates every on-disk cache and
-		// checkpoint — only update the constant for a deliberate format
-		// break.
+		// Spec encoding changed, which invalidates every on-disk cache —
+		// only update the constant for a deliberate format break.
 		const want = "848d2aaf5c0f4fc895f1b19f280389e28730ddf798e1b96d8785626b508b15d5"
 		if got := hash(t, `{"kind":"tile"}`); got != want {
 			t.Errorf("canonical encoding drifted: hash %s, want %s", got, want)
