@@ -21,7 +21,9 @@ func allocHarness() (*sim.Engine, *Runtime) {
 
 // TestMessagePathAllocs pins the steady-state cost of one message with a
 // virtual payload at zero allocations, for the Buffered protocol (no receive
-// posted) and for the Direct RTS/CTS rendezvous: packets are taken by the
+// posted) and for the Direct RTS/CTS rendezvous, and of a Buffered message
+// with a real payload of buf.MaxSlab bytes, whose copy into library memory
+// reuses the pooled packet's slab: packets are taken by the
 // sender and retired by the receiver, direct-operation records are retired by
 // the endpoint that posted them, and the packet-released completion is the
 // endpoint's static sentinel. Both streams are one-way, the case a per-rank
@@ -32,6 +34,22 @@ func TestMessagePathAllocs(t *testing.T) {
 		got := 0
 		rt.Endpoint(1).SetMsgComp(Handler(func(Request) { got++ }))
 		b := buf.Virtual(8 << 10)
+		pin(t, func() {
+			want := got + 1
+			if err := rt.Endpoint(0).Sendm(1, 7, b); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			if got != want {
+				t.Fatal("message not delivered")
+			}
+		})
+	})
+	t.Run("buffered-real-MaxSlab", func(t *testing.T) {
+		eng, rt := allocHarness()
+		got := 0
+		rt.Endpoint(1).SetMsgComp(Handler(func(Request) { got++ }))
+		b := buf.FromBytes(make([]byte, buf.MaxSlab))
 		pin(t, func() {
 			want := got + 1
 			if err := rt.Endpoint(0).Sendm(1, 7, b); err != nil {

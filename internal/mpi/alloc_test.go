@@ -8,14 +8,23 @@ import (
 )
 
 // TestMessagePathAllocs pins the steady-state cost of one point-to-point
-// message with a virtual payload, on the eager and on the rendezvous
-// protocol: with wire records pooled (taken by the sender, retired by the
-// receiver) and both requests handed back through Free, a message allocates
-// nothing. The stream is one-way, the case a per-rank free list could not
-// serve.
+// message at zero allocations: with a virtual payload on the eager and on
+// the rendezvous protocol, and with a real eager payload of buf.MaxSlab
+// bytes, whose copy into library memory reuses the pooled wire record's slab.
+// Wire records are taken by the sender and retired by the receiver, and both
+// requests are handed back through Free. The stream is one-way, the case a
+// per-rank free list could not serve.
 func TestMessagePathAllocs(t *testing.T) {
-	for name, size := range map[string]int64{"eager": 8 << 10, "rendezvous": 32 << 10} {
-		t.Run(name, func(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		size int64
+		real bool
+	}{
+		{"eager", 8 << 10, false},
+		{"rendezvous", 32 << 10, false},
+		{"eager-real-MaxSlab", buf.MaxSlab, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			eng, w := harness(2)
 			for i := 0; i < w.Size(); i++ {
 				r := w.Rank(i)
@@ -23,10 +32,13 @@ func TestMessagePathAllocs(t *testing.T) {
 				r.SetWake(func() { eng.After(10*sim.Nanosecond, progress) })
 			}
 			src, dst := w.Rank(0), w.Rank(1)
-			b := buf.Virtual(size)
+			sb, rb := buf.Virtual(c.size), buf.Virtual(c.size)
+			if c.real {
+				sb, rb = buf.FromBytes(make([]byte, c.size)), buf.FromBytes(make([]byte, c.size))
+			}
 			reqs := make([]*Request, 2)
 			one := func() {
-				reqs[0], reqs[1] = dst.Irecv(b, 0, 7), src.Isend(b, 1, 7)
+				reqs[0], reqs[1] = dst.Irecv(rb, 0, 7), src.Isend(sb, 1, 7)
 				eng.Run()
 				if got := len(dst.Testsome(reqs[:1])) + len(src.Testsome(reqs[1:])); got != 2 {
 					t.Fatalf("collected %d of 2 requests", got)

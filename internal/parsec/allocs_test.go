@@ -58,8 +58,10 @@ func TestLocalTaskPathAllocs(t *testing.T) {
 // message path itself — the runtime's deferred communication-thread steps,
 // both engines, both libraries, the fabric, the simulator's calendar —
 // allocates nothing in steady state (each layer pins that on its own), the
-// runtime's per-flow state on both ranks (flow records with their waiter and
-// pending-GET lists) is recycled, and the Execute result is borrowed.
+// runtime's per-flow state on both ranks is recycled (flow records through
+// the rank's free list, their waiter lists as cells of the rank's arena),
+// and the Execute result is borrowed. A chain has one consumer per flow and
+// no multicast tree; TestMulticastPathAllocs covers the fan-out.
 func TestRemoteTaskPathAllocs(t *testing.T) {
 	forBackends(t, func(t *testing.T, b stack.Backend) {
 		got := allocsPerTask(t, b, 2, 1000, 5000)
@@ -171,6 +173,74 @@ func TestLazyFetchAllocs(t *testing.T) {
 		t.Logf("lazy ping-pong: %.3f parsec allocs/task", got)
 		if got > 0.1 {
 			t.Fatalf("lazy ping-pong: %.3f parsec allocs/task, want at most 0.1", got)
+		}
+	})
+}
+
+// broadcastChain is a chain of n broadcasts over ranks ranks: task i, on rank
+// i%ranks, hands 1 KiB to task i+1 and to one to three sink tasks on every
+// other rank, so each flow reaches ranks-1 consumer ranks — a multicast tree
+// once that is at least the fan-out threshold, with forwarders queueing their
+// children's GET DATA until their own copy lands — and several local
+// consumers at each.
+func broadcastChain(ranks, n int) (g *parsec.GraphPool, tasks int) {
+	g = parsec.NewGraphPool("broadcast", ranks, false)
+	idx := int64(0)
+	add := func(rank int, sizes ...int64) parsec.TaskID {
+		idx++
+		return g.AddTask(idx, rank, sim.Microsecond, 0, sizes...)
+	}
+	prev := add(0, 1<<10)
+	for i := 1; i < n; i++ {
+		owner := (i - 1) % ranks
+		for r := 0; r < ranks; r++ {
+			if r == owner {
+				continue
+			}
+			for k := 0; k <= (i+r)%3; k++ {
+				g.Link(prev, 0, add(r))
+			}
+		}
+		cur := add(i%ranks, 1<<10)
+		g.Link(prev, 0, cur)
+		prev = cur
+	}
+	return g, int(idx)
+}
+
+// broadcastAllocs runs broadcastChain and returns the allocations parsec makes
+// inside Run, and the number of tasks run.
+func broadcastAllocs(t *testing.T, b stack.Backend, ranks, n int) (allocs int64, tasks int) {
+	t.Helper()
+	g, tasks := broadcastChain(ranks, n)
+	_, rt := build(t, b, ranks, 2, g, nil)
+	var err error
+	allocs = parsecAllocs(func() { _, err = rt.Run() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Metrics().Total("parsec", "tasks_run"); got != uint64(tasks) {
+		t.Fatalf("ran %d of %d tasks", got, tasks)
+	}
+	return allocs, tasks
+}
+
+// TestMulticastPathAllocs pins parsec's share of the fan-out path at the
+// marginal cost of one more broadcast: a flow with local consumers on every
+// rank it reaches and a binomial tree over six consumer ranks. The root
+// builds the tree in scratch, the aggregation step and the queue copy each
+// subtree into storage they keep, a forwarder decodes its subtree into the
+// activation step's storage and queues its children's GETs as arena cells,
+// and every rank's consumers wait as arena cells too.
+func TestMulticastPathAllocs(t *testing.T) {
+	const ranks = 7
+	forBackends(t, func(t *testing.T, b stack.Backend) {
+		short, nShort := broadcastAllocs(t, b, ranks, 100)
+		long, nLong := broadcastAllocs(t, b, ranks, 500)
+		got := float64(long-short) / float64(nLong-nShort)
+		t.Logf("broadcast chain: %.3f parsec allocs/task", got)
+		if got > 0.01 {
+			t.Fatalf("broadcast chain: %.3f parsec allocs/task, want 0", got)
 		}
 	})
 }

@@ -39,7 +39,7 @@ type commOp struct {
 	kind  opKind
 	epoch int32
 	peer  int        // opAggregate/opFlush: destination; steal steps: the other rank
-	act   activation // opAggregate, opActivation; opDeliver: the put's tracing stamps
+	act   activation // opAggregate, opActivation (setAct); opDeliver: the put's tracing stamps
 	key   flowKey    // opServePut, opDeliver, opPutDone
 	fd    *flowData  // opServePut, opDeliver, opPutDone
 	req   getReq     // opServePut
@@ -48,9 +48,27 @@ type commOp struct {
 	srel  steal.Release
 	next  *commOp // the next step in the node's FIFO, while queued
 
+	// opActivation: the local consumers that wait for the data, a chain of
+	// node.waits cells, their count and their highest priority (onActivate's
+	// scan). The chain is the step's until processActivation hands it on;
+	// a stale step releases it.
+	waiters cellList
+	nwait   int32
+	maxPrio int64
+
 	// putDone is the PutArgs.LocalCB of opPutDone, made the first time the
-	// record serves as one (putCompletion) and kept across reuses.
+	// record serves as one (putCompletion) and kept across reuses; tree is
+	// the storage act.subtree aliases (setAct), kept the same way.
 	putDone func()
+	tree    []int32
+}
+
+// setAct stores act as the step's activation, with its subtree copied into
+// the record's own storage: the tree it was cut from is scratch.
+func (o *commOp) setAct(act activation) {
+	o.tree = append(o.tree[:0], act.subtree...)
+	o.act = act
+	o.act.subtree = o.tree
 }
 
 // newOp takes an op record stamped with the current epoch.
@@ -72,7 +90,7 @@ func (n *node) retireOp(o *commOp) {
 	if !o.live {
 		panic("parsec: communication-thread step used after retirement")
 	}
-	*o = commOp{n: n, putDone: o.putDone}
+	*o = commOp{n: n, putDone: o.putDone, tree: o.tree[:0]}
 	n.ops.Put(o)
 }
 
@@ -144,6 +162,8 @@ func (o *commOp) exec() {
 		if o.kind == opActivation || o.kind == opDeliver {
 			n.staleDrops.Inc()
 		}
+		n.waits.drop(o.waiters)
+		o.waiters = cellList{}
 		n.pollQuiet()
 		return
 	}
@@ -155,7 +175,7 @@ func (o *commOp) exec() {
 	case opFlush:
 		n.flushActivates(o.peer)
 	case opActivation:
-		n.processActivation(o.act)
+		n.processActivation(o)
 	case opServePut:
 		n.servePut(o.key, o.fd, o.req)
 	case opDeliver:

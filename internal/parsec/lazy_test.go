@@ -61,7 +61,7 @@ func TestLazyChainLaunchesInAnnouncementOrder(t *testing.T) {
 		n.appendLazy(n.stateOf(c), key(i))
 	}
 	n.unlinkLazy(n.stateOf(c), key(1))
-	freed := n.lazyFree
+	freed := n.lazy.free
 	n.appendLazy(n.stateOf(d), key(5))
 	if st := n.stateOf(d); st.lazyHead != freed || st.nlazy != 1 {
 		t.Fatalf("d's cell is %d (chain of %d), want the unlinked cell %d reused", st.lazyHead, st.nlazy, freed)
@@ -82,7 +82,7 @@ func TestLazyChainLaunchesInAnnouncementOrder(t *testing.T) {
 	if st := n.stateOf(c); st.nlazy != 0 {
 		t.Fatalf("c keeps %d lazy cells after its fetches launched", st.nlazy)
 	}
-	if st := n.stateOf(d); st.nlazy != 1 || n.lazy[st.lazyHead].key != key(5) || n.lazy[st.lazyHead].next != noCell {
-		t.Fatalf("d's chain changed under c's launch: %d cells, head %+v", st.nlazy, n.lazy[st.lazyHead])
+	if st := n.stateOf(d); st.nlazy != 1 || n.lazy.at(st.lazyHead).v != key(5) || n.lazy.at(st.lazyHead).next != noCell {
+		t.Fatalf("d's chain changed under c's launch: %d cells, head %+v", st.nlazy, n.lazy.at(st.lazyHead))
 	}
 }

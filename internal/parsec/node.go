@@ -2,6 +2,7 @@ package parsec
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 
@@ -39,10 +40,16 @@ type node struct {
 	ready prioQueue
 	tasks flatTable[taskState]
 	store flatTable[*flowData]
-	// lazy holds the cells of the tasks' lazy-fetch chains (taskState), and
-	// lazyFree chains the retired ones; run-scoped, like the table.
-	lazy     []lazyCell
-	lazyFree int32
+	// lazy holds the cells of the tasks' lazy-fetch chains (taskState);
+	// waits those of the flow copies' local consumer lists and of the chains
+	// an activation step carries (flowData.waiters, commOp.waiters), and gets
+	// those of the GET DATA requests queued at a forwarder
+	// (flowData.pendingGets). lazy is the rank's, since a restart truncates
+	// it with the task table; waits and gets are the shard's (recordSlab),
+	// which no restart truncates. All three are run-scoped, like the tables.
+	lazy  cellArena[flowKey]
+	waits *cellArena[TaskID]
+	gets  *cellArena[getReq]
 	// freeRuns recycles dispatch records (taskRun) between tasks; ops
 	// recycles the communication thread's deferred-step records (commop.go);
 	// flows recycles the store's dataflow records (newFlow, retireFlow). The
@@ -84,16 +91,14 @@ type node struct {
 	activeFetches int
 	fetchQ        prioQueue
 
-	// ACTIVATE aggregation (§4.3 duty 1), funneled mode only: entries queued
-	// per destination rank until the flush, and whether a flush is already
-	// scheduled. Both are indexed by rank and allocated at the first remote
-	// activation; pendingDests counts the destinations with queued entries
-	// (the quiet predicate reads it) and actFree recycles flushed entry
-	// slices.
-	pendingAct   [][]activation
-	flushQueued  []bool
+	// ACTIVATE aggregation (§4.3 duty 1), funneled mode only: each
+	// destination rank's queue of entries until its flush, nil while nothing
+	// is queued — a destination has a flush scheduled exactly while it has a
+	// queue. Indexed by rank and allocated at the first remote activation;
+	// pendingDests counts the queues (the quiet predicate reads it). Queues
+	// come from, and flushed ones go back to, the shard's slab.
+	pendingAct   []*actQueue
 	pendingDests int
-	actFree      [][]activation
 
 	// books is this rank's half of the termination detector (term.go): the
 	// counted protocol messages it sent and admitted, its color, and a held
@@ -122,21 +127,33 @@ type node struct {
 
 	// Scratch reused across tasks so the steady state allocates nothing of
 	// its own: taskpool edge lists, the input payloads handed to Execute,
-	// complete's consumer-rank set and multicast children, and the flow list
-	// of a checkpoint. lastOutputs is the pool's Execute result, borrowed
-	// until complete has copied it into flow records.
-	inputScratch  []Dep
-	succScratch   []Dep
-	inputRefs     []DataRef
-	remoteScratch []int32
-	childScratch  [][]int32
-	ckptFlows     []recov.FlowCkpt
-	lastOutputs   []DataRef
+	// the multicast rank tree (this rank, then the consumer ranks) and its
+	// children, built by complete and forward, and the flow list of a
+	// checkpoint. lastOutputs is the pool's Execute result, borrowed until
+	// complete has copied it into flow records.
+	inputScratch []Dep
+	succScratch  []Dep
+	inputRefs    []DataRef
+	treeRanks    []int32
+	childScratch [][]int32
+	ckptFlows    []recov.FlowCkpt
+	lastOutputs  []DataRef
 	// encBuf is the encode scratch of every active message this rank sends
-	// (SendAM and Put copy their payload before returning); actScratch is
-	// onActivate's decode scratch.
-	encBuf     []byte
-	actScratch []activation
+	// (SendAM and Put copy their payload before returning); actScratch and
+	// treeScratch are onActivate's decode scratch, the entries and the
+	// subtrees they alias.
+	encBuf      []byte
+	actScratch  []activation
+	treeScratch []int32
+}
+
+// actQueue is the activations queued for one destination until its flush.
+// Each entry's subtree aliases trees, the queue's own copy: the step that
+// queued the entry recycles its record, and the rank tree it was cut from,
+// right after.
+type actQueue struct {
+	acts  []activation
+	trees []int32
 }
 
 // taskState is one task's dependence counter, stored inline in node.tasks.
@@ -150,37 +167,148 @@ type taskState struct {
 	nlazy    int32
 }
 
-// lazyCell is one link of a task's lazy-fetch chain: a flow, and the index of
-// the next cell in node.lazy (noCell ends the chain). Retired cells are
-// chained from node.lazyFree the same way.
-type lazyCell struct {
-	key  flowKey
+// cellArena is a store of index-linked list cells of one kind, one rank's or
+// one shard's (node.lazy, node.waits). Retired cells are chained from free and
+// taken first, so the lists cost nothing once the arena has grown to its
+// in-flight peak. Cells are numbered from 1 (cell c is cells[c-1]), so index 0
+// (noCell) ends every chain, and the zero arena and the zero cellList are
+// empty. T holds no pointers, so the arena is one block the collector never
+// scans.
+type cellArena[T any] struct {
+	cells []cell[T]
+	free  int32
+}
+
+type cell[T any] struct {
+	v    T
 	next int32
 }
 
-const noCell = -1
+const noCell = 0
+
+// at returns cell c.
+func (a *cellArena[T]) at(c int32) *cell[T] { return &a.cells[c-1] }
+
+// take returns a cell holding v that ends a chain.
+func (a *cellArena[T]) take(v T) int32 {
+	c := a.free
+	if c == noCell {
+		if len(a.cells) == cap(a.cells) {
+			// Double: an arena grows to its peak once per run, and append's
+			// 1.25× steps for large slices would allocate five times that
+			// peak on the way.
+			grown := make([]cell[T], len(a.cells), max(2*cap(a.cells), 64))
+			copy(grown, a.cells)
+			a.cells = grown
+		}
+		a.cells = append(a.cells, cell[T]{v: v})
+		return int32(len(a.cells))
+	}
+	a.free = a.at(c).next
+	*a.at(c) = cell[T]{v: v}
+	return c
+}
+
+// release retires cell c to the free chain.
+func (a *cellArena[T]) release(c int32) {
+	*a.at(c) = cell[T]{next: a.free}
+	a.free = c
+}
+
+// reset retires every cell at once, keeping the arena's capacity.
+func (a *cellArena[T]) reset() { a.cells, a.free = a.cells[:0], noCell }
+
+// cellList is a FIFO list threaded through one arena: its first and last
+// cells. The zero value is the empty list.
+type cellList struct{ head, tail int32 }
+
+func (l cellList) empty() bool { return l.head == noCell }
+
+// push appends v to l.
+func (a *cellArena[T]) push(l *cellList, v T) {
+	c := a.take(v)
+	if l.head == noCell {
+		l.head = c
+	} else {
+		a.at(l.tail).next = c
+	}
+	l.tail = c
+}
+
+// splice moves src's cells to the end of l.
+func (a *cellArena[T]) splice(l *cellList, src cellList) {
+	switch {
+	case src.empty():
+		return
+	case l.empty():
+		l.head = src.head
+	default:
+		a.at(l.tail).next = src.head
+	}
+	l.tail = src.tail
+}
+
+// drop retires l's cells.
+func (a *cellArena[T]) drop(l cellList) {
+	if !l.empty() {
+		a.at(l.tail).next = a.free
+		a.free = l.head
+	}
+}
+
+// all yields l's values in order, leaving the list as it is.
+func (a *cellArena[T]) all(l cellList) iter.Seq[T] {
+	return func(yield func(T) bool) {
+		for c := l.head; c != noCell; c = a.at(c).next {
+			if !yield(a.at(c).v) {
+				return
+			}
+		}
+	}
+}
+
+// drain empties *l, yielding its values in order; each cell is retired
+// before its value is yielded, so the loop body may push to any list of the
+// arena, l included.
+func (a *cellArena[T]) drain(l *cellList) iter.Seq[T] {
+	return func(yield func(T) bool) {
+		for l.head != noCell {
+			c := l.head
+			v, next := a.at(c).v, a.at(c).next
+			l.head = next
+			a.release(c)
+			if !yield(v) {
+				return
+			}
+		}
+	}
+}
 
 // flowData is one dataflow copy at one rank, a pooled record like the rest of
-// the message path's (DESIGN.md §5.15): newFlow takes it from node.flows,
-// maybeClean — the one place a copy leaves the store — retires it, and the
-// waiters and pendingGets lists keep their capacity across uses. Deferred
-// communication-thread steps and put completions hold the pointer across
-// events, under two rules. Within an epoch a step that names a record keeps
-// the copy from being cleaned (an unserved GET, a fetch in flight), so it
-// never finds the record retired; servePut, deliver and putLocalDone panic if
-// one does. Across a restart — and on a rank that died — the records still in
-// the store are abandoned to the GC, never retired: stale steps of the old
-// epoch still point at them, exactly as with commOp and taskRun.
-// Fresh records are carved from the shard's slab, with waiters starting on
-// the record's one inline slot: most flows have a single local consumer.
+// the message path's (DESIGN.md §5.15): newFlow takes it from node.flows, and
+// maybeClean — the one place a copy leaves the store — retires it. Its two
+// variable-length lists live in the shard's cell arenas: waiters, the local
+// consumers waiting for the data, in node.waits, and pendingGets, the GET DATA
+// requests queued at a forwarder until its own copy lands, in node.gets. Both
+// are drained when the copy becomes ready (deliver, or at once for a control
+// flow), so a retired record holds no cell. Deferred communication-thread
+// steps and put completions hold the pointer across events, under two rules.
+// Within an epoch a step that names a record keeps the copy from being cleaned
+// (an unserved GET, a fetch in flight), so it never finds the record retired;
+// servePut, deliver and putLocalDone panic if one does. Across a restart — and
+// on a rank that died — the records still in the store are abandoned to the
+// GC, never retired: stale steps of the old epoch still point at them, exactly
+// as with commOp and taskRun. Their cells are abandoned with them: they stay
+// taken until the run ends (resetForRecovery keeps both arenas).
+// Fresh records are carved from the shard's slab.
 type flowData struct {
 	ref         DataRef
 	size        int64
 	lreg        regHandle
-	pendingGets []getReq
-	waiters     []TaskID
-	waiter0     [1]TaskID
-	// Tracing/forwarding metadata, valid away from the root.
+	waiters     cellList
+	pendingGets cellList
+	// Tracing/forwarding metadata, valid away from the root; its subtree is
+	// always nil (the tree is forwarded when the activation arrives).
 	meta         activation
 	expectedGets int32
 	servedGets   int32
@@ -213,14 +341,15 @@ type taskRun struct {
 
 func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config, slab *recordSlab) *node {
 	n := &node{
-		rt:       rt,
-		rank:     rank,
-		eng:      rt.dom.RankEngine(rank),
-		ce:       ce,
-		cfg:      cfg,
-		rng:      sim.NewRNG(cfg.Seed ^ (uint64(rank)+1)*0x9E3779B97F4A7C15),
-		slab:     slab,
-		lazyFree: noCell,
+		rt:    rt,
+		rank:  rank,
+		eng:   rt.dom.RankEngine(rank),
+		ce:    ce,
+		cfg:   cfg,
+		rng:   sim.NewRNG(cfg.Seed ^ (uint64(rank)+1)*0x9E3779B97F4A7C15),
+		slab:  slab,
+		waits: &slab.waits,
+		gets:  &slab.gets,
 	}
 	n.ops.Cap, n.flows.Cap = math.MaxInt, math.MaxInt
 	n.runOpFn = n.runOp
@@ -296,15 +425,15 @@ func (n *node) start() {
 func (n *node) releaseRunState() {
 	n.tasks.reset()
 	n.store.reset()
-	n.lazy, n.lazyFree = nil, noCell
+	n.lazy, n.waits, n.gets = cellArena[flowKey]{}, nil, nil
 	n.ready, n.fetchQ = prioQueue{}, prioQueue{}
 	n.freeRuns, n.slab = nil, nil
 	n.ops, n.flows = sim.FreeList[commOp]{}, sim.FreeList[flowData]{}
 	n.opHead, n.opTail, n.putRecs = nil, nil, nil
-	n.encBuf, n.actScratch = nil, nil
-	n.pendingAct, n.flushQueued, n.actFree = nil, nil, nil
+	n.encBuf, n.actScratch, n.treeScratch = nil, nil, nil
+	n.pendingAct = nil
 	n.inputScratch, n.succScratch, n.inputRefs = nil, nil, nil
-	n.remoteScratch, n.childScratch, n.lastOutputs = nil, nil, nil
+	n.treeRanks, n.childScratch, n.lastOutputs = nil, nil, nil
 	n.ckptFlows = nil
 }
 
@@ -341,7 +470,6 @@ func (n *node) newFlow(state flowState, size int64) *flowData {
 	fd := n.flows.Get()
 	if fd == nil {
 		fd = n.slab.flows.take()
-		fd.waiters = fd.waiter0[:0]
 	}
 	fd.live, fd.state, fd.size = true, state, size
 	return fd
@@ -349,10 +477,10 @@ func (n *node) newFlow(state flowState, size int64) *flowData {
 
 // retireFlow recycles the record of a copy that has left the store. Only ready
 // copies are cleaned, and both lists were drained when the copy became ready,
-// so they are empty here; their capacity stays with the record.
+// so the record holds no cell here.
 func (n *node) retireFlow(fd *flowData) {
 	fd.mustLive()
-	*fd = flowData{waiters: fd.waiters[:0], pendingGets: fd.pendingGets[:0]}
+	*fd = flowData{}
 	n.flows.Put(fd)
 }
 
@@ -387,9 +515,8 @@ func (n *node) satisfy(t TaskID) {
 // flows may already be fetching on behalf of another consumer.
 func (n *node) launchLazy(c int32) {
 	for c != noCell {
-		key := n.lazy[c].key
-		next := n.lazy[c].next
-		n.freeCell(c)
+		key, next := n.lazy.at(c).v, n.lazy.at(c).next
+		n.lazy.release(c)
 		c = next
 		fd := n.flow(key)
 		if fd == nil || fd.state != flowAnnounced {
@@ -539,7 +666,9 @@ func (n *node) complete(t TaskID, w int) {
 		// Partition consumers into local tasks and remote ranks. Consumers
 		// that already executed before a restart (the recovery done set) are
 		// skipped: satisfying them again would corrupt the rebuilt counters.
-		remote := n.remoteScratch[:0]
+		// The remote ranks go into the tree scratch behind this rank, the
+		// multicast root.
+		tree := append(n.treeRanks[:0], int32(n.rank))
 		for _, dep := range n.succScratch {
 			if n.rt.isDone(dep.Task) {
 				continue
@@ -550,26 +679,23 @@ func (n *node) complete(t TaskID, w int) {
 				n.satisfy(dep.Task)
 				continue
 			}
-			remote = append(remote, int32(r))
+			tree = append(tree, int32(r))
 		}
-		n.remoteScratch = remote
-		if len(remote) == 0 {
+		n.treeRanks = tree
+		if len(tree) == 1 {
 			n.maybeClean(key, fd)
 			continue
 		}
-		slices.Sort(remote)
-		remote = slices.Compact(remote)
+		slices.Sort(tree[1:])
+		remote := slices.Compact(tree[1:])
+		tree = tree[:1+len(remote)]
 
 		// Multicast: direct sends below the fan-out threshold, binomial
-		// tree above it. The tree is rooted at this rank; its rank list is
-		// allocated per flow because the queued activations keep slices of
-		// it until their flush (a direct child's subtree is empty, so it can
-		// be a slice of the scratch).
+		// tree above it. Both cut their children's subtrees from the
+		// scratch: sendActivate encodes or copies each before it returns.
 		children := n.childScratch[:0]
 		if len(remote) >= treeFanout {
-			tree := make([]int32, 1, 1+len(remote))
-			tree[0] = int32(n.rank)
-			children = treeSplit(children, append(tree, remote...))
+			children = treeSplit(children, tree)
 		} else {
 			for i := range remote {
 				children = append(children, remote[i:i+1:i+1])
@@ -605,46 +731,48 @@ func (n *node) sendActivate(dest int, act activation, w int) {
 		return
 	}
 	o := n.newOp(opAggregate)
-	o.peer, o.act = dest, act
+	o.peer = dest
+	o.setAct(act)
 	n.submit(n.cfg.AggregationCost, o)
 }
 
 // aggregate queues one activation for dest on the communication thread and
-// arranges the flush.
+// arranges the flush. The entry's subtree is copied into the queue.
 func (n *node) aggregate(dest int, act activation) {
 	if n.pendingAct == nil {
-		n.pendingAct = make([][]activation, n.rt.ranks())
-		n.flushQueued = make([]bool, n.rt.ranks())
+		n.pendingAct = make([]*actQueue, n.rt.ranks())
 	}
 	q := n.pendingAct[dest]
-	if len(q) == 0 {
-		n.pendingDests++
-		if k := len(n.actFree); k > 0 {
-			q, n.actFree = n.actFree[k-1], n.actFree[:k-1]
+	if q == nil {
+		if free := n.slab.queues; len(free) > 0 {
+			q, n.slab.queues = free[len(free)-1], free[:len(free)-1]
+		} else {
+			q = new(actQueue)
 		}
-	}
-	n.pendingAct[dest] = append(q, act)
-	if !n.flushQueued[dest] {
-		n.flushQueued[dest] = true
+		n.pendingAct[dest] = q
+		n.pendingDests++
 		// The flush runs when the communication thread next gets to it;
-		// everything queued for dest in the meantime aggregates into
-		// one ACTIVATE message (§4.3 duty 1).
+		// everything queued for dest in the meantime aggregates into one
+		// ACTIVATE message (§4.3 duty 1).
 		f := n.newOp(opFlush)
 		f.peer = dest
 		n.submit(0, f)
 	}
+	off := len(q.trees)
+	q.trees = append(q.trees, act.subtree...)
+	act.subtree = q.trees[off:len(q.trees):len(q.trees)]
+	q.acts = append(q.acts, act)
 }
 
 func (n *node) flushActivates(dest int) {
-	n.flushQueued[dest] = false
-	queued := n.pendingAct[dest]
-	if len(queued) == 0 {
+	q := n.pendingAct[dest]
+	if q == nil {
 		return
 	}
 	n.pendingAct[dest] = nil
 	n.pendingDests--
 	// Respect the AM payload cap: chunk if needed.
-	entries := queued
+	entries := q.acts
 	for len(entries) > 0 {
 		bytes := 2
 		cut := 0
@@ -667,10 +795,11 @@ func (n *node) flushActivates(dest int) {
 		n.encBuf = appendActivates(n.encBuf[:0], chunk...)
 		n.ce.SendAM(tagActivate, dest, n.encBuf)
 	}
-	// The payloads are encoded; the slice goes back for the next aggregate
-	// (cleared, so it does not pin the multicast trees its entries named).
-	clear(queued)
-	n.actFree = append(n.actFree, queued[:0])
+	// The payloads are encoded; the queue goes back for the next aggregate
+	// (its entries cleared, so none pins a tree array the queue outgrew).
+	clear(q.acts)
+	q.acts, q.trees = q.acts[:0], q.trees[:0]
+	n.slab.queues = append(n.slab.queues, q)
 }
 
 // wireFail aborts the task graph on a wire-protocol violation. Under fault
@@ -689,12 +818,12 @@ func (n *node) onActivate(_ core.Engine, _ core.Tag, data []byte, src int) {
 	if n.dead {
 		return
 	}
-	entries, err := decodeActivates(n.actScratch, data)
+	entries, trees, err := decodeActivates(n.actScratch, n.treeScratch, data)
 	if err != nil {
 		n.wireFail("parsec: rank %d: bad ACTIVATE from %d: %w", n.rank, src, err)
 		return
 	}
-	n.actScratch = entries
+	n.actScratch, n.treeScratch = entries, trees
 	// Message-count accounting is per AM, matching the sender's one
 	// CountSend; all entries of one aggregated message share the sender's epoch,
 	// so the first entry decides whether the message counts. Stale messages
@@ -712,30 +841,41 @@ func (n *node) onActivate(_ core.Engine, _ core.Tag, data []byte, src int) {
 		}
 		// Unpacking one activation means iterating over every local
 		// descendant of the completed task (§4.3), so the processing cost
-		// grows with the descendant count.
+		// grows with the descendant count. The one scan also collects, for
+		// the deferred step, the descendants that wait for the data and
+		// their highest priority; consumers that already executed before a
+		// restart are skipped, though they still cost. Ownership and the
+		// done set change only at a restart, which makes the step stale.
+		o := n.newOp(opActivation)
+		o.setAct(act)
+		o.maxPrio = -1 << 62
 		desc := 0
 		n.succScratch = n.rt.tp.Successors(act.task, act.flow, n.succScratch[:0])
 		for _, dep := range n.succScratch {
-			if n.rankOf(dep.Task) == n.rank {
-				desc++
+			if n.rankOf(dep.Task) != n.rank {
+				continue
+			}
+			desc++
+			if n.rt.isDone(dep.Task) {
+				continue
+			}
+			n.waits.push(&o.waiters, dep.Task)
+			o.nwait++
+			if p := n.rt.tp.Priority(dep.Task); p > o.maxPrio {
+				o.maxPrio = p
 			}
 		}
-		cost := n.cfg.ActivateCost + sim.Duration(desc)*n.cfg.ActivateDesc
-		o := n.newOp(opActivation)
-		o.act = act
-		n.submit(cost, o)
+		n.submit(n.cfg.ActivateCost+sim.Duration(desc)*n.cfg.ActivateDesc, o)
 	}
-	// The scratch must not pin the multicast trees its entries named.
-	clear(entries)
 }
 
 // forward sends act on to this rank's binomial children for the subtree it
 // carries, stamped as a hop from here, and returns how many children there
 // were. The split lives in scratch: each forward is encoded on the spot.
 func (n *node) forward(act activation) int32 {
-	tree := append(n.remoteScratch[:0], int32(n.rank))
+	tree := append(n.treeRanks[:0], int32(n.rank))
 	tree = append(tree, act.subtree...)
-	n.remoteScratch = tree
+	n.treeRanks = tree
 	n.childScratch = treeSplit(n.childScratch[:0], tree)
 	now := int64(n.eng.Now())
 	for _, sub := range n.childScratch {
@@ -752,40 +892,31 @@ func (n *node) forward(act activation) int32 {
 	return int32(len(n.childScratch))
 }
 
-// processActivation is the deferred step of one received activation (a
-// restart between the AM callback and this step makes it stale: commOp.exec
-// drops it).
-func (n *node) processActivation(act activation) {
+// processActivation is the deferred step of one received activation, o's
+// (a restart between the AM callback and this step makes it stale:
+// commOp.exec drops it). o carries the local consumers onActivate found; the
+// chain passes to the flow record, or is released with the step's failure.
+func (n *node) processActivation(o *commOp) {
+	act := o.act
 	key := flowKey{act.task, act.flow}
 	if fd := n.flow(key); fd != nil {
 		if fd.stolen {
 			// A steal adopted this flow before our own activation arrived:
 			// merge the real activation into the steal-created entry instead
 			// of treating it as a protocol violation (steal_node.go).
-			n.mergeActivation(key, fd, act)
+			n.mergeActivation(key, fd, o)
 			return
 		}
+		n.waits.drop(o.waiters)
 		n.wireFail("parsec: duplicate activation for %v at rank %d", key, n.rank)
 		return
 	}
 	fd := n.newFlow(flowAnnounced, act.size)
 	fd.meta = act
+	fd.meta.subtree = nil // it aliases o's storage
 	n.putFlow(key, fd)
-
-	// Local descendants wait for the data; consumers that already executed
-	// before a restart are skipped.
-	n.succScratch = n.rt.tp.Successors(act.task, act.flow, n.succScratch[:0])
-	maxPrio := int64(-1 << 62)
-	for _, dep := range n.succScratch {
-		if n.rankOf(dep.Task) != n.rank || n.rt.isDone(dep.Task) {
-			continue
-		}
-		fd.waiters = append(fd.waiters, dep.Task)
-		fd.localRefs++
-		if p := n.rt.tp.Priority(dep.Task); p > maxPrio {
-			maxPrio = p
-		}
-	}
+	// Local descendants wait for the data.
+	fd.waiters, fd.localRefs = o.waiters, o.nwait
 
 	// Forward the activation down the multicast tree immediately; the
 	// children's GET DATA requests queue here until our copy lands.
@@ -793,7 +924,7 @@ func (n *node) processActivation(act activation) {
 		fd.expectedGets = n.forward(act)
 	}
 
-	if len(fd.waiters) == 0 && len(act.subtree) == 0 {
+	if fd.waiters.empty() && len(act.subtree) == 0 {
 		n.wireFail("parsec: activation for %v at rank %d has no consumers", key, n.rank)
 		return
 	}
@@ -803,10 +934,9 @@ func (n *node) processActivation(act activation) {
 	if act.size == 0 {
 		fd.state = flowReady
 		fd.expectedGets = 0
-		for _, t := range fd.waiters {
+		for t := range n.waits.drain(&fd.waiters) {
 			n.satisfy(t) // localRefs drop when the consumers execute
 		}
-		fd.waiters = fd.waiters[:0]
 		n.maybeClean(key, fd)
 		return
 	}
@@ -816,7 +946,7 @@ func (n *node) processActivation(act activation) {
 		// defer branch). Forwarding ranks always fetch immediately: their
 		// subtree is waiting.
 		allBlocked := true
-		for _, w := range fd.waiters {
+		for w := range n.waits.all(fd.waiters) {
 			st := n.stateOf(w)
 			n.appendLazy(st, key)
 			if st.remaining == st.nlazy {
@@ -827,35 +957,28 @@ func (n *node) processActivation(act activation) {
 			n.fetchDeferred.Inc()
 			return
 		}
-		for _, w := range fd.waiters {
+		for w := range n.waits.all(fd.waiters) {
 			// Remove the bookkeeping added above; the fetch starts now.
 			n.unlinkLazy(n.stateOf(w), key)
 		}
 	}
 
 	// Fetch now or defer by priority pressure (§4.1).
-	n.requestFetch(key, fd, maxPrio)
+	n.requestFetch(key, fd, o.maxPrio)
 }
 
 // appendLazy adds key at the end of st's lazy-fetch chain. st points into
 // n.tasks; the cells live in n.lazy, so taking one leaves st valid.
 func (n *node) appendLazy(st *taskState, key flowKey) {
-	c := n.lazyFree
-	if c == noCell {
-		c = int32(len(n.lazy))
-		n.lazy = append(n.lazy, lazyCell{})
-	} else {
-		n.lazyFree = n.lazy[c].next
-	}
-	n.lazy[c] = lazyCell{key: key, next: noCell}
+	c := n.lazy.take(key)
 	if st.nlazy == 0 {
 		st.lazyHead = c
 	} else {
 		last := st.lazyHead
-		for n.lazy[last].next != noCell {
-			last = n.lazy[last].next
+		for n.lazy.at(last).next != noCell {
+			last = n.lazy.at(last).next
 		}
-		n.lazy[last].next = c
+		n.lazy.at(last).next = c
 	}
 	st.nlazy++
 }
@@ -866,25 +989,19 @@ func (n *node) unlinkLazy(st *taskState, key flowKey) {
 		return
 	}
 	prev := int32(noCell)
-	for c := st.lazyHead; c != noCell; prev, c = c, n.lazy[c].next {
-		if n.lazy[c].key != key {
+	for c := st.lazyHead; c != noCell; prev, c = c, n.lazy.at(c).next {
+		if n.lazy.at(c).v != key {
 			continue
 		}
 		if prev == noCell {
-			st.lazyHead = n.lazy[c].next
+			st.lazyHead = n.lazy.at(c).next
 		} else {
-			n.lazy[prev].next = n.lazy[c].next
+			n.lazy.at(prev).next = n.lazy.at(c).next
 		}
 		st.nlazy--
-		n.freeCell(c)
+		n.lazy.release(c)
 		return
 	}
-}
-
-// freeCell retires one lazy cell to the free chain.
-func (n *node) freeCell(c int32) {
-	n.lazy[c] = lazyCell{next: n.lazyFree}
-	n.lazyFree = c
 }
 
 // requestFetch starts a fetch subject to the concurrency cap.
@@ -945,7 +1062,7 @@ func (n *node) onGetData(_ core.Engine, _ core.Tag, data []byte, src int) {
 	req := getReq{requester: src, epoch: g.epoch, rreg: g.rreg}
 	if fd.state != flowReady {
 		// Forwarder whose own copy is still in flight: queue the request.
-		fd.pendingGets = append(fd.pendingGets, req)
+		n.gets.push(&fd.pendingGets, req)
 		return
 	}
 	n.submitServePut(key, fd, req)
@@ -1025,15 +1142,12 @@ func (n *node) deliver(key flowKey, fd *flowData, stamps activation) {
 	}
 	n.rt.tracer.Sample(stamps.rootSend, stamps.hopSend, n.rank, n.eng.Now())
 
-	for _, t := range fd.waiters {
+	for t := range n.waits.drain(&fd.waiters) {
 		n.satisfy(t)
 	}
-	fd.waiters = fd.waiters[:0]
-
-	for _, req := range fd.pendingGets {
+	for req := range n.gets.drain(&fd.pendingGets) {
 		n.submitServePut(key, fd, req)
 	}
-	fd.pendingGets = fd.pendingGets[:0]
 
 	n.activeFetches--
 	if n.fetchQ.Len() > 0 && n.activeFetches < n.cfg.FetchCap {

@@ -545,15 +545,17 @@ func (n *node) resetForRecovery() {
 	// Pre-restart flow records are dropped with the table, never retired:
 	// deferred steps of the old epoch still hold them. The flow free list is
 	// kept, like the op free list below: it only ever holds records that
-	// nothing names any more.
+	// nothing names any more. The waiter and GET arenas are kept too: the
+	// dropped records abandon their cells (taken until the run ends), and a
+	// stale activation step still retires the chain it carries. Lazy cells
+	// belong to task states only, so they go with the task table.
 	n.store.reset()
 	n.tasks.reset()
-	n.lazy, n.lazyFree = n.lazy[:0], noCell
+	n.lazy.reset()
 	n.ready = prioQueue{}
 	n.fetchQ = prioQueue{}
 	n.activeFetches = 0
 	clear(n.pendingAct)
-	clear(n.flushQueued)
 	n.pendingDests = 0
 	n.lastOutputs = nil
 	n.executed, n.total = 0, 0
@@ -589,7 +591,7 @@ func (n *node) restoreTask(t TaskID, flows []recov.FlowCkpt) {
 		key := flowKey{t, f.Flow}
 		n.succScratch = n.rt.tp.Successors(t, f.Flow, n.succScratch[:0])
 		var locals []TaskID
-		remote := n.remoteScratch[:0]
+		remote := n.treeRanks[:0]
 		for _, dep := range n.succScratch {
 			if n.rt.isDone(dep.Task) {
 				continue
@@ -601,7 +603,7 @@ func (n *node) restoreTask(t TaskID, flows []recov.FlowCkpt) {
 			}
 			remote = append(remote, int32(r))
 		}
-		n.remoteScratch = remote
+		n.treeRanks = remote
 		if len(locals) == 0 && len(remote) == 0 {
 			continue // every consumer already ran; nothing needs this copy
 		}

@@ -135,8 +135,7 @@ func TestStaleCommOpNeitherRunsNorRecycles(t *testing.T) {
 			// holds no token here, so termination traffic stays out of it.
 			fresh := owner.newOp(opFlush)
 			fresh.peer = 1
-			owner.pendingAct = make([][]activation, 2)
-			owner.flushQueued = make([]bool, 2)
+			owner.pendingAct = make([]*actQueue, 2)
 			owner.submit(0, fresh)
 			s.Eng.Run()
 			if owner.pendingOps != 0 || owner.ops.Len() != 1 {
@@ -177,11 +176,14 @@ func mustPanic(t *testing.T, what string, fn func()) {
 
 // TestFlowRecordRetireLifecycle follows one flow record through the free
 // list: the served GET's completion cleans the copy, the record comes back
-// from newFlow with nothing of its previous use but the lists' capacity, and
-// retiring a record twice panics instead of putting it on the list twice.
+// from newFlow with nothing of its previous use — its drained waiter list
+// included, whose cell went back to the rank's arena — and retiring a record
+// twice panics instead of putting it on the list twice.
 func TestFlowRecordRetireLifecycle(t *testing.T) {
 	s, n, key, fd, landing := flowHarness(t, stack.LCI)
-	fd.waiters = append(fd.waiters, TaskID{Index: 7})[:0]
+	n.waits.push(&fd.waiters, TaskID{Index: 7})
+	for range n.waits.drain(&fd.waiters) {
+	}
 	n.servePut(key, fd, getReq{requester: 1, epoch: n.epoch, rreg: landing})
 	s.Eng.Run()
 	if n.flow(key) != nil || fd.live || n.flows.Len() != 1 {
@@ -197,11 +199,10 @@ func TestFlowRecordRetireLifecycle(t *testing.T) {
 	if again != fd {
 		t.Fatal("the retired record was not reused")
 	}
-	if cap(again.waiters) == 0 {
-		t.Fatal("the recycled record lost its waiter list's capacity")
+	if c := n.waits.take(TaskID{}); c != 1 || n.waits.free != noCell {
+		t.Fatalf("the drained waiter cell was not reused: took %d, free chain at %d", c, n.waits.free)
 	}
 	want := flowData{live: true, state: flowAnnounced, size: 8}
-	again.waiters, again.pendingGets = nil, nil
 	if !reflect.DeepEqual(*again, want) {
 		t.Fatalf("recycled record carries state of its previous use: %+v", *again)
 	}

@@ -14,25 +14,32 @@ import (
 
 // recordWatch is a Taskpool that, at every Execute, takes weak pointers to
 // every flow record in a rank's store, every step queued for a communication
-// thread and every cell of a lazy-fetch chain: by the end of the run, the
-// sets name every such record seen in flight.
+// thread, every cell of a lazy-fetch chain and every cell of a flow's waiter
+// list: by the end of the run, the sets name every such record seen in
+// flight.
 type recordWatch struct {
 	*GraphPool
 	rt    *Runtime
 	flows map[weak.Pointer[flowData]]bool
 	ops   map[weak.Pointer[commOp]]bool
-	cells map[weak.Pointer[lazyCell]]bool
+	cells map[weak.Pointer[cell[flowKey]]]bool
+	waits map[weak.Pointer[cell[TaskID]]]bool
 }
 
 func (w *recordWatch) Execute(t TaskID, in []DataRef) []DataRef {
 	for _, n := range w.rt.nodes {
-		n.store.each(func(_ flowKey, fd **flowData) { w.flows[weak.Make(*fd)] = true })
+		n.store.each(func(_ flowKey, fd **flowData) {
+			w.flows[weak.Make(*fd)] = true
+			for c := (*fd).waiters.head; c != noCell; c = n.waits.at(c).next {
+				w.waits[weak.Make(n.waits.at(c))] = true
+			}
+		})
 		for o := n.opHead; o != nil; o = o.next {
 			w.ops[weak.Make(o)] = true
 		}
 		n.tasks.each(func(_ flowKey, st *taskState) {
-			for c, i := st.lazyHead, int32(0); i < st.nlazy; c, i = n.lazy[c].next, i+1 {
-				w.cells[weak.Make(&n.lazy[c])] = true
+			for c, i := st.lazyHead, int32(0); i < st.nlazy; c, i = n.lazy.at(c).next, i+1 {
+				w.cells[weak.Make(n.lazy.at(c))] = true
 			}
 		})
 	}
@@ -103,7 +110,8 @@ func watchedRun(t *testing.T, b stack.Backend, steal bool, crashAt sim.Duration)
 	cfg.FetchLazy = true
 	cfg.Metrics = s.Metrics
 	w := &recordWatch{GraphPool: watchedGraph(), flows: map[weak.Pointer[flowData]]bool{},
-		ops: map[weak.Pointer[commOp]]bool{}, cells: map[weak.Pointer[lazyCell]]bool{}}
+		ops: map[weak.Pointer[commOp]]bool{}, cells: map[weak.Pointer[cell[flowKey]]]bool{},
+		waits: map[weak.Pointer[cell[TaskID]]]bool{}}
 	rt := New(s.Dom, s.Engines, w, cfg)
 	w.rt = rt
 	if crashAt > 0 {
@@ -128,7 +136,7 @@ func watchedRun(t *testing.T, b stack.Backend, steal bool, crashAt sim.Duration)
 
 // TestRunStateIsCollectable checks that the run-scoped records — flow
 // records and communication-thread steps, carved from shard slabs, and the
-// lazy-fetch cells — die with the run: once Run has returned, nothing the
+// lazy-fetch and waiter cells — die with the run: once Run has returned, nothing the
 // finished Runtime or its stack keeps for WorkerBusy, Tracer and Metrics
 // reaches them, so one collection frees them, and with them their chunks. A
 // single stale reference anywhere in the stack — a callback an engine keeps
@@ -150,14 +158,14 @@ func TestRunStateIsCollectable(t *testing.T) {
 			} {
 				t.Run(c.name, func(t *testing.T) {
 					w, rt, _ := watchedRun(t, b, c.steal, c.crashAt)
-					if len(w.flows) == 0 || len(w.ops) == 0 || len(w.cells) == 0 {
-						t.Fatalf("records seen in flight: %d flows, %d steps, %d lazy cells; want some of each",
-							len(w.flows), len(w.ops), len(w.cells))
+					if len(w.flows) == 0 || len(w.ops) == 0 || len(w.cells) == 0 || len(w.waits) == 0 {
+						t.Fatalf("records seen in flight: %d flows, %d steps, %d lazy cells, %d waiter cells; want some of each",
+							len(w.flows), len(w.ops), len(w.cells), len(w.waits))
 					}
 					runtime.GC()
-					if f, o, c := live(w.flows), live(w.ops), live(w.cells); f+o+c > 0 {
-						t.Fatalf("run-scoped records outlive the run: %d of %d flows, %d of %d steps, %d of %d lazy cells",
-							f, len(w.flows), o, len(w.ops), c, len(w.cells))
+					if f, o, c, wc := live(w.flows), live(w.ops), live(w.cells), live(w.waits); f+o+c+wc > 0 {
+						t.Fatalf("run-scoped records outlive the run: %d of %d flows, %d of %d steps, %d of %d lazy cells, %d of %d waiter cells",
+							f, len(w.flows), o, len(w.ops), c, len(w.cells), wc, len(w.waits))
 					}
 					runtime.KeepAlive(rt)
 				})

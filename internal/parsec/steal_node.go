@@ -304,7 +304,7 @@ func (n *node) adoptTask(victim int, f steal.TaskFrame) {
 				root: int32(victim), hopRank: int32(victim), epoch: n.epoch}
 			n.putFlow(key, fd)
 			fd.localRefs++
-			fd.waiters = append(fd.waiters, t)
+			n.waits.push(&fd.waiters, t)
 			n.requestFetch(key, fd, n.rt.tp.Priority(t))
 			continue
 		}
@@ -315,7 +315,7 @@ func (n *node) adoptTask(victim int, f steal.TaskFrame) {
 		if fd.state == flowReady {
 			n.satisfy(t)
 		} else {
-			fd.waiters = append(fd.waiters, t)
+			n.waits.push(&fd.waiters, t)
 			if fd.state == flowAnnounced {
 				n.requestFetch(key, fd, n.rt.tp.Priority(t))
 			}
@@ -333,26 +333,15 @@ func (n *node) adoptTask(victim int, f steal.TaskFrame) {
 	}
 }
 
-// mergeActivation folds a real activation into a steal-created store entry:
-// the steal raced the multicast and won. Local consumers join exactly as in
-// processActivation (stolen tasks are already among the waiters, and their
-// RankOf is the victim's, so the successor scan never double-adds them); a
-// subtree is forwarded as usual, with this rank's copy — fetched from the
+// mergeActivation folds a real activation, o's, into a steal-created store
+// entry: the steal raced the multicast and won. Local consumers join exactly
+// as in processActivation (stolen tasks are already among the waiters, and
+// their RankOf is the victim's, so onActivate's scan never double-adds them);
+// a subtree is forwarded as usual, with this rank's copy — fetched from the
 // steal victim — serving the children when it lands.
-func (n *node) mergeActivation(key flowKey, fd *flowData, act activation) {
+func (n *node) mergeActivation(key flowKey, fd *flowData, o *commOp) {
+	act := o.act
 	fd.stolen = false
-	n.succScratch = n.rt.tp.Successors(act.task, act.flow, n.succScratch[:0])
-	maxPrio := int64(-1 << 62)
-	var fresh []TaskID
-	for _, dep := range n.succScratch {
-		if n.rankOf(dep.Task) != n.rank || n.rt.isDone(dep.Task) {
-			continue
-		}
-		fresh = append(fresh, dep.Task)
-		if p := n.rt.tp.Priority(dep.Task); p > maxPrio {
-			maxPrio = p
-		}
-	}
 	if len(act.subtree) > 0 {
 		// Control flows never draw GETs; counting children would leak the
 		// entry.
@@ -363,18 +352,17 @@ func (n *node) mergeActivation(key flowKey, fd *flowData, act activation) {
 	if fd.state == flowReady {
 		// The stolen copy has already landed (or the flow carries no data):
 		// release the fresh consumers directly.
-		for _, t := range fresh {
+		for t := range n.waits.drain(&o.waiters) {
 			fd.localRefs++
 			n.satisfy(t)
 		}
 		n.maybeClean(key, fd)
 		return
 	}
-	for _, t := range fresh {
-		fd.localRefs++
-		fd.waiters = append(fd.waiters, t)
-	}
-	n.requestFetch(key, fd, maxPrio) // no-op unless still announced
+	fd.localRefs += o.nwait
+	n.waits.splice(&fd.waiters, o.waiters)
+	o.waiters = cellList{}
+	n.requestFetch(key, fd, o.maxPrio) // no-op unless still announced
 }
 
 // onStealRel runs at the victim: the thief settled one input pin without

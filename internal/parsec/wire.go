@@ -70,10 +70,12 @@ func appendActivation(b []byte, a activation) []byte {
 	return b
 }
 
-func decodeActivation(b []byte) (activation, []byte, error) {
+// decodeActivation decodes one entry; its subtree is appended to trees, which
+// it aliases, and the extended slice is returned.
+func decodeActivation(b []byte, trees []int32) (activation, []int32, []byte, error) {
 	var a activation
 	if len(b) < activationFixedBytes {
-		return a, nil, fmt.Errorf("parsec: activation truncated: %d bytes, need %d",
+		return a, trees, nil, fmt.Errorf("parsec: activation truncated: %d bytes, need %d",
 			len(b), activationFixedBytes)
 	}
 	a.task.Class, b = rd32(b)
@@ -89,16 +91,19 @@ func decodeActivation(b []byte) (activation, []byte, error) {
 	var n uint16
 	n, b = rd16(b)
 	if int(n)*4 > len(b) {
-		return a, nil, fmt.Errorf("parsec: activation subtree truncated: %d ranks, %d bytes remain",
+		return a, trees, nil, fmt.Errorf("parsec: activation subtree truncated: %d ranks, %d bytes remain",
 			n, len(b))
 	}
 	if n > 0 {
-		a.subtree = make([]int32, n)
-		for i := range a.subtree {
-			a.subtree[i], b = rd32(b)
+		off := len(trees)
+		for range n {
+			var r int32
+			r, b = rd32(b)
+			trees = append(trees, r)
 		}
+		a.subtree = trees[off:len(trees):len(trees)]
 	}
-	return a, b, nil
+	return a, trees, b, nil
 }
 
 // appendActivates packs entries into one AM payload, prefixed with a count,
@@ -111,29 +116,30 @@ func appendActivates(b []byte, entries ...activation) []byte {
 	return b
 }
 
-// decodeActivates unpacks an ACTIVATE payload into out[:0] (the node's decode
-// scratch) and returns the extended slice.
-func decodeActivates(out []activation, b []byte) ([]activation, error) {
+// decodeActivates unpacks an ACTIVATE payload into out[:0], with the entries'
+// subtrees in trees[:0] (the node's decode scratch), and returns both
+// extended slices.
+func decodeActivates(out []activation, trees []int32, b []byte) ([]activation, []int32, error) {
 	if len(b) < 2 {
-		return nil, fmt.Errorf("parsec: ACTIVATE payload truncated: %d bytes", len(b))
+		return nil, trees, fmt.Errorf("parsec: ACTIVATE payload truncated: %d bytes", len(b))
 	}
 	var n uint16
 	n, b = rd16(b)
 	if int(n)*activationFixedBytes > len(b) {
-		return nil, fmt.Errorf("parsec: ACTIVATE count %d exceeds %d payload bytes", n, len(b))
+		return nil, trees, fmt.Errorf("parsec: ACTIVATE count %d exceeds %d payload bytes", n, len(b))
 	}
-	out = out[:0]
+	out, trees = out[:0], trees[:0]
 	for i := 0; i < int(n); i++ {
-		a, rest, err := decodeActivation(b)
+		a, t, rest, err := decodeActivation(b, trees)
 		if err != nil {
-			return nil, err
+			return nil, t, err
 		}
-		out, b = append(out, a), rest
+		out, trees, b = append(out, a), t, rest
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("parsec: ACTIVATE payload has %d trailing bytes", len(b))
+		return nil, trees, fmt.Errorf("parsec: ACTIVATE payload has %d trailing bytes", len(b))
 	}
-	return out, nil
+	return out, trees, nil
 }
 
 // getData is the GET DATA request payload.

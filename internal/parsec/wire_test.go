@@ -20,7 +20,7 @@ func TestActivationRoundTrip(t *testing.T) {
 			root: root, rootSend: rootSend, hopRank: hopRank, hopSend: hopSend,
 			epoch: epoch, subtree: subtree,
 		}
-		got, rest, err := decodeActivation(appendActivation(nil, a))
+		got, _, rest, err := decodeActivation(appendActivation(nil, a), nil)
 		if err != nil || len(rest) != 0 {
 			return false
 		}
@@ -55,7 +55,7 @@ func TestAggregatedActivationsRoundTrip(t *testing.T) {
 			hopRank: int32(i % 8), hopSend: int64(i) * 333,
 		})
 	}
-	got, err := decodeActivates(nil, appendActivates(nil, entries...))
+	got, _, err := decodeActivates(nil, nil, appendActivates(nil, entries...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 		err  func([]byte) error
 		good []byte
 	}{
-		{"activates", func(b []byte) error { _, err := decodeActivates(nil, b); return err }, act},
+		{"activates", func(b []byte) error { _, _, err := decodeActivates(nil, nil, b); return err }, act},
 		{"getData", func(b []byte) error { _, err := decodeGetData(b); return err }, g},
 		{"putMeta", func(b []byte) error { _, err := decodePutMeta(b); return err }, m},
 	}
@@ -132,7 +132,7 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	}
 
 	// An ACTIVATE whose count promises more entries than the payload holds.
-	if _, err := decodeActivates(nil, []byte{0xFF, 0xFF, 1, 2, 3}); err == nil {
+	if _, _, err := decodeActivates(nil, nil, []byte{0xFF, 0xFF, 1, 2, 3}); err == nil {
 		t.Fatal("oversized ACTIVATE count accepted")
 	}
 }
@@ -146,7 +146,7 @@ func FuzzDecodeActivates(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		entries, err := decodeActivates(nil, b)
+		entries, _, err := decodeActivates(nil, nil, b)
 		if err != nil {
 			return
 		}
