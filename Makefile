@@ -33,24 +33,24 @@ pairs:
 census:
 	./scripts/census.sh
 
-# Chaos demonstration: fault sweep on both backends plus the severed-link
-# abort. verify.sh runs the -quick subset under a time budget.
+# Chaos demonstration: the fault sweep on both backends and both graphs, a
+# cmd/experiments chaos spec. verify.sh runs a one-rate subset under a time
+# budget.
 chaos:
-	go run ./cmd/chaos
-	go run ./cmd/chaos -sever
+	go run ./cmd/experiments -spec '{"kind":"chaos"}'
 
 # Crash-recovery demonstration: crash rank 1 at 40% of the fault-free
 # makespan on both backends and both workloads, verify the recovered
 # factorization, replay it, and write results/chaos-crash-summary.csv.
 chaos-crash:
-	go run ./cmd/chaos -crash 1@40%
+	go run ./cmd/experiments -spec '{"kind":"chaos","crashes":["1@40%"]}' -csv results
 
 # Multi-crash demonstration: a staggered two-crash cascade and a seeded
 # three-crash storm on distinct random ranks, each recovered, verified, and
 # replayed on both backends and both workloads.
 chaos-multicrash:
-	go run ./cmd/chaos -crash 1@40%,2@3ms
-	go run ./cmd/chaos -crash-storm 3
+	go run ./cmd/experiments -spec '{"kind":"chaos","crashes":["1@40%","2@3ms"]}'
+	go run ./cmd/experiments -spec '{"kind":"chaos","storm":3}'
 
 # Short, fixed-budget fuzz passes over the wire-format decoders, the
 # runtime's flat hash table, the calendar queue's firing order against the

@@ -19,24 +19,36 @@
 // takes several hours of CPU; -quick finishes in minutes (about 4 at -j 2
 // on 2 cores).
 //
-// -spec JSON runs one HiCMA experiment instead: it evaluates a tile or
-// nodes spec (expd.Spec) and prints the spec's figure tables — with "mt",
-// the §6.4.3 multithreading table too — and then its per-point table
-// (expd.AssembleTable):
+// -spec JSON runs one experiment (expd.Spec) instead. A tile or nodes spec
+// prints the spec's figure tables — with "mt", the §6.4.3 multithreading
+// table too — and then its per-point table (expd.AssembleTable):
 //
 //	experiments -spec '{"kind":"tile","scale":0.1,"mt":true}'        Fig 4a/4b + §6.4.3
 //	experiments -spec '{"kind":"nodes","scale":0.5,"runs":1}' -j 0    Fig 5a/5b + Table 2
 //	experiments -spec '{"kind":"tile","tiles":[2400],"steal":true}'  one tile, with stealing
 //
+// A chaos spec runs the real task graphs over a fault-injected fabric with
+// the reliability layer interposed, verifies the numerics, and prints the
+// seed and one line per (backend, workload, fault rate); with crashes or
+// storm, the crash-recovery proof per (backend, workload). -csv DIR writes
+// each faulted run's registry, or the crash summary CSV:
+//
+//	experiments -spec '{"kind":"chaos","crashes":["1@40%","2@3ms"]}'  crash cascade
+//
+// -trace FILE on a one-point tile spec (one backend, one tile, mt off)
+// writes a Chrome trace (chrome://tracing, ui.perfetto.dev) of the point's
+// first run instead.
+//
 // -cache DIR consults and fills a content-addressed result cache for every
-// HiCMA sweep the command runs, so a re-run or an overlapping spec reuses
-// every point already simulated.
+// sweep the command runs, so a re-run or an overlapping spec reuses every
+// point already simulated.
 //
 // -list-config and -metrics DIR run no evaluation: each does its one job
 // and exits, so each comes alone.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -48,6 +60,7 @@ import (
 
 	"amtlci/internal/bench"
 	"amtlci/internal/core/stack"
+	"amtlci/internal/ctrace"
 	"amtlci/internal/expd"
 	"amtlci/internal/fabric"
 	"amtlci/internal/hicma"
@@ -66,8 +79,9 @@ func main() {
 	metricsDir := flag.String("metrics", "", "run one instrumented HiCMA point per backend and dump its metric registry as CSV into this directory, then exit")
 	j := flag.Int("j", 1, "parallel sweep workers (0 = one per CPU); tables and CSVs are byte-identical for every value")
 	csvDir := flag.String("csv", "", "also write each table as a CSV file into this directory")
-	specJSON := flag.String("spec", "", `evaluate one "tile" or "nodes" experiment spec (JSON) and print its figure and point tables instead of the whole evaluation`)
-	cacheDir := flag.String("cache", "", "content-addressed result cache directory for the HiCMA sweeps (a re-run reuses every cached point)")
+	specJSON := flag.String("spec", "", `evaluate one "tile", "nodes" or "chaos" experiment spec (JSON) and print its tables instead of the whole evaluation`)
+	cacheDir := flag.String("cache", "", "content-addressed result cache directory for the sweeps (a re-run reuses every cached point)")
+	traceFile := flag.String("trace", "", "with a one-point tile -spec, write a Chrome trace of the point's first run to this file instead")
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -94,22 +108,31 @@ func main() {
 	if *csvDir != "" {
 		exitOn(os.MkdirAll(*csvDir, 0o755))
 	}
-	// emit prints the table and, with -csv, writes it as <name>.csv. The
-	// tables are assembled in sweep order after the points complete, so the
-	// files do not depend on -j.
+	// writeCSV writes the table as <name>.csv into the -csv directory and
+	// returns its path; nil without -csv.
+	var writeCSV func(name string, t *bench.Table) string
+	if *csvDir != "" {
+		writeCSV = func(name string, t *bench.Table) string {
+			path := filepath.Join(*csvDir, name+".csv")
+			f, err := os.Create(path)
+			exitOn(err)
+			t.CSV(f)
+			exitOn(f.Close())
+			return path
+		}
+	}
+	// emit prints the table and, with -csv, writes it. The tables are
+	// assembled in sweep order after the points complete, so the files do
+	// not depend on -j.
 	emit := func(name string, t *bench.Table) {
 		if *md {
 			t.Markdown(os.Stdout)
 		} else {
 			t.Write(os.Stdout)
 		}
-		if *csvDir == "" {
-			return
+		if writeCSV != nil {
+			writeCSV(name, t)
 		}
-		f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-		exitOn(err)
-		t.CSV(f)
-		exitOn(f.Close())
 	}
 	var cache *expd.Cache
 	if *cacheDir != "" {
@@ -131,10 +154,17 @@ func main() {
 		}
 		return results
 	}
+	if spec.Kind == expd.KindChaos {
+		os.Exit(runChaos(spec, *j, cache, writeCSV))
+	}
 	if spec.Kind != "" {
 		canon, err := json.Marshal(spec)
 		exitOn(err)
 		fmt.Printf("spec: %s\n\n", canon)
+		if *traceFile != "" {
+			exitOn(writeTrace(*traceFile, spec.Points()[0]))
+			return
+		}
 		results := figures(spec, true)
 		t, err := expd.AssembleTable(spec, spec.Points(), results)
 		exitOn(err)
@@ -222,10 +252,12 @@ func exitOn(err error) {
 // run: a scale outside (0,1] and run counts that leave no measured run
 // after the discarded ones. set names the flags given on the command line.
 // -list-config and -metrics refuse each other and the evaluation flags
-// they would silently ignore. A -spec must decode to a tile or nodes spec
-// over both backends (the figures compare LCI with Open MPI) and comes
-// alone: the whole-evaluation flags would be silently ignored. checkFlags
-// returns the canonical -spec spec, or the zero Spec without one.
+// they would silently ignore. A -spec comes alone: the whole-evaluation
+// flags would be silently ignored. A tile or nodes spec must cover both
+// backends (the figures compare LCI with Open MPI); a chaos spec prints no
+// markdown. -trace needs a tile spec of exactly one point and refuses the
+// output and evaluation flags it would ignore. checkFlags returns the
+// canonical -spec spec, or the zero Spec without one.
 func checkFlags(scale float64, microRuns, hicmaRuns int, specJSON string, set map[string]bool) (expd.Spec, error) {
 	switch {
 	case !(scale > 0 && scale <= 1):
@@ -245,6 +277,9 @@ func checkFlags(scale float64, microRuns, hicmaRuns int, specJSON string, set ma
 		}
 	}
 	if !set["spec"] {
+		if set["trace"] {
+			return expd.Spec{}, fmt.Errorf("-trace needs a one-point tile -spec")
+		}
 		return expd.Spec{}, nil
 	}
 	for _, f := range []string{"scale", "quick", "micro-runs", "hicma-runs", "metrics", "list-config"} {
@@ -256,8 +291,19 @@ func checkFlags(scale float64, microRuns, hicmaRuns int, specJSON string, set ma
 	switch {
 	case err != nil:
 		return expd.Spec{}, fmt.Errorf("-spec: %w", err)
+	case set["trace"]:
+		if s.Kind != expd.KindTile || len(s.Points()) != 1 {
+			return expd.Spec{}, fmt.Errorf("-trace needs a tile spec of one point (one backend, one tile, mt off), got %d %s points", len(s.Points()), s.Kind)
+		}
+		for _, f := range []string{"md", "j", "csv", "cache"} {
+			if set[f] {
+				return expd.Spec{}, fmt.Errorf("-%s does not combine with -trace", f)
+			}
+		}
 	case s.Kind == expd.KindChaos:
-		return expd.Spec{}, fmt.Errorf("-spec: %q specs run under cmd/chaos", s.Kind)
+		if set["md"] {
+			return expd.Spec{}, fmt.Errorf("-md does not combine with a chaos spec")
+		}
 	case len(s.Backends) != 2:
 		return expd.Spec{}, fmt.Errorf("-spec: the HiCMA figures need both backends, got %v", s.Backends)
 	}
@@ -301,6 +347,30 @@ func dumpMetrics(dir string) error {
 		}
 		fmt.Printf("%v backend: %v virtual time, %d instruments -> %s\n",
 			b, elapsed, s.Metrics.Len(), path)
+	}
+	return nil
+}
+
+// writeTrace records the first run of HiCMA point p as a Chrome trace into
+// path and prints a one-line summary.
+func writeTrace(path string, p expd.Point) error {
+	b, _ := stack.ParseBackend(p.Backend) // canonical points carry valid names
+	tr, err := bench.HiCMATrace(p.HiCMAOpts(b))
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := ctrace.Write(&buf, tr.Events); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("%v backend: %v virtual time, %d events (%d counter samples) -> %s\n",
+		b, tr.Elapsed, len(tr.Events), tr.Counters, path)
+	if tr.UnknownClass > 0 || tr.UnmatchedEnd > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: trace warning: %d task(s) with a class index outside the name table, %d TaskEnd(s) without a matching TaskStart\n",
+			tr.UnknownClass, tr.UnmatchedEnd)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 func TestCheckFlags(t *testing.T) {
 	const tile = `{"kind":"tile","scale":0.01,"nodes":2,"runs":1}`
+	const onePoint = `{"kind":"tile","n":9600,"nodes":4,"tiles":[1200],"backends":["lci"]}`
 	for _, c := range []struct {
 		name                 string
 		scale                float64
@@ -29,7 +30,10 @@ func TestCheckFlags(t *testing.T) {
 		{"spec malformed", 1, 18, 5, `{"kind":"tile"`, "", false},
 		{"spec unknown field", 1, 18, 5, `{"kind":"tile","tile":[2400]}`, "", false},
 		{"spec unknown kind", 1, 18, 5, `{"kind":"both"}`, "", false},
-		{"spec chaos kind", 1, 18, 5, `{"kind":"chaos"}`, "", false},
+		{"spec chaos kind", 1, 18, 5, `{"kind":"chaos"}`, "", true},
+		{"chaos spec one backend", 1, 18, 5, `{"kind":"chaos","backends":["lci"]}`, "", true},
+		{"crash spec with output flags", 1, 18, 5, `{"kind":"chaos","crashes":["1@40%"]}`, "j csv cache", true},
+		{"chaos spec with -md", 1, 18, 5, `{"kind":"chaos","storm":3}`, "md", false},
 		{"spec one backend", 1, 18, 5, `{"kind":"tile","backends":["lci"]}`, "", false},
 		{"spec with -scale", 1, 18, 5, tile, "scale", false},
 		{"spec with -quick", 1, 18, 5, tile, "quick", false},
@@ -37,6 +41,16 @@ func TestCheckFlags(t *testing.T) {
 		{"spec with -hicma-runs", 1, 18, 5, tile, "hicma-runs", false},
 		{"spec with -metrics", 1, 18, 5, tile, "metrics", false},
 		{"spec with -list-config", 1, 18, 5, tile, "list-config", false},
+		{"trace one-point tile spec", 1, 18, 5, onePoint, "trace", true},
+		{"trace without spec", 1, 18, 5, "", "trace", false},
+		{"trace multi-point tile spec", 1, 18, 5, tile, "trace", false},
+		{"trace mt tile spec", 1, 18, 5, `{"kind":"tile","n":9600,"nodes":4,"tiles":[1200],"backends":["lci"],"mt":true}`, "trace", false},
+		{"trace nodes spec", 1, 18, 5, `{"kind":"nodes","n":9600,"node_counts":[4],"tiles":[1200]}`, "trace", false},
+		{"trace chaos spec", 1, 18, 5, `{"kind":"chaos","backends":["lci"],"workloads":["cholesky"],"rates":[2]}`, "trace", false},
+		{"trace with -md", 1, 18, 5, onePoint, "trace md", false},
+		{"trace with -j", 1, 18, 5, onePoint, "trace j", false},
+		{"trace with -csv", 1, 18, 5, onePoint, "trace csv", false},
+		{"trace with -cache", 1, 18, 5, onePoint, "trace cache", false},
 		{"list-config alone", 1, 18, 5, "", "list-config", true},
 		{"metrics alone", 1, 18, 5, "", "metrics", true},
 		{"list-config with -metrics", 1, 18, 5, "", "list-config metrics", false},

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"amtlci/internal/core/stack"
+	"amtlci/internal/ctrace"
 	"amtlci/internal/hicma"
 	"amtlci/internal/metrics"
 	"amtlci/internal/parsec"
@@ -86,6 +87,31 @@ func HiCMA(o HiCMAOpts) HiCMAResult {
 // non-nil, edits the stack options and runtime configuration o produced
 // before anything is built (a mechanism-table row, mechanism.go).
 func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (HiCMAResult, *metrics.Registry) {
+	rt, pool, s := hicmaBuild(o, run, mutate)
+	d, err := rt.Run()
+	if err != nil {
+		panic(fmt.Sprintf("bench: hicma %v", err))
+	}
+	return HiCMAResult{
+		Backend: o.Backend, NB: o.NB, Nodes: o.Nodes, MT: o.MT,
+		TimeToSolution: d.Seconds(),
+		E2ELatencyMS:   rt.Tracer().EndToEnd().Mean() / 1000,
+		HopLatencyMS:   rt.Tracer().Hop().Mean() / 1000,
+		Tasks:          pool.TotalTasks(),
+		AvgRank:        pool.AvgRank(),
+	}, s.Metrics
+}
+
+// HiCMATrace records run 0 of o, built exactly as HiCMA measures it, as a
+// Chrome trace (ctrace.Record). The stack must be serial, as every HiCMA
+// point's is.
+func HiCMATrace(o HiCMAOpts) (ctrace.Trace, error) {
+	rt, pool, s := hicmaBuild(o, 0, nil)
+	return ctrace.Record(rt, pool, s.Eng, s.Metrics)
+}
+
+// hicmaBuild builds run `run` of o, ready to run; mutate is hicmaRun's.
+func hicmaBuild(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (*parsec.Runtime, *hicma.Pool, *stack.Stack) {
 	if o.Workers == 0 {
 		o.Workers = WorkersFor(o.Backend, o.Nodes)
 	}
@@ -103,19 +129,7 @@ func hicmaRun(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Confi
 	}
 	s := stack.Build(so)
 	cfg.Metrics = s.Metrics
-	rt := parsec.New(s.Dom, s.Engines, pool, cfg)
-	d, err := rt.Run()
-	if err != nil {
-		panic(fmt.Sprintf("bench: hicma %v", err))
-	}
-	return HiCMAResult{
-		Backend: o.Backend, NB: o.NB, Nodes: o.Nodes, MT: o.MT,
-		TimeToSolution: d.Seconds(),
-		E2ELatencyMS:   rt.Tracer().EndToEnd().Mean() / 1000,
-		HopLatencyMS:   rt.Tracer().Hop().Mean() / 1000,
-		Tasks:          pool.TotalTasks(),
-		AvgRank:        pool.AvgRank(),
-	}, s.Metrics
+	return parsec.New(s.Dom, s.Engines, pool, cfg), pool, s
 }
 
 // ScaledProblem shrinks the paper's N=360,000 problem by factor while

@@ -56,8 +56,7 @@ func (w Workload) String() string {
 }
 
 // DefaultSeed is the fault-schedule seed of the published chaos sweeps:
-// cmd/chaos's -seed default, and an expd chaos point's seed when it sets
-// none.
+// an expd chaos point's seed (and a crash storm's) when it sets none.
 const DefaultSeed uint64 = 0xC7A05
 
 // Opts configures one chaos execution.
@@ -216,7 +215,7 @@ func tolerance(w Workload) float64 {
 // The two mini-problems are literals, so their generated inputs — covariance
 // entries evaluated, off-diagonal tiles SVD-compressed — are built once per
 // process and shared by every Run; pools never write to them, which is what
-// makes concurrent Runs (cmd/chaos -j) safe.
+// makes concurrent Runs (a chaos spec's points under -j) safe.
 const (
 	choleskyTiles, choleskyNB = 8, 4
 	hicmaN, hicmaNB           = 96, 16

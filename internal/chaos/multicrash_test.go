@@ -291,8 +291,8 @@ func TestRankZeroCrashCompletes(t *testing.T) {
 	}
 }
 
-// TestCrashStormCompletes: the seeded storm generator (the CLI's
-// -crash-storm) produces cascades that the runtime absorbs on both
+// TestCrashStormCompletes: the seeded storm generator (a chaos spec's
+// storm) produces cascades that the runtime absorbs on both
 // backends, for several seeds, with deterministic replay. Storm schedules
 // may fold crashes into combined or aborted rounds depending on the seed —
 // the invariants are completion, verification, and replay identity.

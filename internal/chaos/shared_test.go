@@ -10,9 +10,10 @@ import (
 )
 
 // TestChaosSharedInputsRaceFree: every Run of a process shares the two
-// generated inputs. Four concurrent Runs (the way cmd/chaos -j drives them;
-// `make verify` runs this under -race) must return what their serial twins
-// do, and must leave the inputs exactly as a fresh generation produces them.
+// generated inputs. Four concurrent Runs (the way a chaos spec under -j
+// drives them; `make verify` runs this under -race) must return what their
+// serial twins do, and must leave the inputs exactly as a fresh generation
+// produces them.
 func TestChaosSharedInputsRaceFree(t *testing.T) {
 	var opts []Opts
 	for _, backend := range stack.Backends {

@@ -2,8 +2,9 @@
 // array format read by chrome://tracing and ui.perfetto.dev): one duration
 // event per task execution, instant events for GET DATA requests, data
 // arrivals, and ACTIVATE messages, and counter tracks sampled from the
-// runtime-wide metrics registry. Record is the recording sequence that
-// cmd/trace writes its traces with.
+// runtime-wide metrics registry. Record is the one recording sequence;
+// bench.HiCMATrace runs it on a HiCMA point's own build, which is what
+// cmd/experiments -trace writes.
 package ctrace
 
 import (
@@ -112,34 +113,33 @@ type Trace struct {
 	UnknownClass, UnmatchedEnd int
 }
 
+// samplePeriod is the virtual-time period of the counter tracks.
+const samplePeriod = 100 * sim.Microsecond
+
 // Record runs rt to completion with a recorder attached, naming task
-// classes after pool's, and returns its trace. With sample > 0 a
-// metrics.Sampler reads reg every sample of virtual time on eng, and its
-// tracks become the trace's counter events.
-func Record(rt *parsec.Runtime, pool parsec.Taskpool, eng *sim.Engine, reg *metrics.Registry, sample sim.Duration) (Trace, error) {
+// classes after pool's, and returns its trace. A metrics.Sampler reads reg
+// every samplePeriod of virtual time on eng, and its tracks become the
+// trace's counter events. The sampler stops at the termination
+// announcement, so its ticks never outlast the run's own events and
+// Elapsed is the makespan the untraced run reports.
+func Record(rt *parsec.Runtime, pool parsec.Taskpool, eng *sim.Engine, reg *metrics.Registry) (Trace, error) {
 	var names []string
 	for _, c := range pool.Classes() {
 		names = append(names, c.Name)
 	}
 	rec := newRecorder(names)
 	rt.SetObserver(rec)
-	var smp *metrics.Sampler
-	if sample > 0 {
-		smp = metrics.NewSampler(eng, reg, sample)
-		smp.Start()
-	}
+	smp := metrics.NewSampler(eng, reg, samplePeriod)
+	smp.Start()
+	rt.OnTerminate(smp.Stop)
 	elapsed, err := rt.Run()
 	if err != nil {
 		return Trace{}, err
 	}
-	t := Trace{Elapsed: elapsed, Events: rec.events,
-		UnknownClass: rec.unknownClass, UnmatchedEnd: rec.unmatchedEnd}
-	if smp != nil {
-		smp.Flush()
-		ce := counterEvents(smp.Tracks())
-		t.Events, t.Counters = append(t.Events, ce...), len(ce)
-	}
-	return t, nil
+	smp.Flush()
+	ce := counterEvents(smp.Tracks())
+	return Trace{Elapsed: elapsed, Events: append(rec.events, ce...), Counters: len(ce),
+		UnknownClass: rec.unknownClass, UnmatchedEnd: rec.unmatchedEnd}, nil
 }
 
 // counterEvents converts sampled metric tracks into Perfetto counter ("C")

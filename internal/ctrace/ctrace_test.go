@@ -4,26 +4,18 @@ import (
 	"math"
 	"testing"
 
+	"amtlci/internal/bench"
 	"amtlci/internal/core/stack"
-	"amtlci/internal/ctrace"
-	"amtlci/internal/hicma"
-	"amtlci/internal/parsec"
-	"amtlci/internal/sim"
 )
 
 // TestRecordSamplesFactorization: a run's counter tracks must cover the
 // factorization. The sampler stops ticking when it is the only pending
 // event, so it must start with the run's own events, not ahead of them.
-// The run is a small HiCMA factorization built as cmd/trace builds one.
+// The run is a small HiCMA factorization on the build bench.HiCMA measures.
 func TestRecordSamplesFactorization(t *testing.T) {
-	const nodes = 2
-	pool := hicma.NewVirtual(hicma.DefaultParams(9600, 1200), nodes)
-	s := stack.New(stack.LCI, nodes)
-	cfg := parsec.DefaultConfig(16)
-	cfg.Metrics = s.Metrics
-	rt := parsec.New(s.Eng, s.Engines, pool, cfg)
-
-	tr, err := ctrace.Record(rt, pool, s.Eng, s.Metrics, 100*sim.Microsecond)
+	o := bench.DefaultHiCMAOpts(stack.LCI, 1200, 2)
+	o.N = 9600
+	tr, err := bench.HiCMATrace(o)
 	if err != nil {
 		t.Fatal(err)
 	}

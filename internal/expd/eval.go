@@ -93,6 +93,9 @@ func AssembleTable(s Spec, pts []Point, results []PointResult) (*bench.Table, er
 		return t, nil
 
 	case KindChaos:
+		if s.crashing() {
+			return crashTable(pts, results), nil
+		}
 		t := bench.NewTable("expd chaos sweep",
 			"backend", "workload", "rate_pct", "makespan_ns", "slowdown",
 			"dropped", "duplicated", "corrupted", "retransmits", "verified", "error")

@@ -41,6 +41,10 @@ type Point struct {
 	// fault-free baseline measured inside the point.
 	Workload string    `json:"workload,omitempty"`
 	Rates    []float64 `json:"rates,omitempty"` // percent
+	// A crash point carries the spec's cascade instead of rates and runs
+	// the crash-recovery proof (evalCrash).
+	Crashes []string `json:"crashes,omitempty"`
+	Storm   int      `json:"storm,omitempty"`
 
 	Seed uint64 `json:"seed,omitempty"`
 }
@@ -73,6 +77,7 @@ type ChaosPointResult struct {
 type PointResult struct {
 	HiCMA *bench.HiCMAResult `json:"hicma,omitempty"`
 	Chaos *ChaosPointResult  `json:"chaos,omitempty"`
+	Crash *CrashPointResult  `json:"crash,omitempty"`
 }
 
 // finite maps NaN and infinities to 0 so results stay JSON-encodable.
@@ -99,7 +104,7 @@ func EvalPoint(p Point) (res PointResult, err error) {
 	}
 	switch p.Kind {
 	case PointHiCMA:
-		r := bench.HiCMA(p.hicmaOpts(b))
+		r := bench.HiCMA(p.HiCMAOpts(b))
 		// A single-tile problem (nb == n) exchanges no messages, so latency
 		// means come back NaN; JSON cannot carry NaN, so "no samples"
 		// becomes 0 in the cached result.
@@ -113,6 +118,10 @@ func EvalPoint(p Point) (res PointResult, err error) {
 		_, w, werr := parseWorkload(p.Workload)
 		if werr != nil {
 			return PointResult{}, werr
+		}
+		if len(p.Crashes) != 0 || p.Storm != 0 {
+			r, cerr := evalCrash(p, b, w)
+			return PointResult{Crash: r}, cerr
 		}
 		base := chaos.Run(chaos.Opts{Backend: b, Workload: w})
 		if base.Err != nil {
@@ -144,9 +153,9 @@ func EvalPoint(p Point) (res PointResult, err error) {
 	return PointResult{}, fmt.Errorf("expd: unknown point kind %q", p.Kind)
 }
 
-// hicmaOpts is HiCMA point p's configuration on backend b: what EvalPoint
-// measures.
-func (p Point) hicmaOpts(b stack.Backend) bench.HiCMAOpts {
+// HiCMAOpts is HiCMA point p's configuration on backend b: what EvalPoint
+// measures, and what cmd/experiments -trace records (bench.HiCMATrace).
+func (p Point) HiCMAOpts(b stack.Backend) bench.HiCMAOpts {
 	o := bench.DefaultHiCMAOpts(b, p.NB, p.Nodes)
 	o.N = p.N
 	o.MT = p.MT
@@ -162,7 +171,7 @@ func (p Point) hicmaOpts(b stack.Backend) bench.HiCMAOpts {
 // drop, duplicate, corrupt and reorder at that rate on the point's seed
 // (chaos.DefaultSeed when it sets none), the reliability layer interposed,
 // and stealing when the point asks for it. EvalPoint measures this run, and
-// cmd/chaos -metrics repeats it to dump the run's registry.
+// cmd/experiments -csv repeats it to dump the run's registry.
 func (p Point) ChaosOpts(ratePct float64) (chaos.Opts, error) {
 	b, err := stack.ParseBackend(p.Backend)
 	if err != nil {

@@ -1,10 +1,10 @@
 // Package expd runs experiments: spec → points → cache → table.
 //
-// An experiment Spec is one canonical schema for every HiCMA and chaos-rate
-// sweep in the repository, and Spec → Points → EvalPoints is the only code
-// that runs them: cmd/experiments builds its Figure 4/5 specs from its
-// flags or takes one as JSON (-spec), cmd/chaos builds its rate sweep from
-// its flags, and both render the results. A spec is validated and
+// An experiment Spec is one canonical schema for every HiCMA sweep, chaos
+// rate sweep and crash-recovery proof in the repository, and Spec → Points
+// → EvalPoints is the only code that runs them: cmd/experiments builds its
+// Figure 4/5 specs from its flags or takes any spec as JSON (-spec), and
+// renders the results. A spec is validated and
 // canonicalized, decomposed into self-contained sweep Points, and the
 // points are scheduled on a bounded worker pool (bench.SweepCtx).
 // Every point is content-addressed by a stable hash of its canonical
@@ -35,8 +35,9 @@ const (
 	// KindNodes is the Figure 5 / Table 2 sweep: strong scaling over node
 	// counts, sweeping tiles per node count for the best-tile series.
 	KindNodes = "nodes"
-	// KindChaos is the cmd/chaos fault sweep: workload x fault rate with
-	// the reliability layer interposed, verified numerics.
+	// KindChaos is the chaos sweep: workload x fault rate with the
+	// reliability layer interposed, verified numerics — or, with crashes or
+	// storm, the crash-recovery proof per workload.
 	KindChaos = "chaos"
 )
 
@@ -69,6 +70,12 @@ type Spec struct {
 	// Chaos sweeps.
 	Workloads []string  `json:"workloads,omitempty"` // default: cholesky, hicma
 	Rates     []float64 `json:"rates,omitempty"`     // fault rates in percent (default 0.5, 1, 2)
+	// Crashes and Storm replace the rate sweep with the crash-recovery
+	// proof. Crashes is a cascade of "rank@time" entries, the time absolute
+	// ("3ms") or a percentage of the fault-free makespan ("40%"); Storm is a
+	// cascade of that many crashes on distinct ranks drawn from Seed.
+	Crashes []string `json:"crashes,omitempty"`
+	Storm   int      `json:"storm,omitempty"`
 }
 
 // DecodeSpec parses and canonicalizes a spec from JSON. Unknown fields are
@@ -175,6 +182,7 @@ func (s Spec) Canonical() (Spec, error) {
 	case KindTile, KindNodes:
 		for _, e := range []error{
 			reject(len(s.Workloads) != 0, "workloads"), reject(len(s.Rates) != 0, "rates"),
+			reject(len(s.Crashes) != 0, "crashes"), reject(s.Storm != 0, "storm"),
 		} {
 			if e != nil {
 				return Spec{}, e
@@ -286,6 +294,25 @@ func (s Spec) Canonical() (Spec, error) {
 			}
 		}
 		c.Steal = s.Steal
+		switch {
+		case s.Storm < 0:
+			return Spec{}, fmt.Errorf("expd: storm %d is negative", s.Storm)
+		case len(s.Crashes) != 0 && s.Storm != 0:
+			return Spec{}, fmt.Errorf("expd: crashes and storm are mutually exclusive")
+		case (len(s.Crashes) != 0 || s.Storm != 0) && len(s.Rates) != 0:
+			return Spec{}, fmt.Errorf("expd: rates do not combine with crashes or storm")
+		}
+		crashes, err := parseCrashes(s.Crashes)
+		if err != nil {
+			return Spec{}, err
+		}
+		for _, cr := range crashes {
+			c.Crashes = append(c.Crashes, cr.String())
+		}
+		c.Storm = s.Storm
+		if c.crashing() {
+			break // the crash proof sweeps no fault rates
+		}
 		c.Rates = sortedUniqFloats(s.Rates)
 		if len(c.Rates) == 0 {
 			c.Rates = []float64{0.5, 1, 2}
@@ -302,6 +329,10 @@ func (s Spec) Canonical() (Spec, error) {
 	}
 	return c, nil
 }
+
+// crashing reports whether chaos spec s is the crash-recovery proof rather
+// than a rate sweep.
+func (s Spec) crashing() bool { return len(s.Crashes) != 0 || s.Storm != 0 }
 
 // Points decomposes a canonical spec into its constituent sweep points, in
 // the deterministic order the result CSV reports them. Point hashes are the
@@ -344,7 +375,9 @@ func (s Spec) Points() []Point {
 			for _, w := range s.Workloads {
 				pts = append(pts, Point{
 					Kind: PointChaos, Backend: b, Workload: w, Steal: s.Steal,
-					Rates: append([]float64(nil), s.Rates...), Seed: s.Seed,
+					Rates:   append([]float64(nil), s.Rates...),
+					Crashes: append([]string(nil), s.Crashes...), Storm: s.Storm,
+					Seed: s.Seed,
 				})
 			}
 		}

@@ -65,6 +65,8 @@ func TestHashInvariance(t *testing.T) {
 			`{"kind":"chaos"}`,
 			`{"kind":"chaos","rates":[5]}`,
 			`{"kind":"chaos","steal":true}`,
+			`{"kind":"chaos","crashes":["1@40%"]}`,
+			`{"kind":"chaos","storm":3}`,
 		} {
 			h := hash(t, raw)
 			if prev, dup := seen[h]; dup {
@@ -109,6 +111,16 @@ func TestDecodeSpecRejects(t *testing.T) {
 		{`{"kind":"chaos","rates":[150]}`, "rate"},
 		{`{"kind":"warp"}`, "kind"},
 		{`{"kind":"tile"} trailing`, "trailing"},
+		{`{"kind":"chaos","crashes":["1@"]}`, "bad time"},
+		{`{"kind":"chaos","crashes":["bogus"]}`, "rank@time"},
+		{`{"kind":"chaos","crashes":["1@40%","1@3ms"]}`, "crashes twice"},
+		{`{"kind":"chaos","crashes":["1@100%"]}`, "percentage"},
+		{`{"kind":"chaos","crashes":["1@0%"]}`, "percentage"},
+		{`{"kind":"chaos","crashes":["1@40%"],"storm":3}`, "mutually exclusive"},
+		{`{"kind":"chaos","crashes":["1@40%"],"rates":[2]}`, "rates"},
+		{`{"kind":"chaos","storm":3,"rates":[2]}`, "rates"},
+		{`{"kind":"chaos","storm":-1}`, "negative"},
+		{`{"kind":"tile","crashes":["1@40%"]}`, "not valid"},
 	} {
 		_, err := DecodeSpec([]byte(tc.raw))
 		if err == nil {
@@ -162,6 +174,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"kind":""}`,
 		`[]`,
 		`{"kind":"tile","tiles":[0]}`,
+		`{"kind":"chaos","crashes":[" 2@3000us","1@40.0%"],"steal":true}`,
 	} {
 		f.Add([]byte(seed))
 	}

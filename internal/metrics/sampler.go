@@ -32,8 +32,9 @@ type trackState struct {
 // Sampler periodically reads every sampleable instrument (counters, gauges,
 // probes — histograms are summary-only) against virtual time. It drives
 // itself with engine events but never keeps the simulation alive: after each
-// tick it reschedules only while other events remain pending, so in a closed
-// simulation the series ends exactly when the workload does.
+// tick it reschedules only while other events remain pending. That alone
+// still leaves one tick after the workload's last event, which moves the
+// engine's final clock; Stop at the workload's known end cancels it.
 type Sampler struct {
 	eng    *sim.Engine
 	reg    *Registry
@@ -41,6 +42,7 @@ type Sampler struct {
 	tracks []*trackState
 	seen   int // registry entries already assigned a trackState
 	lastAt sim.Time
+	next   sim.Event // the pending tick
 }
 
 // NewSampler prepares a sampler reading reg every period of virtual time.
@@ -65,8 +67,14 @@ func (s *Sampler) Start() {
 	for _, t := range s.tracks {
 		t.prev = read(t.e)
 	}
-	s.eng.After(s.period, s.tick)
+	s.next = s.eng.After(s.period, s.tick)
 }
+
+// Stop cancels the pending tick. A caller that knows when the workload is
+// done (a runtime's termination announcement) stops the sampler there, so
+// a tick never fires after the workload's last event and stretches the
+// run's end past it.
+func (s *Sampler) Stop() { s.eng.Cancel(s.next) }
 
 // refresh adopts registry entries added since the last tick.
 func (s *Sampler) refresh() {
@@ -90,7 +98,7 @@ func (s *Sampler) tick() {
 	// closed discrete-event run must end when its real events drain — the
 	// sampler must never keep it alive.
 	if s.eng.Pending() > 0 {
-		s.eng.After(s.period, s.tick)
+		s.next = s.eng.After(s.period, s.tick)
 	}
 }
 

@@ -4,11 +4,11 @@ import (
 	"amtlci/internal/sim"
 )
 
-// Observer receives runtime events for tracing and tooling (cmd/trace
-// exports them as a Chrome trace). All callbacks run synchronously on the
-// simulation goroutine at the event's virtual time, which is why an observer
-// needs a serial domain (SetObserver). Implementations must be cheap and must
-// not call back into the runtime.
+// Observer receives runtime events for tracing and tooling (internal/ctrace
+// records them as a Chrome trace for cmd/experiments -trace). All callbacks
+// run synchronously on the simulation goroutine at the event's virtual
+// time, which is why an observer needs a serial domain (SetObserver).
+// Implementations must be cheap and must not call back into the runtime.
 type Observer interface {
 	// TaskStart fires when a worker begins executing t; TaskEnd when its
 	// completion bookkeeping is done.
