@@ -41,31 +41,18 @@ func (b Buf) Slice(off, n int64) Buf {
 	return Buf{Bytes: b.Bytes[off : off+n], Size: n}
 }
 
-// MaxSlab bounds the private payload copy a pooled message record keeps for
-// its next use (KeepSlab): active messages are a few hundred bytes, and a
-// larger one-off buffer would only sit in a free list.
-const MaxSlab = 1 << 10
-
 // Snapshot copies a real buffer into *slab, reusing the slab's capacity, and
 // returns the copy, so the owner of b may reuse its memory; a virtual buffer
 // needs no copy and is returned as is. The communication libraries use it for
-// the copy an eager/buffered protocol makes into library memory, with the
-// slab living in the pooled record that carries the message.
+// the copy an eager/buffered protocol makes into library memory. The slab
+// lives in the pooled record that carries the message and keeps its capacity,
+// whatever the size, for as long as the record: records are run-scoped.
 func Snapshot(slab *[]byte, b Buf) Buf {
 	if b.IsVirtual() {
 		return b
 	}
 	*slab = append((*slab)[:0], b.Bytes...)
 	return FromBytes(*slab)
-}
-
-// KeepSlab returns slab emptied for reuse, or nil when it has grown beyond
-// MaxSlab.
-func KeepSlab(slab []byte) []byte {
-	if cap(slab) > MaxSlab {
-		return nil
-	}
-	return slab[:0]
 }
 
 // Copy transfers min(len(src), len(dst)) bytes from src to dst and returns

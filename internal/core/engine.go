@@ -124,6 +124,14 @@ type Engine interface {
 
 	// Err returns the first unrecoverable failure, or nil.
 	Err() error
+
+	// ReleaseRunState drops the records the engine recycles while a run goes
+	// on: its own free lists, its library rank's, the free lists of message
+	// records its shard shares, and the payload copies of its persistent
+	// receives, slabs of any size included. The runtime calls it once its run
+	// has returned, so a retained stack holds none of them; the engine stays
+	// usable, and a later run pays for its records afresh.
+	ReleaseRunState()
 }
 
 // ErrAMTooLong is the failure an engine reports (OnError, Err) when an active

@@ -146,9 +146,9 @@ type Engine struct {
 	// communication thread (§5.3.3), in issue order.
 	deferred []*sendOp
 
-	// Free lists of the engine's records; the LCI completion handlers and
-	// the thread bodies are bound once (a method value made per call would
-	// allocate).
+	// Free lists of the engine's records, run-scoped (ReleaseRunState); the
+	// LCI completion handlers and the thread bodies are bound once (a method
+	// value made per call would allocate).
 	handles         sim.FreeList[handle]
 	ops             sim.FreeList[sendOp]
 	putSent         lci.Handler
@@ -209,6 +209,14 @@ func (e *Engine) purge(peer int, _ bool) {
 	e.deferred = kept
 }
 
+// ReleaseRunState drops the engine's run-scoped records (core.Engine): its
+// handle and operation free lists and its LCI endpoint's.
+func (e *Engine) ReleaseRunState() {
+	e.handles.Drop()
+	e.ops.Drop()
+	e.ep.DropRecords()
+}
+
 // newOp takes an operation record toward remote.
 func (e *Engine) newOp(kind opKind, remote int) *sendOp {
 	o := e.ops.Get()
@@ -224,7 +232,7 @@ func (e *Engine) retireOp(o *sendOp) {
 	if !o.live {
 		panic("lcice: operation record used after retirement")
 	}
-	*o = sendOp{e: e, issue: o.issue, buf: buf.KeepSlab(o.buf)}
+	*o = sendOp{e: e, issue: o.issue, buf: o.buf[:0]}
 	e.ops.Put(o)
 }
 
@@ -256,7 +264,7 @@ func (h *handle) dispatch() {
 }
 
 func (e *Engine) retireHandle(h *handle) {
-	*h = handle{e: e, run: h.run, data: buf.KeepSlab(h.data)}
+	*h = handle{e: e, run: h.run, data: h.data[:0]}
 	e.handles.Put(h)
 }
 

@@ -5,9 +5,9 @@
 //     receives per registered tag (five, §4.2.1), started with wildcard
 //     source and re-enabled after each callback. The requests are what the
 //     model charges for (every Testsome scans all of them); their buffers are
-//     a declared capacity that the library backs only while a message sits in
-//     one, so registering a tag costs the host five small records, not
-//     5 x maxLen bytes;
+//     a declared capacity that the library backs only once a message has
+//     arrived, and only until the run ends, so registering a tag costs the
+//     host five small records, not 5 x maxLen bytes;
 //   - active messages are sent with blocking eager MPI_Send;
 //   - the one-sided put is emulated with two-sided traffic: an active-message
 //     handshake tells the target where to receive and on what tag, then a
@@ -172,11 +172,12 @@ type Engine struct {
 
 	// reqs is the global request array Testsome scans: the persistent
 	// receives of amSlots, appended once at TagReg, then the requests of xfer,
-	// re-appended behind them on every pass.
+	// appended behind them for one pass and cleared after it.
 	reqs []*mpi.Request
 
-	// Free lists of the engine's deferred-step records, and runPass bound
-	// once: a method value made per schedule() call would allocate.
+	// Free lists of the engine's deferred-step records, run-scoped
+	// (ReleaseRunState), and runPass bound once: a method value made per
+	// schedule() call would allocate.
 	sends     sim.FreeList[sendRec]
 	slots     sim.FreeList[xferSlot]
 	runPassFn func()
@@ -250,6 +251,18 @@ func (e *Engine) purge(peer int, dead bool) {
 	e.schedule()
 }
 
+// ReleaseRunState drops the engine's run-scoped records (core.Engine): its
+// send and transfer-slot free lists, its MPI rank's request and wire lists,
+// and the slabs of its persistent receives.
+func (e *Engine) ReleaseRunState() {
+	e.sends.Drop()
+	e.slots.Drop()
+	for _, s := range e.amSlots {
+		s.req.DropSlab()
+	}
+	e.rank.DropRecords()
+}
+
 // TagReg registers an active-message callback and pre-posts its persistent
 // receives (§4.2.1), each with room for maxLen bytes.
 func (e *Engine) TagReg(tag core.Tag, cb core.AMCallback, maxLen int64) {
@@ -257,7 +270,6 @@ func (e *Engine) TagReg(tag core.Tag, cb core.AMCallback, maxLen int64) {
 		maxLen = e.cfg.MaxAMLen
 	}
 	e.Tags.Register(tag, cb, maxLen)
-	e.reqs = e.reqs[:len(e.amSlots)] // drop the last pass's transfers
 	slots := make([]amSlot, e.cfg.PersistentPerTag)
 	for i := range slots {
 		s := &slots[i]
@@ -287,7 +299,7 @@ func (e *Engine) retireSend(s *sendRec) {
 	if !s.live {
 		panic("mpice: send record used after retirement")
 	}
-	s.live, s.worker, s.done, s.buf = false, nil, nil, buf.KeepSlab(s.buf)
+	s.live, s.worker, s.done, s.buf = false, nil, nil, s.buf[:0]
 	e.sends.Put(s)
 }
 
@@ -372,7 +384,7 @@ func (e *Engine) retireSlot(s *xferSlot) {
 	if s.req != nil {
 		s.req.Free()
 	}
-	*s = xferSlot{e: e, post: s.post, dispatch: s.dispatch, rcbData: buf.KeepSlab(s.rcbData)}
+	*s = xferSlot{e: e, post: s.post, dispatch: s.dispatch, rcbData: s.rcbData[:0]}
 	e.slots.Put(s)
 }
 
@@ -452,7 +464,6 @@ func (e *Engine) runPass() {
 	// xfer[i-nAM]: completions are dispatched, not run, inside the loop, so
 	// neither slice moves under it.
 	nAM := len(e.amSlots)
-	e.reqs = e.reqs[:nAM]
 	for _, s := range e.xfer {
 		e.reqs = append(e.reqs, s.req)
 	}
@@ -465,6 +476,10 @@ func (e *Engine) runPass() {
 			e.completeXfer(s)
 		}
 	}
+	// The pass's transfer requests leave the scratch array: one that
+	// completed is freed at compaction, and a stale entry would pin it.
+	clear(e.reqs[nAM:])
+	e.reqs = e.reqs[:nAM]
 	if len(idxs) > 0 {
 		// Compact the array (free entries at the back) and fill freed space
 		// from the deferred FIFO.

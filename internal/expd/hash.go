@@ -7,31 +7,23 @@ import (
 	"fmt"
 )
 
-// Content addressing: a canonical Spec or Point is hashed over its JSON
-// encoding. encoding/json emits struct fields in declaration order and
-// float64s in their shortest round-trip form, so the encoding — and the
-// hash — is a pure function of the canonical value. Canonicalization is
-// what makes the hash meaningful: field reordering in the submitted JSON,
-// omitted defaults, and equivalent unit spellings all collapse to one
-// canonical value and therefore one address (pinned by TestHashInvariance).
+// Content addressing: a canonical Point is hashed over its JSON encoding.
+// encoding/json emits struct fields in declaration order and float64s in
+// their shortest round-trip form, so the encoding — and the hash — is a pure
+// function of the canonical value. Canonicalization is what makes the hash
+// meaningful: field reordering in the submitted JSON, omitted defaults, and
+// equivalent unit spellings all collapse to one canonical spec, hence to the
+// same points and the same addresses (pinned by TestHashInvariance).
 
-// hashOf returns the sha256 hex digest of v's JSON encoding.
-func hashOf(v any) string {
-	data, err := json.Marshal(v)
+// Hash is the content address of one sweep point — the key of the on-disk
+// result cache.
+func (p Point) Hash() string {
+	data, err := json.Marshal(p)
 	if err != nil {
-		// Specs and points are plain data; a marshal failure is a
-		// programming error, not an input error.
+		// Points are plain data; a marshal failure is a programming error,
+		// not an input error.
 		panic(fmt.Sprintf("expd: marshal for hashing: %v", err))
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
-
-// Hash is the content address of a spec. It must be called on the
-// canonical form (Canonical or DecodeSpec output); hashing a raw spec
-// would distinguish spellings that mean the same experiment.
-func (s Spec) Hash() string { return hashOf(s) }
-
-// Hash is the content address of one sweep point — the key of the on-disk
-// result cache.
-func (p Point) Hash() string { return hashOf(p) }

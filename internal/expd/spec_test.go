@@ -7,9 +7,9 @@ import (
 )
 
 // TestHashInvariance pins the content-address contract: every spelling of
-// the same experiment hashes to the same address, and materially different
-// experiments never collide. This is what lets overlapping sweeps share
-// cache entries.
+// the same experiment canonicalizes to the same spec, hence to the same
+// point addresses, and materially different experiments never collide. This
+// is what lets overlapping sweeps share cache entries.
 func TestHashInvariance(t *testing.T) {
 	hash := func(t *testing.T, raw string) string {
 		t.Helper()
@@ -17,14 +17,14 @@ func TestHashInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DecodeSpec(%s): %v", raw, err)
 		}
-		return s.Hash()
+		return canonicalJSON(t, s)
 	}
 
 	t.Run("field reordering", func(t *testing.T) {
 		a := hash(t, `{"kind":"tile","scale":0.01,"nodes":2,"runs":1}`)
 		b := hash(t, `{"runs":1,"nodes":2,"kind":"tile","scale":0.01}`)
 		if a != b {
-			t.Errorf("reordered fields changed the hash: %s vs %s", a, b)
+			t.Errorf("reordered fields changed the spec: %s vs %s", a, b)
 		}
 	})
 
@@ -37,7 +37,7 @@ func TestHashInvariance(t *testing.T) {
 			"backends":["lci","mpi"],
 			"tiles":[1200,1500,1800,2400,3000,3600,4500,4800,6000]}`)
 		if a != b {
-			t.Errorf("spelled-out defaults changed the hash: %s vs %s", a, b)
+			t.Errorf("spelled-out defaults changed the spec: %s vs %s", a, b)
 		}
 		// scale:1 resolves to the same explicit N.
 		c := hash(t, `{"kind":"tile","scale":1}`)
@@ -50,7 +50,7 @@ func TestHashInvariance(t *testing.T) {
 		a := hash(t, `{"kind":"chaos"}`)
 		b := hash(t, `{"kind":"chaos","backends":["MPI","LCI"]}`)
 		if a != b {
-			t.Errorf("backend order/case changed the hash: %s vs %s", a, b)
+			t.Errorf("backend order/case changed the spec: %s vs %s", a, b)
 		}
 	})
 
@@ -70,23 +70,18 @@ func TestHashInvariance(t *testing.T) {
 		} {
 			h := hash(t, raw)
 			if prev, dup := seen[h]; dup {
-				t.Errorf("collision: %s and %s both hash to %s", prev, raw, h)
+				t.Errorf("collision: %s and %s both canonicalize to %s", prev, raw, h)
 			}
 			seen[h] = raw
 		}
 	})
 
 	t.Run("pinned address", func(t *testing.T) {
-		// The literal hash of the default tile sweep. If this changes, the
-		// Spec encoding changed, which invalidates every on-disk cache —
-		// only update the constant for a deliberate format break.
-		const want = "848d2aaf5c0f4fc895f1b19f280389e28730ddf798e1b96d8785626b508b15d5"
-		if got := hash(t, `{"kind":"tile"}`); got != want {
-			t.Errorf("canonical encoding drifted: hash %s, want %s", got, want)
-		}
-		// The first point of the default chaos sweep: chaos points gained
-		// an omitempty steal field, and a point without stealing keeps the
-		// address it had before.
+		// The first point of the default chaos sweep. If this changes, the
+		// Point encoding changed, which invalidates every on-disk cache —
+		// only update the constant for a deliberate format break. Chaos
+		// points gained an omitempty steal field, and a point without
+		// stealing keeps the address it had before.
 		chaos, err := DecodeSpec([]byte(`{"kind":"chaos"}`))
 		if err != nil {
 			t.Fatal(err)
@@ -191,8 +186,19 @@ func FuzzDecodeSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical spec %s does not re-decode: %v", enc, err)
 		}
-		if s.Hash() != again.Hash() {
-			t.Fatalf("canonicalization is not idempotent: %s -> %s", s.Hash(), again.Hash())
+		if got := canonicalJSON(t, again); got != string(enc) {
+			t.Fatalf("canonicalization is not idempotent: %s -> %s", enc, got)
 		}
 	})
+}
+
+// canonicalJSON returns the encoding of a canonical spec: two spellings of
+// one experiment are the same spec exactly when their encodings are equal.
+func canonicalJSON(t testing.TB, s Spec) string {
+	t.Helper()
+	enc, err := json.Marshal(s)
+	if err != nil {
+		t.Fatalf("canonical spec does not marshal: %v", err)
+	}
+	return string(enc)
 }

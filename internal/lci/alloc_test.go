@@ -1,6 +1,7 @@
 package lci
 
 import (
+	"fmt"
 	"testing"
 
 	"amtlci/internal/buf"
@@ -21,13 +22,13 @@ func allocHarness() (*sim.Engine, *Runtime) {
 
 // TestMessagePathAllocs pins the steady-state cost of one message with a
 // virtual payload at zero allocations, for the Buffered protocol (no receive
-// posted) and for the Direct RTS/CTS rendezvous, and of a Buffered message
-// with a real payload of buf.MaxSlab bytes, whose copy into library memory
-// reuses the pooled packet's slab: packets are taken by the
-// sender and retired by the receiver, direct-operation records are retired by
-// the endpoint that posted them, and the packet-released completion is the
-// endpoint's static sentinel. Both streams are one-way, the case a per-rank
-// free list could not serve.
+// posted) and for the Direct RTS/CTS rendezvous, and of Buffered messages
+// with real payloads of 1 KiB and of 4 KiB (a HiCMA tile's size), whose copy
+// into library memory reuses the pooled packet's slab whatever its size:
+// packets are taken by the sender and retired by the receiver,
+// direct-operation records are retired by the endpoint that posted them, and
+// the packet-released completion is the endpoint's static sentinel. Both
+// streams are one-way, the case a per-rank free list could not serve.
 func TestMessagePathAllocs(t *testing.T) {
 	t.Run("buffered", func(t *testing.T) {
 		eng, rt := allocHarness()
@@ -45,22 +46,24 @@ func TestMessagePathAllocs(t *testing.T) {
 			}
 		})
 	})
-	t.Run("buffered-real-MaxSlab", func(t *testing.T) {
-		eng, rt := allocHarness()
-		got := 0
-		rt.Endpoint(1).SetMsgComp(Handler(func(Request) { got++ }))
-		b := buf.FromBytes(make([]byte, buf.MaxSlab))
-		pin(t, func() {
-			want := got + 1
-			if err := rt.Endpoint(0).Sendm(1, 7, b); err != nil {
-				t.Fatal(err)
-			}
-			eng.Run()
-			if got != want {
-				t.Fatal("message not delivered")
-			}
+	for _, size := range []int{1 << 10, 4 << 10} {
+		t.Run(fmt.Sprintf("buffered-real-%dKiB", size>>10), func(t *testing.T) {
+			eng, rt := allocHarness()
+			got := 0
+			rt.Endpoint(1).SetMsgComp(Handler(func(Request) { got++ }))
+			b := buf.FromBytes(make([]byte, size))
+			pin(t, func() {
+				want := got + 1
+				if err := rt.Endpoint(0).Sendm(1, 7, b); err != nil {
+					t.Fatal(err)
+				}
+				eng.Run()
+				if got != want {
+					t.Fatal("message not delivered")
+				}
+			})
 		})
-	})
+	}
 	t.Run("direct", func(t *testing.T) {
 		eng, rt := allocHarness()
 		got := 0

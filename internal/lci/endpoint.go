@@ -2,6 +2,7 @@ package lci
 
 import (
 	"fmt"
+	"slices"
 
 	"amtlci/internal/buf"
 	"amtlci/internal/fabric"
@@ -169,6 +170,15 @@ type Endpoint struct {
 // ID returns the endpoint's rank.
 func (ep *Endpoint) ID() int { return ep.me }
 
+// DropRecords empties the endpoint's direct-operation free list and its
+// shard's packet free list, payload slabs included, for the end of a run:
+// both lists keep every record they are handed while a run goes on
+// (sim.FreeList).
+func (ep *Endpoint) DropRecords() {
+	ep.ops.Drop()
+	ep.pool.Drop()
+}
+
 // SetMsgComp installs the completion target for dynamically-allocated
 // short/medium message arrivals.
 func (ep *Endpoint) SetMsgComp(c Comp) { ep.msgComp = c }
@@ -219,7 +229,7 @@ func (ep *Endpoint) retire(p *packet) {
 	if !p.live {
 		panic("lci: packet retired twice")
 	}
-	*p = packet{onTx: p.onTx, data: buf.KeepSlab(p.data), xdata: buf.KeepSlab(p.xdata)}
+	*p = packet{onTx: p.onTx, data: p.data[:0], xdata: p.xdata[:0]}
 	ep.pool.Put(p)
 }
 
@@ -359,7 +369,7 @@ func (ep *Endpoint) Recvd(src, tag int, b buf.Buf, comp Comp, userCtx any) error
 	// Match an already-arrived RTS first.
 	for i, p := range ep.pendingRTS {
 		if matchDirect(op, p) {
-			ep.pendingRTS = append(ep.pendingRTS[:i], ep.pendingRTS[i+1:]...)
+			ep.pendingRTS = slices.Delete(ep.pendingRTS, i, i+1)
 			ep.sendCTS(op, p)
 			ep.retire(p)
 			return nil
@@ -455,7 +465,7 @@ func (ep *Endpoint) Progress() {
 func (ep *Endpoint) findPostedRecv(p *packet) *directOp {
 	for i, op := range ep.postedRecv {
 		if matchDirect(op, p) {
-			ep.postedRecv = append(ep.postedRecv[:i], ep.postedRecv[i+1:]...)
+			ep.postedRecv = slices.Delete(ep.postedRecv, i, i+1)
 			return op
 		}
 	}

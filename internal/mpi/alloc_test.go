@@ -9,11 +9,12 @@ import (
 
 // TestMessagePathAllocs pins the steady-state cost of one point-to-point
 // message at zero allocations: with a virtual payload on the eager and on
-// the rendezvous protocol, and with a real eager payload of buf.MaxSlab
-// bytes, whose copy into library memory reuses the pooled wire record's slab.
-// Wire records are taken by the sender and retired by the receiver, and both
-// requests are handed back through Free. The stream is one-way, the case a
-// per-rank free list could not serve.
+// the rendezvous protocol, and with real eager payloads of 1 KiB and of
+// 4 KiB (a HiCMA tile's size), whose copy into library memory reuses the
+// pooled wire record's slab whatever its size. Wire records are taken by the
+// sender and retired by the receiver, and both requests are handed back
+// through Free. The stream is one-way, the case a per-rank free list could
+// not serve.
 func TestMessagePathAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -22,7 +23,8 @@ func TestMessagePathAllocs(t *testing.T) {
 	}{
 		{"eager", 8 << 10, false},
 		{"rendezvous", 32 << 10, false},
-		{"eager-real-MaxSlab", buf.MaxSlab, true},
+		{"eager-real-1KiB", 1 << 10, true},
+		{"eager-real-4KiB", 4 << 10, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eng, w := harness(2)

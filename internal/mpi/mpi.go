@@ -242,6 +242,14 @@ type Rank struct {
 // ID returns this rank's index.
 func (r *Rank) ID() int { return r.me }
 
+// DropRecords empties the rank's request free list and its shard's wire free
+// list, payload slabs included, for the end of a run: both lists keep every
+// record they are handed while a run goes on (sim.FreeList).
+func (r *Rank) DropRecords() {
+	r.reqs.Drop()
+	r.pool.Drop()
+}
+
 // SetWake installs a callback invoked whenever new library-level work
 // appears (a wire arrival or a local send completion). Backends use it to
 // schedule a progress pass instead of busy-polling.

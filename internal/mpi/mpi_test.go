@@ -236,7 +236,8 @@ func TestPersistentRecvLifecycle(t *testing.T) {
 // until a message matches, the matched bytes are the request's own copy (from
 // a fresh arrival, from the unexpected queue, over the rendezvous protocol),
 // an over-long message is cut to the capacity with Status.Size still the
-// sender's length, and the next Start gives a large slab back.
+// sender's length, and the slab is kept across Starts whatever its size,
+// until DropSlab, the run-end drop, gives it back.
 func TestPersistentRecvOwnsItsMessage(t *testing.T) {
 	eng, w := harness(2)
 	pump(eng, w)
@@ -290,8 +291,9 @@ func TestPersistentRecvOwnsItsMessage(t *testing.T) {
 		}
 	}
 
-	// Rendezvous-sized, real bytes: the slab grows past buf.MaxSlab for this
-	// one message and the next Start drops it.
+	// Rendezvous-sized, real bytes: the slab grows for this message, and the
+	// next Start keeps it, empty, for the messages after it: records and
+	// their slabs live as long as the run.
 	big := make([]byte, 12<<10)
 	for i := range big {
 		big[i] = byte(i % 251)
@@ -302,28 +304,38 @@ func TestPersistentRecvOwnsItsMessage(t *testing.T) {
 	if got := q.Data(); string(got.Bytes) != string(big) || !sq.Done() {
 		t.Fatalf("rendezvous message: %d bytes landed, send done=%v", got.Size, sq.Done())
 	}
-	if cap(q.slab) <= buf.MaxSlab {
-		t.Fatalf("slab capacity %d after a %d-byte message", cap(q.slab), len(big))
+	grown := cap(q.slab)
+	if grown < len(big) {
+		t.Fatalf("slab capacity %d after a %d-byte message", grown, len(big))
 	}
 	dst.Start(q)
-	if q.slab != nil {
-		t.Fatalf("re-Start kept a %d-byte slab (limit %d)", cap(q.slab), buf.MaxSlab)
+	if cap(q.slab) != grown || len(q.slab) != 0 {
+		t.Fatalf("re-Start: slab len %d cap %d, want the %d-byte slab kept, empty", len(q.slab), cap(q.slab), grown)
 	}
 
-	// Longer than the capacity: cut, and the status says by how much. A small
-	// slab, by contrast, survives the re-Start.
+	// Longer than the capacity: cut, and the status says by how much.
 	src.Isend(buf.FromBytes(make([]byte, capacity+100)), 1, 9)
 	collect("over-long message")
 	if got := q.Data(); got.Size != capacity || q.Status.Size != capacity+100 {
 		t.Fatalf("over-long message: landed %d bytes, status %+v", got.Size, q.Status)
 	}
+
+	// The run-end drop gives the slab back; the message it holds stays
+	// readable until the next Start, and the next message takes a new slab.
 	dst.Start(q)
 	src.Send(buf.FromBytes([]byte("small")), 1, 9)
 	collect("small message")
-	dst.Start(q)
-	if cap(q.slab) == 0 || cap(q.slab) > buf.MaxSlab || len(q.slab) != 0 {
-		t.Fatalf("re-Start after a small message: slab len %d cap %d", len(q.slab), cap(q.slab))
+	q.DropSlab()
+	if q.slab != nil || string(q.Data().Bytes) != "small" {
+		t.Fatalf("DropSlab: slab cap %d, data %q", cap(q.slab), q.Data().Bytes)
 	}
+	dst.Start(q)
+	src.Send(buf.FromBytes([]byte("after")), 1, 9)
+	collect("message after the drop")
+	if string(q.Data().Bytes) != "after" || cap(q.slab) >= grown {
+		t.Fatalf("after the drop: data %q, slab cap %d", q.Data().Bytes, cap(q.slab))
+	}
+	dst.Start(q)
 
 	// A virtual payload needs no storage at all.
 	src.Send(buf.Virtual(64), 1, 9)

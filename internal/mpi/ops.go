@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"slices"
+
 	"amtlci/internal/buf"
 	"amtlci/internal/fabric"
 	"amtlci/internal/sim"
@@ -30,7 +32,7 @@ func (r *Rank) retire(w *wire) {
 	if !w.live {
 		panic("mpi: wire record retired twice")
 	}
-	*w = wire{onTx: w.onTx, data: buf.KeepSlab(w.data)}
+	*w = wire{onTx: w.onTx, data: w.data[:0]}
 	r.pool.Put(w)
 }
 
@@ -122,9 +124,9 @@ func (r *Rank) RecvInit(q *Request, capacity int64, src, tag int) {
 }
 
 // Start activates a persistent request (MPI_Start), releasing the message the
-// previous activation received (a slab larger than buf.MaxSlab goes back to
-// the GC, like every pooled record's). The caller charges Config.PostCost.
-// Starting an active request or a non-persistent request panics.
+// previous activation received; its slab is kept for the next one. The caller
+// charges Config.PostCost. Starting an active request or a non-persistent
+// request panics.
 func (r *Rank) Start(q *Request) {
 	if q.kind != reqRecv || !q.persistent {
 		panic("mpi: Start supports persistent receives only")
@@ -135,9 +137,14 @@ func (r *Rank) Start(q *Request) {
 	q.done = false
 	q.awaitingData = false
 	q.Status = Status{}
-	q.b, q.slab = buf.Buf{}, buf.KeepSlab(q.slab)
+	q.b, q.slab = buf.Buf{}, q.slab[:0]
 	r.matchOrPost(q)
 }
+
+// DropSlab releases the payload copy a persistent receive keeps across
+// activations, for the end of a run; a message it holds stays readable until
+// the next Start, and the next message takes a new slab.
+func (q *Request) DropSlab() { q.slab = nil }
 
 func (r *Rank) matchOrPost(q *Request) {
 	q.active = true
@@ -145,7 +152,7 @@ func (r *Rank) matchOrPost(q *Request) {
 		if !match(q, u.src, u.tag) {
 			continue
 		}
-		r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
+		r.unexpected = slices.Delete(r.unexpected, i, i+1)
 		r.unexpectedHits.Inc()
 		r.consume(q, u)
 		r.retire(u)
@@ -282,7 +289,7 @@ func (r *Rank) findPosted(src, tag int) *Request {
 			continue
 		}
 		if match(q, src, tag) {
-			r.posted = append(r.posted[:i], r.posted[i+1:]...)
+			r.posted = slices.Delete(r.posted, i, i+1)
 			return q
 		}
 	}

@@ -3,7 +3,6 @@ package parsec
 import (
 	"fmt"
 	"iter"
-	"math"
 	"slices"
 
 	"amtlci/internal/core"
@@ -50,16 +49,16 @@ type node struct {
 	lazy  cellArena[flowKey]
 	waits *cellArena[TaskID]
 	gets  *cellArena[getReq]
-	// freeRuns recycles dispatch records (taskRun) between tasks; ops
-	// recycles the communication thread's deferred-step records (commop.go);
-	// flows recycles the store's dataflow records (newFlow, retireFlow). The
-	// two lists are uncapped: their records are carved from slab, the one of
-	// this rank's shard, and lists, slab and records are all run-scoped, so
-	// the in-flight peak is paid for once per run and dropped with it.
-	freeRuns []*taskRun
-	ops      sim.FreeList[commOp]
-	flows    sim.FreeList[flowData]
-	slab     *recordSlab
+	// runs recycles dispatch records (taskRun) between tasks; ops recycles
+	// the communication thread's deferred-step records (commop.go); flows
+	// recycles the store's dataflow records (newFlow, retireFlow). Their
+	// records are carved from slab, the one of this rank's shard, and lists,
+	// slab and records are all run-scoped, so the in-flight peak is paid for
+	// once per run and dropped with it.
+	runs  sim.FreeList[taskRun]
+	ops   sim.FreeList[commOp]
+	flows sim.FreeList[flowData]
+	slab  *recordSlab
 	// opHead..opTail is the FIFO of steps submitted to the communication
 	// thread and not yet run, linked through commOp.next; runOpFn is
 	// n.runOp, bound once, the engine's item for each of them.
@@ -324,13 +323,13 @@ type flowData struct {
 
 // taskRun is one dispatched task on its way through a worker core. The
 // record is what the worker's Proc queues (through done, bound once when the
-// record is made), so dispatching allocates no closure; finished records go
-// back to node.freeRuns. The recovery epoch travels IN the record, with the
-// queued work: a restart hands every worker slot back while pre-restart
-// completions may still sit in the Procs, and such a completion must find
-// its own stale epoch — not state a post-restart dispatch has since written.
-// That is why a record is recycled only by its own completion and a stale
-// one is simply dropped.
+// record is carved from the shard's slab), so dispatching allocates no
+// closure; finished records go back to node.runs. The recovery epoch travels
+// IN the record, with the queued work: a restart hands every worker slot
+// back while pre-restart completions may still sit in the Procs, and such a
+// completion must find its own stale epoch — not state a post-restart
+// dispatch has since written. That is why a record is recycled only by its
+// own completion and a stale one is simply dropped.
 type taskRun struct {
 	n     *node
 	task  TaskID
@@ -351,7 +350,6 @@ func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config, slab *recordSlab
 		waits: &slab.waits,
 		gets:  &slab.gets,
 	}
-	n.ops.Cap, n.flows.Cap = math.MaxInt, math.MaxInt
 	n.runOpFn = n.runOp
 	n.workers = make([]*sim.Proc, cfg.Workers)
 	for i := range n.workers {
@@ -421,14 +419,18 @@ func (n *node) start() {
 // queues, aggregation buffers, free lists, scratch — once Run has returned:
 // a finished Runtime serves WorkerBusy, Tracer and Metrics, and callers keep
 // it (and with it 2 tables and a dozen slices per rank) alive for exactly
-// that.
+// that. The rank's engine drops its own run-scoped records with it, so the
+// retained stack holds no message-path record either.
 func (n *node) releaseRunState() {
+	n.ce.ReleaseRunState()
 	n.tasks.reset()
 	n.store.reset()
 	n.lazy, n.waits, n.gets = cellArena[flowKey]{}, nil, nil
 	n.ready, n.fetchQ = prioQueue{}, prioQueue{}
-	n.freeRuns, n.slab = nil, nil
-	n.ops, n.flows = sim.FreeList[commOp]{}, sim.FreeList[flowData]{}
+	n.runs.Drop()
+	n.ops.Drop()
+	n.flows.Drop()
+	n.slab = nil
 	n.opHead, n.opTail, n.putRecs = nil, nil, nil
 	n.encBuf, n.actScratch, n.treeScratch = nil, nil, nil
 	n.pendingAct = nil
@@ -560,12 +562,10 @@ func (n *node) dispatch() {
 
 // runTask executes t on worker w, on a recycled dispatch record.
 func (n *node) runTask(t TaskID, w int) {
-	var r *taskRun
-	if k := len(n.freeRuns); k > 0 {
-		r = n.freeRuns[k-1]
-		n.freeRuns = n.freeRuns[:k-1]
-	} else {
-		r = &taskRun{n: n}
+	r := n.runs.Get()
+	if r == nil {
+		r = n.slab.runs.take()
+		r.n = n
 		r.done = r.finish
 	}
 	n.launch(r, t, w)
@@ -605,7 +605,7 @@ func (r *taskRun) finish() {
 	if n.ready.Len() > 0 {
 		n.launch(r, n.ready.Pop().task, w)
 	} else {
-		n.freeRuns = append(n.freeRuns, r)
+		n.runs.Put(r)
 		n.idle = append(n.idle, w)
 		n.pollQuiet()
 	}

@@ -145,6 +145,47 @@ func TestStaleCommOpNeitherRunsNorRecycles(t *testing.T) {
 	}
 }
 
+// TestStaleTaskRunNeitherRunsNorRecycles covers the same epoch rule for the
+// dispatch records (taskRun), carved from the shard's slab with their
+// completion bound once: a task dispatched before a restart must not execute
+// when its worker core finishes, and its record must not reach the free list
+// (nor hand its core back to the idle list a second time), while a task
+// dispatched after the restart runs and recycles its record.
+func TestStaleTaskRunNeitherRunsNorRecycles(t *testing.T) {
+	for _, b := range stack.Backends {
+		t.Run(b.String(), func(t *testing.T) {
+			g := NewGraphPool("restart", 2, false)
+			g.AddTask(0, 0, sim.Microsecond, 0)
+			s := stack.Build(stack.DefaultOptions(b, 2))
+			rt := New(s.Dom, s.Engines, g, DefaultConfig(2))
+			n := rt.nodes[0]
+
+			// Dispatched in the old epoch, then the restart.
+			n.start()
+			if idle := len(n.idle); idle != 1 {
+				t.Fatalf("%d idle cores after the dispatch, want 1", idle)
+			}
+			n.resetForRecovery()
+			n.paused = false
+			s.Eng.Run()
+			if n.executed != 0 || n.tasksRun.Value() != 0 {
+				t.Fatalf("a stale dispatch ran: executed=%d tasks_run=%d", n.executed, n.tasksRun.Value())
+			}
+			if n.runs.Len() != 0 || len(n.idle) != 2 {
+				t.Fatalf("a stale dispatch touched the rank: %d record(s) recycled, %d idle cores (want 0 and 2)",
+					n.runs.Len(), len(n.idle))
+			}
+
+			// Dispatched in the new epoch: it runs and recycles its record.
+			n.start()
+			s.Eng.Run()
+			if n.executed != 1 || n.runs.Len() != 1 || len(n.idle) != 2 {
+				t.Fatalf("fresh dispatch: executed=%d free=%d idle=%d, want 1, 1 and 2", n.executed, n.runs.Len(), len(n.idle))
+			}
+		})
+	}
+}
+
 // flowHarness builds a two-rank runtime whose rank 0 holds one ready 64 KiB
 // flow with a single expected GET, and registers a landing buffer at rank 1.
 func flowHarness(t *testing.T, b stack.Backend) (s *stack.Stack, n *node, key flowKey, fd *flowData, landing regHandle) {

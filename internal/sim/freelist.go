@@ -1,16 +1,10 @@
 package sim
 
-// Free-list caps. A list is a cache, not an account: it fills on demand, a
-// Put beyond the cap drops the record for the GC, and a record lost on the
-// way (a crash, a purge, a dropped message) is simply never put back. Capped
-// lists owned by one rank hold a few dozen records at most; the lists of
-// records that cross the wire are shared by all ranks of a shard (a record is
-// retired where it is delivered, so per-rank lists would drain on every
-// one-way stream) and sized for a shard's worth of messages in flight.
-const (
-	RankListCap  = 16
-	ShardListCap = 256
-)
+// ShardListCap caps the free lists of records that cross the wire: they are
+// shared by all ranks of a shard (a record is retired where it is delivered,
+// so per-rank lists would drain on every one-way stream) and sized for a
+// shard's worth of messages in flight.
+const ShardListCap = 256
 
 // PoisonRetired, when set, makes every FreeList drop the records Put into it:
 // nothing is ever reused, so a record stays in its retired state (fields
@@ -23,16 +17,16 @@ var PoisonRetired bool
 // FreeList is a LIFO cache of retired records of one type, touched only from
 // its owner's engine goroutine. The message path takes its per-step records
 // from such lists instead of allocating a closure per deferred step
-// (DESIGN.md §5.15). The zero value is an empty list capped at RankListCap.
+// (DESIGN.md §5.15). A record lost on the way (a crash, a purge, a dropped
+// message) is simply never put back.
 //
-// An owner whose records, list included, die with one run may lift the cap
-// (Cap = math.MaxInt) and keep every record it retires: parsec's flow and
-// step records are carved from per-run slabs, so its lists hold the run's
-// in-flight peak until the run's state is dropped, and no record is paid for
-// twice.
+// The zero value is an empty, uncapped list: records are run-scoped, so a
+// list keeps every record it is handed, together with the payload slab the
+// record owns, and a run pays for its in-flight peak once. Its owner drops
+// the list (Drop) when the run is over, and with it the records.
 type FreeList[T any] struct {
 	free []*T
-	// Cap overrides RankListCap when positive.
+	// Cap, when positive, bounds the list: a Put beyond it drops the record.
 	Cap int
 }
 
@@ -51,17 +45,13 @@ func (l *FreeList[T]) Get() *T {
 // Put caches r for reuse. The caller must have dropped every reference to r
 // and cleared the fields that would pin other objects.
 func (l *FreeList[T]) Put(r *T) {
-	if PoisonRetired {
-		return
-	}
-	limit := l.Cap
-	if limit <= 0 {
-		limit = RankListCap
-	}
-	if len(l.free) < limit {
+	if !PoisonRetired && (l.Cap <= 0 || len(l.free) < l.Cap) {
 		l.free = append(l.free, r)
 	}
 }
+
+// Drop empties the list, leaving its records to the GC; Cap is kept.
+func (l *FreeList[T]) Drop() { l.free = nil }
 
 // ShardFreeLists returns one empty FreeList per shard of dom, capped at
 // ShardListCap, for records that cross the wire: rank r takes from and
