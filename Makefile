@@ -54,9 +54,10 @@ chaos-multicrash:
 
 # Short, fixed-budget fuzz passes over the wire-format decoders, the
 # runtime's flat hash table, the calendar queue's firing order against the
-# reference heap and the linalg kernels' bit identity with their reference
-# bodies (Go allows one -fuzz pattern per invocation). This is the
-# one fuzz list: verify.sh runs this target.
+# reference heap, the linalg kernels' bit identity with their reference
+# bodies and the computed ping-pong graph against the explicit one (Go
+# allows one -fuzz pattern per invocation). This is the one fuzz list:
+# verify.sh runs this target.
 fuzz-smoke:
 	timeout 120 go test -run='^$$' -fuzz=FuzzUnmarshalPutHeader -fuzztime=2s ./internal/core
 	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeActivates -fuzztime=2s ./internal/parsec
@@ -74,6 +75,7 @@ fuzz-smoke:
 	timeout 120 go test -run='^$$' -fuzz=FuzzInboxOrder -fuzztime=2s ./internal/sim
 	timeout 120 go test -run='^$$' -fuzz=FuzzCalendarMatchesRef -fuzztime=2s ./internal/sim
 	timeout 120 go test -run='^$$' -fuzz=FuzzKernelsMatchReference -fuzztime=2s ./internal/linalg
+	timeout 120 go test -run='^$$' -fuzz=FuzzPingPongGraph -fuzztime=2s ./internal/bench
 
 build:
 	go build ./...

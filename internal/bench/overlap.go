@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"fmt"
 	"math"
 
 	"amtlci/internal/core/stack"
-	"amtlci/internal/parsec"
 	"amtlci/internal/sim"
 	"amtlci/internal/stats"
 )
@@ -83,32 +81,24 @@ func Overlap(o OverlapOpts) OverlapResult {
 	if o.Workers == 0 {
 		o.Workers = WorkersFor(o.Backend, 2)
 	}
-	gf := o.Runs.Collect(func(run int) float64 { return overlapRun(o, uint64(run)) })
+	gf := o.Runs.Collect(func(run int) float64 {
+		d, _ := overlapRun(o, uint64(run))
+		return o.totalFlops() / d.Seconds() / 1e9
+	})
 	roof, noov := o.models()
 	return OverlapResult{FragSize: o.FragSize, GFLOPS: gf, Roofline: roof, NoOverlap: noov}
 }
 
-func overlapRun(o OverlapOpts, run uint64) float64 {
-	so := stack.DefaultOptions(o.Backend, 2)
-	so.Seed = o.Seed + run*0x9E37
-	s := stack.Build(so)
-	cfg := parsec.DefaultConfig(o.Workers)
-	cfg.Seed = o.Seed + run
-	cfg.FetchCap = 64
-	cfg.Metrics = s.Metrics
+// overlapRun is execution run of a Fig 3 point: its makespan and the number
+// of simulation events it fired. The graph is one stream of the ping-pong
+// graph without SYNC, each task costing its kernel's time on one core.
+func overlapRun(o OverlapOpts, run uint64) (sim.Duration, uint64) {
 	pp := PingPongOpts{
 		Backend: o.Backend, FragSize: o.FragSize, TotalPerIter: overlapTotalPerIter,
 		Streams: 1, Iters: o.iters(), Sync: false,
 	}
-	pool := pingpongPool(pp, func(m int64) sim.Duration {
-		return sim.FromSeconds(taskFlops(m) / (overlapCoreGFLOPS * 1e9))
-	})
-	rt := parsec.New(s.Eng, s.Engines, pool, cfg)
-	d, err := rt.Run()
-	if err != nil {
-		panic(fmt.Sprintf("bench: overlap %v", err))
-	}
-	return o.totalFlops() / d.Seconds() / 1e9
+	g := newPingPongGraph(pp, sim.FromSeconds(taskFlops(o.FragSize)/(overlapCoreGFLOPS*1e9)))
+	return pingpongSim(o.Backend, o.Seed, run, o.Workers, 64, false, g)
 }
 
 // models returns the Roofline and No-Overlap GFLOP/s bounds. Compute time

@@ -128,9 +128,12 @@ type Engine interface {
 	// ReleaseRunState drops the records the engine recycles while a run goes
 	// on: its own free lists, its library rank's, the free lists of message
 	// records its shard shares, and the payload copies of its persistent
-	// receives, slabs of any size included. The runtime calls it once its run
-	// has returned, so a retained stack holds none of them; the engine stays
-	// usable, and a later run pays for its records afresh.
+	// receives, slabs of any size included; and whatever transfer is still in
+	// flight, which nothing completes once the run is over (on a crashed rank,
+	// everything in flight at the crash). The runtime calls it once its run
+	// has returned, on live and crashed ranks alike, so a retained stack holds
+	// none of them; the engine stays usable, and a later run pays for its
+	// records afresh.
 	ReleaseRunState()
 }
 

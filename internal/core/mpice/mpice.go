@@ -252,11 +252,17 @@ func (e *Engine) purge(peer int, dead bool) {
 }
 
 // ReleaseRunState drops the engine's run-scoped records (core.Engine): its
-// send and transfer-slot free lists, its MPI rank's request and wire lists,
-// and the slabs of its persistent receives.
+// send and transfer-slot free lists, the transfers left in its global array
+// and deferred queue, its MPI rank's request and wire lists and in-flight
+// receives, and the slabs of its persistent receives. Once the run has
+// returned nothing completes a transfer still in flight; on a crashed rank
+// that is everything in flight at the crash.
 func (e *Engine) ReleaseRunState() {
 	e.sends.Drop()
 	e.slots.Drop()
+	clear(e.xfer)
+	clear(e.pending)
+	e.xfer, e.pending = nil, nil
 	for _, s := range e.amSlots {
 		s.req.DropSlab()
 	}

@@ -32,6 +32,8 @@
 package mpi
 
 import (
+	"slices"
+
 	"amtlci/internal/buf"
 	"amtlci/internal/fabric"
 	"amtlci/internal/metrics"
@@ -244,8 +246,13 @@ func (r *Rank) ID() int { return r.me }
 
 // DropRecords empties the rank's request free list and its shard's wire free
 // list, payload slabs included, for the end of a run: both lists keep every
-// record they are handed while a run goes on (sim.FreeList).
+// record they are handed while a run goes on (sim.FreeList). It forgets the
+// arrivals and the nonpersistent receives still pending too, which nothing
+// completes once the run is over (on a crashed rank, whatever was pending at
+// the crash); persistent receives stay posted.
 func (r *Rank) DropRecords() {
+	r.posted = slices.DeleteFunc(r.posted, func(q *Request) bool { return !q.persistent })
+	r.staged, r.spare, r.unexpected = nil, nil, nil
 	r.reqs.Drop()
 	r.pool.Drop()
 }

@@ -10,9 +10,10 @@ import (
 
 // GraphPool is an explicit task-graph Taskpool: tasks and edges are inserted
 // one by one, in the style of PaRSEC's dynamic task discovery interface. It
-// suits small and irregular graphs (examples, tests, the microbenchmarks);
-// large regular algorithms implement Taskpool directly with computed
-// dependences (see internal/cholesky and internal/hicma).
+// suits small and irregular graphs (examples, tests, the benchmark ladder);
+// regular graphs implement Taskpool directly with computed dependences (see
+// internal/cholesky, internal/hicma and the §6.2/§6.3 microbenchmark graph
+// in internal/bench).
 type GraphPool struct {
 	name    string
 	classes []TaskClass
@@ -20,8 +21,8 @@ type GraphPool struct {
 	real    bool
 
 	// tasks holds the records in insertion order and index maps a TaskID to
-	// its position. The lookup runs on every Taskpool call of every rank (a
-	// dozen per executed task), so it shares the runtime's flat table;
+	// its position. RankOf, Cost, Priority, Inputs, Successors and Execute
+	// each look their task up, so the index shares the runtime's flat table;
 	// entries are only ever added, and after construction only read.
 	//
 	// Tasks, output flows and edges live in three pool-wide arenas, so adding

@@ -64,18 +64,15 @@ var commPackages = map[string]bool{
 
 // commWalk is one walk of the engines' and libraries' state: the records it
 // met, by address and type, and the addresses of the records embedded in
-// other objects. With ownRank set it stays inside one rank's engine and
-// library rank, never crossing to the world or runtime every rank shares, nor
-// to the free lists a shard's ranks share (the ones held by pointer).
+// other objects.
 type commWalk struct {
 	seen     map[unsafe.Pointer]bool
 	records  map[unsafe.Pointer]string
 	embedded map[unsafe.Pointer]bool
-	ownRank  bool
 }
 
-func newCommWalk(ownRank bool) *commWalk {
-	return &commWalk{map[unsafe.Pointer]bool{}, map[unsafe.Pointer]string{}, map[unsafe.Pointer]bool{}, ownRank}
+func newCommWalk() *commWalk {
+	return &commWalk{map[unsafe.Pointer]bool{}, map[unsafe.Pointer]string{}, map[unsafe.Pointer]bool{}}
 }
 
 // walk visits v through the engine and library types and their free lists,
@@ -90,10 +87,6 @@ func (c *commWalk) walk(v reflect.Value, slab func(record string, p unsafe.Point
 		}
 	case reflect.Pointer:
 		if v.IsNil() || c.seen[v.UnsafePointer()] || !walked(v.Type().Elem()) {
-			return
-		}
-		if t := v.Type().Elem(); c.ownRank && (t.String() == "mpi.World" || t.String() == "lci.Runtime" ||
-			strings.HasPrefix(t.Name(), "FreeList[")) {
 			return
 		}
 		c.seen[v.UnsafePointer()] = true
@@ -135,7 +128,7 @@ func (c *commWalk) walk(v reflect.Value, slab func(record string, p unsafe.Point
 // persistent receive in its tag's slots, an endpoint's static completion
 // packet — is that object's for good, so only its slabs are watched.
 func (w *recordWatch) watchComm() {
-	c := newCommWalk(false)
+	c := newCommWalk()
 	for _, n := range w.rt.nodes {
 		c.walk(reflect.ValueOf(n.ce), func(record string, p unsafe.Pointer) {
 			w.slabs[record][weak.Make((*byte)(p))] = true
@@ -144,32 +137,6 @@ func (w *recordWatch) watchComm() {
 	for p, name := range c.records {
 		if !c.embedded[p] {
 			w.comm[name][weak.Make((*byte)(p))] = true
-		}
-	}
-}
-
-// forgetFrozen stops watching what a crashed rank's engine and library rank
-// still hold once the run is over: their state froze at the crash, in-flight
-// transfers included, and nothing will ever complete or retire those records.
-// Records shared with the living ranks are still watched.
-func (w *recordWatch) forgetFrozen() {
-	frozen := map[unsafe.Pointer]bool{}
-	for _, n := range w.rt.nodes {
-		if n.dead {
-			c := newCommWalk(true)
-			c.walk(reflect.ValueOf(n.ce), func(_ string, p unsafe.Pointer) { frozen[p] = true })
-			for p := range c.records {
-				frozen[p] = true
-			}
-		}
-	}
-	for _, set := range []map[string]map[weak.Pointer[byte]]bool{w.comm, w.slabs} {
-		for _, ptrs := range set {
-			for p := range ptrs {
-				if frozen[unsafe.Pointer(p.Value())] {
-					delete(ptrs, p)
-				}
-			}
 		}
 	}
 }
@@ -311,7 +278,8 @@ func watchedRun(t *testing.T, b stack.Backend, steal bool, crashAt sim.Duration)
 // — a callback an engine keeps past its use, a list the run forgot to drop, a
 // queue that left a removed entry behind its length — would pin a record or a
 // whole chunk, and fails here. Both backends, with stealing, and through a
-// crash with recovery.
+// crash with recovery, where the crashed rank's engine and library are
+// watched like the others: what froze there at the crash dies with the run.
 func TestRunStateIsCollectable(t *testing.T) {
 	for _, b := range stack.Backends {
 		t.Run(b.String(), func(t *testing.T) {
@@ -337,7 +305,6 @@ func TestRunStateIsCollectable(t *testing.T) {
 								len(w.comm[name]), name, len(w.slabs[name]))
 						}
 					}
-					w.forgetFrozen()
 					runtime.GC()
 					if f, o, c, wc := live(w.flows), live(w.ops), live(w.cells), live(w.waits); f+o+c+wc > 0 {
 						t.Fatalf("run-scoped records outlive the run: %d of %d flows, %d of %d steps, %d of %d lazy cells, %d of %d waiter cells",

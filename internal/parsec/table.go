@@ -30,7 +30,9 @@ package parsec
 // pointer.
 //
 // A flatTable is not safe for concurrent mutation; concurrent get calls
-// without a writer are (the GraphPool is read by every shard during a run).
+// without a writer are, though nothing relies on it: a runtime table belongs
+// to one rank, and the GraphPool whose index is read after construction runs
+// on a serial domain only (GraphPool.Execute).
 type flatTable[V any] struct {
 	slots []flatSlot[V]
 	n     int
