@@ -266,17 +266,23 @@ func (a *cellArena[T]) all(l cellList) iter.Seq[T] {
 	}
 }
 
+// pop removes l's first cell, which it retires, and returns its value; l
+// must not be empty.
+func (a *cellArena[T]) pop(l *cellList) T {
+	c := l.head
+	v := a.at(c).v
+	l.head = a.at(c).next
+	a.release(c)
+	return v
+}
+
 // drain empties *l, yielding its values in order; each cell is retired
 // before its value is yielded, so the loop body may push to any list of the
 // arena, l included.
 func (a *cellArena[T]) drain(l *cellList) iter.Seq[T] {
 	return func(yield func(T) bool) {
-		for l.head != noCell {
-			c := l.head
-			v, next := a.at(c).v, a.at(c).next
-			l.head = next
-			a.release(c)
-			if !yield(v) {
+		for !l.empty() {
+			if !yield(a.pop(l)) {
 				return
 			}
 		}
@@ -350,6 +356,7 @@ func newNode(rt *Runtime, rank int, ce core.Engine, cfg Config, slab *recordSlab
 		waits: &slab.waits,
 		gets:  &slab.gets,
 	}
+	n.ready.cells, n.fetchQ.cells = &slab.queued, &slab.queued
 	n.runOpFn = n.runOp
 	n.workers = make([]*sim.Proc, cfg.Workers)
 	for i := range n.workers {

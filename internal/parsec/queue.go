@@ -1,81 +1,78 @@
 package parsec
 
-// prioItem is an entry in a max-priority queue with FIFO tie-breaking. The
-// ready queue orders tasks (flow unused); the fetch queue orders deferred
-// flows, named by producing task and flow.
+import (
+	"cmp"
+	"slices"
+)
+
+// prioItem is an item prioQueue.Pop returns. The ready queue orders tasks
+// (flow unused); the fetch queue orders deferred flows, named by producing
+// task and flow.
 type prioItem struct {
 	priority int64
-	seq      uint64
 	task     TaskID
 	flow     int32
 }
 
-// before is the queue's strict total order: higher priority first, and among
-// equals the earlier push. seq is unique per queue, so any correct heap pops
-// one and the same sequence.
-func (a *prioItem) before(b *prioItem) bool {
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	return a.seq < b.seq
-}
-
 // prioQueue is a max-priority queue (highest priority pops first; FIFO among
-// equals): a binary heap over a plain slice of items, so neither Push nor
-// Pop boxes or allocates once the slice has grown to the queue's high-water
-// mark. The runtime uses one for ready tasks and one for deferred fetches.
+// equals), kept as one FIFO run per distinct priority: runs holds the
+// priorities that have queued items, sorted ascending, so the run to pop is
+// the last one, and each run's items are a list in cells. Pop is O(1) and
+// reads its run in order; Push binary-searches the priorities and opens a
+// run only for a priority not yet queued. A run empties only from the top,
+// so no run in runs is ever empty.
+//
+// The ping-pong queues thousands of items under a handful of priorities, so
+// almost every Pop reads the head of one long run. cells is the shard's
+// arena (recordSlab), shared by both queues of every rank on the shard, as
+// the waiter and GET cells are: a slice per priority, or an arena per queue,
+// would be paid per rank and per run. Neither Push nor Pop allocates once
+// runs and the arena have grown to their in-flight peak.
 type prioQueue struct {
-	h   []prioItem
-	seq uint64
+	runs  []prioRun
+	cells *cellArena[queued]
+	n     int
 }
 
-func (q *prioQueue) Len() int { return len(q.h) }
+// prioRun is the FIFO of the items queued under one priority.
+type prioRun struct {
+	priority int64
+	items    cellList
+}
+
+// queued is a queued item without its priority, which its run holds.
+type queued struct {
+	task TaskID
+	flow int32
+}
+
+func (q *prioQueue) Len() int { return q.n }
 
 func (q *prioQueue) Push(priority int64, task TaskID, flow int32) {
-	q.seq++
-	q.h = append(q.h, prioItem{priority: priority, seq: q.seq, task: task, flow: flow})
-	// Sift up.
-	h := q.h
-	i := len(h) - 1
-	it := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !it.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
+	i, found := slices.BinarySearchFunc(q.runs, priority, func(r prioRun, p int64) int { return cmp.Compare(r.priority, p) })
+	if !found {
+		q.runs = slices.Insert(q.runs, i, prioRun{priority: priority})
 	}
-	h[i] = it
+	q.cells.push(&q.runs[i].items, queued{task, flow})
+	q.n++
 }
 
 // Pop removes and returns the first item in queue order; it panics on an
 // empty queue.
 func (q *prioQueue) Pop() prioItem {
-	h := q.h
-	top := h[0]
-	last := len(h) - 1
-	it := h[last]
-	h = h[:last]
-	q.h = h
-	// Sift the former last item down from the root.
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= last {
-			break
-		}
-		if r := child + 1; r < last && h[r].before(&h[child]) {
-			child = r
-		}
-		if !h[child].before(&it) {
-			break
-		}
-		h[i] = h[child]
-		i = child
+	top := &q.runs[len(q.runs)-1]
+	it := q.cells.pop(&top.items)
+	if top.items.empty() {
+		q.runs = q.runs[:len(q.runs)-1]
 	}
-	if last > 0 {
-		h[i] = it
+	q.n--
+	return prioItem{priority: top.priority, task: it.task, flow: it.flow}
+}
+
+// reset empties the queue, retiring its cells to the arena.
+func (q *prioQueue) reset() {
+	for _, r := range q.runs {
+		q.cells.drop(r.items)
 	}
-	return top
+	q.runs, q.n = q.runs[:0], 0
 }

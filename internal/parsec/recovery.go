@@ -547,13 +547,14 @@ func (n *node) resetForRecovery() {
 	// kept, like the op free list below: it only ever holds records that
 	// nothing names any more. The waiter and GET arenas are kept too: the
 	// dropped records abandon their cells (taken until the run ends), and a
-	// stale activation step still retires the chain it carries. Lazy cells
-	// belong to task states only, so they go with the task table.
+	// stale activation step still retires the chain it carries. The queues
+	// retire their cells to the shard's arena. Lazy cells belong to task
+	// states only, so they go with the task table.
 	n.store.reset()
 	n.tasks.reset()
 	n.lazy.reset()
-	n.ready = prioQueue{}
-	n.fetchQ = prioQueue{}
+	n.ready.reset()
+	n.fetchQ.reset()
 	n.activeFetches = 0
 	clear(n.pendingAct)
 	n.pendingDests = 0

@@ -51,13 +51,14 @@ type Runtime struct {
 
 // recordSlab is one shard's supply of fresh flow, step and dispatch records,
 // for when a rank's own free lists are empty, its free list of flushed
-// aggregation queues (actQueue), and its waiter and GET cell arenas
-// (node.waits, node.gets). Every rank of the shard uses it, on the shard's
-// goroutine only, so a 256-rank run leaves one partly used chunk per shard
-// rather than one per rank, and grows queues and arenas to the shard's
-// concurrent peak rather than to each rank's; the padding keeps two shards'
-// slabs off one cache line. The ranks hold the only references, and drop
-// them with the rest of their run state.
+// aggregation queues (actQueue), and its waiter, GET and queue cell arenas
+// (node.waits, node.gets, and the cells of node.ready and node.fetchQ).
+// Every rank of the shard uses it, on the shard's goroutine only, so a
+// 256-rank run leaves one partly used chunk per shard rather than one per
+// rank, and grows queues and arenas to the shard's concurrent peak rather
+// than to each rank's; the padding keeps two shards' slabs off one cache
+// line. The ranks hold the only references, and drop them with the rest of
+// their run state.
 type recordSlab struct {
 	flows  chunks[flowData]
 	ops    chunks[commOp]
@@ -65,6 +66,7 @@ type recordSlab struct {
 	queues []*actQueue
 	waits  cellArena[TaskID]
 	gets   cellArena[getReq]
+	queued cellArena[queued]
 	_      [64]byte
 }
 

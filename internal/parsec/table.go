@@ -61,17 +61,34 @@ func (s *flatSlot[V]) key() flowKey {
 // 256-rank run holds 512 tables, most of which stay nearly empty.
 const minTableSlots = 8
 
-// hashKey mixes the key's three integers into a non-zero 32-bit hash.
-// Indices are dense polynomial encodings (k·T²+m·T+n), so the multiply-
-// xorshift finalizer matters: without it, consecutive indices would land in
-// consecutive slots and probe runs would merge.
+// homeBits sets the home group: the 1<<homeBits consecutive indices of one
+// (Class, Flow) whose homes share a mixed base (hashKey).
+const homeBits = 3
+
+// hashKey maps the key to a non-zero 32-bit hash. Its home slot (hash & mask)
+// is a base mixed from the index's home group, class and flow, plus twice
+// the index's offset in the group: the 8 consecutive indices of a group fall
+// on every other slot of a 16-slot span.
+//
+// That trades probe length for locality. A runtime touches neighbouring
+// indices together (the fragments of one ping-pong window, the tiles of one
+// panel row); mixing the whole index would send each to its own cache line,
+// and on a ping-pong rank's 32,769-entry store almost every lookup would
+// miss. A group, though, lands as one block, and overlapping blocks merge their probe runs.
+// The stride of 2 leaves gaps that a colliding block fills, and adding the
+// base rather than aligning groups keeps a rank's strided indices (a
+// block-cyclic grid gives all of a rank's tiles the same index residues) off
+// the same few offsets. Across groups the multiply-xorshift mix still
+// matters: indices are dense polynomial encodings (k·T²+m·T+n), and without
+// it whole rows would land on consecutive slots. TestFlatTableProbeLengths
+// pins the probe lengths this gives.
 func hashKey(k flowKey) uint32 {
-	x := uint64(k.task.Index)*0x9E3779B97F4A7C15 ^
+	x := uint64(k.task.Index>>homeBits)*0x9E3779B97F4A7C15 ^
 		(uint64(uint32(k.task.Class))<<32|uint64(uint32(k.flow)))*0xC2B2AE3D27D4EB4F
 	x ^= x >> 29
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 32
-	return uint32(x) | 1<<31
+	return uint32(x) + 2*(uint32(k.task.Index)&(1<<homeBits-1)) | 1<<31
 }
 
 // get returns the value stored under k, or nil.

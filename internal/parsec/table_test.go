@@ -108,17 +108,23 @@ func FuzzFlatTable(f *testing.F) {
 	})
 }
 
-// TestFlatTableCollidingRunWrapsAndShifts builds, by search, keys whose home
-// is the LAST slot of a minimum-size table, so the probe run wraps to slot 0,
-// and removes them in every order: each remaining key must stay reachable
-// after the backward shift crosses the array end.
+// TestFlatTableCollidingRunWrapsAndShifts builds, by a bounded search over
+// index and flow, keys whose home is the LAST slot of a minimum-size table,
+// so the probe run wraps to slot 0, and removes them in every order: each
+// remaining key must stay reachable after the backward shift crosses the
+// array end.
 func TestFlatTableCollidingRunWrapsAndShifts(t *testing.T) {
 	var keys []flowKey
-	for i := int64(0); len(keys) < 4; i++ {
-		k := flowKey{task: TaskID{Index: i}}
-		if hashKey(k)&(minTableSlots-1) == minTableSlots-1 {
-			keys = append(keys, k)
+	for i := int64(0); i < 64 && len(keys) < 4; i++ {
+		for f := int32(0); f < 4 && len(keys) < 4; f++ {
+			k := flowKey{TaskID{Index: i}, f}
+			if hashKey(k)&(minTableSlots-1) == minTableSlots-1 {
+				keys = append(keys, k)
+			}
 		}
+	}
+	if len(keys) < 4 {
+		t.Fatalf("only %d of 256 keys have home slot %d in a %d-slot table; need 4", len(keys), minTableSlots-1, minTableSlots)
 	}
 	perm := []int{0, 1, 2, 3}
 	var try func(int)
@@ -151,14 +157,120 @@ func TestFlatTableCollidingRunWrapsAndShifts(t *testing.T) {
 	try(0)
 }
 
-// refHeap is the container/heap queue prioQueue replaced, kept as the
-// reference the typed heap is compared against.
-type refHeap []prioItem
+// probeLengths inserts keys into an empty table and returns the mean and the
+// longest count of slots a get of one of them reads.
+func probeLengths(keys []flowKey) (mean float64, longest int) {
+	var tb flatTable[int64]
+	for _, k := range keys {
+		tb.insert(k)
+	}
+	mask := uint32(len(tb.slots) - 1)
+	sum := 0
+	for i := range tb.slots {
+		if h := tb.slots[i].hash; h != 0 {
+			p := int((uint32(i)-h)&mask) + 1
+			sum += p
+			longest = max(longest, p)
+		}
+	}
+	return float64(sum) / float64(len(keys)), longest
+}
 
-func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].before(&h[j]) }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(prioItem)) }
+// choleskyWavefront is the key set of tiled Cholesky panel steps k at T
+// tiles per side, with the ID packing of internal/cholesky: POTRF k, TRSM and
+// SYRK k·T+m, GEMM (k·T+m)·T+n. keep selects the (m, n) tiles held.
+func choleskyWavefront(T int64, steps []int64, keep func(m, n int64) bool) []flowKey {
+	var keys []flowKey
+	for _, k := range steps {
+		if keep(k, k) {
+			keys = append(keys, flowKey{task: TaskID{Class: 0, Index: k}})
+		}
+		for m := k + 1; m < T; m++ {
+			if keep(m, k) {
+				keys = append(keys, flowKey{task: TaskID{Class: 1, Index: k*T + m}})
+			}
+			if keep(m, m) {
+				keys = append(keys, flowKey{task: TaskID{Class: 2, Index: k*T + m}})
+			}
+			for n := k + 1; n < m; n++ {
+				if keep(m, n) {
+					keys = append(keys, flowKey{task: TaskID{Class: 3, Index: (k*T+m)*T + n}})
+				}
+			}
+		}
+	}
+	return keys
+}
+
+// TestFlatTableProbeLengths bounds the mean and the longest probe of a get
+// over the live sets of the two workload families, with the whole set in the
+// table at once (its peak load):
+//
+//   - the §6.2 ping-pong window: 16,384 fragments of 8 KiB in flight, task
+//     indices 2·f, flows 0 and 1, plus the SYNC task (index 1);
+//   - the tasks of two consecutive Cholesky panel steps at T = 72 and T =
+//     120 (the HiCMA workloads' tile counts), all of them, and the share of
+//     one rank of a 4×4 block-cyclic grid, whose indices are strided.
+//
+// mean / longest probe, at the fully mixed hash the table had before home
+// groups and with them:
+//
+//	key set              slots   mixed        home groups
+//	ping-pong window     65,536  1.495 / 24   1.884 / 101
+//	wavefront T=72        8,192  1.879 / 34   5.822 / 136
+//	wavefront T=120      32,768  1.374 / 14   2.710 / 89
+//	one rank, T=120       8,192  1.322 / 11   1.341 / 25
+//
+// The dense wavefront is the worst case: every index of a group present, at
+// 0.62 load. A rank of the HiCMA workloads holds a strided share of it. Over
+// whole runs at seed 3, the mean probe of a get went from 1.19 to 1.22 on
+// hicma_strong and from 1.43 to 1.72 on pingpong_eager.
+func TestFlatTableProbeLengths(t *testing.T) {
+	var window []flowKey
+	for f := int64(0); f < 16384; f++ {
+		window = append(window, flowKey{TaskID{Index: 2 * f}, 0}, flowKey{TaskID{Index: 2 * f}, 1})
+	}
+	window = append(window, flowKey{task: TaskID{Index: 1}})
+	all := func(m, n int64) bool { return true }
+	oneRank := func(m, n int64) bool { return m%4 == 1 && n%4 == 2 }
+	for _, tc := range []struct {
+		name    string
+		keys    []flowKey
+		mean    float64
+		longest int
+	}{
+		{"ping-pong window", window, 2.0, 110},
+		{"wavefront T=72", choleskyWavefront(72, []int64{1, 2}, all), 6.2, 150},
+		{"wavefront T=120", choleskyWavefront(120, []int64{1, 2}, all), 2.9, 100},
+		{"one rank T=120", choleskyWavefront(120, []int64{0, 1, 2, 3, 4, 5, 6, 7}, oneRank), 1.45, 30},
+	} {
+		mean, longest := probeLengths(tc.keys)
+		t.Logf("%-18s %6d keys: mean probe %.3f, longest %d", tc.name, len(tc.keys), mean, longest)
+		if mean > tc.mean || longest > tc.longest {
+			t.Errorf("%s: mean probe %.3f, longest %d; want at most %.2f and %d", tc.name, mean, longest, tc.mean, tc.longest)
+		}
+	}
+}
+
+// refHeap is a container/heap queue in the order (priority desc, push
+// order), seq being the push count: the reference prioQueue is compared
+// against.
+type refHeap []refItem
+
+type refItem struct {
+	prioItem
+	seq uint64
+}
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].priority != h[j].priority {
+		return h[i].priority > h[j].priority
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refItem)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	it := old[len(old)-1]
@@ -166,38 +278,111 @@ func (h *refHeap) Pop() any {
 	return it
 }
 
-// TestPrioQueueMatchesContainerHeap interleaves random pushes and pops,
-// with priorities drawn from a handful of values so FIFO tie-breaking does
-// the ordering most of the time, and demands the same item from both heaps
-// at every pop.
+// queuePair drives a prioQueue and the reference heap side by side.
+type queuePair struct {
+	q   prioQueue
+	ref refHeap
+	seq uint64
+}
+
+func newQueuePair() *queuePair {
+	return &queuePair{q: prioQueue{cells: new(cellArena[queued])}}
+}
+
+func (p *queuePair) push(prio int64, id TaskID, flow int32) {
+	p.seq++
+	p.q.Push(prio, id, flow)
+	heap.Push(&p.ref, refItem{prioItem{priority: prio, task: id, flow: flow}, p.seq})
+}
+
+// pop demands the same length before, and the same item, from both queues.
+func (p *queuePair) pop(t testing.TB) {
+	t.Helper()
+	if p.q.Len() != p.ref.Len() {
+		t.Fatalf("len = %d, reference %d", p.q.Len(), p.ref.Len())
+	}
+	got, want := p.q.Pop(), heap.Pop(&p.ref).(refItem).prioItem
+	if got != want {
+		t.Fatalf("pop = %+v, container/heap pops %+v", got, want)
+	}
+}
+
+// drain pops both queues empty.
+func (p *queuePair) drain(t testing.TB) {
+	t.Helper()
+	for p.ref.Len() > 0 {
+		p.pop(t)
+	}
+	if p.q.Len() != 0 {
+		t.Fatalf("queue still holds %d items", p.q.Len())
+	}
+}
+
+// TestPrioQueueMatchesContainerHeap interleaves random pushes and pops and
+// demands the same item from both queues at every pop, in two regimes: a
+// handful of priorities, so FIFO tie-breaking does the ordering most of the
+// time (the ping-pong shape), and thousands of distinct ones drifting down
+// as the run advances, so most pushes open a run in the middle (the HiCMA
+// shape, whose priorities fall with the panel step). Every item is distinct
+// (Index is the push count), so any reordering shows.
 func TestPrioQueueMatchesContainerHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	var q prioQueue
-	var ref refHeap
-	var seq uint64
-	pop := func() {
-		got, want := q.Pop(), heap.Pop(&ref).(prioItem)
-		if got != want {
-			t.Fatalf("pop = %+v, container/heap pops %+v", got, want)
+	for _, tc := range []struct {
+		name string
+		prio func(rng *rand.Rand, step int) int64
+	}{
+		{"few", func(rng *rand.Rand, _ int) int64 { return int64(rng.Intn(4)) }},
+		{"many", func(rng *rand.Rand, step int) int64 { return int64(20000-step+rng.Intn(3000)) * 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(12))
+			p := newQueuePair()
+			for step := 0; step < 20000; step++ {
+				if p.q.Len() > 0 && rng.Intn(5) < 2 {
+					p.pop(t)
+					continue
+				}
+				p.push(tc.prio(rng, step), TaskID{Class: int32(rng.Intn(4)), Index: int64(step)}, int32(rng.Intn(3)))
+			}
+			p.drain(t)
+		})
+	}
+}
+
+// FuzzPrioQueue runs a byte program against the reference heap. Each
+// instruction pops, resets, pushes one item, or pushes a burst: up to 16
+// items under one priority, or up to 16 items under as many distinct
+// priorities spread over a wide range, so runs are opened, appended to and
+// emptied at the top, the bottom and in between.
+func FuzzPrioQueue(f *testing.F) {
+	f.Add([]byte{1, 5, 1, 5, 0, 1, 9, 0, 0, 0})
+	f.Add([]byte{2, 0x8f, 3, 0x8f, 0, 0, 2, 0x03, 0, 0, 0, 0})
+	f.Add([]byte{3, 0xff, 3, 0x10, 2, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 0x3f, 3, 0x21, 0, 0xff, 1, 3, 2, 0x15, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		p := newQueuePair()
+		for pc := 0; pc+1 < len(prog); pc += 2 {
+			op, arg := prog[pc]%4, prog[pc+1]
+			id := TaskID{Class: int32(arg % 3), Index: int64(pc)}
+			switch op {
+			case 0:
+				if arg == 0xff { // a restart: retire every cell, then reuse them
+					p.q.reset()
+					p.ref = p.ref[:0]
+				} else if p.q.Len() > 0 {
+					p.pop(t)
+				}
+			case 1:
+				p.push(int64(arg%8), id, int32(arg%2))
+			case 2: // burst of equal priorities
+				for i := range int(arg%16) + 1 {
+					p.push(int64(arg>>4), id, int32(i))
+				}
+			case 3: // burst of distinct priorities, wide apart
+				for i := range int64(arg%16) + 1 {
+					p.push((int64(arg)*7919+i*104729)%50000-25000, id, int32(i))
+				}
+			}
 		}
-	}
-	for step := 0; step < 20000; step++ {
-		if q.Len() != ref.Len() {
-			t.Fatalf("len = %d, reference %d", q.Len(), ref.Len())
-		}
-		if q.Len() > 0 && rng.Intn(5) < 2 {
-			pop()
-			continue
-		}
-		prio, id, flow := int64(rng.Intn(4)), TaskID{Class: int32(rng.Intn(4)), Index: rng.Int63n(1000)}, int32(rng.Intn(3))
-		seq++
-		q.Push(prio, id, flow)
-		heap.Push(&ref, prioItem{priority: prio, seq: seq, task: id, flow: flow})
-	}
-	for q.Len() > 0 {
-		pop()
-	}
-	if ref.Len() != 0 {
-		t.Fatalf("reference still holds %d items", ref.Len())
-	}
+		p.drain(t)
+	})
 }

@@ -286,7 +286,7 @@ func TestTrivialTrees(t *testing.T) {
 }
 
 func TestPrioQueueOrdering(t *testing.T) {
-	var q prioQueue
+	q := prioQueue{cells: new(cellArena[queued])}
 	q.Push(1, TaskID{Index: 1}, 0)
 	q.Push(9, TaskID{Index: 2}, 0)
 	q.Push(5, TaskID{Index: 3}, 0)
