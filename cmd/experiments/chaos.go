@@ -9,16 +9,16 @@ import (
 	"amtlci/internal/chaos"
 	"amtlci/internal/core/stack"
 	"amtlci/internal/expd"
+	"amtlci/internal/metrics"
 	"amtlci/internal/sim"
 )
 
 // runChaos evaluates chaos spec s on workers and prints its table: the
-// rate sweep's, or with crashes or storm the crash proof's. With writeCSV
-// it also writes each faulted run's registry, re-running the run (it is
-// deterministic, so this is the registry the sweep measured), or the crash
-// summary. It returns the exit code: 1 when any point broke or failed its
-// verdict.
-func runChaos(s expd.Spec, workers int, cache *expd.Cache, writeCSV func(string, *bench.Table) string) int {
+// rate sweep's, or with crashes or storm the crash proof's. With a csvDir
+// it also writes each faulted run's registry, handed back by the point that
+// ran it, or the crash summary. It returns the exit code: 1 when any point
+// broke or failed its verdict.
+func runChaos(s expd.Spec, workers int, cache *expd.Cache, csvDir string) int {
 	// The seed is the replay handle of every point, so it prints before
 	// anything can fail: a failure without its seed cannot be reproduced.
 	seed := s.Seed
@@ -28,13 +28,28 @@ func runChaos(s expd.Spec, workers int, cache *expd.Cache, writeCSV func(string,
 	fmt.Printf("seed %#x\n", seed)
 
 	pts := s.Points()
+	crashing := len(s.Crashes) != 0 || s.Storm != 0
 	// Each point's error arrives through Done, so a broken point prints in
 	// its row; EvalPoints' own error is the first of those.
 	errs := make([]error, len(pts))
-	results, _ := expd.EvalPoints(context.Background(), workers, pts, cache, expd.EvalHooks{
+	hooks := expd.EvalHooks{
 		Done: func(i int, _ expd.PointResult, _ bool, err error, _ time.Duration) { errs[i] = err },
-	})
-	crashing := len(s.Crashes) != 0 || s.Storm != 0
+	}
+	// metricsPaths[i][row] is the registry CSV of point i's row-th rate.
+	metricsPaths := make([][]string, len(pts))
+	if csvDir != "" && !crashing {
+		for i, p := range pts {
+			metricsPaths[i] = make([]string, len(p.Rates))
+		}
+		hooks.Registry = func(i, row int, reg *metrics.Registry) {
+			p := pts[i]
+			rate := p.Rates[row]
+			title := fmt.Sprintf("chaos metrics: %s %s %.1f%% faults", p.Backend, p.Workload, rate)
+			name := fmt.Sprintf("chaos-metrics-%s-%s-%.1fpct", p.Backend, p.Workload, rate)
+			metricsPaths[i][row] = writeCSV(csvDir, name, bench.MetricsTable(reg, title))
+		}
+	}
+	results, _ := expd.EvalPoints(context.Background(), workers, pts, cache, hooks)
 	if crashing {
 		fmt.Printf("%-8s %-9s %-22s %10s %10s %10s %8s %4s %4s %5s %6s %6s %6s  %s\n",
 			"backend", "workload", "crashes", "baseline", "armed", "recovered",
@@ -61,7 +76,7 @@ func runChaos(s expd.Spec, workers int, cache *expd.Cache, writeCSV func(string,
 			bad = bad || r.Verdict != "verified"
 			continue
 		}
-		for _, row := range results[i].Chaos.Rows {
+		for ri, row := range results[i].Chaos.Rows {
 			verdict := "verified"
 			if row.Err != "" {
 				verdict = "ABORT: " + row.Err
@@ -71,26 +86,17 @@ func runChaos(s expd.Spec, workers int, cache *expd.Cache, writeCSV func(string,
 				bad = true
 			}
 			fmt.Printf("%-8v %-9v %5.1f%% %10v %8.2fx %6d %6d %6d %7d %6d  %s\n",
-				b, p.Workload, row.RatePct, sim.Duration(row.MakespanNS), row.Slowdown,
+				b, p.Workload, row.RatePct, sim.Duration(row.MakespanNS)*sim.Nanosecond, row.Slowdown,
 				row.Dropped, row.Duplicated, row.Corrupted, row.Retransmits, row.Steals, verdict)
-			if writeCSV == nil {
-				continue
+			if csvDir != "" {
+				fmt.Println("  metrics -> " + metricsPaths[i][ri])
 			}
-			o, err := p.ChaosOpts(row.RatePct)
-			if err != nil {
-				fmt.Printf("chaos: metrics dump failed: %v\n", err)
-				bad = true
-				continue
-			}
-			title := fmt.Sprintf("chaos metrics: %v %v %.1f%% faults", o.Backend, o.Workload, row.RatePct)
-			name := fmt.Sprintf("chaos-metrics-%s-%s-%.1fpct", p.Backend, p.Workload, row.RatePct)
-			fmt.Println("  metrics -> " + writeCSV(name, bench.MetricsTable(chaos.Run(o).Metrics, title)))
 		}
 	}
-	if writeCSV != nil && crashing {
+	if csvDir != "" && crashing {
 		t, err := expd.AssembleTable(s, pts, results)
 		exitOn(err)
-		fmt.Printf("summary -> %s\n", writeCSV("chaos-crash-summary", t))
+		fmt.Printf("summary -> %s\n", writeCSV(csvDir, "chaos-crash-summary", t))
 	}
 	if bad {
 		return 1

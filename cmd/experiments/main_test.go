@@ -1,75 +1,61 @@
 package main
 
 import (
-	"math"
+	"os"
 	"strings"
 	"testing"
+
+	"amtlci/internal/expd"
 )
 
 func TestCheckFlags(t *testing.T) {
 	const tile = `{"kind":"tile","scale":0.01,"nodes":2,"runs":1}`
 	const onePoint = `{"kind":"tile","n":9600,"nodes":4,"tiles":[1200],"backends":["lci"]}`
+	const list = `[{"kind":"pingpong","runs":2,"discard":1},` + tile + `]`
 	for _, c := range []struct {
-		name                 string
-		scale                float64
-		microRuns, hicmaRuns int
-		spec                 string // -spec's value; "" leaves it unset
-		also                 string // more flags given on the command line, space-separated
-		ok                   bool
+		name string
+		spec string // -spec's value; "" leaves it unset
+		also string // more flags given on the command line, space-separated
+		ok   bool
 	}{
-		{"defaults", 1, 18, 5, "", "", true},
-		{"quick point", 0.25, 4, 1, "", "quick", true},
-		{"scale above 1", 2, 18, 5, "", "", false},
-		{"scale zero", 0, 18, 5, "", "", false},
-		{"scale negative", -0.5, 18, 5, "", "", false},
-		{"scale NaN", math.NaN(), 18, 5, "", "", false},
-		{"micro runs all discarded", 1, 3, 5, "", "", false},
-		{"hicma runs zero", 1, 18, 0, "", "", false},
-		{"tile spec", 1, 18, 5, tile, "", true},
-		{"nodes spec with output flags", 1, 18, 5, `{"kind":"nodes","n":9600,"node_counts":[1,2]}`, "csv", true},
-		{"spec malformed", 1, 18, 5, `{"kind":"tile"`, "", false},
-		{"spec unknown field", 1, 18, 5, `{"kind":"tile","tile":[2400]}`, "", false},
-		{"spec unknown kind", 1, 18, 5, `{"kind":"both"}`, "", false},
-		{"spec chaos kind", 1, 18, 5, `{"kind":"chaos"}`, "", true},
-		{"chaos spec one backend", 1, 18, 5, `{"kind":"chaos","backends":["lci"]}`, "", true},
-		{"crash spec with output flags", 1, 18, 5, `{"kind":"chaos","crashes":["1@40%"]}`, "j csv cache", true},
-		{"chaos spec with -md", 1, 18, 5, `{"kind":"chaos","storm":3}`, "md", false},
-		{"spec one backend", 1, 18, 5, `{"kind":"tile","backends":["lci"]}`, "", false},
-		{"spec with -scale", 1, 18, 5, tile, "scale", false},
-		{"spec with -quick", 1, 18, 5, tile, "quick", false},
-		{"spec with -micro-runs", 1, 18, 5, tile, "micro-runs", false},
-		{"spec with -hicma-runs", 1, 18, 5, tile, "hicma-runs", false},
-		{"spec with -metrics", 1, 18, 5, tile, "metrics", false},
-		{"spec with -list-config", 1, 18, 5, tile, "list-config", false},
-		{"trace one-point tile spec", 1, 18, 5, onePoint, "trace", true},
-		{"trace without spec", 1, 18, 5, "", "trace", false},
-		{"trace multi-point tile spec", 1, 18, 5, tile, "trace", false},
-		{"trace mt tile spec", 1, 18, 5, `{"kind":"tile","n":9600,"nodes":4,"tiles":[1200],"backends":["lci"],"mt":true}`, "trace", false},
-		{"trace nodes spec", 1, 18, 5, `{"kind":"nodes","n":9600,"node_counts":[4],"tiles":[1200]}`, "trace", false},
-		{"trace chaos spec", 1, 18, 5, `{"kind":"chaos","backends":["lci"],"workloads":["cholesky"],"rates":[2]}`, "trace", false},
-		{"trace with -md", 1, 18, 5, onePoint, "trace md", false},
-		{"trace with -j", 1, 18, 5, onePoint, "trace j", false},
-		{"trace with -csv", 1, 18, 5, onePoint, "trace csv", false},
-		{"trace with -cache", 1, 18, 5, onePoint, "trace cache", false},
-		{"list-config alone", 1, 18, 5, "", "list-config", true},
-		{"metrics alone", 1, 18, 5, "", "metrics", true},
-		{"list-config with -metrics", 1, 18, 5, "", "list-config metrics", false},
-		{"list-config with -scale", 1, 18, 5, "", "list-config scale", false},
-		{"list-config with -quick", 1, 18, 5, "", "list-config quick", false},
-		{"list-config with -md", 1, 18, 5, "", "list-config md", false},
-		{"list-config with -micro-runs", 1, 18, 5, "", "list-config micro-runs", false},
-		{"list-config with -hicma-runs", 1, 18, 5, "", "list-config hicma-runs", false},
-		{"list-config with -j", 1, 18, 5, "", "list-config j", false},
-		{"list-config with -csv", 1, 18, 5, "", "list-config csv", false},
-		{"list-config with -cache", 1, 18, 5, "", "list-config cache", false},
-		{"metrics with -scale", 1, 18, 5, "", "metrics scale", false},
-		{"metrics with -quick", 1, 18, 5, "", "metrics quick", false},
-		{"metrics with -md", 1, 18, 5, "", "metrics md", false},
-		{"metrics with -micro-runs", 1, 18, 5, "", "metrics micro-runs", false},
-		{"metrics with -hicma-runs", 1, 18, 5, "", "metrics hicma-runs", false},
-		{"metrics with -j", 1, 18, 5, "", "metrics j", false},
-		{"metrics with -csv", 1, 18, 5, "", "metrics csv", false},
-		{"metrics with -cache", 1, 18, 5, "", "metrics cache", false},
+		{"defaults", "", "", true},
+		{"defaults with output flags", "", "md j csv cache", true},
+		{"tile spec", tile, "", true},
+		{"nodes spec with output flags", `{"kind":"nodes","n":9600,"node_counts":[1,2]}`, "csv", true},
+		{"pingpong spec", `{"kind":"pingpong","runs":2,"discard":1}`, "", true},
+		{"overlap spec", `{"kind":"overlap"}`, "md", true},
+		{"spec malformed", `{"kind":"tile"`, "", false},
+		{"spec unknown field", `{"kind":"tile","tile":[2400]}`, "", false},
+		{"spec unknown kind", `{"kind":"both"}`, "", false},
+		{"spec chaos kind", `{"kind":"chaos"}`, "", true},
+		{"chaos spec one backend", `{"kind":"chaos","backends":["lci"]}`, "", true},
+		{"crash spec with output flags", `{"kind":"chaos","crashes":["1@40%"]}`, "j csv cache", true},
+		{"chaos spec with -md", `{"kind":"chaos","storm":3}`, "md", false},
+		{"spec one backend", `{"kind":"tile","backends":["lci"]}`, "", false},
+		{"spec with -list-config", tile, "list-config", false},
+		{"list", list, "md j csv cache", true},
+		{"list with a bad second spec", `[{"kind":"overlap"},{"kind":"tile","scale":2}]`, "", false},
+		{"list with a one-backend tile spec", `[{"kind":"tile","backends":["mpi"]}]`, "", false},
+		{"list with a chaos spec", `[{"kind":"chaos"}]`, "", false},
+		{"empty list", `[]`, "", false},
+		{"list with trailing data", list + ` []`, "", false},
+		{"trace one-point tile spec", onePoint, "trace", true},
+		{"trace without spec", "", "trace", false},
+		{"trace list", "[" + onePoint + "]", "trace", false},
+		{"trace multi-point tile spec", tile, "trace", false},
+		{"trace mt tile spec", `{"kind":"tile","n":9600,"nodes":4,"tiles":[1200],"backends":["lci"],"mt":true}`, "trace", false},
+		{"trace nodes spec", `{"kind":"nodes","n":9600,"node_counts":[4],"tiles":[1200]}`, "trace", false},
+		{"trace chaos spec", `{"kind":"chaos","backends":["lci"],"workloads":["cholesky"],"rates":[2]}`, "trace", false},
+		{"trace with -md", onePoint, "trace md", false},
+		{"trace with -j", onePoint, "trace j", false},
+		{"trace with -csv", onePoint, "trace csv", false},
+		{"trace with -cache", onePoint, "trace cache", false},
+		{"list-config alone", "", "list-config", true},
+		{"list-config with -md", "", "list-config md", false},
+		{"list-config with -j", "", "list-config j", false},
+		{"list-config with -csv", "", "list-config csv", false},
+		{"list-config with -cache", "", "list-config cache", false},
+		{"list-config with -trace", "", "list-config trace", false},
 	} {
 		set := map[string]bool{}
 		for _, f := range strings.Fields(c.also) {
@@ -78,9 +64,49 @@ func TestCheckFlags(t *testing.T) {
 		if c.spec != "" {
 			set["spec"] = true
 		}
-		_, err := checkFlags(c.scale, c.microRuns, c.hicmaRuns, c.spec, set)
+		_, _, err := checkFlags(c.spec, set)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: checkFlags = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestSpecLists: the committed lists decode as the whole evaluation, in the
+// order of Section 6, with the paper's protocols (paper.json, the default)
+// and the cheap ones (quick.json).
+func TestSpecLists(t *testing.T) {
+	quick, err := os.ReadFile("quick.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name         string
+		spec         string // "" runs the default, paper.json
+		micro, hicma [2]int // runs, discard
+	}{
+		{"paper.json", "", [2]int{18, 3}, [2]int{5, 0}},
+		{"quick.json", string(quick), [2]int{2, 1}, [2]int{1, 0}},
+	} {
+		set := map[string]bool{"spec": c.spec != ""}
+		specs, list, err := checkFlags(c.spec, set)
+		if err != nil || !list || len(specs) != 4 {
+			t.Fatalf("%s: %d specs, list %t, err %v; want a list of 4", c.name, len(specs), list, err)
+		}
+		for i, kind := range []string{expd.KindPingPong, expd.KindOverlap, expd.KindTile, expd.KindNodes} {
+			s := specs[i]
+			want := c.hicma
+			if i < 2 {
+				want = c.micro
+			}
+			if s.Kind != kind || [2]int{s.Runs, s.Discard} != want {
+				t.Errorf("%s: spec %d is %s at %d/%d, want %s at %d/%d", c.name, i, s.Kind, s.Runs, s.Discard, kind, want[0], want[1])
+			}
+		}
+		if tile := specs[2]; tile.N != 360000 || tile.Nodes != 16 || !tile.MT {
+			t.Errorf("%s: tile spec N=%d nodes=%d mt=%t, want 360000, 16, true", c.name, tile.N, tile.Nodes, tile.MT)
+		}
+		if nodes := specs[3]; nodes.N != 360000 {
+			t.Errorf("%s: nodes spec N=%d, want 360000", c.name, nodes.N)
 		}
 	}
 }

@@ -68,18 +68,26 @@ type HiCMAResult struct {
 
 // HiCMA measures one configuration.
 func HiCMA(o HiCMAOpts) HiCMAResult {
+	r, _ := HiCMAMetrics(o)
+	return r
+}
+
+// HiCMAMetrics measures o as HiCMA does and also returns the registry of
+// its last run, every layer's end-of-run instrument state.
+func HiCMAMetrics(o HiCMAOpts) (HiCMAResult, *metrics.Registry) {
 	if o.N%o.NB != 0 {
 		panic(fmt.Sprintf("bench: N=%d not divisible by nb=%d", o.N, o.NB))
 	}
 	var r HiCMAResult
+	var reg *metrics.Registry
 	tts := o.Runs.Collect(func(run int) float64 {
-		r, _ = hicmaRun(o, uint64(run), nil)
+		r, reg = hicmaRun(o, uint64(run), nil)
 		return r.TimeToSolution
 	})
 	// Time-to-solution is the protocol's mean; the latency means and pool
 	// statistics are the last run's.
 	r.TimeToSolution = tts
-	return r
+	return r, reg
 }
 
 // hicmaRun simulates run `run` of o over a virtual HiCMA pool and reports

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -43,8 +44,14 @@ func validHash(h string) bool {
 	}) < 0
 }
 
-// GetResult decodes the cached PointResult of hash, or ok=false on a miss.
-func (c *Cache) GetResult(hash string) (PointResult, bool) {
+// cacheFormat versions the entry encoding. An entry of any other format
+// reads as a miss and is re-simulated; entries written before entries
+// carried a format (whose chaos makespans were picoseconds) have none.
+const cacheFormat = 2
+
+// GetResult decodes the cached result of hash, which must be of the given
+// result kind (Point.resultKind), or ok=false on a miss.
+func (c *Cache) GetResult(hash, kind string) (PointResult, bool) {
 	if !validHash(hash) {
 		return PointResult{}, false
 	}
@@ -52,21 +59,35 @@ func (c *Cache) GetResult(hash string) (PointResult, bool) {
 	if err != nil {
 		return PointResult{}, false
 	}
-	var r PointResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		// A torn or corrupted entry is treated as a miss; the point will
-		// re-simulate and overwrite it.
+	// A torn, corrupted, older-format or other-kind entry is a miss; the
+	// point will re-simulate and overwrite it. The entry decodes into raw
+	// parts and the result into its own kind's type: decoding into a struct
+	// would build (and retain) the encoders of every result type it holds.
+	var e map[string]json.RawMessage
+	if err := json.Unmarshal(data, &e); err != nil || string(e["format"]) != strconv.Itoa(cacheFormat) {
+		return PointResult{}, false
+	}
+	raw, ok := e[kind]
+	r, into := resultFor(kind)
+	if !ok || into == nil || json.Unmarshal(raw, into) != nil {
 		return PointResult{}, false
 	}
 	return r, true
 }
 
-// PutResult encodes r and stores it under hash atomically.
+// PutResult stores r under hash atomically. The entry holds the format and
+// r's one result under its kind: only that result's type is encoded, so a
+// sweep never builds (and encoding/json never retains) the encoders of
+// result types it does not hold.
 func (c *Cache) PutResult(hash string, r PointResult) error {
 	if !validHash(hash) {
 		return fmt.Errorf("expd: cache put: bad hash %q", hash)
 	}
-	data, err := json.Marshal(r)
+	kind, v := r.result()
+	if v == nil {
+		return fmt.Errorf("expd: cache put: empty result")
+	}
+	data, err := json.Marshal(map[string]any{"format": cacheFormat, kind: v})
 	if err != nil {
 		return err
 	}

@@ -106,7 +106,7 @@ func TestEvalPointsCacheTornEntry(t *testing.T) {
 	if err := os.WriteFile(victim, whole[:len(whole)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.GetResult(pts[0].Hash()); ok {
+	if _, ok := cache.GetResult(pts[0].Hash(), PointHiCMA); ok {
 		t.Fatal("truncated entry reads as a hit")
 	}
 	again, _, cached := cacheSweep(t, cache, tinyTileSpec)
@@ -120,7 +120,45 @@ func TestEvalPointsCacheTornEntry(t *testing.T) {
 		t.Fatalf("truncated entry not rewritten intact (err %v):\n%s\nvs\n%s", err, rewritten, whole)
 	}
 	// The rewritten entry reads warm.
-	if _, ok := cache.GetResult(pts[0].Hash()); !ok {
+	if _, ok := cache.GetResult(pts[0].Hash(), PointHiCMA); !ok {
 		t.Fatal("rewritten entry reads as a miss")
+	}
+}
+
+// TestEvalPointsCacheOldFormat: an entry without the format version (the
+// encoding of earlier caches, {"hicma":{...}}) and an entry of another
+// result kind read as misses; the re-run re-simulates that point and
+// overwrites the entry in the current format.
+func TestEvalPointsCacheOldFormat(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, pts, _ := cacheSweep(t, cache, tinyTileSpec)
+	victim := cache.path(pts[0].Hash())
+	whole, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stale := range [][]byte{
+		bytes.Replace(whole, []byte(`"format":2,`), nil, 1),
+		bytes.Replace(whole, []byte(`"hicma":`), []byte(`"overlap":`), 1),
+	} {
+		if err := os.WriteFile(victim, stale, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cache.GetResult(pts[0].Hash(), PointHiCMA); ok {
+			t.Fatalf("stale entry %.40s... reads as a hit", stale)
+		}
+		again, _, cached := cacheSweep(t, cache, tinyTileSpec)
+		if cached[0] || countHits(cached) != 5 {
+			t.Fatalf("re-run over a stale entry: cached=%v, want a miss on point 0 only", cached)
+		}
+		if !bytes.Equal(cold, again) {
+			t.Fatalf("CSV after re-simulating the stale point differs:\n%s\nvs\n%s", cold, again)
+		}
+		if rewritten, err := os.ReadFile(victim); err != nil || !bytes.Equal(rewritten, whole) {
+			t.Fatalf("stale entry not overwritten in the current format (err %v):\n%s\nvs\n%s", err, rewritten, whole)
+		}
 	}
 }

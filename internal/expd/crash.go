@@ -1,7 +1,6 @@
 package expd
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -121,16 +120,6 @@ type CrashPointResult struct {
 	// Verdict is "verified", or the first check the recovered run failed.
 	Verdict string
 }
-
-// crashJSON is CrashPointResult without its methods, the encoding it
-// marshals through. A Marshaler field is encoded without analysing its
-// type, so a HiCMA sweep's cache writes never build (and encoding/json
-// never retains) the field encoders of a result they do not hold.
-type crashJSON CrashPointResult
-
-func (r *CrashPointResult) MarshalJSON() ([]byte, error) { return json.Marshal((*crashJSON)(r)) }
-
-func (r *CrashPointResult) UnmarshalJSON(b []byte) error { return json.Unmarshal(b, (*crashJSON)(r)) }
 
 // evalCrash runs crash point p's proof on backend b over workload w. Every
 // run of the point steals when the point asks for it, so the recovered

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"amtlci/internal/bench"
+	"amtlci/internal/metrics"
+	"amtlci/internal/netpipe"
 )
 
 // EvalHooks observe point evaluation; a nil hook is skipped. Hooks are
@@ -15,6 +17,13 @@ type EvalHooks struct {
 	// Done fires when a point finishes: cached reports a cache hit (no
 	// simulation ran), elapsed is the wall time spent on the point.
 	Done func(i int, r PointResult, cached bool, err error, elapsed time.Duration)
+	// Registry, when set, receives the registry of every run a point
+	// reports: a HiCMA point's last run (row 0) and each fault rate's run
+	// of a chaos rate point (row indexes the point's Rates). Every point is
+	// then simulated rather than served from the cache, whose entries hold
+	// no registry; its result is still cached. Pingpong, overlap and crash
+	// points report none.
+	Registry func(i, row int, reg *metrics.Registry)
 }
 
 // EvalPoints evaluates pts on up to `workers` goroutines via bench.SweepCtx,
@@ -31,15 +40,19 @@ func EvalPoints(ctx context.Context, workers int, pts []Point, cache *Cache, hoo
 		begin := time.Now()
 		p := pts[i]
 		h := p.Hash()
-		if cache != nil {
-			if r, ok := cache.GetResult(h); ok {
+		if cache != nil && hooks.Registry == nil {
+			if r, ok := cache.GetResult(h, p.resultKind()); ok {
 				if hooks.Done != nil {
 					hooks.Done(i, r, true, nil, time.Since(begin))
 				}
 				return outcome{res: r}
 			}
 		}
-		r, perr := EvalPoint(p)
+		var registry func(int, *metrics.Registry)
+		if hooks.Registry != nil {
+			registry = func(row int, reg *metrics.Registry) { hooks.Registry(i, row, reg) }
+		}
+		r, perr := evalPoint(p, registry)
 		if perr == nil && cache != nil {
 			if cerr := cache.PutResult(h, r); cerr != nil {
 				perr = fmt.Errorf("expd: caching point result: %w", cerr)
@@ -89,6 +102,30 @@ func AssembleTable(s Spec, pts []Point, results []PointResult) (*bench.Table, er
 			t.AddRow(p.Backend, strconv.Itoa(p.Nodes), strconv.Itoa(p.NB),
 				strconv.FormatBool(p.MT), gf(r.TimeToSolution), gf(r.E2ELatencyMS),
 				gf(r.HopLatencyMS), strconv.FormatInt(r.Tasks, 10), gf(r.AvgRank))
+		}
+		return t, nil
+
+	case KindPingPong:
+		t := bench.NewTable("expd pingpong sweep",
+			"backend", "size", "streams", "sync", "gbps", "netpipe_gbps")
+		for i, p := range pts {
+			r := results[i].PingPong
+			if r == nil {
+				return nil, fmt.Errorf("expd: point %d: missing pingpong result", i)
+			}
+			t.AddRow(p.Backend, strconv.FormatInt(p.Size, 10), strconv.Itoa(p.Streams),
+				strconv.FormatBool(p.Sync), gf(r.Gbps), gf(netpipe.Bandwidth(netpipe.DefaultConfig(), p.Size)))
+		}
+		return t, nil
+
+	case KindOverlap:
+		t := bench.NewTable("expd overlap sweep", "backend", "size", "gflops", "roofline", "no_overlap")
+		for i, p := range pts {
+			r := results[i].Overlap
+			if r == nil {
+				return nil, fmt.Errorf("expd: point %d: missing overlap result", i)
+			}
+			t.AddRow(p.Backend, strconv.FormatInt(p.Size, 10), gf(r.GFLOPS), gf(r.Roofline), gf(r.NoOverlap))
 		}
 		return t, nil
 

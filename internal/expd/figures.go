@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"amtlci/internal/bench"
+	"amtlci/internal/netpipe"
 )
 
 // Figure is one rendered table of a sweep, with the short name a CLI files
@@ -20,13 +21,18 @@ type Figure struct {
 // paper's figures.
 const FigMTTime = "fig4a-mt"
 
-// HiCMAFigures renders a canonical tile or nodes spec and its results as
-// the paper's tables: Fig 4a/4b ("fig4a", "fig4b") for a tile spec, Fig
-// 5a/5b and Table 2 ("fig5a", "fig5b", "table2") for a nodes spec. With MT,
-// Fig 4b gains the multithreaded latency columns and a FigMTTime table
-// follows it. The spec must sweep both backends.
-func HiCMAFigures(s Spec, results []PointResult) ([]Figure, error) {
+// Figures renders a canonical spec and its results as the paper's tables:
+// Fig 2a/2b ("fig2a", "fig2b") for a pingpong spec, Fig 3 ("fig3") for an
+// overlap spec, Fig 4a/4b ("fig4a", "fig4b") for a tile spec, Fig 5a/5b and
+// Table 2 ("fig5a", "fig5b", "table2") for a nodes spec. With MT, Fig 4b
+// gains the multithreaded latency columns and a FigMTTime table follows
+// it. The spec must sweep both backends.
+func Figures(s Spec, results []PointResult) ([]Figure, error) {
 	switch s.Kind {
+	case KindPingPong:
+		return pingpongFigures(results)
+	case KindOverlap:
+		return overlapFigures(results)
 	case KindTile:
 		return tileFigures(s, results)
 	case KindNodes:
@@ -48,7 +54,59 @@ func HiCMAFigures(s Spec, results []PointResult) ([]Figure, error) {
 		}
 		return []Figure{{"fig5a", fig5a}, {"fig5b", fig5b}, {"table2", tbl2}}, nil
 	}
-	return nil, fmt.Errorf("expd: no HiCMA figures for kind %q", s.Kind)
+	return nil, fmt.Errorf("expd: no figures for kind %q", s.Kind)
+}
+
+// pingpongFigures renders a pingpong spec, whose points are ordered series
+// (pingpongSeries) > backend (LCI, MPI) > size. Fig 2a carries the NetPIPE
+// baseline at each size.
+func pingpongFigures(results []PointResult) ([]Figure, error) {
+	sizes := bench.PingPongSizes()
+	n := len(sizes)
+	if len(results) != len(pingpongSeries)*2*n {
+		return nil, fmt.Errorf("expd: %d results, want %d", len(results), len(pingpongSeries)*2*n)
+	}
+	gbps := make([]float64, len(results))
+	for i, r := range results {
+		if r.PingPong == nil {
+			return nil, fmt.Errorf("expd: point %d: missing pingpong result", i)
+		}
+		gbps[i] = r.PingPong.Gbps
+	}
+	fig2a := bench.NewTable("Fig 2a: one-stream ping-pong bandwidth (Gbit/s)",
+		"granularity", "LCI", "Open MPI", "NetPIPE")
+	fig2b := bench.NewTable("Fig 2b: two-stream ping-pong bandwidth (Gbit/s)",
+		"granularity", "LCI", "Open MPI", "LCI (no sync)", "Open MPI (no sync)")
+	for i, size := range sizes {
+		at := func(series, backend int) float64 { return gbps[(series*2+backend)*n+i] }
+		fig2a.AddFloats(bench.Bytes(size), "%.1f", at(0, 0), at(0, 1),
+			netpipe.Bandwidth(netpipe.DefaultConfig(), size))
+		fig2b.AddFloats(bench.Bytes(size), "%.1f", at(1, 0), at(1, 1), at(2, 0), at(2, 1))
+	}
+	return []Figure{{"fig2a", fig2a}, {"fig2b", fig2b}}, nil
+}
+
+// overlapFigures renders an overlap spec, whose points are ordered backend
+// (LCI, MPI) > size. The Roofline and No-Overlap models depend on the
+// worker count, and the figure takes them at Open MPI's.
+func overlapFigures(results []PointResult) ([]Figure, error) {
+	sizes := bench.OverlapSizes()
+	n := len(sizes)
+	if len(results) != 2*n {
+		return nil, fmt.Errorf("expd: %d results, want %d", len(results), 2*n)
+	}
+	for i, r := range results {
+		if r.Overlap == nil {
+			return nil, fmt.Errorf("expd: point %d: missing overlap result", i)
+		}
+	}
+	fig3 := bench.NewTable("Fig 3: overlap with GEMM-like intensity (GFLOP/s)",
+		"granularity", "LCI", "Open MPI", "Roofline", "No Overlap")
+	for i, size := range sizes {
+		lci, mpi := results[i].Overlap, results[n+i].Overlap
+		fig3.AddFloats(bench.Bytes(size), "%.0f", lci.GFLOPS, mpi.GFLOPS, mpi.Roofline, mpi.NoOverlap)
+	}
+	return []Figure{{"fig3", fig3}}, nil
 }
 
 // tileFigures renders a tile spec, whose points are ordered backend (LCI,

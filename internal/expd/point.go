@@ -8,7 +8,9 @@ import (
 	"amtlci/internal/chaos"
 	"amtlci/internal/core/stack"
 	"amtlci/internal/fabric"
+	"amtlci/internal/metrics"
 	"amtlci/internal/rel"
+	"amtlci/internal/sim"
 	"amtlci/internal/stats"
 )
 
@@ -16,8 +18,10 @@ import (
 // families: the same (backend, n, nb, nodes, …) configuration is the same
 // cache entry no matter which spec asked for it.
 const (
-	PointHiCMA = "hicma"
-	PointChaos = "chaos"
+	PointHiCMA    = "hicma"
+	PointChaos    = "chaos"
+	PointPingPong = "pingpong" // one Fig 2 series at one granularity
+	PointOverlap  = "overlap"  // one Fig 3 series at one granularity
 )
 
 // Point is one self-contained unit of simulation: everything needed to
@@ -33,8 +37,14 @@ type Point struct {
 	Nodes   int  `json:"nodes,omitempty"`
 	MT      bool `json:"mt,omitempty"`
 	Steal   bool `json:"steal,omitempty"` // also on chaos points
-	Runs    int  `json:"runs,omitempty"`
+	Runs    int  `json:"runs,omitempty"`  // also on pingpong and overlap points
 	Discard int  `json:"discard,omitempty"`
+
+	// Pingpong and overlap points: the fragment size and, for pingpong,
+	// the stream count and whether SYNC serializes iterations.
+	Size    int64 `json:"size,omitempty"`
+	Streams int   `json:"streams,omitempty"`
+	Sync    bool  `json:"sync,omitempty"`
 
 	// Chaos points: one point per (backend, workload) carries the whole
 	// rate sweep, because every rate's slowdown is relative to the same
@@ -49,7 +59,8 @@ type Point struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// ChaosRow is one fault rate of a chaos point.
+// ChaosRow is one fault rate of a chaos point. Makespans are whole
+// nanoseconds (the simulator's picoseconds, truncated).
 type ChaosRow struct {
 	RatePct     float64 `json:"rate_pct"`
 	MakespanNS  int64   `json:"makespan_ns"`
@@ -71,13 +82,69 @@ type ChaosPointResult struct {
 }
 
 // PointResult is the outcome of one point, discriminated by which field is
-// set. Its canonical JSON encoding is what the cache stores; because the
-// simulation is deterministic, the cached bytes are byte-identical to what
-// a re-simulation would produce.
+// set. The cache stores the set field alone, under its result kind
+// (Cache.PutResult); because the simulation is deterministic, the cached
+// bytes are byte-identical to what a re-simulation would produce.
 type PointResult struct {
-	HiCMA *bench.HiCMAResult `json:"hicma,omitempty"`
-	Chaos *ChaosPointResult  `json:"chaos,omitempty"`
-	Crash *CrashPointResult  `json:"crash,omitempty"`
+	HiCMA    *bench.HiCMAResult
+	Chaos    *ChaosPointResult
+	Crash    *CrashPointResult
+	PingPong *bench.PingPongResult
+	Overlap  *bench.OverlapResult
+}
+
+// result returns the kind and address of r's set result, or "" and nil
+// when none is set.
+func (r PointResult) result() (string, any) {
+	switch {
+	case r.HiCMA != nil:
+		return PointHiCMA, r.HiCMA
+	case r.Chaos != nil:
+		return PointChaos, r.Chaos
+	case r.Crash != nil:
+		return resultCrash, r.Crash
+	case r.PingPong != nil:
+		return PointPingPong, r.PingPong
+	case r.Overlap != nil:
+		return PointOverlap, r.Overlap
+	}
+	return "", nil
+}
+
+// resultFor returns a PointResult holding a zero result of the given kind,
+// and that result's address to decode into; nil for an unknown kind.
+func resultFor(kind string) (PointResult, any) {
+	var r PointResult
+	switch kind {
+	case PointHiCMA:
+		r.HiCMA = new(bench.HiCMAResult)
+		return r, r.HiCMA
+	case PointChaos:
+		r.Chaos = new(ChaosPointResult)
+		return r, r.Chaos
+	case resultCrash:
+		r.Crash = new(CrashPointResult)
+		return r, r.Crash
+	case PointPingPong:
+		r.PingPong = new(bench.PingPongResult)
+		return r, r.PingPong
+	case PointOverlap:
+		r.Overlap = new(bench.OverlapResult)
+		return r, r.Overlap
+	}
+	return r, nil
+}
+
+// resultCrash is the result kind of a chaos point that runs the crash
+// proof; every other point's result kind is its point kind.
+const resultCrash = "crash"
+
+// resultKind is the kind of result p evaluates to.
+func (p Point) resultKind() string {
+	if p.Kind == PointChaos && (len(p.Crashes) != 0 || p.Storm != 0) {
+		return resultCrash
+	}
+	return p.Kind
 }
 
 // finite maps NaN and infinities to 0 so results stay JSON-encodable.
@@ -92,7 +159,11 @@ func finite(v float64) float64 {
 // canonicalization; a panic out of the simulator (which signals a
 // misconfiguration, not an input error) is converted to an error, so the
 // sweep's other points still complete and stay cacheable.
-func EvalPoint(p Point) (res PointResult, err error) {
+func EvalPoint(p Point) (PointResult, error) { return evalPoint(p, nil) }
+
+// evalPoint is EvalPoint; a non-nil registry receives the registry of each
+// run the point reports (EvalHooks.Registry).
+func evalPoint(p Point, registry func(row int, reg *metrics.Registry)) (res PointResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("expd: point %s: %v", p.Hash()[:12], r)
@@ -104,7 +175,10 @@ func EvalPoint(p Point) (res PointResult, err error) {
 	}
 	switch p.Kind {
 	case PointHiCMA:
-		r := bench.HiCMA(p.HiCMAOpts(b))
+		r, reg := bench.HiCMAMetrics(p.HiCMAOpts(b))
+		if registry != nil {
+			registry(0, reg)
+		}
 		// A single-tile problem (nb == n) exchanges no messages, so latency
 		// means come back NaN; JSON cannot carry NaN, so "no samples"
 		// becomes 0 in the cached result.
@@ -119,7 +193,7 @@ func EvalPoint(p Point) (res PointResult, err error) {
 		if werr != nil {
 			return PointResult{}, werr
 		}
-		if len(p.Crashes) != 0 || p.Storm != 0 {
+		if p.resultKind() == resultCrash {
 			r, cerr := evalCrash(p, b, w)
 			return PointResult{Crash: r}, cerr
 		}
@@ -127,17 +201,20 @@ func EvalPoint(p Point) (res PointResult, err error) {
 		if base.Err != nil {
 			return PointResult{}, fmt.Errorf("expd: fault-free baseline broken: %w", base.Err)
 		}
-		out := &ChaosPointResult{BaselineNS: int64(base.Makespan)}
-		for _, pct := range p.Rates {
-			o, oerr := p.ChaosOpts(pct)
+		out := &ChaosPointResult{BaselineNS: int64(base.Makespan / sim.Nanosecond)}
+		for i, pct := range p.Rates {
+			o, oerr := p.chaosOpts(pct)
 			if oerr != nil {
 				return PointResult{}, oerr
 			}
 			res := chaos.Run(o)
 			m := res.Metrics
+			if registry != nil {
+				registry(i, m)
+			}
 			row := ChaosRow{
 				RatePct:    pct,
-				MakespanNS: int64(res.Makespan),
+				MakespanNS: int64(res.Makespan / sim.Nanosecond),
 				Slowdown:   float64(res.Makespan) / float64(base.Makespan),
 				Dropped:    m.Total("fabric", "faults_dropped"), Duplicated: m.Total("fabric", "faults_duplicated"),
 				Corrupted: m.Total("fabric", "faults_corrupted"), Retransmits: m.Total("rel", "retransmits"),
@@ -149,6 +226,25 @@ func EvalPoint(p Point) (res PointResult, err error) {
 			out.Rows = append(out.Rows, row)
 		}
 		return PointResult{Chaos: out}, nil
+
+	case PointPingPong:
+		o := bench.DefaultPingPongOpts(b, p.Size)
+		o.Streams, o.Sync = p.Streams, p.Sync
+		o.Runs = stats.Methodology{Runs: p.Runs, Discard: p.Discard}
+		if p.Seed != 0 {
+			o.Seed = p.Seed
+		}
+		r := bench.PingPong(o)
+		return PointResult{PingPong: &r}, nil
+
+	case PointOverlap:
+		o := bench.DefaultOverlapOpts(b, p.Size)
+		o.Runs = stats.Methodology{Runs: p.Runs, Discard: p.Discard}
+		if p.Seed != 0 {
+			o.Seed = p.Seed
+		}
+		r := bench.Overlap(o)
+		return PointResult{Overlap: &r}, nil
 	}
 	return PointResult{}, fmt.Errorf("expd: unknown point kind %q", p.Kind)
 }
@@ -167,12 +263,11 @@ func (p Point) HiCMAOpts(b stack.Backend) bench.HiCMAOpts {
 	return o
 }
 
-// ChaosOpts is the faulted run of chaos point p at ratePct percent: uniform
+// chaosOpts is the faulted run of chaos point p at ratePct percent: uniform
 // drop, duplicate, corrupt and reorder at that rate on the point's seed
 // (chaos.DefaultSeed when it sets none), the reliability layer interposed,
-// and stealing when the point asks for it. EvalPoint measures this run, and
-// cmd/experiments -csv repeats it to dump the run's registry.
-func (p Point) ChaosOpts(ratePct float64) (chaos.Opts, error) {
+// and stealing when the point asks for it. EvalPoint measures this run.
+func (p Point) chaosOpts(ratePct float64) (chaos.Opts, error) {
 	b, err := stack.ParseBackend(p.Backend)
 	if err != nil {
 		return chaos.Opts{}, err

@@ -1,10 +1,10 @@
 // Package expd runs experiments: spec → points → cache → table.
 //
-// An experiment Spec is one canonical schema for every HiCMA sweep, chaos
+// An experiment Spec is one canonical schema for every paper figure, chaos
 // rate sweep and crash-recovery proof in the repository, and Spec → Points
-// → EvalPoints is the only code that runs them: cmd/experiments builds its
-// Figure 4/5 specs from its flags or takes any spec as JSON (-spec), and
-// renders the results. A spec is validated and
+// → EvalPoints is the only code that runs them: cmd/experiments takes a
+// spec or a list of specs as JSON (-spec; its paper.json list is the whole
+// evaluation) and renders the results (Figures). A spec is validated and
 // canonicalized, decomposed into self-contained sweep Points, and the
 // points are scheduled on a bounded worker pool (bench.SweepCtx).
 // Every point is content-addressed by a stable hash of its canonical
@@ -25,6 +25,7 @@ import (
 	"amtlci/internal/bench"
 	"amtlci/internal/chaos"
 	"amtlci/internal/core/stack"
+	"amtlci/internal/stats"
 )
 
 // Spec kinds: which sweep family a spec describes.
@@ -39,7 +40,22 @@ const (
 	// reliability layer interposed, verified numerics — or, with crashes or
 	// storm, the crash-recovery proof per workload.
 	KindChaos = "chaos"
+	// KindPingPong is the Figure 2a/2b sweep: ping-pong bandwidth over the
+	// bench.PingPongSizes granularities, one stream synced (2a) and two
+	// streams synced and not (2b).
+	KindPingPong = "pingpong"
+	// KindOverlap is the Figure 3 sweep: computation/communication overlap
+	// over the bench.OverlapSizes granularities.
+	KindOverlap = "overlap"
 )
+
+// pingpongSeries are the (streams, sync) configurations of a pingpong
+// spec, in Points order: Fig 2a's one synced stream, then Fig 2b's two
+// streams synced and not.
+var pingpongSeries = []struct {
+	streams int
+	sync    bool
+}{{1, true}, {2, true}, {2, false}}
 
 // Spec is one experiment request. Every field is optional except Kind;
 // omitted fields take the documented defaults during canonicalization, so a
@@ -47,7 +63,8 @@ const (
 type Spec struct {
 	Kind string `json:"kind"`
 
-	// HiCMA sweeps (tile, nodes). Scale shrinks the paper's N=360,000
+	// HiCMA sweeps (tile, nodes); pingpong and overlap take only Runs,
+	// Discard, Backends (both) and Seed. Scale shrinks the paper's N=360,000
 	// problem (bench.ScaledProblem); N sets the dimension directly and is
 	// mutually exclusive with Scale. Tiles defaults to the paper tile sizes
 	// that divide N.
@@ -58,7 +75,7 @@ type Spec struct {
 	Tiles      []int   `json:"tiles,omitempty"`
 	MT         bool    `json:"mt,omitempty"`    // tile kind: also measure multithreaded ACTIVATEs
 	Steal      bool    `json:"steal,omitempty"` // inter-rank work stealing (tile, nodes, chaos)
-	Runs       int     `json:"runs,omitempty"`  // measurement protocol (default 1)
+	Runs       int     `json:"runs,omitempty"`  // measurement protocol (default 1; pingpong, overlap 18 discard 3)
 	Discard    int     `json:"discard,omitempty"`
 
 	// Backends defaults to both, canonical order LCI then MPI. Accepted
@@ -92,6 +109,32 @@ func DecodeSpec(data []byte) (Spec, error) {
 		return Spec{}, fmt.Errorf("expd: bad spec: trailing data after JSON object")
 	}
 	return s.Canonical()
+}
+
+// DecodeSpecList parses and canonicalizes a JSON array of specs. Every
+// element is validated before the list is returned, so a bad element is
+// refused before any point of the list runs.
+func DecodeSpecList(data []byte) ([]Spec, error) {
+	dec := json.NewDecoder(strings.NewReader(string(data)))
+	var raw []json.RawMessage
+	if err := dec.Decode(&raw); err != nil {
+		return nil, fmt.Errorf("expd: bad spec list: %w", err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("expd: bad spec list: trailing data after JSON array")
+	}
+	if len(raw) == 0 {
+		return nil, fmt.Errorf("expd: empty spec list")
+	}
+	specs := make([]Spec, len(raw))
+	for i, r := range raw {
+		s, err := DecodeSpec(r)
+		if err != nil {
+			return nil, fmt.Errorf("spec %d: %w", i, err)
+		}
+		specs[i] = s
+	}
+	return specs, nil
 }
 
 func parseWorkload(s string) (string, chaos.Workload, error) {
@@ -177,6 +220,22 @@ func (s Spec) Canonical() (Spec, error) {
 		}
 		return nil
 	}
+	// methodology canonicalizes Runs and Discard: an omitted Runs takes
+	// the kind's default protocol, and Discard its default when it is
+	// omitted too.
+	methodology := func(runs, discard int) error {
+		c.Runs, c.Discard = s.Runs, s.Discard
+		if c.Runs == 0 {
+			c.Runs = runs
+			if c.Discard == 0 {
+				c.Discard = discard
+			}
+		}
+		if c.Runs < 0 || c.Discard < 0 || c.Runs <= c.Discard {
+			return fmt.Errorf("expd: methodology retains no runs (%d runs, %d discarded)", c.Runs, c.Discard)
+		}
+		return nil
+	}
 
 	switch s.Kind {
 	case KindTile, KindNodes:
@@ -257,12 +316,28 @@ func (s Spec) Canonical() (Spec, error) {
 			}
 		}
 		c.Steal = s.Steal
-		c.Runs, c.Discard = s.Runs, s.Discard
-		if c.Runs == 0 {
-			c.Runs = 1
+		if err := methodology(1, 0); err != nil {
+			return Spec{}, err
 		}
-		if c.Runs < 0 || c.Discard < 0 || c.Runs <= c.Discard {
-			return Spec{}, fmt.Errorf("expd: methodology retains no runs (%d runs, %d discarded)", c.Runs, c.Discard)
+
+	case KindPingPong, KindOverlap:
+		for _, e := range []error{
+			reject(s.Scale != 0, "scale"), reject(s.N != 0, "n"),
+			reject(s.Nodes != 0, "nodes"), reject(len(s.NodeCounts) != 0, "node_counts"),
+			reject(len(s.Tiles) != 0, "tiles"), reject(s.MT, "mt"), reject(s.Steal, "steal"),
+			reject(len(s.Workloads) != 0, "workloads"), reject(len(s.Rates) != 0, "rates"),
+			reject(len(s.Crashes) != 0, "crashes"), reject(s.Storm != 0, "storm"),
+		} {
+			if e != nil {
+				return Spec{}, e
+			}
+		}
+		if len(c.Backends) != 2 {
+			return Spec{}, fmt.Errorf("expd: the %s sweep needs both backends (its figure compares LCI and MPI)", s.Kind)
+		}
+		ms := stats.Microbenchmark
+		if err := methodology(ms.Runs, ms.Discard); err != nil {
+			return Spec{}, err
 		}
 
 	case KindChaos:
@@ -324,8 +399,8 @@ func (s Spec) Canonical() (Spec, error) {
 		}
 
 	default:
-		return Spec{}, fmt.Errorf("expd: unknown spec kind %q (want %q, %q, or %q)",
-			s.Kind, KindTile, KindNodes, KindChaos)
+		return Spec{}, fmt.Errorf("expd: unknown spec kind %q (want %q, %q, %q, %q or %q)",
+			s.Kind, KindTile, KindNodes, KindPingPong, KindOverlap, KindChaos)
 	}
 	return c, nil
 }
@@ -368,6 +443,26 @@ func (s Spec) Points() []Point {
 						Steal: s.Steal, Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
 					})
 				}
+			}
+		}
+	case KindPingPong:
+		for _, ser := range pingpongSeries {
+			for _, b := range s.Backends {
+				for _, size := range bench.PingPongSizes() {
+					pts = append(pts, Point{
+						Kind: PointPingPong, Backend: b, Size: size, Streams: ser.streams, Sync: ser.sync,
+						Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
+					})
+				}
+			}
+		}
+	case KindOverlap:
+		for _, b := range s.Backends {
+			for _, size := range bench.OverlapSizes() {
+				pts = append(pts, Point{
+					Kind: PointOverlap, Backend: b, Size: size,
+					Runs: s.Runs, Discard: s.Discard, Seed: s.Seed,
+				})
 			}
 		}
 	case KindChaos:

@@ -67,6 +67,11 @@ func TestHashInvariance(t *testing.T) {
 			`{"kind":"chaos","steal":true}`,
 			`{"kind":"chaos","crashes":["1@40%"]}`,
 			`{"kind":"chaos","storm":3}`,
+			`{"kind":"pingpong"}`,
+			`{"kind":"pingpong","runs":2,"discard":1}`,
+			`{"kind":"pingpong","seed":7}`,
+			`{"kind":"overlap"}`,
+			`{"kind":"overlap","runs":2,"discard":1}`,
 		} {
 			h := hash(t, raw)
 			if prev, dup := seen[h]; dup {
@@ -116,6 +121,22 @@ func TestDecodeSpecRejects(t *testing.T) {
 		{`{"kind":"chaos","storm":3,"rates":[2]}`, "rates"},
 		{`{"kind":"chaos","storm":-1}`, "negative"},
 		{`{"kind":"tile","crashes":["1@40%"]}`, "not valid"},
+		{`{"kind":"tile","scale":2}`, "outside"},
+		{`{"kind":"nodes","scale":-0.5}`, "outside"},
+		{`{"kind":"tile","runs":1,"discard":1}`, "retains no runs"},
+		{`{"kind":"nodes","runs":-1}`, "retains no runs"},
+		{`{"kind":"pingpong","runs":3,"discard":3}`, "retains no runs"},
+		{`{"kind":"overlap","runs":2,"discard":-1}`, "retains no runs"},
+		{`{"kind":"pingpong","backends":["lci"]}`, "both backends"},
+		{`{"kind":"overlap","backends":["mpi"]}`, "both backends"},
+		{`{"kind":"pingpong","scale":0.5}`, "not valid"},
+		{`{"kind":"pingpong","tiles":[1200]}`, "not valid"},
+		{`{"kind":"pingpong","mt":true}`, "not valid"},
+		{`{"kind":"overlap","n":9600}`, "not valid"},
+		{`{"kind":"overlap","nodes":2}`, "not valid"},
+		{`{"kind":"overlap","steal":true}`, "not valid"},
+		{`{"kind":"overlap","rates":[2]}`, "not valid"},
+		{`{"kind":"pingpong","storm":3}`, "not valid"},
 	} {
 		_, err := DecodeSpec([]byte(tc.raw))
 		if err == nil {
@@ -125,6 +146,27 @@ func TestDecodeSpecRejects(t *testing.T) {
 		if !strings.Contains(strings.ToLower(err.Error()), tc.frag) {
 			t.Errorf("DecodeSpec(%s): error %q does not mention %q", tc.raw, err, tc.frag)
 		}
+	}
+}
+
+// TestDecodeSpecListRejects: a list is refused as a whole when any element
+// is, and names the element.
+func TestDecodeSpecListRejects(t *testing.T) {
+	for _, tc := range []struct{ raw, frag string }{
+		{`[{"kind":"overlap"},{"kind":"tile","scale":2}]`, "spec 1: expd: scale 2 outside"},
+		{`[{"kind":"pingpong","typo":1}]`, "spec 0: expd: bad spec"},
+		{`[]`, "empty"},
+		{`[{"kind":"overlap"}] []`, "trailing"},
+		{`{"kind":"overlap"}`, "bad spec list"},
+	} {
+		_, err := DecodeSpecList([]byte(tc.raw))
+		if err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("DecodeSpecList(%s) = %v, want an error mentioning %q", tc.raw, err, tc.frag)
+		}
+	}
+	specs, err := DecodeSpecList([]byte(`[{"kind":"pingpong"},{"kind":"overlap","runs":2,"discard":1}]`))
+	if err != nil || len(specs) != 2 || specs[0].Runs != 18 || specs[0].Discard != 3 || specs[1].Runs != 2 {
+		t.Errorf("DecodeSpecList = %+v, %v; want pingpong at 18/3 and overlap at 2/1", specs, err)
 	}
 }
 
@@ -155,10 +197,10 @@ func TestPointsShareAcrossKinds(t *testing.T) {
 	}
 }
 
-// FuzzDecodeSpec exercises the spec decoder with arbitrary input: it must
-// never panic, and any spec it accepts must be a fixed point of
-// canonicalization (decoding the canonical form reproduces the same
-// address — otherwise the cache would fragment).
+// FuzzDecodeSpec exercises the spec and spec-list decoders with arbitrary
+// input: they must never panic, and any spec they accept must be a fixed
+// point of canonicalization (decoding the canonical form reproduces the
+// same address — otherwise the cache would fragment).
 func FuzzDecodeSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"tile","scale":0.01,"nodes":2,"runs":1}`,
@@ -170,24 +212,33 @@ func FuzzDecodeSpec(f *testing.F) {
 		`[]`,
 		`{"kind":"tile","tiles":[0]}`,
 		`{"kind":"chaos","crashes":[" 2@3000us","1@40.0%"],"steal":true}`,
+		`{"kind":"pingpong","runs":2,"discard":1}`,
+		`{"kind":"overlap","backends":["MPI","lci"],"seed":5}`,
+		`[{"kind":"pingpong"},{"kind":"overlap"},{"kind":"tile","scale":1,"mt":true},{"kind":"nodes","runs":1}]`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSpec(data)
+		specs, err := DecodeSpecList(data)
 		if err != nil {
-			return
+			s, err := DecodeSpec(data)
+			if err != nil {
+				return
+			}
+			specs = []Spec{s}
 		}
-		enc, merr := json.Marshal(s)
-		if merr != nil {
-			t.Fatalf("canonical spec does not marshal: %v", merr)
-		}
-		again, err := DecodeSpec(enc)
-		if err != nil {
-			t.Fatalf("canonical spec %s does not re-decode: %v", enc, err)
-		}
-		if got := canonicalJSON(t, again); got != string(enc) {
-			t.Fatalf("canonicalization is not idempotent: %s -> %s", enc, got)
+		for _, s := range specs {
+			enc, merr := json.Marshal(s)
+			if merr != nil {
+				t.Fatalf("canonical spec does not marshal: %v", merr)
+			}
+			again, err := DecodeSpec(enc)
+			if err != nil {
+				t.Fatalf("canonical spec %s does not re-decode: %v", enc, err)
+			}
+			if got := canonicalJSON(t, again); got != string(enc) {
+				t.Fatalf("canonicalization is not idempotent: %s -> %s", enc, got)
+			}
 		}
 	})
 }
