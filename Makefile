@@ -53,11 +53,11 @@ chaos-multicrash:
 	go run ./cmd/experiments -spec '{"kind":"chaos","storm":3}'
 
 # Short, fixed-budget fuzz passes over the wire-format decoders, the
-# runtime's flat hash table, its ready/fetch queue and the calendar queue's
-# firing order against reference heaps, the linalg kernels' bit identity
-# with their reference bodies and the computed ping-pong graph against the
-# explicit one (Go allows one -fuzz pattern per invocation). This is the one
-# fuzz list: verify.sh runs this target.
+# runtime's flat hash table, its ready/fetch queue, crash recovery's dead-set
+# consensus, the calendar queue's firing order against reference heaps, the
+# linalg kernels' bit identity with their reference bodies and the computed
+# ping-pong graph against the explicit one (Go allows one -fuzz pattern per
+# invocation). This is the one fuzz list: verify.sh runs this target.
 fuzz-smoke:
 	timeout 120 go test -run='^$$' -fuzz=FuzzUnmarshalPutHeader -fuzztime=2s ./internal/core
 	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeActivates -fuzztime=2s ./internal/parsec
@@ -66,6 +66,7 @@ fuzz-smoke:
 	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeTermMsg -fuzztime=2s ./internal/parsec
 	timeout 120 go test -run='^$$' -fuzz=FuzzFlatTable -fuzztime=2s ./internal/parsec
 	timeout 120 go test -run='^$$' -fuzz=FuzzPrioQueue -fuzztime=2s ./internal/parsec
+	timeout 120 go test -run='^$$' -fuzz=FuzzRecovery -fuzztime=2s ./internal/term
 	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeHeartbeat -fuzztime=2s ./internal/rel
 	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=2s ./internal/recover
 	timeout 120 go test -run='^$$' -fuzz=FuzzDecodeRereplicate -fuzztime=2s ./internal/recover

@@ -80,11 +80,6 @@ type node struct {
 	dead   bool
 	paused bool
 	epoch  int32
-	// deadVotes is the set of ranks this node has cast death verdicts for.
-	// It is re-cast wholesale to the current collector on every new verdict
-	// (so votes lost with a dead collector are replayed) and survives
-	// restarts except for the ranks a round absorbed.
-	deadVotes map[int]bool
 
 	// Fetch management (§4.1 deferral, §4.3 duty 3).
 	activeFetches int

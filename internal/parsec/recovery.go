@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"amtlci/internal/buf"
 	"amtlci/internal/core"
@@ -22,16 +21,11 @@ import (
 //     (internal/recover) before its successors are released;
 //  2. when the transport declares a rank dead (a core.PeerDeath verdict from
 //     the reliable layer's failure detector), each survivor pauses and casts
-//     a DEADVOTE for it on the termination-detection control channel; the
-//     lowest live rank collects votes over the whole *dead-set*, and a
-//     restart arms only when every live survivor has voted for every member
-//     of the set;
-//  3. recovery rounds are generation-fenced and interruptible: a new verdict
-//     arriving while a restart is armed (or an unconverged crash discovered
-//     as the round fires) grows the dead-set, bumps the generation, and
-//     aborts the stale round — convergence then re-forms over the larger set
-//     and one combined restart absorbs all of it;
-//  4. the restart re-maps each dead rank's tasks onto the rank holding its
+//     a DEADVOTE for it to the lowest live rank (term.Recovery); a restart
+//     arms only when every live survivor has voted for every member of the
+//     *dead-set*, and a verdict landing while one is armed grows the set and
+//     aborts it, so one combined restart absorbs the whole cascade;
+//  3. the restart re-maps each dead rank's tasks onto the rank holding its
 //     checkpoints (the next live ring member when the buddy died too),
 //     repairs checkpoint protection — heirs adopt the orphaned copies they
 //     hold for the dead, survivors whose buddy died re-replicate their set
@@ -63,26 +57,13 @@ type RecoveryConfig struct {
 
 type recoveryState struct {
 	cfg RecoveryConfig
-	// votes[dead] is the set of survivor ranks whose transport has declared
-	// dead gone. Only votes from currently-live voters count toward
-	// convergence — a voter that dies takes its vote's weight with it.
-	votes map[int]map[int]bool
-	// deadSet holds the ranks the current (unfinished) recovery round must
-	// absorb; recovered the ranks already absorbed by completed rounds;
-	// everDead every distinct rank ever declared dead (the budget).
-	deadSet   map[int]bool
-	recovered map[int]bool
-	everDead  map[int]bool
+	// Recovery is the dead-set consensus: the budget, every survivor's
+	// verdicts, the collector's vote book and the generation fence.
+	*term.Recovery
 	// done is the set of tasks that will not re-execute after the latest
 	// restart, consulted once per successor edge from then on: a flat table
 	// like the runtime's other per-task lookups (flow 0 of the key).
 	done flatTable[struct{}]
-	// gen fences armed restarts: it bumps whenever the dead-set grows, so a
-	// restart scheduled for an older, smaller set aborts instead of firing
-	// against membership it no longer describes.
-	gen     int
-	armed   bool
-	aborted *metrics.Counter
 }
 
 // EnableRecovery arms crash recovery; call it after New and before Run. It
@@ -104,14 +85,15 @@ func (rt *Runtime) EnableRecovery(rc RecoveryConfig) {
 	if rc.MaxRecoveries <= 0 {
 		rc.MaxRecoveries = 1
 	}
-	rt.rec = &recoveryState{
-		cfg:       rc,
-		votes:     make(map[int]map[int]bool),
-		deadSet:   make(map[int]bool),
-		recovered: make(map[int]bool),
-		everDead:  make(map[int]bool),
-		aborted:   rt.reg.Counter("parsec", "recovery_rounds_aborted", metrics.StackRank),
+	aborted := rt.reg.Counter("parsec", "recovery_rounds_aborted", metrics.StackRank)
+	dead := func(r int) bool { return rt.nodes[r].dead }
+	// Recovery is serial-only (checked above), so rank 0's engine is THE
+	// engine the restart timer runs on.
+	arm := func(gen int) {
+		rt.dom.RankEngine(0).After(rc.RestartDelay, func() { rt.restartRound(gen) })
 	}
+	rt.rec = &recoveryState{cfg: rc,
+		Recovery: term.NewRecovery(len(rt.nodes), rc.MaxRecoveries, dead, rt.sendTerm, arm, aborted.Inc)}
 	for i, n := range rt.nodes {
 		i := i
 		n.ce.OnError(func(err error) { rt.commError(i, err) })
@@ -199,123 +181,25 @@ func (rt *Runtime) commError(observer int, err error) {
 
 // peerDead handles one survivor's death verdict: the observer stops
 // checkpointing to the dead rank, pauses (its pre-crash dataflow state is
-// about to be wiped), and re-casts every DEADVOTE it holds on the
-// termination-detection control channel to the lowest live rank, which arms
-// the restart once the whole dead-set has converged. Convergence is thus a
-// wire-level consensus, not a direct-call barrier: a vote travels with real
-// latency and the collector is a rank, not the orchestrator.
-//
-// Re-casting the full vote set — not just the new verdict — is what makes
-// the consensus survive the death of its own collector: votes in flight to a
-// rank that dies are dropped at the NIC, but the verdict about that rank
-// reaches every survivor, and each re-cast replays the lost votes at the new
-// collector. Duplicates dedup in the vote book.
+// about to be wiped), and casts its votes on the termination-detection
+// control channel. Convergence is a wire-level consensus, not a direct-call
+// barrier: a vote travels with real latency and the collector is a rank.
 func (rt *Runtime) peerDead(observer, dead int, err error) {
 	rec := rt.rec
 	if rt.failed != nil {
 		return
 	}
 	// Budget check on distinct dead ranks, not restart rounds.
-	if !rec.everDead[dead] {
-		if len(rec.everDead) >= rec.cfg.MaxRecoveries {
-			rt.fail(err)
-			return
-		}
-		rec.everDead[dead] = true
+	if !rec.Spend(dead) {
+		rt.fail(err)
+		return
 	}
 	rt.KillRank(dead) // idempotent; normally already done via fab.OnCrash
 	rec.cfg.Managers[observer].MarkDead(dead)
-	on := rt.nodes[observer]
-	if on.deadVotes[dead] {
-		return // duplicate verdict (rel dedups per endpoint; this is belt)
-	}
-	if on.deadVotes == nil {
-		on.deadVotes = make(map[int]bool)
-	}
-	on.deadVotes[dead] = true
-	on.paused = true
-
-	collector := rt.nextLive(len(rt.nodes) - 1) // the lowest live rank
-	if collector < 0 {
+	rt.nodes[observer].paused = true
+	if !rec.Verdict(observer, dead) {
 		rt.fail(err) // no survivors at all
-		return
 	}
-	votes := make([]int, 0, len(on.deadVotes))
-	for d := range on.deadVotes {
-		votes = append(votes, d)
-	}
-	sort.Ints(votes)
-	for _, d := range votes {
-		if collector == observer {
-			rt.recordDeadvote(d, observer)
-			continue
-		}
-		rt.sendTerm(observer, collector, term.Msg{Kind: termDeadvote, Rank: int32(d)})
-	}
-}
-
-// recordDeadvote collects one survivor's death verdict at the lowest live
-// rank, growing the dead-set the current recovery round must absorb. A rank
-// newly joining the set bumps the generation, which aborts any restart armed
-// for the older, smaller set, so a crash landing mid-convergence folds into
-// one combined round.
-func (rt *Runtime) recordDeadvote(dead, voter int) {
-	rec := rt.rec
-	if rec == nil || rt.Err() != nil {
-		return
-	}
-	if rec.recovered[dead] {
-		return // late duplicate from before the round that absorbed it
-	}
-	if !rec.deadSet[dead] {
-		rec.deadSet[dead] = true
-		rec.gen++
-		if rec.armed {
-			rec.armed = false
-			rec.aborted.Inc()
-		}
-	}
-	if rec.votes[dead] == nil {
-		rec.votes[dead] = make(map[int]bool)
-	}
-	rec.votes[dead][voter] = true
-	rt.maybeScheduleRestart()
-}
-
-// maybeScheduleRestart arms the restart once every live survivor has voted
-// for every member of the dead-set. The armed event carries the generation
-// it converged for: a verdict landing inside the RestartDelay window bumps
-// the generation and the stale event aborts instead of restarting.
-func (rt *Runtime) maybeScheduleRestart() {
-	rec := rt.rec
-	if rec.armed || len(rec.deadSet) == 0 {
-		return
-	}
-	survivors := 0
-	for _, n := range rt.nodes {
-		if !n.dead {
-			survivors++
-		}
-	}
-	if survivors == 0 {
-		return
-	}
-	for d := range rec.deadSet {
-		live := 0
-		for v := range rec.votes[d] {
-			if !rt.nodes[v].dead {
-				live++
-			}
-		}
-		if live < survivors {
-			return
-		}
-	}
-	rec.armed = true
-	gen := rec.gen
-	// Recovery is serial-only (EnableRecovery enforces it), so rank 0's
-	// engine is THE engine.
-	rt.dom.RankEngine(0).After(rec.cfg.RestartDelay, func() { rt.restartRound(gen) })
 }
 
 // enumerateTasks walks the whole task graph from the roots (every non-root
@@ -348,58 +232,20 @@ func (rt *Runtime) enumerateTasks() []TaskID {
 	return all
 }
 
-// nextLive returns the first live rank after r on the ring, wrapping round
-// to r itself, or -1 when no rank is alive.
-func (rt *Runtime) nextLive(r int) int {
-	for i := 1; i <= len(rt.nodes); i++ {
-		c := (r + i) % len(rt.nodes)
-		if !rt.nodes[c].dead {
-			return c
-		}
-	}
-	return -1
-}
-
-// restartRound rebuilds the runtime around the converged dead-set's absence.
-// gen fences it: a round armed for an older generation is stale and aborts.
+// restartRound rebuilds the runtime around the converged dead-set's absence;
+// gen fences it (term.Recovery.Fire). Every survivor's checkpoint manager
+// already knows each dead rank: the round converged only once every
+// survivor had raised its own verdict for it.
 func (rt *Runtime) restartRound(gen int) {
 	rec := rt.rec
 	if rt.failed != nil {
 		return
 	}
-	if gen != rec.gen {
-		return // aborted: the dead-set grew while armed; counted at the bump
+	deads := rec.Fire(gen)
+	if deads == nil {
+		return
 	}
-	rec.armed = false
-	// A crash can land inside the RestartDelay window without its verdicts
-	// having reached the collector yet (the fabric marks the node dead at
-	// the crash instant; the lease expiries are still pending). Restarting
-	// now would rebuild state around a rank that is already gone — abort the
-	// round and let the pending verdicts re-converge with it included.
-	for x, n := range rt.nodes {
-		if n.dead && !rec.recovered[x] && !rec.deadSet[x] {
-			rec.aborted.Inc()
-			return
-		}
-	}
-	deads := make([]int, 0, len(rec.deadSet))
-	for d := range rec.deadSet {
-		deads = append(deads, d)
-	}
-	sort.Ints(deads)
 	rt.restarts.Inc()
-
-	// Every survivor's manager hears about every death (the observers' own
-	// verdicts already did this; this is the orchestrator's belt) so nobody
-	// ships checkpoint frames into the void.
-	for r, m := range rec.cfg.Managers {
-		if rt.nodes[r].dead {
-			continue
-		}
-		for _, d := range deads {
-			m.MarkDead(d)
-		}
-	}
 
 	// Re-map ownership: each dead rank's tasks move to the rank holding its
 	// checkpoints — its buddy — unless the buddy died in the same cascade
@@ -414,7 +260,7 @@ func (rt *Runtime) restartRound(gen int) {
 	for _, d := range deads {
 		heir := rec.cfg.Managers[d].Buddy()
 		if rt.nodes[heir].dead {
-			heir = rt.nextLive(d)
+			heir = rec.NextLive(d)
 		}
 		rt.remap[d] = int32(heir)
 	}
@@ -437,7 +283,7 @@ func (rt *Runtime) restartRound(gen int) {
 			}
 		}
 		if rt.nodes[m.Buddy()].dead || m.Buddy() == r {
-			if nb := rt.nextLive(r); nb != r {
+			if nb := rec.NextLive(r); nb != r {
 				m.SetBuddy(nb)
 				m.RereplicateAll()
 			} else {
@@ -506,18 +352,6 @@ func (rt *Runtime) restartRound(gen int) {
 		})
 	}
 
-	// Retire the round: the absorbed ranks move to recovered, their vote
-	// books close, and survivors drop the votes they were retaining for
-	// re-cast (late duplicates are ignored against recovered ranks).
-	for _, d := range deads {
-		rec.recovered[d] = true
-		delete(rec.deadSet, d)
-		delete(rec.votes, d)
-		for _, n := range rt.nodes {
-			delete(n.deadVotes, d)
-		}
-	}
-
 	// Resume. Each rank re-evaluates its quiet state: idle survivors nudge
 	// the (possibly new) coordinator and go probing for work to steal; if
 	// everything was already done, the detector proves it and announces.
@@ -566,10 +400,10 @@ func (n *node) resetForRecovery() {
 	}
 	n.paused = true
 	// Stealing state resets alongside the detector's books (term.Restart): an
-	// in-flight probe or grant died with the old epoch. deadVotes is NOT
-	// cleared — death verdicts are permanent and a survivor must be able to
-	// re-cast them across restarts; the restart prunes only the ranks it just
-	// absorbed. pendingOps is NOT zeroed: steps already queued on the
+	// in-flight probe or grant died with the old epoch. The rank's death
+	// verdicts live in the dead-set consensus (term.Recovery), which keeps
+	// them across restarts so a survivor can re-cast them, and drops only
+	// the ranks a round absorbed. pendingOps is NOT zeroed: steps already queued on the
 	// communication thread still fire (commOp.exec skips their stale bodies)
 	// and each decrements the counter; zeroing here would double-count them
 	// negative and wedge the quiet predicate. The op free list is kept: it

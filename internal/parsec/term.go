@@ -13,10 +13,6 @@ import (
 // steal traffic) is counted on the rank's own term.Books once it passes its
 // epoch check; control traffic, heartbeats and checkpoint frames are not.
 
-// termDeadvote is the one control kind the detector does not own: a
-// survivor's peer-death verdict (Msg.Rank = the dead peer).
-const termDeadvote term.Kind = term.Nudge + 1
-
 // termMsg is the single wire format of the termination control channel: a
 // detector message stamped with its sender's epoch.
 type termMsg struct {
@@ -81,7 +77,7 @@ func decodeTermMsg(b []byte) (termMsg, error) {
 		return m, fmt.Errorf("parsec: term message is %d bytes, want %d", len(b), termMsgBytes)
 	}
 	m.Kind = term.Kind(b[0])
-	if m.Kind < term.Token || m.Kind > termDeadvote {
+	if m.Kind < term.Token || m.Kind > term.Deadvote {
 		return m, fmt.Errorf("parsec: unknown term message kind %d", m.Kind)
 	}
 	rest := b[1:]
@@ -121,10 +117,12 @@ func (n *node) onTerm(_ core.Engine, _ core.Tag, data []byte, src int) {
 	}
 	// Death verdicts skip the epoch check: a death is permanent, and a vote
 	// crossing a restart must still count, or convergence on the next crash
-	// could wedge (recordDeadvote ignores late votes for recovered ranks).
+	// could wedge (the vote book ignores late votes for recovered ranks).
 	// Detector traffic from before a restart belongs to a dead epoch.
-	if m.Kind == termDeadvote {
-		n.rt.recordDeadvote(int(m.Rank), src)
+	if m.Kind == term.Deadvote {
+		if rt := n.rt; rt.rec != nil && rt.Err() == nil {
+			rt.rec.Vote(int(m.Rank), src)
+		}
 		return
 	}
 	if m.epoch != n.epoch {

@@ -17,7 +17,7 @@ func TestTermMsgRoundTrip(t *testing.T) {
 		{Msg: term.Msg{Kind: term.Token, Round: 17, Q: -42, Acts: 9001, Black: true}, epoch: 3},
 		{Msg: term.Msg{Kind: term.Announce, Round: 4}, epoch: 1},
 		{Msg: term.Msg{Kind: term.Nudge, Rank: 7}, epoch: 2},
-		{Msg: term.Msg{Kind: termDeadvote, Rank: 3}, epoch: 5},
+		{Msg: term.Msg{Kind: term.Deadvote, Rank: 3}, epoch: 5},
 	}
 	for _, m := range msgs {
 		b := appendTermMsg(nil, m)
@@ -70,7 +70,7 @@ func TestTermMsgRejectsMalformed(t *testing.T) {
 // representation per message).
 func FuzzDecodeTermMsg(f *testing.F) {
 	f.Add(appendTermMsg(nil, termMsg{Msg: term.Msg{Kind: term.Token, Round: 2, Q: -3, Acts: 4, Black: true}, epoch: 1}))
-	f.Add(appendTermMsg(nil, termMsg{Msg: term.Msg{Kind: termDeadvote, Rank: 2}, epoch: 9}))
+	f.Add(appendTermMsg(nil, termMsg{Msg: term.Msg{Kind: term.Deadvote, Rank: 2}, epoch: 9}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, termMsgBytes))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -78,7 +78,7 @@ func FuzzDecodeTermMsg(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if m.Kind < term.Token || m.Kind > termDeadvote {
+		if m.Kind < term.Token || m.Kind > term.Deadvote {
 			t.Fatalf("accepted unknown kind %d", m.Kind)
 		}
 		if !bytes.Equal(appendTermMsg(nil, m), data) {
