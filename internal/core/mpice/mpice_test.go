@@ -20,9 +20,7 @@ func harness(n int, cfg Config) (*sim.Engine, []*Engine) {
 	if err != nil {
 		panic(err)
 	}
-	mcfg := mpi.DefaultConfig()
-	mcfg.AllowOvertaking = true
-	w := mpi.NewWorld(eng, fab, mcfg)
+	w := mpi.NewWorld(eng, fab, mpi.DefaultConfig())
 	engines := make([]*Engine, n)
 	for i := range engines {
 		engines[i] = New(eng, w, i, cfg)

@@ -97,14 +97,11 @@ type Options struct {
 
 // DefaultOptions returns the paper-calibrated configuration for n ranks.
 func DefaultOptions(b Backend, n int) Options {
-	mpiCfg := mpi.DefaultConfig()
-	// PaRSEC requests relaxed ordering when available (§4.2.2).
-	mpiCfg.AllowOvertaking = true
 	return Options{
 		Ranks:   n,
 		Backend: b,
 		Fabric:  fabric.DefaultConfig(),
-		MPI:     mpiCfg,
+		MPI:     mpi.DefaultConfig(),
 		MPICE:   mpice.DefaultConfig(),
 		LCI:     lci.DefaultConfig(),
 		LCICE:   lcice.DefaultConfig(),

@@ -18,9 +18,8 @@
 //     arrived wire traffic is only matched, copied, and completed when some
 //     MPI call executes progress. A communication thread stuck in a long
 //     callback therefore delays rendezvous handshakes, exactly as in §4.3;
-//   - the mpi_assert_allow_overtaking Info key (§4.2.2): strict per-pair
-//     ordering enforcement costs a little extra per message and can be
-//     switched off;
+//   - the mpi_assert_allow_overtaking Info key (§4.2.2), always asserted as
+//     PaRSEC does: matching pays no per-pair ordering cost;
 //   - a global lock modeling MPI_THREAD_MULTIPLE contention (§4.3, [24]):
 //     calls from worker threads serialize through it.
 //
@@ -60,9 +59,6 @@ type Config struct {
 	// classic MPI matching penalty under bursty many-message load.
 	MatchCost    sim.Duration
 	ScanPerEntry sim.Duration
-	// OrderCost is an extra per-arrival matching cost paid when strict MPI
-	// message ordering is enforced (AllowOvertaking disables it).
-	OrderCost sim.Duration
 	// CopyPsPerByte is the memory-copy cost in picoseconds per byte; eager
 	// messages are copied once on each side.
 	CopyPsPerByte int64
@@ -82,9 +78,6 @@ type Config struct {
 	// LockHold is how long one multithreaded call occupies the library's
 	// global lock.
 	LockHold sim.Duration
-	// AllowOvertaking corresponds to the mpi_assert_allow_overtaking Info
-	// key; PaRSEC sets it because it does not need MPI ordering.
-	AllowOvertaking bool
 
 	// Metrics is the registry every rank registers its instruments in
 	// (send/receive counters, unexpected-queue depth, rendezvous sends in
@@ -104,7 +97,6 @@ func DefaultConfig() Config {
 		TestPerReq:     60 * sim.Nanosecond,
 		MatchCost:      800 * sim.Nanosecond,
 		ScanPerEntry:   40 * sim.Nanosecond,
-		OrderCost:      60 * sim.Nanosecond,
 		CopyPsPerByte:  50, // ~20 GB/s memcpy
 		HeaderBytes:    64,
 		CtrlBytes:      64,

@@ -213,8 +213,7 @@ func (r *Rank) stage(w *wire) {
 }
 
 // ProgressCost returns the CPU cost of draining the currently staged
-// arrivals: matching for every message, ordering enforcement when
-// overtaking is disallowed, and eager payload copies.
+// arrivals: matching for every message and eager payload copies.
 func (r *Rank) ProgressCost() sim.Duration {
 	var d sim.Duration
 	scan := sim.Duration(len(r.posted)+len(r.unexpected)) * r.w.cfg.ScanPerEntry
@@ -222,14 +221,10 @@ func (r *Rank) ProgressCost() sim.Duration {
 		switch w.kind {
 		case wireSendDone:
 			d += r.w.cfg.TestPerReq // trivial CQ entry
-			continue
 		case wireEager:
 			d += r.w.cfg.MatchCost + scan + r.w.cfg.copyCost(w.size)
 		default:
 			d += r.w.cfg.MatchCost + scan
-		}
-		if !r.w.cfg.AllowOvertaking {
-			d += r.w.cfg.OrderCost
 		}
 	}
 	return d
