@@ -341,6 +341,8 @@ func Run(o Opts) Result {
 	cfg.Metrics = s.Metrics
 	cfg.Steal = o.Steal
 	rt := parsec.New(s.Eng, s.Engines, tp, cfg)
+	// A scripted crash that would land after the run has finished is moot.
+	rt.OnTerminate(s.Fab.CancelCrashes)
 	if o.Recover {
 		mgrs := make([]*recov.Manager, len(s.Engines))
 		for i, ce := range s.Engines {

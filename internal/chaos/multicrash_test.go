@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"amtlci/internal/core/stack"
+	"amtlci/internal/metrics"
 	"amtlci/internal/sim"
 )
 
@@ -313,13 +314,54 @@ func TestCrashStormCompletes(t *testing.T) {
 				if a.Err != nil || !a.Verified {
 					t.Fatalf("storm broke the run: %+v", a)
 				}
-				if n := a.Metrics.Total("fabric", "crashes"); n != 3 {
-					t.Fatalf("fabric crash count = %d, want 3", n)
+				// A crash scheduled past the recovered makespan is cancelled
+				// when the run terminates.
+				var want uint64
+				for _, c := range cascade {
+					if c.At < a.Makespan {
+						want++
+					}
+				}
+				if n := a.Metrics.Total("fabric", "crashes"); n != want {
+					t.Fatalf("fabric crash count = %d, want %d (the crashes before the %v makespan)", n, want, a.Makespan)
 				}
 				if n := a.Metrics.Total("parsec", "restarts"); n < 1 || n > 3 {
 					t.Fatalf("restarts = %d, want 1..3", n)
 				}
 				requireReplay(t, a, b)
+			})
+		}
+	}
+}
+
+// TestCrashAfterCompletionIsMoot: a scripted crash that would land after
+// the run has finished is cancelled when termination is announced, so the
+// run returns the one-crash run's makespan and every counter of every layer
+// matches the one-crash run's.
+func TestCrashAfterCompletionIsMoot(t *testing.T) {
+	for _, backend := range stack.Backends {
+		for _, w := range Workloads {
+			t.Run(backend.String()+"/"+w.String(), func(t *testing.T) {
+				base := Run(Opts{Backend: backend, Workload: w})
+				if base.Err != nil || !base.Verified {
+					t.Fatalf("fault-free baseline broken: %+v", base)
+				}
+				c1 := CrashSpec{Rank: 1, At: base.Makespan * 2 / 5}
+				one := Run(Opts{Backend: backend, Workload: w, Crashes: []CrashSpec{c1}, Recover: true})
+				if one.Err != nil || !one.Verified {
+					t.Fatalf("single-crash recovery broken: %+v", one)
+				}
+				late := CrashSpec{Rank: 2, At: one.Makespan + 100*sim.Microsecond}
+				two := Run(Opts{Backend: backend, Workload: w, Crashes: []CrashSpec{c1, late}, Recover: true})
+				if two.Err != nil || !two.Verified {
+					t.Fatalf("late crash broke the run: %+v", two)
+				}
+				if two.Makespan != one.Makespan {
+					t.Fatalf("makespan %v with a crash at %v, want the one-crash %v", two.Makespan, late.At, one.Makespan)
+				}
+				if d := metrics.Diff(one.Metrics, two.Metrics); d != "" {
+					t.Fatalf("registry differs from the one-crash run: %s", d)
+				}
 			})
 		}
 	}

@@ -275,12 +275,7 @@ func (f *Fabric) InstallFaults(cfg FaultConfig) error {
 		}
 	}
 	f.inj = newInjector(cfg, len(f.ports), f.cfg, f.reg)
-	// Pending crash events can only exist on a single-shard domain (the gate
-	// above has always held), so every one lives on shard 0's engine.
-	for _, ev := range f.crashEvents {
-		f.dom.RankEngine(0).Cancel(ev)
-	}
-	f.crashEvents = f.crashEvents[:0]
+	f.CancelCrashes()
 	if len(cfg.Crashes) > 0 && f.crashed == nil {
 		f.crashed = make([]bool, len(f.ports))
 	}
@@ -289,6 +284,18 @@ func (f *Fabric) InstallFaults(cfg FaultConfig) error {
 		f.crashEvents = append(f.crashEvents, f.ports[rank].eng.At(cr.At, func() { f.crash(rank) }))
 	}
 	return nil
+}
+
+// CancelCrashes cancels every scripted NodeCrash that has not fired yet;
+// ones that fired stay fired. A run that has finished calls it so a crash
+// scheduled past the end neither fires nor stretches the makespan.
+func (f *Fabric) CancelCrashes() {
+	// Pending crash events can only exist on a single-shard domain (the
+	// InstallFaults gate), so every one lives on shard 0's engine.
+	for _, ev := range f.crashEvents {
+		f.dom.RankEngine(0).Cancel(ev)
+	}
+	f.crashEvents = f.crashEvents[:0]
 }
 
 // crash silences rank and notifies the OnCrash listeners in registration
