@@ -11,7 +11,9 @@
 //
 // -spec takes one spec (a JSON object) or a list (a JSON array). Without
 // it the command runs paper.json, the whole evaluation with the paper's
-// protocols (hours of CPU); quick.json is the same list with cheap ones:
+// protocols (about 20 minutes at -j 2, estimated from quick.json's times
+// scaled by the run counts, not measured); quick.json is the same list with
+// cheap ones:
 //
 //	experiments -spec "$(cat cmd/experiments/quick.json)" -j 2
 //
