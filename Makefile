@@ -27,9 +27,9 @@ pairs:
 
 # Code census (scripts/census.sh): Go lines outside benchmark/ (test and
 # non-test), CLIs, flags, exported identifiers, options (exported fields of
-# the Config/Options/Opts/Params structs and expd.Spec) and every test by
-# name, one "key value" pair per line. Diff two censuses to describe a
-# change's size.
+# the Config/Options/Opts/Params structs and expd.Spec), the size of each
+# root Markdown file and every test by name, one "key value" pair per line.
+# Diff two censuses to describe a change's size.
 census:
 	./scripts/census.sh
 

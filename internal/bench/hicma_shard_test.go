@@ -40,7 +40,7 @@ func requireShardedMatchesSerial(t *testing.T, o HiCMAOpts, shardCounts []int) {
 // full deployment — fabric, backend runtime, communication engines, parsec —
 // simulated on 2, 3, 4, and 8 shards must reproduce the serial run bit for
 // bit (result and registry), for both backends. Per-rank event streams are
-// identical by the conservative-window argument (DESIGN §5.12); this pins
+// identical by the conservative-window argument (DESIGN §3); this pins
 // that the whole stack actually honors the shard-safety rules the argument
 // depends on.
 func TestHiCMAShardedMatchesSerial(t *testing.T) {

@@ -1,36 +1,15 @@
 package stack
 
 import (
+	"strings"
 	"testing"
 
 	"amtlci/internal/fabric"
 	"amtlci/internal/metrics"
-	"amtlci/internal/sim"
 )
 
-// A partially-specified fabric config must be merged with the defaults
-// field-wise, not replaced wholesale: setting only the latency used to
-// silently revert bandwidth, gaps, and noise to the defaults AND discard
-// the latency itself.
-func TestFabricConfigMergesFieldWise(t *testing.T) {
-	o := DefaultOptions(LCI, 2)
-	o.Fabric = fabric.Config{Latency: 5 * sim.Microsecond}
-	s := Build(o)
-	got := s.Fab.Config()
-	def := fabric.DefaultConfig()
-	if got.Latency != 5*sim.Microsecond {
-		t.Errorf("Latency = %v, want 5µs (custom value dropped)", got.Latency)
-	}
-	if got.BandwidthGbps != def.BandwidthGbps {
-		t.Errorf("BandwidthGbps = %g, want default %g", got.BandwidthGbps, def.BandwidthGbps)
-	}
-	if got.MessageGap != def.MessageGap || got.CtlBypass != def.CtlBypass {
-		t.Errorf("gaps not defaulted: gap=%v ctl=%d", got.MessageGap, got.CtlBypass)
-	}
-}
-
-// A complete config (bandwidth set) passes through untouched, so explicit
-// zeros — e.g. Jitter = 0 for a noiseless chaos run — are respected.
+// Build uses the fabric config as given, so explicit zeros — e.g.
+// Jitter = 0 for a noiseless chaos run — are respected.
 func TestFabricConfigCompletePassesThrough(t *testing.T) {
 	o := DefaultOptions(MPI, 2)
 	o.Fabric.Jitter = 0
@@ -38,6 +17,20 @@ func TestFabricConfigCompletePassesThrough(t *testing.T) {
 	if got := s.Fab.Config().Jitter; got != 0 {
 		t.Errorf("Jitter = %g, want explicit 0 preserved", got)
 	}
+}
+
+// Build fills in no fabric defaults: a zero Fabric reaches
+// fabric.Config.Validate and fails there.
+func TestZeroFabricConfigPanics(t *testing.T) {
+	o := DefaultOptions(LCI, 2)
+	o.Fabric = fabric.Config{}
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || !strings.Contains(err.Error(), "bandwidth must be positive") {
+			t.Fatalf("Build with a zero Fabric: recovered %v, want the bandwidth error", err)
+		}
+	}()
+	Build(o)
 }
 
 func TestParseBackend(t *testing.T) {

@@ -58,8 +58,9 @@ func ParseBackend(s string) (Backend, error) {
 	return 0, fmt.Errorf("stack: unknown backend %q (want \"mpi\" or \"lci\")", s)
 }
 
-// Options configures a deployment. Zero-valued sub-configs are replaced by
-// the package defaults.
+// Options configures a deployment. Build uses every sub-config as given, so
+// start from DefaultOptions and change what differs: a zero Fabric fails
+// fabric.Config.Validate.
 type Options struct {
 	Ranks   int
 	Backend Backend
@@ -147,7 +148,7 @@ func Build(o Options) *Stack {
 	if reg == nil {
 		reg = metrics.New()
 	}
-	fc := mergeFabricDefaults(o.Fabric)
+	fc := o.Fabric
 	if o.Seed != 0 {
 		fc.Seed = o.Seed
 	}
@@ -214,42 +215,6 @@ func Build(o Options) *Stack {
 		panic(fmt.Sprintf("stack: unknown backend %d", o.Backend))
 	}
 	return s
-}
-
-// mergeFabricDefaults fills zero-valued fabric fields from the package
-// defaults when the config looks unset (no bandwidth given). A caller that
-// customizes only one knob — say Latency — keeps the default bandwidth,
-// gaps, and noise instead of having the whole config silently replaced. A
-// config with a bandwidth passes through untouched, so explicit zeros in a
-// complete config (e.g. Jitter = 0 for a noiseless run) are respected.
-func mergeFabricDefaults(fc fabric.Config) fabric.Config {
-	if fc.BandwidthGbps != 0 {
-		return fc
-	}
-	def := fabric.DefaultConfig()
-	fc.BandwidthGbps = def.BandwidthGbps
-	if fc.Latency == 0 {
-		fc.Latency = def.Latency
-	}
-	if fc.MessageGap == 0 {
-		fc.MessageGap = def.MessageGap
-	}
-	if fc.RxOverhead == 0 {
-		fc.RxOverhead = def.RxOverhead
-	}
-	if fc.LoopbackLatency == 0 {
-		fc.LoopbackLatency = def.LoopbackLatency
-	}
-	if fc.CtlBypass == 0 {
-		fc.CtlBypass = def.CtlBypass
-	}
-	if fc.Jitter == 0 {
-		fc.Jitter = def.Jitter
-	}
-	if fc.Seed == 0 {
-		fc.Seed = def.Seed
-	}
-	return fc
 }
 
 // New is shorthand for Build(DefaultOptions(b, n)).

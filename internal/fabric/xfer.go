@@ -11,7 +11,7 @@ import "amtlci/internal/sim"
 // the xfer recycles its closures, so the steady-state delivery path
 // (virtual-payload scheduling in particular) allocates nothing.
 //
-// Ownership follows the message (DESIGN.md §5.15). Send takes an xfer from
+// Ownership follows the message (DESIGN.md §3). Send takes an xfer from
 // the free list of the SOURCE rank's shard; the early steps (loopback, ctlTx,
 // bulkTx) run there. The wire hop hands the xfer to the destination shard
 // through Domain.CrossAt, whose inbox lock orders everything the source did

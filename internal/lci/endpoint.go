@@ -83,9 +83,9 @@ const (
 // receiver reads, the fabric message it travels in, and that message's
 // egress callback, bound once when the record is first made. The sender
 // fills it and does not touch it after OnTx; the RECEIVING endpoint retires
-// it into its own shard's free list once Progress has consumed it (DESIGN.md
-// §5.15). Local completions (kindSendDone) are packets too, taken and retired
-// at the same endpoint; kindPktDone is the endpoint's static sentinel.
+// it into its own shard's free list once Progress has consumed it
+// (DESIGN.md §3). Local completions (kindSendDone) are packets too, taken and
+// retired at the same endpoint; kindPktDone is the endpoint's static sentinel.
 type packet struct {
 	msg  fabric.Message
 	onTx func()    // p.txDone

@@ -286,7 +286,7 @@ const (
 // receiver reads, the fabric message it travels in, and that message's egress
 // callback, bound once when the record is first made. The sender fills it and
 // does not touch it after OnTx; the RECEIVING rank retires it into its own
-// shard's free list once progress has consumed it (DESIGN.md §5.15). The
+// shard's free list once progress has consumed it (DESIGN.md §3). The
 // local pseudo-arrival wireSendDone is a wire too, taken and retired at the
 // same rank.
 type wire struct {

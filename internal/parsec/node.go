@@ -285,7 +285,7 @@ func (a *cellArena[T]) drain(l *cellList) iter.Seq[T] {
 }
 
 // flowData is one dataflow copy at one rank, a pooled record like the rest of
-// the message path's (DESIGN.md §5.15): newFlow takes it from node.flows, and
+// the message path's (DESIGN.md §9): newFlow takes it from node.flows, and
 // maybeClean — the one place a copy leaves the store — retires it. Its two
 // variable-length lists live in the shard's cell arenas: waiters, the local
 // consumers waiting for the data, in node.waits, and pendingGets, the GET DATA

@@ -175,7 +175,7 @@ func (fr *frame) checksum(src, dst int) uint64 {
 	return h
 }
 
-// The layer's per-message state lives in pooled records (DESIGN.md §5.15),
+// The layer's per-message state lives in pooled records (DESIGN.md §5),
 // each with its callbacks bound once when it is first built, so the protocol
 // allocates nothing in steady state. Records that ride the wire — a data
 // transmission, an ACK, a heartbeat — are retired from the fabric's OnDone,

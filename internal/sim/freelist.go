@@ -17,7 +17,7 @@ var PoisonRetired bool
 // FreeList is a LIFO cache of retired records of one type, touched only from
 // its owner's engine goroutine. The message path takes its per-step records
 // from such lists instead of allocating a closure per deferred step
-// (DESIGN.md §5.15). A record lost on the way (a crash, a purge, a dropped
+// (DESIGN.md §3). A record lost on the way (a crash, a purge, a dropped
 // message) is simply never put back.
 //
 // The zero value is an empty, uncapped list: records are run-scoped, so a

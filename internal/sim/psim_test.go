@@ -20,7 +20,7 @@ type traceRec struct {
 // cross-shard arrival and an independently scheduled local event are the one
 // place serial and sharded tie-breaking legitimately differ (serial breaks
 // by global scheduling order, which no parallel admission can reconstruct;
-// see DESIGN.md §5.12), and the fabric's jitter makes such ties measure-zero
+// see DESIGN.md §3), and the fabric's jitter makes such ties measure-zero
 // in real workloads. Tie-breaking that IS preserved (same-source sends,
 // same-rank scheduling) gets its own deterministic tests below.
 const quantum = Duration(1 << 20)

@@ -12,6 +12,7 @@
 #                        Config, Options, Opts or Params (or ending in one of
 #                        those) plus expd.Spec, in non-test Go outside
 #                        benchmark/; a line "A, B T" is one declaration
+#   doc_bytes FILE N     size in bytes of each Markdown file at the root
 #   test PKG:NAME        every Test*/Fuzz* function, sorted
 #
 # Usage: scripts/census.sh [DIR]   (DIR defaults to the current directory;
@@ -57,6 +58,10 @@ echo "options $(gofiles | grep -v '_test\.go$' | xargs awk '
     in_s && /^}/ { in_s = 0; next }
     in_s && /^\t[A-Z]/ { n++ }
     END { print n + 0 }')"
+
+for f in *.md; do
+    echo "doc_bytes $f $(wc -c < "$f" | tr -d ' ')"
+done
 
 gofiles | grep '_test\.go$' | xargs awk '
     /^func (Test|Fuzz)[A-Za-z0-9_]*\(/ {
