@@ -47,9 +47,12 @@ chaos-crash:
 
 # Multi-crash demonstration: a staggered two-crash cascade and a seeded
 # three-crash storm on distinct random ranks, each recovered, verified, and
-# replayed on both backends and both workloads.
+# replayed on both backends and both workloads. The cascade's summary
+# (written as chaos-crash-summary.csv) refreshes
+# results/chaos-multicrash-summary.csv.
 chaos-multicrash:
-	go run ./cmd/experiments -spec '{"kind":"chaos","crashes":["1@40%","2@3ms"]}'
+	d=$$(mktemp -d) && go run ./cmd/experiments -spec '{"kind":"chaos","crashes":["1@40%","2@3ms"]}' -csv "$$d" && \
+		cp "$$d/chaos-crash-summary.csv" results/chaos-multicrash-summary.csv && rm -r "$$d"
 	go run ./cmd/experiments -spec '{"kind":"chaos","storm":3}'
 
 # Short, fixed-budget fuzz passes over the wire-format decoders, the

@@ -9,30 +9,31 @@
 //	nodes     Fig 5a/5b  HiCMA strong scaling, 1..32 nodes, and Table 2
 //	chaos                task graphs under faults, or the crash-recovery proof
 //
-// -spec takes one spec (a JSON object) or a list (a JSON array). Without
-// it the command runs paper.json, the whole evaluation with the paper's
-// protocols (about 20 minutes at -j 2, estimated from quick.json's times
-// scaled by the run counts, not measured); quick.json is the same list with
-// cheap ones:
+// -spec takes a list of specs (a JSON array) or one spec (a JSON object, a
+// list of one). Without it the command runs paper.json, the whole
+// evaluation with the paper's protocols (about 20 minutes at -j 2,
+// estimated from quick.json's times scaled by the run counts, not
+// measured); quick.json is the same list with cheap ones:
 //
 //	experiments -spec "$(cat cmd/experiments/quick.json)" -j 2
 //
-// A list prints its specs' figure tables in order, the HiCMA problem line
-// before a tile spec's and the headline after a nodes spec's. Its points run
-// as one sweep, so -j and -cache cover all of it, and every spec is
-// validated before any point runs. A lone figure spec prints the spec, its
-// figure tables (with a tile spec's "mt", the §6.4.3 table too) and its
-// per-point table (expd.AssembleTable):
+// Every spec is validated before any point runs, and the points of all of
+// them run as one sweep, so -j and -cache cover all of it. Each spec then
+// prints, in list order, its header line (a tile spec's HiCMA problem, a
+// chaos spec's seed, which prints before any point runs), every table
+// expd.Figures renders for it, with a failed chaos point or verdict on a
+// line after its table, and a nodes spec's headline:
 //
 //	experiments -spec '{"kind":"tile","scale":0.1,"mt":true}'
-//	experiments -spec '{"kind":"nodes","scale":0.5,"runs":1}' -j 0
+//	experiments -spec '[{"kind":"chaos","crashes":["1@40%","2@3ms"]},{"kind":"nodes","scale":0.5,"runs":1}]' -j 0
 //
-// -csv DIR writes every printed table as a CSV file. On a lone tile spec of
-// one tile without mt it also writes each point's metric registry, and on a
-// chaos rate spec each faulted run's (a crash spec writes its summary):
+// The command exits 1 when any point failed or any chaos verdict is not
+// "verified". -csv DIR writes every printed table as a CSV file, a crash
+// spec's as chaos-crash-summary.csv. It also writes the metric registry of
+// each point of a one-tile tile spec without mt, and of each faulted run of
+// a chaos rate spec:
 //
 //	experiments -spec '{"kind":"tile","n":9600,"nodes":4,"tiles":[1200]}' -csv results
-//	experiments -spec '{"kind":"chaos","crashes":["1@40%","2@3ms"]}'
 //
 // -trace FILE on a one-point tile spec (one backend, one tile, mt off)
 // writes a Chrome trace (chrome://tracing, ui.perfetto.dev) of the point's
@@ -45,7 +46,6 @@ import (
 	"bytes"
 	"context"
 	_ "embed"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"amtlci/internal/bench"
+	"amtlci/internal/chaos"
 	"amtlci/internal/core/stack"
 	"amtlci/internal/ctrace"
 	"amtlci/internal/expd"
@@ -78,13 +79,17 @@ func main() {
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	specs, list, err := checkFlags(*specJSON, set)
+	specs, err := checkFlags(*specJSON, set)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
 	if *listConfig {
 		printConfig(os.Stdout)
+		return
+	}
+	if *traceFile != "" {
+		exitOn(writeTrace(*traceFile, specs[0].Points()[0]))
 		return
 	}
 	if *csvDir != "" {
@@ -108,60 +113,32 @@ func main() {
 		cache, err = expd.OpenCache(*cacheDir)
 		exitOn(err)
 	}
-	if list {
-		runList(specs, *j, cache, emit)
-		return
-	}
-	spec := specs[0]
-	if spec.Kind == expd.KindChaos {
-		os.Exit(runChaos(spec, *j, cache, *csvDir))
-	}
-	canon, err := json.Marshal(spec)
-	exitOn(err)
-	fmt.Printf("spec: %s\n\n", canon)
-	pts := spec.Points()
-	if *traceFile != "" {
-		exitOn(writeTrace(*traceFile, pts[0]))
-		return
-	}
-	// A one-tile HiCMA spec's points also hand back their registries.
-	var hooks expd.EvalHooks
-	metricsPaths := make([]string, len(pts))
-	if *csvDir != "" && spec.Kind == expd.KindTile && len(spec.Tiles) == 1 && !spec.MT {
-		hooks.Registry = func(i, _ int, reg *metrics.Registry) {
-			p := pts[i]
-			title := fmt.Sprintf("HiCMA N=%d nb=%d, %d nodes, %s backend", p.N, p.NB, p.Nodes, p.Backend)
-			metricsPaths[i] = writeCSV(*csvDir, "experiments-metrics-"+p.Backend, bench.MetricsTable(reg, title))
-		}
-	}
-	results, err := expd.EvalPoints(context.Background(), *j, pts, cache, hooks)
-	exitOn(err)
-	figs, err := expd.Figures(spec, results)
-	exitOn(err)
-	for _, f := range figs {
-		emit(f.Name, f.Table)
-	}
-	t, err := expd.AssembleTable(spec, pts, results)
-	exitOn(err)
-	emit("points", t)
-	for _, path := range metricsPaths {
-		if path != "" {
-			fmt.Println("metrics -> " + path)
-		}
-	}
+	os.Exit(run(specs, *j, cache, *csvDir, emit))
 }
 
-// runList evaluates a spec list as one sweep and emits its figure tables
-// in list order: the HiCMA problem line before a tile spec's, the §6.4.3
-// multithreading table left out, and the headline after a nodes spec's. A
-// point that several specs share (the tile and nodes sweeps meet at 16
-// nodes) is simulated once.
-func runList(specs []expd.Spec, workers int, cache *expd.Cache, emit func(string, *bench.Table)) {
+// run evaluates specs as one sweep and prints, per spec in list order, the
+// HiCMA problem line before a tile spec's tables, every table expd.Figures
+// renders with its failure lines, the headline after a nodes spec's and the
+// registry files the spec's points wrote. A chaos spec's seed line, the
+// replay handle of its points, prints before any point runs. A point that
+// several specs share (the tile and nodes sweeps meet at 16 nodes) is
+// simulated once. It returns the exit status: 1 when any point errored or
+// any chaos verdict failed.
+func run(specs []expd.Spec, workers int, cache *expd.Cache, csvDir string, emit func(string, *bench.Table)) int {
 	start := time.Now()
 	var uniq []expd.Point
-	var at []int             // at[k] is the index in uniq of the list's k-th point
-	slot := map[string]int{} // point hash -> index in uniq
-	for _, s := range specs {
+	var at []int                                    // at[k] is the index in uniq of the list's k-th point
+	slot := map[string]int{}                        // point hash -> index in uniq
+	sinks := map[int]func(int, *metrics.Registry){} // sinks[k] receives uniq[k]'s registries
+	files := make([][]string, len(specs))           // files[i] are the registry CSVs of spec i's points
+	for i, s := range specs {
+		if s.Kind == expd.KindChaos {
+			seed := s.Seed
+			if seed == 0 {
+				seed = chaos.DefaultSeed
+			}
+			fmt.Printf("seed %#x\n", seed)
+		}
 		for _, p := range s.Points() {
 			k, ok := slot[p.Hash()]
 			if !ok {
@@ -170,33 +147,87 @@ func runList(specs []expd.Spec, workers int, cache *expd.Cache, emit func(string
 				uniq = append(uniq, p)
 			}
 			at = append(at, k)
+			if sink, paths := registrySink(s, p, csvDir); sink != nil {
+				sinks[k] = sink
+				files[i] = append(files[i], paths...)
+			}
 		}
 	}
-	evaluated, err := expd.EvalPoints(context.Background(), workers, uniq, cache, expd.EvalHooks{})
-	exitOn(err)
-	for _, s := range specs {
-		rs := make([]expd.PointResult, len(s.Points()))
-		for i := range rs {
-			rs[i] = evaluated[at[i]]
+	// Each point's error arrives through Done, so a failed point is
+	// reported by its spec; EvalPoints' own error is the first of those.
+	errs := make([]error, len(uniq))
+	evaluated, _ := expd.EvalPoints(context.Background(), workers, uniq, cache, expd.EvalHooks{
+		Done:     func(k int, _ expd.PointResult, _ bool, err error, _ time.Duration) { errs[k] = err },
+		Registry: func(k int) func(int, *metrics.Registry) { return sinks[k] },
+	})
+	failed := false
+	for i, s := range specs {
+		n := len(s.Points())
+		rs, es := make([]expd.PointResult, n), make([]error, n)
+		for j := range rs {
+			rs[j], es[j] = evaluated[at[j]], errs[at[j]]
 		}
-		at = at[len(rs):]
+		at = at[n:]
 		if s.Kind == expd.KindTile {
 			fmt.Printf("HiCMA problem: N=%d (scale %.2f)\n\n", s.N, float64(s.N)/360000)
 		}
-		figs, err := expd.Figures(s, rs)
-		exitOn(err)
+		figs, err := expd.Figures(s, rs, es)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: spec %d: %v\n", i, err)
+			failed = true
+			continue
+		}
 		for _, f := range figs {
-			if f.Name != expd.FigMTTime {
-				emit(f.Name, f.Table)
+			emit(f.Name, f.Table)
+			for _, line := range f.Failures {
+				fmt.Println(line)
 			}
+			failed = failed || len(f.Failures) > 0
 		}
 		if s.Kind == expd.KindNodes {
 			headline(s, rs)
+		}
+		for _, path := range files[i] {
+			fmt.Println("metrics -> " + path)
 		}
 	}
 	// Host wall time goes to stderr: stdout is a pure function of virtual
 	// time, so results/experiments_full.txt regenerates byte-identically.
 	fmt.Fprintf(os.Stderr, "\ntotal wall time: %v\n", time.Since(start).Round(time.Second))
+	if failed {
+		return 1
+	}
+	return 0
+}
+
+// registrySink returns, when -csv names a dir, what writes the registries
+// point p of spec s hands back and the files it writes, one per row: a
+// one-tile tile spec without mt writes each backend's run, a chaos rate spec
+// each fault rate's. Every other point hands back none (nil), and so stays
+// servable from the cache.
+func registrySink(s expd.Spec, p expd.Point, dir string) (func(int, *metrics.Registry), []string) {
+	var names, titles []string
+	switch {
+	case dir == "":
+	case s.Kind == expd.KindTile && len(s.Tiles) == 1 && !s.MT:
+		names = []string{"experiments-metrics-" + p.Backend}
+		titles = []string{fmt.Sprintf("HiCMA N=%d nb=%d, %d nodes, %s backend", p.N, p.NB, p.Nodes, p.Backend)}
+	case s.Kind == expd.KindChaos:
+		for _, rate := range p.Rates { // a crash spec sweeps none
+			names = append(names, fmt.Sprintf("chaos-metrics-%s-%s-%.1fpct", p.Backend, p.Workload, rate))
+			titles = append(titles, fmt.Sprintf("chaos metrics: %s %s %.1f%% faults", p.Backend, p.Workload, rate))
+		}
+	}
+	if names == nil {
+		return nil, nil
+	}
+	paths := make([]string, len(names))
+	for i, name := range names {
+		paths[i] = filepath.Join(dir, name+".csv")
+	}
+	return func(row int, reg *metrics.Registry) {
+		writeCSV(dir, names[row], bench.MetricsTable(reg, titles[row]))
+	}, paths
 }
 
 // headline prints the §6.4.3/§7 summary of a nodes sweep at 16 nodes: LCI's
@@ -225,89 +256,65 @@ func exitOn(err error) {
 	}
 }
 
-// writeCSV writes t as dir/name.csv and returns the file's path.
-func writeCSV(dir, name string, t *bench.Table) string {
-	path := filepath.Join(dir, name+".csv")
-	f, err := os.Create(path)
+// writeCSV writes t as dir/name.csv.
+func writeCSV(dir, name string, t *bench.Table) {
+	f, err := os.Create(filepath.Join(dir, name+".csv"))
 	exitOn(err)
 	t.CSV(f)
 	exitOn(f.Close())
-	return path
 }
 
 // checkFlags rejects, before any simulation starts, what would otherwise
 // fail or be silently ignored minutes into a run, and returns the specs to
-// evaluate and whether they came as a list. set names the flags given on
-// the command line. -list-config comes alone. -spec is one spec (a JSON
-// object) or a list (a JSON array), and defaults to paper.json's list;
-// every spec of a list is decoded and checked before any runs. A figure
-// spec must cover both backends (the figures compare LCI with Open MPI). A
-// list holds figure specs only; a chaos spec comes alone and prints no
-// markdown. -trace needs a tile spec of exactly one point and refuses the
-// output and evaluation flags it would ignore.
-func checkFlags(specJSON string, set map[string]bool) ([]expd.Spec, bool, error) {
+// evaluate. set names the flags given on the command line. -list-config
+// comes alone. -spec is one spec (a JSON object, a list of one) or a list
+// (a JSON array), and defaults to paper.json's list; every spec is decoded
+// and checked before any runs. A figure spec must cover both backends (the
+// figures compare LCI with Open MPI). -trace needs a lone tile spec of
+// exactly one point, of either backend, and refuses the output and
+// evaluation flags it would ignore.
+func checkFlags(specJSON string, set map[string]bool) ([]expd.Spec, error) {
 	if set["list-config"] {
 		for _, f := range []string{"md", "j", "csv", "spec", "cache", "trace"} {
 			if set[f] {
-				return nil, false, fmt.Errorf("-%s does not combine with -list-config", f)
+				return nil, fmt.Errorf("-%s does not combine with -list-config", f)
 			}
 		}
-		return nil, false, nil
+		return nil, nil
 	}
 	raw := []byte(specJSON)
 	if !set["spec"] {
 		raw = paperJSON
 	}
-	if bytes.HasPrefix(bytes.TrimSpace(raw), []byte("[")) {
-		if set["trace"] {
-			return nil, false, fmt.Errorf("-trace needs a one-point tile -spec, not a list")
-		}
-		specs, err := expd.DecodeSpecList(raw)
-		if err != nil {
-			return nil, false, fmt.Errorf("-spec: %w", err)
-		}
-		for i, s := range specs {
-			if err := checkFigureSpec(s); err != nil {
-				return nil, false, fmt.Errorf("-spec: spec %d: %w", i, err)
-			}
-		}
-		return specs, true, nil
+	list := bytes.HasPrefix(bytes.TrimSpace(raw), []byte("["))
+	var specs []expd.Spec
+	var err error
+	if list {
+		specs, err = expd.DecodeSpecList(raw)
+	} else {
+		specs = make([]expd.Spec, 1)
+		specs[0], err = expd.DecodeSpec(raw)
 	}
-	s, err := expd.DecodeSpec(raw)
-	switch {
-	case err != nil:
-		return nil, false, fmt.Errorf("-spec: %w", err)
-	case set["trace"]:
-		if s.Kind != expd.KindTile || len(s.Points()) != 1 {
-			return nil, false, fmt.Errorf("-trace needs a tile spec of one point (one backend, one tile, mt off), got %d %s points", len(s.Points()), s.Kind)
+	if err != nil {
+		return nil, fmt.Errorf("-spec: %w", err)
+	}
+	if set["trace"] {
+		if s := specs[0]; list || s.Kind != expd.KindTile || len(s.Points()) != 1 {
+			return nil, fmt.Errorf("-trace needs a lone tile spec of one point (one backend, one tile, mt off)")
 		}
 		for _, f := range []string{"md", "j", "csv", "cache"} {
 			if set[f] {
-				return nil, false, fmt.Errorf("-%s does not combine with -trace", f)
+				return nil, fmt.Errorf("-%s does not combine with -trace", f)
 			}
 		}
-	case s.Kind == expd.KindChaos:
-		if set["md"] {
-			return nil, false, fmt.Errorf("-md does not combine with a chaos spec")
-		}
-	default:
-		if err := checkFigureSpec(s); err != nil {
-			return nil, false, fmt.Errorf("-spec: %w", err)
+		return specs, nil
+	}
+	for i, s := range specs {
+		if s.Kind != expd.KindChaos && len(s.Backends) != 2 {
+			return nil, fmt.Errorf("-spec: spec %d: the %s figures need both backends, got %v", i, s.Kind, s.Backends)
 		}
 	}
-	return []expd.Spec{s}, false, nil
-}
-
-// checkFigureSpec refuses what expd.Figures cannot render: a chaos spec,
-// and a spec of one backend.
-func checkFigureSpec(s expd.Spec) error {
-	switch {
-	case s.Kind == expd.KindChaos:
-		return fmt.Errorf("a chaos spec comes alone, not in a list")
-	case len(s.Backends) != 2:
-		return fmt.Errorf("the %s figures need both backends, got %v", s.Kind, s.Backends)
-	}
-	return nil
+	return specs, nil
 }
 
 // writeTrace records the first run of HiCMA point p as a Chrome trace into

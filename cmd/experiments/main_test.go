@@ -30,13 +30,13 @@ func TestCheckFlags(t *testing.T) {
 		{"spec chaos kind", `{"kind":"chaos"}`, "", true},
 		{"chaos spec one backend", `{"kind":"chaos","backends":["lci"]}`, "", true},
 		{"crash spec with output flags", `{"kind":"chaos","crashes":["1@40%"]}`, "j csv cache", true},
-		{"chaos spec with -md", `{"kind":"chaos","storm":3}`, "md", false},
+		{"chaos spec with -md", `{"kind":"chaos","storm":3}`, "md", true},
 		{"spec one backend", `{"kind":"tile","backends":["lci"]}`, "", false},
 		{"spec with -list-config", tile, "list-config", false},
 		{"list", list, "md j csv cache", true},
 		{"list with a bad second spec", `[{"kind":"overlap"},{"kind":"tile","scale":2}]`, "", false},
 		{"list with a one-backend tile spec", `[{"kind":"tile","backends":["mpi"]}]`, "", false},
-		{"list with a chaos spec", `[{"kind":"chaos"}]`, "", false},
+		{"list with a chaos spec", `[{"kind":"chaos"}]`, "", true},
 		{"empty list", `[]`, "", false},
 		{"list with trailing data", list + ` []`, "", false},
 		{"trace one-point tile spec", onePoint, "trace", true},
@@ -64,7 +64,7 @@ func TestCheckFlags(t *testing.T) {
 		if c.spec != "" {
 			set["spec"] = true
 		}
-		_, _, err := checkFlags(c.spec, set)
+		_, err := checkFlags(c.spec, set)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: checkFlags = %v, want ok=%v", c.name, err, c.ok)
 		}
@@ -88,9 +88,9 @@ func TestSpecLists(t *testing.T) {
 		{"quick.json", string(quick), [2]int{2, 1}, [2]int{1, 0}},
 	} {
 		set := map[string]bool{"spec": c.spec != ""}
-		specs, list, err := checkFlags(c.spec, set)
-		if err != nil || !list || len(specs) != 4 {
-			t.Fatalf("%s: %d specs, list %t, err %v; want a list of 4", c.name, len(specs), list, err)
+		specs, err := checkFlags(c.spec, set)
+		if err != nil || len(specs) != 4 {
+			t.Fatalf("%s: %d specs, err %v; want 4", c.name, len(specs), err)
 		}
 		for i, kind := range []string{expd.KindPingPong, expd.KindOverlap, expd.KindTile, expd.KindNodes} {
 			s := specs[i]

@@ -118,13 +118,14 @@ type CrashSpec struct {
 	At sim.Duration
 }
 
-// Storm stride and jitter: consecutive storm crashes land one detection
-// lease apart, give or take a seeded jitter, so a cascade mixes every
-// regime — crashes folding into an in-flight recovery round, crashes
-// landing mid-re-execution, and cleanly sequential rounds.
+// Storm stride and jitter: consecutive storm crashes land 1 ms apart plus
+// up to 0.5 ms of seeded jitter, inside the first crash's detection and
+// recovery, so every crash of a 3-crash storm lands before the recovered
+// makespan of the chaos mini-problems. Later crashes fold into the restart
+// in flight, aborting its rounds, rather than starting sequential ones.
 const (
-	stormStride = 1500 * sim.Microsecond
-	stormJitter = 1000 * sim.Microsecond
+	stormStride = 1000 * sim.Microsecond
+	stormJitter = 500 * sim.Microsecond
 )
 
 // Storm derives a seeded cascade of k fail-stop crashes on distinct ranks.

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"amtlci/internal/metrics"
 )
 
 // tinyTileSpec is a 6-point tile sweep (N=3600, 2 backends x 3 tiles).
@@ -160,5 +162,45 @@ func TestEvalPointsCacheOldFormat(t *testing.T) {
 		if rewritten, err := os.ReadFile(victim); err != nil || !bytes.Equal(rewritten, whole) {
 			t.Fatalf("stale entry not overwritten in the current format (err %v):\n%s\nvs\n%s", err, rewritten, whole)
 		}
+	}
+}
+
+// TestEvalPointsRegistryBypassesOnlyItsPoint: a point that hands back its
+// registry is simulated, since cache entries hold none, while every point
+// whose Registry sink is nil is still served from the cache.
+func TestEvalPointsRegistryBypassesOnlyItsPoint(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pts, _ := cacheSweep(t, cache, tinyTileSpec)
+	var mu sync.Mutex
+	cached := make([]bool, len(pts))
+	var rows []int
+	_, err = EvalPoints(context.Background(), 2, pts, cache, EvalHooks{
+		Done: func(i int, _ PointResult, hit bool, _ error, _ time.Duration) {
+			mu.Lock()
+			cached[i] = hit
+			mu.Unlock()
+		},
+		Registry: func(i int) func(int, *metrics.Registry) {
+			if i != 0 {
+				return nil
+			}
+			return func(row int, reg *metrics.Registry) {
+				if reg != nil {
+					rows = append(rows, row)
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached[0] || countHits(cached) != len(pts)-1 {
+		t.Errorf("cached=%v, want a miss on point 0 only", cached)
+	}
+	if len(rows) != 1 || rows[0] != 0 {
+		t.Errorf("point 0 handed back registries of rows %v, want [0]", rows)
 	}
 }

@@ -178,31 +178,68 @@ func evalCrash(p Point, b stack.Backend, w chaos.Workload) (*CrashPointResult, e
 	return r, nil
 }
 
-// crashTable is a crash spec's result table, the chaos-crash-summary CSV:
-// one row per point that reached its recovered run. A point whose baseline
-// or armed run broke has no result and no row; its error is its report.
-func crashTable(pts []Point, results []PointResult) *bench.Table {
-	cols := []string{"backend", "workload", "crashes", "baseline_makespan", "armed_makespan",
-		"recovered_makespan", "armed_overhead", "recovered_slowdown"}
-	for _, c := range crashCounters {
-		cols = append(cols, c[0])
+// chaosFigures renders chaos spec s: a rate spec as "chaos-rates", one row
+// per point and fault rate, or a crash spec as "chaos-crash-summary", the
+// chaos-crash-summary CSV with one row per point that reached its recovered
+// run. A point whose baseline or armed run broke has no result and no row;
+// like every failed verdict, its error is one of the figure's Failures.
+func chaosFigures(s Spec, results []PointResult, errs []error) ([]Figure, error) {
+	pts := s.Points()
+	if len(results) != len(pts) {
+		return nil, fmt.Errorf("expd: %d results, want %d", len(results), len(pts))
 	}
-	t := bench.NewTable("chaos crash summary", append(cols, "rel_err", "verified", "replay_identical")...)
-	for i, p := range pts {
-		r := results[i].Crash
-		if r == nil {
-			continue
-		}
-		b, _ := stack.ParseBackend(p.Backend)
-		row := []string{b.String(), p.Workload, r.Cascade,
-			r.Baseline.String(), r.Armed.String(), r.Recovered.String(),
-			fmt.Sprintf("%.4f", float64(r.Armed)/float64(r.Baseline)),
-			fmt.Sprintf("%.4f", float64(r.Recovered)/float64(r.Baseline))}
+	f := Figure{Name: "chaos-rates", Table: bench.NewTable("chaos fault-rate sweep", "backend", "workload",
+		"rate", "makespan", "slowdown", "drop", "dup", "corr", "retrans", "steals", "verdict")}
+	if s.crashing() {
+		cols := []string{"backend", "workload", "crashes", "baseline_makespan", "armed_makespan",
+			"recovered_makespan", "armed_overhead", "recovered_slowdown"}
 		for _, c := range crashCounters {
-			row = append(row, strconv.FormatUint(r.Counters[c[0]], 10))
+			cols = append(cols, c[0])
 		}
-		t.AddRow(append(row, fmt.Sprintf("%g", r.RelErr),
-			strconv.FormatBool(r.Verified), strconv.FormatBool(r.ReplayIdentical))...)
+		f = Figure{Name: "chaos-crash-summary", Table: bench.NewTable("chaos crash summary",
+			append(cols, "rel_err", "verified", "replay_identical")...)}
 	}
-	return t
+	for i, p := range pts {
+		b, _ := stack.ParseBackend(p.Backend) // canonical spelling
+		fail := func(at, msg string) {
+			f.Failures = append(f.Failures, fmt.Sprintf("%v %s%s: %s", b, p.Workload, at, msg))
+		}
+		if r := results[i].Crash; r != nil {
+			row := []string{b.String(), p.Workload, r.Cascade,
+				r.Baseline.String(), r.Armed.String(), r.Recovered.String(),
+				fmt.Sprintf("%.4f", float64(r.Armed)/float64(r.Baseline)),
+				fmt.Sprintf("%.4f", float64(r.Recovered)/float64(r.Baseline))}
+			for _, c := range crashCounters {
+				row = append(row, strconv.FormatUint(r.Counters[c[0]], 10))
+			}
+			f.Table.AddRow(append(row, fmt.Sprintf("%g", r.RelErr),
+				strconv.FormatBool(r.Verified), strconv.FormatBool(r.ReplayIdentical))...)
+			if r.Verdict != "verified" {
+				fail("", r.Verdict)
+			}
+		}
+		if r := results[i].Chaos; r != nil {
+			for _, row := range r.Rows {
+				verdict, detail := "verified", ""
+				if row.Err != "" {
+					verdict, detail = "ABORT", "ABORT: "+row.Err
+				} else if !row.Verified {
+					verdict, detail = "WRONG", fmt.Sprintf("WRONG (rel err %g)", row.RelErr)
+				}
+				rate := fmt.Sprintf("%.1f%%", row.RatePct)
+				f.Table.AddRow(b.String(), p.Workload, rate,
+					(sim.Duration(row.MakespanNS) * sim.Nanosecond).String(), fmt.Sprintf("%.2fx", row.Slowdown),
+					strconv.FormatUint(row.Dropped, 10), strconv.FormatUint(row.Duplicated, 10),
+					strconv.FormatUint(row.Corrupted, 10), strconv.FormatUint(row.Retransmits, 10),
+					strconv.FormatUint(row.Steals, 10), verdict)
+				if detail != "" {
+					fail(" "+rate, detail)
+				}
+			}
+		}
+		if i < len(errs) && errs[i] != nil {
+			fail("", errs[i].Error())
+		}
+	}
+	return []Figure{f}, nil
 }

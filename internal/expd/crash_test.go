@@ -8,7 +8,7 @@ import (
 )
 
 // TestCrashPointProof: a one-point crash spec runs the whole recovery proof
-// inside EvalPoint — baseline, recovery armed without a crash, the cascade,
+// inside evalPoint — baseline, recovery armed without a crash, the cascade,
 // an exact replay — and its summary CSV is the same bytes at one worker, at
 // two, and served from a warm cache.
 func TestCrashPointProof(t *testing.T) {
@@ -30,17 +30,20 @@ func TestCrashPointProof(t *testing.T) {
 		res, err := EvalPoints(context.Background(), workers, pts, cache, EvalHooks{
 			Done: func(_ int, _ PointResult, cached bool, _ error, _ time.Duration) { hit = cached },
 		})
-		// EvalPoint refuses a point whose recovery-armed healthy run
+		// evalPoint refuses a point whose recovery-armed healthy run
 		// restarts, so a nil error is the armed run's 0 restarts.
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl, err := AssembleTable(s, pts, res)
+		figs, err := Figures(s, res, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(figs) != 1 || figs[0].Name != "chaos-crash-summary" || len(figs[0].Failures) != 0 {
+			t.Fatalf("crash spec renders %+v, want one chaos-crash-summary without failures", figs)
+		}
 		var buf bytes.Buffer
-		tbl.CSV(&buf)
+		figs[0].Table.CSV(&buf)
 		return buf.Bytes(), res[0].Crash, hit
 	}
 

@@ -1,6 +1,7 @@
 package expd
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -14,20 +15,31 @@ import (
 type Figure struct {
 	Name  string
 	Table *bench.Table
+	// Failures are the lines that follow the table, one per chaos point that
+	// errored, crash proof whose verdict is not "verified" and fault rate
+	// whose run aborted or computed a wrong answer. A figure with failures
+	// fails the run that rendered it.
+	Failures []string
 }
 
-// FigMTTime names the time-to-solution table a tile spec with MT adds: the
-// §6.4.3 comparison with multithreaded ACTIVATEs, which is not one of the
-// paper's figures.
-const FigMTTime = "fig4a-mt"
-
-// Figures renders a canonical spec and its results as the paper's tables:
-// Fig 2a/2b ("fig2a", "fig2b") for a pingpong spec, Fig 3 ("fig3") for an
-// overlap spec, Fig 4a/4b ("fig4a", "fig4b") for a tile spec, Fig 5a/5b and
-// Table 2 ("fig5a", "fig5b", "table2") for a nodes spec. With MT, Fig 4b
-// gains the multithreaded latency columns and a FigMTTime table follows
-// it. The spec must sweep both backends.
-func Figures(s Spec, results []PointResult) ([]Figure, error) {
+// Figures renders a canonical spec and its results, with errs[i] point i's
+// error (nil errs when none failed), as the paper's tables: Fig 2a/2b
+// ("fig2a", "fig2b") for a pingpong spec, Fig 3 ("fig3") for an overlap
+// spec, Fig 4a/4b ("fig4a", "fig4b") for a tile spec, Fig 5a/5b and Table 2
+// ("fig5a", "fig5b", "table2") for a nodes spec. With MT, Fig 4b gains the
+// multithreaded latency columns and the §6.4.3 time-to-solution table
+// ("fig4a-mt") follows it. These specs must sweep both backends, and their
+// failed points' errors are Figures' error. A chaos spec renders its
+// fault-rate sweep ("chaos-rates") or its crash proofs
+// ("chaos-crash-summary"), and its failed points become the table's
+// Failures.
+func Figures(s Spec, results []PointResult, errs []error) ([]Figure, error) {
+	if s.Kind == KindChaos {
+		return chaosFigures(s, results, errs)
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	switch s.Kind {
 	case KindPingPong:
 		return pingpongFigures(results)
@@ -52,7 +64,7 @@ func Figures(s Spec, results []PointResult) ([]Figure, error) {
 				latency(p.LCI.E2ELatencyMS), latency(p.MPIAtLCI.E2ELatencyMS), latency(p.MPIBest.E2ELatencyMS))
 			tbl2.AddRow(nodes, strconv.Itoa(p.MPIBestTile), strconv.Itoa(p.LCITile))
 		}
-		return []Figure{{"fig5a", fig5a}, {"fig5b", fig5b}, {"table2", tbl2}}, nil
+		return []Figure{{Name: "fig5a", Table: fig5a}, {Name: "fig5b", Table: fig5b}, {Name: "table2", Table: tbl2}}, nil
 	}
 	return nil, fmt.Errorf("expd: no figures for kind %q", s.Kind)
 }
@@ -83,7 +95,7 @@ func pingpongFigures(results []PointResult) ([]Figure, error) {
 			netpipe.Bandwidth(netpipe.DefaultConfig(), size))
 		fig2b.AddFloats(bench.Bytes(size), "%.1f", at(1, 0), at(1, 1), at(2, 0), at(2, 1))
 	}
-	return []Figure{{"fig2a", fig2a}, {"fig2b", fig2b}}, nil
+	return []Figure{{Name: "fig2a", Table: fig2a}, {Name: "fig2b", Table: fig2b}}, nil
 }
 
 // overlapFigures renders an overlap spec, whose points are ordered backend
@@ -106,7 +118,7 @@ func overlapFigures(results []PointResult) ([]Figure, error) {
 		lci, mpi := results[i].Overlap, results[n+i].Overlap
 		fig3.AddFloats(bench.Bytes(size), "%.0f", lci.GFLOPS, mpi.GFLOPS, mpi.Roofline, mpi.NoOverlap)
 	}
-	return []Figure{{"fig3", fig3}}, nil
+	return []Figure{{Name: "fig3", Table: fig3}}, nil
 }
 
 // tileFigures renders a tile spec, whose points are ordered backend (LCI,
@@ -140,9 +152,9 @@ func tileFigures(s Spec, results []PointResult) ([]Figure, error) {
 		fig4b.AddFloats(tile, "%.2f", e2e...)
 		mtTime.AddFloats(tile, "%.2f", tts...)
 	}
-	figs := []Figure{{"fig4a", fig4a}, {"fig4b", fig4b}}
+	figs := []Figure{{Name: "fig4a", Table: fig4a}, {Name: "fig4b", Table: fig4b}}
 	if s.MT {
-		figs = append(figs, Figure{FigMTTime, mtTime})
+		figs = append(figs, Figure{Name: "fig4a-mt", Table: mtTime})
 	}
 	return figs, nil
 }
@@ -164,7 +176,7 @@ func hicmaResults(results []PointResult, want int) ([]bench.HiCMAResult, error) 
 
 // latency turns a cached latency mean back into what the run measured: a
 // run that sent no messages (one node, or one tile) has no latency samples,
-// which EvalPoint stores as 0 because JSON cannot carry NaN.
+// which evalPoint stores as 0 because JSON cannot carry NaN.
 func latency(ms float64) float64 {
 	if ms == 0 {
 		return math.NaN()

@@ -2,12 +2,14 @@ package expd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"amtlci/internal/bench"
 	"amtlci/internal/netpipe"
+	"amtlci/internal/sim"
 )
 
 // evalCSV canonicalizes s, evaluates its points on `workers` goroutines and
@@ -102,7 +104,7 @@ func TestMicroFigures(t *testing.T) {
 		for _, p := range s.Points() {
 			rs = append(rs, result(p))
 		}
-		figs, err := Figures(s, rs)
+		figs, err := Figures(s, rs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,4 +161,78 @@ func TestMicroFigures(t *testing.T) {
 func firstRows(csv string) string {
 	lines := strings.SplitAfterN(csv, "\n", 3)
 	return lines[0] + lines[1]
+}
+
+// TestChaosFigures renders crafted chaos results: a rate spec's table has
+// runChaos's columns and a line after it for each failed fault rate, a crash
+// spec's is the chaos-crash-summary table with a line for each point that
+// errored or whose verdict is not "verified", and only a figure with such
+// lines fails the run.
+func TestChaosFigures(t *testing.T) {
+	render := func(raw string, rs []PointResult, errs []error) (Figure, string) {
+		t.Helper()
+		s, err := DecodeSpec([]byte(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs, err := Figures(s, rs, errs)
+		if err != nil || len(figs) != 1 {
+			t.Fatalf("%s: %d figures, err %v; want one", raw, len(figs), err)
+		}
+		var sb strings.Builder
+		figs[0].Table.CSV(&sb)
+		return figs[0], sb.String()
+	}
+
+	rate := PointResult{Chaos: &ChaosPointResult{BaselineNS: 1000, Rows: []ChaosRow{
+		{RatePct: 1, MakespanNS: 1500, Slowdown: 1.5, Dropped: 1, Duplicated: 2, Corrupted: 3, Retransmits: 4, Verified: true},
+		{RatePct: 2, MakespanNS: 2000, Slowdown: 2, Steals: 5, Err: "link severed"},
+	}}}
+	f, csv := render(`{"kind":"chaos","backends":["lci"],"workloads":["cholesky"],"rates":[1,2]}`, []PointResult{rate}, nil)
+	want := "backend,workload,rate,makespan,slowdown,drop,dup,corr,retrans,steals,verdict\n" +
+		"LCI,cholesky,1.0%,1.5µs,1.50x,1,2,3,4,0,verified\n" +
+		"LCI,cholesky,2.0%,2µs,2.00x,0,0,0,0,5,ABORT\n"
+	if f.Name != "chaos-rates" || csv != want {
+		t.Errorf("rate figure %q:\n%s\nwant chaos-rates:\n%s", f.Name, csv, want)
+	}
+	if want := []string{"LCI cholesky 2.0%: ABORT: link severed"}; fmt.Sprint(f.Failures) != fmt.Sprint(want) {
+		t.Errorf("rate failures %q, want %q", f.Failures, want)
+	}
+
+	crash := func(verdict string) PointResult {
+		return PointResult{Crash: &CrashPointResult{Cascade: "1@4µs", Baseline: 10 * sim.Microsecond,
+			Armed: 11 * sim.Microsecond, Recovered: 20 * sim.Microsecond, Counters: map[string]uint64{"restarts": 1},
+			Verified: true, ReplayIdentical: true, Verdict: verdict}}
+	}
+	const crashSpec = `{"kind":"chaos","workloads":["cholesky","hicma"],"crashes":["1@40%"]}`
+	ok := []PointResult{crash("verified"), crash("verified"), crash("verified"), crash("verified")}
+	if f, _ := render(crashSpec, ok, nil); len(f.Failures) != 0 {
+		t.Errorf("verified crash proofs fail: %q", f.Failures)
+	}
+	f, csv = render(crashSpec,
+		[]PointResult{crash("verified"), crash("restarts 0, want 1..1"), {}, crash("verified")},
+		[]error{nil, nil, errors.New("fault-free baseline broken"), nil})
+	header := "backend,workload,crashes,baseline_makespan,armed_makespan,recovered_makespan,armed_overhead,recovered_slowdown," +
+		"restarts,rounds_aborted,peer_deaths,ckpt_sent,ckpt_bytes,ckpt_stored,rereplicated,orphaned,tasks_restored," +
+		"stale_dropped,steals,steal_tasks,rel_err,verified,replay_identical\n"
+	row := func(b, w string) string {
+		return b + "," + w + ",1@4µs,10µs,11µs,20µs,1.1000,2.0000,1,0,0,0,0,0,0,0,0,0,0,0,0,true,true\n"
+	}
+	if want := header + row("LCI", "cholesky") + row("LCI", "hicma") + row("Open MPI", "hicma"); f.Name != "chaos-crash-summary" || csv != want {
+		t.Errorf("crash figure %q:\n%s\nwant chaos-crash-summary:\n%s", f.Name, csv, want)
+	}
+	if want := []string{"LCI hicma: restarts 0, want 1..1", "Open MPI cholesky: fault-free baseline broken"}; fmt.Sprint(f.Failures) != fmt.Sprint(want) {
+		t.Errorf("crash failures %q, want %q", f.Failures, want)
+	}
+
+	// A figure spec with a failed point renders nothing and returns the error.
+	s, err := DecodeSpec([]byte(`{"kind":"overlap"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, len(s.Points()))
+	errs[1] = errors.New("point broke")
+	if figs, err := Figures(s, make([]PointResult, len(errs)), errs); !errors.Is(err, errs[1]) || figs != nil {
+		t.Errorf("overlap spec with a failed point: %d figures, err %v; want none and its error", len(figs), err)
+	}
 }

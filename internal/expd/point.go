@@ -155,14 +155,11 @@ func finite(v float64) float64 {
 	return v
 }
 
-// EvalPoint simulates one point from scratch. Validation happens at spec
-// canonicalization; a panic out of the simulator (which signals a
-// misconfiguration, not an input error) is converted to an error, so the
-// sweep's other points still complete and stay cacheable.
-func EvalPoint(p Point) (PointResult, error) { return evalPoint(p, nil) }
-
-// evalPoint is EvalPoint; a non-nil registry receives the registry of each
-// run the point reports (EvalHooks.Registry).
+// evalPoint simulates one point from scratch; a non-nil registry receives
+// the registry of each run the point reports (EvalHooks.Registry).
+// Validation happens at spec canonicalization; a panic out of the simulator
+// (which signals a misconfiguration, not an input error) is converted to an
+// error, so the sweep's other points still complete and stay cacheable.
 func evalPoint(p Point, registry func(row int, reg *metrics.Registry)) (res PointResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -249,7 +246,7 @@ func evalPoint(p Point, registry func(row int, reg *metrics.Registry)) (res Poin
 	return PointResult{}, fmt.Errorf("expd: unknown point kind %q", p.Kind)
 }
 
-// HiCMAOpts is HiCMA point p's configuration on backend b: what EvalPoint
+// HiCMAOpts is HiCMA point p's configuration on backend b: what evalPoint
 // measures, and what cmd/experiments -trace records (bench.HiCMATrace).
 func (p Point) HiCMAOpts(b stack.Backend) bench.HiCMAOpts {
 	o := bench.DefaultHiCMAOpts(b, p.NB, p.Nodes)
@@ -266,7 +263,7 @@ func (p Point) HiCMAOpts(b stack.Backend) bench.HiCMAOpts {
 // chaosOpts is the faulted run of chaos point p at ratePct percent: uniform
 // drop, duplicate, corrupt and reorder at that rate on the point's seed
 // (chaos.DefaultSeed when it sets none), the reliability layer interposed,
-// and stealing when the point asks for it. EvalPoint measures this run.
+// and stealing when the point asks for it. evalPoint measures this run.
 func (p Point) chaosOpts(ratePct float64) (chaos.Opts, error) {
 	b, err := stack.ParseBackend(p.Backend)
 	if err != nil {

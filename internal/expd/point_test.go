@@ -24,7 +24,7 @@ func TestEvalMicroPoints(t *testing.T) {
 		if p.Backend != "mpi" || p.Size != 8<<20 || p.Kind == PointPingPong && (p.Streams != 2 || p.Sync) {
 			t.Fatalf("%s: last point %+v, want Open MPI at 8 MiB (pingpong: 2 streams, no sync)", raw, p)
 		}
-		r, err := EvalPoint(p)
+		r, err := evalPoint(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,12 +32,12 @@ func TestEvalMicroPoints(t *testing.T) {
 			o := bench.DefaultPingPongOpts(stack.MPI, p.Size)
 			o.Streams, o.Sync = 2, false
 			if want := bench.PingPong(o); r.PingPong == nil || *r.PingPong != want {
-				t.Errorf("%+v: EvalPoint %+v, bench.PingPong %+v", p, r.PingPong, want)
+				t.Errorf("%+v: evalPoint %+v, bench.PingPong %+v", p, r.PingPong, want)
 			}
 			continue
 		}
 		if want := bench.Overlap(bench.DefaultOverlapOpts(stack.MPI, p.Size)); r.Overlap == nil || *r.Overlap != want {
-			t.Errorf("%+v: EvalPoint %+v, bench.Overlap %+v", p, r.Overlap, want)
+			t.Errorf("%+v: evalPoint %+v, bench.Overlap %+v", p, r.Overlap, want)
 		}
 	}
 }
@@ -51,7 +51,7 @@ func TestChaosMakespanNanoseconds(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.Points()[0]
-	r, err := EvalPoint(p)
+	r, err := evalPoint(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

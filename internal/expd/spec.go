@@ -12,8 +12,8 @@
 // is *exactly* the result a re-simulation would produce, so repeated or
 // overlapping sweeps are served from the on-disk cache (cmd/experiments
 // -cache) instead of re-simulated — a 256-point sweep that shares 200
-// points with a prior run only simulates the 56 new ones. AssembleTable
-// renders the completed points as one long-format table.
+// points with a prior run only simulates the 56 new ones. Figures renders
+// the completed points of every spec kind as its tables.
 package expd
 
 import (

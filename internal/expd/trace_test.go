@@ -19,7 +19,7 @@ func TestTraceMakespanMatchesPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := s.Points()[0]
-		r, err := EvalPoint(p)
+		r, err := evalPoint(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
