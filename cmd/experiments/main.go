@@ -31,7 +31,8 @@
 // "verified". -csv DIR writes every printed table as a CSV file, a crash
 // spec's as chaos-crash-summary.csv. It also writes the metric registry of
 // each point of a one-tile tile spec without mt, and of each faulted run of
-// a chaos rate spec:
+// a chaos rate spec. The first file of a name is NAME.csv and the k-th
+// NAME-k.csv, so two specs of one kind in a list keep both:
 //
 //	experiments -spec '{"kind":"tile","n":9600,"nodes":4,"tiles":[1200]}' -csv results
 //
@@ -92,8 +93,10 @@ func main() {
 		exitOn(writeTrace(*traceFile, specs[0].Points()[0]))
 		return
 	}
+	var csv *csvFiles
 	if *csvDir != "" {
 		exitOn(os.MkdirAll(*csvDir, 0o755))
+		csv = &csvFiles{dir: *csvDir, seen: map[string]int{}}
 	}
 	// emit prints the table and, with -csv, writes it. The tables are
 	// assembled in sweep order after the points complete, so the files do
@@ -104,8 +107,8 @@ func main() {
 		} else {
 			t.Write(os.Stdout)
 		}
-		if *csvDir != "" {
-			writeCSV(*csvDir, name, t)
+		if csv != nil {
+			writeCSV(csv.reserve(name), t)
 		}
 	}
 	var cache *expd.Cache
@@ -113,7 +116,7 @@ func main() {
 		cache, err = expd.OpenCache(*cacheDir)
 		exitOn(err)
 	}
-	os.Exit(run(specs, *j, cache, *csvDir, emit))
+	os.Exit(run(specs, *j, cache, csv, emit))
 }
 
 // run evaluates specs as one sweep and prints, per spec in list order, the
@@ -122,9 +125,10 @@ func main() {
 // registry files the spec's points wrote. A chaos spec's seed line, the
 // replay handle of its points, prints before any point runs. A point that
 // several specs share (the tile and nodes sweeps meet at 16 nodes) is
-// simulated once. It returns the exit status: 1 when any point errored or
-// any chaos verdict failed.
-func run(specs []expd.Spec, workers int, cache *expd.Cache, csvDir string, emit func(string, *bench.Table)) int {
+// simulated once, and hands its registries to the sink of every spec that
+// has one. It returns the exit status: 1 when any point errored or any
+// chaos verdict failed.
+func run(specs []expd.Spec, workers int, cache *expd.Cache, csv *csvFiles, emit func(string, *bench.Table)) int {
 	start := time.Now()
 	var uniq []expd.Point
 	var at []int                                    // at[k] is the index in uniq of the list's k-th point
@@ -147,8 +151,12 @@ func run(specs []expd.Spec, workers int, cache *expd.Cache, csvDir string, emit 
 				uniq = append(uniq, p)
 			}
 			at = append(at, k)
-			if sink, paths := registrySink(s, p, csvDir); sink != nil {
-				sinks[k] = sink
+			if sink, paths := registrySink(s, p, csv); sink != nil {
+				if prev := sinks[k]; prev != nil {
+					sinks[k] = func(row int, reg *metrics.Registry) { prev(row, reg); sink(row, reg) }
+				} else {
+					sinks[k] = sink
+				}
 				files[i] = append(files[i], paths...)
 			}
 		}
@@ -200,15 +208,15 @@ func run(specs []expd.Spec, workers int, cache *expd.Cache, csvDir string, emit 
 	return 0
 }
 
-// registrySink returns, when -csv names a dir, what writes the registries
-// point p of spec s hands back and the files it writes, one per row: a
-// one-tile tile spec without mt writes each backend's run, a chaos rate spec
-// each fault rate's. Every other point hands back none (nil), and so stays
-// servable from the cache.
-func registrySink(s expd.Spec, p expd.Point, dir string) (func(int, *metrics.Registry), []string) {
+// registrySink returns, with -csv, what writes the registries point p of
+// spec s hands back and the files it writes, one per row: a one-tile tile
+// spec without mt writes each backend's run, a chaos rate spec each fault
+// rate's. Every other point hands back none (nil), and so stays servable
+// from the cache.
+func registrySink(s expd.Spec, p expd.Point, csv *csvFiles) (func(int, *metrics.Registry), []string) {
 	var names, titles []string
 	switch {
-	case dir == "":
+	case csv == nil:
 	case s.Kind == expd.KindTile && len(s.Tiles) == 1 && !s.MT:
 		names = []string{"experiments-metrics-" + p.Backend}
 		titles = []string{fmt.Sprintf("HiCMA N=%d nb=%d, %d nodes, %s backend", p.N, p.NB, p.Nodes, p.Backend)}
@@ -223,10 +231,10 @@ func registrySink(s expd.Spec, p expd.Point, dir string) (func(int, *metrics.Reg
 	}
 	paths := make([]string, len(names))
 	for i, name := range names {
-		paths[i] = filepath.Join(dir, name+".csv")
+		paths[i] = csv.reserve(name)
 	}
 	return func(row int, reg *metrics.Registry) {
-		writeCSV(dir, names[row], bench.MetricsTable(reg, titles[row]))
+		writeCSV(paths[row], bench.MetricsTable(reg, titles[row]))
 	}, paths
 }
 
@@ -256,9 +264,26 @@ func exitOn(err error) {
 	}
 }
 
-// writeCSV writes t as dir/name.csv.
-func writeCSV(dir, name string, t *bench.Table) {
-	f, err := os.Create(filepath.Join(dir, name+".csv"))
+// csvFiles names the CSV files of one invocation in dir: the first file of
+// a name is NAME.csv and the k-th (k >= 2) NAME-k.csv, so a table or
+// registry that two specs of a list write under one name keeps both.
+type csvFiles struct {
+	dir  string
+	seen map[string]int
+}
+
+// reserve returns the path of the next file of name.
+func (c *csvFiles) reserve(name string) string {
+	c.seen[name]++
+	if k := c.seen[name]; k > 1 {
+		name = fmt.Sprintf("%s-%d", name, k)
+	}
+	return filepath.Join(c.dir, name+".csv")
+}
+
+// writeCSV writes t to path.
+func writeCSV(path string, t *bench.Table) {
+	f, err := os.Create(path)
 	exitOn(err)
 	t.CSV(f)
 	exitOn(f.Close())

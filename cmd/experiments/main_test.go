@@ -2,6 +2,8 @@ package main
 
 import (
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,5 +110,42 @@ func TestSpecLists(t *testing.T) {
 		if nodes := specs[3]; nodes.N != 360000 {
 			t.Errorf("%s: nodes spec N=%d, want 360000", c.name, nodes.N)
 		}
+	}
+}
+
+// TestCSVNames: the first file of a name keeps NAME.csv and the k-th gets
+// NAME-k.csv, for figure tables and registry files alike, so two specs of
+// one kind in a list write distinct files.
+func TestCSVNames(t *testing.T) {
+	csv := &csvFiles{dir: "out", seen: map[string]int{}}
+	for _, c := range []struct{ name, want string }{
+		{"chaos-crash-summary", "chaos-crash-summary.csv"},
+		{"fig4a", "fig4a.csv"},
+		{"chaos-crash-summary", "chaos-crash-summary-2.csv"},
+		{"chaos-crash-summary", "chaos-crash-summary-3.csv"},
+		{"fig4a", "fig4a-2.csv"},
+	} {
+		if got := csv.reserve(c.name); got != filepath.Join("out", c.want) {
+			t.Errorf("reserve(%q) = %q, want %q", c.name, got, filepath.Join("out", c.want))
+		}
+	}
+
+	tile, err := expd.DecodeSpec([]byte(`{"kind":"tile","n":9600,"nodes":4,"tiles":[1200],"backends":["lci","mpi"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for range 2 {
+		for _, p := range tile.Points() {
+			_, paths := registrySink(tile, p, csv)
+			got = append(got, paths...)
+		}
+	}
+	want := []string{"experiments-metrics-lci.csv", "experiments-metrics-mpi.csv", "experiments-metrics-lci-2.csv", "experiments-metrics-mpi-2.csv"}
+	for i := range want {
+		want[i] = filepath.Join("out", want[i])
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("registry files of two equal specs = %q, want %q", got, want)
 	}
 }

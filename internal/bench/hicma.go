@@ -30,10 +30,6 @@ type HiCMAOpts struct {
 	MT bool
 	// Runs is the measurement protocol (mean of five in §6.1.3).
 	Runs stats.Methodology
-	// Workers per rank; zero selects the paper's value (§6.1.2).
-	Workers int
-	// FetchCap for the runtime's GET DATA pipeline.
-	FetchCap int
 	// Steal enables inter-rank work stealing (idle ranks pull ready tasks
 	// and their input tiles from loaded peers).
 	Steal bool
@@ -43,15 +39,17 @@ type HiCMAOpts struct {
 // DefaultHiCMAOpts mirrors the paper's configuration.
 func DefaultHiCMAOpts(b stack.Backend, nb, nodes int) HiCMAOpts {
 	return HiCMAOpts{
-		Backend:  b,
-		N:        360000,
-		NB:       nb,
-		Nodes:    nodes,
-		Runs:     stats.HiCMA,
-		FetchCap: 64,
-		Seed:     3,
+		Backend: b,
+		N:       360000,
+		NB:      nb,
+		Nodes:   nodes,
+		Runs:    stats.HiCMA,
+		Seed:    3,
 	}
 }
+
+// hicmaFetchCap bounds every HiCMA point's GET DATA pipeline per rank.
+const hicmaFetchCap = 64
 
 // HiCMAResult is one point of Figures 4/5.
 type HiCMAResult struct {
@@ -120,16 +118,13 @@ func HiCMATrace(o HiCMAOpts) (ctrace.Trace, error) {
 
 // hicmaBuild builds run `run` of o, ready to run; mutate is hicmaRun's.
 func hicmaBuild(o HiCMAOpts, run uint64, mutate func(*stack.Options, *parsec.Config)) (*parsec.Runtime, *hicma.Pool, *stack.Stack) {
-	if o.Workers == 0 {
-		o.Workers = WorkersFor(o.Backend, o.Nodes)
-	}
 	pool := hicma.NewVirtual(hicma.DefaultParams(o.N, o.NB), o.Nodes)
 	so := stack.DefaultOptions(o.Backend, o.Nodes)
 	so.Seed = o.Seed + run*0x51ED
 
-	cfg := parsec.DefaultConfig(o.Workers)
+	cfg := parsec.DefaultConfig(WorkersFor(o.Backend, o.Nodes))
 	cfg.Seed = o.Seed + run
-	cfg.FetchCap = o.FetchCap
+	cfg.FetchCap = hicmaFetchCap
 	cfg.MTActivate = o.MT
 	cfg.Steal = o.Steal
 	if mutate != nil {

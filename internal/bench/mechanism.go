@@ -75,6 +75,5 @@ var mechanisms = []mechanism{
 func mechanismOpts(b stack.Backend) HiCMAOpts {
 	o := DefaultHiCMAOpts(b, 1200, 4)
 	o.N = 90000
-	o.Workers = WorkersFor(b, o.Nodes)
 	return o
 }

@@ -20,7 +20,7 @@ func TestMechanisms(t *testing.T) {
 	}
 	for _, m := range mechanisms {
 		o := mechanismOpts(m.backend)
-		so, cfg := stack.DefaultOptions(m.backend, o.Nodes), parsec.DefaultConfig(o.Workers)
+		so, cfg := stack.DefaultOptions(m.backend, o.Nodes), parsec.DefaultConfig(WorkersFor(m.backend, o.Nodes))
 		mso, mcfg := so, cfg
 		m.mutate(&mso, &mcfg)
 		if reflect.DeepEqual(so, mso) && reflect.DeepEqual(cfg, mcfg) {

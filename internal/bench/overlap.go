@@ -27,7 +27,6 @@ type OverlapOpts struct {
 	Backend  stack.Backend
 	FragSize int64
 	Runs     stats.Methodology
-	Workers  int
 	Seed     uint64
 }
 
@@ -78,9 +77,6 @@ type OverlapResult struct {
 // Roofline (communication fully overlapped) and No-Overlap (communication
 // fully serialized) models of Figure 3.
 func Overlap(o OverlapOpts) OverlapResult {
-	if o.Workers == 0 {
-		o.Workers = WorkersFor(o.Backend, 2)
-	}
 	gf := o.Runs.Collect(func(run int) float64 {
 		d, _ := overlapRun(o, uint64(run))
 		return o.totalFlops() / d.Seconds() / 1e9
@@ -98,7 +94,7 @@ func overlapRun(o OverlapOpts, run uint64) (sim.Duration, uint64) {
 		Streams: 1, Iters: o.iters(), Sync: false,
 	}
 	g := newPingPongGraph(pp, sim.FromSeconds(taskFlops(o.FragSize)/(overlapCoreGFLOPS*1e9)))
-	return pingpongSim(o.Backend, o.Seed, run, o.Workers, 64, false, g)
+	return pingpongSim(o.Backend, o.Seed, run, 64, false, g)
 }
 
 // models returns the Roofline and No-Overlap GFLOP/s bounds. Compute time
@@ -108,7 +104,7 @@ func overlapRun(o OverlapOpts, run uint64) (sim.Duration, uint64) {
 func (o OverlapOpts) models() (roofline, noOverlap float64) {
 	window := float64(overlapTotalPerIter / o.FragSize)
 	flops := o.totalFlops()
-	concurrency := float64(2 * o.Workers)
+	concurrency := float64(2 * WorkersFor(o.Backend, 2))
 	if perNode := window / 2; perNode*2 < concurrency {
 		concurrency = perNode * 2
 	}

@@ -47,9 +47,7 @@ type PingPongOpts struct {
 	Sync bool
 	// Runs is the measurement protocol (18 runs discard 3 in the paper).
 	Runs stats.Methodology
-	// Workers per rank; zero selects the paper's value.
-	Workers int
-	Seed    uint64
+	Seed uint64
 }
 
 // DefaultPingPongOpts mirrors the paper's setup for one fragment size.
@@ -266,9 +264,6 @@ type PingPongResult struct {
 // PingPong measures aggregate ping-pong bandwidth in Gbit/s for one
 // configuration, averaged per the methodology.
 func PingPong(o PingPongOpts) PingPongResult {
-	if o.Workers == 0 {
-		o.Workers = WorkersFor(o.Backend, 2)
-	}
 	g := newPingPongGraph(o, 0)
 	// Fragments cross the wire at every iteration after the first.
 	bytes := float64(o.Iters-1) * float64(g.streams*g.window) * float64(o.FragSize)
@@ -284,17 +279,17 @@ func PingPong(o PingPongOpts) PingPongResult {
 func pingpongRun(o PingPongOpts, run uint64) (sim.Duration, uint64) {
 	// Deep fetch pipelines within an iteration, but honor the SYNC
 	// serialization between iterations (§4.1 deferral, strict reading).
-	return pingpongSim(o.Backend, o.Seed, run, o.Workers, 512, o.Sync, newPingPongGraph(o, 0))
+	return pingpongSim(o.Backend, o.Seed, run, 512, o.Sync, newPingPongGraph(o, 0))
 }
 
 // pingpongSim runs one execution of a ping-pong graph (Figs 2 and 3) on a
-// fresh two-rank stack and returns its makespan and the number of simulation
-// events it fired.
-func pingpongSim(b stack.Backend, seed, run uint64, workers, fetchCap int, fetchLazy bool, pool parsec.Taskpool) (sim.Duration, uint64) {
+// fresh two-rank stack, with the paper's worker count, and returns its
+// makespan and the number of simulation events it fired.
+func pingpongSim(b stack.Backend, seed, run uint64, fetchCap int, fetchLazy bool, pool parsec.Taskpool) (sim.Duration, uint64) {
 	so := stack.DefaultOptions(b, 2)
 	so.Seed = seed + run*0x9E37
 	s := stack.Build(so)
-	cfg := parsec.DefaultConfig(workers)
+	cfg := parsec.DefaultConfig(WorkersFor(b, 2))
 	cfg.Seed = seed + run
 	cfg.FetchCap = fetchCap
 	cfg.FetchLazy = fetchLazy

@@ -23,19 +23,17 @@ var pingpongGoldenRuns = []struct {
 }{
 	{"fig2a", func(b stack.Backend) (sim.Duration, uint64) {
 		o := DefaultPingPongOpts(b, 64<<10)
-		o.TotalPerIter, o.Workers = 4<<20, WorkersFor(b, 2)
+		o.TotalPerIter = 4 << 20
 		return pingpongRun(o, 0)
 	}},
 	{"fig2b", func(b stack.Backend) (sim.Duration, uint64) {
 		o := DefaultPingPongOpts(b, 128<<10)
-		o.TotalPerIter, o.Workers = 4<<20, WorkersFor(b, 2)
+		o.TotalPerIter = 4 << 20
 		o.Streams, o.Sync = 2, false
 		return pingpongRun(o, 1)
 	}},
 	{"fig3", func(b stack.Backend) (sim.Duration, uint64) {
-		o := DefaultOverlapOpts(b, 2<<20)
-		o.Workers = WorkersFor(b, 2)
-		return overlapRun(o, 0)
+		return overlapRun(DefaultOverlapOpts(b, 2<<20), 0)
 	}},
 }
 

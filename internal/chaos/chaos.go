@@ -59,11 +59,13 @@ func (w Workload) String() string {
 // an expd chaos point's seed (and a crash storm's) when it sets none.
 const DefaultSeed uint64 = 0xC7A05
 
+// Ranks is the number of ranks every chaos execution runs on.
+const Ranks = 4
+
 // Opts configures one chaos execution.
 type Opts struct {
 	Backend  stack.Backend
 	Workload Workload
-	Ranks    int // default 4
 	Workers  int // per-rank worker cores, default 2
 
 	// Faults, when non-nil, is installed on the fabric. Rel, when non-nil,
@@ -128,42 +130,32 @@ const (
 	stormJitter = 500 * sim.Microsecond
 )
 
-// Storm derives a seeded cascade of k fail-stop crashes on distinct ranks.
-// The first crash lands at ~40% of the given fault-free makespan; each
-// subsequent one follows a stride plus seeded jitter, which keeps the
-// cascade inside the (ever-extending) recovery tail. At least one rank
-// always survives: k is clamped to ranks-1. The same (seed, k, ranks,
-// base) reproduces the same schedule.
-func Storm(seed uint64, k, ranks int, base sim.Duration) []CrashSpec {
-	if ranks <= 1 || k <= 0 {
+// Storm derives a seeded cascade of k fail-stop crashes on distinct ranks
+// of the Ranks a chaos execution runs on. The first crash lands at ~40% of
+// the given fault-free makespan; each subsequent one follows a stride plus
+// seeded jitter, which keeps the cascade inside the (ever-extending)
+// recovery tail. At least one rank always survives: k is clamped to
+// Ranks-1. The same (seed, k, base) reproduces the same schedule.
+func Storm(seed uint64, k int, base sim.Duration) []CrashSpec {
+	if k <= 0 {
 		return nil
 	}
-	if k > ranks-1 {
-		k = ranks - 1
-	}
-	// splitmix64: tiny, seedable, deterministic — no global rand state.
-	s := seed
-	next := func() uint64 {
-		s += 0x9E3779B97F4A7C15
-		z := s
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
+	k = min(k, Ranks-1)
+	rng := sim.NewRNG(seed)
 	// Seeded Fisher-Yates over all ranks; the first k entries crash.
-	perm := make([]int, ranks)
+	perm := make([]int, Ranks)
 	for i := range perm {
 		perm[i] = i
 	}
-	for i := ranks - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
+	for i := Ranks - 1; i > 0; i-- {
+		j := int(rng.Uint64() % uint64(i+1))
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	at := base * 2 / 5
 	cs := make([]CrashSpec, 0, k)
 	for i := 0; i < k; i++ {
 		cs = append(cs, CrashSpec{Rank: perm[i], At: at})
-		at += stormStride + sim.Duration(next()%uint64(stormJitter))
+		at += stormStride + sim.Duration(rng.Uint64()%uint64(stormJitter))
 	}
 	return cs
 }
@@ -280,14 +272,11 @@ func factorError(l *linalg.Matrix, prob *tlr.Problem, w Workload) float64 {
 
 // Run executes one configuration to quiescence and verifies the numerics.
 func Run(o Opts) Result {
-	if o.Ranks <= 0 {
-		o.Ranks = 4
-	}
 	if o.Workers <= 0 {
 		o.Workers = 2
 	}
 
-	so := stack.DefaultOptions(o.Backend, o.Ranks)
+	so := stack.DefaultOptions(o.Backend, Ranks)
 	so.Fabric.Jitter = 0
 	so.Faults = o.Faults
 	so.Rel = o.Rel
@@ -325,10 +314,10 @@ func Run(o Opts) Result {
 	)
 	switch o.Workload {
 	case Cholesky:
-		p := cholesky.NewReal(choleskyInput(), o.Ranks, 30)
+		p := cholesky.NewReal(choleskyInput(), Ranks, 30)
 		tp, assemble, prob = p, p.AssembleFactor, choleskyProb()
 	case HiCMA:
-		p := hicma.NewReal(hicmaInput(), o.Ranks)
+		p := hicma.NewReal(hicmaInput(), Ranks)
 		tp, assemble, prob = p, p.AssembleFactor, hicmaProb()
 	default:
 		panic(fmt.Sprintf("chaos: unknown workload %d", int(o.Workload)))
@@ -383,8 +372,8 @@ func Run(o Opts) Result {
 	res.Metrics = s.Metrics
 	res.Makespan, res.Err = rt.Run()
 	res.TermAnnounced = rt.Terminated()
-	res.WorkerBusy = make([]sim.Duration, o.Ranks)
-	for r := 0; r < o.Ranks; r++ {
+	res.WorkerBusy = make([]sim.Duration, Ranks)
+	for r := 0; r < Ranks; r++ {
 		res.WorkerBusy[r] = rt.WorkerBusy(r)
 	}
 	if res.Err != nil {

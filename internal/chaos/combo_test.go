@@ -27,14 +27,8 @@ type combo struct {
 // on or off, and sim.PoisonRetired on or off. base gives the fault-free
 // makespan a cascade is placed against.
 func comboOf(seed uint64, base func(stack.Backend, Workload, float64) sim.Duration) combo {
-	s := seed
-	next := func(n int) int { // splitmix64, as in Storm
-		s += 0x9E3779B97F4A7C15
-		z := s
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return int((z ^ (z >> 31)) % uint64(n))
-	}
+	rng := sim.NewRNG(seed)
+	next := func(n int) int { return int(rng.Uint64() % uint64(n)) }
 	rates := []float64{0, 0.005, 0.02}
 	var c combo
 	c.o.Backend = stack.Backends[next(2)]
@@ -46,7 +40,7 @@ func comboOf(seed uint64, base func(stack.Backend, Workload, float64) sim.Durati
 		c.o.Faults, c.o.Rel = fc, relCfg()
 	}
 	if k := []int{0, 0, 1, 2}[next(4)]; k > 0 {
-		c.o.Crashes = Storm(seed, k, 4, base(c.o.Backend, c.o.Workload, c.o.TaskScale))
+		c.o.Crashes = Storm(seed, k, base(c.o.Backend, c.o.Workload, c.o.TaskScale))
 		c.o.Recover = true
 	} else {
 		c.o.Recover = next(2) == 1

@@ -305,7 +305,7 @@ func TestCrashStormCompletes(t *testing.T) {
 				if base.Err != nil || !base.Verified {
 					t.Fatalf("fault-free baseline broken: %+v", base)
 				}
-				cascade := Storm(seed, 3, 4, base.Makespan)
+				cascade := Storm(seed, 3, base.Makespan)
 				if len(cascade) != 3 {
 					t.Fatalf("storm produced %d crashes, want 3", len(cascade))
 				}

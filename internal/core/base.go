@@ -55,16 +55,13 @@ type Base struct {
 }
 
 // Init sets up b for rank of a size-rank job, its communication thread on
-// eng, and registers its instruments in reg (nil gets a private registry,
-// which Init returns either way) under layer: the six counters, then
-// whatever extra registers (if non-nil), then the comm_busy probe. purge is
-// the backend's purge rule: it drops the queued work involving peer, after a
-// failure blamed on peer or, with dead set, after peer's eviction.
+// eng, and registers its instruments in reg (the library's registry, never
+// nil) under layer: the six counters, then whatever extra registers (if
+// non-nil), then the comm_busy probe. purge is the backend's purge rule: it
+// drops the queued work involving peer, after a failure blamed on peer or,
+// with dead set, after peer's eviction.
 func (b *Base) Init(eng *sim.Engine, layer string, rank, size int, reg *metrics.Registry,
-	purge func(peer int, dead bool), extra func(reg *metrics.Registry)) *metrics.Registry {
-	if reg == nil {
-		reg = metrics.New()
-	}
+	purge func(peer int, dead bool), extra func()) {
 	b.registry = registry{rank: int32(rank), mem: make(map[uint64]buf.Buf)}
 	b.Tags = NewTagTable()
 	b.layer, b.rank, b.size = layer, rank, size
@@ -77,10 +74,9 @@ func (b *Base) Init(eng *sim.Engine, layer string, rank, size int, reg *metrics.
 	b.PutBytes = reg.Counter(layer, "put_bytes", rank)
 	b.Deferred = reg.Counter(layer, "deferred", rank)
 	if extra != nil {
-		extra(reg)
+		extra()
 	}
 	reg.Probe(layer, "comm_busy", rank, true, func() float64 { return b.comm.BusyTime().Seconds() })
-	return reg
 }
 
 // Rank returns this engine's rank.

@@ -26,7 +26,6 @@ import (
 	"amtlci/internal/buf"
 	"amtlci/internal/core"
 	"amtlci/internal/lci"
-	"amtlci/internal/metrics"
 	"amtlci/internal/sim"
 )
 
@@ -60,12 +59,6 @@ type Config struct {
 	// of a dedicated progress thread — an ablation that removes the
 	// paper's key structural change (§5.3.1).
 	InlineProgress bool
-
-	// Metrics is the registry the engine registers its instruments in
-	// (active-message and put counters, comm/progress-thread utilization, deferred and
-	// FIFO queue depths). Nil gets a private registry; stack.Build shares
-	// one across every layer.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns the paper's configuration.
@@ -163,13 +156,16 @@ type Engine struct {
 
 var _ core.Engine = (*Engine)(nil)
 
-// New builds the engine for rank over the LCI runtime rt.
+// New builds the engine for rank over the LCI runtime rt. Its instruments
+// (active-message and put counters, comm/progress-thread utilization,
+// deferred and FIFO queue depths) go in the runtime's registry.
 func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 	if cfg.AMBatch <= 0 {
 		panic("lcice: AMBatch must be positive")
 	}
 	e := &Engine{eng: eng, rt: rt, ep: rt.Endpoint(rank), cfg: cfg}
-	mreg := e.Init(eng, "lcice", rank, rt.Size(), cfg.Metrics, e.purge, nil)
+	reg := rt.Metrics()
+	e.Init(eng, "lcice", rank, rt.Size(), reg, e.purge, nil)
 	e.CommProc().WakeLatency = cfg.CommWake
 	if cfg.InlineProgress {
 		e.prog = e.CommProc()
@@ -177,10 +173,10 @@ func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 		e.prog = sim.NewProc(eng)
 		e.prog.WakeLatency = cfg.ProgWake
 	}
-	mreg.Probe("lcice", "prog_busy", rank, true, func() float64 { return e.prog.BusyTime().Seconds() })
-	mreg.Probe("lcice", "deferred_queue_depth", rank, false, func() float64 { return float64(len(e.deferred)) })
-	mreg.Probe("lcice", "am_queue_depth", rank, false, func() float64 { return float64(len(e.amQ)) })
-	mreg.Probe("lcice", "bulk_queue_depth", rank, false, func() float64 { return float64(len(e.bulkQ)) })
+	reg.Probe("lcice", "prog_busy", rank, true, func() float64 { return e.prog.BusyTime().Seconds() })
+	reg.Probe("lcice", "deferred_queue_depth", rank, false, func() float64 { return float64(len(e.deferred)) })
+	reg.Probe("lcice", "am_queue_depth", rank, false, func() float64 { return float64(len(e.amQ)) })
+	reg.Probe("lcice", "bulk_queue_depth", rank, false, func() float64 { return float64(len(e.bulkQ)) })
 	e.putSent, e.putLanded = e.onPutSent, e.onPutLanded
 	e.runProgressFn, e.drainFn, e.scheduleDrainFn = e.runProgress, e.drain, e.scheduleDrain
 	e.ep.SetWake(e.scheduleProgress)

@@ -53,12 +53,6 @@ type Config struct {
 	// MaxAMLen bounds active-message payloads of a tag registered with
 	// maxLen 0.
 	MaxAMLen int64
-
-	// Metrics is the registry the engine registers its instruments in
-	// (active-message and put counters, comm-thread utilization, deferred-queue and
-	// transfer-array depth, progress passes). Nil gets a private registry;
-	// stack.Build shares one across every layer.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns the paper's configuration: 5 persistent receives per
@@ -189,17 +183,20 @@ type Engine struct {
 var _ core.Engine = (*Engine)(nil)
 
 // New builds the engine for rank over world w. The engine installs itself as
-// the rank's wake target; one engine per rank.
+// the rank's wake target; one engine per rank. Its instruments (active-message
+// and put counters, comm-thread utilization, deferred-queue and
+// transfer-array depth, progress passes) go in the world's registry.
 func New(eng *sim.Engine, w *mpi.World, rank int, cfg Config) *Engine {
 	if cfg.PersistentPerTag <= 0 || cfg.MaxTransfers <= 0 {
 		panic("mpice: PersistentPerTag and MaxTransfers must be positive")
 	}
 	e := &Engine{w: w, rank: w.Rank(rank), cfg: cfg}
-	mreg := e.Init(eng, "mpice", rank, w.Size(), cfg.Metrics, e.purge, func(reg *metrics.Registry) {
+	reg := w.Metrics()
+	e.Init(eng, "mpice", rank, w.Size(), reg, e.purge, func() {
 		e.progressPasses = reg.Counter("mpice", "progress_passes", rank)
 	})
-	mreg.Probe("mpice", "deferred_queue_depth", rank, false, func() float64 { return float64(len(e.pending)) })
-	mreg.Probe("mpice", "xfer_depth", rank, false, func() float64 { return float64(len(e.xfer)) })
+	reg.Probe("mpice", "deferred_queue_depth", rank, false, func() float64 { return float64(len(e.pending)) })
+	reg.Probe("mpice", "xfer_depth", rank, false, func() float64 { return float64(len(e.xfer)) })
 	e.CommProc().WakeLatency = cfg.WakeLatency
 	e.runPassFn = e.runPass
 	e.rank.SetWake(e.schedule)

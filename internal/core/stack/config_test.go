@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"amtlci/internal/fabric"
+	"amtlci/internal/lci"
 	"amtlci/internal/metrics"
+	"amtlci/internal/mpi"
+	"amtlci/internal/rel"
+	"amtlci/internal/sim"
 )
 
 // Build uses the fabric config as given, so explicit zeros — e.g.
@@ -51,42 +55,75 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-// Build must thread one registry through every layer; with no explicit
-// registry it still creates and exposes a shared one.
+// Every layer of a deployment registers in its fabric's registry, which
+// Stack.Metrics exposes; a layer built on its own over a fabric does the
+// same, and two deployments never share one.
 func TestSharedMetricsRegistry(t *testing.T) {
+	registered := func(reg *metrics.Registry, layer string) bool {
+		for _, snap := range reg.Snapshots() {
+			if snap.Desc.Layer == layer {
+				return true
+			}
+		}
+		return false
+	}
 	for _, b := range Backends {
-		reg := metrics.New()
-		o := DefaultOptions(b, 2)
-		o.Metrics = reg
-		s := Build(o)
-		if s.Metrics != reg {
-			t.Fatalf("%v: Stack.Metrics is not the supplied registry", b)
-		}
-		if s.Fab.Metrics() != reg {
-			t.Fatalf("%v: fabric did not inherit the shared registry", b)
-		}
-		// Every layer of the chosen backend registered instruments.
-		for _, layer := range []string{"fabric"} {
-			found := false
-			for _, snap := range reg.Snapshots() {
-				if snap.Desc.Layer == layer {
-					found = true
-					break
+		for _, withRel := range []bool{false, true} {
+			o := DefaultOptions(b, 2)
+			layers := []string{"fabric", "mpi", "mpice"}
+			if b == LCI {
+				layers = []string{"fabric", "lci", "lcice"}
+			}
+			if withRel {
+				rc := rel.DefaultConfig()
+				o.Rel = &rc
+				layers = append(layers, "rel")
+			}
+			s := Build(o)
+			if s.Metrics == nil || s.Metrics == New(b, 2).Metrics {
+				t.Fatalf("%v rel=%v: Stack.Metrics is nil or shared with another stack", b, withRel)
+			}
+			got := []*metrics.Registry{s.Fab.Metrics(), s.Net.Metrics()}
+			if withRel {
+				got = append(got, s.Rel.Metrics())
+			}
+			if b == MPI {
+				got = append(got, s.MPIWorld.Metrics())
+			} else {
+				got = append(got, s.LCIRuntime.Metrics())
+			}
+			for i, reg := range got {
+				if reg != s.Metrics {
+					t.Errorf("%v rel=%v: layer handle %d returns another registry", b, withRel, i)
 				}
 			}
-			if !found {
-				t.Errorf("%v: no instruments registered for layer %q", b, layer)
+			for _, layer := range layers {
+				if !registered(s.Metrics, layer) {
+					t.Errorf("%v rel=%v: no instruments registered for layer %q", b, withRel, layer)
+				}
 			}
 		}
-		switch b {
-		case MPI:
-			if s.MPIWorld.Metrics() != reg {
-				t.Errorf("mpi world has a private registry")
+	}
+
+	for _, c := range []struct {
+		layer string
+		build func(*fabric.Fabric)
+	}{
+		{"mpi", func(fab *fabric.Fabric) { mpi.NewWorld(fab.Domain(), fab, mpi.DefaultConfig()) }},
+		{"lci", func(fab *fabric.Fabric) { lci.NewRuntime(fab.Domain(), fab, lci.DefaultConfig()) }},
+		{"rel", func(fab *fabric.Fabric) {
+			if _, err := rel.New(fab, rel.DefaultConfig()); err != nil {
+				t.Fatal(err)
 			}
-		case LCI:
-			if s.LCIRuntime.Metrics() != reg {
-				t.Errorf("lci runtime has a private registry")
-			}
+		}},
+	} {
+		fab, err := fabric.New(sim.NewEngine(), 2, fabric.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.build(fab)
+		if !registered(fab.Metrics(), c.layer) {
+			t.Errorf("standalone %s registered nothing in its fabric's registry", c.layer)
 		}
 	}
 }

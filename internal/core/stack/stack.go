@@ -81,12 +81,6 @@ type Options struct {
 	// Zero-cost when absent: the libraries bind straight to the fabric.
 	Rel *rel.Config
 
-	// Metrics, when non-nil, is the registry every layer registers its
-	// instruments in; Build creates a fresh one otherwise. Either way the
-	// shared registry is exposed as Stack.Metrics. Per-layer Metrics fields
-	// left nil inherit it; a non-nil per-layer field wins.
-	Metrics *metrics.Registry
-
 	// Shards, when > 1, runs the simulation on a sharded parallel domain
 	// (sim.Parallel): ranks are partitioned into Shards contiguous blocks
 	// advanced in parallel under a conservative round protocol whose
@@ -133,7 +127,8 @@ type Stack struct {
 	MPIWorld   *mpi.World
 	LCIRuntime *lci.Runtime
 
-	// Metrics is the registry shared by every layer of this deployment.
+	// Metrics is the registry shared by every layer of this deployment: the
+	// fabric's (Fab.Metrics()), which each layer above it registers in.
 	Metrics *metrics.Registry
 }
 
@@ -144,28 +139,9 @@ func Build(o Options) *Stack {
 	if o.Ranks <= 0 {
 		panic("stack: Ranks must be positive")
 	}
-	reg := o.Metrics
-	if reg == nil {
-		reg = metrics.New()
-	}
 	fc := o.Fabric
 	if o.Seed != 0 {
 		fc.Seed = o.Seed
-	}
-	if fc.Metrics == nil {
-		fc.Metrics = reg
-	}
-	if o.MPI.Metrics == nil {
-		o.MPI.Metrics = reg
-	}
-	if o.MPICE.Metrics == nil {
-		o.MPICE.Metrics = reg
-	}
-	if o.LCI.Metrics == nil {
-		o.LCI.Metrics = reg
-	}
-	if o.LCICE.Metrics == nil {
-		o.LCICE.Metrics = reg
 	}
 	var dom sim.Domain
 	var eng *sim.Engine
@@ -184,14 +160,10 @@ func Build(o Options) *Stack {
 			panic(err)
 		}
 	}
-	s := &Stack{Dom: dom, Eng: eng, Fab: fab, Backend: o.Backend, Metrics: reg}
+	s := &Stack{Dom: dom, Eng: eng, Fab: fab, Backend: o.Backend, Metrics: fab.Metrics()}
 	var net fabric.Network = fab
 	if o.Rel != nil {
-		rc := *o.Rel
-		if rc.Metrics == nil {
-			rc.Metrics = reg
-		}
-		rl, err := rel.New(fab, rc)
+		rl, err := rel.New(fab, *o.Rel)
 		if err != nil {
 			panic(err)
 		}

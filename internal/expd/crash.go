@@ -62,15 +62,15 @@ func parseCrashes(list []string) ([]crashEntry, error) {
 }
 
 // cascade resolves p's crashes (or, for a storm, the seeded generator over
-// chaos.Run's default 4 ranks) into concrete crash times against the
-// point's fault-free baseline makespan.
+// chaos.Ranks) into concrete crash times against the point's fault-free
+// baseline makespan.
 func (p Point) cascade(base sim.Duration) ([]chaos.CrashSpec, error) {
 	if p.Storm > 0 {
 		seed := p.Seed
 		if seed == 0 {
 			seed = chaos.DefaultSeed
 		}
-		return chaos.Storm(seed, p.Storm, 4, base), nil
+		return chaos.Storm(seed, p.Storm, base), nil
 	}
 	entries, err := parseCrashes(p.Crashes)
 	if err != nil {

@@ -147,14 +147,6 @@ func parseWorkload(s string) (string, chaos.Workload, error) {
 	return "", 0, fmt.Errorf("expd: unknown workload %q", s)
 }
 
-// backendName is the canonical spelling stored in specs and points.
-func backendName(b stack.Backend) string {
-	if b == stack.LCI {
-		return "lci"
-	}
-	return "mpi"
-}
-
 func sortedUniqInts(xs []int) []int {
 	out := append([]int(nil), xs...)
 	sort.Ints(out)

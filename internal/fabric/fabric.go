@@ -54,12 +54,6 @@ type Config struct {
 	Jitter float64
 	// Seed seeds the fabric's deterministic noise stream.
 	Seed uint64
-
-	// Metrics is the registry the fabric registers its instruments in
-	// (per-port traffic counters, queued bytes, engine utilization, fault
-	// counters). Nil gets a private registry, so standalone fabrics work
-	// unchanged; stack.Build shares one registry across every layer.
-	Metrics *metrics.Registry
 }
 
 // Validate reports the first nonsensical hardware parameter, or nil. Zero
@@ -139,8 +133,11 @@ type Handler func(*Message)
 
 // Network is the transport surface the communication libraries bind to: the
 // raw Fabric, or a reliability layer (internal/rel) wrapped around it.
+// Metrics is the fabric's registry: every layer bound to the network
+// registers its instruments there, so a deployment has one registry.
 type Network interface {
 	Ranks() int
+	Metrics() *metrics.Registry
 	SetHandler(rank int, h Handler)
 	Send(m *Message)
 }
@@ -207,10 +204,7 @@ func New(dom sim.Domain, n int, cfg Config) (*Fabric, error) {
 	if dom.Shards() > 1 && Lookahead(cfg) <= 0 {
 		return nil, fmt.Errorf("fabric: sharded domain needs a positive wire latency floor (latency %v, jitter %g)", cfg.Latency, cfg.Jitter)
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.New()
-	}
+	reg := metrics.New()
 	f := &Fabric{dom: dom, cfg: cfg, reg: reg}
 	pools := make([]*shardPool, dom.Shards())
 	for i := range pools {
@@ -249,7 +243,9 @@ func Lookahead(cfg Config) sim.Duration {
 	return sim.JitterFloor(cfg.Latency, cfg.Jitter)
 }
 
-// Metrics returns the registry the fabric's instruments live in.
+// Metrics returns the registry the fabric's instruments live in (per-port
+// traffic counters, queued bytes, engine utilization, fault counters) and
+// every layer above it registers in.
 func (f *Fabric) Metrics() *metrics.Registry { return f.reg }
 
 // Ranks returns the number of ranks.

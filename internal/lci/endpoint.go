@@ -16,19 +16,15 @@ type Runtime struct {
 	fab fabric.Network
 	cfg Config
 	eps []*Endpoint
-	reg *metrics.Registry
 }
 
 // NewRuntime attaches one Endpoint per fabric port. fab may be the raw
 // fabric or a reliability layer; when it can report peer failures
 // (fabric.ErrNotifier), those are forwarded to each endpoint's error
-// handler.
+// handler. Every endpoint registers its instruments in fab's registry.
 func NewRuntime(dom sim.Domain, fab fabric.Network, cfg Config) *Runtime {
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.New()
-	}
-	rt := &Runtime{dom: dom, fab: fab, cfg: cfg, reg: reg}
+	reg := fab.Metrics()
+	rt := &Runtime{dom: dom, fab: fab, cfg: cfg}
 	pools := sim.ShardFreeLists[packet](dom)
 	rt.eps = make([]*Endpoint, fab.Ranks())
 	for i := range rt.eps {
@@ -65,8 +61,10 @@ func (rt *Runtime) Size() int { return len(rt.eps) }
 // Config returns the runtime's parameters.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// Metrics returns the registry the runtime's instruments live in.
-func (rt *Runtime) Metrics() *metrics.Registry { return rt.reg }
+// Metrics returns the network's registry, which the runtime's instruments
+// live in (send/receive/retry counters, packet-pool and direct-slot
+// occupancy, staged completion-queue depth, progress-call count).
+func (rt *Runtime) Metrics() *metrics.Registry { return rt.fab.Metrics() }
 
 type lciKind int8
 

@@ -27,7 +27,6 @@ import (
 	"errors"
 
 	"amtlci/internal/buf"
-	"amtlci/internal/metrics"
 	"amtlci/internal/sim"
 )
 
@@ -69,12 +68,6 @@ type Config struct {
 	// MTSendCost is the extra per-call cost of a concurrent (multithreaded)
 	// send — an atomic reservation rather than MPI's global lock.
 	MTSendCost sim.Duration
-
-	// Metrics is the registry every endpoint registers its instruments in
-	// (send/receive/retry counters, packet-pool and direct-slot occupancy,
-	// staged completion-queue depth, progress-call count). Nil gets a
-	// private registry; stack.Build shares one across every layer.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns a cost model for a lean communication library: LCI

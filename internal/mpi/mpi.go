@@ -78,12 +78,6 @@ type Config struct {
 	// LockHold is how long one multithreaded call occupies the library's
 	// global lock.
 	LockHold sim.Duration
-
-	// Metrics is the registry every rank registers its instruments in
-	// (send/receive counters, unexpected-queue depth, rendezvous sends in
-	// flight, lock-queue depth). Nil gets a private registry; stack.Build
-	// shares one across every layer.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns a cost model calibrated against Open MPI/UCX-class
@@ -148,19 +142,15 @@ type World struct {
 	fab   fabric.Network
 	cfg   Config
 	ranks []*Rank
-	reg   *metrics.Registry
 }
 
 // NewWorld attaches one Rank per fabric port and installs delivery handlers.
 // fab may be the raw fabric or a reliability layer; when it can report peer
 // failures (fabric.ErrNotifier), those are forwarded to each rank's error
-// handler.
+// handler. Every rank registers its instruments in fab's registry.
 func NewWorld(dom sim.Domain, fab fabric.Network, cfg Config) *World {
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.New()
-	}
-	w := &World{dom: dom, fab: fab, cfg: cfg, reg: reg}
+	reg := fab.Metrics()
+	w := &World{dom: dom, fab: fab, cfg: cfg}
 	pools := sim.ShardFreeLists[wire](dom)
 	w.ranks = make([]*Rank, fab.Ranks())
 	for i := range w.ranks {
@@ -196,8 +186,10 @@ func (w *World) Size() int { return len(w.ranks) }
 // Config returns the world's cost model.
 func (w *World) Config() Config { return w.cfg }
 
-// Metrics returns the registry the world's instruments live in.
-func (w *World) Metrics() *metrics.Registry { return w.reg }
+// Metrics returns the network's registry, which the world's instruments
+// live in (send/receive counters, unexpected-queue depth, rendezvous sends
+// in flight, lock-queue depth).
+func (w *World) Metrics() *metrics.Registry { return w.fab.Metrics() }
 
 // Rank is one process's view of the library. All methods must run on the
 // owning simulation engine's goroutine.

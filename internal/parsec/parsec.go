@@ -164,8 +164,8 @@ type Config struct {
 
 	// Metrics is the registry every rank registers its instruments in
 	// (task/protocol counters, ready- and fetch-queue depths, worker busy
-	// time). Nil gets a private registry; stack.Build shares one across
-	// every layer.
+	// time). Callers pass the deployment's Stack.Metrics, so the runtime's
+	// instruments sit beside every layer's; nil gets a private registry.
 	Metrics *metrics.Registry
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"amtlci/internal/core/stack"
-	"amtlci/internal/metrics"
 	recov "amtlci/internal/recover"
 )
 
@@ -294,11 +293,10 @@ func TestCheckpointForCarriesOwner(t *testing.T) {
 }
 
 func TestMetricsRegistered(t *testing.T) {
-	reg := metrics.New()
 	o := stack.DefaultOptions(stack.LCI, 2)
 	o.Fabric.Jitter = 0
-	o.Metrics = reg
 	s := stack.Build(o)
+	reg := s.Metrics
 	ms := []*recov.Manager{
 		recov.NewManager(s.Engines[0], reg),
 		recov.NewManager(s.Engines[1], reg),

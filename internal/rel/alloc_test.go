@@ -49,7 +49,7 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	if per := float64(int64(long)-int64(short)) / 4000; per > 0.01 {
 		t.Fatalf("%.3f allocs/message, want 0", per)
 	}
-	if s.reg.Total("rel", "acks_sent") == 0 {
+	if s.Metrics().Total("rel", "acks_sent") == 0 {
 		t.Fatal("no ACK was sent: the run does not exercise the ACK path")
 	}
 }
@@ -115,7 +115,7 @@ func TestPoisonedRecordsChangeNothing(t *testing.T) {
 		if delivered != total {
 			t.Fatalf("poison=%v: delivered %d of %d", poison, delivered, total)
 		}
-		return string(trace), s.reg
+		return string(trace), s.Metrics()
 	}
 	trace, reg := run(false)
 	poisonedTrace, poisonedReg := run(true)

@@ -52,7 +52,7 @@ const stallLeases = 8
 // reads 0 stops.
 func (s *Stack) WatchProgress(fn func() (work uint64, busy bool)) {
 	s.progress = fn
-	s.stallStops = s.reg.Counter("rel", "hb_stall_stops", metrics.StackRank)
+	s.stallStops = s.Metrics().Counter("rel", "hb_stall_stops", metrics.StackRank)
 }
 
 // stalled samples the watched progress at this endpoint's tick and reports

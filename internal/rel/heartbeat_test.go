@@ -140,7 +140,7 @@ func TestHeartbeatDetectsCrashedPeer(t *testing.T) {
 			t.Fatalf("rank %d converged at %v, after the bound %v", r, v.at, bound)
 		}
 	}
-	if d, hb := s.reg.Total("rel", "peer_dead"), s.reg.Total("rel", "heartbeats_sent"); d != uint64(ranks-1) || hb == 0 {
+	if d, hb := s.Metrics().Total("rel", "peer_dead"), s.Metrics().Total("rel", "heartbeats_sent"); d != uint64(ranks-1) || hb == 0 {
 		t.Fatalf("%d peer deaths and %d beacons, want %d deaths and some beacons", d, hb, ranks-1)
 	}
 }
@@ -167,10 +167,10 @@ func TestHeartbeatPiggybacksOnTraffic(t *testing.T) {
 	}
 	pump()
 	eng.Run()
-	if n := s.reg.Total("rel", "heartbeats_sent"); n != 0 {
+	if n := s.Metrics().Total("rel", "heartbeats_sent"); n != 0 {
 		t.Fatalf("busy link emitted %d explicit beacons, want 0 (traffic is the heartbeat)", n)
 	}
-	if d, u := s.reg.Total("rel", "peer_dead"), s.reg.Total("rel", "unreachable"); d != 0 || u != 0 {
+	if d, u := s.Metrics().Total("rel", "peer_dead"), s.Metrics().Total("rel", "unreachable"); d != 0 || u != 0 {
 		t.Fatalf("healthy link produced failure verdicts: %d peer deaths, %d unreachable", d, u)
 	}
 }
@@ -184,10 +184,10 @@ func TestHeartbeatKeepsQuietLinkAlive(t *testing.T) {
 	}
 	eng.At(sim.Time(0).Add(10*sim.Millisecond), s.StopHeartbeats)
 	eng.Run()
-	if n := s.reg.Total("rel", "peer_dead"); n != 0 {
+	if n := s.Metrics().Total("rel", "peer_dead"); n != 0 {
 		t.Fatalf("idle but healthy link declared %d peers dead", n)
 	}
-	if tx, rx := s.reg.Total("rel", "heartbeats_sent"), s.reg.Total("rel", "heartbeats_received"); tx == 0 || rx == 0 {
+	if tx, rx := s.Metrics().Total("rel", "heartbeats_sent"), s.Metrics().Total("rel", "heartbeats_received"); tx == 0 || rx == 0 {
 		t.Fatalf("%d beacons sent, %d received, want beacons flowing both ways", tx, rx)
 	}
 }
@@ -219,7 +219,7 @@ func TestPeerFailureNotifiedOnce(t *testing.T) {
 	if !errors.As(calls[0], &pu) {
 		t.Fatalf("notification %v is not PeerUnreachable", calls[0])
 	}
-	if n := s.reg.Total("rel", "unreachable"); n != 1 {
+	if n := s.Metrics().Total("rel", "unreachable"); n != 1 {
 		t.Fatalf("unreachable = %d, want exactly 1", n)
 	}
 }
@@ -375,7 +375,7 @@ func TestStopHeartbeatsIdempotent(t *testing.T) {
 	eng.At(sim.Time(0).Add(5*sim.Millisecond), s.StopHeartbeats) // double stop, same instant
 	eng.At(sim.Time(0).Add(6*sim.Millisecond), s.StopHeartbeats) // and again later
 	end := eng.Run()
-	if n := s.reg.Total("rel", "peer_dead"); n != 0 {
+	if n := s.Metrics().Total("rel", "peer_dead"); n != 0 {
 		t.Fatalf("healthy pair declared %d peers dead across a double stop", n)
 	}
 	if end.Sub(sim.Time(0)) > 7*sim.Millisecond {
@@ -443,7 +443,7 @@ func TestStallWatchStopsIdleDetector(t *testing.T) {
 			// Only an armed watch registers the counter; an unarmed one
 			// shows itself by never draining.
 			if tc.probe != nil {
-				if got := s.reg.Total("rel", "hb_stall_stops"); got != tc.stops {
+				if got := s.Metrics().Total("rel", "hb_stall_stops"); got != tc.stops {
 					t.Fatalf("hb_stall_stops = %d, want %d", got, tc.stops)
 				}
 			}

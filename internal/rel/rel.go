@@ -64,12 +64,6 @@ type Config struct {
 	// is declared dead (PeerDead). Must be set together with
 	// HeartbeatPeriod, and at least twice it.
 	LeaseTimeout sim.Duration
-
-	// Metrics is the registry the layer registers its instruments in
-	// (protocol counters per rank, in-flight window depth, an RTO
-	// histogram). Nil gets a private registry; stack.Build shares one
-	// across every layer.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns timeouts sized for the simulated fabric: RTT is a
@@ -307,7 +301,6 @@ type Stack struct {
 	fab *fabric.Fabric
 	cfg Config
 	eps []*endpoint
-	reg *metrics.Registry
 
 	unreachable *metrics.Counter
 	peerDead    *metrics.Counter
@@ -338,12 +331,9 @@ func New(fab *fabric.Fabric, cfg Config) (*Stack, error) {
 	if n := fab.Domain().Shards(); n > 1 {
 		return nil, fmt.Errorf("rel: the reliability layer requires a single-shard domain (have %d shards)", n)
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.New()
-	}
+	reg := fab.Metrics()
 	s := &Stack{
-		fab: fab, cfg: cfg, reg: reg,
+		fab: fab, cfg: cfg,
 		unreachable: reg.Counter("rel", "unreachable", metrics.StackRank),
 		peerDead:    reg.Counter("rel", "peer_dead", metrics.StackRank),
 		rtoHist:     reg.Histogram("rel", "rto_ns", metrics.StackRank),
@@ -384,6 +374,11 @@ func New(fab *fabric.Fabric, cfg Config) (*Stack, error) {
 
 // Ranks returns the number of ranks (fabric.Network).
 func (s *Stack) Ranks() int { return len(s.eps) }
+
+// Metrics returns the fabric's registry, which the layer registers its
+// instruments in: protocol counters per rank, in-flight window depth and an
+// RTO histogram (fabric.Network).
+func (s *Stack) Metrics() *metrics.Registry { return s.fab.Metrics() }
 
 // SetHandler installs the upper layer's delivery handler for rank
 // (fabric.Network). The *fabric.Message a handler receives is valid only

@@ -24,9 +24,7 @@ func pairStack(t *testing.T, ranks int, fc *fabric.FaultConfig) (*sim.Engine, *f
 			t.Fatal(err)
 		}
 	}
-	rc := DefaultConfig()
-	rc.Metrics = fab.Metrics()
-	s, err := New(fab, rc)
+	s, err := New(fab, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +91,7 @@ func TestLossyLinkExactlyOnceInOrder(t *testing.T) {
 			t.Fatalf("delivery order broken at %d: got %d", i, v)
 		}
 	}
-	if r, d := s.reg.Total("rel", "retransmits"), s.reg.Total("rel", "dup_dropped"); r == 0 || d == 0 {
+	if r, d := s.Metrics().Total("rel", "retransmits"), s.Metrics().Total("rel", "dup_dropped"); r == 0 || d == 0 {
 		t.Fatalf("fault recovery never exercised: %d retransmits, %d duplicates dropped", r, d)
 	}
 }
@@ -111,7 +109,7 @@ func TestCleanFabricNoRetransmits(t *testing.T) {
 		t.Fatalf("clean run delivered %d, want 50", n)
 	}
 	for _, name := range []string{"retransmits", "dup_dropped", "corrupt_dropped"} {
-		if got := s.reg.Total("rel", name); got != 0 {
+		if got := s.Metrics().Total("rel", name); got != 0 {
 			t.Fatalf("clean run counted %d rel/%s", got, name)
 		}
 	}
@@ -132,7 +130,7 @@ func TestOnTxFiresExactlyOncePerSend(t *testing.T) {
 	if tx != count {
 		t.Fatalf("OnTx fired %d times for %d sends", tx, count)
 	}
-	if s.reg.Total("rel", "retransmits") == 0 {
+	if s.Metrics().Total("rel", "retransmits") == 0 {
 		t.Fatal("no retransmissions at 30% drop — test proves nothing")
 	}
 }
@@ -158,14 +156,14 @@ func TestSeveredLinkDeclaresPeerUnreachable(t *testing.T) {
 	if pu.From != 0 || pu.To != 1 || pu.Attempts != DefaultConfig().MaxRetries+1 {
 		t.Fatalf("bad error detail %+v", pu)
 	}
-	if n := s.reg.Total("rel", "unreachable"); n != 1 {
+	if n := s.Metrics().Total("rel", "unreachable"); n != 1 {
 		t.Fatalf("unreachable = %d, want 1", n)
 	}
 	// Later sends to the dead peer are swallowed, not retried.
-	sent := s.reg.Total("rel", "data_sent")
+	sent := s.Metrics().Total("rel", "data_sent")
 	s.Send(&fabric.Message{Src: 0, Dst: 1, Size: 64})
 	eng.Run()
-	if s.reg.Total("rel", "data_sent") != sent {
+	if s.Metrics().Total("rel", "data_sent") != sent {
 		t.Fatal("send to dead peer was accepted")
 	}
 	if end == 0 {
@@ -193,7 +191,7 @@ func TestLostAcksDoNotDuplicateDelivery(t *testing.T) {
 	if !failed {
 		t.Fatal("sender never gave up without ACKs")
 	}
-	if s.reg.Total("rel", "dup_dropped") == 0 {
+	if s.Metrics().Total("rel", "dup_dropped") == 0 {
 		t.Fatal("retransmissions were not recognized as duplicates")
 	}
 }
@@ -222,7 +220,7 @@ func TestLoopbackBypassesProtocol(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("loopback delivered %d, want 1", n)
 	}
-	if n := s.reg.Total("rel", "data_sent"); n != 0 {
+	if n := s.Metrics().Total("rel", "data_sent"); n != 0 {
 		t.Fatalf("loopback entered the protocol: %d data frames", n)
 	}
 }
@@ -287,7 +285,7 @@ func TestDeterministicReplay(t *testing.T) {
 			s.Send(&fabric.Message{Src: i % 3, Dst: (i + 1) % 4, Size: 256, Meta: i})
 		}
 		end := eng.Run()
-		return end, s.reg, trace
+		return end, s.Metrics(), trace
 	}
 	e1, r1, t1 := run()
 	e2, r2, t2 := run()
